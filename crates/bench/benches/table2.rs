@@ -1,6 +1,6 @@
 //! Table II as a bench target: times the knowledge-base bootstrap that
 //! re-derives the per-stage scalability factors (profiling-trace
-//! generation → triple-store ingestion → regression), and asserts the
+//! generation → profile-log ingestion → regression), and asserts the
 //! recovery is numerically faithful on every iteration.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -134,6 +134,26 @@ mod tests {
         }
     }
 
+    /// The learned model's exact bits at a fixed seed: how the knowledge
+    /// base stores and fits profiles may change, the model may not.
+    #[test]
+    fn bootstrap_learned_bits_are_pinned() {
+        const PINNED: [[u64; 3]; 7] = [
+            [0x3fd7d88eeef74646, 0x401505b20e2a347f, 0x3fec79491cf8a7c2],
+            [0x4005f1136c6c3eb3, 0xbfe4d88e7725b140, 0x3f95aba5209aeaaa],
+            [0x3ffb8d6d44411106, 0x400fe23cea6e1314, 0x3fe60f00490194b5],
+            [0x400acdf22d05893c, 0x3fe381d45c0fd3e0, 0x3fe9572ba5a4d6ef],
+            [0x3fef994c53f4d2d5, 0x4031e7260f4d2c3e, 0x3fed0b5b970f945d],
+            [0x3f931b5ead06f4d3, 0x3fd966798c6e1d82, 0x3fd005ce98666d33],
+            [0x3f779d923f766e66, 0x40147730d20becf4, 0x3f95d96028b8605f],
+        ];
+        let b = broker(0.02);
+        let got: Vec<[u64; 3]> =
+            b.learned_model().stages.iter().map(|s| [s.a, s.b, s.c].map(f64::to_bits)).collect();
+        assert_eq!(got, PINNED);
+        assert_eq!(b.knowledge_base().profile_count("GATK"), 525);
+    }
+
     #[test]
     fn noiseless_bootstrap_is_exact() {
         let b = broker(0.0);

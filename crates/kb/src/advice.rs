@@ -1,14 +1,21 @@
 //! The knowledge-base facade consumed by the Data Broker and Scheduler.
 //!
+//! The record of truth is the ingested profile log: a `Vec` of
+//! [`ProfileRecord`]s in ingest order. Stage models are fitted straight
+//! from it. The [`Ontology`] is a view of that log, built on first use
+//! (by replaying the log into the SCAN schema) for SPARQL, Turtle and the
+//! examples, and kept current by later ingests — so the simulation path
+//! never touches the triple store.
+//!
 //! Two decisions come out of the knowledge base (§III-A.1(ii)):
 //!
 //! 1. **Chunk size** — "the Data Broker will query the SCAN knowledge-base
 //!    to decide the suitable chunk size of input files of tasks". We rank
 //!    ingested application instances by execution time per GB with a real
-//!    SPARQL query (the engine in [`crate::sparql`]) and recommend the
-//!    input size of the most efficient observation, clamped to a sane
-//!    range. With no observations, the paper's default of 2 GB is used
-//!    ("In our case, the inputs will be 2GB for each task").
+//!    SPARQL query (the engine in [`crate::sparql`]) over the ontology view
+//!    and recommend the input size of the most efficient observation,
+//!    clamped to a sane range. With no observations, the paper's default
+//!    of 2 GB is used ("In our case, the inputs will be 2GB for each task").
 //! 2. **Stage models** — the scheduler's ETT estimator needs per-stage
 //!    `a, b, c` coefficients. These are *learned* from the ingested
 //!    profiles by least squares ([`crate::regression`]), not read from the
@@ -21,6 +28,7 @@ use crate::regression::{amdahl_fit, linear_fit};
 use crate::sparql::parse_query;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Sharding advice for one application's input data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,44 +87,59 @@ pub const DEFAULT_CHUNK_GB: f64 = 2.0;
 const MIN_CHUNK_GB: f64 = 0.25;
 const MAX_CHUNK_GB: f64 = 16.0;
 
-/// The SCAN knowledge base: an [`Ontology`] plus the decision layer.
-#[derive(Debug, Clone)]
+/// The SCAN knowledge base: the profile log, its lazily built
+/// [`Ontology`] view, and the decision layer over both.
+#[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
-    ontology: Ontology,
-}
-
-impl Default for KnowledgeBase {
-    fn default() -> Self {
-        Self::new()
-    }
+    log: Vec<ProfileRecord>,
+    ontology: OnceLock<Ontology>,
 }
 
 impl KnowledgeBase {
-    /// A knowledge base seeded with the SCAN schema (domain + cloud
-    /// ontologies and linker) but no profiling instances.
+    /// A knowledge base with no profiling instances; its ontology view
+    /// starts as the SCAN schema (domain + cloud ontologies and linker).
     pub fn new() -> Self {
-        KnowledgeBase { ontology: Ontology::with_scan_schema() }
+        Self::default()
     }
 
-    /// Read access to the ontology.
+    /// The ontology view of the log, built on first use by replaying
+    /// every ingested record into the SCAN schema.
     pub fn ontology(&self) -> &Ontology {
-        &self.ontology
-    }
-
-    /// Mutable access to the ontology (tests, custom schema extensions).
-    pub fn ontology_mut(&mut self) -> &mut Ontology {
-        &mut self.ontology
+        self.ontology.get_or_init(|| {
+            let mut o = Ontology::with_scan_schema();
+            for rec in &self.log {
+                o.ingest_profile(rec);
+            }
+            o
+        })
     }
 
     /// Ingests a task log record ("the SCAN keeps the log information of
     /// each task scheduled to run in a cloud").
+    ///
+    /// # Panics
+    /// Panics if a float field is NaN, which the ontology view could not
+    /// hold as a literal.
     pub fn ingest(&mut self, record: &ProfileRecord) {
-        self.ontology.ingest_profile(record);
+        assert!(
+            ![record.input_gb, record.ram_gb, record.e_time].iter().any(|f| f.is_nan()),
+            "NaN literals are not permitted in the knowledge base"
+        );
+        if let Some(o) = self.ontology.get_mut() {
+            o.ingest_profile(record);
+        }
+        self.log.push(record.clone());
     }
 
-    /// Number of ingested profile individuals for `application`.
+    /// Ingested records of exactly `application` (no subclass reasoning).
+    fn profiles<'a>(&'a self, application: &'a str) -> impl Iterator<Item = &'a ProfileRecord> {
+        self.log.iter().filter(move |p| p.application == application)
+    }
+
+    /// Number of ingested profiles whose application is exactly
+    /// `application`.
     pub fn profile_count(&self, application: &str) -> usize {
-        self.ontology.profiles_of(application).len()
+        self.profiles(application).count()
     }
 
     /// Chunk-size advice for splitting `total_gb` of input for
@@ -141,7 +164,7 @@ impl KnowledgeBase {
             ns = iri::SCAN_NS
         );
         let query = parse_query(&query_text).expect("advise_chunk query is well-formed");
-        let results = query.execute(self.ontology.store()).expect("query evaluates");
+        let results = query.execute(self.ontology().store()).expect("query evaluates");
 
         // Keep only instances of the requested application class (the
         // SPARQL subset has no subclass inference in the pattern itself).
@@ -177,15 +200,12 @@ impl KnowledgeBase {
     }
 
     /// Learns the `E(d) = a·d + b`, Amdahl-`c` model of one pipeline stage
-    /// of `application` from ingested profiles. Returns `None` until
-    /// enough observations exist (≥ 2 distinct single-thread sizes).
+    /// of `application` (matched exactly) from ingested profiles, in
+    /// ingest order. Returns `None` until enough observations exist (≥ 2
+    /// distinct single-thread sizes).
     pub fn stage_model(&self, application: &str, stage: u32) -> Option<StageModelEstimate> {
-        let profiles: Vec<ProfileRecord> = self
-            .ontology
-            .profiles_of(application)
-            .into_iter()
-            .filter(|p| p.stage == stage)
-            .collect();
+        let profiles: Vec<&ProfileRecord> =
+            self.profiles(application).filter(|p| p.stage == stage).collect();
         if profiles.is_empty() {
             return None;
         }

@@ -21,10 +21,17 @@
 //!   individuals (the paper's `GATK1`…`GATK4` instances).
 //! * [`regression`] — least-squares fits recovering the per-stage linear
 //!   coefficients `a_i, b_i` and the Amdahl fraction `c_i` from profiles.
-//! * [`advice`] — the query layer the Data Broker and Scheduler actually
-//!   consume: chunk-size recommendations and learned stage models.
+//! * [`advice`] — the [`KnowledgeBase`] the Data Broker and Scheduler
+//!   actually consume: chunk-size recommendations and learned stage
+//!   models.
 //! * [`turtle`] — Turtle-format persistence: save/reload the ontology and
 //!   its profiling instances across sessions.
+//!
+//! The [`KnowledgeBase`]'s record of truth is its profile log, in ingest
+//! order; stage models are fitted from the log directly. The ontology is
+//! a view of that log, materialised on first use for SPARQL queries,
+//! Turtle export and the examples, so a simulation that only learns stage
+//! models never builds a triple store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,21 +26,55 @@ fn call_graph_covers_the_workspace() {
     assert!(g.edge_count() >= 500, "call graph shrank: {} edges", g.edge_count());
 }
 
-/// With allow directives ignored, the passes must find the workspace's
-/// *annotated* hazards: the kb interner's lookup-only `HashMap` behind
-/// the broker, and the trace-store columns' `# Panics` contract sites
-/// behind the observer hot path. If this fails after removing one of
-/// those, re-point it at another allowed site — the guard exists so the
-/// passes can never silently go blind.
+/// Replaces one file of the loaded workspace with edited text.
+fn patch(ws: &mut Workspace, suffix: &str, edit: impl Fn(&str) -> String) {
+    let wf = ws
+        .files
+        .iter_mut()
+        .find(|wf| wf.file.path.ends_with(suffix))
+        .unwrap_or_else(|| panic!("workspace has a file ending in {suffix}"));
+    let patched = edit(&wf.file.text);
+    assert_ne!(patched, wf.file.text, "the drift edit must change {suffix}");
+    wf.file = SourceFile::new(wf.file.path.clone(), patched);
+}
+
+/// With allow directives ignored, the passes must find real hazards in
+/// the real call graph. The taint pass is driven through a `HashMap`
+/// helper injected (in memory) into the knowledge base and called from
+/// `DataBroker::bootstrap`, and must report the crossing with a chain
+/// rooted there; the panic-path pass must re-find the trace-store
+/// columns' `# Panics` contract sites behind the observer hot path. If
+/// the latter fails after removing those sites, re-point it at another
+/// allowed site — the guard exists so the passes can never silently go
+/// blind.
 #[test]
 fn passes_find_the_annotated_sites_when_allows_are_ignored() {
-    let ws = real_workspace();
+    let mut ws = real_workspace();
+    patch(&mut ws, "crates/kb/src/advice.rs", |text| {
+        format!(
+            "{text}\nimpl KnowledgeBase {{\n    /// Drifted-in helper with a fresh hazard.\n    \
+             pub fn drifted_index() -> usize {{\n        \
+             std::collections::HashMap::<u32, u32>::new().len()\n    }}\n}}\n"
+        )
+    });
+    patch(&mut ws, "crates/core/src/broker.rs", |text| {
+        text.replacen(
+            "let mut kb = KnowledgeBase::new();",
+            "let mut kb = KnowledgeBase::new();\n        let _ = KnowledgeBase::drifted_index();",
+            1,
+        )
+    });
     let model = SemanticModel::build(&ws);
     let g = graph::build(&model);
     let mut no_allows = Allows::collect(std::iter::empty::<&SourceFile>(), rules::is_known_rule);
     let mut diags = Vec::new();
     semantic::check(&model, &g, &mut no_allows, &mut diags);
+    assert!(
+        diags.iter().any(|d| d.rule == "taint-nondet"
+            && d.chain.first().is_some_and(|h| h.label == "DataBroker::bootstrap")
+            && d.chain.iter().any(|h| h.label == "KnowledgeBase::drifted_index")),
+        "taint pass went blind: {diags:?}"
+    );
     let count = |rule: &str| diags.iter().filter(|d| d.rule == rule).count();
-    assert!(count("taint-nondet") >= 1, "taint pass went blind: {diags:?}");
     assert!(count("panic-path") >= 1, "panic-path pass went blind: {diags:?}");
 }

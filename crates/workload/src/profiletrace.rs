@@ -11,6 +11,7 @@
 use crate::gatk::PipelineModel;
 use scan_kb::ProfileRecord;
 use scan_sim::SimRng;
+use std::borrow::Cow;
 
 /// The paper's profiling grid: input sizes 1–9 GB.
 pub const PROFILE_SIZES_GB: [f64; 5] = [1.0, 3.0, 5.0, 7.0, 9.0];
@@ -20,16 +21,18 @@ pub const PROFILE_THREADS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Generates a profiling trace for every stage of `model`: each (size,
 /// threads) cell is measured `replicates` times with multiplicative
-/// Gaussian noise of relative σ `noise`.
+/// Gaussian noise of relative σ `noise`. Every record shares
+/// `application`, so a static name is never copied per record.
 pub fn generate_profile_trace(
     model: &PipelineModel,
-    application: &str,
+    application: impl Into<Cow<'static, str>>,
     replicates: usize,
     noise: f64,
     rng: &mut SimRng,
 ) -> Vec<ProfileRecord> {
     assert!(replicates >= 1);
     assert!((0.0..0.5).contains(&noise), "relative noise must be in [0, 0.5)");
+    let application = application.into();
     let mut out = Vec::new();
     for (stage_idx, factors) in model.stages.iter().enumerate() {
         for &size_gb in &PROFILE_SIZES_GB {
@@ -39,7 +42,7 @@ pub fn generate_profile_trace(
                     let factor = 1.0 + noise * rng.standard_normal();
                     let e_time = (truth * factor.max(0.1)).max(1e-3);
                     out.push(ProfileRecord {
-                        application: application.to_string().into(),
+                        application: application.clone(),
                         stage: (stage_idx + 1) as u32,
                         input_gb: size_gb,
                         threads,
