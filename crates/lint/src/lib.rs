@@ -1,4 +1,4 @@
-//! `scan-lint`: the workspace's determinism-and-consistency analyzer.
+//! `scan-lint`: the workspace's determinism-and-hygiene analyzer.
 //!
 //! A source-level static analyzer purpose-built for this repository. It
 //! lexes every workspace crate with its own lightweight Rust tokenizer
@@ -12,10 +12,7 @@
 //!    byte-identical run to run (see `docs/LINTS.md`).
 //! 2. **Hygiene** — panic discipline in library code, doc comments on
 //!    every `pub` item, no orphaned TODOs.
-//! 3. **Doc–code consistency** — `docs/TRACE_SCHEMA.md` must match the
-//!    `TraceEvent` enum and `docs/METRICS.md` must match the registered
-//!    metric families, in both directions.
-//! 4. **Semantic (interprocedural)** — on top of the lexer sits an item
+//! 3. **Semantic (interprocedural)** — on top of the lexer sits an item
 //!    parser ([`parse`]), a workspace symbol table ([`model`]) and a
 //!    name-resolution-approximate call graph ([`graph`]); three passes
 //!    walk it: nondeterminism *taint* flowing from any crate into

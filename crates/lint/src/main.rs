@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-scan-lint: workspace determinism-and-consistency analyzer
+scan-lint: workspace determinism-and-hygiene analyzer
 
 USAGE:
     scan-lint [OPTIONS]

@@ -1,5 +1,5 @@
 //! The rule set: per-file token rules (determinism + hygiene) and the
-//! workspace-level doc–code consistency rules in [`consistency`].
+//! interprocedural passes in [`semantic`].
 //!
 //! Every rule has a stable kebab-case id, a severity, and a one-line
 //! summary (shown by `scan-lint --list-rules` and catalogued with
@@ -7,7 +7,6 @@
 //! telling them the file's target class and whether its crate is
 //! sim-facing; each rule decides its own scope from that.
 
-pub mod consistency;
 mod determinism;
 mod hygiene;
 pub mod semantic;
@@ -80,30 +79,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "stale-todo",
         severity: Severity::Warning,
         summary: "TODO/FIXME comments must reference an issue (`#123`) or a URL",
-    },
-    RuleInfo {
-        id: "trace-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/TRACE_SCHEMA.md must match the TraceEvent enum: variants, kind tags and \
-                  fields, in both directions",
-    },
-    RuleInfo {
-        id: "metrics-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/METRICS.md must list exactly the metric families registered in library \
-                  code, in both directions",
-    },
-    RuleInfo {
-        id: "store-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/TRACESTORE.md must match the trace store's schema: one column table per \
-                  EventKind plus the Agg labels, in both directions",
-    },
-    RuleInfo {
-        id: "spans-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/SPANS.md must list exactly the segment taxonomy and SLO metric names \
-                  declared in crates/spans/src/schema.rs, in both directions",
     },
     RuleInfo {
         id: "taint-nondet",
@@ -186,8 +161,8 @@ pub fn check_file_raw(file: &SourceFile, ctx: RuleCtx<'_>) -> Vec<Diagnostic> {
 }
 
 /// Runs every per-file rule on one file, then applies the file's allow
-/// directives. Returned diagnostics are final for this file (modulo the
-/// workspace-level consistency rules, which report on other files).
+/// directives. Returned diagnostics are final for this file (the
+/// workspace-level semantic passes report separately).
 pub fn check_file(file: &SourceFile, ctx: RuleCtx<'_>) -> Vec<Diagnostic> {
     let mut diags = check_file_raw(file, ctx);
     crate::diag::apply_allows(file, &mut diags, is_known_rule);

@@ -13,7 +13,7 @@ use crate::diag::{Allows, ChainHop, Diagnostic};
 use crate::graph::CallGraph;
 use crate::lex::TokenKind;
 use crate::model::{FileFacts, FnId, SemanticModel};
-use crate::rules::{consistency, severity_of};
+use crate::rules::severity_of;
 use crate::source::FileClass;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
@@ -274,8 +274,7 @@ fn panic_chain(
 /// (`registry.counter_add(handle, n)`), where the handle is an argument.
 const UPDATE_METHODS: &[&str] =
     &["inc", "add", "observe", "sample", "set", "record", "counter_add", "gauge_set", "rate_add"];
-/// Registrar methods whose string argument names a metric family (the
-/// same vocabulary as the metrics-doc-drift collector).
+/// Registrar methods whose string argument names a metric family.
 const REGISTER_METHODS: &[&str] = &["counter", "histogram", "series"];
 
 /// `dead-telemetry`: telemetry that is declared but can never produce
@@ -298,8 +297,8 @@ fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagn
     else {
         return; // no trace schema in this workspace (fixture runs)
     };
-    let trace_model = consistency::parse_trace_model(&trace.wf.file);
-    if trace_model.variants.is_empty() {
+    let variants = declared_variants(trace, "TraceEvent");
+    if variants.is_empty() {
         return;
     }
 
@@ -311,7 +310,7 @@ fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagn
         collect_constructions(facts, "TraceEvent", &mut constructed);
     }
 
-    for (variant, (line, _fields)) in &trace_model.variants {
+    for (variant, line) in &variants {
         if !constructed.contains(variant) {
             diags.push(diag(
                 "dead-telemetry",
@@ -326,6 +325,40 @@ fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagn
             ));
         }
     }
+}
+
+/// The variants of `enum enum_name` declared in a file, with their
+/// lines: identifiers directly inside the enum body that follow its
+/// opening brace, a separating comma or an attribute.
+fn declared_variants(facts: &FileFacts<'_>, enum_name: &str) -> Vec<(String, u32)> {
+    let file = &facts.wf.file;
+    let code = &facts.code;
+    let is =
+        |k: usize, word: &str| code[k].kind == TokenKind::Ident && code[k].text(&file.text) == word;
+    let Some(name) = (1..code.len()).find(|&k| is(k - 1, "enum") && is(k, enum_name)) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    for k in name + 1..code.len() {
+        match code[k].kind {
+            TokenKind::Punct(b'{' | b'(' | b'[') => depth += 1,
+            TokenKind::Punct(b'}' | b')' | b']') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            TokenKind::Ident
+                if depth == 1
+                    && matches!(code[k - 1].kind, TokenKind::Punct(b'{' | b',' | b']')) =>
+            {
+                out.push((code[k].text(&file.text).to_string(), code[k].line));
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Collects variants of `enum_name` that appear in *construction*

@@ -10,7 +10,7 @@
 use crate::diag::{Allows, Diagnostic};
 use crate::graph;
 use crate::model::SemanticModel;
-use crate::rules::{self, consistency, semantic, RuleCtx};
+use crate::rules::{self, semantic, RuleCtx};
 use crate::source::{FileClass, SourceFile};
 use std::fs;
 use std::io;
@@ -53,21 +53,12 @@ impl WorkspaceFile {
     }
 }
 
-/// The loaded workspace: every in-scope source file plus the four
-/// reference documents.
+/// The loaded workspace: every in-scope source file.
 pub struct Workspace {
     /// Workspace root directory.
     pub root: PathBuf,
     /// All discovered files, sorted by path.
     pub files: Vec<WorkspaceFile>,
-    /// `docs/TRACE_SCHEMA.md` content, if present.
-    pub trace_schema: Option<String>,
-    /// `docs/METRICS.md` content, if present.
-    pub metrics_doc: Option<String>,
-    /// `docs/TRACESTORE.md` content, if present.
-    pub tracestore_doc: Option<String>,
-    /// `docs/SPANS.md` content, if present.
-    pub spans_doc: Option<String>,
 }
 
 /// Outcome of a full run.
@@ -103,22 +94,14 @@ impl Workspace {
         }
 
         files.sort_by(|a, b| a.file.path.cmp(&b.file.path));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            trace_schema: fs::read_to_string(root.join("docs/TRACE_SCHEMA.md")).ok(),
-            metrics_doc: fs::read_to_string(root.join("docs/METRICS.md")).ok(),
-            tracestore_doc: fs::read_to_string(root.join("docs/TRACESTORE.md")).ok(),
-            spans_doc: fs::read_to_string(root.join("docs/SPANS.md")).ok(),
-        })
+        Ok(Workspace { root: root.to_path_buf(), files })
     }
 
     /// Runs every rule over the loaded workspace: the per-file token
-    /// rules, the doc–code consistency rules and the semantic passes,
-    /// with allow directives applied once, globally, at the end — a
-    /// directive can excuse a per-file finding, a cross-file semantic
-    /// finding, or act as a mid-analysis taint sink, all from one
-    /// used-tracking ledger.
+    /// rules and the semantic passes, with allow directives applied once,
+    /// globally, at the end — a directive can excuse a per-file finding,
+    /// a cross-file semantic finding, or act as a mid-analysis taint
+    /// sink, all from one used-tracking ledger.
     pub fn run(&self) -> RunResult {
         let mut diagnostics = Vec::new();
         let mut allows =
@@ -126,7 +109,6 @@ impl Workspace {
         for wf in &self.files {
             diagnostics.extend(rules::check_file_raw(&wf.file, wf.ctx()));
         }
-        diagnostics.extend(self.check_consistency());
         let model = SemanticModel::build(self);
         let call_graph = graph::build(&model);
         semantic::check(&model, &call_graph, &mut allows, &mut diagnostics);
@@ -157,97 +139,6 @@ impl Workspace {
             (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
         });
         RunResult { diagnostics, files_scanned: self.files.len() }
-    }
-
-    /// The workspace-level doc–code consistency checks.
-    fn check_consistency(&self) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
-
-        let trace_src = self
-            .files
-            .iter()
-            .find(|wf| wf.crate_name == "scan-sim" && wf.file.path.ends_with("src/trace.rs"));
-        match (&self.trace_schema, trace_src) {
-            (Some(doc), Some(src)) => {
-                let model = consistency::parse_trace_model(&src.file);
-                diags.extend(consistency::check_trace_schema(
-                    Path::new("docs/TRACE_SCHEMA.md"),
-                    doc,
-                    &src.file.path,
-                    &model,
-                ));
-            }
-            (None, _) => diags.push(missing_doc("docs/TRACE_SCHEMA.md", "trace-doc-drift")),
-            (_, None) => diags.push(missing_doc("crates/sim/src/trace.rs", "trace-doc-drift")),
-        }
-
-        let store_src = self.files.iter().find(|wf| {
-            wf.crate_name == "scan-tracestore" && wf.file.path.ends_with("src/schema.rs")
-        });
-        match (&self.tracestore_doc, store_src) {
-            (Some(doc), Some(src)) => {
-                let model = consistency::parse_store_model(&src.file);
-                diags.extend(consistency::check_tracestore_doc(
-                    Path::new("docs/TRACESTORE.md"),
-                    doc,
-                    &src.file.path,
-                    &model,
-                ));
-            }
-            (None, _) => diags.push(missing_doc("docs/TRACESTORE.md", "store-doc-drift")),
-            (_, None) => {
-                diags.push(missing_doc("crates/tracestore/src/schema.rs", "store-doc-drift"));
-            }
-        }
-
-        let spans_src = self
-            .files
-            .iter()
-            .find(|wf| wf.crate_name == "scan-spans" && wf.file.path.ends_with("src/schema.rs"));
-        match (&self.spans_doc, spans_src) {
-            (Some(doc), Some(src)) => {
-                let model = consistency::parse_spans_model(&src.file);
-                diags.extend(consistency::check_spans_doc(
-                    Path::new("docs/SPANS.md"),
-                    doc,
-                    &src.file.path,
-                    &model,
-                ));
-            }
-            (None, _) => diags.push(missing_doc("docs/SPANS.md", "spans-doc-drift")),
-            (_, None) => diags.push(missing_doc("crates/spans/src/schema.rs", "spans-doc-drift")),
-        }
-
-        match &self.metrics_doc {
-            Some(doc) => {
-                let lib_files: Vec<&SourceFile> = self
-                    .files
-                    .iter()
-                    .filter(|wf| wf.class == FileClass::Library)
-                    .map(|wf| &wf.file)
-                    .collect();
-                let registered = consistency::collect_registered_metrics(&lib_files);
-                diags.extend(consistency::check_metrics_doc(
-                    Path::new("docs/METRICS.md"),
-                    doc,
-                    &registered,
-                ));
-            }
-            None => diags.push(missing_doc("docs/METRICS.md", "metrics-doc-drift")),
-        }
-        diags
-    }
-}
-
-fn missing_doc(path: &str, rule: &'static str) -> Diagnostic {
-    Diagnostic {
-        rule,
-        severity: crate::diag::Severity::Error,
-        path: PathBuf::from(path),
-        line: 1,
-        col: 1,
-        message: "reference file is missing; consistency cannot be checked".to_string(),
-        chain: Vec::new(),
     }
 }
 

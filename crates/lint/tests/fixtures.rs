@@ -71,19 +71,10 @@ fn clean_fixture_is_clean() {
 
 #[test]
 fn every_non_meta_rule_appears_in_some_golden() {
-    // The meta-rules fire from the allow machinery; the consistency
-    // rules are exercised by tests/consistency.rs and the semantic
-    // (interprocedural) rules by tests/semantic_fixtures.rs — they need
-    // multi-crate workspaces, not single files.
-    let covered_elsewhere = [
-        "trace-doc-drift",
-        "metrics-doc-drift",
-        "store-doc-drift",
-        "spans-doc-drift",
-        "taint-nondet",
-        "panic-path",
-        "dead-telemetry",
-    ];
+    // The semantic (interprocedural) rules are exercised by
+    // tests/semantic_fixtures.rs — they need multi-crate workspaces, not
+    // single files.
+    let covered_elsewhere = ["taint-nondet", "panic-path", "dead-telemetry"];
     let dir = fixture_dir();
     let mut all = String::new();
     for entry in fs::read_dir(&dir).expect("fixture dir") {

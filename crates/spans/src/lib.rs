@@ -20,9 +20,9 @@
 //! per segment) and a Chrome/Perfetto `trace_event` JSON exporter
 //! ([`perfetto::export`]) that loads in `ui.perfetto.dev`.
 //!
-//! The segment taxonomy and the SLO metric names live in [`schema`];
-//! `scan-lint`'s `spans-doc-drift` rule keeps them in sync with
-//! `docs/SPANS.md` in both directions.
+//! The segment taxonomy lives in [`schema`]; the root
+//! `tests/doc_contracts.rs` keeps it, and the SLO metric families the
+//! platform registers, in sync with `docs/SPANS.md` in both directions.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -38,7 +38,5 @@ pub use aggregate::{aggregate, render, render_slowest, GroupStats, SpanAggregate
 pub use derive::derive;
 pub use observer::{Recorder, RecorderFactory, Recording, SpanObserver, SpansFactory};
 pub use perfetto::export;
-pub use schema::{
-    SegmentKind, ALL_SEGMENTS, SLO_BURN_RATE, SLO_FLEET_VIOLATIONS_TOTAL, SLO_VIOLATIONS_TOTAL,
-};
+pub use schema::{SegmentKind, ALL_SEGMENTS};
 pub use span::{JobSpans, Segment, SpanSet, NO_TIER};

@@ -1,11 +1,10 @@
 //! The span data model: the segment taxonomy every job latency is
-//! decomposed into, and the SLO metric names the platform registers.
+//! decomposed into.
 //!
-//! This module is the single source of truth `scan-lint`'s
-//! `spans-doc-drift` rule cross-checks against `docs/SPANS.md` in both
-//! directions: every [`SegmentKind::name`] label and every `SLO_*`
-//! metric-name constant must have a documentation row, and every
-//! documented row must exist here.
+//! This module is the single source of truth the root
+//! `tests/doc_contracts.rs` checks against `docs/SPANS.md` in both
+//! directions: every [`SegmentKind::name`] label in [`ALL_SEGMENTS`] must
+//! have a documentation row, and every documented row must exist here.
 
 /// What a slice of a job's end-to-end latency was spent on.
 ///
@@ -61,17 +60,6 @@ impl SegmentKind {
         self as usize
     }
 }
-
-/// Metric name of the per-session SLO violation counter the platform
-/// registers when `ScanConfig::slo_target_tu` is set (see
-/// `docs/METRICS.md`).
-pub const SLO_VIOLATIONS_TOTAL: &str = "slo_violations_total";
-
-/// Metric name of the windowed SLO burn-rate series (violations per TU).
-pub const SLO_BURN_RATE: &str = "slo_burn_rate";
-
-/// Metric name of the per-tenant fleet projection of SLO violations.
-pub const SLO_FLEET_VIOLATIONS_TOTAL: &str = "fleet_slo_violations_total";
 
 #[cfg(test)]
 mod tests {

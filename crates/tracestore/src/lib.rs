@@ -19,8 +19,8 @@
 //!
 //! The full design — column layouts per event kind, dictionary encoding,
 //! the query API, the export format, and the determinism guarantees —
-//! is documented in `docs/TRACESTORE.md`, which `scan-lint`'s
-//! `store-doc-drift` rule keeps in sync with [`schema`] in both
+//! is documented in `docs/TRACESTORE.md`, which the root
+//! `tests/doc_contracts.rs` keeps in sync with [`schema`] in both
 //! directions.
 
 #![forbid(unsafe_code)]

@@ -5,10 +5,10 @@
 //! [`EventKind::columns`]. The declaration is the single source of truth
 //! for the whole crate: ingest pushes values in declaration order, the
 //! query layer resolves column names against it, the export writes
-//! columns in declaration order, and `scan-lint`'s `store-doc-drift`
-//! rule cross-checks it against `docs/TRACESTORE.md` in both directions
-//! (so a column added or renamed here without its documentation row
-//! fails CI, and vice versa).
+//! columns in declaration order, and the root `tests/doc_contracts.rs`
+//! checks it against `docs/TRACESTORE.md` in both directions (so a
+//! column added or renamed here without its documentation row fails
+//! `cargo test`, and vice versa).
 //!
 //! Two implicit columns precede every table's declared columns and are
 //! therefore *not* listed in [`EventKind::columns`]:
@@ -277,48 +277,6 @@ impl Agg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scan_sim::ScalingChoice;
-
-    #[test]
-    fn kind_tags_match_trace_event_kind() {
-        let samples = [
-            TraceEvent::JobArrived { job: 1, size_units: 2.0, submitted_tu: 0.0 },
-            TraceEvent::JobStageAdvanced { job: 1, stage: 0, shards: 4, cores: 2 },
-            TraceEvent::JobCompleted { job: 1, latency_tu: 3.0, reward: 4.0, core_stages: 8.0 },
-            TraceEvent::SloViolation { job: 1, latency_tu: 30.0, target_tu: 26.0 },
-            TraceEvent::SubtaskDispatched {
-                job: 1,
-                stage: 0,
-                vm: 2,
-                cores: 2,
-                waited_tu: 0.5,
-                busy_tu: 1.5,
-            },
-            TraceEvent::SubtaskDone { job: 1, stage: 0, vm: 2 },
-            TraceEvent::VmHired { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::VmBooted { vm: 2, cores: 2 },
-            TraceEvent::VmReshaped { vm: 2, tier: 0, cores_from: 2, cores_to: 4 },
-            TraceEvent::VmReleased { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::ScalingDecision {
-                stage: 1,
-                cores: 2,
-                queued_jobs: 5,
-                delay_cost: 1.0,
-                hire_cost: 2.0,
-                choice: ScalingChoice::Wait,
-            },
-            TraceEvent::QueueDepthSampled { depth: 11 },
-            TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 2 },
-            TraceEvent::AdmissionResumed { tenant: 3, jobs: 2, backlog: 0 },
-            TraceEvent::TierSettled { tier: 0, cost: 100.0, core_tu: 20.0 },
-            TraceEvent::RunEnded { events_dispatched: 12345 },
-        ];
-        assert_eq!(samples.len(), ALL_KINDS.len(), "one sample per kind");
-        for (sample, kind) in samples.iter().zip(ALL_KINDS) {
-            assert_eq!(EventKind::of(sample), kind);
-            assert_eq!(kind.tag(), sample.kind(), "table tag equals the JSONL kind tag");
-        }
-    }
 
     #[test]
     fn kind_order_matches_discriminants() {

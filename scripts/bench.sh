@@ -51,11 +51,16 @@ import json, sys
 old_path, new_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
 def flatten(path):
-    """A ledger ({"runs": {label: run}}) or a bare run ({"results": …}):
-    merge every run's results in insertion order, later labels winning."""
+    """A ledger ({"runs": {label: run}}) or a bare run ({"results": …}).
+    A ledger's "after" run is the PR's own measurement, so it is read
+    alone when present; otherwise every run's results merge in key order
+    (the ledger is written with sorted keys), later labels winning."""
     doc = json.load(open(path))
+    runs = doc.get("runs", {"": doc})
+    if "after" in runs:
+        runs = {"after": runs["after"]}
     merged = {}
-    for run in doc.get("runs", {"": doc}).values():
+    for run in runs.values():
         merged.update(run.get("results", {}))
     return merged
 

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 
 quick="${1:-}"
 
-echo "==> scan-lint --deny-warnings (determinism + hygiene + doc drift + semantic passes)"
+echo "==> scan-lint --deny-warnings (determinism + hygiene + semantic passes)"
 cargo run -q -p scan-lint -- --deny-warnings
 
 echo "==> scan-lint --json (machine-output schema check)"
