@@ -6,23 +6,23 @@ use crate::instance::InstanceSize;
 use crate::shared::SharedLease;
 use crate::tier::{BillingMode, TierCatalog, TierId};
 use crate::vm::{Vm, VmId, VmState};
-use scan_metrics::{CounterId, HistogramId, Metrics};
 use scan_sim::{SimDuration, SimTime, TenantId, TraceEvent, Tracer};
 use std::fmt;
 
-/// Metric ids the provider records through (present only when a metrics
-/// registry is attached; see [`CloudProvider::set_metrics`]).
-#[derive(Debug, Clone)]
-struct ProviderMeters {
-    metrics: Metrics,
-    /// `vm_hired_total{tier}`, one id per tier in catalogue order.
-    hired: Vec<CounterId>,
-    /// `vm_released_total{tier}`, one id per tier in catalogue order.
-    released: Vec<CounterId>,
-    /// `vm_reshaped_total` (reshapes are private-tier only in practice).
-    reshaped: CounterId,
-    /// `vm_reshape_penalty_tu`: boot penalty paid per reshape.
-    reshape_penalty: HistogramId,
+/// One VM's billing terms, slot-parallel to the VM arena.
+#[derive(Debug, Clone, Copy)]
+struct Billing {
+    /// Price per core·TU captured at hire time. For a solo provider this
+    /// is always the catalogue price; under a shared lease the public
+    /// tier's surge multiplier is folded in at hire, and the VM keeps its
+    /// launch price for life.
+    price_per_core_tu: f64,
+    /// Billed span already settled at an earlier size: a reshape settles
+    /// what the VM accrued at its old size, and only the span after it is
+    /// billed at the new size.
+    billed_from: SimDuration,
+    /// Hired span already settled at an earlier size (for core·TU).
+    hired_from: SimDuration,
 }
 
 /// Why a hire request failed.
@@ -60,29 +60,25 @@ pub struct CloudProvider {
     /// memmove beats tree rebalancing.
     live: Vec<VmId>,
     cores_in_use: Vec<u32>, // per tier
-    /// Cost already incurred by released VMs (live VMs are integrated on
-    /// demand).
+    /// Cost already settled: released VMs, plus what reshaped VMs
+    /// accrued at their earlier sizes (live VMs are integrated on demand
+    /// from their last settlement).
     settled_cost: f64,
     /// The same settled cost broken out per tier (for end-of-run
     /// settlement events).
     settled_cost_by_tier: Vec<f64>,
-    /// Total core·TU consumed by released VMs, per tier.
+    /// Core·TU settled the same way, per tier.
     settled_core_tu_by_tier: Vec<f64>,
     /// VMs ever hired (diagnostic).
     hired_total: u64,
-    /// Per-VM price captured at hire time (slot-parallel to `vms`). For
-    /// a solo provider this is always the catalogue price; under a
-    /// shared lease the public tier's surge multiplier is folded in at
-    /// hire, and the VM keeps its launch price for life.
-    price_per_core_tu: Vec<f64>,
+    /// Per-VM billing terms (slot-parallel to `vms`).
+    billing: Vec<Billing>,
     /// Fleet mode: the shared capacity pool and this provider's tenant
     /// identity within it. `None` for single-tenant sessions, whose
     /// capacity checks and billing are exactly the pre-fleet arithmetic.
     lease: Option<(SharedLease, TenantId)>,
     /// Lifecycle event sink (disabled by default; see [`Tracer`]).
     tracer: Tracer,
-    /// Metric ids (absent unless a registry is attached).
-    meters: Option<ProviderMeters>,
 }
 
 impl CloudProvider {
@@ -98,10 +94,9 @@ impl CloudProvider {
             settled_cost_by_tier: vec![0.0; n],
             settled_core_tu_by_tier: vec![0.0; n],
             hired_total: 0,
-            price_per_core_tu: Vec::new(),
+            billing: Vec::new(),
             lease: None,
             tracer: Tracer::disabled(),
-            meters: None,
         }
     }
 
@@ -128,46 +123,6 @@ impl CloudProvider {
     /// observers. The provider emits; it never reads the trace.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Attaches a metrics registry: the provider registers per-tier
-    /// hire/release counters, a reshape counter and the reshape-penalty
-    /// histogram, and records into them on every lifecycle transition.
-    /// A disabled handle leaves the provider un-instrumented.
-    pub fn set_metrics(&mut self, metrics: &Metrics) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        let names: Vec<String> = self.catalog.iter().map(|(_, t)| t.name.clone()).collect();
-        let registered = metrics.with_registry(|r| {
-            let hired = names
-                .iter()
-                .map(|n| r.counter("vm_hired_total", "tier", n, "1", "VMs hired, by tier"))
-                .collect();
-            let released = names
-                .iter()
-                .map(|n| r.counter("vm_released_total", "tier", n, "1", "VMs released, by tier"))
-                .collect();
-            let reshaped =
-                r.counter("vm_reshaped_total", "", "", "1", "Idle-VM reshape operations");
-            let reshape_penalty = r.histogram(
-                "vm_reshape_penalty_tu",
-                "",
-                "",
-                "tu",
-                "Boot penalty paid per reshape (ready time minus reshape time)",
-            );
-            (hired, released, reshaped, reshape_penalty)
-        });
-        if let Some((hired, released, reshaped, reshape_penalty)) = registered {
-            self.meters = Some(ProviderMeters {
-                metrics: metrics.clone(),
-                hired,
-                released,
-                reshaped,
-                reshape_penalty,
-            });
-        }
     }
 
     /// The tier catalogue.
@@ -254,15 +209,16 @@ impl CloudProvider {
         self.cores_in_use[tier.0] += size.cores();
         self.hired_total += 1;
         self.vms.push(Some(vm));
-        self.price_per_core_tu.push(price);
+        self.billing.push(Billing {
+            price_per_core_tu: price,
+            billed_from: SimDuration::ZERO,
+            hired_from: SimDuration::ZERO,
+        });
         self.live.push(id);
         self.tracer.emit(
             now,
             TraceEvent::VmHired { vm: id.0 as u64, tier: tier.0 as u32, cores: size.cores() },
         );
-        if let Some(m) = &self.meters {
-            m.metrics.counter_add(m.hired[tier.0], 1);
-        }
         Ok((id, ready_at))
     }
 
@@ -276,20 +232,11 @@ impl CloudProvider {
         vm.release(now);
         let cores = vm.size.cores();
         let tier = vm.tier;
-        let span = vm.hired_span(now);
-        let t = self.catalog.get(tier);
-        let billed = match t.billing {
-            BillingMode::HiredTime => span,
-            BillingMode::BusyTime => vm.busy_span(now),
-        };
-        let cost = cores as f64 * self.price_per_core_tu[id.slot()] * billed.as_tu();
-        self.settled_cost += cost;
-        self.settled_cost_by_tier[tier.0] += cost;
-        self.settled_core_tu_by_tier[tier.0] += cores as f64 * span.as_tu();
+        self.settle(&vm, now);
         self.cores_in_use[tier.0] -= cores;
         if let Some((lease, tenant)) = &self.lease {
             let mut pool = lease.borrow_mut();
-            if t.capacity_cores.is_some() {
+            if self.catalog.get(tier).capacity_cores.is_some() {
                 pool.release_private(*tenant, cores);
             } else {
                 pool.remove_public(cores);
@@ -299,21 +246,52 @@ impl CloudProvider {
         self.live.remove(pos);
         self.tracer
             .emit(now, TraceEvent::VmReleased { vm: id.0 as u64, tier: tier.0 as u32, cores });
-        if let Some(m) = &self.meters {
-            m.metrics.counter_add(m.released[tier.0], 1);
+    }
+
+    /// The span `vm` is billed for up to `now` under its tier's billing
+    /// mode, from hire.
+    fn billed_span(&self, vm: &Vm, now: SimTime) -> SimDuration {
+        match self.catalog.get(vm.tier).billing {
+            BillingMode::HiredTime => vm.hired_span(now),
+            BillingMode::BusyTime => vm.busy_span(now),
         }
     }
 
+    /// `(cost, core·TU)` that `vm` has accrued at its current size up to
+    /// `now`: since its hire, or since the reshape that gave it this size.
+    fn accrued(&self, vm: &Vm, now: SimTime) -> (f64, f64) {
+        let b = &self.billing[vm.id.slot()];
+        let cores = vm.size.cores() as f64;
+        let billed = self.billed_span(vm, now) - b.billed_from;
+        let hired = vm.hired_span(now) - b.hired_from;
+        (cores * b.price_per_core_tu * billed.as_tu(), cores * hired.as_tu())
+    }
+
+    /// Moves what `vm` accrued at its current size into the settled
+    /// totals and restarts its accrual at `now`.
+    fn settle(&mut self, vm: &Vm, now: SimTime) {
+        let (cost, core_tu) = self.accrued(vm, now);
+        self.settled_cost += cost;
+        self.settled_cost_by_tier[vm.tier.0] += cost;
+        self.settled_core_tu_by_tier[vm.tier.0] += core_tu;
+        let billed_from = self.billed_span(vm, now);
+        let b = &mut self.billing[vm.id.slot()];
+        b.billed_from = billed_from;
+        b.hired_from = vm.hired_span(now);
+    }
+
     /// Reshapes an idle VM to `new_size` (paying the boot penalty).
-    /// Capacity accounting moves with the size change. Returns the ready
-    /// time, or `Err` if the tier cannot absorb a size increase.
+    /// Capacity accounting moves with the size change, and billing too:
+    /// the span up to `now` is settled at the old size, the span after it
+    /// bills at the new one. Returns the ready time, or `Err` if the tier
+    /// cannot absorb a size increase.
     pub fn reshape(
         &mut self,
         id: VmId,
         new_size: InstanceSize,
         now: SimTime,
     ) -> Result<SimTime, HireError> {
-        let vm = self.vms[id.slot()].as_mut().expect("reshape of unknown VM");
+        let vm = self.vms[id.slot()].as_ref().expect("reshape of unknown VM");
         let old = vm.size.cores();
         let new = new_size.cores();
         let tier = vm.tier;
@@ -339,6 +317,9 @@ impl CloudProvider {
                 }
             }
         }
+        let vm = self.vms[id.slot()].take().expect("checked above");
+        self.settle(&vm, now);
+        let vm = self.vms[id.slot()].insert(vm);
         let ready = vm.reshape(new_size, now);
         self.cores_in_use[tier.0] = self.cores_in_use[tier.0] + new - old;
         self.tracer.emit(
@@ -350,10 +331,6 @@ impl CloudProvider {
                 cores_to: new,
             },
         );
-        if let Some(m) = &self.meters {
-            m.metrics.counter_add(m.reshaped, 1);
-            m.metrics.record(m.reshape_penalty, (ready - now).as_tu());
-        }
         Ok(ready)
     }
 
@@ -385,17 +362,7 @@ impl CloudProvider {
     /// configuration to the cost per unit time of keeping them running",
     /// integrated over time.
     pub fn total_cost(&self, now: SimTime) -> f64 {
-        let live: f64 = self
-            .vms()
-            .map(|vm| {
-                let t = self.catalog.get(vm.tier);
-                let billed = match t.billing {
-                    BillingMode::HiredTime => vm.hired_span(now),
-                    BillingMode::BusyTime => vm.busy_span(now),
-                };
-                vm.size.cores() as f64 * self.price_per_core_tu[vm.id.slot()] * billed.as_tu()
-            })
-            .sum();
+        let live: f64 = self.vms().map(|vm| self.accrued(vm, now).0).sum();
         self.settled_cost + live
     }
 
@@ -403,18 +370,8 @@ impl CloudProvider {
     /// this over tiers equals [`CloudProvider::total_cost`] up to f64
     /// addition order.
     pub fn cost_on_tier(&self, tier: TierId, now: SimTime) -> f64 {
-        let live: f64 = self
-            .vms()
-            .filter(|vm| vm.tier == tier)
-            .map(|vm| {
-                let t = self.catalog.get(vm.tier);
-                let billed = match t.billing {
-                    BillingMode::HiredTime => vm.hired_span(now),
-                    BillingMode::BusyTime => vm.busy_span(now),
-                };
-                vm.size.cores() as f64 * self.price_per_core_tu[vm.id.slot()] * billed.as_tu()
-            })
-            .sum();
+        let live: f64 =
+            self.vms().filter(|vm| vm.tier == tier).map(|vm| self.accrued(vm, now).0).sum();
         self.settled_cost_by_tier[tier.0] + live
     }
 
@@ -425,11 +382,8 @@ impl CloudProvider {
 
     /// Core·TU consumed on one tier up to `now` (live + settled).
     pub fn core_tu_on_tier(&self, tier: TierId, now: SimTime) -> f64 {
-        let live: f64 = self
-            .vms()
-            .filter(|vm| vm.tier == tier)
-            .map(|vm| vm.size.cores() as f64 * vm.hired_span(now).as_tu())
-            .sum();
+        let live: f64 =
+            self.vms().filter(|vm| vm.tier == tier).map(|vm| self.accrued(vm, now).1).sum();
         self.settled_core_tu_by_tier[tier.0] + live
     }
 
@@ -440,7 +394,9 @@ impl CloudProvider {
 
     /// Current cost per TU of keeping all live VMs running.
     pub fn burn_rate(&self) -> f64 {
-        self.vms().map(|vm| vm.size.cores() as f64 * self.price_per_core_tu[vm.id.slot()]).sum()
+        self.vms()
+            .map(|vm| vm.size.cores() as f64 * self.billing[vm.id.slot()].price_per_core_tu)
+            .sum()
     }
 
     /// The price a core on `tier` would be billed at if hired *now*:
@@ -592,6 +548,29 @@ mod tests {
         // Shrink back.
         let _ = p.reshape(id, sz(1), t(2.0)).unwrap();
         assert_eq!(p.cores_in_use(TierId(0)), 1);
+    }
+
+    #[test]
+    fn reshape_bills_each_span_at_its_own_size() {
+        let mut p = provider();
+        let (id, ready) = p.hire(sz(4), t(0.0)).unwrap();
+        let vm = p.vm_mut(id).unwrap();
+        vm.finish_boot(ready);
+        vm.start_task(t(1.0));
+        vm.finish_task(t(3.0)); // span 1: 2 busy TU at 4 cores
+        let ready2 = p.reshape(id, sz(16), t(3.0)).unwrap();
+        let vm = p.vm_mut(id).unwrap();
+        vm.finish_boot(ready2);
+        vm.start_task(t(4.0));
+        vm.finish_task(t(7.0)); // span 2: 3 busy TU at 16 cores
+                                // Live and settled views agree before and after the release.
+        let expect = 4.0 * 5.0 * 2.0 + 16.0 * 5.0 * 3.0;
+        assert!((p.total_cost(t(8.0)) - expect).abs() < 1e-9, "{}", p.total_cost(t(8.0)));
+        p.release(id, t(8.0));
+        assert!((p.total_cost(t(9.0)) - expect).abs() < 1e-9);
+        assert!((p.cost_on_tier(TierId(0), t(9.0)) - expect).abs() < 1e-9);
+        // Core·TU follows the hired span: 3 TU at 4 cores, 5 TU at 16.
+        assert!((p.core_tu_on_tier(TierId(0), t(9.0)) - (4.0 * 3.0 + 16.0 * 5.0)).abs() < 1e-9);
     }
 
     #[test]

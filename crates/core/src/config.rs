@@ -1,5 +1,6 @@
 //! Experiment configuration: Table III (fixed) × Table I (variable).
 
+use scan_cloud::tier::{BillingMode, Tier, TierCatalog};
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::scaling::ScalingPolicy;
 use scan_workload::arrivals::ArrivalConfig;
@@ -228,6 +229,26 @@ impl ScanConfig {
             mean_size: self.fixed.mean_job_size,
             size_variance: self.fixed.job_size_variance,
         }
+    }
+
+    /// The session's hybrid cloud: the private tier (Table III price and
+    /// capacity, billed while busy) then the public tier (this cell's
+    /// price, unbounded, billed while hired).
+    pub fn tier_catalog(&self) -> TierCatalog {
+        TierCatalog::new(vec![
+            Tier {
+                name: "private".into(),
+                cost_per_core_tu: self.fixed.private_core_cost,
+                capacity_cores: Some(self.fixed.private_capacity_cores),
+                billing: BillingMode::BusyTime,
+            },
+            Tier {
+                name: "public".into(),
+                cost_per_core_tu: self.variable.public_core_cost,
+                capacity_cores: None,
+                billing: BillingMode::HiredTime,
+            },
+        ])
     }
 
     /// The ground-truth pipeline model at this config's calibration.

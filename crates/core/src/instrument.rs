@@ -1,34 +1,452 @@
 //! Instrumented sessions: quantitative metrics and wall-clock profiling.
 //!
-//! [`run_session_instrumented`] is [`run_session`](crate::run_session)
-//! plus a [`scan_metrics`] registry wired through every subsystem
-//! (dispatch histograms, scaling counters and margins, provider lifecycle
-//! counters, windowed utilisation/spend series, the engine's batch-size
-//! histogram) and an optional [`prof`] self-profile of
-//! the run's wall-clock time.
+//! [`MetricsObserver`] is the whole metrics layer of a session: a trace
+//! observer that folds the event stream into a [`scan_metrics`] registry
+//! (dispatch histograms, scaling counters and margins, broker fan-out,
+//! VM lifecycle counters, the SLO families, and exact time-weighted
+//! series of utilisation, queue depth and per-tier spend). The simulator
+//! holds no metrics handle; everything here is read off the events, so
+//! attaching the observer cannot perturb the session.
 //!
-//! The replicated variant fans repetitions across rayon and folds the
-//! per-session registries in repetition order, the same deterministic
-//! bridge the trace observers use ([`sweep`](crate::sweep)): every
-//! session registers the identical metric set in the identical order, so
-//! the merged registry — and its exported bytes — are independent of the
-//! thread count.
+//! [`run_session_instrumented`] runs one session with the observer
+//! attached and an optional [`prof`] self-profile of the run's wall-clock
+//! time. For parallel repetitions, [`MetricsObserverFactory`] builds one
+//! observer per session and [`Merge`] folds them in repetition order
+//! ([`sweep::run_replicated_with`](crate::sweep::run_replicated_with)):
+//! every observer registers the identical metric set in the identical
+//! order, so the merged registry — and its exported bytes — are
+//! independent of the thread count.
 
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use crate::platform::Platform;
-use rayon::prelude::*;
-use scan_metrics::{Metrics, Registry};
+use scan_cloud::tier::BillingMode;
+use scan_metrics::{CounterId, HistogramId, Registry, SeriesId, SeriesKind};
 use scan_sim::prof::{self, ProfSummary};
-use scan_sim::Merge;
+use scan_sim::{Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Default sim-time window for the time series (TU). Sessions run for
 /// hundreds of TU, so 5 TU gives a readable number of points per series.
 pub const DEFAULT_WINDOW_TU: f64 = 5.0;
 
-/// Runs one repetition with a metrics registry attached, returning the
-/// session metrics, the filled registry, and — when `profile` is true —
-/// the thread's wall-clock self-profile (empty unless
+/// A live VM as the event stream describes it.
+#[derive(Debug, Clone, Copy, Default)]
+struct VmView {
+    tier: u32,
+    cores: u32,
+    /// When the VM's pending reshape started (cleared by its `VmBooted`).
+    reshaped_at: Option<SimTime>,
+}
+
+/// One tier's running core counts and billing terms.
+#[derive(Debug, Clone, Copy)]
+struct TierView {
+    price_per_core_tu: f64,
+    billing: BillingMode,
+    hired_cores: u32,
+    busy_cores: u32,
+}
+
+impl TierView {
+    /// Σ price × billed cores right now: busy cores on a busy-billed
+    /// tier, hired cores on a hire-billed one.
+    fn spend_rate(&self) -> f64 {
+        let cores = match self.billing {
+            BillingMode::HiredTime => self.hired_cores,
+            BillingMode::BusyTime => self.busy_cores,
+        };
+        self.price_per_core_tu * cores as f64
+    }
+}
+
+/// A time-weighted series and the value it holds. The series keeps its
+/// value between samples, so sampling only on a change keeps the same
+/// integral with fewer calls.
+#[derive(Debug, Clone, Copy)]
+struct Gauge {
+    id: SeriesId,
+    value: f64,
+}
+
+impl Gauge {
+    /// A fresh series reads 0 until its first sample.
+    fn new(id: SeriesId) -> Self {
+        Gauge { id, value: 0.0 }
+    }
+
+    fn set(&mut self, registry: &mut Registry, t: f64, value: f64) {
+        if value != self.value {
+            registry.sample(self.id, t, value);
+            self.value = value;
+        }
+    }
+}
+
+/// Builds a session's metrics registry from its trace stream.
+///
+/// Every family comes from events alone: dispatch histograms from
+/// `SubtaskDispatched`, scaling counters and margins from
+/// `ScalingDecision`, fan-out from `JobStageAdvanced`/`JobCompleted`, VM
+/// counters from the hire/release/reshape events (and the reshape
+/// penalty from each `VmReshaped`→`VmBooted` pair), SLO families from
+/// `SloViolation`. The series change exactly when an event changes what
+/// they measure, and `RunEnded` closes them at the horizon. The spend
+/// series prices cores at the catalogue rates, which is what a solo
+/// session bills (fleet tenants, whose public price surges, attach no
+/// registry).
+#[derive(Debug, Clone)]
+pub struct MetricsObserver {
+    registry: Registry,
+    /// `dispatch_queue_wait_tu{stage}`.
+    queue_wait: Vec<HistogramId>,
+    /// `dispatch_service_time_tu{stage}`.
+    service_time: Vec<HistogramId>,
+    /// `scaling_margin_cu{outcome}`: `[hire, wait]`.
+    margin: [HistogramId; 2],
+    /// `scaling_choice_total{choice}`, indexed by [`ScalingChoice::index`].
+    choice: [CounterId; ScalingChoice::ALL.len()],
+    split_fanout: HistogramId,
+    merge_fanout: HistogramId,
+    util: Gauge,
+    busy_cores: Gauge,
+    queue_depth: Gauge,
+    /// `tier_spend_rate{tier}`, in catalogue order.
+    spend: Vec<Gauge>,
+    slo_violations: CounterId,
+    slo_burn: SeriesId,
+    /// `vm_hired_total{tier}` / `vm_released_total{tier}`.
+    hired: Vec<CounterId>,
+    released: Vec<CounterId>,
+    reshaped: CounterId,
+    reshape_penalty: HistogramId,
+    tiers: Vec<TierView>,
+    /// Indexed by VM number (dense per session).
+    vms: Vec<VmView>,
+    /// Shards of each job's current stage, indexed by job number.
+    stage_shards: Vec<u32>,
+    /// The instant whose core-count changes are not sampled into the
+    /// series yet. Events at one instant often change the counts several
+    /// times; sampling once, when time moves on, records the instant's
+    /// final values and the same integrals.
+    unsampled: Option<f64>,
+}
+
+impl MetricsObserver {
+    /// An observer for one session of `cfg`, registering every family in
+    /// the fixed order the merge relies on; series use `window_tu`-wide
+    /// windows.
+    pub fn new(cfg: &ScanConfig, window_tu: f64) -> Self {
+        let mut r = Registry::new(window_tu);
+        let n_stages = cfg.true_model().n_stages();
+        let per_stage = |r: &mut Registry, family, help| {
+            (0..n_stages)
+                .map(|i| r.histogram(family, "stage", &i.to_string(), "tu", help))
+                .collect::<Vec<_>>()
+        };
+        let queue_wait = per_stage(
+            &mut r,
+            "dispatch_queue_wait_tu",
+            "Realised queue wait per dispatched subtask, by stage",
+        );
+        let service_time = per_stage(
+            &mut r,
+            "dispatch_service_time_tu",
+            "Busy span per dispatched subtask (exec + staging), by stage",
+        );
+        let margin = [
+            r.histogram(
+                "scaling_margin_cu",
+                "outcome",
+                "hire",
+                "cu",
+                "Eq. 1 |delay cost - hire cost| when the decision was to hire",
+            ),
+            r.histogram(
+                "scaling_margin_cu",
+                "outcome",
+                "wait",
+                "cu",
+                "Eq. 1 |delay cost - hire cost| when the decision was to wait",
+            ),
+        ];
+        let choice = ScalingChoice::ALL.map(|c| {
+            r.counter(
+                "scaling_choice_total",
+                "choice",
+                c.name(),
+                "1",
+                "Horizontal-scaling decisions, by outcome",
+            )
+        });
+        let split_fanout = r.histogram(
+            "broker_split_fanout",
+            "",
+            "",
+            "1",
+            "Stage-1 shards registered per admitted job",
+        );
+        let merge_fanout = r.histogram(
+            "broker_merge_fanout",
+            "",
+            "",
+            "1",
+            "Shards gathered when a job's stage completes",
+        );
+        let twm = SeriesKind::TimeWeightedMean;
+        let util = r.series(twm, "vm_utilisation", "", "", "ratio", "Busy cores over hired cores");
+        let busy_cores = r.series(twm, "vm_busy_cores", "", "", "cores", "Cores running subtasks");
+        let queue_depth = r.series(twm, "queue_depth", "", "", "1", "Total queued subtasks");
+        let [util, busy_cores, queue_depth] = [util, busy_cores, queue_depth].map(Gauge::new);
+        let catalog = cfg.tier_catalog();
+        let spend = catalog
+            .iter()
+            .map(|(_, t)| {
+                Gauge::new(r.series(
+                    twm,
+                    "tier_spend_rate",
+                    "tier",
+                    &t.name,
+                    "cu_per_tu",
+                    "Price times billed cores, by tier",
+                ))
+            })
+            .collect();
+        let slo_violations = r.counter(
+            "slo_violations_total",
+            "",
+            "",
+            "jobs",
+            "Completed jobs whose latency missed the configured SLO target",
+        );
+        let slo_burn = r.series(
+            SeriesKind::Rate,
+            "slo_burn_rate",
+            "",
+            "",
+            "jobs_per_tu",
+            "SLO violations per TU (windowed burn rate)",
+        );
+        let hired = catalog
+            .iter()
+            .map(|(_, t)| r.counter("vm_hired_total", "tier", &t.name, "1", "VMs hired, by tier"))
+            .collect();
+        let released = catalog
+            .iter()
+            .map(|(_, t)| {
+                r.counter("vm_released_total", "tier", &t.name, "1", "VMs released, by tier")
+            })
+            .collect();
+        let reshaped = r.counter("vm_reshaped_total", "", "", "1", "Idle-VM reshape operations");
+        let reshape_penalty = r.histogram(
+            "vm_reshape_penalty_tu",
+            "",
+            "",
+            "tu",
+            "Boot penalty paid per reshape (ready time minus reshape time)",
+        );
+        let tiers = catalog
+            .iter()
+            .map(|(_, t)| TierView {
+                price_per_core_tu: t.cost_per_core_tu,
+                billing: t.billing,
+                hired_cores: 0,
+                busy_cores: 0,
+            })
+            .collect();
+        MetricsObserver {
+            registry: r,
+            queue_wait,
+            service_time,
+            margin,
+            choice,
+            split_fanout,
+            merge_fanout,
+            util,
+            busy_cores,
+            queue_depth,
+            spend,
+            slo_violations,
+            slo_burn,
+            hired,
+            released,
+            reshaped,
+            reshape_penalty,
+            tiers,
+            vms: Vec::new(),
+            stage_shards: Vec::new(),
+            unsampled: None,
+        }
+    }
+
+    /// The registry filled so far (complete once `RunEnded` arrived).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Unwraps the registry.
+    pub fn into_registry(self) -> Registry {
+        self.registry
+    }
+
+    /// Samples the core-count series with the values they took at `t`.
+    fn sample_cores(&mut self, t: f64) {
+        let busy: u32 = self.tiers.iter().map(|v| v.busy_cores).sum();
+        let hired: u32 = self.tiers.iter().map(|v| v.hired_cores).sum();
+        let util = if hired > 0 { busy as f64 / hired as f64 } else { 0.0 };
+        self.util.set(&mut self.registry, t, util);
+        self.busy_cores.set(&mut self.registry, t, busy as f64);
+        for (tier, gauge) in self.tiers.iter().zip(&mut self.spend) {
+            gauge.set(&mut self.registry, t, tier.spend_rate());
+        }
+    }
+
+    fn vm(&mut self, vm: u64) -> &mut VmView {
+        let slot = vm as usize;
+        if self.vms.len() <= slot {
+            self.vms.resize(slot + 1, VmView::default());
+        }
+        &mut self.vms[slot]
+    }
+
+    fn shards(&mut self, job: u64) -> &mut u32 {
+        let slot = job as usize;
+        if self.stage_shards.len() <= slot {
+            self.stage_shards.resize(slot + 1, 0);
+        }
+        &mut self.stage_shards[slot]
+    }
+}
+
+impl Observer for MetricsObserver {
+    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
+        let t = at.as_tu();
+        if let Some(changed_at) = self.unsampled.filter(|&u| u < t) {
+            self.sample_cores(changed_at);
+            self.unsampled = None;
+        }
+        match *event {
+            TraceEvent::SubtaskDispatched { stage, vm, waited_tu, busy_tu, .. } => {
+                let stage = stage as usize;
+                self.registry.record(self.queue_wait[stage], waited_tu);
+                self.registry.record(self.service_time[stage], busy_tu);
+                let VmView { tier, cores, .. } = *self.vm(vm);
+                self.tiers[tier as usize].busy_cores += cores;
+                self.unsampled = Some(t);
+            }
+            TraceEvent::SubtaskDone { vm, .. } => {
+                let VmView { tier, cores, .. } = *self.vm(vm);
+                self.tiers[tier as usize].busy_cores -= cores;
+                self.unsampled = Some(t);
+            }
+            TraceEvent::ScalingDecision { delay_cost, hire_cost, choice, .. } => {
+                self.registry.counter_add(self.choice[choice.index()], 1);
+                if delay_cost.is_finite() {
+                    let waited =
+                        matches!(choice, ScalingChoice::Wait | ScalingChoice::ThrottledPrivate);
+                    self.registry
+                        .record(self.margin[waited as usize], (delay_cost - hire_cost).abs());
+                }
+            }
+            TraceEvent::JobStageAdvanced { job, stage, shards, .. } => {
+                // Stage 0 is the broker's split; every later stage first
+                // gathers the previous stage's shards.
+                let previous = std::mem::replace(self.shards(job), shards);
+                if stage == 0 {
+                    self.registry.record(self.split_fanout, shards as f64);
+                } else {
+                    self.registry.record(self.merge_fanout, previous as f64);
+                }
+            }
+            TraceEvent::JobCompleted { job, .. } => {
+                let last = *self.shards(job);
+                self.registry.record(self.merge_fanout, last as f64);
+            }
+            TraceEvent::SloViolation { .. } => {
+                self.registry.counter_add(self.slo_violations, 1);
+                self.registry.rate_add(self.slo_burn, t, 1.0);
+            }
+            TraceEvent::VmHired { vm, tier, cores } => {
+                *self.vm(vm) = VmView { tier, cores, reshaped_at: None };
+                self.tiers[tier as usize].hired_cores += cores;
+                self.registry.counter_add(self.hired[tier as usize], 1);
+                self.unsampled = Some(t);
+            }
+            TraceEvent::VmReshaped { vm, tier, cores_from, cores_to } => {
+                let view = self.vm(vm);
+                view.cores = cores_to;
+                view.reshaped_at = Some(at);
+                let tier = &mut self.tiers[tier as usize];
+                tier.hired_cores = tier.hired_cores - cores_from + cores_to;
+                self.registry.counter_add(self.reshaped, 1);
+                self.unsampled = Some(t);
+            }
+            TraceEvent::VmBooted { vm, .. } => {
+                if let Some(since) = self.vm(vm).reshaped_at.take() {
+                    self.registry.record(self.reshape_penalty, (at - since).as_tu());
+                }
+            }
+            TraceEvent::VmReleased { tier, cores, .. } => {
+                self.tiers[tier as usize].hired_cores -= cores;
+                self.registry.counter_add(self.released[tier as usize], 1);
+                self.unsampled = Some(t);
+            }
+            TraceEvent::QueueDepthSampled { depth } => {
+                self.queue_depth.set(&mut self.registry, t, depth as f64);
+            }
+            TraceEvent::RunEnded { .. } => {
+                if let Some(changed_at) = self.unsampled.take() {
+                    self.sample_cores(changed_at);
+                }
+                self.registry.finish(t);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl Merge for MetricsObserver {
+    /// Folds `other`'s registry in (see [`Registry::merge`]); the
+    /// per-session event bookkeeping is not merged.
+    fn merge(&mut self, other: Self) {
+        self.registry.merge(&other.registry);
+    }
+}
+
+/// Builds one [`MetricsObserver`] per parallel session of one
+/// configuration — the metrics counterpart of the trace store's factory.
+/// The observer is its own summary; fold summaries with [`Merge`] in
+/// repetition order.
+#[derive(Debug, Clone)]
+pub struct MetricsObserverFactory {
+    fresh: MetricsObserver,
+}
+
+impl MetricsObserverFactory {
+    /// A factory for sessions of `cfg` with `window_tu`-wide series
+    /// windows.
+    pub fn new(cfg: &ScanConfig, window_tu: f64) -> Self {
+        MetricsObserverFactory { fresh: MetricsObserver::new(cfg, window_tu) }
+    }
+}
+
+impl ObserverFactory for MetricsObserverFactory {
+    type Obs = MetricsObserver;
+    type Summary = MetricsObserver;
+
+    fn build(&self, _session: u64) -> MetricsObserver {
+        self.fresh.clone()
+    }
+
+    fn finish(&self, obs: MetricsObserver) -> MetricsObserver {
+        obs
+    }
+}
+
+/// Runs one repetition with a [`MetricsObserver`] attached, returning
+/// the session metrics, the filled registry, and — when `profile` is
+/// true — the thread's wall-clock self-profile of the run (empty unless
 /// [`prof::enable`] was called first; the flag is process-wide).
 pub fn run_session_instrumented(
     cfg: &ScanConfig,
@@ -36,9 +454,9 @@ pub fn run_session_instrumented(
     window_tu: f64,
     profile: bool,
 ) -> (SessionMetrics, Registry, Option<ProfSummary>) {
-    let metrics = Metrics::enabled(window_tu);
+    let observer = Rc::new(RefCell::new(MetricsObserver::new(cfg, window_tu)));
     let mut platform = Platform::new(cfg.clone(), repetition);
-    platform.set_metrics(&metrics);
+    platform.add_observer(observer.clone());
     if profile {
         prof::reset_thread();
     }
@@ -47,56 +465,23 @@ pub fn run_session_instrumented(
         prof::mark_session();
         prof::take_summary()
     });
-    // The platform (and with it every registry handle clone) is consumed
-    // by `run`, so the registry is uniquely ours again.
-    let registry = metrics.into_registry().expect("registry uniquely owned after the run");
-    (session, registry, summary)
-}
-
-/// Runs `repetitions` instrumented repetitions in parallel and merges
-/// the registries (and profiles, when enabled) in repetition order.
-///
-/// The merged registry is bit-identical for any `RAYON_NUM_THREADS`:
-/// sessions are seeded per repetition, registries share one shape, and
-/// the fold order is the repetition order regardless of which thread ran
-/// what.
-pub fn run_replicated_instrumented(
-    cfg: &ScanConfig,
-    repetitions: u64,
-    window_tu: f64,
-    profile: bool,
-) -> (Vec<SessionMetrics>, Registry, Option<ProfSummary>) {
-    assert!(repetitions >= 1);
-    let runs: Vec<(SessionMetrics, Registry, Option<ProfSummary>)> = (0..repetitions)
-        .into_par_iter()
-        .map(|rep| run_session_instrumented(cfg, rep, window_tu, profile))
-        .collect();
-    let mut sessions = Vec::with_capacity(runs.len());
-    let mut registry: Option<Registry> = None;
-    let mut summary: Option<ProfSummary> = None;
-    for (m, reg, prof_summary) in runs {
-        sessions.push(m);
-        match registry.as_mut() {
-            None => registry = Some(reg),
-            Some(acc) => acc.merge(&reg),
-        }
-        if let Some(p) = prof_summary {
-            match summary.as_mut() {
-                None => summary = Some(p),
-                Some(acc) => acc.merge(p),
-            }
-        }
-    }
-    (sessions, registry.expect("repetitions >= 1"), summary)
+    // The platform (and every tracer clone) is consumed by `run`, so the
+    // observer is uniquely ours again.
+    let observer =
+        Rc::try_unwrap(observer).expect("observer uniquely owned after the run").into_inner();
+    (session, observer.into_registry(), summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::VariableParams;
-    use crate::session::run_session;
+    use crate::observers::DecisionStats;
+    use crate::session::{run_session, run_session_observed};
+    use crate::sweep::run_replicated_with;
     use scan_metrics::write_jsonl;
     use scan_sched::scaling::ScalingPolicy;
+    use scan_sim::{NullObserver, ObserverHandle};
 
     fn cfg() -> ScanConfig {
         let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.8), 5);
@@ -128,8 +513,8 @@ mod tests {
     #[test]
     fn merged_export_is_identical_to_sequential_fold() {
         let cfg = cfg();
-        let (par_sessions, par_reg, _) =
-            run_replicated_instrumented(&cfg, 4, DEFAULT_WINDOW_TU, false);
+        let factory = MetricsObserverFactory::new(&cfg, DEFAULT_WINDOW_TU);
+        let (par, par_obs) = run_replicated_with(&cfg, 4, &factory);
         let mut seq_sessions = Vec::new();
         let mut seq_reg: Option<Registry> = None;
         for rep in 0..4 {
@@ -140,12 +525,105 @@ mod tests {
                 Some(acc) => acc.merge(&reg),
             }
         }
-        assert_eq!(par_sessions, seq_sessions);
+        assert_eq!(par.sessions, seq_sessions);
         let mut a = Vec::new();
-        write_jsonl(&par_reg, &mut a).unwrap();
+        write_jsonl(par_obs.registry(), &mut a).unwrap();
         let mut b = Vec::new();
         write_jsonl(&seq_reg.unwrap(), &mut b).unwrap();
         assert!(!a.is_empty());
         assert_eq!(a, b, "merged registry export must not depend on thread count");
+    }
+
+    /// Runs `cfg` with a metrics observer, a [`DecisionStats`] and
+    /// `extra` on the same stream.
+    fn observed(cfg: &ScanConfig, extra: ObserverHandle) -> (Registry, DecisionStats) {
+        let metrics = Rc::new(RefCell::new(MetricsObserver::new(cfg, DEFAULT_WINDOW_TU)));
+        let stats = Rc::new(RefCell::new(DecisionStats::new()));
+        run_session_observed(cfg, 0, vec![metrics.clone(), stats.clone(), extra]);
+        let registry = metrics.borrow().registry().clone();
+        let stats = stats.borrow().clone();
+        (registry, stats)
+    }
+
+    /// Σ over windows of `tier_spend_rate` × covered span is what the
+    /// tier settled: the spend series integrates exactly what the
+    /// provider bills — busy-billed private cores, hire-billed public
+    /// cores, and reshaped VMs at each of their sizes.
+    #[test]
+    fn spend_series_integrate_to_the_settled_tier_costs() {
+        let plain = cfg();
+        let mut reshaping = cfg();
+        reshaping.allow_reshape = true;
+        reshaping.forced_plan = Some(vec![(1, 2), (4, 1), (1, 2), (4, 1), (1, 8), (1, 1), (1, 1)]);
+        let mut spilling = cfg();
+        spilling.variable.scaling = ScalingPolicy::AlwaysScale;
+        spilling.fixed.private_capacity_cores = 64;
+        for cfg in [plain, reshaping, spilling] {
+            let (registry, stats) = observed(&cfg, Rc::new(RefCell::new(NullObserver)));
+            assert_eq!(stats.decided(ScalingChoice::Reshape) > 0, cfg.allow_reshape);
+            let spills = cfg.fixed.private_capacity_cores == 64;
+            assert_eq!(stats.tier(1).cost > 0.0, spills, "public spend only when spilling");
+            let spend =
+                registry.series_entries().iter().filter(|(m, _)| m.family == "tier_spend_rate");
+            for (tier, (meta, series)) in spend.enumerate() {
+                let integral: f64 = series
+                    .values()
+                    .iter()
+                    .zip(series.accumulators())
+                    .map(|(rate, &(_, covered))| rate * covered)
+                    .sum();
+                let settled = stats.tier(tier as u32).cost;
+                assert!(
+                    (integral - settled).abs() <= 1e-9 * settled.abs().max(1.0),
+                    "{} in {:?}: integral {integral} vs settled {settled}",
+                    meta.label_value,
+                    cfg.variable
+                );
+            }
+        }
+    }
+
+    /// Counts `ScalingDecision`s whose numbers contradict their private
+    /// choice: a passed hire must carry delay cost > hire cost, a veto
+    /// the reverse (a NaN-priced `hire_private` breaks the rule).
+    #[derive(Default)]
+    struct ThrottleRule {
+        broken: u64,
+    }
+
+    impl Observer for ThrottleRule {
+        fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
+            if let TraceEvent::ScalingDecision { delay_cost, hire_cost, choice, .. } = *event {
+                let holds = match choice {
+                    ScalingChoice::HirePrivate => delay_cost > hire_cost,
+                    ScalingChoice::ThrottledPrivate => delay_cost <= hire_cost,
+                    _ => true,
+                };
+                self.broken += u64::from(!holds);
+            }
+        }
+    }
+
+    /// With the private-hire throttle on, each decision is narrated once:
+    /// a vetoed hire is one `throttled_private` (not a `hire_private`
+    /// followed by its veto), and a hire that passed carries the
+    /// throttle's own numbers.
+    #[test]
+    fn throttled_decisions_are_narrated_once() {
+        let mut cfg = cfg();
+        cfg.variable.mean_interval = 1.0;
+        cfg.fixed.private_hire_throttle = true;
+        let rule = Rc::new(RefCell::new(ThrottleRule::default()));
+        let (registry, stats) = observed(&cfg, rule.clone());
+        assert_eq!(rule.borrow().broken, 0, "a private decision's numbers contradict its choice");
+        let counted: u64 = registry
+            .counters()
+            .iter()
+            .filter(|(m, _)| m.family == "scaling_choice_total")
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(stats.total_decisions(), counted);
+        assert!(stats.decided(ScalingChoice::ThrottledPrivate) > 0, "the throttle never fired");
+        assert!(stats.decided(ScalingChoice::HirePrivate) > 0, "the throttle never passed");
     }
 }

@@ -25,10 +25,11 @@
 //!   fair-share admission), multiplexed deterministically over a single
 //!   tenant-tagged calendar, with whole-fleet replications sharded
 //!   across cores.
-//! * [`instrument`] — sessions with a [`scan_metrics`] registry attached
-//!   (histograms, counters, windowed series across every subsystem) and
-//!   an optional wall-clock self-profile, merged deterministically across
-//!   parallel repetitions.
+//! * [`instrument`] — the metrics observer, which builds a
+//!   [`scan_metrics`] registry (histograms, counters, windowed series)
+//!   from a session's event stream, plus an optional wall-clock
+//!   self-profile; registries merge deterministically across parallel
+//!   repetitions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,26 +19,6 @@ use std::fmt::Write as _;
 /// `[2^(i-1), 2^i)`, and the last bucket absorbs everything deeper.
 pub const DEPTH_BUCKETS: usize = 12;
 
-/// Index of [`ScalingChoice`] variants into the decision-count array.
-fn choice_index(choice: ScalingChoice) -> usize {
-    match choice {
-        ScalingChoice::Wait => 0,
-        ScalingChoice::HirePrivate => 1,
-        ScalingChoice::ThrottledPrivate => 2,
-        ScalingChoice::HirePublic => 3,
-        ScalingChoice::Reshape => 4,
-    }
-}
-
-/// All [`ScalingChoice`] variants in decision-count-array order.
-const CHOICES: [ScalingChoice; 5] = [
-    ScalingChoice::Wait,
-    ScalingChoice::HirePrivate,
-    ScalingChoice::ThrottledPrivate,
-    ScalingChoice::HirePublic,
-    ScalingChoice::Reshape,
-];
-
 /// End-of-run settlement totals for one tier, plus its hire count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TierTotals {
@@ -61,8 +41,8 @@ pub struct TierTotals {
 /// how sessions were scheduled onto threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionStats {
-    /// Scaling-decision counts, indexed per [`choice_index`].
-    decisions: [u64; 5],
+    /// Scaling-decision counts, indexed by [`ScalingChoice::index`].
+    decisions: [u64; ScalingChoice::ALL.len()],
     /// Power-of-two queue-depth histogram (see [`DEPTH_BUCKETS`]).
     depth_hist: [u64; DEPTH_BUCKETS],
     /// Sum of sampled depths (integer — exact under merge).
@@ -89,7 +69,7 @@ impl DecisionStats {
     /// An empty accumulator, ready to observe one session.
     pub fn new() -> Self {
         DecisionStats {
-            decisions: [0; 5],
+            decisions: [0; ScalingChoice::ALL.len()],
             depth_hist: [0; DEPTH_BUCKETS],
             depth_sum: 0,
             depth_samples: 0,
@@ -110,7 +90,7 @@ impl DecisionStats {
 
     /// Times a given choice was decided.
     pub fn decided(&self, choice: ScalingChoice) -> u64 {
-        self.decisions[choice_index(choice)]
+        self.decisions[choice.index()]
     }
 
     /// Total scaling decisions observed.
@@ -196,7 +176,7 @@ impl DecisionStats {
         out.push_str("{\"sessions\":");
         let _ = write!(out, "{}", self.sessions);
         out.push_str(",\"decisions\":{");
-        for (i, choice) in CHOICES.iter().enumerate() {
+        for (i, choice) in ScalingChoice::ALL.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -231,7 +211,7 @@ impl Observer for DecisionStats {
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::ScalingDecision { choice, .. } => {
-                self.decisions[choice_index(choice)] += 1;
+                self.decisions[choice.index()] += 1;
             }
             TraceEvent::QueueDepthSampled { depth } => {
                 self.depth_hist[Self::bucket(depth)] += 1;

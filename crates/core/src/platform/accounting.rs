@@ -33,10 +33,6 @@ impl Platform {
                         target_tu: target,
                     },
                 );
-                if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.slo_violations, 1);
-                    mm.metrics.rate_add(mm.slo_burn, now.as_tu(), 1.0);
-                }
             }
         }
     }
@@ -55,9 +51,6 @@ impl Platform {
             );
         }
         self.tracer.emit(ended_at, TraceEvent::RunEnded { events_dispatched: events });
-        // Close the windowed metric series at the horizon so partial
-        // trailing windows are flushed before the registry is read.
-        self.metrics.finish_windows(ended_at.as_tu());
         let metrics = self.aggregator.borrow().finalize();
         metrics
     }

@@ -131,9 +131,6 @@ impl Platform {
         // The Data Broker registers the dataset and its stage-1 shards.
         let (stage1_shards, _) = plan.stage(0);
         self.broker.register_job(&job, stage1_shards);
-        if let Some(mm) = &self.meters {
-            mm.metrics.record(mm.split_fanout, stage1_shards as f64);
-        }
 
         let run = JobRun { job, plan, stage: 0, outstanding: 0 };
         let id = run.job.id;

@@ -147,10 +147,8 @@ impl PlatformHarness {
         let ctx = ScalingContext {
             private_has_capacity: inputs.private_has_capacity,
             eq1,
-            queue_depth: p.queue_agg.entries(self.class) as u32,
             expected_wait_tu: inputs.expected_wait_tu,
             public_price_per_core_tu: p.cfg.variable.public_core_cost,
-            stage: self.class.stage as u32,
             cores_needed: self.class.cores,
             boot_penalty_tu: boot_penalty().as_tu(),
             expected_task_tu: inputs.expected_task_tu,

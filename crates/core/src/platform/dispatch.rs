@@ -84,10 +84,6 @@ impl Platform {
         run.outstanding -= 1;
         if run.outstanding == 0 {
             // The broker gathers this stage's shards back into one dataset.
-            let (shards, _) = run.plan.stage(stage);
-            if let Some(mm) = &self.meters {
-                mm.metrics.record(mm.merge_fanout, shards as f64);
-            }
             run.stage += 1;
             if run.stage == run.plan.n_stages() {
                 let run = self.jobs.remove(job.slot()).expect("just present");
@@ -112,9 +108,6 @@ impl Platform {
             self.queues.pop(class, now).expect("assign called with non-empty queue");
         self.queue_agg.on_pop(class);
         self.estimator.queue_times_mut().observe(class.stage, wait.as_tu());
-        if let Some(mm) = &self.meters {
-            mm.metrics.record(mm.queue_wait[class.stage], wait.as_tu());
-        }
 
         let run = self.jobs.get(subtask.job.slot()).expect("queued subtask has a live job");
         let (shards, threads) = run.plan.stage(run.stage);
@@ -145,9 +138,6 @@ impl Platform {
             }
         }
 
-        if let Some(mm) = &self.meters {
-            mm.metrics.record(mm.service_time[stage], duration.as_tu());
-        }
         let vm = self.provider.vm_mut(vm_id).expect("idle VM exists");
         vm.start_task(now);
         let done_at = now + duration;

@@ -5,13 +5,12 @@
 //! debug-build oracle cross-checking the aggregates.
 
 use super::events::{Event, EventSink};
-use super::meters::ChoiceMeter;
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::vm::{boot_penalty, VmId};
 use scan_sched::delay_cost::{delay_cost, QueuedJobView};
 use scan_sched::queue::{TaskClass, SHAPE_CORES};
-use scan_sched::scaling::{ScalingContext, ScalingDecision};
+use scan_sched::scaling::{DecisionCosts, ScalingContext, ScalingDecision};
 use scan_sim::{prof, ScalingChoice, SimTime, TraceEvent};
 
 /// The scalar inputs of one scaling decision (everything except the
@@ -74,9 +73,6 @@ impl Platform {
                             hire_cost: f64::NAN,
                             choice: ScalingChoice::Reshape,
                         });
-                        if let Some(mm) = &self.meters {
-                            mm.metrics.counter_add(mm.choice[ChoiceMeter::Reshape as usize], 1);
-                        }
                         sink.schedule(ready_at, Event::VmReady(vm_id));
                         return true;
                     }
@@ -109,84 +105,58 @@ impl Platform {
         let ctx = ScalingContext {
             private_has_capacity: inputs.private_has_capacity,
             eq1: self.queue_agg.pricer(class, covered, Self::MAX_QUEUE_VIEW, now),
-            queue_depth: self.queue_agg.entries(class) as u32,
             expected_wait_tu: inputs.expected_wait_tu,
             // The provider's live quote: the catalogue price solo, the
             // contention-surged on-demand price under a fleet lease — so
             // Eq. 1 prices public hires at what they would actually cost.
             public_price_per_core_tu: self.provider.quoted_price(self.public_tier),
-            stage: class.stage as u32,
             cores_needed: class.cores,
             boot_penalty_tu: boot_penalty().as_tu(),
             expected_task_tu: inputs.expected_task_tu,
             reward: self.reward,
         };
-        let (decision, costs) =
-            self.cfg.variable.scaling.decide_priced_traced(&ctx, now, &self.tracer);
-        let tier = match decision {
-            ScalingDecision::HirePrivate => {
-                // "Just enough and just on time" (§I): even free private
-                // capacity is only committed when the Eq. 1 delay cost of
-                // waiting for an existing worker exceeds the (cheap but
-                // non-zero) cost of booting and running a new one. This
-                // throttle applies to every policy — Table I's algorithms
-                // differ in the *public* hire decision.
-                if self.cfg.fixed.private_hire_throttle {
-                    let avoided = (ctx.expected_wait_tu - ctx.boot_penalty_tu).max(0.0);
-                    let dc = ctx.eq1.delay_cost(&self.reward, avoided);
-                    let hire_cost = self.cfg.fixed.private_core_cost
-                        * class.cores as f64
-                        * (ctx.boot_penalty_tu + ctx.expected_task_tu);
-                    if dc <= hire_cost {
-                        // Overrides the HirePrivate just narrated — the
-                        // second event records the veto and its numbers.
-                        self.tracer.emit(
-                            now,
-                            TraceEvent::ScalingDecision {
-                                stage: class.stage as u32,
-                                cores: class.cores,
-                                queued_jobs: ctx.queue_depth,
-                                delay_cost: dc,
-                                hire_cost,
-                                choice: ScalingChoice::ThrottledPrivate,
-                            },
-                        );
-                        if let Some(mm) = &self.meters {
-                            mm.metrics
-                                .counter_add(mm.choice[ChoiceMeter::ThrottledPrivate as usize], 1);
-                            mm.metrics.record(mm.margin_wait, (dc - hire_cost).abs());
-                        }
-                        return false;
-                    }
-                    if let Some(mm) = &self.meters {
-                        mm.metrics.record(mm.margin_hire, (dc - hire_cost).abs());
-                    }
-                }
-                if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.choice[ChoiceMeter::HirePrivate as usize], 1);
-                }
-                self.private_tier
+        let (decision, mut costs) = self.cfg.variable.scaling.decide_priced(&ctx);
+        let mut choice = match decision {
+            ScalingDecision::HirePrivate => ScalingChoice::HirePrivate,
+            ScalingDecision::HirePublic => ScalingChoice::HirePublic,
+            ScalingDecision::Wait => ScalingChoice::Wait,
+        };
+        if choice == ScalingChoice::HirePrivate && self.cfg.fixed.private_hire_throttle {
+            // "Just enough and just on time" (§I): even free private
+            // capacity is only committed when the Eq. 1 delay cost of
+            // waiting for an existing worker exceeds the (cheap but
+            // non-zero) cost of booting and running a new one. This
+            // throttle applies to every policy — Table I's algorithms
+            // differ in the *public* hire decision.
+            let avoided = (ctx.expected_wait_tu - ctx.boot_penalty_tu).max(0.0);
+            costs = DecisionCosts {
+                delay_cost: ctx.eq1.delay_cost(&self.reward, avoided),
+                hire_cost: self.cfg.fixed.private_core_cost
+                    * class.cores as f64
+                    * (ctx.boot_penalty_tu + ctx.expected_task_tu),
+            };
+            if costs.delay_cost <= costs.hire_cost {
+                choice = ScalingChoice::ThrottledPrivate;
             }
-            ScalingDecision::HirePublic => {
-                if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.choice[ChoiceMeter::HirePublic as usize], 1);
-                    if costs.delay_cost.is_finite() {
-                        mm.metrics
-                            .record(mm.margin_hire, (costs.delay_cost - costs.hire_cost).abs());
-                    }
-                }
-                self.public_tier
-            }
-            ScalingDecision::Wait => {
-                if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.choice[ChoiceMeter::Wait as usize], 1);
-                    if costs.delay_cost.is_finite() {
-                        mm.metrics
-                            .record(mm.margin_wait, (costs.delay_cost - costs.hire_cost).abs());
-                    }
-                }
-                return false;
-            }
+        }
+        // One event per decision: the final choice and the numbers that
+        // decided it (NaN when nothing was priced). The depth is the
+        // class's true entry count; the Eq. 1 window caps and dedups.
+        self.tracer.emit(
+            now,
+            TraceEvent::ScalingDecision {
+                stage: class.stage as u32,
+                cores: class.cores,
+                queued_jobs: self.queue_agg.entries(class) as u32,
+                delay_cost: costs.delay_cost,
+                hire_cost: costs.hire_cost,
+                choice,
+            },
+        );
+        let tier = match choice {
+            ScalingChoice::HirePrivate => self.private_tier,
+            ScalingChoice::HirePublic => self.public_tier,
+            _ => return false,
         };
         match self.provider.hire_on(tier, size, now) {
             Ok((vm_id, ready_at)) => {

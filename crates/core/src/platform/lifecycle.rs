@@ -31,7 +31,6 @@ impl Platform {
     }
 
     pub(super) fn on_idle_sweep(&mut self, now: SimTime, sink: &mut impl EventSink) {
-        self.sample_series(now);
         let public_timeout = SimDuration::new(self.cfg.fixed.public_idle_timeout_tu);
         let private_timeout = SimDuration::new(self.cfg.fixed.idle_timeout_tu);
         let mut live = [0usize; N_SHAPES];
@@ -162,26 +161,5 @@ impl Platform {
 
     fn live_count_by_size(&self, cores: u32) -> usize {
         self.provider.vms().filter(|vm| vm.size.cores() == cores).count()
-    }
-
-    /// Feeds the sim-time-windowed series on the idle-sweep cadence
-    /// (every 0.5 TU): fleet utilisation, busy cores, queue depth, and
-    /// the per-tier spend rate from cumulative-cost deltas.
-    fn sample_series(&mut self, now: SimTime) {
-        let Some(mm) = &self.meters else {
-            return;
-        };
-        let busy = self.busy.total_cores() as f64;
-        let hired: u32 = self.provider.vms().map(|vm| vm.size.cores()).sum();
-        let util = if hired > 0 { busy / hired as f64 } else { 0.0 };
-        let t = now.as_tu();
-        mm.metrics.sample(mm.util, t, util);
-        mm.metrics.sample(mm.busy_cores, t, busy);
-        mm.metrics.sample(mm.queue_depth, t, self.queues.total_len() as f64);
-        for (i, tier) in [self.private_tier, self.public_tier].into_iter().enumerate() {
-            let cost = self.provider.cost_on_tier(tier, now);
-            mm.metrics.rate_add(mm.spend_rate[i], t, cost - self.last_tier_cost[i]);
-            self.last_tier_cost[i] = cost;
-        }
     }
 }

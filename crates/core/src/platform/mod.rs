@@ -37,7 +37,6 @@ mod dispatch;
 mod events;
 mod hiring;
 mod lifecycle;
-mod meters;
 mod state;
 #[cfg(test)]
 mod tests;
@@ -50,11 +49,9 @@ use crate::broker::DataBroker;
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use events::JobRun;
-use meters::PlatformMeters;
 use scan_cloud::provider::CloudProvider;
 use scan_cloud::shared::SharedLease;
-use scan_cloud::tier::{BillingMode, Tier, TierCatalog, TierId};
-use scan_metrics::Metrics;
+use scan_cloud::tier::TierId;
 use scan_sched::aggregate::QueueAggregates;
 use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
@@ -167,14 +164,6 @@ pub struct Platform {
     // --- observability ---
     tracer: Tracer,
     aggregator: Rc<RefCell<MetricsAggregator>>,
-    /// Quantitative metrics registry handle (disabled by default; see
-    /// [`Platform::set_metrics`]). Distinct from the trace layer: metrics
-    /// are aggregates, traces are the event narration.
-    metrics: Metrics,
-    /// The platform's registered metric ids; `None` until `set_metrics`.
-    meters: Option<PlatformMeters>,
-    /// Last sampled cumulative cost per tier, for the spend-rate series.
-    last_tier_cost: [f64; 2],
     /// Scratch for the naive Eq. 1 queue view. Since the incremental
     /// aggregates took over pricing, the full-walk fill only runs as the
     /// debug-build oracle cross-checking them (DESIGN §7c); it still
@@ -211,21 +200,7 @@ impl Platform {
         let mut kb_rng = hub.stream("kb-bootstrap");
         let broker = DataBroker::bootstrap(&true_model, cfg.fixed.profile_noise, &mut kb_rng);
 
-        let catalog = TierCatalog::new(vec![
-            Tier {
-                name: "private".into(),
-                cost_per_core_tu: cfg.fixed.private_core_cost,
-                capacity_cores: Some(cfg.fixed.private_capacity_cores),
-                billing: BillingMode::BusyTime,
-            },
-            Tier {
-                name: "public".into(),
-                cost_per_core_tu: cfg.variable.public_core_cost,
-                capacity_cores: None,
-                billing: BillingMode::HiredTime,
-            },
-        ]);
-        let mut provider = CloudProvider::new(catalog);
+        let mut provider = CloudProvider::new(cfg.tier_catalog());
         let (tenant, max_jobs, fair_share) = match tenancy {
             Some(setup) => {
                 provider.attach_shared(setup.lease, setup.tenant);
@@ -314,9 +289,6 @@ impl Platform {
             completed: 0,
             tracer,
             aggregator,
-            metrics: Metrics::disabled(),
-            meters: None,
-            last_tier_cost: [0.0; 2],
             scaling_scratch: Vec::new(),
             scaling_seen: Vec::new(),
             scaling_stamp: 0,
@@ -335,7 +307,6 @@ impl Platform {
     pub fn run(mut self) -> SessionMetrics {
         let horizon = SimTime::new(self.cfg.fixed.sim_time_tu);
         let mut engine: Engine<Event> = Engine::with_horizon(horizon);
-        engine.set_metrics(&self.metrics);
         let cal = engine.calendar_mut();
         // Pre-size the heap for the steady-state backlog (one completion
         // per in-flight subtask plus the periodic ticks) so it never

@@ -136,11 +136,6 @@ impl BusyTable {
         }
         best.is_finite().then_some(best)
     }
-
-    /// Total cores across all busy VMs (the utilisation numerator).
-    pub(super) fn total_cores(&self) -> u32 {
-        self.entries.iter().map(|&(_, _, c)| c).sum()
-    }
 }
 
 /// Per-class counters stored densely (stage rows × shape slots), used

@@ -209,6 +209,69 @@ fn trace_stream_is_consistent_with_metrics() {
     assert_eq!(c.run_ended, 1);
 }
 
+/// A stalled class priced by `try_grow` is narrated as one
+/// `ScalingDecision` carrying the caller's true queued-entry depth (not
+/// the capped, deduped Eq. 1 window), the Eq. 1 numbers and the choice
+/// they imply.
+#[test]
+fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
+    use super::events::{JobRun, SubtaskRef};
+    use scan_cloud::instance::InstanceSize;
+    use scan_cloud::vm::boot_penalty;
+    use scan_sched::plan::ExecutionPlan;
+    use scan_sched::queue::TaskClass;
+    use scan_sim::ScalingChoice;
+    use scan_workload::job::Job;
+
+    let mut cfg = short_config(ScalingPolicy::Predictive, 2.5);
+    cfg.fixed.private_capacity_cores = 4; // one busy worker fills the private tier
+    let mut p = Platform::new(cfg, 0);
+    let ring = Rc::new(RefCell::new(RingBuffer::new(8)));
+    p.add_observer(ring.clone());
+    let class = TaskClass { stage: 0, cores: 4 };
+    let (vm, ready) = p
+        .provider
+        .hire_on(p.private_tier, InstanceSize::new(4).unwrap(), SimTime::ZERO)
+        .expect("private capacity");
+    let worker = p.provider.vm_mut(vm).unwrap();
+    worker.finish_boot(ready);
+    worker.start_task(ready);
+    p.busy.insert(vm, SimTime::new(40.0), 4);
+    let depth = 2 * Platform::MAX_QUEUE_VIEW as u32;
+    for i in 0..depth {
+        let id = JobId(i);
+        let plan = ExecutionPlan::new(vec![(1, 4); p.true_model.n_stages()]);
+        let job = Job::new(id, 5.0, SimTime::ZERO);
+        p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
+        p.queues.push(class, SubtaskRef { job: id }, SimTime::ZERO);
+        p.queue_agg.on_enqueue(class, i, 5.0, SimTime::ZERO, 1);
+    }
+    let now = SimTime::new(1.0);
+    let task_tu = p.scaling_inputs(class, now).expected_task_tu;
+    let mut cal = Calendar::new();
+    assert!(p.try_grow(class, now, &mut cal), "a deep queue and a long wait justify a hire");
+
+    let ring = ring.borrow();
+    let decisions: Vec<_> = ring
+        .events()
+        .filter(|(_, e)| matches!(e, TraceEvent::ScalingDecision { .. }))
+        .copied()
+        .collect();
+    assert_eq!(decisions.len(), 1, "{decisions:?}");
+    let (at, event) = decisions[0];
+    assert_eq!(at, now);
+    let TraceEvent::ScalingDecision { stage, cores, queued_jobs, delay_cost, hire_cost, choice } =
+        event
+    else {
+        unreachable!("filtered above")
+    };
+    assert_eq!((stage, cores), (0, 4));
+    assert_eq!(queued_jobs, depth, "the caller's true depth, not the Eq. 1 window");
+    assert_eq!(hire_cost, 50.0 * 4.0 * (boot_penalty().as_tu() + task_tu));
+    assert!(delay_cost > hire_cost, "delay {delay_cost} vs hire {hire_cost}");
+    assert_eq!(choice, ScalingChoice::HirePublic);
+}
+
 #[test]
 fn extra_observers_do_not_change_the_session() {
     let base = run(short_config(ScalingPolicy::Predictive, 2.5));

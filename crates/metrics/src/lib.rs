@@ -6,10 +6,11 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Disabled is (almost) free.** Subsystems hold a [`Metrics`] handle
-//!    that is `None` inside unless the run asked for metrics; every hot-path
-//!    update is a branch on that option. The overhead guard in
-//!    `benches/metrics.rs` keeps this honest.
+//! 1. **Off the simulation path.** Nothing in the simulator records into a
+//!    registry. One trace observer (`scan_platform::instrument::MetricsObserver`)
+//!    builds every metric from the session's event stream, so a session
+//!    without that observer does no metrics work at all, and one with it
+//!    cannot be perturbed by it.
 //! 2. **No allocation per event.** Ids are indices into dense vecs,
 //!    histograms are fixed arrays, series append to a `Vec` only at window
 //!    boundaries (amortised, a handful per session).
@@ -19,7 +20,7 @@
 //!    the trace/observer layer gives.
 //!
 //! The crate is dependency-free and knows nothing about the simulator:
-//! time is raw `f64` TU, and the platform crates do the wiring.
+//! time is raw `f64` TU, and the platform crate does the wiring.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -29,140 +30,7 @@ pub mod hist;
 pub mod registry;
 pub mod series;
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 pub use export::{write_jsonl, write_prometheus};
 pub use hist::{Log2Histogram, N_BUCKETS};
 pub use registry::{CounterId, GaugeId, HistogramId, MetricMeta, Registry, SeriesId};
 pub use series::{SeriesKind, WindowedSeries};
-
-/// Cheap cloneable handle to a shared [`Registry`], or a no-op when
-/// metrics are disabled (the default).
-///
-/// Subsystems store one of these plus the ids they registered; every
-/// update method is a no-op (one branch) on a disabled handle, so the
-/// instrumented code path costs nearly nothing when metrics are off.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    inner: Option<Rc<RefCell<Registry>>>,
-}
-
-impl Metrics {
-    /// A disabled handle: every operation is a no-op.
-    pub fn disabled() -> Self {
-        Metrics { inner: None }
-    }
-
-    /// An enabled handle wrapping a fresh registry with `window_tu`-wide
-    /// series windows.
-    pub fn enabled(window_tu: f64) -> Self {
-        Metrics { inner: Some(Rc::new(RefCell::new(Registry::new(window_tu)))) }
-    }
-
-    /// Whether updates through this handle reach a registry.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Runs `f` against the registry if enabled (use for registration at
-    /// wiring time; hot paths should go through the typed update methods).
-    pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> Option<T> {
-        self.inner.as_ref().map(|r| f(&mut r.borrow_mut()))
-    }
-
-    /// Adds to a counter (no-op when disabled).
-    #[inline]
-    pub fn counter_add(&self, id: CounterId, n: u64) {
-        if let Some(r) = &self.inner {
-            r.borrow_mut().counter_add(id, n);
-        }
-    }
-
-    /// Sets a gauge (no-op when disabled).
-    #[inline]
-    pub fn gauge_set(&self, id: GaugeId, v: f64) {
-        if let Some(r) = &self.inner {
-            r.borrow_mut().gauge_set(id, v);
-        }
-    }
-
-    /// Records a histogram sample (no-op when disabled).
-    #[inline]
-    pub fn record(&self, id: HistogramId, v: f64) {
-        if let Some(r) = &self.inner {
-            r.borrow_mut().record(id, v);
-        }
-    }
-
-    /// Samples a time-weighted-mean series (no-op when disabled).
-    #[inline]
-    pub fn sample(&self, id: SeriesId, at_tu: f64, v: f64) {
-        if let Some(r) = &self.inner {
-            r.borrow_mut().sample(id, at_tu, v);
-        }
-    }
-
-    /// Adds a delta to a rate series (no-op when disabled).
-    #[inline]
-    pub fn rate_add(&self, id: SeriesId, at_tu: f64, delta: f64) {
-        if let Some(r) = &self.inner {
-            r.borrow_mut().rate_add(id, at_tu, delta);
-        }
-    }
-
-    /// Closes every series at the horizon `end_tu` (no-op when disabled).
-    pub fn finish_windows(&self, end_tu: f64) {
-        if let Some(r) = &self.inner {
-            r.borrow_mut().finish(end_tu);
-        }
-    }
-
-    /// Unwraps the registry. Returns `None` if disabled or if other
-    /// handles are still alive (drop the subsystems first).
-    pub fn into_registry(self) -> Option<Registry> {
-        let rc = self.inner?;
-        Rc::try_unwrap(rc).ok().map(|cell| cell.into_inner())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_handle_is_a_no_op_everywhere() {
-        let m = Metrics::disabled();
-        assert!(!m.is_enabled());
-        // Ids never came from a registry, but disabled updates must not
-        // touch (or need) one.
-        m.counter_add(CounterId(0), 1);
-        m.record(HistogramId(7), 1.0);
-        m.sample(SeriesId(3), 1.0, 1.0);
-        m.rate_add(SeriesId(3), 1.0, 1.0);
-        m.finish_windows(10.0);
-        assert!(m.with_registry(|_| ()).is_none());
-        assert!(m.into_registry().is_none());
-    }
-
-    #[test]
-    fn enabled_handle_shares_one_registry_across_clones() {
-        let m = Metrics::enabled(5.0);
-        let c = m.with_registry(|r| r.counter("jobs", "", "", "1", "jobs")).unwrap();
-        let m2 = m.clone();
-        m.counter_add(c, 1);
-        m2.counter_add(c, 2);
-        drop(m2);
-        let reg = m.into_registry().expect("sole handle unwraps");
-        assert_eq!(reg.counters()[0].1, 3);
-    }
-
-    #[test]
-    fn into_registry_refuses_while_clones_are_live() {
-        let m = Metrics::enabled(5.0);
-        let m2 = m.clone();
-        assert!(m.into_registry().is_none());
-        drop(m2);
-    }
-}

@@ -11,12 +11,12 @@
 //! * **Predictive** — hire iff the Eq. 1 delay cost of the projected wait
 //!   exceeds the cost of the hire.
 //!
-//! Every decision can be narrated to the sim-trace layer via
-//! [`ScalingPolicy::decide_traced`], carrying the Eq. 1 numbers that
-//! justified it — the paper's core comparison made observable.
+//! [`ScalingPolicy::decide_priced`] also returns the Eq. 1 numbers that
+//! justified a decision; the platform narrates each decision to the
+//! sim-trace layer with them — the paper's core comparison made
+//! observable.
 
 use crate::aggregate::Eq1Pricer;
-use scan_sim::{ScalingChoice, SimTime, TraceEvent, Tracer};
 use scan_workload::reward::RewardFn;
 use serde::{Deserialize, Serialize};
 
@@ -56,15 +56,10 @@ pub struct ScalingContext<'a> {
     pub private_has_capacity: bool,
     /// Eq. 1 pricer over the stalled class (Eq. 1's `Q`, aggregated).
     pub eq1: Eq1Pricer<'a>,
-    /// True pending-entry depth of the stalled class queue (tracing: the
-    /// Eq. 1 window caps and dedups, so its length understates load).
-    pub queue_depth: u32,
     /// Projected wait until an existing worker frees up, TU.
     pub expected_wait_tu: f64,
     /// Public price per core·TU.
     pub public_price_per_core_tu: f64,
-    /// Pipeline stage of the stalled class (trace labelling).
-    pub stage: u32,
     /// Cores the new worker would need.
     pub cores_needed: u32,
     /// Boot penalty a new hire pays, TU.
@@ -138,43 +133,6 @@ impl ScalingPolicy {
             }
         }
     }
-
-    /// Decides and emits a [`TraceEvent::ScalingDecision`] carrying the
-    /// Eq. 1 comparison. With no observer attached this costs exactly
-    /// what [`ScalingPolicy::decide`] costs.
-    pub fn decide_traced(
-        &self,
-        ctx: &ScalingContext<'_>,
-        at: SimTime,
-        tracer: &Tracer,
-    ) -> ScalingDecision {
-        self.decide_priced_traced(ctx, at, tracer).0
-    }
-
-    /// [`ScalingPolicy::decide_traced`], but also hands the Eq. 1 costs
-    /// back to the caller — the metrics layer records the decision margin
-    /// `|delay_cost − hire_cost|` from them without re-pricing.
-    pub fn decide_priced_traced(
-        &self,
-        ctx: &ScalingContext<'_>,
-        at: SimTime,
-        tracer: &Tracer,
-    ) -> (ScalingDecision, DecisionCosts) {
-        let (decision, costs) = self.decide_priced(ctx);
-        tracer.emit_with(at, || TraceEvent::ScalingDecision {
-            stage: ctx.stage,
-            cores: ctx.cores_needed,
-            queued_jobs: ctx.queue_depth,
-            delay_cost: costs.delay_cost,
-            hire_cost: costs.hire_cost,
-            choice: match decision {
-                ScalingDecision::HirePrivate => ScalingChoice::HirePrivate,
-                ScalingDecision::HirePublic => ScalingChoice::HirePublic,
-                ScalingDecision::Wait => ScalingChoice::Wait,
-            },
-        });
-        (decision, costs)
-    }
 }
 
 #[cfg(test)]
@@ -182,9 +140,7 @@ mod tests {
     use super::*;
     use crate::aggregate::QueueAggregates;
     use crate::queue::TaskClass;
-    use scan_sim::RingBuffer;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use scan_sim::SimTime;
 
     const CLASS: TaskClass = TaskClass { stage: 0, cores: 4 };
 
@@ -202,11 +158,9 @@ mod tests {
         let eq1 = agg.pricer(CLASS, 0, 256, SimTime::ZERO);
         ScalingContext {
             private_has_capacity: private,
-            queue_depth: eq1.window_len() as u32,
             eq1,
             expected_wait_tu: wait,
             public_price_per_core_tu: 50.0,
-            stage: 0,
             cores_needed: 4,
             boot_penalty_tu: 0.5,
             expected_task_tu: 3.0,
@@ -282,32 +236,6 @@ mod tests {
         // Unpriced branches report NaN.
         let (_, unpriced) = ScalingPolicy::AlwaysScale.decide_priced(&ctx(false, 1.0, &q));
         assert!(unpriced.delay_cost.is_nan() && unpriced.hire_cost.is_nan());
-    }
-
-    #[test]
-    fn traced_decision_emits_the_comparison_and_true_depth() {
-        let ring = Rc::new(RefCell::new(RingBuffer::new(4)));
-        let mut tracer = Tracer::disabled();
-        tracer.attach(ring.clone());
-        let q = agg(20);
-        let mut c = ctx(false, 10.0, &q);
-        // The emitted depth is the caller's true entry count, not the
-        // (capped, deduped) Eq. 1 window length.
-        c.queue_depth = 500;
-        let d = ScalingPolicy::Predictive.decide_traced(&c, SimTime::new(7.0), &tracer);
-        assert_eq!(d, ScalingDecision::HirePublic);
-        let ring = ring.borrow();
-        assert_eq!(ring.len(), 1);
-        let (at, ev) = ring.events().next().copied().unwrap();
-        assert_eq!(at, SimTime::new(7.0));
-        match ev {
-            TraceEvent::ScalingDecision { queued_jobs, delay_cost, hire_cost, choice, .. } => {
-                assert_eq!(queued_jobs, 500);
-                assert!(delay_cost > hire_cost);
-                assert_eq!(choice, ScalingChoice::HirePublic);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]

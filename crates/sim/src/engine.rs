@@ -8,7 +8,6 @@
 
 use crate::calendar::Calendar;
 use crate::time::SimTime;
-use scan_metrics::{HistogramId, Metrics};
 
 /// What a handler tells the engine after processing one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,37 +51,18 @@ pub struct RunReport {
 pub struct Engine<E> {
     calendar: Calendar<E>,
     horizon: Option<SimTime>,
-    batch_hist: Option<(Metrics, HistogramId)>,
 }
 
 impl<E> Engine<E> {
     /// Creates an engine that runs until the calendar empties.
     pub fn new() -> Self {
-        Engine { calendar: Calendar::new(), horizon: None, batch_hist: None }
+        Engine { calendar: Calendar::new(), horizon: None }
     }
 
     /// Creates an engine that stops once the clock would pass `horizon`.
     /// Events scheduled exactly at the horizon still fire.
     pub fn with_horizon(horizon: SimTime) -> Self {
-        Engine { calendar: Calendar::new(), horizon: Some(horizon), batch_hist: None }
-    }
-
-    /// Attaches a metrics registry; the engine records the size of every
-    /// simultaneous-event batch it drains into `sim_calendar_batch_size`.
-    /// Without this call (or with a disabled handle) the run loop does not
-    /// touch metrics at all.
-    pub fn set_metrics(&mut self, metrics: &Metrics) {
-        if let Some(id) = metrics.with_registry(|r| {
-            r.histogram(
-                "sim_calendar_batch_size",
-                "",
-                "",
-                "1",
-                "Simultaneous events drained from the calendar per batch",
-            )
-        }) {
-            self.batch_hist = Some((metrics.clone(), id));
-        }
+        Engine { calendar: Calendar::new(), horizon: Some(horizon) }
     }
 
     /// Access to the calendar for seeding initial events.
@@ -142,9 +122,6 @@ impl<E> Engine<E> {
                 }
             }
             self.calendar.pop_batch(&mut batch);
-            if let Some((m, id)) = &self.batch_hist {
-                m.record(*id, batch.len() as f64);
-            }
             for ev in batch.drain(..) {
                 dispatched += 1;
                 match handler.handle(ev.at, ev.event, &mut self.calendar) {

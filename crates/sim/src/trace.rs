@@ -93,6 +93,17 @@ pub enum ScalingChoice {
 }
 
 impl ScalingChoice {
+    /// Every choice, in declaration order: `ALL[c.index()] == c`. Per-choice
+    /// tallies (decision counts, the `scaling_choice_total` counters) are
+    /// arrays in this order.
+    pub const ALL: [ScalingChoice; 5] =
+        [Self::Wait, Self::HirePrivate, Self::ThrottledPrivate, Self::HirePublic, Self::Reshape];
+
+    /// Position of this choice in [`ScalingChoice::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable lowercase label (used by the JSONL writer).
     pub fn name(self) -> &'static str {
         match self {
@@ -740,6 +751,13 @@ mod tests {
             assert!(l.starts_with('{') && l.ends_with('}'));
             // Balanced quotes: crude but catches missed escapes/commas.
             assert_eq!(l.matches('"').count() % 2, 0);
+        }
+    }
+
+    #[test]
+    fn scaling_choice_index_is_its_position_in_all() {
+        for (i, choice) in ScalingChoice::ALL.into_iter().enumerate() {
+            assert_eq!(choice.index(), i, "{choice:?}");
         }
     }
 

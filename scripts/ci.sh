@@ -113,7 +113,7 @@ if [[ "$quick" != "quick" ]]; then
     fi
 fi
 
-echo "==> metrics overhead bench (run-gate: disabled hot path must execute)"
+echo "==> metrics overhead bench (run-gate: registry ops and the observed session must execute)"
 cargo bench -p scan-bench --bench metrics >/dev/null
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"

@@ -13,9 +13,9 @@
 //! * docs/METRICS.md — every family a session registry and the fleet
 //!   projection register, per metric type, against the "Metric catalogue".
 //!
-//! Where no runtime list exists (`ScalingChoice`, `Agg`) the list sits
-//! next to an exhaustive `match`, so a new variant fails to compile here
-//! until it is listed.
+//! `ScalingChoice::ALL` and the local `Agg` list sit next to an
+//! exhaustive `match`, so a new variant fails to compile here until it is
+//! listed.
 
 use scan::platform::config::{ScanConfig, VariableParams};
 use scan::platform::fleet::{run_fleet, FleetConfig};
@@ -103,12 +103,12 @@ fn samples() -> [TraceEvent; 16] {
     ]
 }
 
-/// Every `ScalingChoice`, in declaration order.
+/// `ScalingChoice::ALL`, checked against the variants.
 fn scaling_choices() -> [ScalingChoice; 5] {
     use ScalingChoice::*;
-    let all = [Wait, HirePrivate, ThrottledPrivate, HirePublic, Reshape];
-    // Exhaustive: a new variant stops this compiling until it is listed.
-    for (i, choice) in all.into_iter().enumerate() {
+    // Exhaustive: a new variant stops this compiling until it is listed
+    // here, and the array type until `ALL` lists it too.
+    for (i, choice) in ScalingChoice::ALL.into_iter().enumerate() {
         let position = match choice {
             Wait => 0,
             HirePrivate => 1,
@@ -117,8 +117,9 @@ fn scaling_choices() -> [ScalingChoice; 5] {
             Reshape => 4,
         };
         assert_eq!(position, i, "{choice:?} is listed out of order");
+        assert_eq!(choice.index(), i, "{choice:?} indexes off its position");
     }
-    all
+    ScalingChoice::ALL
 }
 
 /// Every `Agg`, in declaration order.
