@@ -17,26 +17,13 @@
 //!   never-scale collapses under saturation, always-scale pays the public
 //!   premium, predictive tracks the better baseline.
 //!
-//! Usage: `cargo run --release -p scan-bench --bin fig4 [--quick] [--trace <path>]
-//! [--store <path>] [--spans <path> [--slowest N]] [--metrics <path>]
-//! [--profile <path>]`
-//!
-//! `--trace <path>` additionally dumps the typed JSONL event trace of one
-//! representative session (predictive scaling, 2.0 TU interval);
-//! `--store <path>` ingests that session into the columnar trace store
-//! and writes its compact SCTS export (see `docs/TRACESTORE.md`);
-//! `--spans <path>` derives that session's causal job spans and writes
-//! the Chrome/Perfetto timeline plus a critical-path report with the
-//! `--slowest N` job table (see `docs/SPANS.md`);
-//! `--metrics <path>` dumps that session's metrics registry (JSONL +
-//! Prometheus at `<path>.prom`); `--profile <path>` writes its wall-clock
-//! self-profile as collapsed stacks and prints the self/total table.
+//! Usage: `cargo run --release -p scan-bench --bin fig4 [--quick]
+//! [artefact flags]`. The artefact flags (`--trace`, `--store`, `--spans`,
+//! `--slowest`, `--metrics`, `--profile`; see [`scan_bench::Artefacts`])
+//! record one representative session: predictive scaling, 2.0 TU
+//! interval.
 
-use scan_bench::EXPERIMENT_SEED;
-use scan_bench::{
-    dump_instrumented, dump_spans, dump_store, dump_trace, instrument_flags_from_args, pm,
-    run_cell, spans_flags_from_args, store_path_from_args, trace_path_from_args, PAPER_REPETITIONS,
-};
+use scan_bench::{pm, run_cell, Artefacts, EXPERIMENT_SEED, PAPER_REPETITIONS};
 use scan_platform::config::{ScanConfig, VariableParams};
 use scan_sched::scaling::ScalingPolicy;
 
@@ -76,29 +63,10 @@ fn main() {
     println!("  reward: time-based | public cost: 50 CU/TU | allocation: best-constant");
     println!("  horizon: {sim_time} TU | repetitions: {reps}");
 
-    let (metrics_path, profile_path) = instrument_flags_from_args();
-    let store_path = store_path_from_args();
-    let (spans_path, slowest) = spans_flags_from_args();
-    if trace_path_from_args().is_some()
-        || store_path.is_some()
-        || spans_path.is_some()
-        || metrics_path.is_some()
-        || profile_path.is_some()
-    {
-        let mut cfg =
-            ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), EXPERIMENT_SEED);
-        cfg.fixed.sim_time_tu = sim_time;
-        if let Some(path) = trace_path_from_args() {
-            dump_trace(&cfg, &path);
-        }
-        if let Some(path) = store_path {
-            dump_store(&cfg, &path);
-        }
-        if let Some(path) = spans_path {
-            dump_spans(&cfg, &path, slowest);
-        }
-        dump_instrumented(&cfg, metrics_path.as_deref(), profile_path.as_deref());
-    }
+    let mut cfg =
+        ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), EXPERIMENT_SEED);
+    cfg.fixed.sim_time_tu = sim_time;
+    Artefacts::from_args().record(&cfg);
 
     let paper: Vec<f64> = (0..=10).map(|i| 2.0 + 0.1 * i as f64).collect();
     sweep("paper-verbatim interval axis (2.0-3.0 TU)", &paper, sim_time, reps);

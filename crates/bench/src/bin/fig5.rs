@@ -19,27 +19,13 @@
 //! added core-stage is applied — "the number of cores employed per
 //! pipeline run" rises one notch at a time.
 //!
-//! Usage: `cargo run --release -p scan-bench --bin fig5 [--quick] [--trace <path>]
-//! [--store <path>] [--spans <path> [--slowest N]] [--metrics <path>]
-//! [--profile <path>]`
-//!
-//! `--trace <path>` additionally dumps the typed JSONL event trace of one
-//! representative session (the first frontier plan), reshapes included;
-//! `--store <path>` ingests that session into the columnar trace store
-//! and writes its compact SCTS export (see `docs/TRACESTORE.md`);
-//! `--spans <path>` derives that session's causal job spans — reshape
-//! penalties included — and writes the Chrome/Perfetto timeline plus a
-//! critical-path report with the `--slowest N` job table (see
-//! `docs/SPANS.md`);
-//! `--metrics <path>` dumps that session's metrics registry (JSONL +
-//! Prometheus at `<path>.prom`); `--profile <path>` writes its wall-clock
-//! self-profile as collapsed stacks and prints the self/total table.
+//! Usage: `cargo run --release -p scan-bench --bin fig5 [--quick]
+//! [artefact flags]`. The artefact flags (`--trace`, `--store`, `--spans`,
+//! `--slowest`, `--metrics`, `--profile`; see [`scan_bench::Artefacts`])
+//! record one representative session: the first frontier plan, reshapes
+//! included.
 
-use scan_bench::{
-    dump_instrumented, dump_spans, dump_store, dump_trace, instrument_flags_from_args, pm,
-    spans_flags_from_args, store_path_from_args, trace_path_from_args, EXPERIMENT_SEED,
-    PAPER_REPETITIONS,
-};
+use scan_bench::{pm, Artefacts, EXPERIMENT_SEED, PAPER_REPETITIONS};
 use scan_platform::config::{RewardKind, ScanConfig, VariableParams};
 use scan_platform::sweep::run_replicated;
 use scan_sched::alloc::AllocationPolicy;
@@ -78,16 +64,7 @@ fn main() {
         })
         .collect();
 
-    let trace_path = trace_path_from_args();
-    let store_path = store_path_from_args();
-    let (spans_path, slowest) = spans_flags_from_args();
-    let (metrics_path, profile_path) = instrument_flags_from_args();
-    let wants_dump = trace_path.is_some()
-        || store_path.is_some()
-        || spans_path.is_some()
-        || metrics_path.is_some()
-        || profile_path.is_some();
-    if let (true, Some(plan)) = (wants_dump, picks.first()) {
+    let plan_cfg = |plan: &ExecutionPlan| {
         let mut cfg = ScanConfig::new(
             VariableParams {
                 allocation: AllocationPolicy::BestConstant,
@@ -101,16 +78,10 @@ fn main() {
         cfg.fixed.sim_time_tu = sim_time;
         cfg.allow_reshape = true;
         cfg.forced_plan = Some(plan.stages.clone());
-        if let Some(path) = trace_path {
-            dump_trace(&cfg, &path);
-        }
-        if let Some(path) = store_path {
-            dump_store(&cfg, &path);
-        }
-        if let Some(path) = spans_path {
-            dump_spans(&cfg, &path, slowest);
-        }
-        dump_instrumented(&cfg, metrics_path.as_deref(), profile_path.as_deref());
+        cfg
+    };
+    if let Some(plan) = picks.first() {
+        Artefacts::from_args().record(&plan_cfg(plan));
     }
 
     println!(
@@ -121,20 +92,7 @@ fn main() {
 
     let mut best: Option<(f64, u32)> = None;
     for plan in picks {
-        let mut cfg = ScanConfig::new(
-            VariableParams {
-                allocation: AllocationPolicy::BestConstant,
-                scaling: ScalingPolicy::Predictive,
-                mean_interval: 2.0,
-                reward: RewardKind::ThroughputBased,
-                public_core_cost: 50.0,
-            },
-            EXPERIMENT_SEED,
-        );
-        cfg.fixed.sim_time_tu = sim_time;
-        cfg.allow_reshape = true;
-        cfg.forced_plan = Some(plan.stages.clone());
-        let m = run_replicated(&cfg, reps);
+        let m = run_replicated(&plan_cfg(plan), reps);
         let ratio = m.reward_to_cost.mean();
         let reshapes: f64 =
             m.sessions.iter().map(|s| s.reshapes as f64).sum::<f64>() / m.sessions.len() as f64;

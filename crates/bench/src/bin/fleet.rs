@@ -9,25 +9,13 @@
 //! Usage: `cargo run --release -p scan-bench --bin fleet [--quick]
 //! [--store <path>] [--spans <path> [--slowest N]]` (`--quick` runs the
 //! 100-tenant point only; `SCAN_TENANTS=100,1000` overrides the
-//! tenant-count axis.)
-//!
-//! `--store <path>` additionally re-runs the first axis point's fleet
-//! with one columnar trace store per tenant session and writes the
-//! merged SCTS export (see `docs/TRACESTORE.md`). Like the stdout
-//! contract, the merged export is bit-identical across
-//! `RAYON_NUM_THREADS` — CI diffs the files from a 1-thread and an
-//! 8-thread invocation.
-//!
-//! `--spans <path>` likewise re-runs the first axis point's fleet with a
-//! span-deriving recorder per tenant session and writes the Perfetto
-//! timeline of repetition 0 plus the merged critical-path report at
-//! `<path>.txt` (with the `--slowest N` job table; see `docs/SPANS.md`).
-//! The report covers every repetition and is bit-identical across
-//! `RAYON_NUM_THREADS` — CI compares those files too.
+//! tenant-count axis.) `--store` and `--spans` record the first axis
+//! point's fleet once more, with one recorder per tenant session; see
+//! [`scan_bench::Artefacts::record_fleet`]. The merged store and span
+//! report are bit-identical across `RAYON_NUM_THREADS`, and CI diffs the
+//! files of a 1-thread and an 8-thread invocation.
 
-use scan_bench::{
-    dump_fleet_spans, dump_fleet_store, fleet_cfg, spans_flags_from_args, store_path_from_args,
-};
+use scan_bench::{fleet_cfg, Artefacts};
 use scan_platform::fleet::run_fleet_replicated;
 use std::time::Instant;
 
@@ -45,12 +33,8 @@ fn main() {
     };
     let reps = 2u64;
     println!("fleet: run-to-completion multi-tenant fleets ({reps} replications each)");
-    if let (Some(path), Some(&tenants)) = (store_path_from_args(), axis.first()) {
-        dump_fleet_store(&fleet_cfg(tenants), reps, &path);
-    }
-    let (spans_path, slowest) = spans_flags_from_args();
-    if let (Some(path), Some(&tenants)) = (spans_path, axis.first()) {
-        dump_fleet_spans(&fleet_cfg(tenants), reps, &path, slowest);
+    if let Some(&tenants) = axis.first() {
+        Artefacts::from_args().record_fleet(&fleet_cfg(tenants), reps);
     }
     for &tenants in &axis {
         let cfg = fleet_cfg(tenants);

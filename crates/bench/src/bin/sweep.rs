@@ -21,27 +21,16 @@
 //! * predictive scaling vs the always-/never-scale baselines.
 //!
 //! Usage: `cargo run --release -p scan-bench --bin sweep
-//!         [--full] [--calibrated] [--trace <path>] [--store <path>]
-//!         [--spans <path> [--slowest N]] [--cell-trace <path>]`
+//!         [--full] [--calibrated] [--cell-trace <path>] [artefact flags]`
 //!
-//! `--trace <path>` dumps the typed JSONL event trace of one
-//! representative session (the grid's first cell); `--store <path>`
-//! ingests that session into the columnar trace store and writes its
-//! compact SCTS export (see `docs/TRACESTORE.md`); `--spans <path>`
-//! derives that session's causal job spans and writes the
-//! Chrome/Perfetto timeline plus a critical-path report with the
-//! `--slowest N` job table (see `docs/SPANS.md`); `--cell-trace <path>`
-//! writes one JSONL line per grid cell (parameters + the merged
-//! [`DecisionStats`] payload — shape documented in `docs/TRACE_SCHEMA.md`);
-//! `--metrics <path>` dumps the first cell's metrics registry (JSONL +
-//! Prometheus at `<path>.prom`); `--profile <path>` writes its wall-clock
-//! self-profile as collapsed stacks and prints the self/total table.
+//! `--cell-trace <path>` writes one JSONL line per grid cell: its
+//! parameters and the merged [`DecisionStats`] payload (shape documented
+//! in `docs/TRACE_SCHEMA.md`). The artefact flags (`--trace`, `--store`,
+//! `--spans`, `--slowest`, `--metrics`, `--profile`; see
+//! [`scan_bench::Artefacts`]) record one representative session: the
+//! grid's first cell.
 
-use scan_bench::{
-    dump_instrumented, dump_spans, dump_store, dump_trace, instrument_flags_from_args,
-    path_flag_from_args, spans_flags_from_args, store_path_from_args, trace_path_from_args,
-    EXPERIMENT_SEED,
-};
+use scan_bench::{flag_from_args, Artefacts, EXPERIMENT_SEED};
 use scan_platform::config::{ParameterGrid, ScanConfig};
 use scan_platform::observers::{DecisionStats, DecisionStatsFactory};
 use scan_platform::sweep::{sweep_grid_with, ObservedCell};
@@ -74,23 +63,12 @@ fn main() {
     let mut base = ScanConfig::new(cells[0], EXPERIMENT_SEED);
     base.fixed.sim_time_tu = sim_time;
 
-    if let Some(path) = trace_path_from_args() {
-        dump_trace(&base, &path);
-    }
-    if let Some(path) = store_path_from_args() {
-        dump_store(&base, &path);
-    }
-    let (spans_path, slowest) = spans_flags_from_args();
-    if let Some(path) = spans_path {
-        dump_spans(&base, &path, slowest);
-    }
-    let (metrics_path, profile_path) = instrument_flags_from_args();
-    dump_instrumented(&base, metrics_path.as_deref(), profile_path.as_deref());
+    Artefacts::from_args().record(&base);
 
     let results = sweep_grid_with(&base, &cells, reps, &DecisionStatsFactory);
 
-    if let Some(path) = path_flag_from_args("cell-trace") {
-        dump_cell_trace(&results, &path);
+    if let Some(path) = flag_from_args("cell-trace") {
+        dump_cell_trace(&results, path.as_ref());
     }
 
     // Full per-cell table: the cell's economics, then the decision/queue

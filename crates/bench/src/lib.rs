@@ -22,17 +22,20 @@
 
 #![forbid(unsafe_code)]
 
+use scan_metrics::Registry;
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::fleet::FleetConfig;
-use scan_platform::fleet::{run_fleet_replicated_with, run_fleet_with};
-use scan_platform::instrument::{run_session_instrumented, DEFAULT_WINDOW_TU};
-use scan_platform::metrics::ReplicatedMetrics;
-use scan_platform::session::{run_session_traced, run_session_with};
+use scan_platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig};
+use scan_platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
+use scan_platform::metrics::{ReplicatedMetrics, SessionMetrics};
+use scan_platform::session::run_session_with;
 use scan_platform::sweep::run_replicated;
 use scan_sched::scaling::ScalingPolicy;
-use scan_sim::Merge;
-use scan_spans::{Recorder, RecorderFactory, Recording, SpanSet};
-use scan_tracestore::{TraceStore, TraceStoreFactory};
+use scan_sim::prof;
+use scan_sim::{JsonlWriter, Merge, Observer, SimTime, TraceEvent};
+use scan_spans::{RecorderFactory, Recording, SpanObserver, SpanSet};
+use scan_tracestore::TraceStore;
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -73,125 +76,260 @@ pub fn pm(stats: &scan_sim::stats::OnlineStats) -> String {
     format!("{:9.2} ± {:7.2}", stats.mean(), stats.stddev())
 }
 
-/// Parses a `--<flag> <path>` (or `--<flag>=<path>`) option from argv.
-/// `flag` is given without the leading dashes.
-pub fn path_flag_from_args(flag: &str) -> Option<PathBuf> {
+/// The value of a `--<flag> <value>` (or `--<flag>=<value>`) option in
+/// argv, if given. `flag` is given without the leading dashes.
+pub fn flag_from_args(flag: &str) -> Option<String> {
     let spaced = format!("--{flag}");
     let joined = format!("--{flag}=");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == spaced {
-            return args.next().map(PathBuf::from);
+            return args.next();
         }
-        if let Some(p) = a.strip_prefix(&joined) {
-            return Some(PathBuf::from(p));
+        if let Some(v) = a.strip_prefix(&joined) {
+            return Some(v.to_owned());
         }
     }
     None
 }
 
-/// Parses a `--trace <path>` (or `--trace=<path>`) flag from argv.
-pub fn trace_path_from_args() -> Option<PathBuf> {
-    path_flag_from_args("trace")
+/// The artefact flags the bench bins share, all recorded from one run of
+/// the bin's representative session (repetition 0 of the config the bin
+/// passes to [`Artefacts::record`]). That run is separate from the
+/// measured repetitions, so the bins' tables are unaffected.
+///
+/// * `--trace <path>` — the typed JSONL event trace (one object per line,
+///   `run_ended` last; see `docs/TRACE_SCHEMA.md`).
+/// * `--store <path>` — the columnar trace store's compact SCTS export,
+///   with its digest on stdout (see `docs/TRACESTORE.md`).
+/// * `--spans <path> [--slowest N]` — the causal job spans as a
+///   Chrome/Perfetto timeline, plus the critical-path report with the
+///   `N` slowest jobs (default 10) at `<path>.txt` and on stdout (see
+///   `docs/SPANS.md`).
+/// * `--metrics <path>` — the metrics registry as JSONL, plus Prometheus
+///   text at `<path>.prom` (see `docs/METRICS.md`).
+/// * `--profile <path>` — the run's wall-clock self-profile as collapsed
+///   stacks; the self/total table goes to stdout. The sinks run inside
+///   the platform's profiler scopes, so the profile includes the cost of
+///   every other artefact requested with it.
+///
+/// When `--spans` is given and the config sets no SLO target, the whole
+/// run — and so every artefact of it — has the SLO monitor armed at the
+/// break-even latency (`rmax / rpenalty`, where a time-based reward hits
+/// zero), so `slo_violation` events and the burn-rate meters light up.
+/// Without `--spans` the config runs as given.
+#[derive(Debug, Clone, Default)]
+pub struct Artefacts {
+    pub trace: Option<PathBuf>,
+    pub store: Option<PathBuf>,
+    pub spans: Option<PathBuf>,
+    pub slowest: usize,
+    pub metrics: Option<PathBuf>,
+    pub profile: Option<PathBuf>,
 }
 
-/// Parses a `--store <path>` (or `--store=<path>`) flag from argv.
-pub fn store_path_from_args() -> Option<PathBuf> {
-    path_flag_from_args("store")
+/// Every sink of one recorded run, fed in this order from one stream.
+/// The JSONL writer keeps the error that stopped its file's creation.
+struct Sinks {
+    jsonl: Option<io::Result<JsonlWriter<BufWriter<File>>>>,
+    store: Option<TraceStore>,
+    spans: Option<SpanObserver>,
+    metrics: Option<MetricsObserver>,
+}
+
+impl Observer for Sinks {
+    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
+        if let Some(Ok(jsonl)) = &mut self.jsonl {
+            jsonl.on_event(at, event);
+        }
+        if let Some(store) = &mut self.store {
+            store.ingest(at, event);
+        }
+        if let Some(spans) = &mut self.spans {
+            spans.on_event(at, event);
+        }
+        if let Some(metrics) = &mut self.metrics {
+            metrics.on_event(at, event);
+        }
+    }
+}
+
+impl Artefacts {
+    /// The artefact flags given in argv.
+    pub fn from_args() -> Artefacts {
+        let path = |flag| flag_from_args(flag).map(PathBuf::from);
+        Artefacts {
+            trace: path("trace"),
+            store: path("store"),
+            spans: path("spans"),
+            slowest: flag_from_args("slowest").and_then(|n| n.parse().ok()).unwrap_or(10),
+            metrics: path("metrics"),
+            profile: path("profile"),
+        }
+    }
+
+    /// `cfg` with the SLO monitor armed at the break-even default when
+    /// spans are requested and the config sets no target.
+    fn session_cfg(&self, cfg: &ScanConfig) -> ScanConfig {
+        let mut cfg = cfg.clone();
+        if self.spans.is_some() && cfg.slo_target_tu.is_none() {
+            cfg.slo_target_tu = Some(cfg.breakeven_latency_tu());
+        }
+        cfg
+    }
+
+    /// Runs repetition 0 of `cfg` once with every requested sink on its
+    /// event stream and writes every requested file. Returns the
+    /// session's metrics, or `None` (without running) when no artefact is
+    /// requested. The profiler is left as it was found.
+    pub fn record(&self, cfg: &ScanConfig) -> Option<SessionMetrics> {
+        let paths = [&self.trace, &self.store, &self.spans, &self.metrics, &self.profile];
+        if paths.iter().all(|p| p.is_none()) {
+            return None;
+        }
+        let cfg = self.session_cfg(cfg);
+        let jsonl = |p: &Path| Ok(JsonlWriter::new(BufWriter::new(File::create(p)?)));
+        let sinks = Sinks {
+            jsonl: self.trace.as_deref().map(jsonl),
+            store: (self.store.is_some() || self.spans.is_some()).then(TraceStore::new),
+            spans: self.spans.is_some().then(SpanObserver::default),
+            metrics: self.metrics.is_some().then(|| MetricsObserver::new(&cfg, DEFAULT_WINDOW_TU)),
+        };
+        let (profile, was_profiling) = (self.profile.is_some(), prof::is_enabled());
+        if profile {
+            prof::enable();
+            prof::reset_thread();
+        }
+        let (session, sinks) = run_session_with(&cfg, 0, sinks);
+        let summary = profile.then(|| {
+            prof::mark_session();
+            prof::take_summary()
+        });
+        if !was_profiling {
+            prof::disable();
+        }
+
+        if let (Some(path), Some(jsonl)) = (&self.trace, sinks.jsonl) {
+            let flushed = jsonl.and_then(|w| {
+                if w.errored() {
+                    return Err(io::Error::other("trace write failed; output truncated"));
+                }
+                w.into_inner().flush()
+            });
+            let (events, jobs) = (session.events, session.jobs_completed);
+            let detail = format!("({events} events dispatched, {jobs} jobs completed)");
+            report("trace", path, flushed, &detail);
+        }
+        if let (Some(path), Some(store)) = (&self.store, &sinks.store) {
+            write_store(store, "1 session", path);
+        }
+        if let (Some(path), Some(store), Some(spans)) = (&self.spans, &sinks.store, sinks.spans) {
+            let spans = spans.into_spans();
+            write_spans((store, &spans), &spans, "1 session", path, self.slowest);
+        }
+        if let (Some(path), Some(metrics)) = (&self.metrics, &sinks.metrics) {
+            write_metrics(metrics.registry(), path);
+        }
+        if let (Some(path), Some(summary)) = (&self.profile, summary) {
+            let written = write_file(path, |w| summary.write_collapsed(w));
+            report("profile", path, written, "(collapsed stacks)");
+            let mut table = Vec::new();
+            if summary.write_table(&mut table).is_ok() {
+                print!("{}", String::from_utf8_lossy(&table));
+            }
+        }
+        Some(session)
+    }
+
+    /// Runs `repetitions` whole fleets with one [`Recorder`](scan_spans::Recorder) per tenant
+    /// session and writes the requested `--store` and `--spans` files
+    /// (the other flags do not apply to fleets). The store and the span
+    /// report cover every repetition, merged in `(repetition, tenant)`
+    /// order, so both are bit-identical for any `RAYON_NUM_THREADS`; the
+    /// Perfetto timeline re-runs repetition 0 alone, because job and VM
+    /// ids restart every repetition and a merged timeline would stack
+    /// unrelated slices. The SLO rule of [`Artefacts`] applies to every
+    /// tenant.
+    pub fn record_fleet(&self, cfg: &FleetConfig, repetitions: u64) {
+        if self.store.is_none() && self.spans.is_none() {
+            return;
+        }
+        let mut cfg = cfg.clone();
+        cfg.base = Arc::new(self.session_cfg(&cfg.base));
+        let factory = RecorderFactory::fleet(u64::from(cfg.tenants));
+        let (_, merged) = run_fleet_replicated_with(&cfg, repetitions, &factory);
+        let label = format!("{repetitions} fleet reps");
+        if let Some(path) = &self.store {
+            write_store(&merged.store, &label, path);
+        }
+        if let Some(path) = &self.spans {
+            let mut first = Recording::default();
+            for tenant in run_fleet_with(&cfg, 0, &factory).1 {
+                first.merge(tenant);
+            }
+            write_spans((&first.store, &first.spans), &merged.spans, &label, path, self.slowest);
+        }
+    }
+}
+
+/// Records one representative session's JSONL trace to `path`
+/// ([`Artefacts::record`] with `--trace` alone).
+pub fn dump_trace(cfg: &ScanConfig, path: &Path) {
+    Artefacts { trace: Some(path.into()), ..Artefacts::default() }.record(cfg);
+}
+
+/// Records one representative session's SCTS store export to `path`
+/// ([`Artefacts::record`] with `--store` alone).
+pub fn dump_store(cfg: &ScanConfig, path: &Path) {
+    Artefacts { store: Some(path.into()), ..Artefacts::default() }.record(cfg);
+}
+
+/// Records one representative session's span artefacts at `path`
+/// ([`Artefacts::record`] with `--spans` alone, so SLO-armed).
+pub fn dump_spans(cfg: &ScanConfig, path: &Path, slowest: usize) {
+    Artefacts { spans: Some(path.into()), slowest, ..Artefacts::default() }.record(cfg);
+}
+
+/// Records one representative session's metrics registry and/or
+/// self-profile ([`Artefacts::record`] with `--metrics`/`--profile`).
+pub fn dump_instrumented(cfg: &ScanConfig, metrics: Option<&Path>, profile: Option<&Path>) {
+    let (metrics, profile) = (metrics.map(PathBuf::from), profile.map(PathBuf::from));
+    Artefacts { metrics, profile, ..Artefacts::default() }.record(cfg);
+}
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Creates `path` and fills it through a buffered writer.
+fn write_file(
+    path: &Path,
+    body: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    body(&mut out)?;
+    out.flush()
+}
+
+/// Prints `<what>: wrote <path> <detail>`, or the error that stopped the
+/// write.
+fn report(what: &str, path: &Path, written: io::Result<()>, detail: &str) {
+    match written {
+        Ok(()) => println!("{what}: wrote {} {detail}", path.display()),
+        Err(e) => eprintln!("{what}: failed to write {}: {e}", path.display()),
+    }
 }
 
 /// Writes a [`TraceStore`] as an SCTS export to `path`, reporting rows,
 /// bytes, and the store digest (the CI fingerprint).
 fn write_store(store: &TraceStore, label: &str, path: &Path) {
     let bytes = store.to_bytes();
-    match std::fs::write(path, &bytes) {
-        Ok(()) => println!(
-            "store: wrote {} ({label}, {} events, {} bytes, digest {:016x})",
-            path.display(),
-            store.events(),
-            bytes.len(),
-            store.digest()
-        ),
-        Err(e) => eprintln!("store: failed to write {}: {e}", path.display()),
-    }
-}
-
-/// Ingests one representative session (repetition 0 of `cfg`) into a
-/// columnar [`TraceStore`] and writes its SCTS export to `path`. The
-/// store-building run is separate from the measured repetitions, so
-/// tables are unaffected — the `--store` analogue of [`dump_trace`].
-pub fn dump_store(cfg: &ScanConfig, path: &Path) {
-    let (_, store) = run_session_with(cfg, 0, TraceStore::new());
-    write_store(&store, "1 session", path);
-}
-
-/// Runs `repetitions` whole fleets with one [`TraceStore`] per tenant
-/// session, merges them in `(repetition, tenant)` order, and writes the
-/// merged SCTS export to `path`. The merged store — and therefore the
-/// export bytes and digest — is bit-identical for any
-/// `RAYON_NUM_THREADS`, which CI exploits by diffing two exports.
-pub fn dump_fleet_store(cfg: &FleetConfig, repetitions: u64, path: &Path) {
-    let factory = TraceStoreFactory::fleet(u64::from(cfg.tenants));
-    let (_, store) = run_fleet_replicated_with(cfg, repetitions, &factory);
-    write_store(&store, &format!("{} fleet reps", repetitions), path);
-}
-
-/// Dumps the typed JSONL trace of one representative session (repetition
-/// 0 of `cfg`) to `path`, reporting what was written. Used by the bench
-/// bins' `--trace` flag; the traced run is separate from the measured
-/// repetitions, so tables are unaffected.
-pub fn dump_trace(cfg: &ScanConfig, path: &std::path::Path) {
-    match run_session_traced(cfg, 0, path) {
-        Ok(m) => println!(
-            "trace: wrote {} ({} events dispatched, {} jobs completed)",
-            path.display(),
-            m.events,
-            m.jobs_completed
-        ),
-        Err(e) => eprintln!("trace: failed to write {}: {e}", path.display()),
-    }
-}
-
-/// The `--metrics <path>` / `--profile <path>` pair shared by the bench
-/// bins, parsed from argv.
-pub fn instrument_flags_from_args() -> (Option<PathBuf>, Option<PathBuf>) {
-    (path_flag_from_args("metrics"), path_flag_from_args("profile"))
-}
-
-/// Parses a numeric `--<flag> N` (or `--<flag>=N`) option from argv.
-/// `flag` is given without the leading dashes; unparsable values count
-/// as absent.
-pub fn num_flag_from_args(flag: &str) -> Option<usize> {
-    let spaced = format!("--{flag}");
-    let joined = format!("--{flag}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == spaced {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix(&joined) {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-/// The `--spans <path>` / `--slowest N` pair shared by the bench bins,
-/// parsed from argv (`--slowest` defaults to 10 rows when absent).
-pub fn spans_flags_from_args() -> (Option<PathBuf>, usize) {
-    (path_flag_from_args("spans"), num_flag_from_args("slowest").unwrap_or(10))
-}
-
-/// A copy of `cfg` with the SLO monitor armed: spans runs default the
-/// target to the break-even latency (`rmax / rpenalty`, the point where
-/// a time-based reward hits zero) when the caller hasn't set one, so
-/// `slo_violation` events and the burn-rate meters light up.
-fn with_slo_default(cfg: &ScanConfig) -> ScanConfig {
-    let mut cfg = cfg.clone();
-    if cfg.slo_target_tu.is_none() {
-        cfg.slo_target_tu = Some(cfg.breakeven_latency_tu());
-    }
-    cfg
+    let (events, size, digest) = (store.events(), bytes.len(), store.digest());
+    let detail = format!("({label}, {events} events, {size} bytes, digest {digest:016x})");
+    report("store", path, std::fs::write(path, &bytes), &detail);
 }
 
 /// Writes the span artefacts: the Chrome/Perfetto trace-event JSON to
@@ -210,126 +348,31 @@ fn write_spans(
     slowest: usize,
 ) {
     let doc = scan_spans::perfetto::export(timeline.0, timeline.1);
-    let mut report = scan_spans::render(&scan_spans::aggregate(report_spans));
-    report.push_str(&scan_spans::render_slowest(report_spans, slowest));
-    print!("{report}");
-    let mut report_path = path.as_os_str().to_os_string();
-    report_path.push(".txt");
-    let report_path = PathBuf::from(report_path);
-    match std::fs::write(path, &doc).and_then(|()| std::fs::write(&report_path, &report)) {
-        Ok(()) => println!(
-            "spans: wrote {} (perfetto, {} bytes) and {} ({label}, {} jobs, {} in flight)",
-            path.display(),
-            doc.len(),
-            report_path.display(),
-            report_spans.jobs.len(),
-            report_spans.in_flight
-        ),
-        Err(e) => eprintln!("spans: failed to write {}: {e}", path.display()),
-    }
-}
-
-/// Runs one representative session (repetition 0 of `cfg`, SLO monitor
-/// armed at the break-even default) with a [`Recorder`] — a columnar
-/// store and the span observer on one stream — and writes the span
-/// artefacts. The `--spans` analogue of [`dump_store`]; the recorded run
-/// is separate from the measured repetitions, so tables are unaffected.
-pub fn dump_spans(cfg: &ScanConfig, path: &Path, slowest: usize) {
-    let cfg = with_slo_default(cfg);
-    let (_, rec) = run_session_with(&cfg, 0, Recorder::default());
-    let spans = rec.spans.into_spans();
-    write_spans((&rec.store, &spans), &spans, "1 session", path, slowest);
-}
-
-/// Runs `repetitions` whole fleets with one [`Recorder`] per tenant
-/// session and writes the span artefacts: the aggregate report covers
-/// every repetition (merged in `(repetition, tenant)` order, so it is
-/// bit-identical for any `RAYON_NUM_THREADS`), while the Perfetto JSON
-/// covers repetition 0 only — job and VM ids restart every repetition,
-/// so a multi-repetition timeline would stack unrelated slices.
-pub fn dump_fleet_spans(cfg: &FleetConfig, repetitions: u64, path: &Path, slowest: usize) {
-    let mut cfg = cfg.clone();
-    cfg.base = Arc::new(with_slo_default(&cfg.base));
-    let factory = RecorderFactory::fleet(u64::from(cfg.tenants));
-    let (_, merged) = run_fleet_replicated_with(&cfg, repetitions, &factory);
-    let (_, rep0) = run_fleet_with(&cfg, 0, &factory);
-    let mut first = Recording::default();
-    for tenant in rep0 {
-        first.merge(tenant);
-    }
-    write_spans(
-        (&first.store, &first.spans),
-        &merged.spans,
-        &format!("{repetitions} fleet reps"),
-        path,
-        slowest,
+    let mut text = scan_spans::render(&scan_spans::aggregate(report_spans));
+    text.push_str(&scan_spans::render_slowest(report_spans, slowest));
+    print!("{text}");
+    let text_path = with_suffix(path, ".txt");
+    let written = std::fs::write(path, &doc).and_then(|()| std::fs::write(&text_path, &text));
+    let (size, jobs, in_flight) = (doc.len(), report_spans.jobs.len(), report_spans.in_flight);
+    let detail = format!(
+        "(perfetto, {size} bytes) and {} ({label}, {jobs} jobs, {in_flight} in flight)",
+        text_path.display()
     );
+    report("spans", path, written, &detail);
 }
 
-/// Runs one instrumented representative session (repetition 0 of `cfg`)
-/// and writes its artefacts. Used by the bench bins' `--metrics` and
-/// `--profile` flags; like `--trace`, the instrumented run is separate
-/// from the measured repetitions, so tables are unaffected.
-///
-/// * `metrics_path` — the metrics registry as self-describing JSONL,
-///   plus a Prometheus text rendering at `<path>.prom`.
-/// * `profile_path` — flamegraph-compatible collapsed stacks of the
-///   run's wall-clock self-profile; the sorted self/total table goes to
-///   stdout.
-pub fn dump_instrumented(
-    cfg: &ScanConfig,
-    metrics_path: Option<&Path>,
-    profile_path: Option<&Path>,
-) {
-    if metrics_path.is_none() && profile_path.is_none() {
-        return;
-    }
-    let profile = profile_path.is_some();
-    if profile {
-        scan_sim::prof::enable();
-    }
-    let (_, registry, summary) = run_session_instrumented(cfg, 0, DEFAULT_WINDOW_TU, profile);
-    if let Some(path) = metrics_path {
-        let write = || -> std::io::Result<PathBuf> {
-            let mut jsonl = std::io::BufWriter::new(std::fs::File::create(path)?);
-            scan_metrics::write_jsonl(&registry, &mut jsonl)?;
-            std::io::Write::flush(&mut jsonl)?;
-            let mut prom_path = path.as_os_str().to_os_string();
-            prom_path.push(".prom");
-            let prom_path = PathBuf::from(prom_path);
-            let mut prom = std::io::BufWriter::new(std::fs::File::create(&prom_path)?);
-            scan_metrics::write_prometheus(&registry, &mut prom)?;
-            std::io::Write::flush(&mut prom)?;
-            Ok(prom_path)
-        };
-        match write() {
-            Ok(prom_path) => println!(
-                "metrics: wrote {} (+ {}): {} counters, {} histograms, {} series",
-                path.display(),
-                prom_path.display(),
-                registry.counters().len(),
-                registry.histograms().len(),
-                registry.series_entries().len(),
-            ),
-            Err(e) => eprintln!("metrics: failed to write {}: {e}", path.display()),
-        }
-    }
-    if let (Some(path), Some(summary)) = (profile_path, summary) {
-        let write = || -> std::io::Result<()> {
-            let mut collapsed = std::io::BufWriter::new(std::fs::File::create(path)?);
-            summary.write_collapsed(&mut collapsed)?;
-            std::io::Write::flush(&mut collapsed)?;
-            Ok(())
-        };
-        match write() {
-            Ok(()) => {
-                println!("profile: wrote collapsed stacks to {}", path.display());
-                let mut table = Vec::new();
-                if summary.write_table(&mut table).is_ok() {
-                    print!("{}", String::from_utf8_lossy(&table));
-                }
-            }
-            Err(e) => eprintln!("profile: failed to write {}: {e}", path.display()),
-        }
-    }
+/// Writes a metrics registry as JSONL to `path` and as Prometheus text
+/// to `<path>.prom`.
+fn write_metrics(registry: &Registry, path: &Path) {
+    let prom_path = with_suffix(path, ".prom");
+    let written = write_file(path, |w| scan_metrics::write_jsonl(registry, w))
+        .and_then(|()| write_file(&prom_path, |w| scan_metrics::write_prometheus(registry, w)));
+    let detail = format!(
+        "(+ {}): {} counters, {} histograms, {} series",
+        prom_path.display(),
+        registry.counters().len(),
+        registry.histograms().len(),
+        registry.series_entries().len()
+    );
+    report("metrics", path, written, &detail);
 }

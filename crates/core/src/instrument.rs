@@ -19,13 +19,11 @@
 
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
-use crate::platform::Platform;
+use crate::session::run_session_with;
 use scan_cloud::tier::BillingMode;
 use scan_metrics::{CounterId, HistogramId, Registry, SeriesId, SeriesKind};
 use scan_sim::prof::{self, ProfSummary};
 use scan_sim::{Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Default sim-time window for the time series (TU). Sessions run for
 /// hundreds of TU, so 5 TU gives a readable number of points per series.
@@ -454,21 +452,15 @@ pub fn run_session_instrumented(
     window_tu: f64,
     profile: bool,
 ) -> (SessionMetrics, Registry, Option<ProfSummary>) {
-    let observer = Rc::new(RefCell::new(MetricsObserver::new(cfg, window_tu)));
-    let mut platform = Platform::new(cfg.clone(), repetition);
-    platform.add_observer(observer.clone());
     if profile {
         prof::reset_thread();
     }
-    let session = platform.run();
+    let (session, observer) =
+        run_session_with(cfg, repetition, MetricsObserver::new(cfg, window_tu));
     let summary = profile.then(|| {
         prof::mark_session();
         prof::take_summary()
     });
-    // The platform (and every tracer clone) is consumed by `run`, so the
-    // observer is uniquely ours again.
-    let observer =
-        Rc::try_unwrap(observer).expect("observer uniquely owned after the run").into_inner();
     (session, observer.into_registry(), summary)
 }
 
@@ -482,6 +474,8 @@ mod tests {
     use scan_metrics::write_jsonl;
     use scan_sched::scaling::ScalingPolicy;
     use scan_sim::{NullObserver, ObserverHandle};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn cfg() -> ScanConfig {
         let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.8), 5);

@@ -3,11 +3,8 @@
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use crate::platform::Platform;
-use scan_sim::{JsonlWriter, Observer, ObserverHandle};
+use scan_sim::{Observer, ObserverHandle};
 use std::cell::RefCell;
-use std::fs::File;
-use std::io::{self, BufWriter, Write as _};
-use std::path::Path;
 use std::rc::Rc;
 
 /// Runs one repetition of one configuration to completion.
@@ -52,28 +49,6 @@ pub fn run_session_with<O: Observer + 'static>(
     (metrics, observer)
 }
 
-/// Runs one repetition streaming its full typed trace to `path` as JSON
-/// lines. Returns the session metrics, or the I/O error that truncated
-/// the trace.
-pub fn run_session_traced(
-    cfg: &ScanConfig,
-    repetition: u64,
-    path: &Path,
-) -> io::Result<SessionMetrics> {
-    let writer = JsonlWriter::new(BufWriter::new(File::create(path)?));
-    let sink = Rc::new(RefCell::new(writer));
-    let metrics = run_session_observed(cfg, repetition, vec![sink.clone()]);
-    // The platform (and every tracer clone) is gone; reclaim the writer
-    // to flush it and surface any latched write error.
-    let writer =
-        Rc::try_unwrap(sink).ok().expect("trace sink uniquely owned after the run").into_inner();
-    if writer.errored() {
-        return Err(io::Error::other("trace write failed; output truncated"));
-    }
-    writer.into_inner().flush()?;
-    Ok(metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,20 +65,5 @@ mod tests {
     fn run_session_smoke() {
         let m = run_session(&cfg(), 3);
         assert!(m.jobs_submitted > 0);
-    }
-
-    #[test]
-    fn traced_session_writes_jsonl_and_matches_untraced() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("scan-trace-test-{}.jsonl", std::process::id()));
-        let traced = run_session_traced(&cfg(), 3, &path).expect("trace written");
-        let plain = run_session(&cfg(), 3);
-        assert_eq!(traced, plain, "tracing must not perturb the session");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() > 100, "trace has {} lines", lines.len());
-        assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(lines.last().unwrap().contains("\"kind\":\"run_ended\""));
     }
 }

@@ -35,6 +35,11 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
+/// Turns the profiler off again (process-wide): later scopes are inert.
+pub fn disable() {
+    ENABLED.store(false, Ordering::Relaxed);
+}
+
 /// Whether spans currently record.
 #[inline]
 pub fn is_enabled() -> bool {
@@ -341,5 +346,16 @@ mod tests {
             assert!(!stack.is_empty());
             let _: u64 = n.parse().expect("numeric self time");
         }
+
+        // Disabled again: scopes are inert and nothing accumulates.
+        disable();
+        {
+            crate::prof::scope!("after");
+        }
+        assert!(!is_enabled());
+        assert!(take_summary().frames.is_empty());
+        enable();
+        assert!(take_summary().frames.is_empty(), "a disabled scope left a frame");
+        disable();
     }
 }

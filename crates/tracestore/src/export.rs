@@ -245,7 +245,7 @@ fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Ta
 }
 
 impl TraceStore {
-    /// Encodes the store as an SCTS v1 buffer (payload + digest
+    /// Encodes the store as an SCTS v2 buffer (payload + digest
     /// trailer). Bit-identical for equal stores, so merged fleet exports
     /// reproduce across `RAYON_NUM_THREADS`.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -270,7 +270,7 @@ impl TraceStore {
         u64::from_le_bytes(le)
     }
 
-    /// Decodes an SCTS v1 buffer, verifying magic, version, layout, and
+    /// Decodes an SCTS v2 buffer, verifying magic, version, layout, and
     /// the digest trailer.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceStore, ExportError> {
         if bytes.len() < MAGIC.len() + 4 + 8 {

@@ -63,8 +63,8 @@ if [[ "$quick" != "quick" ]]; then
     # The columnar store's 8-byte digest replaces the old multi-megabyte
     # JSONL double-run compare as the fixed-seed determinism gate; the
     # byte-level cmp backstops the digest against collisions.
-    s1="$(mktemp)"; s2="$(mktemp)"; o1="$(mktemp)"; o2="$(mktemp)"
-    trap 'rm -f "$s1" "$s2" "$o1" "$o2"' EXIT
+    s1="$(mktemp)"; s2="$(mktemp)"; o1="$(mktemp)"; o2="$(mktemp)"; sp="$(mktemp -d)"
+    trap 'rm -rf "$s1" "$s2" "$o1" "$o2" "$sp"' EXIT
     SCAN_HORIZON=300 SCAN_REPS=1 cargo run -q --release -p scan-bench --bin fig4 -- \
         --quick --store "$s1" > "$o1"
     SCAN_HORIZON=300 SCAN_REPS=1 cargo run -q --release -p scan-bench --bin fig4 -- \
@@ -74,6 +74,11 @@ if [[ "$quick" != "quick" ]]; then
     [[ -n "$d1" && "$d1" == "$d2" ]] || {
         echo "FAIL: fixed-seed store digest differs between runs ($d1 vs $d2)" >&2; exit 1; }
     cmp "$s1" "$s2" || { echo "FAIL: fixed-seed store export differs between runs" >&2; exit 1; }
+    # The Python SCTS reader mirrors the Rust schema by hand; decoding a
+    # real export pins it (read_scts raises on a layout drift or on
+    # trailing bytes).
+    python3 scripts/plot_traces.py --store "$s1" --out-dir "$sp" >/dev/null \
+        || { echo "FAIL: scripts/plot_traces.py cannot decode the SCTS export" >&2; exit 1; }
 
     echo "==> store/JSONL cross-check (the one retained JSONL gate)"
     cargo test -q --test tracestore_fleet store_agrees_with_the_jsonl_sink
@@ -81,7 +86,7 @@ if [[ "$quick" != "quick" ]]; then
     echo "==> fleet determinism (1 vs 8 rayon threads: stdout + merged store + spans)"
     f1="$(mktemp)"; f2="$(mktemp)"; fs1="$(mktemp)"; fs2="$(mktemp)"
     fp1="$(mktemp)"; fp2="$(mktemp)"
-    trap 'rm -f "$s1" "$s2" "$o1" "$o2" "$f1" "$f2" "$fs1" "$fs2" \
+    trap 'rm -rf "$s1" "$s2" "$o1" "$o2" "$sp" "$f1" "$f2" "$fs1" "$fs2" \
         "$fp1" "$fp2" "$fp1.txt" "$fp2.txt"' EXIT
     RAYON_NUM_THREADS=1 cargo run -q --release -p scan-bench --bin fleet -- \
         --quick --store "$fs1" --spans "$fp1" > "$f1"

@@ -121,9 +121,9 @@ def fmt(v):
 SCTS_MAGIC = b"SCTS"
 SCTS_VERSION = 2
 # Declared columns per table, in table order. Mirrors EventKind::columns
-# in crates/tracestore/src/schema.rs (which scan-lint's store-doc-drift
-# rule pins against docs/TRACESTORE.md). u = varint int, f = raw f64 LE,
-# d = dictionary-encoded label.
+# in crates/tracestore/src/schema.rs; scripts/ci.sh's store-determinism
+# step pins the mirror by decoding a real fig4 export with read_scts.
+# u = varint int, f = raw f64 LE, d = dictionary-encoded label.
 SCTS_SCHEMA = [
     ("job_arrived", [("job", "u"), ("size_units", "f"), ("submitted_tu", "f")]),
     ("job_stage_advanced",
