@@ -30,7 +30,7 @@
 //! [`scan_bench::Artefacts`]) record one representative session: the
 //! grid's first cell.
 
-use scan_bench::{flag_from_args, Artefacts, EXPERIMENT_SEED};
+use scan_bench::{argv, flag_from_args, usage_error, Artefacts, EXPERIMENT_SEED};
 use scan_platform::config::{ParameterGrid, ScanConfig};
 use scan_platform::observers::{DecisionStats, DecisionStatsFactory};
 use scan_platform::sweep::{sweep_grid_with, ObservedCell};
@@ -41,6 +41,8 @@ use std::fmt::Write as _;
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let calibrated = std::env::args().any(|a| a == "--calibrated");
+    let artefacts = Artefacts::from_args();
+    let cell_trace = flag_from_args(&argv(), "cell-trace").unwrap_or_else(|e| usage_error(&e));
 
     let mut grid = ParameterGrid::paper();
     if !full {
@@ -63,11 +65,11 @@ fn main() {
     let mut base = ScanConfig::new(cells[0], EXPERIMENT_SEED);
     base.fixed.sim_time_tu = sim_time;
 
-    Artefacts::from_args().record(&base);
+    artefacts.record(&base);
 
     let results = sweep_grid_with(&base, &cells, reps, &DecisionStatsFactory);
 
-    if let Some(path) = flag_from_args("cell-trace") {
+    if let Some(path) = cell_trace {
         dump_cell_trace(&results, path.as_ref());
     }
 

@@ -77,20 +77,41 @@ pub fn pm(stats: &scan_sim::stats::OnlineStats) -> String {
 }
 
 /// The value of a `--<flag> <value>` (or `--<flag>=<value>`) option in
-/// argv, if given. `flag` is given without the leading dashes.
-pub fn flag_from_args(flag: &str) -> Option<String> {
+/// `args` (argv without the program name), or `None` when the flag is
+/// absent. `flag` is given without the leading dashes. A flag with no
+/// value, or followed by another `--` option instead of one, is an error.
+pub fn flag_from_args(args: &[String], flag: &str) -> Result<Option<String>, String> {
     let spaced = format!("--{flag}");
     let joined = format!("--{flag}=");
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(a) = args.next() {
-        if a == spaced {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&joined) {
-            return Some(v.to_owned());
-        }
+        let value = if *a == spaced {
+            args.next().map(String::as_str)
+        } else if let Some(v) = a.strip_prefix(&joined) {
+            Some(v).filter(|v| !v.is_empty())
+        } else {
+            continue;
+        };
+        return match value {
+            Some(v) if v.starts_with("--") => {
+                Err(format!("`{spaced}` needs a value, not the option `{v}`"))
+            }
+            Some(v) => Ok(Some(v.to_owned())),
+            None => Err(format!("`{spaced}` needs a value")),
+        };
     }
-    None
+    Ok(None)
+}
+
+/// argv without the program name.
+pub fn argv() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// Prints a command-line usage error and exits with status 2.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The artefact flags the bench bins share, all recorded from one run of
@@ -155,17 +176,29 @@ impl Observer for Sinks {
 }
 
 impl Artefacts {
-    /// The artefact flags given in argv.
+    /// The artefact flags given in argv; a malformed one is a usage
+    /// error (exit status 2).
     pub fn from_args() -> Artefacts {
-        let path = |flag| flag_from_args(flag).map(PathBuf::from);
-        Artefacts {
-            trace: path("trace"),
-            store: path("store"),
-            spans: path("spans"),
-            slowest: flag_from_args("slowest").and_then(|n| n.parse().ok()).unwrap_or(10),
-            metrics: path("metrics"),
-            profile: path("profile"),
-        }
+        Artefacts::parse(&argv()).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// The artefact flags given in `args` (argv without the program name).
+    pub fn parse(args: &[String]) -> Result<Artefacts, String> {
+        let path = |flag| flag_from_args(args, flag).map(|v| v.map(PathBuf::from));
+        let slowest = match flag_from_args(args, "slowest")? {
+            None => 10,
+            Some(n) => {
+                n.parse().map_err(|_| format!("`--slowest` needs a whole number, not `{n}`"))?
+            }
+        };
+        Ok(Artefacts {
+            trace: path("trace")?,
+            store: path("store")?,
+            spans: path("spans")?,
+            slowest,
+            metrics: path("metrics")?,
+            profile: path("profile")?,
+        })
     }
 
     /// `cfg` with the SLO monitor armed at the break-even default when
@@ -375,4 +408,39 @@ fn write_metrics(registry: &Registry, path: &Path) {
         registry.series_entries().len()
     );
     report("metrics", path, written, &detail);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn flags_take_spaced_or_joined_values() {
+        let a = Artefacts::parse(&args("--quick --store s.scts --trace=t.jsonl --slowest 3"))
+            .expect("well-formed flags parse");
+        assert_eq!(a.store.as_deref(), Some(Path::new("s.scts")));
+        assert_eq!(a.trace.as_deref(), Some(Path::new("t.jsonl")));
+        assert_eq!((a.spans, a.metrics, a.profile, a.slowest), (None, None, None, 3));
+        assert_eq!(Artefacts::parse(&args("--quick")).map(|a| a.slowest), Ok(10));
+    }
+
+    #[test]
+    fn malformed_flags_are_usage_errors() {
+        for (line, error) in [
+            ("--store --spans out.json", "`--store` needs a value, not the option `--spans`"),
+            ("--quick --trace", "`--trace` needs a value"),
+            ("--metrics=", "`--metrics` needs a value"),
+            ("--slowest abc", "`--slowest` needs a whole number, not `abc`"),
+        ] {
+            assert_eq!(Artefacts::parse(&args(line)).err().as_deref(), Some(error), "{line}");
+        }
+        assert_eq!(
+            flag_from_args(&args("--cell-trace=--x"), "cell-trace").err().as_deref(),
+            Some("`--cell-trace` needs a value, not the option `--x`")
+        );
+    }
 }

@@ -14,12 +14,11 @@
 //!    every `pub` item, no orphaned TODOs.
 //! 3. **Semantic (interprocedural)** — on top of the lexer sits an item
 //!    parser ([`parse`]), a workspace symbol table ([`model`]) and a
-//!    name-resolution-approximate call graph ([`graph`]); three passes
+//!    name-resolution-approximate call graph ([`graph`]); two passes
 //!    walk it: nondeterminism *taint* flowing from any crate into
-//!    sim-facing code, *panic reachability* from the platform's event
-//!    loop and observer hot paths, and *dead telemetry* (trace variants,
-//!    metric handles and observers that can never produce data). Their
-//!    diagnostics carry the full call chain (`--explain-chain`).
+//!    sim-facing code, and *panic reachability* from the platform's event
+//!    loop and observer hot paths. Their diagnostics carry the full call
+//!    chain (`--explain-chain`).
 //!
 //! Findings can be silenced inline with
 //! `// scan-lint: allow(<rule>) -- <reason>`; the reason is mandatory

@@ -1,8 +1,7 @@
 //! The workspace semantic model: every parsed file's items folded into
 //! one symbol table, with the per-function facts the interprocedural
-//! passes consume — determinism hazards (taint seeds), panic sites,
-//! trait-impl registries and the import-derived crate dependency
-//! closure. The model borrows the loaded [`Workspace`]; building it is
+//! passes consume — determinism hazards (taint seeds), panic sites
+//! and the import-derived crate dependency closure. The model borrows the loaded [`Workspace`]; building it is
 //! one pass over each file's tokens plus the item parse.
 
 use crate::lex::{Token, TokenKind};
@@ -192,48 +191,6 @@ impl<'w> SemanticModel<'w> {
     pub fn depends_on(&self, caller_crate: &str, callee_crate: &str) -> bool {
         caller_crate == callee_crate
             || self.crate_deps.get(caller_crate).is_some_and(|deps| deps.contains(callee_crate))
-    }
-
-    /// Every type name that appears as `impl <trait_name> for <Type>`
-    /// outside test code, mapped to the impl's declaration line.
-    pub fn trait_impls(&self, trait_name: &str) -> BTreeMap<String, (usize, u32)> {
-        let mut out = BTreeMap::new();
-        for (file_idx, facts) in self.files.iter().enumerate() {
-            for ib in &facts.items.impls {
-                if ib.trait_name.as_deref() != Some(trait_name) {
-                    continue;
-                }
-                let in_test =
-                    facts.code.get(ib.body.0).is_some_and(|t| facts.wf.file.in_test_code(t.start));
-                if in_test {
-                    continue;
-                }
-                out.entry(ib.type_name.clone()).or_insert((file_idx, ib.line));
-            }
-        }
-        out
-    }
-
-    /// Every ident mentioned inside any `impl <trait_name> for …` block
-    /// (used to check which types an `ObserverFactory` can build).
-    pub fn idents_in_trait_impls(&self, trait_name: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for facts in &self.files {
-            for ib in &facts.items.impls {
-                if ib.trait_name.as_deref() != Some(trait_name) {
-                    continue;
-                }
-                for tok in &facts.code[ib.body.0..ib.body.1] {
-                    if tok.kind == TokenKind::Ident {
-                        out.insert(tok.text(&facts.wf.file.text).to_string());
-                    }
-                }
-                // The implementing type itself also counts: a factory
-                // that *is* the observer builds itself.
-                out.insert(ib.type_name.clone());
-            }
-        }
-        out
     }
 }
 

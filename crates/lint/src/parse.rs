@@ -53,19 +53,6 @@ pub struct StructDecl {
     pub fields: Vec<(String, Option<String>)>,
 }
 
-/// One `impl` block, with its code-token extent.
-#[derive(Debug)]
-pub struct ImplBlock {
-    /// Significant name of the implemented-for type.
-    pub type_name: String,
-    /// The trait, for trait impls.
-    pub trait_name: Option<String>,
-    /// Code-token index range of the block body.
-    pub body: (usize, usize),
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-}
-
 /// One imported name from a `use` declaration: the name bound in this
 /// file → the first path segment it came from (crate or module).
 #[derive(Debug)]
@@ -83,8 +70,6 @@ pub struct FileItems {
     pub fns: Vec<FnDecl>,
     /// All struct declarations.
     pub structs: Vec<StructDecl>,
-    /// All `impl` blocks.
-    pub impls: Vec<ImplBlock>,
     /// All imported names.
     pub uses: Vec<UseImport>,
 }
@@ -348,7 +333,6 @@ impl<'a> Parser<'a> {
 
     /// `impl <generics>? Type { … }` or `impl Trait for Type { … }`.
     fn parse_impl(&mut self, impl_idx: usize, stack: &mut Vec<Scope>) -> usize {
-        let line = self.code[impl_idx].line;
         let mut k = impl_idx + 1;
         if matches!(self.code.get(k).map(|t| t.kind), Some(TokenKind::Punct(b'<'))) {
             k = self.skip_angles(k);
@@ -377,13 +361,6 @@ impl<'a> Parser<'a> {
             k += 1;
         }
         let Some(type_name) = type_name else { return k + 1 };
-        let close = self.matching(k, b'{', b'}');
-        self.items.impls.push(ImplBlock {
-            type_name: type_name.clone(),
-            trait_name: trait_name.clone(),
-            body: (k + 1, close),
-            line,
-        });
         stack.push(Scope::Impl { type_name, trait_name });
         k + 1
     }
@@ -616,8 +593,8 @@ mod tests {
     fn generic_impls_resolve_significant_names() {
         let (_, items) =
             parse("impl<W: io::Write> Observer for JsonlWriter<W> { fn on_event(&mut self) {} }");
-        assert_eq!(items.impls[0].type_name, "JsonlWriter");
-        assert_eq!(items.impls[0].trait_name.as_deref(), Some("Observer"));
+        assert_eq!(items.fns[0].owner.as_deref(), Some("JsonlWriter"));
+        assert_eq!(items.fns[0].trait_name.as_deref(), Some("Observer"));
     }
 
     #[test]

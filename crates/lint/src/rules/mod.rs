@@ -94,13 +94,6 @@ pub const RULES: &[RuleInfo] = &[
                   Platform::run/handle_event, EventHandler::handle or Observer::on_event",
     },
     RuleInfo {
-        id: "dead-telemetry",
-        severity: Severity::Error,
-        summary: "every TraceEvent variant is constructed outside tests, every registered metric \
-                  handle reaches an update call, every Observer+Merge type is buildable by an \
-                  ObserverFactory",
-    },
-    RuleInfo {
         id: "bad-allow",
         severity: Severity::Error,
         summary: "scan-lint allow directives must be well-formed, name known rules, and carry a \

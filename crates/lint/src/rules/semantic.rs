@@ -1,8 +1,8 @@
 //! The interprocedural passes over the workspace call graph:
-//! `taint-nondet`, `panic-path` and `dead-telemetry`. See
-//! `docs/LINTS.md` § "Semantic passes" for the contracts.
+//! `taint-nondet` and `panic-path`. See `docs/LINTS.md` § "Semantic
+//! passes" for the contracts.
 //!
-//! All three report [`Diagnostic`]s carrying an evidence
+//! Both report [`Diagnostic`]s carrying an evidence
 //! [`ChainHop`] chain; suppression of the *reported* site goes through
 //! the workspace-global allow application, while taint additionally
 //! consults [`Allows`] mid-analysis — an allow on a hazard line kills
@@ -11,14 +11,13 @@
 
 use crate::diag::{Allows, ChainHop, Diagnostic};
 use crate::graph::CallGraph;
-use crate::lex::TokenKind;
-use crate::model::{FileFacts, FnId, SemanticModel};
+use crate::model::{FnId, SemanticModel};
 use crate::rules::severity_of;
 use crate::source::FileClass;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 
-/// Runs all three semantic passes.
+/// Runs both semantic passes.
 pub fn check(
     model: &SemanticModel<'_>,
     graph: &CallGraph,
@@ -27,7 +26,6 @@ pub fn check(
 ) {
     check_taint(model, graph, allows, diags);
     check_panic_paths(model, graph, diags);
-    check_dead_telemetry(model, diags);
 }
 
 fn diag(
@@ -267,316 +265,4 @@ fn panic_chain(
     });
     rev.reverse();
     rev
-}
-
-/// Methods that count as *updating* a metric — handle-style
-/// (`handle.inc()`) and the registry's imperative vocabulary
-/// (`registry.counter_add(handle, n)`), where the handle is an argument.
-const UPDATE_METHODS: &[&str] =
-    &["inc", "add", "observe", "sample", "set", "record", "counter_add", "gauge_set", "rate_add"];
-/// Registrar methods whose string argument names a metric family.
-const REGISTER_METHODS: &[&str] = &["counter", "histogram", "series"];
-
-/// `dead-telemetry`: telemetry that is declared but can never produce
-/// data — (a) `TraceEvent` variants never constructed outside tests,
-/// (b) metric registrations whose handle never reaches an update call,
-/// (c) `Observer + Merge` types no `ObserverFactory` impl can build.
-fn check_dead_telemetry(model: &SemanticModel<'_>, diags: &mut Vec<Diagnostic>) {
-    check_unconstructed_variants(model, diags);
-    check_unread_metrics(model, diags);
-    check_unreachable_observers(model, diags);
-}
-
-/// (a) Every `TraceEvent` variant must be constructed somewhere outside
-/// test code. Patterns (match arms, `if let`, `..` rests) don't count.
-fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagnostic>) {
-    let Some(trace) = model
-        .files
-        .iter()
-        .find(|f| f.wf.crate_name == "scan-sim" && f.wf.file.path.ends_with("src/trace.rs"))
-    else {
-        return; // no trace schema in this workspace (fixture runs)
-    };
-    let variants = declared_variants(trace, "TraceEvent");
-    if variants.is_empty() {
-        return;
-    }
-
-    let mut constructed: BTreeSet<String> = BTreeSet::new();
-    for facts in &model.files {
-        if !matches!(facts.wf.class, FileClass::Library | FileClass::Binary) {
-            continue;
-        }
-        collect_constructions(facts, "TraceEvent", &mut constructed);
-    }
-
-    for (variant, line) in &variants {
-        if !constructed.contains(variant) {
-            diags.push(diag(
-                "dead-telemetry",
-                trace.wf.file.path.clone(),
-                *line,
-                1,
-                format!(
-                    "`TraceEvent::{variant}` is declared but never constructed outside tests; \
-                     emit it or retire the variant (and its docs/TRACE_SCHEMA.md entry)"
-                ),
-                Vec::new(),
-            ));
-        }
-    }
-}
-
-/// The variants of `enum enum_name` declared in a file, with their
-/// lines: identifiers directly inside the enum body that follow its
-/// opening brace, a separating comma or an attribute.
-fn declared_variants(facts: &FileFacts<'_>, enum_name: &str) -> Vec<(String, u32)> {
-    let file = &facts.wf.file;
-    let code = &facts.code;
-    let is =
-        |k: usize, word: &str| code[k].kind == TokenKind::Ident && code[k].text(&file.text) == word;
-    let Some(name) = (1..code.len()).find(|&k| is(k - 1, "enum") && is(k, enum_name)) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    for k in name + 1..code.len() {
-        match code[k].kind {
-            TokenKind::Punct(b'{' | b'(' | b'[') => depth += 1,
-            TokenKind::Punct(b'}' | b')' | b']') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            TokenKind::Ident
-                if depth == 1
-                    && matches!(code[k - 1].kind, TokenKind::Punct(b'{' | b',' | b']')) =>
-            {
-                out.push((code[k].text(&file.text).to_string(), code[k].line));
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Collects variants of `enum_name` that appear in *construction*
-/// position (`Enum::V { … }` as an expression) in non-test code.
-fn collect_constructions(facts: &FileFacts<'_>, enum_name: &str, out: &mut BTreeSet<String>) {
-    let file = &facts.wf.file;
-    let code = &facts.code;
-    for k in 0..code.len() {
-        if code[k].kind != TokenKind::Ident
-            || code[k].text(&file.text) != enum_name
-            || file.in_test_code(code[k].start)
-        {
-            continue;
-        }
-        // `Enum :: Variant`
-        let is_path = matches!(code.get(k + 1).map(|t| t.kind), Some(TokenKind::Punct(b':')))
-            && matches!(code.get(k + 2).map(|t| t.kind), Some(TokenKind::Punct(b':')))
-            && matches!(code.get(k + 3).map(|t| t.kind), Some(TokenKind::Ident));
-        if !is_path {
-            continue;
-        }
-        let variant = code[k + 3].text(&file.text).to_string();
-        // Only a braced body can be a struct-variant construction; a bare
-        // mention (match arm head, `matches!`, doc link) never is.
-        if !matches!(code.get(k + 4).map(|t| t.kind), Some(TokenKind::Punct(b'{'))) {
-            continue;
-        }
-        // Scan the braced body: `..` at depth 1 marks a rest pattern;
-        // `=>` or `=` straight after the close marks a match arm or
-        // `if let` — all pattern positions, not constructions.
-        let mut depth = 0i32;
-        let mut j = k + 4;
-        let mut has_rest = false;
-        while j < code.len() {
-            match code[j].kind {
-                TokenKind::Punct(b'{') => depth += 1,
-                TokenKind::Punct(b'}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokenKind::Punct(b'.')
-                    if depth == 1
-                        && matches!(
-                            code.get(j + 1).map(|t| t.kind),
-                            Some(TokenKind::Punct(b'.'))
-                        ) =>
-                {
-                    has_rest = true;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let next = code.get(j + 1).map(|t| t.kind);
-        let arrow = next == Some(TokenKind::Punct(b'='));
-        if !has_rest && !arrow {
-            out.insert(variant);
-        }
-    }
-}
-
-/// (b) Every metric registration's handle must reach an update call.
-fn check_unread_metrics(model: &SemanticModel<'_>, diags: &mut Vec<Diagnostic>) {
-    for (fi, facts) in model.files.iter().enumerate() {
-        if facts.wf.class != FileClass::Library {
-            continue;
-        }
-        let file = &facts.wf.file;
-        let code = &facts.code;
-        for k in 0..code.len() {
-            if code[k].kind != TokenKind::Ident
-                || !REGISTER_METHODS.contains(&code[k].text(&file.text))
-                || file.in_test_code(code[k].start)
-            {
-                continue;
-            }
-            let is_call = k > 0
-                && matches!(code[k - 1].kind, TokenKind::Punct(b'.'))
-                && matches!(code.get(k + 1).map(|t| t.kind), Some(TokenKind::Punct(b'(')))
-                && matches!(code.get(k + 2).map(|t| t.kind), Some(TokenKind::Str));
-            if !is_call {
-                continue;
-            }
-            let name = code[k + 2].str_content(&file.text).unwrap_or_default().to_string();
-            let Some(binding) = registration_binding(facts, k) else {
-                continue; // handle shape not statable; give it the benefit
-            };
-            if !handle_is_updated(model, fi, &binding, code[k].line) {
-                diags.push(diag(
-                    "dead-telemetry",
-                    file.path.clone(),
-                    code[k].line,
-                    code[k].col,
-                    format!(
-                        "metric `{name}` is registered into `{binding}` but that handle never \
-                         reaches an update call ({}); wire it up or drop the registration",
-                        UPDATE_METHODS.join("/"),
-                    ),
-                    Vec::new(),
-                ));
-            }
-        }
-    }
-}
-
-/// The binding a registration call's result lands in: the `let` name or
-/// the struct-literal field of the enclosing statement.
-fn registration_binding(facts: &FileFacts<'_>, call_idx: usize) -> Option<String> {
-    let file = &facts.wf.file;
-    let code = &facts.code;
-    // Walk back to the statement start: `;`, `,`, `{` or `}` at depth 0
-    // (closing brackets seen while walking backward open a nesting level).
-    let mut depth = 0i32;
-    let mut b = call_idx;
-    while b > 0 {
-        match code[b - 1].kind {
-            TokenKind::Punct(b')') | TokenKind::Punct(b']') => depth += 1,
-            TokenKind::Punct(b'(') | TokenKind::Punct(b'[') => depth -= 1,
-            TokenKind::Punct(b'}') => depth += 1,
-            TokenKind::Punct(b'{') if depth > 0 => depth -= 1,
-            TokenKind::Punct(b'{') | TokenKind::Punct(b';') => break,
-            TokenKind::Punct(b',') if depth == 0 => break,
-            _ => {}
-        }
-        b -= 1;
-    }
-    let word =
-        |i: usize| code.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| t.text(&file.text));
-    if word(b) == Some("let") {
-        let mut n = b + 1;
-        if word(n) == Some("mut") {
-            n += 1;
-        }
-        return word(n).map(str::to_string);
-    }
-    // `field: <registrar chain>` inside a struct literal.
-    if let Some(field) = word(b) {
-        if matches!(code.get(b + 1).map(|t| t.kind), Some(TokenKind::Punct(b':')))
-            && !matches!(code.get(b + 2).map(|t| t.kind), Some(TokenKind::Punct(b':')))
-        {
-            return Some(field.to_string());
-        }
-    }
-    None
-}
-
-/// Whether `binding` appears near an update-method call in the owning
-/// crate's non-test library code (a ±40-token window around each
-/// occurrence, so multi-line update expressions still match).
-fn handle_is_updated(
-    model: &SemanticModel<'_>,
-    file_idx: usize,
-    binding: &str,
-    registration_line: u32,
-) -> bool {
-    let crate_name = &model.files[file_idx].wf.crate_name;
-    for facts in &model.files {
-        if &facts.wf.crate_name != crate_name || facts.wf.class != FileClass::Library {
-            continue;
-        }
-        let file = &facts.wf.file;
-        let code = &facts.code;
-        for k in 0..code.len() {
-            if code[k].kind != TokenKind::Ident
-                || code[k].text(&file.text) != binding
-                || file.in_test_code(code[k].start)
-            {
-                continue;
-            }
-            if std::ptr::eq(&facts.wf.file, &model.files[file_idx].wf.file)
-                && code[k].line == registration_line
-            {
-                continue; // the registration itself doesn't count as a read
-            }
-            let lo = k.saturating_sub(40);
-            let hi = (k + 40).min(code.len());
-            for j in lo..hi {
-                if code[j].kind == TokenKind::Ident
-                    && UPDATE_METHODS.contains(&code[j].text(&file.text))
-                    && j > 0
-                    && matches!(code[j - 1].kind, TokenKind::Punct(b'.'))
-                    && matches!(code.get(j + 1).map(|t| t.kind), Some(TokenKind::Punct(b'(')))
-                {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// (c) Every type implementing both `Observer` and `Merge` must be
-/// buildable: some `ObserverFactory` impl has to name it. A Merge-only
-/// type (a summary) or an Observer-only type (a sink without parallel
-/// merge) is exempt — only the combination claims "I am fleet telemetry".
-fn check_unreachable_observers(model: &SemanticModel<'_>, diags: &mut Vec<Diagnostic>) {
-    let observers = model.trait_impls("Observer");
-    let merges = model.trait_impls("Merge");
-    if observers.is_empty() || merges.is_empty() {
-        return;
-    }
-    let buildable = model.idents_in_trait_impls("ObserverFactory");
-    for (ty, (file_idx, line)) in &merges {
-        if !observers.contains_key(ty) || buildable.contains(ty) {
-            continue;
-        }
-        diags.push(diag(
-            "dead-telemetry",
-            model.files[*file_idx].wf.file.path.clone(),
-            *line,
-            1,
-            format!(
-                "`{ty}` implements Observer and Merge but no ObserverFactory builds it; fleet \
-                 runs can never collect its telemetry — add a factory or drop the Merge impl"
-            ),
-            Vec::new(),
-        ));
-    }
 }

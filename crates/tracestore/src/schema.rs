@@ -261,6 +261,9 @@ pub enum Agg {
 }
 
 impl Agg {
+    /// Every aggregation, in declaration order.
+    pub const ALL: [Agg; 6] = [Self::Count, Self::Sum, Self::Mean, Self::P50, Self::P95, Self::Max];
+
     /// Stable lowercase label (used in query results and the docs).
     pub fn name(self) -> &'static str {
         match self {
@@ -298,6 +301,24 @@ mod tests {
             }
             assert_eq!(kind.column_index(cols[0].name), Some(0));
             assert_eq!(kind.column_index("no_such_column"), None);
+        }
+    }
+
+    #[test]
+    fn agg_all_lists_every_variant_in_order() {
+        use Agg::*;
+        for (i, agg) in Agg::ALL.into_iter().enumerate() {
+            // Exhaustive: a new variant stops this compiling until it is
+            // given its position here.
+            let position = match agg {
+                Count => 0,
+                Sum => 1,
+                Mean => 2,
+                P50 => 3,
+                P95 => 4,
+                Max => 5,
+            };
+            assert_eq!(position, i, "{agg:?} is listed out of order");
         }
     }
 }

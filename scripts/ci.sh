@@ -49,6 +49,18 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test --manifest-path perfbench/Cargo.toml (the benchmark still builds)"
+# perfbench is its own workspace over the crates by path, so this catches
+# a change that removes an API the benchmark calls. Offline, cargo
+# rewrites the benchmark's stale lock file; put it back afterwards.
+perf_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perf_lock"
+trap 'cp "$perf_lock" perfbench/Cargo.lock; rm -f "$perf_lock"' EXIT
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cp "$perf_lock" perfbench/Cargo.lock
+rm -f "$perf_lock"
+trap - EXIT
+
 echo "==> cargo bench --no-run (bench smoke: harnesses must compile)"
 cargo bench --workspace --no-run --quiet
 

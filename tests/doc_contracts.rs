@@ -1,30 +1,46 @@
-//! Doc contracts: the four reference documents against the tables the
-//! program holds at run time, in both directions.
+//! Doc contracts and telemetry coverage, both read from one matrix of
+//! live runs.
 //!
-//! * docs/TRACE_SCHEMA.md — one sample per `TraceEvent` variant: its kind
+//! [`matrix`] runs six small configurations once per test binary: a fig4
+//! session, a fig5-style forced-plan reshape, an `AlwaysScale` spill onto
+//! the public tier, an SLO-armed session, a session with the private-hire
+//! throttle on, and a contended, SLO-armed 3-tenant fleet. It keeps every
+//! run's trace store, the first live event of each kind, the scaling
+//! choices decided, the five session registries (merged, which asserts
+//! they share one shape) and the fleet projection.
+//!
+//! * Coverage — every `ALL_KINDS` table gets rows, every `ScalingChoice`
+//!   is decided, and every registered metric family records a non-zero
+//!   value. Telemetry that is declared but never produced fails here.
+//! * docs/TRACE_SCHEMA.md — the first live event of each kind: its kind
 //!   tag, variant name and field names (read back from its `Debug` and
 //!   JSONL renderings) against the "Event catalogue" sections, plus every
 //!   `ScalingChoice` label.
 //! * docs/TRACESTORE.md — `EventKind::tag`/`columns` for every kind in
-//!   `ALL_KINDS` against the "Column layouts" tables, and every `Agg`
-//!   label against the "Aggregations" table.
+//!   `ALL_KINDS` against the "Column layouts" tables, and `Agg::ALL`
+//!   against the "Aggregations" table.
 //! * docs/SPANS.md — the `ALL_SEGMENTS` labels, and the SLO table against
-//!   the `slo`-named families of the live registries.
-//! * docs/METRICS.md — every family a session registry and the fleet
-//!   projection register, per metric type, against the "Metric catalogue".
+//!   the `slo`-named families of the matrix registries.
+//! * docs/METRICS.md — every family the matrix registries register, per
+//!   metric type, against the "Metric catalogue".
 //!
-//! `ScalingChoice::ALL` and the local `Agg` list sit next to an
-//! exhaustive `match`, so a new variant fails to compile here until it is
-//! listed.
+//! [`kind_position`] and [`scaling_choices`] are exhaustive `match`es, so
+//! a new `TraceEvent` or `ScalingChoice` variant fails to compile here
+//! until it is listed, and once listed the coverage test demands a run
+//! that produces it.
 
-use scan::platform::config::{ScanConfig, VariableParams};
-use scan::platform::fleet::{run_fleet, FleetConfig};
-use scan::platform::instrument::{run_session_instrumented, DEFAULT_WINDOW_TU};
+use scan::platform::config::{RewardKind, ScanConfig, VariableParams};
+use scan::platform::fleet::{run_fleet_with, FleetConfig};
+use scan::platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
+use scan::platform::session::run_session_with;
+use scan::sched::alloc::AllocationPolicy;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Observer, ScalingChoice, SimTime, TraceEvent};
-use scan::tracestore::{Agg, EventKind, ALL_KINDS};
+use scan::tracestore::{Agg, EventKind, TraceStore, ALL_KINDS};
+use scan_metrics::Registry;
 use scan_spans::ALL_SEGMENTS;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// The tables of one `## {section}` of a reference doc: per `###`
 /// heading (`""` before the first), the first backticked cell of every
@@ -67,40 +83,31 @@ fn names<'a>(items: impl IntoIterator<Item = &'a str>) -> Vec<String> {
     items.into_iter().map(str::to_string).collect()
 }
 
-/// One event of every `TraceEvent` variant, in `ALL_KINDS` order.
-fn samples() -> [TraceEvent; 16] {
-    [
-        TraceEvent::JobArrived { job: 1, size_units: 2.0, submitted_tu: 0.0 },
-        TraceEvent::JobStageAdvanced { job: 1, stage: 0, shards: 4, cores: 2 },
-        TraceEvent::JobCompleted { job: 1, latency_tu: 3.0, reward: 4.0, core_stages: 8.0 },
-        TraceEvent::SloViolation { job: 1, latency_tu: 30.0, target_tu: 26.0 },
-        TraceEvent::SubtaskDispatched {
-            job: 1,
-            stage: 0,
-            vm: 2,
-            cores: 2,
-            waited_tu: 0.5,
-            busy_tu: 1.5,
-        },
-        TraceEvent::SubtaskDone { job: 1, stage: 0, vm: 2 },
-        TraceEvent::VmHired { vm: 2, tier: 1, cores: 2 },
-        TraceEvent::VmBooted { vm: 2, cores: 2 },
-        TraceEvent::VmReshaped { vm: 2, tier: 0, cores_from: 2, cores_to: 4 },
-        TraceEvent::VmReleased { vm: 2, tier: 1, cores: 2 },
-        TraceEvent::ScalingDecision {
-            stage: 1,
-            cores: 2,
-            queued_jobs: 5,
-            delay_cost: 1.0,
-            hire_cost: 2.0,
-            choice: ScalingChoice::Wait,
-        },
-        TraceEvent::QueueDepthSampled { depth: 11 },
-        TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 2 },
-        TraceEvent::AdmissionResumed { tenant: 3, jobs: 2, backlog: 0 },
-        TraceEvent::TierSettled { tier: 0, cost: 100.0, core_tu: 20.0 },
-        TraceEvent::RunEnded { events_dispatched: 12345 },
-    ]
+/// The position of an event's kind in `ALL_KINDS`.
+fn kind_position(event: &TraceEvent) -> usize {
+    use TraceEvent::*;
+    // Exhaustive: a new variant stops this compiling until it is listed
+    // here, and then the coverage test until a run emits it.
+    let position = match event {
+        JobArrived { .. } => 0,
+        JobStageAdvanced { .. } => 1,
+        JobCompleted { .. } => 2,
+        SloViolation { .. } => 3,
+        SubtaskDispatched { .. } => 4,
+        SubtaskDone { .. } => 5,
+        VmHired { .. } => 6,
+        VmBooted { .. } => 7,
+        VmReshaped { .. } => 8,
+        VmReleased { .. } => 9,
+        ScalingDecision { .. } => 10,
+        QueueDepthSampled { .. } => 11,
+        AdmissionDeferred { .. } => 12,
+        AdmissionResumed { .. } => 13,
+        TierSettled { .. } => 14,
+        RunEnded { .. } => 15,
+    };
+    assert_eq!(ALL_KINDS.get(position), Some(&EventKind::of(event)), "{event:?} is off position");
+    position
 }
 
 /// `ScalingChoice::ALL`, checked against the variants.
@@ -122,23 +129,154 @@ fn scaling_choices() -> [ScalingChoice; 5] {
     ScalingChoice::ALL
 }
 
-/// Every `Agg`, in declaration order.
-fn aggregations() -> [Agg; 6] {
-    use Agg::*;
-    let all = [Count, Sum, Mean, P50, P95, Max];
-    // Exhaustive: a new variant stops this compiling until it is listed.
-    for (i, agg) in all.into_iter().enumerate() {
-        let position = match agg {
-            Count => 0,
-            Sum => 1,
-            Mean => 2,
-            P50 => 3,
-            P95 => 4,
-            Max => 5,
-        };
-        assert_eq!(position, i, "{agg:?} is listed out of order");
+/// One run's view of its own event stream.
+struct Probe {
+    store: TraceStore,
+    first: [Option<TraceEvent>; ALL_KINDS.len()],
+    decided: [u64; ScalingChoice::ALL.len()],
+    metrics: Option<MetricsObserver>,
+}
+
+impl Probe {
+    fn new(metrics: Option<MetricsObserver>) -> Probe {
+        let (first, decided) = ([None; ALL_KINDS.len()], [0; ScalingChoice::ALL.len()]);
+        Probe { store: TraceStore::new(), first, decided, metrics }
     }
-    all
+}
+
+impl Observer for Probe {
+    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
+        self.store.ingest(at, event);
+        self.first[kind_position(event)].get_or_insert(*event);
+        if let TraceEvent::ScalingDecision { choice, .. } = event {
+            self.decided[choice.index()] += 1;
+        }
+        if let Some(metrics) = &mut self.metrics {
+            metrics.on_event(at, event);
+        }
+    }
+}
+
+/// What the whole matrix produced.
+struct Matrix {
+    /// Rows of each `ALL_KINDS` table, summed over every run.
+    rows: [usize; ALL_KINDS.len()],
+    /// The first live event of each kind, in `ALL_KINDS` order.
+    first: [Option<TraceEvent>; ALL_KINDS.len()],
+    /// Decisions per `ScalingChoice::ALL` entry, summed over every run.
+    decided: [u64; ScalingChoice::ALL.len()],
+    /// Per catalogue heading, in catalogue order: every family the merged
+    /// session registries and the fleet projection register, and whether
+    /// any of its metrics holds a non-zero value.
+    families: Vec<(String, BTreeMap<String, bool>)>,
+}
+
+impl Matrix {
+    fn run() -> Matrix {
+        let mut fig4 = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), 7);
+        fig4.fixed.sim_time_tu = 100.0;
+        let mut reshape = fig4.clone();
+        reshape.variable = VariableParams {
+            allocation: AllocationPolicy::BestConstant,
+            scaling: ScalingPolicy::Predictive,
+            mean_interval: 2.0,
+            reward: RewardKind::ThroughputBased,
+            public_core_cost: 50.0,
+        };
+        reshape.allow_reshape = true;
+        reshape.forced_plan = Some(vec![(1, 2), (4, 1), (1, 2), (4, 1), (1, 8), (1, 1), (1, 1)]);
+        let mut spill = fig4.clone();
+        spill.variable.scaling = ScalingPolicy::AlwaysScale;
+        spill.fixed.private_capacity_cores = 64;
+        // Well under the 26.7 TU break-even, so a lightly loaded session
+        // misses it too.
+        let mut slo = fig4.clone();
+        slo.slo_target_tu = Some(10.0);
+        let mut throttled = fig4.clone();
+        throttled.variable.mean_interval = 1.0;
+        throttled.fixed.private_hire_throttle = true;
+        let mut fleet = FleetConfig::new(slo.clone(), 3);
+        fleet.shared_private_cores = 8;
+        fleet.jobs_per_tenant = 6;
+
+        let mut probes = Vec::new();
+        let mut sessions: Option<Registry> = None;
+        for cfg in [fig4, reshape, spill, slo, throttled] {
+            let metrics = MetricsObserver::new(&cfg, DEFAULT_WINDOW_TU);
+            let (_, mut probe) = run_session_with(&cfg, 0, Probe::new(Some(metrics)));
+            let registry = probe.metrics.take().expect("sessions run with metrics").into_registry();
+            // The merge asserts one shape for every session, so no family
+            // is registered only with an SLO target, say.
+            match &mut sessions {
+                None => sessions = Some(registry),
+                Some(all) => all.merge(&registry),
+            }
+            probes.push(probe);
+        }
+        let (fleet, tenants) = run_fleet_with(&fleet, 0, &|_| Probe::new(None));
+        probes.extend(tenants);
+
+        let registries = [sessions.expect("the matrix has sessions"), fleet.registry()];
+        let mut matrix = Matrix {
+            rows: [0; ALL_KINDS.len()],
+            first: [None; ALL_KINDS.len()],
+            decided: [0; ScalingChoice::ALL.len()],
+            families: families(&registries),
+        };
+        for probe in probes {
+            for (i, kind) in ALL_KINDS.into_iter().enumerate() {
+                matrix.rows[i] += probe.store.table(kind).rows();
+                matrix.first[i] = matrix.first[i].or(probe.first[i]);
+            }
+            for (total, n) in matrix.decided.iter_mut().zip(probe.decided) {
+                *total += n;
+            }
+        }
+        matrix
+    }
+}
+
+/// `(catalogue heading, family → any non-zero value)` over `registries`:
+/// a counter above 0, a gauge other than 0, a histogram with a sample, a
+/// series with a non-zero window accumulator.
+fn families(registries: &[Registry]) -> Vec<(String, BTreeMap<String, bool>)> {
+    let mut out: [BTreeMap<String, bool>; 4] = Default::default();
+    for r in registries {
+        let mut note = |table: usize, family: &str, fired: bool| {
+            *out[table].entry(family.to_string()).or_default() |= fired;
+        };
+        r.counters().iter().for_each(|(m, n)| note(0, &m.family, *n > 0));
+        r.gauges().iter().for_each(|(m, v)| note(1, &m.family, *v != 0.0));
+        r.histograms().iter().for_each(|(m, h)| note(2, &m.family, h.count() > 0));
+        for (m, s) in r.series_entries() {
+            note(3, &m.family, s.accumulators().iter().any(|&(acc, _)| acc != 0.0));
+        }
+    }
+    let headings = ["Counters", "Gauges", "Histograms", "Series (sim-time-windowed)"];
+    headings.into_iter().map(str::to_string).zip(out).collect()
+}
+
+/// The matrix, run once per test binary.
+fn matrix() -> &'static Matrix {
+    static MATRIX: OnceLock<Matrix> = OnceLock::new();
+    MATRIX.get_or_init(Matrix::run)
+}
+
+#[test]
+fn every_trace_kind_scaling_choice_and_metric_family_fires() {
+    let matrix = matrix();
+    for (kind, rows) in ALL_KINDS.iter().zip(matrix.rows) {
+        assert!(rows > 0, "no run of the matrix emits `{}`", kind.tag());
+    }
+    for choice in scaling_choices() {
+        let decided = matrix.decided[choice.index()];
+        assert!(decided > 0, "no run of the matrix decides `{}`", choice.name());
+    }
+    for (heading, families) in &matrix.families {
+        for (family, fired) in families {
+            assert!(fired, "{heading}: `{family}` is registered but stays 0 in every run");
+        }
+    }
 }
 
 /// `(variant, fields)` of an event's `Debug` rendering,
@@ -169,12 +307,11 @@ fn jsonl_shape(event: &TraceEvent) -> (String, Vec<String>) {
 
 #[test]
 fn trace_schema_matches_trace_events() {
-    let samples = samples();
-    assert_eq!(samples.map(|e| EventKind::of(&e)), ALL_KINDS, "one sample per kind, in order");
     let mut expected = Vec::new();
-    for (event, kind) in samples.iter().zip(ALL_KINDS) {
-        let (variant, fields) = debug_shape(event);
-        let (tag, keys) = jsonl_shape(event);
+    for (event, kind) in matrix().first.iter().zip(ALL_KINDS) {
+        let event = event.unwrap_or_else(|| panic!("no run of the matrix emits `{}`", kind.tag()));
+        let (variant, fields) = debug_shape(&event);
+        let (tag, keys) = jsonl_shape(&event);
         assert_eq!(tag, event.kind(), "JSONL kind of {variant}");
         assert_eq!(tag, kind.tag(), "store table tag of {variant}");
         assert_eq!(keys, fields, "JSONL keys are the field names of {variant}");
@@ -195,41 +332,17 @@ fn tracestore_doc_matches_schema() {
         .map(|k| (format!("`{}`", k.tag()), names(k.columns().iter().map(|c| c.name))))
         .collect();
     assert_eq!(tables(&doc, "Column layouts"), layouts);
-    let aggs = names(aggregations().map(Agg::name));
+    let aggs = names(Agg::ALL.map(Agg::name));
     assert_eq!(tables(&doc, "Aggregations"), [(String::new(), aggs)]);
-}
-
-/// A short fig4 session with the default (unset) SLO target.
-fn session_cfg() -> ScanConfig {
-    let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), 7);
-    cfg.fixed.sim_time_tu = 60.0;
-    assert_eq!(cfg.slo_target_tu, None);
-    cfg
-}
-
-/// `(catalogue heading, families)` of a session's registry merged with
-/// the fleet projection's, per metric type.
-fn registered_families() -> Vec<(String, BTreeSet<String>)> {
-    let (_, session, _) = run_session_instrumented(&session_cfg(), 0, DEFAULT_WINDOW_TU, false);
-    let mut fleet_cfg = FleetConfig::new(session_cfg(), 1);
-    fleet_cfg.jobs_per_tenant = 1;
-    let fleet = run_fleet(&fleet_cfg, 0).registry();
-    let both = [&session, &fleet];
-    let counters = both.iter().flat_map(|r| r.counters().iter().map(|(m, _)| &m.family));
-    let gauges = both.iter().flat_map(|r| r.gauges().iter().map(|(m, _)| &m.family));
-    let histograms = both.iter().flat_map(|r| r.histograms().iter().map(|(m, _)| &m.family));
-    let series = both.iter().flat_map(|r| r.series_entries().iter().map(|(m, _)| &m.family));
-    vec![
-        ("Counters".to_string(), counters.cloned().collect()),
-        ("Gauges".to_string(), gauges.cloned().collect()),
-        ("Histograms".to_string(), histograms.cloned().collect()),
-        ("Series (sim-time-windowed)".to_string(), series.cloned().collect()),
-    ]
 }
 
 #[test]
 fn metrics_and_spans_docs_match_the_live_registries() {
-    let registered = registered_families();
+    let registered: Vec<(String, BTreeSet<String>)> = matrix()
+        .families
+        .iter()
+        .map(|(heading, families)| (heading.clone(), families.keys().cloned().collect()))
+        .collect();
     let catalogue: Vec<(String, BTreeSet<String>)> =
         tables(&read_doc("METRICS.md"), "Metric catalogue")
             .into_iter()
