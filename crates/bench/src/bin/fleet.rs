@@ -10,16 +10,18 @@
 //! [--store <path>] [--spans <path> [--slowest N]]` (`--quick` runs the
 //! 100-tenant point only; `SCAN_TENANTS=100,1000` overrides the
 //! tenant-count axis.) `--store` and `--spans` record the first axis
-//! point's fleet once more, with one recorder per tenant session; see
-//! [`scan_bench::Artefacts::record_fleet`]. The merged store and span
-//! report are bit-identical across `RAYON_NUM_THREADS`, and CI diffs the
-//! files of a 1-thread and an 8-thread invocation.
+//! point's fleet once more, with one trace store per tenant session; see
+//! [`scan_bench::Artefacts::record_fleet`]. `--trace`, `--metrics` and
+//! `--profile` are usage errors here (exit status 2). The merged store
+//! and span report are bit-identical across `RAYON_NUM_THREADS`, and CI
+//! diffs the files of a 1-thread and an 8-thread invocation.
 
-use scan_bench::{fleet_cfg, Artefacts};
+use scan_bench::{argv, fleet_cfg, usage_error, Artefacts};
 use scan_platform::fleet::run_fleet_replicated;
 use std::time::Instant;
 
 fn main() {
+    let artefacts = Artefacts::parse_fleet(&argv()).unwrap_or_else(|e| usage_error(&e));
     let quick = std::env::args().any(|a| a == "--quick");
     let axis: Vec<u16> = match std::env::var("SCAN_TENANTS") {
         Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
@@ -34,7 +36,7 @@ fn main() {
     let reps = 2u64;
     println!("fleet: run-to-completion multi-tenant fleets ({reps} replications each)");
     if let Some(&tenants) = axis.first() {
-        Artefacts::from_args().record_fleet(&fleet_cfg(tenants), reps);
+        artefacts.record_fleet(&fleet_cfg(tenants), reps);
     }
     for &tenants in &axis {
         let cfg = fleet_cfg(tenants);

@@ -27,16 +27,18 @@ use scan_platform::config::{ScanConfig, VariableParams};
 use scan_platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig};
 use scan_platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
 use scan_platform::metrics::{ReplicatedMetrics, SessionMetrics};
-use scan_platform::session::run_session_with;
+use scan_platform::session::run_session_observed;
 use scan_platform::sweep::run_replicated;
 use scan_sched::scaling::ScalingPolicy;
 use scan_sim::prof;
-use scan_sim::{JsonlWriter, Merge, Observer, SimTime, TraceEvent};
-use scan_spans::{RecorderFactory, Recording, SpanObserver, SpanSet};
-use scan_tracestore::TraceStore;
+use scan_sim::{JsonlWriter, Merge, Observer};
+use scan_spans::{derive, SpanSet};
+use scan_tracestore::{TraceStore, TraceStoreFactory};
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Default repetitions: the paper's "all measurements were repeated 10
@@ -117,7 +119,8 @@ pub fn usage_error(message: &str) -> ! {
 /// The artefact flags the bench bins share, all recorded from one run of
 /// the bin's representative session (repetition 0 of the config the bin
 /// passes to [`Artefacts::record`]). That run is separate from the
-/// measured repetitions, so the bins' tables are unaffected.
+/// measured repetitions, so the bins' tables are unaffected. The run
+/// records one [`TraceStore`]; every other file is a replay of it.
 ///
 /// * `--trace <path>` — the typed JSONL event trace (one object per line,
 ///   `run_ended` last; see `docs/TRACE_SCHEMA.md`).
@@ -130,9 +133,9 @@ pub fn usage_error(message: &str) -> ! {
 /// * `--metrics <path>` — the metrics registry as JSONL, plus Prometheus
 ///   text at `<path>.prom` (see `docs/METRICS.md`).
 /// * `--profile <path>` — the run's wall-clock self-profile as collapsed
-///   stacks; the self/total table goes to stdout. The sinks run inside
-///   the platform's profiler scopes, so the profile includes the cost of
-///   every other artefact requested with it.
+///   stacks; the self/total table goes to stdout. It covers the session
+///   and, when any other artefact is requested, the store's ingest, but
+///   not the replays that write the other files.
 ///
 /// When `--spans` is given and the config sets no SLO target, the whole
 /// run — and so every artefact of it — has the SLO monitor armed at the
@@ -147,32 +150,6 @@ pub struct Artefacts {
     pub slowest: usize,
     pub metrics: Option<PathBuf>,
     pub profile: Option<PathBuf>,
-}
-
-/// Every sink of one recorded run, fed in this order from one stream.
-/// The JSONL writer keeps the error that stopped its file's creation.
-struct Sinks {
-    jsonl: Option<io::Result<JsonlWriter<BufWriter<File>>>>,
-    store: Option<TraceStore>,
-    spans: Option<SpanObserver>,
-    metrics: Option<MetricsObserver>,
-}
-
-impl Observer for Sinks {
-    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
-        if let Some(Ok(jsonl)) = &mut self.jsonl {
-            jsonl.on_event(at, event);
-        }
-        if let Some(store) = &mut self.store {
-            store.ingest(at, event);
-        }
-        if let Some(spans) = &mut self.spans {
-            spans.on_event(at, event);
-        }
-        if let Some(metrics) = &mut self.metrics {
-            metrics.on_event(at, event);
-        }
-    }
 }
 
 impl Artefacts {
@@ -201,6 +178,24 @@ impl Artefacts {
         })
     }
 
+    /// The artefact flags a fleet records ([`Artefacts::record_fleet`]):
+    /// [`Artefacts::parse`], and `--trace`, `--metrics` and `--profile`
+    /// are usage errors.
+    pub fn parse_fleet(args: &[String]) -> Result<Artefacts, String> {
+        let artefacts = Artefacts::parse(args)?;
+        let given = [
+            ("trace", artefacts.trace.is_some()),
+            ("metrics", artefacts.metrics.is_some()),
+            ("profile", artefacts.profile.is_some()),
+        ];
+        if let Some((flag, _)) = given.into_iter().find(|&(_, given)| given) {
+            return Err(format!(
+                "`--{flag}` does not apply to fleets, which record only `--store` and `--spans`"
+            ));
+        }
+        Ok(artefacts)
+    }
+
     /// `cfg` with the SLO monitor armed at the break-even default when
     /// spans are requested and the config sets no target.
     fn session_cfg(&self, cfg: &ScanConfig) -> ScanConfig {
@@ -211,29 +206,26 @@ impl Artefacts {
         cfg
     }
 
-    /// Runs repetition 0 of `cfg` once with every requested sink on its
-    /// event stream and writes every requested file. Returns the
-    /// session's metrics, or `None` (without running) when no artefact is
-    /// requested. The profiler is left as it was found.
+    /// Runs repetition 0 of `cfg` once, recording its [`TraceStore`]
+    /// when any file but the profile is requested, then writes every
+    /// requested file from the store. Returns the session's metrics, or
+    /// `None` (without running) when no artefact is requested. The
+    /// profiler is left as it was found.
     pub fn record(&self, cfg: &ScanConfig) -> Option<SessionMetrics> {
-        let paths = [&self.trace, &self.store, &self.spans, &self.metrics, &self.profile];
-        if paths.iter().all(|p| p.is_none()) {
+        let replayed = [&self.trace, &self.store, &self.spans, &self.metrics];
+        if replayed.iter().all(|p| p.is_none()) && self.profile.is_none() {
             return None;
         }
         let cfg = self.session_cfg(cfg);
-        let jsonl = |p: &Path| Ok(JsonlWriter::new(BufWriter::new(File::create(p)?)));
-        let sinks = Sinks {
-            jsonl: self.trace.as_deref().map(jsonl),
-            store: (self.store.is_some() || self.spans.is_some()).then(TraceStore::new),
-            spans: self.spans.is_some().then(SpanObserver::default),
-            metrics: self.metrics.is_some().then(|| MetricsObserver::new(&cfg, DEFAULT_WINDOW_TU)),
-        };
+        let store = Rc::new(RefCell::new(TraceStore::new()));
+        let recorded = replayed.iter().any(|p| p.is_some());
+        let observers = if recorded { vec![store.clone() as _] } else { Vec::new() };
         let (profile, was_profiling) = (self.profile.is_some(), prof::is_enabled());
         if profile {
             prof::enable();
             prof::reset_thread();
         }
-        let (session, sinks) = run_session_with(&cfg, 0, sinks);
+        let session = run_session_observed(&cfg, 0, observers);
         let summary = profile.then(|| {
             prof::mark_session();
             prof::take_summary()
@@ -241,26 +233,28 @@ impl Artefacts {
         if !was_profiling {
             prof::disable();
         }
+        let store = store.take();
 
-        if let (Some(path), Some(jsonl)) = (&self.trace, sinks.jsonl) {
-            let flushed = jsonl.and_then(|w| {
-                if w.errored() {
+        if let Some(path) = &self.trace {
+            let written = write_file(path, |w| {
+                if replay(&store, JsonlWriter::new(w)).errored() {
                     return Err(io::Error::other("trace write failed; output truncated"));
                 }
-                w.into_inner().flush()
+                Ok(())
             });
             let (events, jobs) = (session.events, session.jobs_completed);
             let detail = format!("({events} events dispatched, {jobs} jobs completed)");
-            report("trace", path, flushed, &detail);
+            report("trace", path, written, &detail);
         }
-        if let (Some(path), Some(store)) = (&self.store, &sinks.store) {
-            write_store(store, "1 session", path);
+        if let Some(path) = &self.store {
+            write_store(&store, "1 session", path);
         }
-        if let (Some(path), Some(store), Some(spans)) = (&self.spans, &sinks.store, sinks.spans) {
-            let spans = spans.into_spans();
-            write_spans((store, &spans), &spans, "1 session", path, self.slowest);
+        if let Some(path) = &self.spans {
+            let spans = derive(&store);
+            write_spans((&store, &spans), &spans, "1 session", path, self.slowest);
         }
-        if let (Some(path), Some(metrics)) = (&self.metrics, &sinks.metrics) {
+        if let Some(path) = &self.metrics {
+            let metrics = replay(&store, MetricsObserver::new(&cfg, DEFAULT_WINDOW_TU));
             write_metrics(metrics.registry(), path);
         }
         if let (Some(path), Some(summary)) = (&self.profile, summary) {
@@ -274,35 +268,45 @@ impl Artefacts {
         Some(session)
     }
 
-    /// Runs `repetitions` whole fleets with one [`Recorder`](scan_spans::Recorder) per tenant
+    /// Runs `repetitions` whole fleets with one [`TraceStore`] per tenant
     /// session and writes the requested `--store` and `--spans` files
-    /// (the other flags do not apply to fleets). The store and the span
-    /// report cover every repetition, merged in `(repetition, tenant)`
-    /// order, so both are bit-identical for any `RAYON_NUM_THREADS`; the
-    /// Perfetto timeline re-runs repetition 0 alone, because job and VM
-    /// ids restart every repetition and a merged timeline would stack
-    /// unrelated slices. The SLO rule of [`Artefacts`] applies to every
-    /// tenant.
+    /// (fleet flags come from [`Artefacts::parse_fleet`]). The store and
+    /// the span report cover every repetition, merged in `(repetition,
+    /// tenant)` order, so both are bit-identical for any
+    /// `RAYON_NUM_THREADS`; the report's spans are derived from the
+    /// merged store. The Perfetto timeline re-runs repetition 0 alone,
+    /// because job and VM ids restart every repetition and a merged
+    /// timeline would stack unrelated slices. The SLO rule of
+    /// [`Artefacts`] applies to every tenant.
     pub fn record_fleet(&self, cfg: &FleetConfig, repetitions: u64) {
         if self.store.is_none() && self.spans.is_none() {
             return;
         }
         let mut cfg = cfg.clone();
         cfg.base = Arc::new(self.session_cfg(&cfg.base));
-        let factory = RecorderFactory::fleet(u64::from(cfg.tenants));
+        let factory = TraceStoreFactory::fleet(u64::from(cfg.tenants));
         let (_, merged) = run_fleet_replicated_with(&cfg, repetitions, &factory);
         let label = format!("{repetitions} fleet reps");
         if let Some(path) = &self.store {
-            write_store(&merged.store, &label, path);
+            write_store(&merged, &label, path);
         }
         if let Some(path) = &self.spans {
-            let mut first = Recording::default();
+            let mut first = TraceStore::new();
             for tenant in run_fleet_with(&cfg, 0, &factory).1 {
                 first.merge(tenant);
             }
-            write_spans((&first.store, &first.spans), &merged.spans, &label, path, self.slowest);
+            let timeline = (&first, &derive(&first));
+            write_spans(timeline, &derive(&merged), &label, path, self.slowest);
         }
     }
+}
+
+/// Feeds every event of `store`, in emission order, to `observer`.
+fn replay<O: Observer>(store: &TraceStore, mut observer: O) -> O {
+    for (_, at, event) in store.replay() {
+        observer.on_event(at, &event);
+    }
+    observer
 }
 
 /// Records one representative session's JSONL trace to `path`
@@ -426,6 +430,21 @@ mod tests {
         assert_eq!(a.trace.as_deref(), Some(Path::new("t.jsonl")));
         assert_eq!((a.spans, a.metrics, a.profile, a.slowest), (None, None, None, 3));
         assert_eq!(Artefacts::parse(&args("--quick")).map(|a| a.slowest), Ok(10));
+    }
+
+    #[test]
+    fn fleet_rejects_the_session_only_flags() {
+        for flag in ["trace", "metrics", "profile"] {
+            let line = format!("--quick --store s.scts --{flag} out");
+            let error = format!(
+                "`--{flag}` does not apply to fleets, which record only `--store` and `--spans`"
+            );
+            assert_eq!(Artefacts::parse_fleet(&args(&line)).err(), Some(error), "{line}");
+        }
+        let a = Artefacts::parse_fleet(&args("--store s.scts --spans p.json --slowest 2"))
+            .expect("fleet flags parse");
+        assert_eq!((a.store.is_some(), a.spans.is_some(), a.slowest), (true, true, 2));
+        assert!(Artefacts::parse_fleet(&args("--spans")).is_err(), "malformed flags still fail");
     }
 
     #[test]

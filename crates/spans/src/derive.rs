@@ -1,174 +1,35 @@
-//! Batch span derivation: replays the seven stitching-relevant tables of
-//! a [`TraceStore`] through the same state machine the incremental
-//! [`SpanObserver`] runs, producing an
-//! identical [`SpanSet`].
+//! Batch span derivation: replays a [`TraceStore`] through the same
+//! [`SpanObserver`] the live path runs, producing an identical
+//! [`SpanSet`].
 //!
-//! Rows are globally ordered by `(tenant, time, kind-priority, row)`;
-//! the kind priority fixes the order of *different* tables at equal
-//! timestamps to match the platform's emission order (a worker can boot
-//! and receive a dispatch at the same instant — the boot must land
-//! first), and the row index keeps within-table ties in stream order.
-//!
-//! The pass expects a store from a single run: a solo session, or one
-//! fleet repetition (where each tenant's sub-stream is time-monotone and
-//! job/worker ids are unique per tenant). Replicated fleet sweeps merge
-//! stores across repetitions, which reuses ids — derive spans for those
-//! through the incremental [`SpansFactory`](crate::observer::SpansFactory)
-//! path instead.
+//! [`TraceStore::replay`] yields the events in the order the store saw
+//! them, so the observer needs no reordering. A store may hold many
+//! sessions — a fleet's tenants, or merged repetitions that reuse job
+//! and worker ids — and each session's stream ends with `run_ended`, so
+//! a fresh observer starts after every one.
 
 use crate::observer::SpanObserver;
-use crate::span::{SpanSet, NO_TIER};
-use scan_sim::Merge;
-use scan_tracestore::{Column, EventKind, Table, TraceStore};
+use crate::span::SpanSet;
+use scan_sim::{Merge, Observer, TraceEvent};
+use scan_tracestore::TraceStore;
 
-/// Maps a stored tier label back to the numeric tier index the observer
-/// path sees ([`NO_TIER`] for the unknown-attribution label).
-fn tier_index(label: &str) -> u32 {
-    match label {
-        "private" => 0,
-        "public" => 1,
-        "unknown" => NO_TIER,
-        _ => 2,
-    }
-}
-
-fn u32s<'a>(table: &'a Table, name: &str) -> &'a [u32] {
-    match table.column(name) {
-        Some(Column::U32(v)) => v,
-        _ => &[],
-    }
-}
-
-fn f64s<'a>(table: &'a Table, name: &str) -> &'a [f64] {
-    match table.column(name) {
-        Some(Column::F64(v)) => v,
-        _ => &[],
-    }
-}
-
-/// Dict column decoded to tier indices, one per row.
-fn tiers(table: &Table, name: &str) -> Vec<u32> {
-    match table.column(name) {
-        Some(Column::Dict { codes, dict }) => {
-            // Decode the (tiny) dictionary once, then map codes.
-            let decoded: Vec<u32> =
-                (0..dict.len() as u32).map(|c| tier_index(dict.label(c))).collect();
-            codes.iter().map(|&c| decoded[c as usize]).collect()
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// One replayable row, pre-extracted from its table.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Hired { vm: u64, tier: u32 },
-    Reshaped { vm: u64, tier: u32 },
-    Booted { vm: u64 },
-    Arrived { job: u64, submitted_tu: f64 },
-    Staged { job: u64 },
-    Dispatched { job: u64, stage: u32, vm: u64, busy_tu: f64 },
-    Completed { job: u64, latency_tu: f64, reward: f64 },
-}
-
-/// Derives every completed job's spans from a single-run store. The
-/// result is element-for-element identical to running a
-/// [`SpanObserver`] per tenant on the
-/// live stream and merging in tenant order.
+/// Derives every completed job's spans from a store. The result is
+/// element-for-element identical to running a [`SpanObserver`] per
+/// session on the live stream and merging in the order the store's
+/// sessions were merged.
 pub fn derive(store: &TraceStore) -> SpanSet {
-    // (tenant, t_bits, kind priority, row index) — sorting t by bit
-    // pattern equals numeric order because simulation time is
-    // non-negative, and keeps equal-valued rows byte-stable.
-    let mut rows: Vec<(u32, u64, u8, u32, Op)> = Vec::new();
-
-    let hired = store.table(EventKind::VmHired);
-    let (vm, tier) = (u32s(hired, "vm"), tiers(hired, "tier"));
-    for i in 0..hired.rows() {
-        let op = Op::Hired { vm: vm[i] as u64, tier: tier[i] };
-        rows.push((hired.tenant()[i], hired.t_bits()[i], 0, i as u32, op));
-    }
-
-    let reshaped = store.table(EventKind::VmReshaped);
-    let (vm, tier) = (u32s(reshaped, "vm"), tiers(reshaped, "tier"));
-    for i in 0..reshaped.rows() {
-        let op = Op::Reshaped { vm: vm[i] as u64, tier: tier[i] };
-        rows.push((reshaped.tenant()[i], reshaped.t_bits()[i], 1, i as u32, op));
-    }
-
-    let booted = store.table(EventKind::VmBooted);
-    let vm = u32s(booted, "vm");
-    for (i, &vm) in vm.iter().enumerate() {
-        let op = Op::Booted { vm: vm as u64 };
-        rows.push((booted.tenant()[i], booted.t_bits()[i], 2, i as u32, op));
-    }
-
-    let arrived = store.table(EventKind::JobArrived);
-    let (job, submitted) = (u32s(arrived, "job"), f64s(arrived, "submitted_tu"));
-    for i in 0..arrived.rows() {
-        let op = Op::Arrived { job: job[i] as u64, submitted_tu: submitted[i] };
-        rows.push((arrived.tenant()[i], arrived.t_bits()[i], 3, i as u32, op));
-    }
-
-    let staged = store.table(EventKind::JobStageAdvanced);
-    let job = u32s(staged, "job");
-    for (i, &job) in job.iter().enumerate() {
-        let op = Op::Staged { job: job as u64 };
-        rows.push((staged.tenant()[i], staged.t_bits()[i], 4, i as u32, op));
-    }
-
-    let disp = store.table(EventKind::SubtaskDispatched);
-    let (job, stage) = (u32s(disp, "job"), u32s(disp, "stage"));
-    let (vm, busy) = (u32s(disp, "vm"), f64s(disp, "busy_tu"));
-    for i in 0..disp.rows() {
-        let op = Op::Dispatched {
-            job: job[i] as u64,
-            stage: stage[i],
-            vm: vm[i] as u64,
-            busy_tu: busy[i],
-        };
-        rows.push((disp.tenant()[i], disp.t_bits()[i], 5, i as u32, op));
-    }
-
-    let done = store.table(EventKind::JobCompleted);
-    let (job, latency) = (u32s(done, "job"), f64s(done, "latency_tu"));
-    let reward = f64s(done, "reward");
-    for i in 0..done.rows() {
-        let op = Op::Completed { job: job[i] as u64, latency_tu: latency[i], reward: reward[i] };
-        rows.push((done.tenant()[i], done.t_bits()[i], 6, i as u32, op));
-    }
-
-    rows.sort_by_key(|&(tenant, t, prio, seq, _)| (tenant, t, prio, seq));
-
-    // Replay: rows are grouped by tenant after the sort, so a fresh
-    // observer per tenant run, merged in ascending-tenant order —
-    // exactly the session-ordinal merge the incremental path uses.
     let mut out = SpanSet::default();
-    let mut current: Option<(u32, SpanObserver)> = None;
-    for (tenant, t_bits, _, _, op) in rows {
-        if current.as_ref().map(|(ten, _)| *ten) != Some(tenant) {
-            if let Some((_, finished)) = current.take() {
-                out.merge(finished.into_spans());
-            }
-            current = Some((tenant, SpanObserver::for_tenant(tenant)));
-        }
-        let obs = &mut current.as_mut().expect("installed above").1;
-        let t = f64::from_bits(t_bits);
-        match op {
-            Op::Hired { vm, tier } => obs.on_vm_hired(t, vm, tier),
-            Op::Reshaped { vm, tier } => obs.on_vm_reshaped(t, vm, tier),
-            Op::Booted { vm } => obs.on_vm_booted(t, vm),
-            Op::Arrived { job, submitted_tu } => obs.on_job_arrived(t, job, submitted_tu),
-            Op::Staged { job } => obs.on_stage_advanced(t, job),
-            Op::Dispatched { job, stage, vm, busy_tu } => {
-                obs.on_dispatched(t, job, stage, vm, busy_tu)
-            }
-            Op::Completed { job, latency_tu, reward } => {
-                obs.on_completed(t, job, latency_tu, reward)
+    let mut session: Option<SpanObserver> = None;
+    for (tenant, at, event) in store.replay() {
+        session.get_or_insert_with(|| SpanObserver::for_tenant(tenant)).on_event(at, &event);
+        if matches!(event, TraceEvent::RunEnded { .. }) {
+            if let Some(ended) = session.take() {
+                out.merge(ended.into_spans());
             }
         }
     }
-    if let Some((_, finished)) = current.take() {
-        out.merge(finished.into_spans());
+    if let Some(unfinished) = session {
+        out.merge(unfinished.into_spans());
     }
     out
 }
@@ -176,15 +37,7 @@ pub fn derive(store: &TraceStore) -> SpanSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scan_sim::{Observer, SimTime, TraceEvent};
-
-    #[test]
-    fn tier_labels_round_trip() {
-        assert_eq!(tier_index("private"), 0);
-        assert_eq!(tier_index("public"), 1);
-        assert_eq!(tier_index("tier2+"), 2);
-        assert_eq!(tier_index("unknown"), NO_TIER);
-    }
+    use scan_sim::SimTime;
 
     /// Ingest a small hand-built stream into a store, then check the
     /// batch pass reproduces the incremental observer bit-for-bit.
@@ -195,8 +48,8 @@ mod tests {
             (1.0, TraceEvent::JobArrived { job: 0, size_units: 4.0, submitted_tu: 0.25 }),
             (1.0, TraceEvent::JobStageAdvanced { job: 0, stage: 0, shards: 2, cores: 1 }),
             (1.5, TraceEvent::VmBooted { vm: 0, cores: 2 }),
-            // Boot and dispatch at the same instant: priority must put
-            // the boot first on both paths.
+            // Boot and dispatch at the same instant: replay keeps the
+            // boot first, as emitted.
             (
                 1.5,
                 TraceEvent::SubtaskDispatched {

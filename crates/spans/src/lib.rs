@@ -13,9 +13,10 @@
 //! incremental [`SpanObserver`] stitches spans live on the simulator's
 //! observer bus (riding alongside a
 //! [`TraceStore`](scan_tracestore::TraceStore) via [`Recorder`]), and
-//! the batch [`derive`](derive::derive) pass replays a stored trace's
-//! tables through the same logic, producing an identical
-//! [`SpanSet`]. On top sit deterministic fleet aggregates
+//! the batch [`derive`](derive::derive) pass replays a stored trace —
+//! one session, a fleet, or merged repetitions — into that same
+//! observer, producing an identical [`SpanSet`]. On top sit
+//! deterministic fleet aggregates
 //! ([`aggregate`](aggregate::aggregate): per-tenant / per-tier p50/p95
 //! per segment) and a Chrome/Perfetto `trace_event` JSON exporter
 //! ([`perfetto::export`]) that loads in `ui.perfetto.dev`.
@@ -36,7 +37,7 @@ pub mod span;
 
 pub use aggregate::{aggregate, render, render_slowest, GroupStats, SpanAggregates, Stats};
 pub use derive::derive;
-pub use observer::{Recorder, RecorderFactory, Recording, SpanObserver, SpansFactory};
+pub use observer::{Recorder, SpanObserver};
 pub use perfetto::export;
 pub use schema::{SegmentKind, ALL_SEGMENTS};
 pub use span::{JobSpans, Segment, SpanSet, NO_TIER};

@@ -1,7 +1,6 @@
 //! Incremental span derivation: an [`Observer`] that stitches the live
 //! event stream into [`JobSpans`] as jobs complete, plus the
-//! [`ObserverFactory`] bridges that carry span sets (and optionally a
-//! [`TraceStore`] alongside) across the rayon replication boundary.
+//! [`Recorder`] that carries a [`TraceStore`] alongside it.
 //!
 //! The observer keeps O(in-flight jobs + workers) state and touches only
 //! seven low-volume event kinds (arrivals, stage advances, dispatches,
@@ -12,7 +11,7 @@
 
 use crate::schema::SegmentKind;
 use crate::span::{JobSpans, Segment, SpanSet, NO_TIER};
-use scan_sim::{Merge, Observer, ObserverFactory, SimTime, TraceEvent};
+use scan_sim::{Observer, SimTime, TraceEvent};
 use scan_tracestore::TraceStore;
 
 /// A worker's current tier and most recent boot (hire or reshape) window.
@@ -60,8 +59,8 @@ struct JobRec {
 
 /// Derives [`JobSpans`] incrementally from the live trace stream of one
 /// session (equivalently: one fleet tenant). The batch pass in
-/// [`derive`](crate::derive()) feeds the same state machine from a stored
-/// trace and produces identical output.
+/// [`derive`](crate::derive()) replays a stored trace into the same
+/// observer and produces identical output.
 #[derive(Debug, Clone)]
 pub struct SpanObserver {
     tenant: u32,
@@ -105,76 +104,6 @@ impl SpanObserver {
             self.vms.resize(idx + 1, None);
         }
         &mut self.vms[idx]
-    }
-
-    pub(crate) fn on_vm_hired(&mut self, at: f64, vm: u64, tier: u32) {
-        *self.vm_slot(vm) =
-            Some(VmRec { tier, boot_start: at, boot_end: at, reshape: false, booted: false });
-    }
-
-    pub(crate) fn on_vm_reshaped(&mut self, at: f64, vm: u64, tier: u32) {
-        *self.vm_slot(vm) =
-            Some(VmRec { tier, boot_start: at, boot_end: at, reshape: true, booted: false });
-    }
-
-    pub(crate) fn on_vm_booted(&mut self, at: f64, vm: u64) {
-        if let Some(rec) = self.vm_slot(vm) {
-            rec.boot_end = at;
-            rec.booted = true;
-        }
-    }
-
-    pub(crate) fn on_job_arrived(&mut self, at: f64, job: u64, submitted_tu: f64) {
-        let idx = job as usize;
-        if idx >= self.jobs.len() {
-            self.jobs.resize(idx + 1, None);
-        }
-        self.jobs[idx] =
-            Some(JobRec { submitted_tu, arrived_t: at, stages: Vec::with_capacity(7) });
-    }
-
-    pub(crate) fn on_stage_advanced(&mut self, at: f64, job: u64) {
-        if let Some(Some(rec)) = self.jobs.get_mut(job as usize) {
-            rec.stages.push(StageRec { enq_t: at, anchor: None });
-        }
-    }
-
-    pub(crate) fn on_dispatched(&mut self, at: f64, job: u64, stage: u32, vm: u64, busy_tu: f64) {
-        let snap = match self.vms.get(vm as usize).copied().flatten() {
-            Some(rec) if rec.booted => (
-                rec.tier,
-                Some(BootSnap { start: rec.boot_start, end: rec.boot_end, reshape: rec.reshape }),
-            ),
-            Some(rec) => (rec.tier, None),
-            None => (NO_TIER, None),
-        };
-        let Some(Some(rec)) = self.jobs.get_mut(job as usize) else {
-            return;
-        };
-        let Some(srec) = rec.stages.get_mut(stage as usize) else {
-            return;
-        };
-        // Strictly-greater keeps the earliest dispatch on busy ties
-        // (stream order is deterministic, so so is the anchor).
-        let better = match &srec.anchor {
-            None => true,
-            Some(a) => busy_tu > a.busy_tu,
-        };
-        if better {
-            srec.anchor = Some(Anchor { dispatch_t: at, busy_tu, tier: snap.0, boot: snap.1 });
-        }
-    }
-
-    pub(crate) fn on_completed(&mut self, at: f64, job: u64, latency_tu: f64, reward: f64) {
-        let Some(slot) = self.jobs.get_mut(job as usize) else {
-            return;
-        };
-        let Some(rec) = slot.take() else {
-            return;
-        };
-        let spans = build_job_spans(self.tenant, job as u32, &rec, at, latency_tu, reward);
-        debug_assert!(spans.conservation_ok(), "segment tiling broken for job {job}");
-        self.out.jobs.push(spans);
     }
 }
 
@@ -252,62 +181,74 @@ fn build_job_spans(
 
 impl Observer for SpanObserver {
     fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
-        let t = at.as_tu();
+        let at = at.as_tu();
         match *event {
-            TraceEvent::JobArrived { job, submitted_tu, .. } => {
-                self.on_job_arrived(t, job, submitted_tu)
+            TraceEvent::VmHired { vm, tier, .. } | TraceEvent::VmReshaped { vm, tier, .. } => {
+                let reshape = matches!(event, TraceEvent::VmReshaped { .. });
+                *self.vm_slot(vm) =
+                    Some(VmRec { tier, boot_start: at, boot_end: at, reshape, booted: false });
             }
-            TraceEvent::JobStageAdvanced { job, .. } => self.on_stage_advanced(t, job),
+            TraceEvent::VmBooted { vm, .. } => {
+                if let Some(rec) = self.vm_slot(vm) {
+                    rec.boot_end = at;
+                    rec.booted = true;
+                }
+            }
+            TraceEvent::JobArrived { job, submitted_tu, .. } => {
+                let idx = job as usize;
+                if idx >= self.jobs.len() {
+                    self.jobs.resize(idx + 1, None);
+                }
+                self.jobs[idx] =
+                    Some(JobRec { submitted_tu, arrived_t: at, stages: Vec::with_capacity(7) });
+            }
+            TraceEvent::JobStageAdvanced { job, .. } => {
+                if let Some(Some(rec)) = self.jobs.get_mut(job as usize) {
+                    rec.stages.push(StageRec { enq_t: at, anchor: None });
+                }
+            }
             TraceEvent::SubtaskDispatched { job, stage, vm, busy_tu, .. } => {
-                self.on_dispatched(t, job, stage, vm, busy_tu)
+                let (tier, boot) = match self.vms.get(vm as usize).copied().flatten() {
+                    Some(rec) if rec.booted => (
+                        rec.tier,
+                        Some(BootSnap {
+                            start: rec.boot_start,
+                            end: rec.boot_end,
+                            reshape: rec.reshape,
+                        }),
+                    ),
+                    Some(rec) => (rec.tier, None),
+                    None => (NO_TIER, None),
+                };
+                let Some(Some(rec)) = self.jobs.get_mut(job as usize) else {
+                    return;
+                };
+                let Some(srec) = rec.stages.get_mut(stage as usize) else {
+                    return;
+                };
+                // Strictly-greater keeps the earliest dispatch on busy ties
+                // (stream order is deterministic, so so is the anchor).
+                if srec.anchor.is_none_or(|a| busy_tu > a.busy_tu) {
+                    srec.anchor = Some(Anchor { dispatch_t: at, busy_tu, tier, boot });
+                }
             }
             TraceEvent::JobCompleted { job, latency_tu, reward, .. } => {
-                self.on_completed(t, job, latency_tu, reward)
+                let Some(rec) = self.jobs.get_mut(job as usize).and_then(Option::take) else {
+                    return;
+                };
+                let spans = build_job_spans(self.tenant, job as u32, &rec, at, latency_tu, reward);
+                debug_assert!(spans.conservation_ok(), "segment tiling broken for job {job}");
+                self.out.jobs.push(spans);
             }
-            TraceEvent::VmHired { vm, tier, .. } => self.on_vm_hired(t, vm, tier),
-            TraceEvent::VmReshaped { vm, tier, .. } => self.on_vm_reshaped(t, vm, tier),
-            TraceEvent::VmBooted { vm, .. } => self.on_vm_booted(t, vm),
             _ => {}
         }
     }
 }
 
-/// Builds one [`SpanObserver`] per session and merges the resulting
-/// [`SpanSet`]s in session-ordinal order (the fleet bridge).
-#[derive(Debug, Clone, Copy)]
-pub struct SpansFactory {
-    tenants: u64,
-}
-
-impl SpansFactory {
-    /// Factory for single-tenant replications.
-    pub fn solo() -> SpansFactory {
-        SpansFactory { tenants: 1 }
-    }
-
-    /// Factory for fleet runs: session ordinal `k` belongs to tenant
-    /// `k % tenants` (the convention `run_fleet_replicated_with` uses).
-    pub fn fleet(tenants: u64) -> SpansFactory {
-        SpansFactory { tenants: tenants.max(1) }
-    }
-}
-
-impl ObserverFactory for SpansFactory {
-    type Obs = SpanObserver;
-    type Summary = SpanSet;
-
-    fn build(&self, session: u64) -> SpanObserver {
-        SpanObserver::for_tenant((session % self.tenants) as u32)
-    }
-
-    fn finish(&self, obs: SpanObserver) -> SpanSet {
-        obs.into_spans()
-    }
-}
-
-/// A [`TraceStore`] and a [`SpanObserver`] fed from the same stream:
-/// what the bins' `--spans` flag runs, since the Perfetto export needs
-/// both the raw tables and the derived spans.
+/// A [`TraceStore`] and a [`SpanObserver`] fed from the same stream, for
+/// callers that want the live spans beside the recording (the Perfetto
+/// export needs both); [`derive`](crate::derive()) gives the same spans
+/// from the store alone.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     /// The columnar store ingesting every event.
@@ -327,54 +268,6 @@ impl Observer for Recorder {
     fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
         self.store.ingest(at, event);
         self.spans.on_event(at, event);
-    }
-}
-
-/// What a finished [`Recorder`] yields; merges field-wise in session
-/// order like its parts.
-#[derive(Debug, Clone, Default)]
-pub struct Recording {
-    /// The merged columnar store.
-    pub store: TraceStore,
-    /// The merged span sets.
-    pub spans: SpanSet,
-}
-
-impl Merge for Recording {
-    fn merge(&mut self, other: Recording) {
-        self.store.merge(other.store);
-        self.spans.merge(other.spans);
-    }
-}
-
-/// Factory for [`Recorder`]s across fleet replications.
-#[derive(Debug, Clone, Copy)]
-pub struct RecorderFactory {
-    tenants: u64,
-}
-
-impl RecorderFactory {
-    /// Factory for single-tenant replications.
-    pub fn solo() -> RecorderFactory {
-        RecorderFactory { tenants: 1 }
-    }
-
-    /// Factory for fleet runs (`session % tenants` is the tenant).
-    pub fn fleet(tenants: u64) -> RecorderFactory {
-        RecorderFactory { tenants: tenants.max(1) }
-    }
-}
-
-impl ObserverFactory for RecorderFactory {
-    type Obs = Recorder;
-    type Summary = Recording;
-
-    fn build(&self, session: u64) -> Recorder {
-        Recorder::for_tenant((session % self.tenants) as u32)
-    }
-
-    fn finish(&self, obs: Recorder) -> Recording {
-        Recording { store: obs.store, spans: obs.spans.into_spans() }
     }
 }
 

@@ -1,12 +1,12 @@
-//! The compact on-disk export: `SCTS` version 1.
+//! The compact on-disk export: `SCTS` version 3.
 //!
 //! Layout (all integers little-endian; `varint` is LEB128, 7 bits per
 //! byte, low group first):
 //!
 //! ```text
 //! magic      b"SCTS"
-//! version    u32        (currently 1)
-//! table ×15, in ALL_KINDS order:
+//! version    u32        (currently 3)
+//! table ×16, in ALL_KINDS order:
 //!   rows       varint
 //!   if rows > 0:
 //!     t        delta-varint × rows   (u64 f64-bit-pattern deltas; the
@@ -19,6 +19,8 @@
 //!       F64    raw 8-byte LE × rows
 //!       Dict   labels varint, then per label (len varint + UTF-8 bytes),
 //!              then codes varint × rows
+//! order      u8 × Σ rows   (each event's ALL_KINDS index, in emission
+//!                           order; see TraceStore::replay)
 //! digest     u64        (FNV-1a 64 over every preceding byte)
 //! ```
 //!
@@ -27,7 +29,7 @@
 //! because merged stores are bit-identical across thread counts, so is
 //! the digest. Empty tables cost one byte each, so a solo fig4 cell
 //! (which never emits admission events) pays no overhead for the fleet
-//! kinds.
+//! kinds; the order stream costs one byte per event.
 
 use crate::column::{Column, Interner};
 use crate::schema::{ColumnType, ALL_KINDS};
@@ -39,8 +41,8 @@ pub const MAGIC: [u8; 4] = *b"SCTS";
 
 /// The format version this crate writes and reads. Bumped to 2 when the
 /// `slo_violation` table and `job_arrived.submitted_tu` column were
-/// added (the table count and per-table layout both changed).
-pub const VERSION: u32 = 2;
+/// added, and to 3 when the order stream was appended after the tables.
+pub const VERSION: u32 = 3;
 
 /// Why decoding an export failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +61,8 @@ pub enum ExportError {
         computed: u64,
     },
     /// A decoded value is impossible (oversized varint, bad UTF-8,
-    /// dictionary code past the dictionary).
+    /// dictionary code past the dictionary, a time that is negative or
+    /// not finite, an order stream that disagrees with the tables).
     Malformed,
 }
 
@@ -183,6 +186,10 @@ fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Ta
     let mut prev = 0u64;
     for _ in 0..rows {
         prev = prev.wrapping_add(r.varint()?);
+        let t = f64::from_bits(prev);
+        if !(t.is_finite() && t >= 0.0) {
+            return Err(ExportError::Malformed);
+        }
         t_bits.push(prev);
     }
     let mut tenant = Vec::with_capacity(rows);
@@ -245,7 +252,7 @@ fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Ta
 }
 
 impl TraceStore {
-    /// Encodes the store as an SCTS v2 buffer (payload + digest
+    /// Encodes the store as an SCTS v3 buffer (payload + digest
     /// trailer). Bit-identical for equal stores, so merged fleet exports
     /// reproduce across `RAYON_NUM_THREADS`.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -255,6 +262,7 @@ impl TraceStore {
         for table in self.tables() {
             encode_table(&mut out, table);
         }
+        out.extend_from_slice(self.order());
         let digest = fnv1a64(&out);
         out.extend_from_slice(&digest.to_le_bytes());
         out
@@ -270,8 +278,8 @@ impl TraceStore {
         u64::from_le_bytes(le)
     }
 
-    /// Decodes an SCTS v2 buffer, verifying magic, version, layout, and
-    /// the digest trailer.
+    /// Decodes an SCTS v3 buffer, verifying magic, version, layout, the
+    /// order stream against the tables, and the digest trailer.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceStore, ExportError> {
         if bytes.len() < MAGIC.len() + 4 + 8 {
             return Err(ExportError::Truncated);
@@ -298,10 +306,18 @@ impl TraceStore {
         for kind in ALL_KINDS {
             tables.push(decode_table(&mut r, kind)?);
         }
+        // One tag per row: the stream's length is fixed by the tables,
+        // and `take` bounds it by the bytes actually present.
+        let events = tables.iter().map(Table::rows).sum();
+        let order = r.take(events)?.to_vec();
         if r.pos != payload.len() {
             return Err(ExportError::Malformed);
         }
-        Ok(TraceStore::from_tables(tables))
+        let store = TraceStore::from_parts(tables, order);
+        if !store.check_invariants() {
+            return Err(ExportError::Malformed);
+        }
+        Ok(store)
     }
 }
 
@@ -391,24 +407,77 @@ mod tests {
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
-        let payload_len = bad_magic.len() - 8;
-        let digest = fnv1a64(&bad_magic[..payload_len]);
-        bad_magic[payload_len..].copy_from_slice(&digest.to_le_bytes());
+        reseal(&mut bad_magic);
         assert_eq!(TraceStore::from_bytes(&bad_magic), Err(ExportError::BadMagic));
 
         let mut bad_version = good.clone();
         bad_version[4] = 99;
-        let digest = fnv1a64(&bad_version[..payload_len]);
-        bad_version[payload_len..].copy_from_slice(&digest.to_le_bytes());
+        reseal(&mut bad_version);
         assert_eq!(TraceStore::from_bytes(&bad_version), Err(ExportError::BadVersion(99)));
 
         assert_eq!(TraceStore::from_bytes(&good[..5]), Err(ExportError::Truncated));
     }
 
+    /// Recomputes the digest trailer after an edit to the payload.
+    fn reseal(bytes: &mut [u8]) {
+        let payload_len = bytes.len() - 8;
+        let digest = fnv1a64(&bytes[..payload_len]);
+        bytes[payload_len..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    #[test]
+    fn order_stream_closes_the_payload_and_is_checked() {
+        let store = sample_store();
+        let good = store.to_bytes();
+        let order_at = good.len() - 8 - store.events() as usize;
+        // Tags in ALL_KINDS index order: hired, arrived, dispatched,
+        // decision, run_ended.
+        assert_eq!(&good[order_at..good.len() - 8], [6, 0, 4, 10, 15]);
+
+        let mut v2 = good.clone();
+        v2[4] = 2;
+        reseal(&mut v2);
+        assert_eq!(TraceStore::from_bytes(&v2), Err(ExportError::BadVersion(2)));
+
+        let mut bad_tag = good.clone();
+        bad_tag[order_at] = ALL_KINDS.len() as u8;
+        reseal(&mut bad_tag);
+        assert_eq!(TraceStore::from_bytes(&bad_tag), Err(ExportError::Malformed));
+
+        // A valid tag that names a kind one row too often.
+        let mut miscounted = good.clone();
+        miscounted[order_at] = 0;
+        reseal(&mut miscounted);
+        assert_eq!(TraceStore::from_bytes(&miscounted), Err(ExportError::Malformed));
+
+        let mut short = good[..good.len() - 9].to_vec();
+        short.extend_from_slice(&[0; 8]);
+        reseal(&mut short);
+        assert_eq!(TraceStore::from_bytes(&short), Err(ExportError::Truncated));
+    }
+
+    #[test]
+    fn rejects_times_that_are_not_sim_times() {
+        let good = sample_store().to_bytes();
+        // The first table (job_arrived) holds one row at t = 1.0: its
+        // rows varint is byte 8 and the time's delta varint follows.
+        let mut first = Vec::new();
+        push_varint(&mut first, 1.0f64.to_bits());
+        assert_eq!(&good[9..9 + first.len()], first);
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut bytes = good[..9].to_vec();
+            push_varint(&mut bytes, f64::to_bits(bad));
+            bytes.extend_from_slice(&good[9 + first.len()..]);
+            reseal(&mut bytes);
+            assert_eq!(TraceStore::from_bytes(&bytes), Err(ExportError::Malformed), "t = {bad}");
+        }
+    }
+
     #[test]
     fn empty_store_is_tiny() {
         let bytes = TraceStore::new().to_bytes();
-        // magic + version + one zero-varint per kind + digest.
+        // magic + version + one zero-varint per kind + an empty order
+        // stream + digest.
         assert_eq!(bytes.len(), 4 + 4 + 16 + 8);
         let decoded = TraceStore::from_bytes(&bytes).expect("empty export must decode");
         assert_eq!(decoded.events(), 0);

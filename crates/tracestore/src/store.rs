@@ -14,15 +14,22 @@
 //! * **Tenant stamping.** Every row records its tenant (0 for solo
 //!   sessions); merged fleet stores therefore stay per-tenant queryable.
 //!
+//! Beside the tables the store keeps an *order stream*: one kind tag per
+//! ingested event. Tables alone lose the order of events of different
+//! kinds; with the tags, [`TraceStore::replay`] rebuilds the exact
+//! stream the store observed, so every other artefact (JSONL, spans,
+//! metrics) is a replay of the one recording.
+//!
 //! Merging ([`Merge`]) concatenates tables row-wise, remapping
-//! dictionary codes; callers merge in a fixed (repetition, tenant)
-//! order, so merged stores — and their exports — are bit-identical for
-//! any `RAYON_NUM_THREADS` (the same contract every observer in this
-//! workspace honours; see `docs/TRACESTORE.md` § Determinism).
+//! dictionary codes, and concatenates the order streams; callers merge
+//! in a fixed (repetition, tenant) order, so merged stores — and their
+//! exports — are bit-identical for any `RAYON_NUM_THREADS` (the same
+//! contract every observer in this workspace honours; see
+//! `docs/TRACESTORE.md` § Determinism).
 
 use crate::column::Column;
 use crate::schema::{EventKind, ALL_KINDS};
-use scan_sim::{Merge, Observer, ObserverFactory, SimTime, TraceEvent};
+use scan_sim::{Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
 
 /// The label a tier index is stored under: the catalogue order of
 /// `Platform::new` (0 = private, 1 = public); later indices would be
@@ -32,6 +39,16 @@ pub fn tier_label(tier: u32) -> &'static str {
         0 => "private",
         1 => "public",
         _ => "tier2+",
+    }
+}
+
+/// The tier index behind a stored label: the inverse of [`tier_label`]
+/// for tiers 0 and 1. Every other label reads back as tier 2.
+fn tier_index(label: &str) -> u32 {
+    match label {
+        "private" => 0,
+        "public" => 1,
+        _ => 2,
     }
 }
 
@@ -113,6 +130,87 @@ impl Table {
         Table { kind, t_bits, tenant, cols }
     }
 
+    /// Row `row` rebuilt as the event it was ingested from (the derived
+    /// `subtask_dispatched.tier` column is not an event field).
+    fn event(&self, row: usize) -> TraceEvent {
+        let int = |i: usize| self.cols[i].group_key(row).unwrap_or_default();
+        let id = |i: usize| int(i) as u32;
+        let num = |i: usize| self.cols[i].value_f64(row);
+        let label = |i: usize| match &self.cols[i] {
+            Column::Dict { codes, dict } => dict.label(codes[row]),
+            _ => "",
+        };
+        let tier = |i: usize| tier_index(label(i));
+        let tenant = self.tenant[row];
+        match self.kind {
+            EventKind::JobArrived => {
+                TraceEvent::JobArrived { job: int(0), size_units: num(1), submitted_tu: num(2) }
+            }
+            EventKind::JobStageAdvanced => TraceEvent::JobStageAdvanced {
+                job: int(0),
+                stage: id(1),
+                shards: id(2),
+                cores: id(3),
+            },
+            EventKind::JobCompleted => TraceEvent::JobCompleted {
+                job: int(0),
+                latency_tu: num(1),
+                reward: num(2),
+                core_stages: num(3),
+            },
+            EventKind::SloViolation => {
+                TraceEvent::SloViolation { job: int(0), latency_tu: num(1), target_tu: num(2) }
+            }
+            EventKind::SubtaskDispatched => TraceEvent::SubtaskDispatched {
+                job: int(0),
+                stage: id(1),
+                vm: int(2),
+                cores: id(3),
+                waited_tu: num(4),
+                busy_tu: num(5),
+            },
+            EventKind::SubtaskDone => {
+                TraceEvent::SubtaskDone { job: int(0), stage: id(1), vm: int(2) }
+            }
+            EventKind::VmHired => TraceEvent::VmHired { vm: int(0), tier: tier(1), cores: id(2) },
+            EventKind::VmBooted => TraceEvent::VmBooted { vm: int(0), cores: id(1) },
+            EventKind::VmReshaped => TraceEvent::VmReshaped {
+                vm: int(0),
+                tier: tier(1),
+                cores_from: id(2),
+                cores_to: id(3),
+            },
+            EventKind::VmReleased => {
+                TraceEvent::VmReleased { vm: int(0), tier: tier(1), cores: id(2) }
+            }
+            EventKind::ScalingDecision => {
+                let choice = label(5);
+                TraceEvent::ScalingDecision {
+                    stage: id(0),
+                    cores: id(1),
+                    queued_jobs: id(2),
+                    delay_cost: num(3),
+                    hire_cost: num(4),
+                    choice: ScalingChoice::ALL
+                        .into_iter()
+                        .find(|c| c.name() == choice)
+                        .unwrap_or(ScalingChoice::Wait),
+                }
+            }
+            EventKind::QueueDepth => TraceEvent::QueueDepthSampled { depth: id(0) },
+            EventKind::AdmissionDeferred => {
+                TraceEvent::AdmissionDeferred { tenant, jobs: id(0), backlog: id(1) }
+            }
+            EventKind::AdmissionResumed => {
+                TraceEvent::AdmissionResumed { tenant, jobs: id(0), backlog: id(1) }
+            }
+            EventKind::TierSettled => {
+                TraceEvent::TierSettled { tier: tier(0), cost: num(1), core_tu: num(2) }
+            }
+            EventKind::RunEnded => TraceEvent::RunEnded { events_dispatched: int(0) },
+        }
+    }
+
     fn push_meta(&mut self, at: SimTime, tenant: u32) {
         self.t_bits.push(at.as_tu().to_bits());
         self.tenant.push(tenant);
@@ -144,8 +242,9 @@ pub struct TraceStore {
     tenant: u32,
     /// VM id → current tier index, maintained from hire/reshape events.
     vm_tier: Vec<u32>,
-    /// Total events ingested (= Σ table rows).
-    events: u64,
+    /// The order stream: each ingested event's kind, as its `ALL_KINDS`
+    /// index, in emission order.
+    order: Vec<u8>,
 }
 
 impl Default for TraceStore {
@@ -166,7 +265,7 @@ impl TraceStore {
             tables: ALL_KINDS.iter().map(|&k| Table::new(k)).collect(),
             tenant,
             vm_tier: Vec::new(),
-            events: 0,
+            order: Vec::new(),
         }
     }
 
@@ -182,16 +281,40 @@ impl TraceStore {
 
     /// Total events ingested across all tables.
     pub fn events(&self) -> u64 {
-        self.events
+        self.order.len() as u64
     }
 
-    /// Rebuilds a store from decoded tables (export reader). The
-    /// vm→tier scratch map is not part of the persisted state — derived
-    /// columns were materialized at ingest time — so a decoded store
-    /// queries identically but should not ingest further events.
-    pub(crate) fn from_tables(tables: Vec<Table>) -> TraceStore {
-        let events = tables.iter().map(|t| t.rows() as u64).sum();
-        TraceStore { tables, tenant: 0, vm_tier: Vec::new(), events }
+    /// The order stream (export writer).
+    pub(crate) fn order(&self) -> &[u8] {
+        &self.order
+    }
+
+    /// Rebuilds a store from decoded tables and order stream (export
+    /// reader). The vm→tier scratch map is not part of the persisted
+    /// state — derived columns were materialized at ingest time — so a
+    /// decoded store queries and replays identically but should not
+    /// ingest further events.
+    pub(crate) fn from_parts(tables: Vec<Table>, order: Vec<u8>) -> TraceStore {
+        TraceStore { tables, tenant: 0, vm_tier: Vec::new(), order }
+    }
+
+    /// Every stored event as `(tenant, time, event)`, in the order the
+    /// store ingested them: the order stream picks the table, a cursor
+    /// per table picks the row. Replaying into an observer reproduces
+    /// what it saw live, for solo and merged stores alike.
+    ///
+    /// The rebuild is exact with one exception: a tier index of 2 or
+    /// more is stored under one label (`tier2+`, see [`tier_label`]) and
+    /// comes back as 2.
+    pub fn replay(&self) -> impl Iterator<Item = (u32, SimTime, TraceEvent)> + '_ {
+        let mut cursor = [0usize; ALL_KINDS.len()];
+        self.order.iter().map(move |&kind| {
+            let kind = usize::from(kind);
+            let row = cursor[kind];
+            cursor[kind] += 1;
+            let table = &self.tables[kind];
+            (table.tenant[row], SimTime::new(table.time_tu(row)), table.event(row))
+        })
     }
 
     /// The tier currently attributed to `vm`, as a label.
@@ -213,7 +336,7 @@ impl TraceStore {
     /// Ingests one event (the [`Observer`] impl delegates here).
     pub fn ingest(&mut self, at: SimTime, event: &TraceEvent) {
         let kind = EventKind::of(event);
-        self.events += 1;
+        self.order.push(kind as u8);
         // Tier attribution must be current before the row is written.
         match *event {
             TraceEvent::VmHired { vm, tier, .. } | TraceEvent::VmReshaped { vm, tier, .. } => {
@@ -324,12 +447,22 @@ impl TraceStore {
         }
     }
 
-    /// Sanity check used by tests and debug assertions: every table's
-    /// columns agree on the row count.
+    /// Sanity check used by tests, debug assertions and the export
+    /// reader: every table's columns agree on the row count, and the
+    /// order stream names each kind exactly as often as its table has
+    /// rows (so its length is Σ rows and [`replay`](Self::replay) stays
+    /// in bounds).
     pub fn check_invariants(&self) -> bool {
-        self.tables.iter().all(|t| {
-            t.tenant.len() == t.t_bits.len() && t.cols.iter().all(|c| c.len() == t.t_bits.len())
-        }) && self.events == self.tables.iter().map(|t| t.rows() as u64).sum::<u64>()
+        let mut counts = [0usize; ALL_KINDS.len()];
+        for &kind in &self.order {
+            match counts.get_mut(usize::from(kind)) {
+                Some(n) => *n += 1,
+                None => return false,
+            }
+        }
+        self.tables.iter().zip(counts).all(|(t, n)| {
+            t.rows() == n && t.tenant.len() == n && t.cols.iter().all(|c| c.len() == n)
+        })
     }
 }
 
@@ -340,13 +473,14 @@ impl Observer for TraceStore {
 }
 
 impl Merge for TraceStore {
-    /// Appends `other`'s rows after this store's own, per table.
-    /// Determinism contract: callers merge in session-ordinal order.
+    /// Appends `other`'s rows after this store's own, per table, and its
+    /// order stream after this one's. Determinism contract: callers
+    /// merge in session-ordinal order.
     fn merge(&mut self, other: TraceStore) {
         for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
             mine.append(theirs);
         }
-        self.events += other.events;
+        self.order.extend_from_slice(&other.order);
     }
 }
 
@@ -505,6 +639,41 @@ mod tests {
             }
             _ => unreachable!("tier is declared as a dict column"),
         }
+    }
+
+    #[test]
+    fn tier_labels_round_trip() {
+        for tier in 0..5 {
+            assert_eq!(tier_index(tier_label(tier)), tier.min(2));
+        }
+        assert_eq!(tier_index(UNKNOWN_TIER), 2);
+    }
+
+    #[test]
+    fn replay_keeps_emission_order_across_kinds_and_merges() {
+        let run = |tenant: u32| {
+            vec![
+                (t(0.5), TraceEvent::VmHired { vm: 0, tier: 1, cores: 2 }),
+                (t(1.5), TraceEvent::SubtaskDone { job: 0, stage: 0, vm: 0 }),
+                (t(1.5), TraceEvent::VmBooted { vm: 0, cores: 2 }),
+                (t(1.5), TraceEvent::AdmissionDeferred { tenant, jobs: 1, backlog: 1 }),
+                (t(1.5), TraceEvent::SubtaskDone { job: 1, stage: 2, vm: 0 }),
+                (t(2.0), TraceEvent::VmReleased { vm: 0, tier: 1, cores: 2 }),
+                (t(2.0), TraceEvent::RunEnded { events_dispatched: 9 }),
+            ]
+        };
+        let mut merged = TraceStore::new();
+        let mut expected = Vec::new();
+        for tenant in 0..2 {
+            let mut store = TraceStore::for_tenant(tenant);
+            for (at, event) in run(tenant) {
+                store.ingest(at, &event);
+                expected.push((tenant, at, event));
+            }
+            merged.merge(store);
+        }
+        assert!(merged.check_invariants());
+        assert_eq!(merged.replay().collect::<Vec<_>>(), expected);
     }
 
     #[test]

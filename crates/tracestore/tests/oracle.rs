@@ -238,10 +238,16 @@ proptest! {
     fn exports_round_trip_and_answer_identically(
         steps in proptest::collection::vec((0u8..12, 0u32..1000, 0u32..1000, 0.0f64..8.0), 0..200),
     ) {
-        let (store, _) = build(&steps);
+        let (store, oracle) = build(&steps);
         let bytes = store.to_bytes();
         let decoded = TraceStore::from_bytes(&bytes).unwrap();
         prop_assert_eq!(decoded.to_bytes(), bytes);
+        // Both stores replay the generated stream exactly: tiers are
+        // `a % 3`, which the tier labels carry back unchanged.
+        let stream: Vec<(u32, SimTime, TraceEvent)> =
+            oracle.rows.iter().map(|&(t, tenant, e, _)| (tenant, SimTime::new(t), e)).collect();
+        prop_assert_eq!(store.replay().collect::<Vec<_>>(), stream.clone());
+        prop_assert_eq!(decoded.replay().collect::<Vec<_>>(), stream);
         let a = Query::over(EventKind::SubtaskDispatched)
             .group_by("tier")
             .aggregate(Agg::P95, "waited_tu")

@@ -92,7 +92,7 @@ if [[ "$quick" != "quick" ]]; then
     python3 scripts/plot_traces.py --store "$s1" --out-dir "$sp" >/dev/null \
         || { echo "FAIL: scripts/plot_traces.py cannot decode the SCTS export" >&2; exit 1; }
 
-    echo "==> store/JSONL cross-check (the one retained JSONL gate)"
+    echo "==> store/JSONL cross-check (the JSONL replayed from a store equals the live sink's)"
     cargo test -q --test tracestore_fleet store_agrees_with_the_jsonl_sink
 
     echo "==> fleet determinism (1 vs 8 rayon threads: stdout + merged store + spans)"

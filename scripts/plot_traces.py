@@ -115,11 +115,11 @@ def fmt(v):
 
 
 # ----------------------------------------------------------------------
-# SCTS store reader (docs/TRACESTORE.md "Export format (SCTS v2)")
+# SCTS store reader (docs/TRACESTORE.md "Export format (SCTS v3)")
 # ----------------------------------------------------------------------
 
 SCTS_MAGIC = b"SCTS"
-SCTS_VERSION = 2
+SCTS_VERSION = 3
 # Declared columns per table, in table order. Mirrors EventKind::columns
 # in crates/tracestore/src/schema.rs; scripts/ci.sh's store-determinism
 # step pins the mirror by decoding a real fig4 export with read_scts.
@@ -159,9 +159,11 @@ def _fnv1a64(data):
 
 
 def read_scts(path):
-    """Decode an SCTS v2 store into {tag: {column: list}}, with the
+    """Decode an SCTS v3 store into {tag: {column: list}}, with the
     implicit `t` (f64 TU) and `tenant` columns materialised and dict
-    columns decoded straight to their labels. Verifies the digest."""
+    columns decoded straight to their labels. Verifies the digest and
+    that the trailing order stream (one table index per event) names
+    each table exactly as often as it has rows."""
     data = open(path, "rb").read()
     if len(data) < 16 or data[:4] != SCTS_MAGIC:
         raise ValueError(f"{path}: not an SCTS export")
@@ -210,6 +212,16 @@ def read_scts(path):
                     labels.append(payload[pos:pos + n].decode("utf-8"))
                     pos += n
                 table[name] = [labels[varint()] for _ in range(rows)]
+    counts = [len(tables[tag]["t"]) for tag, _ in SCTS_SCHEMA]
+    order = payload[pos:pos + sum(counts)]
+    pos += sum(counts)
+    seen = [0] * len(SCTS_SCHEMA)
+    for kind in order:
+        if kind >= len(SCTS_SCHEMA):
+            raise ValueError(f"{path}: SCTS order stream names table {kind}")
+        seen[kind] += 1
+    if seen != counts:
+        raise ValueError(f"{path}: SCTS order stream disagrees with the tables")
     if pos != len(payload):
         raise ValueError(f"{path}: trailing bytes in SCTS payload")
     return tables

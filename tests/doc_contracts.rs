@@ -1,20 +1,23 @@
-//! Doc contracts and telemetry coverage, both read from one matrix of
-//! live runs.
+//! Doc contracts, telemetry coverage and replay, all read from one
+//! matrix of live runs.
 //!
 //! [`matrix`] runs six small configurations once per test binary: a fig4
 //! session, a fig5-style forced-plan reshape, an `AlwaysScale` spill onto
 //! the public tier, an SLO-armed session, a session with the private-hire
-//! throttle on, and a contended, SLO-armed 3-tenant fleet. It keeps every
-//! run's trace store, the first live event of each kind, the scaling
-//! choices decided, the five session registries (merged, which asserts
-//! they share one shape) and the fleet projection.
+//! throttle on, and a contended, SLO-armed 3-tenant fleet. Every session
+//! (each fleet tenant on its own) feeds one trace store and the live
+//! observers of [`Observers`]; the matrix keeps each run's store and
+//! what its observers made of the stream, the five session registries
+//! (merged, which asserts they share one shape) and the fleet projection.
 //!
 //! * Coverage — every `ALL_KINDS` table gets rows, every `ScalingChoice`
 //!   is decided, and every registered metric family records a non-zero
 //!   value. Telemetry that is declared but never produced fails here.
-//! * docs/TRACE_SCHEMA.md — the first live event of each kind: its kind
-//!   tag, variant name and field names (read back from its `Debug` and
-//!   JSONL renderings) against the "Event catalogue" sections, plus every
+//! * Replay — every run's store, and its decoded export, replays into
+//!   fresh observers that produce exactly what the live ones did.
+//! * docs/TRACE_SCHEMA.md — the first event of each kind: its kind tag,
+//!   variant name and field names (read back from its `Debug` and JSONL
+//!   renderings) against the "Event catalogue" sections, plus every
 //!   `ScalingChoice` label.
 //! * docs/TRACESTORE.md — `EventKind::tag`/`columns` for every kind in
 //!   `ALL_KINDS` against the "Column layouts" tables, and `Agg::ALL`
@@ -33,12 +36,13 @@ use scan::platform::config::{RewardKind, ScanConfig, VariableParams};
 use scan::platform::fleet::{run_fleet_with, FleetConfig};
 use scan::platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
 use scan::platform::session::run_session_with;
+use scan::platform::DecisionStats;
 use scan::sched::alloc::AllocationPolicy;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Observer, ScalingChoice, SimTime, TraceEvent};
 use scan::tracestore::{Agg, EventKind, TraceStore, ALL_KINDS};
 use scan_metrics::Registry;
-use scan_spans::ALL_SEGMENTS;
+use scan_spans::{SpanObserver, SpanSet, ALL_SEGMENTS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
@@ -129,39 +133,92 @@ fn scaling_choices() -> [ScalingChoice; 5] {
     ScalingChoice::ALL
 }
 
-/// One run's view of its own event stream.
+/// The observers a run's stream feeds, live and again from its store.
+struct Observers {
+    jsonl: JsonlWriter<Vec<u8>>,
+    spans: SpanObserver,
+    metrics: MetricsObserver,
+    decisions: DecisionStats,
+}
+
+/// What [`Observers`] made of one stream, in comparable form.
+struct Outputs {
+    jsonl: Vec<u8>,
+    spans: SpanSet,
+    /// The registry as JSONL and as Prometheus text.
+    metrics: [Vec<u8>; 2],
+    decisions: String,
+}
+
+impl Observers {
+    fn new(cfg: &ScanConfig, tenant: u32) -> Observers {
+        Observers {
+            jsonl: JsonlWriter::new(Vec::new()),
+            spans: SpanObserver::for_tenant(tenant),
+            metrics: MetricsObserver::new(cfg, DEFAULT_WINDOW_TU),
+            decisions: DecisionStats::new(),
+        }
+    }
+
+    fn finish(self) -> Outputs {
+        let registry = self.metrics.registry();
+        let mut metrics = [Vec::new(), Vec::new()];
+        scan_metrics::write_jsonl(registry, &mut metrics[0]).expect("writes to memory");
+        scan_metrics::write_prometheus(registry, &mut metrics[1]).expect("writes to memory");
+        let mut decisions = String::new();
+        self.decisions.write_json(&mut decisions);
+        Outputs {
+            jsonl: self.jsonl.into_inner(),
+            spans: self.spans.into_spans(),
+            metrics,
+            decisions,
+        }
+    }
+}
+
+impl Observer for Observers {
+    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
+        self.jsonl.on_event(at, event);
+        self.spans.on_event(at, event);
+        self.metrics.on_event(at, event);
+        self.decisions.on_event(at, event);
+    }
+}
+
+/// One session's live view of its own event stream.
 struct Probe {
     store: TraceStore,
-    first: [Option<TraceEvent>; ALL_KINDS.len()],
-    decided: [u64; ScalingChoice::ALL.len()],
-    metrics: Option<MetricsObserver>,
+    live: Observers,
 }
 
 impl Probe {
-    fn new(metrics: Option<MetricsObserver>) -> Probe {
-        let (first, decided) = ([None; ALL_KINDS.len()], [0; ScalingChoice::ALL.len()]);
-        Probe { store: TraceStore::new(), first, decided, metrics }
+    fn new(cfg: &ScanConfig, tenant: u32) -> Probe {
+        Probe { store: TraceStore::for_tenant(tenant), live: Observers::new(cfg, tenant) }
     }
 }
 
 impl Observer for Probe {
     fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
         self.store.ingest(at, event);
-        self.first[kind_position(event)].get_or_insert(*event);
-        if let TraceEvent::ScalingDecision { choice, .. } = event {
-            self.decided[choice.index()] += 1;
-        }
-        if let Some(metrics) = &mut self.metrics {
-            metrics.on_event(at, event);
-        }
+        self.live.on_event(at, event);
     }
+}
+
+/// One recorded session of the matrix.
+struct Run {
+    cfg: ScanConfig,
+    tenant: u32,
+    store: TraceStore,
+    live: Outputs,
 }
 
 /// What the whole matrix produced.
 struct Matrix {
+    /// Every session, fleet tenants one by one.
+    runs: Vec<Run>,
     /// Rows of each `ALL_KINDS` table, summed over every run.
     rows: [usize; ALL_KINDS.len()],
-    /// The first live event of each kind, in `ALL_KINDS` order.
+    /// The first event of each kind, in `ALL_KINDS` order.
     first: [Option<TraceEvent>; ALL_KINDS.len()],
     /// Decisions per `ScalingChoice::ALL` entry, summed over every run.
     decided: [u64; ScalingChoice::ALL.len()],
@@ -199,39 +256,46 @@ impl Matrix {
         fleet.shared_private_cores = 8;
         fleet.jobs_per_tenant = 6;
 
-        let mut probes = Vec::new();
+        let mut runs = Vec::new();
         let mut sessions: Option<Registry> = None;
         for cfg in [fig4, reshape, spill, slo, throttled] {
-            let metrics = MetricsObserver::new(&cfg, DEFAULT_WINDOW_TU);
-            let (_, mut probe) = run_session_with(&cfg, 0, Probe::new(Some(metrics)));
-            let registry = probe.metrics.take().expect("sessions run with metrics").into_registry();
+            let (_, probe) = run_session_with(&cfg, 0, Probe::new(&cfg, 0));
+            let registry = probe.live.metrics.registry();
             // The merge asserts one shape for every session, so no family
             // is registered only with an SLO target, say.
             match &mut sessions {
-                None => sessions = Some(registry),
-                Some(all) => all.merge(&registry),
+                None => sessions = Some(registry.clone()),
+                Some(all) => all.merge(registry),
             }
-            probes.push(probe);
+            runs.push(Run { cfg, tenant: 0, store: probe.store, live: probe.live.finish() });
         }
-        let (fleet, tenants) = run_fleet_with(&fleet, 0, &|_| Probe::new(None));
-        probes.extend(tenants);
+        let tenant_cfg = ScanConfig::clone(&fleet.base);
+        let (fleet, tenants) =
+            run_fleet_with(&fleet, 0, &|session| Probe::new(&tenant_cfg, session as u32));
+        for (tenant, probe) in (0..).zip(tenants) {
+            let cfg = tenant_cfg.clone();
+            runs.push(Run { cfg, tenant, store: probe.store, live: probe.live.finish() });
+        }
 
         let registries = [sessions.expect("the matrix has sessions"), fleet.registry()];
         let mut matrix = Matrix {
+            runs: Vec::new(),
             rows: [0; ALL_KINDS.len()],
             first: [None; ALL_KINDS.len()],
             decided: [0; ScalingChoice::ALL.len()],
             families: families(&registries),
         };
-        for probe in probes {
-            for (i, kind) in ALL_KINDS.into_iter().enumerate() {
-                matrix.rows[i] += probe.store.table(kind).rows();
-                matrix.first[i] = matrix.first[i].or(probe.first[i]);
-            }
-            for (total, n) in matrix.decided.iter_mut().zip(probe.decided) {
-                *total += n;
+        for run in &runs {
+            for (_, _, event) in run.store.replay() {
+                let position = kind_position(&event);
+                matrix.rows[position] += 1;
+                matrix.first[position].get_or_insert(event);
+                if let TraceEvent::ScalingDecision { choice, .. } = event {
+                    matrix.decided[choice.index()] += 1;
+                }
             }
         }
+        matrix.runs = runs;
         matrix
     }
 }
@@ -260,6 +324,25 @@ fn families(registries: &[Registry]) -> Vec<(String, BTreeMap<String, bool>)> {
 fn matrix() -> &'static Matrix {
     static MATRIX: OnceLock<Matrix> = OnceLock::new();
     MATRIX.get_or_init(Matrix::run)
+}
+
+#[test]
+fn every_run_replays_into_what_its_observers_saw_live() {
+    for (i, run) in matrix().runs.iter().enumerate() {
+        let decoded = TraceStore::from_bytes(&run.store.to_bytes()).expect("own export decodes");
+        for (source, store) in [("store", &run.store), ("decoded export", &decoded)] {
+            let mut replayed = Observers::new(&run.cfg, run.tenant);
+            for (_, at, event) in store.replay() {
+                replayed.on_event(at, &event);
+            }
+            let replayed = replayed.finish();
+            let what = format!("run {i}, replayed from its {source}");
+            assert!(replayed.jsonl == run.live.jsonl, "{what}: JSONL differs");
+            assert_eq!(replayed.spans, run.live.spans, "{what}: spans differ");
+            assert!(replayed.metrics == run.live.metrics, "{what}: registry exports differ");
+            assert_eq!(replayed.decisions, run.live.decisions, "{what}: decision stats differ");
+        }
+    }
 }
 
 #[test]

@@ -1,14 +1,17 @@
 //! Cross-crate contract tests for the columnar trace store: sessions and
 //! fleets ingest through the platform's observer plumbing, merged fleet
-//! stores are independent of how rayon sharded the replications, and the
-//! store agrees with the JSONL sink it replaces on what happened.
+//! stores are independent of how rayon sharded the replications, the
+//! JSONL replayed from a store is the live JSONL byte for byte, and a
+//! damaged export never panics the decoder.
 
+use proptest::prelude::*;
 use scan::platform::config::{ScanConfig, VariableParams};
 use scan::platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig};
 use scan::platform::session::run_session_with;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Merge, Observer};
-use scan::tracestore::{Agg, EventKind, Query, TraceStore, TraceStoreFactory};
+use scan::tracestore::{fnv1a64, Agg, EventKind, Query, TraceStore, TraceStoreFactory};
+use std::sync::OnceLock;
 
 fn session_cfg() -> ScanConfig {
     let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), 7);
@@ -78,47 +81,38 @@ fn merged_fleet_store_stays_per_tenant_queryable() {
     }
 }
 
-/// The store and the JSONL sink observe the same stream: same event
-/// count, and the store's aggregate answers match scalar math over the
-/// session's JSONL lines.
+/// The JSONL a store replays is the JSONL sink's live output, byte for
+/// byte, and the store's aggregate answers match scalar math over those
+/// lines.
 #[test]
 fn store_agrees_with_the_jsonl_sink() {
-    struct Both {
-        store: TraceStore,
-        jsonl: JsonlWriter<Vec<u8>>,
-    }
-    impl Observer for Both {
-        fn on_event(&mut self, at: scan::sim::SimTime, event: &scan::sim::TraceEvent) {
-            self.store.on_event(at, event);
-            self.jsonl.on_event(at, event);
-        }
-    }
-
     let cfg = session_cfg();
-    let both = Both { store: TraceStore::new(), jsonl: JsonlWriter::new(Vec::new()) };
-    let (_, both) = run_session_with(&cfg, 0, both);
-    let lines: Vec<&str> = {
-        let bytes = both.jsonl.into_inner();
-        let text = Box::leak(String::from_utf8(bytes).expect("JSONL is UTF-8").into_boxed_str());
-        text.lines().collect()
-    };
-    assert_eq!(both.store.events(), lines.len() as u64, "one JSONL line per stored event");
+    let (_, live) = run_session_with(&cfg, 0, JsonlWriter::new(Vec::new()));
+    let live = live.into_inner();
+    let (_, store) = run_session_with(&cfg, 0, TraceStore::new());
+    let mut replayed = JsonlWriter::new(Vec::new());
+    for (_, at, event) in store.replay() {
+        replayed.on_event(at, &event);
+    }
+    assert!(live == replayed.into_inner(), "the replayed JSONL differs from the live sink's");
 
-    let dispatched = lines.iter().filter(|l| l.contains("\"kind\":\"subtask_dispatched\"")).count();
+    let text = String::from_utf8(live).expect("JSONL is UTF-8");
+    assert_eq!(store.events(), text.lines().count() as u64, "one JSONL line per stored event");
+    let dispatched = text.matches("\"kind\":\"subtask_dispatched\"").count();
     let rows = Query::over(EventKind::SubtaskDispatched)
         .count()
-        .run(&both.store)
+        .run(&store)
         .expect("count needs no declared columns");
     assert_eq!(rows[0].value, dispatched as f64);
 
     // The export is dramatically smaller than the JSONL for the same
     // stream (the full ≥5x criterion is measured on fig4 artefacts by
     // scripts/bench.sh; this is the in-process sanity floor).
-    let jsonl_len: usize = lines.iter().map(|l| l.len() + 1).sum();
-    let scts_len = both.store.to_bytes().len();
+    let scts_len = store.to_bytes().len();
     assert!(
-        scts_len * 3 < jsonl_len,
-        "SCTS export ({scts_len} B) should be well under a third of the JSONL ({jsonl_len} B)"
+        scts_len * 3 < text.len(),
+        "SCTS export ({scts_len} B) should be well under a third of the JSONL ({} B)",
+        text.len()
     );
 }
 
@@ -140,5 +134,52 @@ fn p95_queue_wait_per_tier_is_queryable_in_process() {
             "dispatches attribute to a known hired tier, got {tier:?}"
         );
         assert!(row.value >= 0.0, "waits are non-negative");
+    }
+}
+
+/// A short real session's export, built once per test binary.
+fn session_export() -> &'static [u8] {
+    static EXPORT: OnceLock<Vec<u8>> = OnceLock::new();
+    EXPORT.get_or_init(|| {
+        let mut cfg = session_cfg();
+        cfg.fixed.sim_time_tu = 30.0;
+        run_session_with(&cfg, 0, TraceStore::new()).1.to_bytes()
+    })
+}
+
+/// Replaces the digest trailer of a (damaged) payload with its own
+/// digest, so the decoder itself is exercised, not just the checksum.
+fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
+    let digest = fnv1a64(&payload);
+    payload.extend_from_slice(&digest.to_le_bytes());
+    payload
+}
+
+/// What a decoder must do with any input: refuse it, or hand back a
+/// consistent store whose replay walks to the end.
+fn decodes_safely(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(store) = TraceStore::from_bytes(bytes) {
+        prop_assert!(store.check_invariants());
+        prop_assert_eq!(store.replay().count() as u64, store.events());
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Truncated or bit-flipped exports, each re-sealed with a valid
+    /// digest, decode to an error or to a sound store — never a panic.
+    #[test]
+    fn damaged_exports_are_refused_or_sound(
+        cut in 0.0f64..1.0,
+        flip_at in 0.0f64..1.0,
+        mask in 1u8..=255,
+    ) {
+        let export = session_export();
+        let payload = &export[..export.len() - 8];
+        let cut = (cut * payload.len() as f64) as usize;
+        decodes_safely(&sealed(payload[..cut].to_vec()))?;
+        let mut flipped = payload.to_vec();
+        flipped[(flip_at * payload.len() as f64) as usize] ^= mask;
+        decodes_safely(&sealed(flipped))?;
     }
 }
