@@ -47,7 +47,7 @@ fn bench_session(c: &mut Criterion) {
 
     // One sweep cell as the grid runs it: N seeded repetitions fanned out
     // over rayon and folded deterministically. This is the macro shape of
-    // `sweep_grid` — per-cell wall time, not per-session.
+    // `sweep_grid_with` — per-cell wall time, not per-session.
     let cfg = session_cfg(2.5);
     group.throughput(Throughput::Elements(4));
     group.bench_function("sweep_cell/medium_x4", |b| {

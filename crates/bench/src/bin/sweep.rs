@@ -32,7 +32,7 @@
 
 use scan_bench::{argv, flag_from_args, usage_error, Artefacts, EXPERIMENT_SEED};
 use scan_platform::config::{ParameterGrid, ScanConfig};
-use scan_platform::observers::{DecisionStats, DecisionStatsFactory};
+use scan_platform::observers::DecisionStats;
 use scan_platform::sweep::{sweep_grid_with, ObservedCell};
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::scaling::ScalingPolicy;
@@ -67,7 +67,7 @@ fn main() {
 
     artefacts.record(&base);
 
-    let results = sweep_grid_with(&base, &cells, reps, &DecisionStatsFactory);
+    let results = sweep_grid_with(&base, &cells, reps, &|_| DecisionStats::new());
 
     if let Some(path) = cell_trace {
         dump_cell_trace(&results, path.as_ref());

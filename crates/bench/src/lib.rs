@@ -27,18 +27,16 @@ use scan_platform::config::{ScanConfig, VariableParams};
 use scan_platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig};
 use scan_platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
 use scan_platform::metrics::{ReplicatedMetrics, SessionMetrics};
-use scan_platform::session::run_session_observed;
+use scan_platform::session::{run_session, run_session_with};
 use scan_platform::sweep::run_replicated;
 use scan_sched::scaling::ScalingPolicy;
 use scan_sim::prof;
 use scan_sim::{JsonlWriter, Merge, Observer};
 use scan_spans::{derive, SpanSet};
-use scan_tracestore::{TraceStore, TraceStoreFactory};
-use std::cell::RefCell;
+use scan_tracestore::TraceStore;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Default repetitions: the paper's "all measurements were repeated 10
@@ -217,15 +215,17 @@ impl Artefacts {
             return None;
         }
         let cfg = self.session_cfg(cfg);
-        let store = Rc::new(RefCell::new(TraceStore::new()));
         let recorded = replayed.iter().any(|p| p.is_some());
-        let observers = if recorded { vec![store.clone() as _] } else { Vec::new() };
         let (profile, was_profiling) = (self.profile.is_some(), prof::is_enabled());
         if profile {
             prof::enable();
             prof::reset_thread();
         }
-        let session = run_session_observed(&cfg, 0, observers);
+        let (session, store) = if recorded {
+            run_session_with(&cfg, 0, TraceStore::new())
+        } else {
+            (run_session(&cfg, 0), TraceStore::new())
+        };
         let summary = profile.then(|| {
             prof::mark_session();
             prof::take_summary()
@@ -233,7 +233,6 @@ impl Artefacts {
         if !was_profiling {
             prof::disable();
         }
-        let store = store.take();
 
         if let Some(path) = &self.trace {
             let written = write_file(path, |w| {
@@ -284,17 +283,20 @@ impl Artefacts {
         }
         let mut cfg = cfg.clone();
         cfg.base = Arc::new(self.session_cfg(&cfg.base));
-        let factory = TraceStoreFactory::fleet(u64::from(cfg.tenants));
-        let (_, merged) = run_fleet_replicated_with(&cfg, repetitions, &factory);
+        let build = |tenant| TraceStore::for_tenant(tenant as u32);
+        let (_, merged) = run_fleet_replicated_with(&cfg, repetitions, &build);
         let label = format!("{repetitions} fleet reps");
         if let Some(path) = &self.store {
             write_store(&merged, &label, path);
         }
         if let Some(path) = &self.spans {
-            let mut first = TraceStore::new();
-            for tenant in run_fleet_with(&cfg, 0, &factory).1 {
-                first.merge(tenant);
-            }
+            let tenants = run_fleet_with(&cfg, 0, &build).1.into_iter();
+            let first = tenants
+                .reduce(|mut a, b| {
+                    a.merge(b);
+                    a
+                })
+                .expect("a fleet has tenants");
             let timeline = (&first, &derive(&first));
             write_spans(timeline, &derive(&merged), &label, path, self.slowest);
         }

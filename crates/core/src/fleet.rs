@@ -13,9 +13,10 @@
 //!
 //! Whole-fleet replications shard across cores exactly like
 //! [`sweep`](crate::sweep) repetitions: each repetition is a pure
-//! function of `(seed, repetition)`, observers ride the
-//! [`ObserverFactory`] bridge, and summaries merge in `(repetition,
-//! tenant)` order — so fleet results are bit-identical at any
+//! function of `(seed, repetition)`, each tenant's observer comes from a
+//! `Sync` builder closure called with the tenant number (`0..tenants` on
+//! every repetition), and observers merge in `(repetition, tenant)`
+//! order — so fleet results are bit-identical at any
 //! `RAYON_NUM_THREADS`.
 
 use crate::config::ScanConfig;
@@ -25,8 +26,7 @@ use rayon::prelude::*;
 use scan_cloud::shared::{SharedCapacity, SurgePricing};
 use scan_metrics::Registry;
 use scan_sim::{
-    Calendar, Engine, EventHandler, Merge, NullObserverFactory, ObserverFactory, SimTime,
-    StepOutcome, TenantId,
+    Calendar, Engine, EventHandler, Merge, NullObserver, Observer, SimTime, StepOutcome, TenantId,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -220,19 +220,17 @@ impl FleetMetrics {
 
 /// Runs one fleet repetition to completion.
 pub fn run_fleet(cfg: &FleetConfig, repetition: u64) -> FleetMetrics {
-    run_fleet_with(cfg, repetition, &NullObserverFactory).0
+    run_fleet_with(cfg, repetition, &|_| NullObserver).0
 }
 
-/// [`run_fleet`], with one factory-built observer per tenant.
-///
-/// The factory's session ordinal is `repetition × tenants + tenant`, the
-/// same flat (run-major, tenant-minor) numbering the replicated driver
-/// merges in; summaries return in tenant order.
-pub fn run_fleet_with<F: ObserverFactory>(
+/// [`run_fleet`], with one observer per tenant, built as `build(tenant)`
+/// for tenants `0..tenants` on every repetition; the observers return in
+/// tenant order.
+pub fn run_fleet_with<O: Observer + 'static>(
     cfg: &FleetConfig,
     repetition: u64,
-    factory: &F,
-) -> (FleetMetrics, Vec<F::Summary>) {
+    build: &(impl Fn(u64) -> O + Sync),
+) -> (FleetMetrics, Vec<O>) {
     assert!(cfg.tenants > 0, "a fleet needs at least one tenant");
     let n = cfg.tenants as usize;
     let lease = SharedCapacity::new(cfg.shared_private_cores, n, cfg.surge).into_lease();
@@ -242,10 +240,10 @@ pub fn run_fleet_with<F: ObserverFactory>(
     let mut tenants: Vec<Platform> = Vec::with_capacity(n);
     let mut sinks = Vec::with_capacity(n);
     for t in 0..n {
-        let ordinal = repetition * n as u64 + t as u64;
+        // Every (repetition, tenant) pair draws its own RNG streams.
         let mut p = Platform::new_tenant(
             Arc::clone(&cfg.base),
-            ordinal,
+            repetition * n as u64 + t as u64,
             TenantSetup {
                 tenant: TenantId(t as u16),
                 lease: Rc::clone(&lease),
@@ -253,7 +251,7 @@ pub fn run_fleet_with<F: ObserverFactory>(
                 fair_share: cfg.fair_share_admission,
             },
         );
-        let sink = Rc::new(RefCell::new(factory.build(ordinal)));
+        let sink = Rc::new(RefCell::new(build(t as u64)));
         p.add_observer(sink.clone());
         tenants.push(p);
         sinks.push(sink);
@@ -278,13 +276,11 @@ pub fn run_fleet_with<F: ObserverFactory>(
         sessions.push(p.finish(report.ended_at, *events));
     }
     // The platforms (and their tracer clones) are gone: each observer
-    // handle is unique again and its summary can cross threads.
-    let summaries = sinks
+    // handle is unique again and the observer can cross threads.
+    let observers = sinks
         .into_iter()
         .map(|s| {
-            let obs =
-                Rc::try_unwrap(s).ok().expect("observer uniquely owned after the run").into_inner();
-            factory.finish(obs)
+            Rc::try_unwrap(s).ok().expect("observer uniquely owned after the run").into_inner()
         })
         .collect();
     let metrics = FleetMetrics::from_sessions(
@@ -293,45 +289,36 @@ pub fn run_fleet_with<F: ObserverFactory>(
         report.events_dispatched,
         report.ended_at.as_tu(),
     );
-    (metrics, summaries)
+    (metrics, observers)
 }
 
 /// Runs `repetitions` whole-fleet replications in parallel.
 pub fn run_fleet_replicated(cfg: &FleetConfig, repetitions: u64) -> Vec<FleetMetrics> {
-    run_fleet_replicated_with(cfg, repetitions, &NullObserverFactory).0
+    run_fleet_replicated_with(cfg, repetitions, &|_| NullObserver).0
 }
 
-/// [`run_fleet_replicated`], with one factory-built observer per tenant
-/// session across every replication.
+/// [`run_fleet_replicated`], with one observer per tenant session across
+/// every replication, built as in [`run_fleet_with`].
 ///
 /// Each repetition is an independent fleet (rayon shards them across
-/// cores); summaries merge strictly in `(repetition, tenant)` order, so
+/// cores); observers merge strictly in `(repetition, tenant)` order, so
 /// the result is bit-identical to a sequential loop regardless of
 /// `RAYON_NUM_THREADS`.
-pub fn run_fleet_replicated_with<F: ObserverFactory>(
+pub fn run_fleet_replicated_with<O: Observer + Merge + Send + 'static>(
     cfg: &FleetConfig,
     repetitions: u64,
-    factory: &F,
-) -> (Vec<FleetMetrics>, F::Summary)
-where
-    F::Summary: Merge,
-{
+    build: &(impl Fn(u64) -> O + Sync),
+) -> (Vec<FleetMetrics>, O) {
     assert!(repetitions >= 1);
-    let runs: Vec<(FleetMetrics, Vec<F::Summary>)> =
-        (0..repetitions).into_par_iter().map(|rep| run_fleet_with(cfg, rep, factory)).collect();
-    let mut metrics = Vec::with_capacity(runs.len());
-    let mut merged: Option<F::Summary> = None;
+    let runs: Vec<(FleetMetrics, Vec<O>)> =
+        (0..repetitions).into_par_iter().map(|rep| run_fleet_with(cfg, rep, build)).collect();
     // Deterministic fold: `collect` returned repetition order; within a
     // repetition, `run_fleet_with` returned tenant order.
-    for (m, summaries) in runs {
-        metrics.push(m);
-        for s in summaries {
-            match merged.as_mut() {
-                None => merged = Some(s),
-                Some(acc) => acc.merge(s),
-            }
-        }
-    }
+    let (metrics, observers): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    let merged = observers.into_iter().flatten().reduce(|mut a, b| {
+        a.merge(b);
+        a
+    });
     (metrics, merged.expect("repetitions and tenants are both nonzero"))
 }
 
@@ -404,28 +391,26 @@ mod tests {
         assert_eq!(r.gauges().len(), 2);
     }
 
-    /// The tenant-tagged trace bytes of one session, merged by
-    /// concatenation (in the caller's deterministic order).
-    struct TraceBytes(Vec<u8>);
+    /// The tenant-tagged trace bytes of one session and the tenant
+    /// number it was built with; merging concatenates the bytes (in the
+    /// caller's deterministic order).
+    struct TraceBytes(Vec<u8>, u32);
+
+    impl TraceBytes {
+        fn build(tenant: u64) -> TraceBytes {
+            TraceBytes(Vec::new(), tenant as u32)
+        }
+    }
+
+    impl Observer for TraceBytes {
+        fn on_event(&mut self, at: SimTime, event: &scan_sim::TraceEvent) {
+            JsonlWriter::with_tenant(&mut self.0, self.1).on_event(at, event);
+        }
+    }
 
     impl Merge for TraceBytes {
         fn merge(&mut self, other: TraceBytes) {
             self.0.extend(other.0);
-        }
-    }
-
-    struct TenantTraceFactory;
-
-    impl ObserverFactory for TenantTraceFactory {
-        type Obs = JsonlWriter<Vec<u8>>;
-        type Summary = TraceBytes;
-
-        fn build(&self, session: u64) -> Self::Obs {
-            JsonlWriter::with_tenant(Vec::new(), session as u32)
-        }
-
-        fn finish(&self, obs: Self::Obs) -> TraceBytes {
-            TraceBytes(obs.into_inner())
         }
     }
 
@@ -438,25 +423,31 @@ mod tests {
         let cfg = fleet(3, 24, 5);
         let reps = 3;
 
-        let (par_metrics, par_trace) = run_fleet_replicated_with(&cfg, reps, &TenantTraceFactory);
+        let (par_metrics, par_trace) = run_fleet_replicated_with(&cfg, reps, &TraceBytes::build);
 
-        let mut seq_metrics = Vec::new();
-        let mut seq_trace: Option<TraceBytes> = None;
-        for rep in 0..reps {
-            let (m, summaries) = run_fleet_with(&cfg, rep, &TenantTraceFactory);
-            seq_metrics.push(m);
-            for s in summaries {
-                match seq_trace.as_mut() {
-                    None => seq_trace = Some(s),
-                    Some(acc) => acc.merge(s),
-                }
-            }
-        }
+        let (seq_metrics, seq_traces): (Vec<_>, Vec<_>) =
+            (0..reps).map(|rep| run_fleet_with(&cfg, rep, &TraceBytes::build)).unzip();
+        let seq_trace = seq_traces.into_iter().flatten().reduce(|mut a, b| {
+            a.merge(b);
+            a
+        });
 
         assert_eq!(par_metrics, seq_metrics, "fleet metrics must not depend on threads");
         let seq_trace = seq_trace.unwrap();
         assert!(!par_trace.0.is_empty(), "the traced fleet must emit events");
         assert_eq!(par_trace.0, seq_trace.0, "merged traces must be byte-identical");
+    }
+
+    /// Every repetition builds its tenants' observers with the tenant
+    /// numbers `0..tenants`, not a running session count.
+    #[test]
+    fn builders_get_the_tenant_number_on_every_repetition() {
+        let cfg = fleet(3, 24, 2);
+        let (_, observers) = run_fleet_with(&cfg, 1, &TraceBytes::build);
+        let tenants: Vec<u32> = observers.iter().map(|o| o.1).collect();
+        assert_eq!(tenants, [0, 1, 2]);
+        let tagged = String::from_utf8(observers[2].0.clone()).unwrap();
+        assert!(tagged.lines().all(|line| line.contains("\"tenant\":2,")), "{tagged}");
     }
 
     mod fairness {

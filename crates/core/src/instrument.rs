@@ -10,12 +10,12 @@
 //!
 //! [`run_session_instrumented`] runs one session with the observer
 //! attached and an optional [`prof`] self-profile of the run's wall-clock
-//! time. For parallel repetitions, [`MetricsObserverFactory`] builds one
-//! observer per session and [`Merge`] folds them in repetition order
-//! ([`sweep::run_replicated_with`](crate::sweep::run_replicated_with)):
-//! every observer registers the identical metric set in the identical
-//! order, so the merged registry — and its exported bytes — are
-//! independent of the thread count.
+//! time. For parallel repetitions, pass `|_| MetricsObserver::new(cfg,
+//! window_tu)` to [`sweep_grid_with`](crate::sweep::sweep_grid_with),
+//! which builds one observer per session and folds them with [`Merge`]
+//! in repetition order: every observer registers the identical metric
+//! set in the identical order, so the merged registry — and its exported
+//! bytes — are independent of the thread count.
 
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
@@ -23,7 +23,7 @@ use crate::session::run_session_with;
 use scan_cloud::tier::BillingMode;
 use scan_metrics::{CounterId, HistogramId, Registry, SeriesId, SeriesKind};
 use scan_sim::prof::{self, ProfSummary};
-use scan_sim::{Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
+use scan_sim::{Merge, Observer, ScalingChoice, SimTime, TraceEvent};
 
 /// Default sim-time window for the time series (TU). Sessions run for
 /// hundreds of TU, so 5 TU gives a readable number of points per series.
@@ -412,36 +412,6 @@ impl Merge for MetricsObserver {
     }
 }
 
-/// Builds one [`MetricsObserver`] per parallel session of one
-/// configuration — the metrics counterpart of the trace store's factory.
-/// The observer is its own summary; fold summaries with [`Merge`] in
-/// repetition order.
-#[derive(Debug, Clone)]
-pub struct MetricsObserverFactory {
-    fresh: MetricsObserver,
-}
-
-impl MetricsObserverFactory {
-    /// A factory for sessions of `cfg` with `window_tu`-wide series
-    /// windows.
-    pub fn new(cfg: &ScanConfig, window_tu: f64) -> Self {
-        MetricsObserverFactory { fresh: MetricsObserver::new(cfg, window_tu) }
-    }
-}
-
-impl ObserverFactory for MetricsObserverFactory {
-    type Obs = MetricsObserver;
-    type Summary = MetricsObserver;
-
-    fn build(&self, _session: u64) -> MetricsObserver {
-        self.fresh.clone()
-    }
-
-    fn finish(&self, obs: MetricsObserver) -> MetricsObserver {
-        obs
-    }
-}
-
 /// Runs one repetition with a [`MetricsObserver`] attached, returning
 /// the session metrics, the filled registry, and — when `profile` is
 /// true — the thread's wall-clock self-profile of the run (empty unless
@@ -469,8 +439,9 @@ mod tests {
     use super::*;
     use crate::config::VariableParams;
     use crate::observers::DecisionStats;
-    use crate::session::{run_session, run_session_observed};
-    use crate::sweep::run_replicated_with;
+    use crate::platform::Platform;
+    use crate::session::run_session;
+    use crate::sweep::sweep_grid_with;
     use scan_metrics::write_jsonl;
     use scan_sched::scaling::ScalingPolicy;
     use scan_sim::{NullObserver, ObserverHandle};
@@ -507,18 +478,19 @@ mod tests {
     #[test]
     fn merged_export_is_identical_to_sequential_fold() {
         let cfg = cfg();
-        let factory = MetricsObserverFactory::new(&cfg, DEFAULT_WINDOW_TU);
-        let (par, par_obs) = run_replicated_with(&cfg, 4, &factory);
-        let mut seq_sessions = Vec::new();
-        let mut seq_reg: Option<Registry> = None;
-        for rep in 0..4 {
-            let (m, reg, _) = run_session_instrumented(&cfg, rep, DEFAULT_WINDOW_TU, false);
-            seq_sessions.push(m);
-            match seq_reg.as_mut() {
-                None => seq_reg = Some(reg),
-                Some(acc) => acc.merge(&reg),
-            }
-        }
+        let build = |_| MetricsObserver::new(&cfg, DEFAULT_WINDOW_TU);
+        let cell = sweep_grid_with(&cfg, &[cfg.variable], 4, &build).pop().unwrap();
+        let (par, par_obs) = (cell.metrics, cell.stats);
+        let (seq_sessions, seq_regs): (Vec<_>, Vec<_>) = (0..4)
+            .map(|rep| {
+                let (m, reg, _) = run_session_instrumented(&cfg, rep, DEFAULT_WINDOW_TU, false);
+                (m, reg)
+            })
+            .unzip();
+        let seq_reg = seq_regs.into_iter().reduce(|mut a, b| {
+            a.merge(&b);
+            a
+        });
         assert_eq!(par.sessions, seq_sessions);
         let mut a = Vec::new();
         write_jsonl(par_obs.registry(), &mut a).unwrap();
@@ -533,7 +505,11 @@ mod tests {
     fn observed(cfg: &ScanConfig, extra: ObserverHandle) -> (Registry, DecisionStats) {
         let metrics = Rc::new(RefCell::new(MetricsObserver::new(cfg, DEFAULT_WINDOW_TU)));
         let stats = Rc::new(RefCell::new(DecisionStats::new()));
-        run_session_observed(cfg, 0, vec![metrics.clone(), stats.clone(), extra]);
+        let mut platform = Platform::new(cfg.clone(), 0);
+        platform.add_observer(metrics.clone());
+        platform.add_observer(stats.clone());
+        platform.add_observer(extra);
+        platform.run();
         let registry = metrics.borrow().registry().clone();
         let stats = stats.borrow().clone();
         (registry, stats)

@@ -18,8 +18,9 @@
 //!   counting observer folding scaling decisions, queue depths and tier
 //!   settlements into per-cell statistics.
 //! * [`session`] — one seeded simulation run; [`sweep`] — rayon-parallel
-//!   replication and parameter grids, with per-session observers built
-//!   through the `Send`-capable factory bridge.
+//!   replication and parameter grids, with one observer per session
+//!   built inside the worker task by a `Sync` builder closure and merged
+//!   in repetition order.
 //! * [`fleet`] — multi-tenant fleets: M platforms on one shared provider
 //!   pool (finite private capacity, contention-surged public pricing,
 //!   fair-share admission), multiplexed deterministically over a single
@@ -51,9 +52,7 @@ pub use fleet::{
     FleetMetrics,
 };
 pub use metrics::{ReplicatedMetrics, SessionMetrics};
-pub use observers::{DecisionStats, DecisionStatsFactory};
+pub use observers::DecisionStats;
 pub use platform::Platform;
 pub use session::run_session;
-pub use sweep::{
-    run_replicated, run_replicated_with, sweep_grid, sweep_grid_with, CellResult, ObservedCell,
-};
+pub use sweep::{run_replicated, sweep_grid_with, ObservedCell};

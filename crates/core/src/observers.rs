@@ -11,7 +11,7 @@
 //! accumulators are the per-tier settled costs, which the sweep merges in
 //! repetition order to keep N-thread runs bit-identical to 1-thread runs.
 
-use scan_sim::{Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
+use scan_sim::{Merge, Observer, ScalingChoice, SimTime, TraceEvent};
 use std::fmt::Write as _;
 
 /// Number of power-of-two queue-depth buckets kept by [`DecisionStats`]:
@@ -250,25 +250,6 @@ impl Merge for DecisionStats {
             a.hired += b.hired;
         }
         self.sessions += other.sessions;
-    }
-}
-
-/// Builds one [`DecisionStats`] per session; the summary is the stats
-/// value itself. This is the factory `sweep_grid_with` is normally run
-/// with.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DecisionStatsFactory;
-
-impl ObserverFactory for DecisionStatsFactory {
-    type Obs = DecisionStats;
-    type Summary = DecisionStats;
-
-    fn build(&self, _session: u64) -> DecisionStats {
-        DecisionStats::new()
-    }
-
-    fn finish(&self, obs: DecisionStats) -> DecisionStats {
-        obs
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use crate::platform::Platform;
-use scan_sim::{Observer, ObserverHandle};
+use scan_sim::Observer;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -12,36 +12,24 @@ pub fn run_session(cfg: &ScanConfig, repetition: u64) -> SessionMetrics {
     Platform::new(cfg.clone(), repetition).run()
 }
 
-/// Runs one repetition with extra trace observers attached (beyond the
-/// session's own metrics aggregator).
-pub fn run_session_observed(
-    cfg: &ScanConfig,
-    repetition: u64,
-    observers: Vec<ObserverHandle>,
-) -> SessionMetrics {
-    let mut platform = Platform::new(cfg.clone(), repetition);
-    for sink in observers {
-        platform.add_observer(sink);
-    }
-    platform.run()
-}
-
 /// Runs one repetition with a caller-built observer attached, returning
 /// the observer alongside the metrics once the run is over.
 ///
-/// This is the single-session half of the parallel-sweep observer story:
-/// the caller (e.g. `sweep::run_replicated_with`) builds the observer
-/// *inside* the worker task, this function threads it through the
-/// session's `Rc<RefCell<_>>` sink plumbing, and hands back sole
-/// ownership afterwards so a `Send` summary can cross back to the
-/// coordinating thread.
+/// This is the single-session half of the parallel-driver observer
+/// story: the driver builds the observer *inside* the worker task, this
+/// function threads it through the session's `Rc<RefCell<_>>` sink
+/// plumbing, and hands back sole ownership afterwards so the observer
+/// can cross back to the coordinating thread. Attach further observers
+/// to one run with [`Platform::add_observer`].
 pub fn run_session_with<O: Observer + 'static>(
     cfg: &ScanConfig,
     repetition: u64,
     observer: O,
 ) -> (SessionMetrics, O) {
     let sink = Rc::new(RefCell::new(observer));
-    let metrics = run_session_observed(cfg, repetition, vec![sink.clone()]);
+    let mut platform = Platform::new(cfg.clone(), repetition);
+    platform.add_observer(sink.clone());
+    let metrics = platform.run();
     // The platform (and every tracer clone) is dropped once the run
     // returns, so the handle is unique again.
     let observer =

@@ -8,151 +8,87 @@
 //! # Observing parallel sessions
 //!
 //! Session observers are `Rc<RefCell<_>>` sinks and cannot cross the
-//! rayon task boundary, so the sweep uses the factory/summary bridge from
-//! `scan_sim::trace`: [`run_replicated_with`] and [`sweep_grid_with`]
-//! take an [`ObserverFactory`] (`Sync`, shared by reference), each worker
-//! task builds its own observer via [`ObserverFactory::build`], and only
-//! the `Send` summary returns. Summaries are merged with [`Merge::merge`]
-//! strictly in repetition order — *not* in task-completion order — so the
-//! statistics a sweep reports are bit-identical whether rayon ran on one
-//! thread or N (`RAYON_NUM_THREADS=1` reproduces the sequential fold
-//! exactly; the determinism tests below assert this).
+//! rayon task boundary, so [`sweep_grid_with`] takes a `Sync` builder
+//! closure instead and calls it inside each worker task with the tenant
+//! number, which is always 0 here ([`TenantId::SOLO`]). Each session
+//! owns its observer; the finished observers return and are merged with
+//! [`Merge::merge`] strictly in repetition order — *not* in
+//! task-completion order — so the statistics a sweep reports are
+//! bit-identical whether rayon ran on one thread or N
+//! (`RAYON_NUM_THREADS=1` reproduces the sequential fold exactly; the
+//! determinism tests below assert this).
 
 use crate::config::{ScanConfig, VariableParams};
-use crate::metrics::{ReplicatedMetrics, SessionMetrics};
+use crate::metrics::ReplicatedMetrics;
 use crate::session::run_session_with;
 use rayon::prelude::*;
-use scan_sim::{Merge, NullObserverFactory, ObserverFactory};
-use serde::{Deserialize, Serialize};
+use scan_sim::{Merge, NullObserver, Observer, TenantId};
 
 /// Runs `repetitions` seeded repetitions of one configuration in parallel
-/// and aggregates mean ± σ.
+/// and aggregates mean ± σ: the one-cell case of [`sweep_grid_with`].
 pub fn run_replicated(cfg: &ScanConfig, repetitions: u64) -> ReplicatedMetrics {
-    run_replicated_with(cfg, repetitions, &NullObserverFactory).0
+    let mut cells = sweep_grid_with(cfg, &[cfg.variable], repetitions, &|_| NullObserver);
+    cells.pop().expect("one cell").metrics
 }
 
-/// [`run_replicated`], with one factory-built observer per session.
-///
-/// Returns the replicated metrics plus the per-session summaries merged
-/// in repetition order. The factory's `session` ordinal is the
-/// repetition number.
-pub fn run_replicated_with<F: ObserverFactory>(
-    cfg: &ScanConfig,
-    repetitions: u64,
-    factory: &F,
-) -> (ReplicatedMetrics, F::Summary)
-where
-    F::Summary: Merge,
-{
-    assert!(repetitions >= 1);
-    let observed: Vec<(SessionMetrics, F::Summary)> = (0..repetitions)
-        .into_par_iter()
-        .map(|rep| {
-            let (metrics, obs) = run_session_with(cfg, rep, factory.build(rep));
-            (metrics, factory.finish(obs))
-        })
-        .collect();
-    let mut sessions = Vec::with_capacity(observed.len());
-    let mut merged: Option<F::Summary> = None;
-    // Deterministic fold: `collect` returned repetition order, merge in
-    // that order regardless of which thread ran what.
-    for (metrics, summary) in observed {
-        sessions.push(metrics);
-        match merged.as_mut() {
-            None => merged = Some(summary),
-            Some(m) => m.merge(summary),
-        }
-    }
-    (ReplicatedMetrics::from_sessions(sessions), merged.expect("repetitions >= 1"))
-}
-
-/// One sweep cell's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellResult {
-    /// The cell's variable parameters.
-    pub params: VariableParams,
-    /// Replicated metrics for the cell.
-    pub metrics: ReplicatedMetrics,
-}
-
-/// One sweep cell's outcome with its merged observer summary.
+/// One sweep cell's outcome with its merged observer.
 #[derive(Debug, Clone)]
-pub struct ObservedCell<S> {
+pub struct ObservedCell<O> {
     /// The cell's variable parameters.
     pub params: VariableParams,
     /// Replicated metrics for the cell.
     pub metrics: ReplicatedMetrics,
-    /// The cell's observer summaries, merged in repetition order.
-    pub stats: S,
+    /// The cell's observers, merged in repetition order.
+    pub stats: O,
 }
 
 /// Sweeps a list of cells, each replicated, with the whole
 /// `(cell × repetition)` space scheduled onto one rayon pool.
-pub fn sweep_grid(
-    base: &ScanConfig,
-    cells: &[VariableParams],
-    repetitions: u64,
-) -> Vec<CellResult> {
-    sweep_grid_with(base, cells, repetitions, &NullObserverFactory)
-        .into_iter()
-        .map(|cell| CellResult { params: cell.params, metrics: cell.metrics })
-        .collect()
-}
-
-/// [`sweep_grid`], with one factory-built observer per session.
 ///
-/// Every `(cell, repetition)` session gets its own observer (built inside
-/// the rayon task with the flat session ordinal, cell-major); summaries
-/// are merged per cell in repetition order, so the per-cell statistics
-/// are independent of rayon's thread count and scheduling.
-pub fn sweep_grid_with<F: ObserverFactory>(
+/// Every session gets its own observer from `build(0)`, built inside the
+/// rayon task; observers are merged per cell in repetition order, so the
+/// per-cell statistics are independent of rayon's thread count and
+/// scheduling.
+pub fn sweep_grid_with<O: Observer + Merge + Send + 'static>(
     base: &ScanConfig,
     cells: &[VariableParams],
     repetitions: u64,
-    factory: &F,
-) -> Vec<ObservedCell<F::Summary>>
-where
-    F::Summary: Merge,
-{
+    build: &(impl Fn(u64) -> O + Sync),
+) -> Vec<ObservedCell<O>> {
     assert!(repetitions >= 1);
     // Flatten so rayon load-balances across the full space (cells differ
     // wildly in event counts: heavy-load never-scale cells are cheap,
     // always-scale cells are not).
-    let flat: Vec<(u64, usize, u64)> = (0..cells.len())
-        .flat_map(|c| (0..repetitions).map(move |r| (c, r)))
-        .enumerate()
-        .map(|(ordinal, (c, r))| (ordinal as u64, c, r))
-        .collect();
-    let observed: Vec<(usize, SessionMetrics, F::Summary)> = flat
+    let flat: Vec<(VariableParams, u64)> =
+        cells.iter().flat_map(|&cell| (0..repetitions).map(move |rep| (cell, rep))).collect();
+    let observed: Vec<_> = flat
         .into_par_iter()
-        .map(|(ordinal, c, rep)| {
+        .map(|(cell, rep)| {
             let mut cfg = base.clone();
-            cfg.variable = cells[c];
-            let (metrics, obs) = run_session_with(&cfg, rep, factory.build(ordinal));
-            (c, metrics, factory.finish(obs))
+            cfg.variable = cell;
+            run_session_with(&cfg, rep, build(TenantId::SOLO.0.into()))
         })
         .collect();
-
-    let mut grouped: Vec<(Vec<SessionMetrics>, Option<F::Summary>)> = Vec::new();
-    grouped.resize_with(cells.len(), || (Vec::new(), None));
-    // `collect` preserved flat (cell-major, repetition-minor) order, so
-    // this sequential pass merges each cell's summaries in repetition
-    // order — the deterministic aggregation step.
-    for (c, metrics, summary) in observed {
-        let (sessions, merged) = &mut grouped[c];
-        sessions.push(metrics);
-        match merged.as_mut() {
-            None => *merged = Some(summary),
-            Some(m) => m.merge(summary),
-        }
-    }
+    // `collect` preserved cell-major, repetition-minor order, so each
+    // cell's chunk merges in repetition order — the deterministic
+    // aggregation step.
+    let mut observed = observed.into_iter();
     cells
         .iter()
-        .zip(grouped)
-        .map(|(&params, (sessions, merged))| ObservedCell {
-            params,
-            metrics: ReplicatedMetrics::from_sessions(sessions),
-            stats: merged.expect("repetitions >= 1"),
+        .map(|&params| {
+            let (sessions, observers): (Vec<_>, Vec<_>) =
+                observed.by_ref().take(repetitions as usize).unzip();
+            ObservedCell {
+                params,
+                metrics: ReplicatedMetrics::from_sessions(sessions),
+                stats: observers
+                    .into_iter()
+                    .reduce(|mut a, b| {
+                        a.merge(b);
+                        a
+                    })
+                    .expect("repetitions >= 1"),
+            }
         })
         .collect()
 }
@@ -161,9 +97,11 @@ where
 mod tests {
     use super::*;
     use crate::config::ScanConfig;
-    use crate::observers::{DecisionStats, DecisionStatsFactory};
+    use crate::metrics::SessionMetrics;
+    use crate::observers::DecisionStats;
     use crate::session::run_session;
     use scan_sched::scaling::ScalingPolicy;
+    use scan_sim::{SimTime, TraceEvent};
 
     fn base() -> ScanConfig {
         let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), 17);
@@ -192,7 +130,7 @@ mod tests {
             .iter()
             .map(|&i| VariableParams::fig4(ScalingPolicy::AlwaysScale, i))
             .collect();
-        let results = sweep_grid(&base(), &cells, 2);
+        let results = sweep_grid_with(&base(), &cells, 2, &|_| NullObserver);
         assert_eq!(results.len(), 2);
         assert!((results[0].params.mean_interval - 2.2).abs() < 1e-12);
         assert!((results[1].params.mean_interval - 2.8).abs() < 1e-12);
@@ -215,7 +153,7 @@ mod tests {
         let reps = 3;
 
         // Parallel run: rayon schedules the 6 sessions however it likes.
-        let par = sweep_grid_with(&cfg, &cells, reps, &DecisionStatsFactory);
+        let par = sweep_grid_with(&cfg, &cells, reps, &|_| DecisionStats::new());
 
         // Sequential reference: the same space on one thread, merged in
         // the same repetition order.
@@ -224,16 +162,12 @@ mod tests {
             .map(|&cell| {
                 let mut c = cfg.clone();
                 c.variable = cell;
-                let mut sessions = Vec::new();
-                let mut merged: Option<DecisionStats> = None;
-                for rep in 0..reps {
-                    let (m, s) = run_session_with(&c, rep, DecisionStats::new());
-                    sessions.push(m);
-                    match merged.as_mut() {
-                        None => merged = Some(s),
-                        Some(acc) => acc.merge(s),
-                    }
-                }
+                let (sessions, stats): (Vec<_>, Vec<_>) =
+                    (0..reps).map(|rep| run_session_with(&c, rep, DecisionStats::new())).unzip();
+                let merged = stats.into_iter().reduce(|mut a, b| {
+                    a.merge(b);
+                    a
+                });
                 (sessions, merged.unwrap())
             })
             .collect();
@@ -248,21 +182,26 @@ mod tests {
         assert!(saw_decisions, "the loaded cell must exercise the decision counters");
     }
 
-    #[test]
-    fn replicated_with_merges_in_rep_order() {
-        let cfg = base();
-        let (metrics, stats) = run_replicated_with(&cfg, 3, &DecisionStatsFactory);
-        assert_eq!(metrics.n(), 3);
-        assert_eq!(stats.sessions(), 3);
-        // The merged totals equal the sum of per-session folds.
-        let mut expect: Option<DecisionStats> = None;
-        for rep in 0..3 {
-            let (_, s) = run_session_with(&cfg, rep, DecisionStats::new());
-            match expect.as_mut() {
-                None => expect = Some(s),
-                Some(acc) => acc.merge(s),
-            }
+    /// The builder arguments one session's observer was built with,
+    /// concatenated in merge order.
+    struct BuiltWith(Vec<u64>);
+
+    impl Observer for BuiltWith {
+        fn on_event(&mut self, _at: SimTime, _event: &TraceEvent) {}
+    }
+
+    impl Merge for BuiltWith {
+        fn merge(&mut self, other: BuiltWith) {
+            self.0.extend(other.0);
         }
-        assert_eq!(stats, expect.unwrap());
+    }
+
+    #[test]
+    fn sweep_builds_every_session_as_the_solo_tenant() {
+        let cells = [VariableParams::fig4(ScalingPolicy::NeverScale, 2.8); 2];
+        let results = sweep_grid_with(&base(), &cells, 3, &|tenant| BuiltWith(vec![tenant]));
+        for cell in results {
+            assert_eq!(cell.stats.0, [0; 3]);
+        }
     }
 }

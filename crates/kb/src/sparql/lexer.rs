@@ -257,20 +257,24 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_string(&mut self, quote: u8) -> Result<Token, SparqlError> {
+        // Collect bytes and decode once at the end: the source is UTF-8,
+        // and quotes and escapes are ASCII, so they never split a char.
+        let mut out = Vec::new();
         self.pos += 1; // opening quote
-        let mut out = String::new();
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string literal")),
-                Some(c) if c == quote => return Ok(Token::Str(out)),
+                Some(c) if c == quote => {
+                    return Ok(Token::Str(String::from_utf8(out).expect("whole chars of a &str")));
+                }
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(c) if c == quote => out.push(c as char),
+                    Some(b'n') => out.push(b'\n'),
+                    Some(b't') => out.push(b'\t'),
+                    Some(b'\\') => out.push(b'\\'),
+                    Some(c) if c == quote => out.push(c),
                     _ => return Err(self.err("bad escape in string literal")),
                 },
-                Some(c) => out.push(c as char),
+                Some(c) => out.push(c),
             }
         }
     }
@@ -399,6 +403,12 @@ mod tests {
         assert_eq!(lex(r#""hello""#)[0], Token::Str("hello".into()));
         assert_eq!(lex(r#""a\nb""#)[0], Token::Str("a\nb".into()));
         assert_eq!(lex("'single'")[0], Token::Str("single".into()));
+    }
+
+    #[test]
+    fn strings_decode_utf8() {
+        assert_eq!(lex(r#""café""#)[0], Token::Str("café".into()));
+        assert_eq!(lex("'Ω \\' 🧬'")[0], Token::Str("Ω ' 🧬".into()));
     }
 
     #[test]

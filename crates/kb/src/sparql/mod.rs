@@ -228,6 +228,16 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_literals_match_turtle_loaded_ones() {
+        let st = crate::turtle::from_turtle(r#"<http://x/a> <http://x/name> "café" ."#).unwrap();
+        let q = parse_query(r#"SELECT ?s WHERE { ?s <http://x/name> ?n . FILTER (?n = "café") }"#)
+            .unwrap();
+        let res = q.execute(&st).unwrap();
+        assert_eq!(res.len(), 1);
+        assert_eq!(res.rows()[0].get("s"), Some(&Term::iri("http://x/a")));
+    }
+
+    #[test]
     fn parse_error_reported() {
         assert!(parse_query("SELECT WHERE").is_err());
         assert!(parse_query("").is_err());

@@ -11,16 +11,23 @@ use std::collections::HashMap;
 
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
+/// How deep `OPTIONAL` groups, parentheses, unary operators and operator
+/// chains may nest. Deeper input is a parse error rather than a stack
+/// overflow.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a query string into a [`Query`].
 pub fn parse_query(src: &str) -> Result<Query, SparqlError> {
     let tokens = Lexer::new(src).tokenize()?;
-    Parser { tokens, pos: 0, prefixes: HashMap::new() }.parse()
+    Parser { tokens, pos: 0, prefixes: HashMap::new(), depth: 0 }.parse()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prefixes: HashMap<String, String>,
+    /// Current nesting depth, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -56,6 +63,27 @@ impl Parser {
 
     fn at_keyword(&self, kw: &str) -> bool {
         matches!(self.peek(), Token::Keyword(k) if k == kw)
+    }
+
+    /// Goes one nesting level deeper, refusing to go past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), SparqlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, SparqlError>,
+    ) -> Result<T, SparqlError> {
+        let entry = self.depth;
+        self.descend()?;
+        let parsed = parse(self);
+        self.depth = entry;
+        parsed
     }
 
     fn parse(mut self) -> Result<Query, SparqlError> {
@@ -196,7 +224,7 @@ impl Parser {
                 }
                 Token::Keyword(k) if k == "OPTIONAL" => {
                     self.bump();
-                    let inner = self.parse_group()?;
+                    let inner = self.nested(Self::parse_group)?;
                     elements.push(PatternElement::Optional(inner));
                 }
                 Token::Keyword(k) if k == "FILTER" => {
@@ -259,23 +287,11 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> Result<Expr, SparqlError> {
-        let mut lhs = self.parse_and()?;
-        while *self.peek() == Token::OrOr {
-            self.bump();
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(|t| (*t == Token::OrOr).then_some(BinOp::Or), Self::parse_and)
     }
 
     fn parse_and(&mut self) -> Result<Expr, SparqlError> {
-        let mut lhs = self.parse_cmp()?;
-        while *self.peek() == Token::AndAnd {
-            self.bump();
-            let rhs = self.parse_cmp()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(|t| (*t == Token::AndAnd).then_some(BinOp::And), Self::parse_cmp)
     }
 
     fn parse_cmp(&mut self) -> Result<Expr, SparqlError> {
@@ -295,42 +311,52 @@ impl Parser {
     }
 
     fn parse_add(&mut self) -> Result<Expr, SparqlError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.parse_mul()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
+        let op = |t: &Token| match t {
+            Token::Plus => Some(BinOp::Add),
+            Token::Minus => Some(BinOp::Sub),
+            _ => None,
+        };
+        self.chain(op, Self::parse_mul)
     }
 
     fn parse_mul(&mut self) -> Result<Expr, SparqlError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                _ => return Ok(lhs),
-            };
+        let op = |t: &Token| match t {
+            Token::Star => Some(BinOp::Mul),
+            Token::Slash => Some(BinOp::Div),
+            _ => None,
+        };
+        self.chain(op, Self::parse_unary)
+    }
+
+    /// Parses the left-associative chain `next (op next)*`, where `op`
+    /// maps a token to its operator. Each link nests the tree one level
+    /// deeper, so links count against [`MAX_DEPTH`] too.
+    fn chain(
+        &mut self,
+        op: fn(&Token) -> Option<BinOp>,
+        next: fn(&mut Self) -> Result<Expr, SparqlError>,
+    ) -> Result<Expr, SparqlError> {
+        let entry = self.depth;
+        let mut lhs = next(self)?;
+        while let Some(op) = op(self.peek()) {
             self.bump();
-            let rhs = self.parse_unary()?;
+            self.descend()?;
+            let rhs = next(self)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = entry;
+        Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, SparqlError> {
         match self.peek() {
             Token::Bang => {
                 self.bump();
-                Ok(Expr::Not(Box::new(self.parse_unary()?)))
+                Ok(Expr::Not(Box::new(self.nested(Self::parse_unary)?)))
             }
             Token::Minus => {
                 self.bump();
-                Ok(Expr::Neg(Box::new(self.parse_unary()?)))
+                Ok(Expr::Neg(Box::new(self.nested(Self::parse_unary)?)))
             }
             _ => self.parse_primary(),
         }
@@ -339,7 +365,7 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, SparqlError> {
         match self.bump() {
             Token::LParen => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(Token::RParen)?;
                 Ok(e)
             }
@@ -455,6 +481,29 @@ mod tests {
         assert!(parse_query("SELECT ?x WHERE { ?x ?p ?o . } LIMIT -1").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x ?p ?o . } garbage").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x ?p ?o . } ORDER BY").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let parens = format!("SELECT ?x WHERE {{ FILTER ({}?x{}) }}", "(".repeat(n), ")".repeat(n));
+        let bangs = format!("SELECT ?x WHERE {{ FILTER ({}?x) }}", "!".repeat(n));
+        let optionals =
+            format!("SELECT ?x WHERE {{ {}?x ?p ?o{} }}", "OPTIONAL { ".repeat(n), " }".repeat(n));
+        for query in [parens, bangs, optionals] {
+            assert!(matches!(parse_query(&query), Err(SparqlError::Parse(_))));
+        }
+        // Up to the limit, nesting still parses.
+        let ok = format!("SELECT ?x WHERE {{ FILTER ({}?x{}) }}", "(".repeat(60), ")".repeat(60));
+        assert!(parse_query(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_operator_chains_are_errors_not_stack_overflows() {
+        let filter =
+            |n| format!("SELECT ?x WHERE {{ FILTER ({} > 0) }}", vec!["?x"; n].join(" + "));
+        assert!(matches!(parse_query(&filter(100_000)), Err(SparqlError::Parse(_))));
+        assert!(parse_query(&filter(60)).is_ok());
     }
 
     #[test]

@@ -158,7 +158,9 @@ pub struct NodeTable {
     iris: HashMap<String, NodeId>,
     literals: HashMap<LiteralKey, NodeId>,
     blanks: HashMap<u32, NodeId>,
-    next_blank: u32,
+    /// One past the highest blank number seen; `u64` so that interning
+    /// `_:b4294967295` cannot overflow it.
+    next_blank: u64,
 }
 
 impl NodeTable {
@@ -201,7 +203,7 @@ impl NodeTable {
                 }
                 let id = NodeId(self.terms.len() as u32);
                 self.blanks.insert(*b, id);
-                self.next_blank = self.next_blank.max(*b + 1);
+                self.next_blank = self.next_blank.max(u64::from(*b) + 1);
                 self.terms.push(term);
                 id
             }
@@ -210,8 +212,7 @@ impl NodeTable {
 
     /// Creates a fresh blank node.
     pub fn fresh_blank(&mut self) -> NodeId {
-        let b = self.next_blank;
-        self.next_blank += 1;
+        let b = u32::try_from(self.next_blank).expect("every blank node number is taken");
         self.intern(Term::Blank(b))
     }
 

@@ -278,8 +278,9 @@ impl<'a> TurtleParser<'a> {
                 if digits.is_empty() {
                     return Err(self.err("blank node needs a number"));
                 }
+                let n = digits.parse().map_err(|_| self.err("blank node number out of range"))?;
                 self.pos += digits.len();
-                Ok(Term::Blank(digits.parse().expect("digits parse")))
+                Ok(Term::Blank(n))
             }
             c if c.is_ascii_digit() || c == '-' || c == '+' => {
                 let number: String = rest
@@ -428,6 +429,14 @@ mod tests {
         assert!(from_turtle("x:a x:p 1 .").is_err(), "undeclared prefix");
         assert!(from_turtle("<http://a> <http://p> \"unterminated .").is_err());
         assert!(from_turtle("<http://a> <http://p> 1 ,").is_err());
+    }
+
+    #[test]
+    fn blank_node_numbers_past_u32_are_errors() {
+        let err = from_turtle("_:b4294967296 <http://p> <http://o> .").unwrap_err();
+        assert_eq!(err.message, "blank node number out of range");
+        let max = from_turtle("_:b4294967295 <http://p> _:b0 .").expect("u32::MAX fits");
+        assert_eq!(max.len(), 1);
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use stats::{Histogram, OnlineStats, TimeWeighted};
 pub use tenant::TenantId;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    JsonlWriter, Merge, NullObserver, NullObserverFactory, Observer, ObserverFactory,
-    ObserverHandle, RingBuffer, ScalingChoice, TraceEvent, Tracer,
+    JsonlWriter, Merge, NullObserver, Observer, ObserverHandle, RingBuffer, ScalingChoice,
+    TraceEvent, Tracer,
 };

@@ -7,7 +7,7 @@
 //! by default — a disabled scope is one relaxed atomic load and a branch
 //! — and is switched on process-wide with [`enable`] before the run.
 //!
-//! Rayon-parallel runs reuse the observer layer's factory/summary idea:
+//! Rayon-parallel runs fold profiles the way the drivers fold observers:
 //! each worker thread calls [`reset_thread`] before its session and
 //! [`take_summary`] after; the `Send` summaries then fold across threads
 //! via [`Merge`] (frames match by path). [`ProfSummary::write_table`]

@@ -23,16 +23,17 @@
 //! Domain-aware aggregators (e.g. the platform's session-metrics builder)
 //! implement [`Observer`] in their own crates.
 //!
-//! # Parallel sessions: the factory/summary bridge
+//! # Parallel sessions: builders and [`Merge`]
 //!
 //! Constraint 3 makes a single sink unusable across threads — but it does
-//! not need to be shared. For parallel sweeps, an [`ObserverFactory`]
-//! (which *is* `Sync`) builds one observer per session *inside* each
-//! worker task, and [`ObserverFactory::finish`] folds the finished
-//! observer into a `Send` summary that crosses back to the coordinating
-//! thread. Summaries implementing [`Merge`] are then combined in a
-//! deterministic (session-ordinal) order, so an N-thread sweep reports
-//! bit-identical statistics to a 1-thread run.
+//! not need to be shared. The parallel drivers take a `Sync` builder
+//! closure, `Fn(u64) -> O`, and call it *inside* each worker task with
+//! the tenant number the session runs as (0 outside fleets). The
+//! observer type must be `Send`; the session holds it in an
+//! `Rc<RefCell<_>>` sink only while it runs, then the observer crosses
+//! back to the coordinating thread, where observers implementing
+//! [`Merge`] are folded in a fixed (repetition, tenant) order, so an
+//! N-thread sweep reports bit-identical statistics to a 1-thread run.
 //!
 //! # Example: a custom observer
 //!
@@ -320,84 +321,16 @@ pub trait Observer {
 /// Shared handle to an attached observer.
 pub type ObserverHandle = Rc<RefCell<dyn Observer>>;
 
-/// Builds one observer per parallel session and folds the finished
-/// observer into a [`Send`] summary — the bridge that lets the
-/// `Rc<RefCell<_>>` sink machinery work *across* a thread-pool boundary
-/// without itself becoming thread-safe.
-///
-/// The contract: the factory is shared by reference across worker threads
-/// (hence `Sync`); each worker calls [`ObserverFactory::build`] with the
-/// session's ordinal, owns the observer for exactly one session, then
-/// hands it back through [`ObserverFactory::finish`]. Only the summary
-/// crosses threads, so the observer itself may freely hold `Rc`s, open
-/// files, or scratch buffers.
-pub trait ObserverFactory: Sync {
-    /// The per-session observer this factory builds.
-    type Obs: Observer + 'static;
-    /// The thread-crossing digest of one finished observer.
-    type Summary: Send;
-
-    /// Builds a fresh observer for one session. `session` is the caller's
-    /// ordinal for the session (e.g. the flat `(cell, repetition)` index
-    /// of a sweep) — factories may use it to label output streams or
-    /// ignore it entirely.
-    fn build(&self, session: u64) -> Self::Obs;
-
-    /// Folds a finished observer into its summary after the session's
-    /// final event ([`TraceEvent::RunEnded`]) has been delivered.
-    fn finish(&self, obs: Self::Obs) -> Self::Summary;
-}
-
-/// Closure factories: `|session| SomeObserver::new()` builds the observer
-/// and the summary is the observer itself (for observer types that are
-/// already `Send` once the run is over).
-impl<F, O> ObserverFactory for F
-where
-    F: Fn(u64) -> O + Sync,
-    O: Observer + Send + 'static,
-{
-    type Obs = O;
-    type Summary = O;
-
-    fn build(&self, session: u64) -> O {
-        self(session)
-    }
-
-    fn finish(&self, obs: O) -> O {
-        obs
-    }
-}
-
-/// A summary that can absorb another summary of the same session batch.
+/// An observer that can absorb another observer of the same session
+/// batch.
 ///
 /// Merging must be commutative over *disjoint event streams* in the
 /// counts it keeps, but callers are still required to merge in a
-/// deterministic order (session-ordinal order), so floating-point sums
+/// deterministic order (repetition, then tenant), so floating-point sums
 /// stay bit-identical regardless of worker-thread count.
 pub trait Merge {
     /// Absorbs `other` into `self`.
     fn merge(&mut self, other: Self);
-}
-
-impl Merge for () {
-    fn merge(&mut self, _other: ()) {}
-}
-
-/// The factory counterpart of [`NullObserver`]: builds inert observers
-/// and summarises them to `()`. Lets "no extra observers" reuse the same
-/// observed code path without a second implementation.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserverFactory;
-
-impl ObserverFactory for NullObserverFactory {
-    type Obs = NullObserver;
-    type Summary = ();
-
-    fn build(&self, _session: u64) -> NullObserver {
-        NullObserver
-    }
-
-    fn finish(&self, _obs: NullObserver) {}
 }
 
 /// Fan-out point for trace events. Cloning a `Tracer` clones the sink
@@ -462,6 +395,10 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {
     fn on_event(&mut self, _at: SimTime, _event: &TraceEvent) {}
+}
+
+impl Merge for NullObserver {
+    fn merge(&mut self, _other: NullObserver) {}
 }
 
 /// Keeps the most recent `capacity` events for post-mortem inspection.
@@ -816,29 +753,6 @@ mod tests {
             "{\"t\":1.5,\"tenant\":42,\"kind\":\"job_arrived\",\"job\":7,\"size_units\":5.25,\
              \"submitted_tu\":1.5}"
         );
-    }
-
-    #[test]
-    fn closure_factories_build_per_session_observers() {
-        // A closure is an ObserverFactory whose summary is the observer
-        // itself; `build` must hand out independent instances.
-        let factory = |_session: u64| RingBuffer::new(4);
-        let mut a = ObserverFactory::build(&factory, 0);
-        let b = ObserverFactory::build(&factory, 1);
-        a.on_event(SimTime::new(0.0), &ev());
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 0);
-        let summary = factory.finish(a);
-        assert_eq!(summary.total_seen(), 1);
-    }
-
-    #[test]
-    fn null_factory_is_inert() {
-        let mut obs = NullObserverFactory.build(7);
-        obs.on_event(SimTime::new(0.0), &ev());
-        #[allow(clippy::let_unit_value)]
-        let mut summary = NullObserverFactory.finish(obs);
-        summary.merge(());
     }
 
     #[test]

@@ -121,8 +121,8 @@ impl JobSpans {
 
 /// Every completed job's spans from one session — or, after merging, a
 /// whole fleet replication sweep. Jobs appear in completion order within
-/// a session; merged sets concatenate in the caller's merge order (the
-/// `(repetition, tenant)` ordinal order when driven through
+/// a session; merged sets concatenate in the caller's merge order
+/// (`(repetition, tenant)` order when driven through
 /// `run_fleet_replicated_with`), which is what makes merged span sets
 /// bit-identical for any `RAYON_NUM_THREADS`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -154,7 +154,7 @@ impl SpanSet {
 
 impl Merge for SpanSet {
     /// Appends `other`'s jobs after this set's own. Determinism
-    /// contract: callers merge in session-ordinal order.
+    /// contract: callers merge in `(repetition, tenant)` order.
     fn merge(&mut self, other: SpanSet) {
         self.jobs.extend(other.jobs);
         self.in_flight += other.in_flight;

@@ -20,7 +20,7 @@ use scan_platform::session::run_session_with;
 use scan_sched::scaling::ScalingPolicy;
 use scan_sim::{Merge, Observer, SimTime, TraceEvent};
 use scan_spans::{aggregate, derive, render, render_slowest, Recorder, SpanObserver, SpanSet};
-use scan_tracestore::{EventKind, TraceStoreFactory};
+use scan_tracestore::{EventKind, TraceStore};
 
 /// The bench suite's medium fig4 cell: predictive scaling, 2.0 TU mean
 /// interval, fixed seed, 300 TU horizon — a few hundred completed jobs.
@@ -83,19 +83,19 @@ fn merged_fleet_store_derives_the_live_spans() {
     base.slo_target_tu = Some(base.breakeven_latency_tu());
     let mut cfg = FleetConfig::new(base, 3);
     cfg.jobs_per_tenant = 4;
-    let (reps, tenants) = (3u64, u64::from(cfg.tenants));
+    let reps = 3u64;
 
     let (par_metrics, store) =
-        run_fleet_replicated_with(&cfg, reps, &TraceStoreFactory::fleet(tenants));
+        run_fleet_replicated_with(&cfg, reps, &|tenant| TraceStore::for_tenant(tenant as u32));
     let spans = derive(&store);
 
     // Repetitions reuse job and worker ids, so only a replay that keeps
     // every session apart gets this right.
-    let live_factory = |session: u64| SpanObserver::for_tenant((session % tenants) as u32);
+    let live_build = |tenant: u64| SpanObserver::for_tenant(tenant as u32);
     let mut live = SpanSet::default();
     let mut seq_metrics = Vec::new();
     for rep in 0..reps {
-        let (m, observers) = run_fleet_with(&cfg, rep, &live_factory);
+        let (m, observers) = run_fleet_with(&cfg, rep, &live_build);
         seq_metrics.push(m);
         for obs in observers {
             live.merge(obs.into_spans());

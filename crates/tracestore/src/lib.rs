@@ -13,9 +13,10 @@
 //! to text for consumers to re-parse, the store keeps events queryable
 //! in-process: tests and tools ask for "p95 queue wait per tier" as a
 //! [`Query`] instead of scraping logs. Fleet runs shard one store per
-//! session over rayon through [`TraceStoreFactory`] and merge in a fixed
-//! order, so merged stores — and their exports and digests — are
-//! bit-identical across `RAYON_NUM_THREADS`.
+//! tenant session over rayon, built by `|tenant|
+//! TraceStore::for_tenant(tenant as u32)`, and merge in a fixed
+//! `(repetition, tenant)` order, so merged stores — and their exports
+//! and digests — are bit-identical across `RAYON_NUM_THREADS`.
 //!
 //! The full design — column layouts per event kind, dictionary encoding,
 //! the query API, the export format, and the determinism guarantees —
@@ -36,4 +37,4 @@ pub use column::{Column, Interner};
 pub use export::{fnv1a64, ExportError, MAGIC, VERSION};
 pub use query::{Filter, Query, QueryError, Row, Scratchpad, VecOp};
 pub use schema::{Agg, ColumnSpec, ColumnType, EventKind, ALL_KINDS};
-pub use store::{tier_label, Table, TraceStore, TraceStoreFactory, UNKNOWN_TIER};
+pub use store::{tier_label, Table, TraceStore, UNKNOWN_TIER};

@@ -29,7 +29,7 @@
 
 use crate::column::Column;
 use crate::schema::{EventKind, ALL_KINDS};
-use scan_sim::{Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
+use scan_sim::{Merge, Observer, ScalingChoice, SimTime, TraceEvent};
 
 /// The label a tier index is stored under: the catalogue order of
 /// `Platform::new` (0 = private, 1 = public); later indices would be
@@ -232,8 +232,9 @@ fn narrow(id: u64) -> u32 {
 }
 
 /// The columnar trace store. Build one per session (it is an
-/// [`Observer`]), or let [`TraceStoreFactory`] build one per parallel
-/// session and merge the results.
+/// [`Observer`]); a parallel driver builds one per tenant session with
+/// `|tenant| TraceStore::for_tenant(tenant as u32)` and merges the
+/// results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStore {
     tables: Vec<Table>,
@@ -475,51 +476,12 @@ impl Observer for TraceStore {
 impl Merge for TraceStore {
     /// Appends `other`'s rows after this store's own, per table, and its
     /// order stream after this one's. Determinism contract: callers
-    /// merge in session-ordinal order.
+    /// merge in `(repetition, tenant)` order.
     fn merge(&mut self, other: TraceStore) {
         for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
             mine.append(theirs);
         }
         self.order.extend_from_slice(&other.order);
-    }
-}
-
-/// Builds one [`TraceStore`] per parallel session, stamping rows with
-/// the session's tenant ordinal — the observer-factory bridge that lets
-/// whole-fleet (or replicated-sweep) stores shard over rayon and merge
-/// deterministically.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceStoreFactory {
-    /// Tenants per repetition: the factory's session ordinal is
-    /// `repetition × tenants + tenant` (the fleet convention), so the
-    /// stamped tenant is `ordinal % tenants`. Use 1 for plain replicated
-    /// solo sessions (every row stamps tenant 0).
-    pub tenants: u64,
-}
-
-impl TraceStoreFactory {
-    /// A factory for solo-session replications (tenant 0 throughout).
-    pub fn solo() -> TraceStoreFactory {
-        TraceStoreFactory { tenants: 1 }
-    }
-
-    /// A factory for fleets of `tenants` tenants per repetition.
-    pub fn fleet(tenants: u64) -> TraceStoreFactory {
-        assert!(tenants >= 1, "a fleet has at least one tenant");
-        TraceStoreFactory { tenants }
-    }
-}
-
-impl ObserverFactory for TraceStoreFactory {
-    type Obs = TraceStore;
-    type Summary = TraceStore;
-
-    fn build(&self, session: u64) -> TraceStore {
-        TraceStore::for_tenant((session % self.tenants) as u32)
-    }
-
-    fn finish(&self, obs: TraceStore) -> TraceStore {
-        obs
     }
 }
 
@@ -674,13 +636,5 @@ mod tests {
         }
         assert!(merged.check_invariants());
         assert_eq!(merged.replay().collect::<Vec<_>>(), expected);
-    }
-
-    #[test]
-    fn factory_stamps_tenant_ordinals() {
-        let f = TraceStoreFactory::fleet(3);
-        assert_eq!(ObserverFactory::build(&f, 0).tenant, 0);
-        assert_eq!(ObserverFactory::build(&f, 5).tenant, 2);
-        assert_eq!(TraceStoreFactory::solo().build(17).tenant, 0);
     }
 }

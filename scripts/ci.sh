@@ -11,6 +11,19 @@ cd "$(dirname "$0")/.."
 
 quick="${1:-}"
 
+# Runs one test by its exact name (`run_one <cargo test args> <name>`)
+# and fails unless exactly one test passed: `cargo test` exits 0 when a
+# filter matches nothing, which would turn a renamed test into a no-op.
+run_one() {
+    local out passed
+    out="$(cargo test -q "$@" -- --exact 2>&1)" || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    passed="$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' <<<"$out" \
+        | awk '{ n += $1 } END { print n + 0 }')"
+    [[ "$passed" == 1 ]] || {
+        echo "FAIL: expected exactly one test to pass, $passed did: $*" >&2; return 1; }
+}
+
 echo "==> scan-lint --deny-warnings (determinism + hygiene + semantic passes)"
 cargo run -q -p scan-lint -- --deny-warnings
 
@@ -65,7 +78,7 @@ echo "==> cargo bench --no-run (bench smoke: harnesses must compile)"
 cargo bench --workspace --no-run --quiet
 
 echo "==> metrics determinism (parallel merge == sequential fold)"
-cargo test -q -p scan-platform instrument::tests::merged_export_is_identical_to_sequential_fold
+run_one -p scan-platform instrument::tests::merged_export_is_identical_to_sequential_fold
 
 echo "==> span conservation (medium fig4 cell: segments sum bit-exactly to latency)"
 cargo test -q -p scan-spans --test conservation
@@ -93,7 +106,7 @@ if [[ "$quick" != "quick" ]]; then
         || { echo "FAIL: scripts/plot_traces.py cannot decode the SCTS export" >&2; exit 1; }
 
     echo "==> store/JSONL cross-check (the JSONL replayed from a store equals the live sink's)"
-    cargo test -q --test tracestore_fleet store_agrees_with_the_jsonl_sink
+    run_one --test tracestore_fleet store_agrees_with_the_jsonl_sink
 
     echo "==> fleet determinism (1 vs 8 rayon threads: stdout + merged store + spans)"
     f1="$(mktemp)"; f2="$(mktemp)"; fs1="$(mktemp)"; fs2="$(mktemp)"

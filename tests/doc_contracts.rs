@@ -271,7 +271,7 @@ impl Matrix {
         }
         let tenant_cfg = ScanConfig::clone(&fleet.base);
         let (fleet, tenants) =
-            run_fleet_with(&fleet, 0, &|session| Probe::new(&tenant_cfg, session as u32));
+            run_fleet_with(&fleet, 0, &|tenant| Probe::new(&tenant_cfg, tenant as u32));
         for (tenant, probe) in (0..).zip(tenants) {
             let cfg = tenant_cfg.clone();
             runs.push(Run { cfg, tenant, store: probe.store, live: probe.live.finish() });

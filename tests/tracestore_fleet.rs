@@ -10,7 +10,7 @@ use scan::platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConf
 use scan::platform::session::run_session_with;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Merge, Observer};
-use scan::tracestore::{fnv1a64, Agg, EventKind, Query, TraceStore, TraceStoreFactory};
+use scan::tracestore::{fnv1a64, Agg, EventKind, Query, TraceStore};
 use std::sync::OnceLock;
 
 fn session_cfg() -> ScanConfig {
@@ -33,22 +33,16 @@ fn fleet_cfg(tenants: u16) -> FleetConfig {
 fn merged_fleet_store_is_schedule_invariant() {
     let cfg = fleet_cfg(3);
     let reps = 3;
-    let factory = TraceStoreFactory::fleet(u64::from(cfg.tenants));
+    let build = |tenant| TraceStore::for_tenant(tenant as u32);
 
-    let (par_metrics, par_store) = run_fleet_replicated_with(&cfg, reps, &factory);
+    let (par_metrics, par_store) = run_fleet_replicated_with(&cfg, reps, &build);
 
-    let mut seq_metrics = Vec::new();
-    let mut seq_store: Option<TraceStore> = None;
-    for rep in 0..reps {
-        let (m, summaries) = run_fleet_with(&cfg, rep, &factory);
-        seq_metrics.push(m);
-        for s in summaries {
-            match seq_store.as_mut() {
-                None => seq_store = Some(s),
-                Some(acc) => acc.merge(s),
-            }
-        }
-    }
+    let (seq_metrics, seq_stores): (Vec<_>, Vec<_>) =
+        (0..reps).map(|rep| run_fleet_with(&cfg, rep, &build)).unzip();
+    let seq_store = seq_stores.into_iter().flatten().reduce(|mut a, b| {
+        a.merge(b);
+        a
+    });
     let seq_store = seq_store.expect("at least one tenant session ran");
 
     assert_eq!(par_metrics, seq_metrics, "fleet metrics must not depend on threads");
@@ -66,8 +60,8 @@ fn merged_fleet_store_is_schedule_invariant() {
 #[test]
 fn merged_fleet_store_stays_per_tenant_queryable() {
     let cfg = fleet_cfg(3);
-    let factory = TraceStoreFactory::fleet(u64::from(cfg.tenants));
-    let (_, store) = run_fleet_replicated_with(&cfg, 2, &factory);
+    let build = |tenant| TraceStore::for_tenant(tenant as u32);
+    let (_, store) = run_fleet_replicated_with(&cfg, 2, &build);
 
     let per_tenant = Query::over(EventKind::JobCompleted)
         .group_by("tenant")
