@@ -35,7 +35,7 @@ pub mod vm;
 pub use billing::CostLedger;
 pub use instance::{InstanceSize, INSTANCE_SIZES};
 pub use provider::{CloudProvider, HireError};
-pub use shared::{SharedCapacity, SharedLease, SurgePricing};
+pub use shared::{SharedCapacity, SharedLease, SurgePricing, Watch};
 pub use storage::SharedStore;
 pub use tier::{Tier, TierCatalog, TierId};
 pub use vm::{boot_penalty, Vm, VmId, VmState, BOOT_PENALTY_TU};

@@ -2,7 +2,7 @@
 //! capacity — the piece of CELAR the SCAN Scheduler "issues scaling
 //! commands" to (§III-B).
 
-use crate::instance::InstanceSize;
+use crate::instance::{InstanceSize, INSTANCE_SIZES};
 use crate::shared::SharedLease;
 use crate::tier::{BillingMode, TierCatalog, TierId};
 use crate::vm::{Vm, VmId, VmState};
@@ -59,6 +59,8 @@ pub struct CloudProvider {
     /// monotone); releases splice out — live counts are small, so the
     /// memmove beats tree rebalancing.
     live: Vec<VmId>,
+    /// Live VMs per instance size, in `INSTANCE_SIZES` order.
+    live_by_size: [u32; INSTANCE_SIZES.len()],
     cores_in_use: Vec<u32>, // per tier
     /// Cost already settled: released VMs, plus what reshaped VMs
     /// accrued at their earlier sizes (live VMs are integrated on demand
@@ -89,6 +91,7 @@ impl CloudProvider {
             catalog,
             vms: Vec::new(),
             live: Vec::new(),
+            live_by_size: [0; INSTANCE_SIZES.len()],
             cores_in_use: vec![0; n],
             settled_cost: 0.0,
             settled_cost_by_tier: vec![0.0; n],
@@ -215,6 +218,7 @@ impl CloudProvider {
             hired_from: SimDuration::ZERO,
         });
         self.live.push(id);
+        self.live_by_size[size_slot(size)] += 1;
         self.tracer.emit(
             now,
             TraceEvent::VmHired { vm: id.0 as u64, tier: tier.0 as u32, cores: size.cores() },
@@ -244,6 +248,7 @@ impl CloudProvider {
         }
         let pos = self.live.binary_search(&id).expect("released VM was live");
         self.live.remove(pos);
+        self.live_by_size[size_slot(vm.size)] -= 1;
         self.tracer
             .emit(now, TraceEvent::VmReleased { vm: id.0 as u64, tier: tier.0 as u32, cores });
     }
@@ -320,7 +325,10 @@ impl CloudProvider {
         let vm = self.vms[id.slot()].take().expect("checked above");
         self.settle(&vm, now);
         let vm = self.vms[id.slot()].insert(vm);
+        let from = size_slot(vm.size);
         let ready = vm.reshape(new_size, now);
+        self.live_by_size[from] -= 1;
+        self.live_by_size[size_slot(new_size)] += 1;
         self.cores_in_use[tier.0] = self.cores_in_use[tier.0] + new - old;
         self.tracer.emit(
             now,
@@ -354,6 +362,11 @@ impl CloudProvider {
     /// Number of live (not yet released) VMs.
     pub fn live_count(&self) -> usize {
         self.live.len()
+    }
+
+    /// Number of live VMs of `size`, on any tier and in any state.
+    pub fn live_of_size(&self, size: InstanceSize) -> usize {
+        self.live_by_size[size_slot(size)] as usize
     }
 
     /// Total cost incurred up to `now`: settled cost of released VMs plus
@@ -421,6 +434,12 @@ impl CloudProvider {
             .map(|vm| vm.id)
             .collect()
     }
+}
+
+/// `size`'s position in [`INSTANCE_SIZES`] (the sizes are the powers of
+/// two from 1 to 16).
+fn size_slot(size: InstanceSize) -> usize {
+    size.cores().trailing_zeros() as usize
 }
 
 #[cfg(test)]
@@ -548,6 +567,7 @@ mod tests {
         // Shrink back.
         let _ = p.reshape(id, sz(1), t(2.0)).unwrap();
         assert_eq!(p.cores_in_use(TierId(0)), 1);
+        assert_eq!((p.live_of_size(sz(1)), p.live_of_size(sz(4))), (1, 0));
     }
 
     #[test]

@@ -13,10 +13,18 @@
 //! Single-tenant sessions never attach a lease, so their capacity checks
 //! and billing arithmetic are byte-for-byte the pre-fleet code paths.
 //!
+//! The ledger also keeps a *watch list*: a parked tenant registers the
+//! pool state that would change its next decision ("at least `n` private
+//! cores free", "the surge multiplier below `m`"), and the release
+//! that crosses a threshold moves the tenant onto the woken list, which
+//! the fleet drains after every event. A change costs time in proportion
+//! to the tenants it wakes, not to the tenant count.
+//!
 //! [`CloudProvider`]: crate::CloudProvider
 
 use scan_sim::TenantId;
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Contention-sensitive on-demand pricing for the shared public tier.
@@ -54,6 +62,26 @@ pub struct SharedCapacity {
     /// Public cores currently on hire, fleet-wide (drives the surge).
     public_cores: u32,
     surge: SurgePricing,
+    /// Each tenant's registered [`Watch`], by tenant index.
+    watches: Vec<Watch>,
+    /// `(free private cores wanted, tenant)` of every private watch.
+    private_watch: BTreeSet<(u32, u16)>,
+    /// `(bits of the multiplier to fall below, tenant)` of every surge
+    /// watch (positive floats order like their bits).
+    surge_watch: BTreeSet<(u64, u16)>,
+    /// Tenants a threshold crossing has woken, in wake order; their
+    /// watches are cleared.
+    woken: Vec<TenantId>,
+}
+
+/// The pool changes one parked tenant waits for. Either threshold, once
+/// crossed by a release, wakes the tenant and clears its whole watch.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Watch {
+    /// Wake once at least this many private cores are free.
+    pub private_free_at_least: Option<u32>,
+    /// Wake once the public price multiplier falls below this (> 0).
+    pub surge_below: Option<f64>,
 }
 
 impl SharedCapacity {
@@ -70,6 +98,10 @@ impl SharedCapacity {
             peak_used: 0,
             public_cores: 0,
             surge,
+            watches: vec![Watch::default(); tenants],
+            private_watch: BTreeSet::new(),
+            surge_watch: BTreeSet::new(),
+            woken: Vec::new(),
         }
     }
 
@@ -138,6 +170,13 @@ impl SharedCapacity {
         );
         self.used_by_tenant[tenant.index()] -= cores;
         self.used_total -= cores;
+        let free = self.free_private();
+        while let Some(&(want, t)) = self.private_watch.first() {
+            if want > free {
+                break;
+            }
+            self.wake(TenantId(t));
+        }
     }
 
     /// Records `cores` public cores coming on hire fleet-wide.
@@ -149,12 +188,77 @@ impl SharedCapacity {
     pub fn remove_public(&mut self, cores: u32) {
         debug_assert!(self.public_cores >= cores);
         self.public_cores = self.public_cores.saturating_sub(cores);
+        let multiplier = self.public_price_multiplier();
+        while let Some(&(below, t)) = self.surge_watch.last() {
+            if multiplier >= f64::from_bits(below) {
+                break;
+            }
+            self.wake(TenantId(t));
+        }
     }
 
     /// The current on-demand price multiplier for the public tier, given
     /// fleet-wide contention (≥ 1.0; exactly 1.0 under [`SurgePricing::FLAT`]).
     pub fn public_price_multiplier(&self) -> f64 {
         1.0 + self.surge.factor * (self.public_cores as f64 / self.surge.per_cores)
+    }
+
+    /// Widens `tenant`'s watch to cover `watch` too: the tenant is woken
+    /// at the first release that crosses any threshold it has
+    /// registered since it was last woken. A stale threshold can only
+    /// wake it early, which costs it one look; re-registering what is
+    /// already covered touches nothing.
+    pub fn watch(&mut self, tenant: TenantId, watch: Watch) {
+        let old = self.watches[tenant.index()];
+        let widened = Watch {
+            private_free_at_least: widen(
+                old.private_free_at_least,
+                watch.private_free_at_least,
+                u32::min,
+            ),
+            surge_below: widen(old.surge_below, watch.surge_below, f64::max),
+        };
+        if widened != old {
+            self.set_watch(tenant, widened);
+        }
+    }
+
+    /// Replaces `tenant`'s watch.
+    fn set_watch(&mut self, tenant: TenantId, watch: Watch) {
+        let old = std::mem::replace(&mut self.watches[tenant.index()], watch);
+        if let Some(n) = old.private_free_at_least {
+            self.private_watch.remove(&(n, tenant.0));
+        }
+        if let Some(m) = old.surge_below {
+            self.surge_watch.remove(&(m.to_bits(), tenant.0));
+        }
+        if let Some(n) = watch.private_free_at_least {
+            self.private_watch.insert((n, tenant.0));
+        }
+        if let Some(m) = watch.surge_below {
+            debug_assert!(m > 0.0, "surge thresholds are positive");
+            self.surge_watch.insert((m.to_bits(), tenant.0));
+        }
+    }
+
+    /// Clears `tenant`'s watch and puts it on the woken list.
+    fn wake(&mut self, tenant: TenantId) {
+        self.set_watch(tenant, Watch::default());
+        self.woken.push(tenant);
+    }
+
+    /// Moves the woken tenants, in wake order, into `out` (cleared first).
+    pub fn drain_woken(&mut self, out: &mut Vec<TenantId>) {
+        out.clear();
+        out.append(&mut self.woken);
+    }
+}
+
+/// The looser of two optional thresholds (`looser` picks between two).
+fn widen<T: Copy>(a: Option<T>, b: Option<T>, looser: fn(T, T) -> T) -> Option<T> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(looser(a, b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -196,6 +300,33 @@ mod tests {
         assert!((pool.public_price_multiplier() - 2.0).abs() < 1e-12);
         pool.remove_public(100);
         assert!((pool.public_price_multiplier() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn releases_wake_only_the_tenants_whose_threshold_they_cross() {
+        let mut pool = SharedCapacity::new(8, 4, SurgePricing { factor: 1.0, per_cores: 4.0 });
+        assert!(pool.try_reserve_private(TenantId(0), 8));
+        pool.add_public(12);
+        let private = |n| Watch { private_free_at_least: Some(n), surge_below: None };
+        pool.watch(TenantId(1), private(4));
+        pool.watch(TenantId(2), private(1));
+        // 12 public cores at 1 + n/4: the multiplier is 4.0, and falls
+        // below 3.0 under 8 cores.
+        pool.watch(TenantId(3), Watch { private_free_at_least: None, surge_below: Some(3.0) });
+        // A tighter private threshold adds nothing to a looser one.
+        pool.watch(TenantId(2), private(6));
+        let mut woken = Vec::new();
+        pool.release_private(TenantId(0), 2);
+        pool.drain_woken(&mut woken);
+        assert_eq!(woken, vec![TenantId(2)], "2 free cores wake only the 1-core watch");
+        pool.release_private(TenantId(0), 2);
+        pool.remove_public(4);
+        pool.drain_woken(&mut woken);
+        assert_eq!(woken, vec![TenantId(1)], "a multiplier of 3.0 is not below 3.0");
+        pool.remove_public(1);
+        pool.release_private(TenantId(0), 4);
+        pool.drain_woken(&mut woken);
+        assert_eq!(woken, vec![TenantId(3)], "woken tenants are unwatched until they re-register");
     }
 
     #[test]

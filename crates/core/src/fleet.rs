@@ -23,7 +23,7 @@ use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use crate::platform::{Event, EventSink, Platform, TenantSetup};
 use rayon::prelude::*;
-use scan_cloud::shared::{SharedCapacity, SurgePricing};
+use scan_cloud::shared::{SharedCapacity, SharedLease, SurgePricing};
 use scan_metrics::Registry;
 use scan_sim::{
     Calendar, Engine, EventHandler, Merge, NullObserver, Observer, SimTime, StepOutcome, TenantId,
@@ -53,14 +53,29 @@ impl EventSink for TenantCal<'_> {
     fn schedule(&mut self, at: SimTime, event: Event) {
         self.cal.schedule_for(at, self.tenant, FleetEvent { tenant: self.tenant.0, event });
     }
+
+    fn set_sweep(&mut self, at: Option<SimTime>) {
+        match at {
+            Some(at) => self.cal.wake(
+                at,
+                self.tenant,
+                FleetEvent { tenant: self.tenant.0, event: Event::IdleSweep },
+            ),
+            None => self.cal.cancel_wake(self.tenant),
+        }
+    }
 }
 
 /// The fleet multiplexer: routes each popped event to its tenant's
-/// platform, handing it a sink that keeps tagging follow-up events.
+/// platform, handing it a sink that keeps tagging follow-up events, then
+/// lets every tenant the event's pool changes woke re-arm its sweep.
 struct Fleet {
     tenants: Vec<Platform>,
     /// Events dispatched per tenant (each tenant's session diagnostic).
     handled: Vec<u64>,
+    lease: SharedLease,
+    /// Scratch for the tenants one event woke.
+    woken: Vec<TenantId>,
 }
 
 impl EventHandler for Fleet {
@@ -76,6 +91,16 @@ impl EventHandler for Fleet {
         self.handled[idx] += 1;
         let mut sink = TenantCal { cal, tenant: TenantId(event.tenant) };
         self.tenants[idx].handle_event(now, event.event, &mut sink);
+        self.lease.borrow_mut().drain_woken(&mut self.woken);
+        for &woken in &self.woken {
+            // The event's own tenant re-armed as it finished the event.
+            // Tenants ordered after it can still sweep at `now`; those
+            // before it have had their turn at this instant.
+            if woken != sink.tenant {
+                let mut sink = TenantCal { cal: &mut *sink.cal, tenant: woken };
+                self.tenants[woken.index()].wake(now, woken > TenantId(event.tenant), &mut sink);
+            }
+        }
         StepOutcome::Continue
     }
 }
@@ -266,9 +291,10 @@ pub fn run_fleet_with<O: Observer + 'static>(
         p.start(horizon, &mut sink);
     }
 
-    let mut fleet = Fleet { tenants, handled: vec![0; n] };
+    let mut fleet =
+        Fleet { tenants, handled: vec![0; n], lease: Rc::clone(&lease), woken: Vec::new() };
     let report = engine.run(&mut fleet);
-    let Fleet { tenants, handled } = fleet;
+    let Fleet { tenants, handled, .. } = fleet;
     let peak = lease.borrow().peak_used();
 
     let mut sessions = Vec::with_capacity(n);

@@ -60,7 +60,7 @@ impl Platform {
     /// closes on a tenant with nothing in flight — an idle tenant always
     /// makes progress (its jobs can still buy public cores), which is
     /// what keeps every deferred job's eventual admission live.
-    fn should_defer(&self) -> bool {
+    pub(super) fn should_defer(&self) -> bool {
         if !self.fair_share || self.live_jobs == 0 {
             return false;
         }
@@ -190,6 +190,9 @@ impl Platform {
     }
 
     pub(super) fn on_replan(&mut self, now: SimTime, sink: &mut impl EventSink) {
+        // The refresh below and the pool resize may change what a wait
+        // was decided on.
+        self.replans += 1;
         if self.cfg.variable.allocation == AllocationPolicy::LongTermAdaptive {
             self.broker.refresh_model();
             self.estimator.set_model(self.broker.learned_model().clone());
@@ -215,6 +218,9 @@ impl Platform {
             // A drained fleet tenant stops ticking: no pools to resize,
             // and rescheduling would keep the shared calendar alive.
             return;
+        }
+        if self.arrivals_exhausted() {
+            self.parked = self.parked_watch();
         }
         self.resize_standing_pools(now, sink);
         sink.schedule(now + SimDuration::new(self.cfg.fixed.replan_period_tu), Event::Replan);

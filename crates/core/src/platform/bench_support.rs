@@ -59,7 +59,7 @@ impl PlatformHarness {
                 .hire_on(p.private_tier, size, SimTime::ZERO)
                 .expect("private capacity sized above");
             p.provider.vm_mut(vm).expect("just hired").finish_boot(ready_at);
-            p.idle.insert(CORES, vm);
+            p.idle.insert(CORES, vm, p.private_tier, ready_at);
         }
         for i in 0..busy_workers {
             let (vm, ready_at) =
@@ -92,7 +92,8 @@ impl PlatformHarness {
     /// lookup pair. Returns the VM number so callers can black-box it.
     pub fn take_idle_cycle(&mut self) -> u64 {
         let vm = self.platform.take_idle(CORES).expect("harness keeps idle workers");
-        self.platform.idle.insert(CORES, vm);
+        let tier = self.platform.private_tier;
+        self.platform.idle.insert(CORES, vm, tier, self.now);
         vm.0 as u64
     }
 
@@ -118,7 +119,8 @@ impl PlatformHarness {
         self.platform.busy.remove(vm);
         let worker = self.platform.provider.vm_mut(vm).expect("assigned VM");
         worker.finish_task(self.now);
-        self.platform.idle.insert(CORES, vm);
+        let tier = self.platform.private_tier;
+        self.platform.idle.insert(CORES, vm, tier, self.now);
         let run = self.platform.jobs.get(head.slot()).expect("queued job is live");
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
         self.platform.queues.push(self.class, SubtaskRef { job: head }, self.now);

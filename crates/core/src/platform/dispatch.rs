@@ -2,7 +2,9 @@
 //! and advancing jobs as their subtasks finish.
 
 use super::events::{Event, EventSink};
+use super::hiring::park;
 use super::Platform;
+use scan_cloud::shared::Watch;
 use scan_cloud::vm::VmId;
 use scan_kb::ProfileRecord;
 use scan_sched::alloc::AllocationPolicy;
@@ -19,18 +21,23 @@ impl Platform {
     /// Matches queued subtasks to idle workers and takes scaling decisions
     /// for stalled classes.
     ///
-    /// Walks the dense `(stage, shape)` queue grid directly — the same
-    /// ascending `(stage, cores)` order the old keyed iteration had,
-    /// without materialising a class list per pass. Nothing inside the
-    /// loop enqueues new subtasks, so reading lengths live is equivalent
-    /// to snapshotting them up front.
+    /// Walks the pending `(stage, shape)` classes — the same ascending
+    /// `(stage, cores)` order the old keyed iteration had, without
+    /// materialising a class list per pass. Nothing inside the loop
+    /// enqueues new subtasks, so reading lengths live is equivalent to
+    /// snapshotting them up front.
     pub(super) fn dispatch(&mut self, now: SimTime, sink: &mut impl EventSink) {
         prof::scope!("dispatch");
+        let mut parked = Some(Watch::default());
         for stage in 0..self.queues.n_stages() {
-            for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
-                if self.queues.at(stage, slot).map(|q| q.is_empty()).unwrap_or(true) {
-                    continue;
-                }
+            // Only this stage's pending classes, in ascending shape
+            // order. Nothing below pushes, so the mask taken up front
+            // stays a superset of the classes still pending.
+            let mut slots = self.queues.nonempty_slots(stage);
+            while slots != 0 {
+                let slot = slots.trailing_zeros() as usize;
+                slots &= slots - 1;
+                let cores = SHAPE_CORES[slot];
                 let class = TaskClass { stage, cores };
                 // Serve with idle same-shape workers.
                 while self.queues.get(class).map(|q| !q.is_empty()).unwrap_or(false) {
@@ -46,14 +53,30 @@ impl Platform {
                 }
                 let pending = self.pending.get(class.stage, class.cores);
                 let mut deficit = (queued as u32).saturating_sub(pending);
+                if deficit == 0 {
+                    continue;
+                }
+                if let Some(memo) = self.held_wait(class) {
+                    // Nothing that could flip the class's last wait has
+                    // changed: deciding again would wait again.
+                    if cfg!(debug_assertions) {
+                        self.check_held_wait(class, now);
+                    }
+                    park(&mut parked, Some(memo), cores);
+                    continue;
+                }
                 while deficit > 0 {
                     if !self.try_grow(class, now, sink) {
+                        // Still stalled, on the wait just memoised (if
+                        // it could be).
+                        park(&mut parked, self.wait_memos.get(class), cores);
                         break;
                     }
                     deficit -= 1;
                 }
             }
         }
+        self.parked = parked;
         self.tracer.emit_with(now, || TraceEvent::QueueDepthSampled {
             depth: self.queues.total_len() as u32,
         });
@@ -75,8 +98,8 @@ impl Platform {
         self.busy.remove(vm_id);
         let vm = self.provider.vm_mut(vm_id).expect("done event for unknown VM");
         vm.finish_task(now);
-        let cores = vm.size.cores();
-        self.idle.insert(cores, vm_id);
+        let (cores, tier) = (vm.size.cores(), vm.tier);
+        self.idle.insert(cores, vm_id, tier, now);
 
         // Advance the job.
         let run = self.jobs.get_mut(job.slot()).expect("done event for unknown job");

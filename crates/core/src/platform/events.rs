@@ -2,7 +2,7 @@
 
 use scan_cloud::vm::VmId;
 use scan_sched::plan::ExecutionPlan;
-use scan_sim::{Calendar, SimTime};
+use scan_sim::{Calendar, SimTime, TenantId};
 use scan_workload::job::{Job, JobId};
 
 /// Where the platform's subsystems schedule follow-up events.
@@ -16,12 +16,24 @@ use scan_workload::job::{Job, JobId};
 pub(crate) trait EventSink {
     /// Schedules `event` at `at`.
     fn schedule(&mut self, at: SimTime, event: Event);
+
+    /// Sets the tenant's one pending [`Event::IdleSweep`] to `at`, moving
+    /// the one it had; `None` cancels it. The sweep fires after every
+    /// other event of the tenant at its instant.
+    fn set_sweep(&mut self, at: Option<SimTime>);
 }
 
 impl EventSink for Calendar<Event> {
     fn schedule(&mut self, at: SimTime, event: Event) {
         // The inherent method, which tags `TenantId::SOLO`.
         Calendar::schedule(self, at, event);
+    }
+
+    fn set_sweep(&mut self, at: Option<SimTime>) {
+        match at {
+            Some(at) => self.wake(at, TenantId::SOLO, Event::IdleSweep),
+            None => self.cancel_wake(TenantId::SOLO),
+        }
     }
 }
 
@@ -45,7 +57,10 @@ pub enum Event {
         /// The worker that ran it.
         vm: VmId,
     },
-    /// Periodic idle-worker release scan.
+    /// The tenant's wakeup: release workers past their idle timeout,
+    /// re-admit deferred jobs, re-price waits whose inputs changed, tear
+    /// a drained tenant down. Fires only at grid instants `1.0 + 0.5k`
+    /// that have such work.
     IdleSweep,
     /// Periodic re-planning / model-refresh tick.
     Replan,

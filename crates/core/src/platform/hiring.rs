@@ -7,11 +7,52 @@
 use super::events::{Event, EventSink};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
+use scan_cloud::shared::Watch;
 use scan_cloud::vm::{boot_penalty, VmId};
 use scan_sched::delay_cost::{delay_cost, QueuedJobView};
-use scan_sched::queue::{TaskClass, SHAPE_CORES};
-use scan_sched::scaling::{DecisionCosts, ScalingContext, ScalingDecision};
+use scan_sched::queue::{shape_slot, TaskClass, N_SHAPES, SHAPE_CORES};
+use scan_sched::scaling::{DecisionCosts, ScalingContext, ScalingDecision, ScalingPolicy};
 use scan_sim::{prof, ScalingChoice, SimTime, TraceEvent};
+
+/// A stalled class's last decision to wait (or to throttle a private
+/// hire), with the inputs that could flip it (see `memo_for`).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct WaitMemo {
+    /// The class queue's `QueueAggregates::version`.
+    queue: u64,
+    /// Hires in flight for the class: the entries the window skips.
+    pending: u32,
+    /// The shape's busy removals plus finished boots.
+    lengthened: u64,
+    /// `Platform::replans`.
+    replans: u64,
+    /// Whether the private tier had room for the shape.
+    had_capacity: bool,
+    /// A priced public wait: `(boot + expected task TU, delay cost)`.
+    priced: Option<(f64, f64)>,
+    /// Under a shared lease, the surge multiplier below which the priced
+    /// wait may flip (0 otherwise).
+    surge_floor: f64,
+}
+
+/// One optional [`WaitMemo`] per `(stage, shape)` class.
+#[derive(Debug, Default)]
+pub(super) struct WaitMemos {
+    rows: Vec<[Option<WaitMemo>; N_SHAPES]>,
+}
+
+impl WaitMemos {
+    pub(super) fn get(&self, class: TaskClass) -> Option<WaitMemo> {
+        self.rows.get(class.stage)?[shape_slot(class.cores)]
+    }
+
+    fn set(&mut self, class: TaskClass, memo: Option<WaitMemo>) {
+        if self.rows.len() <= class.stage {
+            self.rows.resize(class.stage + 1, [None; N_SHAPES]);
+        }
+        self.rows[class.stage][shape_slot(class.cores)] = memo;
+    }
+}
 
 /// The scalar inputs of one scaling decision (everything except the
 /// Eq. 1 pricer, which borrows the platform's per-class aggregates).
@@ -81,6 +122,50 @@ impl Platform {
             }
         }
 
+        let (choice, costs, inputs) = self.decide(class, now);
+        // One event per decision taken: the final choice and the numbers
+        // that decided it (NaN when nothing was priced). A wait whose
+        // memo still holds is not decided again, so it is narrated once.
+        // The depth is the class's true entry count; the Eq. 1 window
+        // caps and dedups.
+        self.tracer.emit(
+            now,
+            TraceEvent::ScalingDecision {
+                stage: class.stage as u32,
+                cores: class.cores,
+                queued_jobs: self.queue_agg.entries(class) as u32,
+                delay_cost: costs.delay_cost,
+                hire_cost: costs.hire_cost,
+                choice,
+            },
+        );
+        let memo = self.memo_for(class, choice, &inputs, costs);
+        self.wait_memos.set(class, memo);
+        let tier = match choice {
+            ScalingChoice::HirePrivate => self.private_tier,
+            ScalingChoice::HirePublic => self.public_tier,
+            _ => return false,
+        };
+        match self.provider.hire_on(tier, size, now) {
+            Ok((vm_id, ready_at)) => {
+                self.booting.inc(class.cores);
+                self.pending.increment(class.stage, class.cores);
+                self.vm_reserved_for.insert(vm_id.slot(), class);
+                sink.schedule(ready_at, Event::VmReady(vm_id));
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Prices the horizontal-scaling decision for a stalled class: Eq. 1
+    /// from the incremental aggregates, the policy's choice, then the
+    /// private-hire throttle. Decides only; acts on nothing.
+    fn decide(
+        &mut self,
+        class: TaskClass,
+        now: SimTime,
+    ) -> (ScalingChoice, DecisionCosts, ScalingInputs) {
         // The first `pending` queued items are already covered by hires
         // in flight; the marginal decision looks only at the remainder.
         let covered = self.pending.get(class.stage, class.cores) as usize;
@@ -139,34 +224,149 @@ impl Platform {
                 choice = ScalingChoice::ThrottledPrivate;
             }
         }
-        // One event per decision: the final choice and the numbers that
-        // decided it (NaN when nothing was priced). The depth is the
-        // class's true entry count; the Eq. 1 window caps and dedups.
-        self.tracer.emit(
-            now,
-            TraceEvent::ScalingDecision {
-                stage: class.stage as u32,
-                cores: class.cores,
-                queued_jobs: self.queue_agg.entries(class) as u32,
-                delay_cost: costs.delay_cost,
-                hire_cost: costs.hire_cost,
-                choice,
-            },
-        );
-        let tier = match choice {
-            ScalingChoice::HirePrivate => self.private_tier,
-            ScalingChoice::HirePublic => self.public_tier,
-            _ => return false,
-        };
-        match self.provider.hire_on(tier, size, now) {
-            Ok((vm_id, ready_at)) => {
-                self.booting.inc(class.cores);
-                self.pending.increment(class.stage, class.cores);
-                self.vm_reserved_for.insert(vm_id.slot(), class);
-                sink.schedule(ready_at, Event::VmReady(vm_id));
-                true
+        (choice, costs, inputs)
+    }
+
+    /// The memo of a decision, when its choice is a wait that provably
+    /// persists until one of the memo's inputs changes (DESIGN §7c).
+    ///
+    /// Eq. 1's time-based delay cost is `Σd · rpenalty · max(wait − boot,
+    /// 0)`, and the projected wait cannot grow while the queue window,
+    /// the in-flight hires and the shape's busy removals and finished
+    /// boots stay put (`now` only shrinks it; a new busy or booting
+    /// worker only shortens it). So the delay cost can only fall, and a
+    /// wait holds while the private tier's answer and the public price
+    /// do too. `NeverScale` waits on capacity alone. Reshape candidacy
+    /// depends on idle spans, an ETT-dependent reward on `now`, and a
+    /// throttled wait under a shared lease on other tenants' private
+    /// hires, so those are never memoised.
+    fn memo_for(
+        &self,
+        class: TaskClass,
+        choice: ScalingChoice,
+        inputs: &ScalingInputs,
+        costs: DecisionCosts,
+    ) -> Option<WaitMemo> {
+        let time_based = !self.reward.depends_on_ett();
+        let holds = !self.cfg.allow_reshape
+            && match choice {
+                ScalingChoice::Wait => {
+                    time_based || self.cfg.variable.scaling == ScalingPolicy::NeverScale
+                }
+                ScalingChoice::ThrottledPrivate => time_based && self.provider.shared().is_none(),
+                _ => false,
+            };
+        if !holds {
+            return None;
+        }
+        let priced = (choice == ScalingChoice::Wait
+            && self.cfg.variable.scaling == ScalingPolicy::Predictive)
+            .then(|| (boot_penalty().as_tu() + inputs.expected_task_tu, costs.delay_cost));
+        // The surge multiplier the public quote must fall below to flip
+        // the priced wait: `dc / (base · cores · s)`, widened by far more
+        // than the rounding of either side of the comparison, so a wake
+        // on crossing it can only come early (a harmless no-op).
+        let surge_floor = match (priced, self.provider.shared()) {
+            (Some((s, dc)), Some(_)) => {
+                let base = self.provider.catalog().get(self.public_tier).cost_per_core_tu;
+                dc / (base * class.cores as f64 * s) * (1.0 + 1e-9)
             }
-            Err(_) => false,
+            _ => 0.0,
+        };
+        Some(WaitMemo {
+            queue: self.queue_agg.version(class),
+            pending: self.pending.get(class.stage, class.cores),
+            lengthened: self.wait_lengthened(class.cores),
+            replans: self.replans,
+            had_capacity: inputs.private_has_capacity,
+            priced,
+            surge_floor,
+        })
+    }
+
+    /// Changes that can lengthen the projected wait of a `cores` shape:
+    /// busy workers freed and boots finished.
+    fn wait_lengthened(&self, cores: u32) -> u64 {
+        self.busy.removed(cores) + self.booting.finished(cores)
+    }
+
+    /// The class's memoised wait, if it still holds: every input it was
+    /// decided on is unchanged, the private tier gives the same answer,
+    /// and a priced wait's hire is still at least its delay cost (the
+    /// comparison `decide_priced` makes, at today's quote).
+    pub(super) fn held_wait(&self, class: TaskClass) -> Option<WaitMemo> {
+        let memo = self.wait_memos.get(class)?;
+        let size = InstanceSize::new(class.cores).expect("class cores are instance sizes");
+        let holds = memo.queue == self.queue_agg.version(class)
+            && memo.pending == self.pending.get(class.stage, class.cores)
+            && memo.lengthened == self.wait_lengthened(class.cores)
+            && memo.replans == self.replans
+            && self.provider.has_capacity(self.private_tier, size) == memo.had_capacity
+            && memo.priced.is_none_or(|(s, dc)| {
+                self.provider.quoted_price(self.public_tier) * class.cores as f64 * s >= dc
+            });
+        holds.then_some(memo)
+    }
+
+    /// Debug-build oracle for a skipped decision: decides `class` afresh
+    /// (running the Eq. 1 oracle too) and asserts it would still wait.
+    pub(super) fn check_held_wait(&mut self, class: TaskClass, now: SimTime) {
+        let memo = self.held_wait(class).expect("checked a held wait");
+        let (choice, costs, _) = self.decide(class, now);
+        let expected =
+            if memo.had_capacity { ScalingChoice::ThrottledPrivate } else { ScalingChoice::Wait };
+        debug_assert_eq!(
+            choice,
+            expected,
+            "a held wait for {class:?} flipped at {}: {costs:?}",
+            now.as_tu()
+        );
+    }
+
+    /// The shared-pool changes that could end the tenant's held waits —
+    /// or `None` when some stalled class has no held wait, so a sweep
+    /// past the arrival cap must re-dispatch. Dispatch keeps
+    /// `Platform::parked` equal to this as a by-product; this full scan
+    /// runs only where something else may have changed it.
+    pub(super) fn parked_watch(&self) -> Option<Watch> {
+        let mut watch = Some(Watch::default());
+        for class in self.stalled_classes() {
+            park(&mut watch, self.held_wait(class), class.cores);
+        }
+        watch
+    }
+
+    /// The classes with more queued entries than hires in flight, in
+    /// dispatch order.
+    fn stalled_classes(&self) -> impl Iterator<Item = TaskClass> + '_ {
+        (0..self.queues.n_stages()).flat_map(move |stage| {
+            let mut slots = self.queues.nonempty_slots(stage);
+            std::iter::from_fn(move || {
+                while slots != 0 {
+                    let slot = slots.trailing_zeros() as usize;
+                    slots &= slots - 1;
+                    let cores = SHAPE_CORES[slot];
+                    let queued = self.queues.at(stage, slot).map_or(0, |q| q.len());
+                    if queued as u32 > self.pending.get(stage, cores) {
+                        debug_assert_eq!(
+                            self.idle.len_of_slot(slot),
+                            0,
+                            "stalled beside idle workers"
+                        );
+                        return Some(TaskClass { stage, cores });
+                    }
+                }
+                None
+            })
+        })
+    }
+
+    /// Debug-build oracle for a sweep that re-prices nothing: every
+    /// stalled class's held wait is decided afresh and must still wait.
+    pub(super) fn check_parked_waits(&mut self, now: SimTime) {
+        let stalled: Vec<TaskClass> = self.stalled_classes().collect();
+        for class in stalled {
+            self.check_held_wait(class, now);
         }
     }
 
@@ -305,5 +505,22 @@ impl Platform {
             }
         }
         None
+    }
+}
+
+/// Adds a stalled `cores` class's held wait to `watch`: a wait without
+/// private room ends when enough cores free up, a priced one when the
+/// surge multiplier falls below its floor. No held wait: `None`.
+pub(super) fn park(watch: &mut Option<Watch>, memo: Option<WaitMemo>, cores: u32) {
+    let (Some(w), Some(memo)) = (watch.as_mut(), memo) else {
+        *watch = None;
+        return;
+    };
+    if !memo.had_capacity {
+        w.private_free_at_least = Some(w.private_free_at_least.map_or(cores, |n| n.min(cores)));
+    }
+    if memo.surge_floor > 0.0 {
+        let floor = memo.surge_floor;
+        w.surge_below = Some(w.surge_below.map_or(floor, |m| m.max(floor)));
     }
 }

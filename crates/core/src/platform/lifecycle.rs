@@ -1,13 +1,17 @@
-//! Worker lifecycle: boot completion, the idle-release sweep, and the
-//! standing per-shape worker pools topped up from the private tier.
+//! Worker lifecycle: boot completion, the idle-release sweep and the one
+//! wakeup that schedules it, and the standing per-shape worker pools
+//! topped up from the private tier.
 
 use super::events::{Event, EventSink};
+use super::state::{idle_expired, next_grid};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
+use scan_cloud::shared::Watch;
+use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmId;
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::plan::ExecutionPlan;
-use scan_sched::queue::{shape_slot, N_SHAPES};
+use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
 use scan_sim::{SimDuration, SimTime, TraceEvent};
 
 impl Platform {
@@ -17,7 +21,7 @@ impl Platform {
         }
         let vm = self.provider.vm_mut(vm_id).expect("ready event for unknown VM");
         vm.finish_boot(now);
-        let cores = vm.size.cores();
+        let (cores, tier) = (vm.size.cores(), vm.tier);
         self.booting.dec(cores);
         self.tracer.emit(now, TraceEvent::VmBooted { vm: vm_id.0 as u64, cores });
         if self.finished() {
@@ -26,70 +30,164 @@ impl Platform {
             self.provider.release(vm_id, now);
             return;
         }
-        self.idle.insert(cores, vm_id);
+        self.idle.insert(cores, vm_id, tier, now);
         self.dispatch(now, sink);
     }
 
     pub(super) fn on_idle_sweep(&mut self, now: SimTime, sink: &mut impl EventSink) {
-        let public_timeout = SimDuration::new(self.cfg.fixed.public_idle_timeout_tu);
-        let private_timeout = SimDuration::new(self.cfg.fixed.idle_timeout_tu);
-        let mut live = [0usize; N_SHAPES];
-        for vm in self.provider.vms() {
-            live[shape_slot(vm.size.cores())] += 1;
-        }
-        for vm_id in self.provider.idle_candidates(now, public_timeout.min(private_timeout)) {
-            let vm = self.provider.vm(vm_id).expect("candidate exists");
-            let timeout =
-                if vm.tier == self.public_tier { public_timeout } else { private_timeout };
-            if vm.idle_span(now) < timeout {
-                continue;
-            }
-            let cores = vm.size.cores();
-            // Private pools never shrink below their standing target;
-            // public workers are always releasable.
-            if vm.tier == self.private_tier {
-                let floor = self.standing_target.floor_for(cores) as usize;
-                let alive = &mut live[shape_slot(cores)];
-                if *alive <= floor {
-                    continue;
-                }
-                *alive -= 1;
-            }
-            self.idle.remove(cores, vm_id);
-            self.provider.release(vm_id, now);
-        }
-        // Fleet tenants: releases above may have freed shared cores, so
-        // the fair-share gate gets a chance to re-admit deferred jobs.
+        self.release_expired(now);
+        // Fleet tenants: releases (this tenant's or another's) may have
+        // freed shared cores, so the fair-share gate gets a chance to
+        // re-admit deferred jobs.
         self.drain_backlog(now, sink);
         if self.arrivals_exhausted() && !self.finished() {
             // Past the arrival cap there is no next arrival to re-trigger
-            // dispatch, so a queue whose last scaling decision was "wait"
-            // (e.g. while the surged public price was prohibitive) would
-            // starve. Re-evaluate on the sweep cadence instead: as other
-            // tenants drain and contention falls, waiting queues get
-            // their hire.
-            self.dispatch(now, sink);
+            // dispatch, so a stalled class whose wait no longer holds
+            // (a replan, freed private cores, a fallen surge price) is
+            // re-priced here; classes whose waits still hold are skipped.
+            self.parked = self.parked_watch();
+            if self.parked.is_none() {
+                self.dispatch(now, sink);
+            } else if cfg!(debug_assertions) {
+                self.check_parked_waits(now);
+            }
         }
         if self.finished() {
             // Run-to-completion teardown: release every idle worker
             // (floors included) so billing stops and the shared pool gets
-            // its cores back, and stop the periodic tick — a drained
-            // tenant schedules nothing further.
+            // its cores back. A drained tenant schedules nothing further.
             self.teardown(now);
-        } else {
-            sink.schedule(now + SimDuration::new(0.5), Event::IdleSweep);
         }
     }
 
-    /// Releases every idle worker of a drained fleet tenant. Workers
-    /// still booting release from `on_vm_ready`; nothing can be busy
-    /// (`finished()` implies no live jobs).
-    fn teardown(&mut self, now: SimTime) {
-        for vm_id in self.provider.idle_candidates(now, SimDuration::new(0.0)) {
-            let cores = self.provider.vm(vm_id).expect("candidate exists").size.cores();
+    /// Releases the idle workers past their tier's timeout, in ascending
+    /// VM id. Each `(tier, shape)` release list is ordered by idle start,
+    /// so the expired workers are a prefix of it. Private pools never
+    /// shrink below their standing target: of a shape's expired private
+    /// workers, only the lowest ids above the floor go.
+    fn release_expired(&mut self, now: SimTime) {
+        let mut expired = std::mem::take(&mut self.release_scratch);
+        for (tier, timeout) in self.idle_timeouts() {
+            for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
+                let list = self.idle.by_idle_start(tier, slot);
+                let n = list.partition_point(|&(since, _)| idle_expired(since, timeout, now));
+                if n == 0 {
+                    continue;
+                }
+                let start = expired.len();
+                expired.extend(list[..n].iter().map(|&(_, vm)| (vm, cores)));
+                if tier == self.private_tier {
+                    let room = self.releasable_private(cores);
+                    if room < n {
+                        expired[start..].sort_unstable();
+                        expired.truncate(start + room);
+                    }
+                }
+            }
+        }
+        expired.sort_unstable();
+        for &(vm_id, cores) in &expired {
             self.idle.remove(cores, vm_id);
             self.provider.release(vm_id, now);
         }
+        expired.clear();
+        self.release_scratch = expired;
+    }
+
+    /// `(tier, idle timeout)` of the private then the public tier.
+    fn idle_timeouts(&self) -> [(TierId, SimDuration); 2] {
+        [
+            (self.private_tier, SimDuration::new(self.cfg.fixed.idle_timeout_tu)),
+            (self.public_tier, SimDuration::new(self.cfg.fixed.public_idle_timeout_tu)),
+        ]
+    }
+
+    /// Private workers of `cores` the floor rule lets go: live workers of
+    /// the shape (any tier, any state) above its standing target.
+    fn releasable_private(&self, cores: u32) -> usize {
+        let size = InstanceSize::new(cores).expect("shape slots are instance sizes");
+        let floor = self.standing_target.floor_for(cores) as usize;
+        self.provider.live_of_size(size).saturating_sub(floor)
+    }
+
+    /// Releases every idle worker of a drained fleet tenant, in ascending
+    /// VM id. Workers still booting release from `on_vm_ready`; nothing
+    /// can be busy (`finished()` implies no live jobs).
+    fn teardown(&mut self, now: SimTime) {
+        let mut idle = std::mem::take(&mut self.release_scratch);
+        idle.extend(self.idle.all().map(|(cores, vm)| (vm, cores)));
+        idle.sort_unstable();
+        for &(vm_id, cores) in &idle {
+            self.idle.remove(cores, vm_id);
+            self.provider.release(vm_id, now);
+        }
+        idle.clear();
+        self.release_scratch = idle;
+    }
+
+    /// Sets the tenant's one pending sweep to the first grid instant at
+    /// or after `from` (strictly after it when `inclusive` is false) at
+    /// which a sweep has work, or cancels it, and registers with the
+    /// shared pool the changes that would bring it forward.
+    ///
+    /// A sweep has work when the tenant has drained with idle workers
+    /// left (teardown), when its fair-share gate has reopened on a
+    /// backlog, when past its arrival cap a stalled class's wait no
+    /// longer holds, or when an idle worker times out above its floor.
+    /// Everything else that can change those answers is an event of this
+    /// tenant (which re-arms as it ends) or a shared-pool release (which
+    /// wakes the tenant through its watch), so a sweep never fires
+    /// without work and never misses an instant that has it.
+    pub(crate) fn rearm(&mut self, from: SimTime, inclusive: bool, sink: &mut impl EventSink) {
+        let first = next_grid(from, inclusive);
+        let mut watch = Watch::default();
+        let due = if self.finished() {
+            (!self.idle.is_empty()).then_some(first)
+        } else if !self.backlog.is_empty() && !self.should_defer() {
+            Some(first)
+        } else {
+            let parked = if self.arrivals_exhausted() { self.parked } else { Some(watch) };
+            match parked {
+                None => Some(first),
+                Some(parked) => {
+                    watch = parked;
+                    if !self.backlog.is_empty() {
+                        // The gate is shut on an exhausted pool: the
+                        // first freed core may reopen it.
+                        watch.private_free_at_least = Some(1);
+                    }
+                    self.next_release(first)
+                }
+            }
+        };
+        if let Some(lease) = self.provider.shared() {
+            lease.borrow_mut().watch(self.tenant, watch);
+        }
+        sink.set_sweep(due);
+    }
+
+    /// [`Platform::rearm`] after a shared-pool change this tenant's watch
+    /// asked to hear about: its held waits are checked afresh first.
+    pub(crate) fn wake(&mut self, from: SimTime, inclusive: bool, sink: &mut impl EventSink) {
+        if self.arrivals_exhausted() {
+            self.parked = self.parked_watch();
+        }
+        self.rearm(from, inclusive, sink);
+    }
+
+    /// The first grid instant at or after `first` at which an idle
+    /// worker times out and the floor rule lets it go.
+    fn next_release(&self, first: SimTime) -> Option<SimTime> {
+        let mut due: Option<SimTime> = None;
+        for (tier, slot, at) in self.idle.expiries() {
+            if due.is_some_and(|d| d <= at)
+                || tier == self.private_tier && self.releasable_private(SHAPE_CORES[slot]) == 0
+            {
+                continue;
+            }
+            due = Some(at);
+        }
+        due.map(|at| at.max(first))
     }
 
     /// Sizes the per-shape standing pools from the representative plan and
@@ -145,8 +243,8 @@ impl Platform {
             if want == 0 {
                 continue;
             }
-            let live = self.live_count_by_size(cores);
             let size = InstanceSize::new(cores).expect("plan shapes are instance sizes");
+            let live = self.provider.live_of_size(size);
             for _ in live..(want as usize) {
                 match self.provider.hire_on(self.private_tier, size, now) {
                     Ok((vm_id, ready_at)) => {
@@ -157,9 +255,5 @@ impl Platform {
                 }
             }
         }
-    }
-
-    fn live_count_by_size(&self, cores: u32) -> usize {
-        self.provider.vms().filter(|vm| vm.size.cores() == cores).count()
     }
 }

@@ -16,7 +16,14 @@
 //! 3. **SubtaskDone** — the worker idles; when a stage's last shard
 //!    finishes, the job advances (or completes, earning its reward).
 //! 4. **IdleSweep** — workers idle past the timeout are released, so cost
-//!    tracks load (`lifecycle`).
+//!    tracks load; deferred jobs are re-admitted; past its arrival cap a
+//!    tenant re-prices the waits whose inputs changed; a drained tenant
+//!    tears down (`lifecycle`). Each platform holds at most one pending
+//!    sweep, set after every event it handles to the first `1.0 + 0.5k`
+//!    grid instant that has such work, and ordered after every other
+//!    event of its tenant at that instant. A wait decision is memoised
+//!    against the inputs that could flip it, so nothing re-decides a
+//!    wait until one of them changes (`hiring`).
 //! 5. **Replan** — long-term policies re-optimise; the adaptive policy
 //!    additionally refreshes the knowledge-base-learned stage models from
 //!    live task logs.
@@ -49,9 +56,11 @@ use crate::broker::DataBroker;
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use events::JobRun;
+use hiring::WaitMemos;
 use scan_cloud::provider::CloudProvider;
-use scan_cloud::shared::SharedLease;
+use scan_cloud::shared::{SharedLease, Watch};
 use scan_cloud::tier::TierId;
+use scan_cloud::vm::VmId;
 use scan_sched::aggregate::QueueAggregates;
 use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
@@ -60,8 +69,8 @@ use scan_sched::learned::EpsilonGreedyPlanner;
 use scan_sched::plan::candidate_plans;
 use scan_sched::queue::{QueueSet, TaskClass};
 use scan_sim::{
-    prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimRng, SimTime, StepOutcome,
-    TenantId, Tracer,
+    prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimDuration, SimRng, SimTime,
+    StepOutcome, TenantId, Tracer,
 };
 use scan_workload::arrivals::ArrivalProcess;
 use scan_workload::gatk::PipelineModel;
@@ -127,6 +136,20 @@ pub struct Platform {
     /// Which class an in-flight hire/reshape is reserved for, keyed by
     /// VM id slot.
     vm_reserved_for: SlotArena<TaskClass>,
+    /// Each stalled class's last wait and the inputs that could flip it
+    /// (DESIGN §7c): while they hold, dispatch and the sweep skip the
+    /// class instead of deciding the same wait again.
+    wait_memos: WaitMemos,
+    /// Replans so far; a replan may change the estimator's model, so a
+    /// wait decided before it no longer holds.
+    replans: u64,
+    /// What `parked_watch` would answer now: the pool changes that end
+    /// the held waits of every stalled class, or `None` when some
+    /// stalled class holds none. Kept by dispatch, replans, sweeps and
+    /// wakes; read by `rearm` past the arrival cap.
+    parked: Option<Watch>,
+    /// Scratch for the `(vm, cores)` a sweep releases.
+    release_scratch: Vec<(VmId, u32)>,
     /// Standing worker-pool targets per instance size (VM counts): "the
     /// SCAN Scheduler maintains analytic task queues and pools of SCAN
     /// workers" (§III-A). Sized from the learned model + load forecast.
@@ -263,12 +286,19 @@ impl Platform {
             allocator,
             queues: QueueSet::new(),
             jobs: SlotArena::new(),
-            idle: IdlePools::new(),
+            idle: IdlePools::new([
+                SimDuration::new(cfg.fixed.idle_timeout_tu),
+                SimDuration::new(cfg.fixed.public_idle_timeout_tu),
+            ]),
             busy: BusyTable::new(),
             pending: ClassCounts::new(),
             booting: BootingCounts::new(),
             queue_agg: QueueAggregates::new(),
             vm_reserved_for: SlotArena::new(),
+            wait_memos: WaitMemos::default(),
+            replans: 0,
+            parked: Some(Watch::default()),
+            release_scratch: Vec::new(),
             standing_target: StandingTargets::default(),
             exec_noise: hub.stream("exec-noise"),
             learned,
@@ -319,7 +349,7 @@ impl Platform {
 
     /// Boots the session: hands the provider the (now final) sink list,
     /// hires the initial standing pools, and schedules the first arrival
-    /// and periodic ticks into `sink`. A solo [`Platform::run`] does this
+    /// and the replan tick into `sink`. A solo [`Platform::run`] does this
     /// against the engine's calendar; a fleet does it per tenant against
     /// the shared, tenant-tagging calendar.
     pub(crate) fn start(&mut self, horizon: SimTime, sink: &mut impl EventSink) {
@@ -328,13 +358,21 @@ impl Platform {
         self.provider.set_tracer(self.tracer.clone());
         self.resize_standing_pools(SimTime::ZERO, sink);
         sink.schedule(self.arrivals.next_arrival_at().min(horizon), Event::Arrival);
-        sink.schedule(SimTime::new(1.0), Event::IdleSweep);
         sink.schedule(SimTime::new(self.cfg.fixed.replan_period_tu), Event::Replan);
+        self.rearm(SimTime::ZERO, true, sink);
     }
 
-    /// Dispatches one event to its subsystem. The solo [`EventHandler`]
-    /// impl and the fleet multiplexer both route through here.
+    /// Dispatches one event to its subsystem, then re-arms the tenant's
+    /// sweep from what the event changed. The solo [`EventHandler`] impl
+    /// and the fleet multiplexer both route through here.
     pub(crate) fn handle_event(&mut self, now: SimTime, event: Event, sink: &mut impl EventSink) {
+        self.route(now, event, sink);
+        // A sweep is the last of the tenant's events at its instant, so
+        // the next one can be no earlier than the next grid instant.
+        self.rearm(now, event != Event::IdleSweep, sink);
+    }
+
+    fn route(&mut self, now: SimTime, event: Event, sink: &mut impl EventSink) {
         match event {
             Event::Arrival => {
                 prof::scope!("arrival");

@@ -17,43 +17,83 @@
 //! - **Busy-set scans are order-insensitive** (min over f64 finish times
 //!   commutes), so [`BusyTable`]'s swap-remove reordering is invisible.
 
+use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmId;
 use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
-use scan_sim::SimTime;
+use scan_sim::{SimDuration, SimTime};
 use scan_workload::job::Job;
+use std::cell::Cell;
 use std::collections::VecDeque;
 
-/// Per-shape pools of idle workers with O(1) deterministic min-id pop.
+/// Per-shape pools of idle workers with O(1) deterministic min-id pop,
+/// plus the release index: per `(tier, shape)`, the same workers in the
+/// order they became idle, and the grid instant the oldest of them times
+/// out.
 ///
 /// Each pool is kept sorted *descending* so `take_min` is a plain
 /// `Vec::pop`. Inserts binary-search their position; pools hold tens of
 /// VMs, so the occasional memmove is far cheaper than the tree nodes it
 /// replaces.
-#[derive(Debug, Default)]
+///
+/// A worker becomes idle at the current instant, so appending keeps each
+/// release list ordered by idle start: the workers past an idle timeout
+/// are always a prefix, and the front is the next to time out.
+#[derive(Debug)]
 pub(super) struct IdlePools {
     pools: [Vec<VmId>; N_SHAPES],
+    /// `(idle since, vm)` per tier (`TierId.0`) and shape slot, oldest
+    /// first.
+    since: [[Vec<(SimTime, VmId)>; N_SHAPES]; 2],
+    /// Idle timeout per tier.
+    timeouts: [SimDuration; 2],
+    /// Per tier and shape slot, the first grid instant at which the
+    /// list's front has timed out, computed when first asked for (most
+    /// fronts are assigned work again before anyone asks).
+    front_expiry: [[Cell<Option<SimTime>>; N_SHAPES]; 2],
+    /// Bit `tier * N_SHAPES + slot` set iff that release list is
+    /// non-empty.
+    listed: u16,
 }
 
 impl IdlePools {
-    pub(super) fn new() -> Self {
-        Self::default()
+    /// Empty pools whose tiers (`TierId.0` = 0, 1) release workers idle
+    /// for `timeouts`.
+    pub(super) fn new(timeouts: [SimDuration; 2]) -> Self {
+        IdlePools {
+            pools: Default::default(),
+            since: Default::default(),
+            timeouts,
+            front_expiry: Default::default(),
+            listed: 0,
+        }
     }
 
-    /// Adds an idle worker to its shape pool.
-    pub(super) fn insert(&mut self, cores: u32, vm: VmId) {
-        let pool = &mut self.pools[shape_slot(cores)];
+    /// Adds a worker of `tier` that became idle at `since` to its shape
+    /// pool.
+    pub(super) fn insert(&mut self, cores: u32, vm: VmId, tier: TierId, since: SimTime) {
+        let slot = shape_slot(cores);
+        let pool = &mut self.pools[slot];
         let pos = pool.partition_point(|&v| v > vm);
         debug_assert!(pool.get(pos) != Some(&vm), "double insert of idle VM");
         pool.insert(pos, vm);
+        let list = &mut self.since[tier.0][slot];
+        debug_assert!(list.last().is_none_or(|&(t, _)| t <= since), "idle starts are monotone");
+        list.push((since, vm));
+        if list.len() == 1 {
+            self.front_expiry[tier.0][slot].set(None);
+            self.listed |= 1 << (tier.0 * N_SHAPES + slot);
+        }
     }
 
     /// Removes a specific worker (e.g. picked for reshape or release).
     /// Returns whether it was present.
     pub(super) fn remove(&mut self, cores: u32, vm: VmId) -> bool {
-        let pool = &mut self.pools[shape_slot(cores)];
+        let slot = shape_slot(cores);
+        let pool = &mut self.pools[slot];
         let pos = pool.partition_point(|&v| v > vm);
         if pool.get(pos) == Some(&vm) {
             pool.remove(pos);
+            self.unindex(slot, vm);
             true
         } else {
             false
@@ -63,7 +103,55 @@ impl IdlePools {
     /// Pops the lowest-id idle worker of a shape — the deterministic
     /// "lowest id first" selection rule.
     pub(super) fn take_min(&mut self, cores: u32) -> Option<VmId> {
-        self.pools[shape_slot(cores)].pop()
+        let slot = shape_slot(cores);
+        let vm = self.pools[slot].pop()?;
+        self.unindex(slot, vm);
+        Some(vm)
+    }
+
+    /// Drops `vm` from its release list.
+    fn unindex(&mut self, slot: usize, vm: VmId) {
+        for tier in 0..2 {
+            let list = &mut self.since[tier][slot];
+            if let Some(pos) = list.iter().position(|&(_, v)| v == vm) {
+                list.remove(pos);
+                if pos == 0 {
+                    self.front_expiry[tier][slot].set(None);
+                }
+                if list.is_empty() {
+                    self.listed &= !(1 << (tier * N_SHAPES + slot));
+                }
+                return;
+            }
+        }
+        unreachable!("idle VM missing from the release index");
+    }
+
+    /// `(tier, shape slot, first grid instant its oldest worker is past
+    /// the tier's idle timeout)` of every non-empty release list.
+    pub(super) fn expiries(&self) -> impl Iterator<Item = (TierId, usize, SimTime)> + '_ {
+        let mut listed = self.listed;
+        std::iter::from_fn(move || {
+            if listed == 0 {
+                return None;
+            }
+            let bit = listed.trailing_zeros() as usize;
+            listed &= listed - 1;
+            let (tier, slot) = (bit / N_SHAPES, bit % N_SHAPES);
+            let cached = &self.front_expiry[tier][slot];
+            let at = cached.get().unwrap_or_else(|| {
+                let (since, _) = self.since[tier][slot][0];
+                let at = grid_expiry(since, self.timeouts[tier]);
+                cached.set(Some(at));
+                at
+            });
+            Some((TierId(tier), slot, at))
+        })
+    }
+
+    /// Whether no worker is idle.
+    pub(super) fn is_empty(&self) -> bool {
+        self.pools.iter().all(Vec::is_empty)
     }
 
     /// Idle workers of one shape slot.
@@ -75,6 +163,51 @@ impl IdlePools {
     pub(super) fn iter_slot_asc(&self, slot: usize) -> impl Iterator<Item = VmId> + '_ {
         self.pools[slot].iter().rev().copied()
     }
+
+    /// `(idle since, vm)` of one tier's idle workers of a shape slot,
+    /// longest idle first.
+    pub(super) fn by_idle_start(&self, tier: TierId, slot: usize) -> &[(SimTime, VmId)] {
+        &self.since[tier.0][slot]
+    }
+
+    /// Every idle worker, as `(cores, vm)`.
+    pub(super) fn all(&self) -> impl Iterator<Item = (u32, VmId)> + '_ {
+        SHAPE_CORES.iter().zip(&self.pools).flat_map(|(&c, pool)| pool.iter().map(move |&v| (c, v)))
+    }
+}
+
+/// The grid the sweeps keep: `1.0 + 0.5k` TU. Every grid instant below
+/// 2⁵³ is an exact binary fraction, so the arithmetic here is exact.
+const GRID_START_TU: f64 = 1.0;
+const GRID_STEP_TU: f64 = 0.5;
+
+/// The first grid instant at or after `t` (strictly after it when
+/// `inclusive` is false).
+pub(super) fn next_grid(t: SimTime, inclusive: bool) -> SimTime {
+    let k = ((t.as_tu() - GRID_START_TU) / GRID_STEP_TU).ceil().max(0.0);
+    let g = GRID_START_TU + GRID_STEP_TU * k;
+    SimTime::new(if !inclusive && g == t.as_tu() { g + GRID_STEP_TU } else { g })
+}
+
+/// Whether a worker idle since `since` has been idle for `timeout` at
+/// `at` (its `idle_span(at) ≥ timeout`): the sweep's release test.
+pub(super) fn idle_expired(since: SimTime, timeout: SimDuration, at: SimTime) -> bool {
+    at - since >= timeout
+}
+
+/// The first grid instant at which a worker idle since `since` is past
+/// `timeout`.
+fn grid_expiry(since: SimTime, timeout: SimDuration) -> SimTime {
+    let mut at = next_grid(since + timeout, true);
+    while !idle_expired(since, timeout, at) {
+        at = SimTime::new(at.as_tu() + GRID_STEP_TU);
+    }
+    while at.as_tu() - GRID_STEP_TU >= GRID_START_TU.max(since.as_tu())
+        && idle_expired(since, timeout, SimTime::new(at.as_tu() - GRID_STEP_TU))
+    {
+        at = SimTime::new(at.as_tu() - GRID_STEP_TU);
+    }
+    at
 }
 
 /// The busy set: which VMs are running tasks, until when, and at what
@@ -89,6 +222,9 @@ pub(super) struct BusyTable {
     entries: Vec<(VmId, SimTime, u32)>,
     /// VM slot → index into `entries`; `u32::MAX` = not busy.
     pos: Vec<u32>,
+    /// Removals per shape slot, ever: the only busy-set change that can
+    /// lengthen a shape's projected wait.
+    removed: [u64; N_SHAPES],
 }
 
 const NOT_BUSY: u32 = u32::MAX;
@@ -117,11 +253,17 @@ impl BusyTable {
             return false;
         }
         self.pos[vm.slot()] = NOT_BUSY;
-        self.entries.swap_remove(idx as usize);
+        let (_, _, cores) = self.entries.swap_remove(idx as usize);
+        self.removed[shape_slot(cores)] += 1;
         if let Some(&(moved, _, _)) = self.entries.get(idx as usize) {
             self.pos[moved.slot()] = idx;
         }
         true
+    }
+
+    /// Busy workers of `cores` that have ever been removed.
+    pub(super) fn removed(&self, cores: u32) -> u64 {
+        self.removed[shape_slot(cores)]
     }
 
     /// Soonest finish time among busy VMs of the given shape, as a span
@@ -176,6 +318,8 @@ impl ClassCounts {
 #[derive(Debug, Default)]
 pub(super) struct BootingCounts {
     counts: [u32; N_SHAPES],
+    /// Boots finished per shape slot, ever.
+    finished: [u64; N_SHAPES],
 }
 
 impl BootingCounts {
@@ -193,6 +337,12 @@ impl BootingCounts {
         let c = &mut self.counts[shape_slot(cores)];
         debug_assert!(*c > 0, "boot completion without a tracked boot");
         *c = c.saturating_sub(1);
+        self.finished[shape_slot(cores)] += 1;
+    }
+
+    /// Boots of `cores` that have ever finished.
+    pub(super) fn finished(&self, cores: u32) -> u64 {
+        self.finished[shape_slot(cores)]
     }
 
     /// VMs of `cores` currently booting.
@@ -312,15 +462,22 @@ impl StandingTargets {
 mod tests {
     use super::*;
 
+    const PRIVATE: TierId = TierId(0);
+    const PUBLIC: TierId = TierId(1);
+
+    fn pools() -> IdlePools {
+        IdlePools::new([SimDuration::new(2.0), SimDuration::new(0.5)])
+    }
+
     #[test]
     fn idle_pool_pops_lowest_id_first() {
-        let mut pools = IdlePools::new();
+        let mut pools = pools();
         for id in [7u32, 2, 9, 4] {
-            pools.insert(4, VmId(id));
+            pools.insert(4, VmId(id), PRIVATE, SimTime::ZERO);
         }
         assert_eq!(pools.take_min(4), Some(VmId(2)));
         assert_eq!(pools.take_min(4), Some(VmId(4)));
-        pools.insert(4, VmId(1));
+        pools.insert(4, VmId(1), PUBLIC, SimTime::ZERO);
         assert_eq!(pools.take_min(4), Some(VmId(1)));
         assert_eq!(pools.take_min(4), Some(VmId(7)));
         assert_eq!(pools.take_min(4), Some(VmId(9)));
@@ -329,19 +486,71 @@ mod tests {
 
     #[test]
     fn idle_pool_remove_specific() {
-        let mut pools = IdlePools::new();
-        pools.insert(8, VmId(3));
-        pools.insert(8, VmId(5));
+        let mut pools = pools();
+        pools.insert(8, VmId(3), PRIVATE, SimTime::ZERO);
+        pools.insert(8, VmId(5), PRIVATE, SimTime::ZERO);
         assert!(pools.remove(8, VmId(3)));
         assert!(!pools.remove(8, VmId(3)));
         assert_eq!(pools.take_min(8), Some(VmId(5)));
+        assert!(pools.by_idle_start(PRIVATE, shape_slot(8)).is_empty());
+    }
+
+    #[test]
+    fn release_lists_keep_idle_start_order_per_tier() {
+        let mut pools = pools();
+        pools.insert(2, VmId(9), PRIVATE, SimTime::new(1.0));
+        pools.insert(2, VmId(4), PUBLIC, SimTime::new(2.0));
+        pools.insert(2, VmId(1), PRIVATE, SimTime::new(3.0));
+        let slot = shape_slot(2);
+        let ids = |pools: &IdlePools, tier| -> Vec<u32> {
+            pools.by_idle_start(tier, slot).iter().map(|&(_, v)| v.0).collect()
+        };
+        assert_eq!(ids(&pools, PRIVATE), vec![9, 1], "oldest idle first, not lowest id");
+        assert_eq!(ids(&pools, PUBLIC), vec![4]);
+        assert_eq!(pools.take_min(2), Some(VmId(1)));
+        assert_eq!(ids(&pools, PRIVATE), vec![9]);
+        let all: Vec<(u32, VmId)> = pools.all().collect();
+        assert_eq!(all.len(), 2);
+    }
+
+    #[test]
+    fn the_front_of_each_release_list_knows_its_grid_expiry() {
+        let mut pools = pools();
+        let slot = shape_slot(4);
+        let expiries = |pools: &IdlePools| -> Vec<(usize, f64)> {
+            pools.expiries().map(|(tier, _, at)| (tier.0, at.as_tu())).collect()
+        };
+        assert_eq!(expiries(&pools), vec![]);
+        // Idle from 3.2 for 2.0 TU: past the timeout from 5.2, so at 5.5.
+        pools.insert(4, VmId(1), PRIVATE, SimTime::new(3.2));
+        pools.insert(4, VmId(2), PRIVATE, SimTime::new(4.0));
+        assert_eq!(expiries(&pools), vec![(0, 5.5)]);
+        // Exactly on the grid counts as expired: 4.0 + 2.0 = 6.0.
+        assert!(pools.remove(4, VmId(1)));
+        assert_eq!(expiries(&pools), vec![(0, 6.0)]);
+        // Nothing expires before the first grid instant, 1.0.
+        pools.insert(4, VmId(3), PUBLIC, SimTime::new(0.1));
+        assert_eq!(expiries(&pools), vec![(0, 6.0), (1, 1.0)]);
+        assert_eq!(pools.expiries().map(|(_, s, _)| s).collect::<Vec<_>>(), vec![slot, slot]);
+        assert_eq!(pools.take_min(4), Some(VmId(2)));
+        assert_eq!(pools.take_min(4), Some(VmId(3)));
+        assert_eq!(expiries(&pools), vec![]);
+    }
+
+    #[test]
+    fn grid_instants_are_found_from_either_side() {
+        assert_eq!(next_grid(SimTime::ZERO, true), SimTime::new(1.0));
+        assert_eq!(next_grid(SimTime::new(1.0), true), SimTime::new(1.0));
+        assert_eq!(next_grid(SimTime::new(1.0), false), SimTime::new(1.5));
+        assert_eq!(next_grid(SimTime::new(7.01), true), SimTime::new(7.5));
+        assert_eq!(next_grid(SimTime::new(7.01), false), SimTime::new(7.5));
     }
 
     #[test]
     fn idle_pool_slot_iteration_ascends() {
-        let mut pools = IdlePools::new();
+        let mut pools = pools();
         for id in [6u32, 1, 4] {
-            pools.insert(16, VmId(id));
+            pools.insert(16, VmId(id), PRIVATE, SimTime::ZERO);
         }
         let ids: Vec<u32> = pools.iter_slot_asc(4).map(|v| v.0).collect();
         assert_eq!(ids, vec![1, 4, 6]);
@@ -361,6 +570,7 @@ mod tests {
         assert!(busy.remove(VmId(1)));
         assert_eq!(busy.min_wait_for_cores(4, now), Some(5.0));
         assert!(!busy.remove(VmId(1)));
+        assert_eq!((busy.removed(4), busy.removed(8)), (1, 0));
     }
 
     #[test]
@@ -388,6 +598,7 @@ mod tests {
         assert_eq!(booting.get(1), 0);
         booting.dec(4);
         assert_eq!(booting.get(4), 1);
+        assert_eq!((booting.finished(4), booting.finished(16)), (1, 0));
     }
 
     #[test]

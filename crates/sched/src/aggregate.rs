@@ -215,6 +215,14 @@ impl QueueAggregates {
         self.class(class).map(|a| (a.pushed_entries - a.popped_entries) as usize).unwrap_or(0)
     }
 
+    /// A counter that changes whenever `class`'s queue does: entries
+    /// ever pushed plus entries ever popped. Equal versions mean the
+    /// same queue contents, so a decision priced at one version holds
+    /// its Eq. 1 window at the other.
+    pub fn version(&self, class: TaskClass) -> u64 {
+        self.class(class).map_or(0, |a| a.pushed_entries + a.popped_entries)
+    }
+
     /// Refreshes stale cached future-stage estimates inside the Eq. 1
     /// window (`skip` covered entries, `cap` view entries) for an
     /// ETT-dependent reward scheme. `refresh` maps a job slot to its
@@ -362,6 +370,19 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.delay_cost(&RewardFn::paper_time_based(), 3.0), 0.0);
         assert_eq!(p.delay_cost(&RewardFn::paper_throughput_based(), 3.0), 0.0);
+    }
+
+    #[test]
+    fn version_moves_on_every_push_and_pop() {
+        let mut agg = QueueAggregates::new();
+        assert_eq!(agg.version(CLASS), 0);
+        agg.on_enqueue(CLASS, 0, 1.0, SimTime::ZERO, 2);
+        let pushed = agg.version(CLASS);
+        agg.on_pop(CLASS);
+        assert!(agg.version(CLASS) > pushed);
+        let other = TaskClass { stage: 1, cores: 4 };
+        agg.on_enqueue(other, 1, 1.0, SimTime::ZERO, 1);
+        assert_eq!(agg.version(CLASS), pushed + 1, "another class's queue leaves it alone");
     }
 
     #[test]

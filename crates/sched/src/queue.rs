@@ -137,13 +137,16 @@ impl<T> TaskQueue<T> {
 #[derive(Debug, Clone)]
 pub struct QueueSet<T> {
     stages: Vec<[TaskQueue<T>; N_SHAPES]>,
+    /// Per stage, bit `slot` set iff that class has pending items (kept
+    /// incrementally), so walks skip the empty classes without a look.
+    nonempty: Vec<u8>,
     /// Total pending items across all queues (kept incrementally).
     total: usize,
 }
 
 impl<T> Default for QueueSet<T> {
     fn default() -> Self {
-        QueueSet { stages: Vec::new(), total: 0 }
+        QueueSet { stages: Vec::new(), nonempty: Vec::new(), total: 0 }
     }
 }
 
@@ -157,16 +160,24 @@ impl<T> QueueSet<T> {
     pub fn push(&mut self, class: TaskClass, item: T, now: SimTime) {
         while self.stages.len() <= class.stage {
             self.stages.push(std::array::from_fn(|_| TaskQueue::new()));
+            self.nonempty.push(0);
         }
-        self.stages[class.stage][shape_slot(class.cores)].push(item, now);
+        let slot = shape_slot(class.cores);
+        self.stages[class.stage][slot].push(item, now);
+        self.nonempty[class.stage] |= 1 << slot;
         self.total += 1;
     }
 
     /// Pops the oldest item of a class.
     pub fn pop(&mut self, class: TaskClass, now: SimTime) -> Option<(T, SimDuration)> {
-        let popped = self.stages.get_mut(class.stage)?[shape_slot(class.cores)].pop(now);
+        let slot = shape_slot(class.cores);
+        let queue = &mut self.stages.get_mut(class.stage)?[slot];
+        let popped = queue.pop(now);
         if popped.is_some() {
             self.total -= 1;
+            if queue.is_empty() {
+                self.nonempty[class.stage] &= !(1 << slot);
+            }
         }
         popped
     }
@@ -180,6 +191,12 @@ impl<T> QueueSet<T> {
     /// classes are first pushed).
     pub fn n_stages(&self) -> usize {
         self.stages.len()
+    }
+
+    /// The shape slots of `stage` with pending items, as a bit mask (bit
+    /// `slot`); zero for a stage never pushed to.
+    pub fn nonempty_slots(&self, stage: usize) -> u8 {
+        self.nonempty.get(stage).copied().unwrap_or(0)
     }
 
     /// Direct access to one `(stage, shape-slot)` queue, if allocated.
@@ -273,6 +290,11 @@ mod tests {
         assert_eq!(qs.pop(c1, t(2.0)).unwrap().0, 10);
         assert_eq!(qs.get(c1).unwrap().len(), 1);
         assert_eq!(qs.nonempty_classes(), vec![c1, c2, c3]);
+        let masks = |qs: &QueueSet<u32>| (0..5).map(|s| qs.nonempty_slots(s)).collect::<Vec<_>>();
+        // 4 cores are slot 2, 8 cores slot 3.
+        assert_eq!(masks(&qs), vec![0b1100, 0, 0, 0b100, 0]);
+        qs.pop(c2, t(2.0));
+        assert_eq!(masks(&qs), vec![0b100, 0, 0, 0b100, 0], "an emptied class leaves the mask");
         assert!(qs.pop(TaskClass { stage: 9, cores: 1 }, t(2.0)).is_none());
     }
 

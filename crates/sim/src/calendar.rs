@@ -5,6 +5,13 @@
 //! simulation runs bit-reproducible — a requirement inherited from the
 //! paper's "repeat 10 times, report mean ± σ" methodology, where each
 //! repetition must be a pure function of its seed.
+//!
+//! Besides ordinary events, each tenant may hold one pending *wakeup*
+//! ([`Calendar::wake`]): it carries the reserved maximum sequence number,
+//! so it fires after every other event of its tenant at the same
+//! instant, and setting it again moves it (earlier or later) instead of
+//! adding a second one. A moved wakeup's old heap entry is superseded and
+//! silently dropped; it never reaches the caller or the clock.
 
 use crate::tenant::TenantId;
 use crate::time::SimTime;
@@ -17,6 +24,9 @@ use std::collections::BinaryHeap;
 /// single `u128` compare.
 const SEQ_BITS: u32 = 48;
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+/// The sequence number every wakeup carries: above any ordinary event's,
+/// so a wakeup is the last of its tenant's events at its instant.
+const WAKE_SEQ: u64 = SEQ_MASK;
 
 /// An event with the instant at which it fires.
 #[derive(Debug, Clone)]
@@ -94,6 +104,10 @@ pub struct Calendar<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
+    /// Each tenant's pending wakeup instant, by tenant index. A wakeup
+    /// entry in the heap is live iff its instant is its tenant's entry
+    /// here; the heap's top is never a superseded one.
+    wakes: Vec<Option<SimTime>>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -105,12 +119,17 @@ impl<E> Default for Calendar<E> {
 impl<E> Calendar<E> {
     /// Creates an empty calendar with the clock at zero.
     pub fn new() -> Self {
-        Calendar { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO }
+        Calendar { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO, wakes: Vec::new() }
     }
 
     /// Creates an empty calendar with pre-allocated capacity for `n` events.
     pub fn with_capacity(n: usize) -> Self {
-        Calendar { heap: BinaryHeap::with_capacity(n), next_seq: 0, now: SimTime::ZERO }
+        Calendar {
+            heap: BinaryHeap::with_capacity(n),
+            next_seq: 0,
+            now: SimTime::ZERO,
+            wakes: Vec::new(),
+        }
     }
 
     /// The current simulation instant: the fire time of the last popped
@@ -149,39 +168,99 @@ impl<E> Calendar<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        debug_assert!(seq < WAKE_SEQ, "calendar sequence reached the wakeup slot");
         self.heap.push(ScheduledEvent { at, seq, tenant, event });
     }
 
-    /// Pops the next event in (time, schedule-order) order and advances the
-    /// clock to its fire time. Returns `None` when the calendar is empty.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    /// Sets `tenant`'s one pending wakeup to fire `event` at `at`,
+    /// replacing any wakeup it already has (earlier or later).
+    ///
+    /// A wakeup fires after every other event of `tenant` at `at`, even
+    /// ones scheduled later; among tenants it keeps the tenant-major
+    /// order of [`Calendar::schedule_for`].
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn wake(&mut self, at: SimTime, tenant: TenantId, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot wake in the past ({} < now {})",
+            at.as_tu(),
+            self.now.as_tu()
+        );
+        if self.wakes.len() <= tenant.index() {
+            self.wakes.resize(tenant.index() + 1, None);
+        }
+        if self.wakes[tenant.index()] == Some(at) {
+            return;
+        }
+        self.wakes[tenant.index()] = Some(at);
+        self.next_seq += 1;
+        self.heap.push(ScheduledEvent { at, seq: WAKE_SEQ, tenant, event });
+        self.drop_superseded();
+    }
+
+    /// Cancels `tenant`'s pending wakeup, if it has one.
+    pub fn cancel_wake(&mut self, tenant: TenantId) {
+        if let Some(slot) = self.wakes.get_mut(tenant.index()) {
+            if slot.take().is_some() {
+                self.drop_superseded();
+            }
+        }
+    }
+
+    /// Whether a wakeup entry is still its tenant's pending one.
+    fn is_live(&self, ev: &ScheduledEvent<E>) -> bool {
+        ev.seq != WAKE_SEQ || self.wakes[ev.tenant.index()] == Some(ev.at)
+    }
+
+    /// Pops superseded wakeups off the top of the heap, so the top is
+    /// always an event that will fire.
+    fn drop_superseded(&mut self) {
+        while self.heap.peek().is_some_and(|top| !self.is_live(top)) {
+            self.heap.pop();
+        }
+    }
+
+    /// Pops the top entry (known live), clearing its tenant's wakeup if
+    /// it is one.
+    fn take_top(&mut self) -> Option<ScheduledEvent<E>> {
         let ev = self.heap.pop()?;
+        if ev.seq == WAKE_SEQ {
+            self.wakes[ev.tenant.index()] = None;
+        }
+        self.drop_superseded();
+        Some(ev)
+    }
+
+    /// Pops the next event in (time, tenant, schedule-order) order and
+    /// advances the clock to its fire time. Returns `None` when the
+    /// calendar is empty.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        let ev = self.take_top()?;
         debug_assert!(ev.at >= self.now);
         self.now = ev.at;
         Some(ev)
     }
 
     /// Pops the next event *and every event simultaneous with it* into
-    /// `out` (cleared first), in (time, schedule-order) order, advancing
-    /// the clock once. Returns the number of events popped (zero when the
-    /// calendar is empty).
+    /// `out` (cleared first), in pop order, advancing the clock once.
+    /// Returns the number of events popped (zero when the calendar is
+    /// empty).
     ///
-    /// Handlers that schedule new events at the popped instant while the
-    /// batch is being processed stay correctly ordered: the new events get
-    /// higher sequence numbers than everything in the batch, so the next
-    /// `pop_batch` at the same instant delivers them after the batch —
-    /// exactly where one-at-a-time popping would have placed them.
+    /// Only equivalent to one-at-a-time popping while handlers schedule
+    /// nothing at the popped instant: a wakeup set at that instant for a
+    /// tenant ordered inside the batch would fire after the whole batch.
+    /// [`Engine::run`](crate::Engine::run) therefore pops one at a time.
     pub fn pop_batch(&mut self, out: &mut Vec<ScheduledEvent<E>>) -> usize {
         out.clear();
-        let Some(first) = self.heap.pop() else {
+        let Some(first) = self.pop() else {
             return 0;
         };
-        debug_assert!(first.at >= self.now);
-        self.now = first.at;
         let at = first.at;
         out.push(first);
         while self.heap.peek().is_some_and(|e| e.at == at) {
-            out.push(self.heap.pop().expect("peeked non-empty"));
+            out.push(self.take_top().expect("peeked non-empty"));
         }
         out.len()
     }
@@ -191,7 +270,8 @@ impl<E> Calendar<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of pending events.
+    /// Number of pending heap entries (superseded wakeups not yet
+    /// dropped included).
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -212,9 +292,11 @@ impl<E> Calendar<E> {
         self.heap.reserve(additional);
     }
 
-    /// Drops every pending event, keeping the clock where it is.
+    /// Drops every pending event and wakeup, keeping the clock where it
+    /// is.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.wakes.clear();
     }
 }
 
@@ -305,6 +387,46 @@ mod tests {
         assert!(cal.is_empty());
         assert_eq!(cal.now(), SimTime::new(1.0));
         assert_eq!(cal.scheduled_total(), 2);
+    }
+
+    #[test]
+    fn a_wakeup_fires_after_its_tenants_later_scheduled_events() {
+        let mut cal = Calendar::new();
+        cal.wake(SimTime::new(2.0), TenantId(1), 100u32);
+        cal.schedule_for(SimTime::new(2.0), TenantId(1), 10);
+        cal.schedule_for(SimTime::new(2.0), TenantId(2), 20);
+        cal.schedule_for(SimTime::new(2.0), TenantId(0), 0);
+        let order: Vec<u32> = std::iter::from_fn(|| cal.pop().map(|e| e.event)).collect();
+        assert_eq!(order, vec![0, 10, 100, 20]);
+    }
+
+    #[test]
+    fn a_tenant_holds_one_wakeup_which_moves_both_ways() {
+        let mut cal = Calendar::new();
+        cal.wake(SimTime::new(5.0), TenantId(0), 5u32);
+        cal.wake(SimTime::new(3.0), TenantId(0), 3);
+        cal.wake(SimTime::new(4.0), TenantId(0), 4);
+        cal.schedule(SimTime::new(6.0), 6);
+        let fired: Vec<(f64, u32)> =
+            std::iter::from_fn(|| cal.pop().map(|e| (e.at.as_tu(), e.event))).collect();
+        assert_eq!(fired, vec![(4.0, 4), (6.0, 6)], "superseded wakeups never fire");
+        assert_eq!(cal.now(), SimTime::new(6.0));
+        // A fired wakeup is no longer pending, so the same instant can be
+        // woken again.
+        cal.wake(SimTime::new(6.0), TenantId(0), 7);
+        assert_eq!(cal.pop().map(|e| e.event), Some(7));
+    }
+
+    #[test]
+    fn a_cancelled_wakeup_neither_fires_nor_holds_the_clock() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::new(1.0), 1u32);
+        cal.wake(SimTime::new(9.0), TenantId(3), 9);
+        assert_eq!(cal.pop().map(|e| e.event), Some(1));
+        cal.cancel_wake(TenantId(3));
+        assert!(cal.pop().is_none());
+        assert_eq!(cal.peek_time(), None);
+        assert_eq!(cal.now(), SimTime::new(1.0));
     }
 
     proptest! {

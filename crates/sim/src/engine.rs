@@ -84,21 +84,15 @@ impl<E> Engine<E> {
     /// `handler`, until the calendar is empty, the horizon is passed, or
     /// the handler halts.
     ///
-    /// Simultaneous events are drained from the calendar in batches
-    /// ([`Calendar::pop_batch`]) and dispatched in schedule order — one
-    /// heap pop run per instant instead of a peek/pop pair per event.
-    /// Ordering is identical to one-at-a-time popping: events a handler
-    /// schedules at the current instant carry higher sequence numbers
-    /// than the whole in-flight batch, so they fire in the next batch at
-    /// the same instant.
+    /// Events are popped one at a time, so an event a handler schedules
+    /// (or a wakeup it sets) at the current instant takes its place in
+    /// the `(time, tenant, sequence)` order among the events still
+    /// pending at that instant.
     pub fn run<H>(&mut self, handler: &mut H) -> RunReport
     where
         H: EventHandler<Event = E>,
     {
         let mut dispatched = 0u64;
-        // Reused across batches; batches are small (simultaneous events
-        // only), so this stays at its high-water mark for the whole run.
-        let mut batch: Vec<crate::calendar::ScheduledEvent<E>> = Vec::new();
         loop {
             match self.calendar.peek_time() {
                 None => {
@@ -121,19 +115,14 @@ impl<E> Engine<E> {
                     }
                 }
             }
-            self.calendar.pop_batch(&mut batch);
-            for ev in batch.drain(..) {
-                dispatched += 1;
-                match handler.handle(ev.at, ev.event, &mut self.calendar) {
-                    StepOutcome::Continue => {}
-                    StepOutcome::Halt => {
-                        return RunReport {
-                            events_dispatched: dispatched,
-                            ended_at: self.calendar.now(),
-                            hit_horizon: false,
-                        }
-                    }
-                }
+            let ev = self.calendar.pop().expect("peeked non-empty");
+            dispatched += 1;
+            if handler.handle(ev.at, ev.event, &mut self.calendar) == StepOutcome::Halt {
+                return RunReport {
+                    events_dispatched: dispatched,
+                    ended_at: self.calendar.now(),
+                    hit_horizon: false,
+                };
             }
         }
     }
@@ -148,6 +137,7 @@ impl<E> Default for Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::TenantId;
     use crate::time::SimDuration;
 
     /// A handler that re-schedules itself `remaining` times at +1 TU.
@@ -213,6 +203,52 @@ mod tests {
         let report = engine.run(&mut HaltAfter(4));
         assert_eq!(report.events_dispatched, 5); // events 0..=4
         assert_eq!(report.ended_at, SimTime::new(4.0));
+    }
+
+    /// Tenant 0's event at t = 1 wakes tenants 1 and 0 at t = 1: tenant
+    /// 1's wakeup still fires at 1, before tenant 2's event there, while
+    /// tenant 0's own wakeup fires after its event.
+    struct Waker {
+        fired: Vec<(f64, u16, &'static str)>,
+    }
+
+    impl EventHandler for Waker {
+        type Event = (u16, &'static str);
+        fn handle(
+            &mut self,
+            now: SimTime,
+            (tenant, what): (u16, &'static str),
+            cal: &mut Calendar<(u16, &'static str)>,
+        ) -> StepOutcome {
+            self.fired.push((now.as_tu(), tenant, what));
+            if what == "event" && tenant == 0 {
+                cal.wake(now, TenantId(1), (1, "wake"));
+                cal.wake(now, TenantId(0), (0, "wake"));
+            }
+            StepOutcome::Continue
+        }
+    }
+
+    #[test]
+    fn a_wakeup_set_at_the_current_instant_keeps_tenant_order() {
+        let mut engine = Engine::new();
+        let cal = engine.calendar_mut();
+        cal.schedule_for(SimTime::new(1.0), TenantId(2), (2, "event"));
+        cal.schedule_for(SimTime::new(1.0), TenantId(0), (0, "event"));
+        cal.schedule_for(SimTime::new(1.0), TenantId(1), (1, "event"));
+        let mut h = Waker { fired: Vec::new() };
+        let report = engine.run(&mut h);
+        assert_eq!(
+            h.fired,
+            vec![
+                (1.0, 0, "event"),
+                (1.0, 0, "wake"),
+                (1.0, 1, "event"),
+                (1.0, 1, "wake"),
+                (1.0, 2, "event"),
+            ]
+        );
+        assert_eq!(report.events_dispatched, 5);
     }
 
     #[test]

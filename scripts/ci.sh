@@ -11,17 +11,21 @@ cd "$(dirname "$0")/.."
 
 quick="${1:-}"
 
-# Runs one test by its exact name (`run_one <cargo test args> <name>`)
-# and fails unless exactly one test passed: `cargo test` exits 0 when a
-# filter matches nothing, which would turn a renamed test into a no-op.
+# Runs one test by its exact name (`run_one <cargo test args> <name>
+# [-- <test harness args>]`) and fails unless exactly one test passed:
+# `cargo test` exits 0 when a filter matches nothing, which would turn a
+# renamed test into a no-op.
 run_one() {
-    local out passed
-    out="$(cargo test -q "$@" -- --exact 2>&1)" || { printf '%s\n' "$out"; return 1; }
+    local cargo_args=() out passed
+    while [[ $# -gt 0 && "$1" != "--" ]]; do cargo_args+=("$1"); shift; done
+    [[ $# -gt 0 ]] && shift
+    out="$(cargo test -q "${cargo_args[@]}" -- --exact "$@" 2>&1)" \
+        || { printf '%s\n' "$out"; return 1; }
     printf '%s\n' "$out"
     passed="$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' <<<"$out" \
         | awk '{ n += $1 } END { print n + 0 }')"
     [[ "$passed" == 1 ]] || {
-        echo "FAIL: expected exactly one test to pass, $passed did: $*" >&2; return 1; }
+        echo "FAIL: expected exactly one test to pass, $passed did: ${cargo_args[*]}" >&2; return 1; }
 }
 
 echo "==> scan-lint --deny-warnings (determinism + hygiene + semantic passes)"
@@ -83,6 +87,11 @@ run_one -p scan-platform instrument::tests::merged_export_is_identical_to_sequen
 echo "==> span conservation (medium fig4 cell: segments sum bit-exactly to latency)"
 cargo test -q -p scan-spans --test conservation
 
+echo "==> state digests (every hire, release and completion pinned per run)"
+run_one --test doc_contracts matrix_state_digests_are_pinned
+run_one --test doc_contracts fleet_100_state_digest_is_pinned
+run_one --test doc_contracts fleet_contended_state_digest_is_pinned
+
 if [[ "$quick" != "quick" ]]; then
     echo "==> store determinism (two fixed-seed runs, identical SCTS digest)"
     # The columnar store's 8-byte digest replaces the old multi-megabyte
@@ -104,6 +113,9 @@ if [[ "$quick" != "quick" ]]; then
     # trailing bytes).
     python3 scripts/plot_traces.py --store "$s1" --out-dir "$sp" >/dev/null \
         || { echo "FAIL: scripts/plot_traces.py cannot decode the SCTS export" >&2; exit 1; }
+
+    echo "==> state digest at 1,000 tenants (release)"
+    run_one --release --test doc_contracts fleet_1000_state_digest_is_pinned -- --ignored
 
     echo "==> store/JSONL cross-check (the JSONL replayed from a store equals the live sink's)"
     run_one --test tracestore_fleet store_agrees_with_the_jsonl_sink

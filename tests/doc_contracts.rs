@@ -26,6 +26,12 @@
 //!   the `slo`-named families of the matrix registries.
 //! * docs/METRICS.md — every family the matrix registries register, per
 //!   metric type, against the "Metric catalogue".
+//! * State identity — every run's [`StateDigest`] (and those of a
+//!   100-tenant fleet, a contended 20-tenant fleet and, release-only, a
+//!   1,000-tenant fleet) matches a constant computed before sweeps became
+//!   wakeups, so a change that only drops repeated `wait` decisions,
+//!   their queue-depth samples or engine events cannot move a hire, a
+//!   release, a completion, the reward or the cost.
 //!
 //! [`kind_position`] and [`scaling_choices`] are exhaustive `match`es, so
 //! a new `TraceEvent` or `ScalingChoice` variant fails to compile here
@@ -33,7 +39,7 @@
 //! that produces it.
 
 use scan::platform::config::{RewardKind, ScanConfig, VariableParams};
-use scan::platform::fleet::{run_fleet_with, FleetConfig};
+use scan::platform::fleet::{run_fleet_with, FleetConfig, FleetMetrics};
 use scan::platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
 use scan::platform::session::run_session_with;
 use scan::platform::DecisionStats;
@@ -210,6 +216,8 @@ struct Run {
     tenant: u32,
     store: TraceStore,
     live: Outputs,
+    /// The session's `(total_reward, total_cost)`.
+    money: (f64, f64),
 }
 
 /// What the whole matrix produced.
@@ -259,7 +267,7 @@ impl Matrix {
         let mut runs = Vec::new();
         let mut sessions: Option<Registry> = None;
         for cfg in [fig4, reshape, spill, slo, throttled] {
-            let (_, probe) = run_session_with(&cfg, 0, Probe::new(&cfg, 0));
+            let (m, probe) = run_session_with(&cfg, 0, Probe::new(&cfg, 0));
             let registry = probe.live.metrics.registry();
             // The merge asserts one shape for every session, so no family
             // is registered only with an SLO target, say.
@@ -267,14 +275,16 @@ impl Matrix {
                 None => sessions = Some(registry.clone()),
                 Some(all) => all.merge(registry),
             }
-            runs.push(Run { cfg, tenant: 0, store: probe.store, live: probe.live.finish() });
+            let money = (m.total_reward, m.total_cost);
+            runs.push(Run { cfg, tenant: 0, store: probe.store, live: probe.live.finish(), money });
         }
         let tenant_cfg = ScanConfig::clone(&fleet.base);
         let (fleet, tenants) =
             run_fleet_with(&fleet, 0, &|tenant| Probe::new(&tenant_cfg, tenant as u32));
-        for (tenant, probe) in (0..).zip(tenants) {
+        for ((tenant, probe), m) in (0..).zip(tenants).zip(&fleet.tenants) {
             let cfg = tenant_cfg.clone();
-            runs.push(Run { cfg, tenant, store: probe.store, live: probe.live.finish() });
+            let money = (m.total_reward, m.total_cost);
+            runs.push(Run { cfg, tenant, store: probe.store, live: probe.live.finish(), money });
         }
 
         let registries = [sessions.expect("the matrix has sessions"), fleet.registry()];
@@ -441,4 +451,139 @@ fn metrics_and_spans_docs_match_the_live_registries() {
     let documented: BTreeSet<String> =
         tables(&spans, "SLO metrics").into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(documented, slo);
+}
+
+/// FNV-1a over a session's *state* events: every event's instant bits and
+/// `Debug` rendering, except the ones a run may repeat or drop without
+/// changing what happened — `scaling_decision`s that chose `wait` or
+/// `throttled_private`, `queue_depth` samples and `run_ended` (which
+/// carries the engine's event count) — then the reward and cost bits.
+struct StateDigest {
+    hash: u64,
+    text: String,
+}
+
+impl StateDigest {
+    fn new() -> StateDigest {
+        StateDigest { hash: 0xcbf2_9ce4_8422_2325, text: String::new() }
+    }
+
+    fn mix(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The digest, closed with the session's reward and cost bits.
+    fn finish(mut self, reward: f64, cost: f64) -> u64 {
+        self.mix(&reward.to_bits().to_le_bytes());
+        self.mix(&cost.to_bits().to_le_bytes());
+        self.hash
+    }
+}
+
+impl Observer for StateDigest {
+    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
+        match event {
+            TraceEvent::ScalingDecision {
+                choice: ScalingChoice::Wait | ScalingChoice::ThrottledPrivate,
+                ..
+            }
+            | TraceEvent::QueueDepthSampled { .. }
+            | TraceEvent::RunEnded { .. } => return,
+            _ => {}
+        }
+        use std::fmt::Write;
+        self.text.clear();
+        write!(self.text, "{event:?}").expect("writes to a String");
+        let text = std::mem::take(&mut self.text);
+        self.mix(&at.as_tu().to_bits().to_le_bytes());
+        self.mix(text.as_bytes());
+        self.text = text;
+    }
+}
+
+/// The state digests of the matrix runs, in run order (fig4, reshape,
+/// spill, SLO, throttled, fleet tenants 0–2).
+const MATRIX_STATE_DIGESTS: [u64; 8] = [
+    0xa62b_1ac1_050b_1bad,
+    0x3076_860a_4bb3_4f57,
+    0xdde5_f13c_1965_955f,
+    0xb172_4265_fb4b_29d1,
+    0x46fb_5ffa_18f9_f43c,
+    0x058f_3718_ab1f_7775,
+    0x5ee0_8fb3_60d2_1ab8,
+    0xfa35_391d_d07f_bb95,
+];
+
+#[test]
+fn matrix_state_digests_are_pinned() {
+    let digests: Vec<u64> = matrix()
+        .runs
+        .iter()
+        .map(|run| {
+            let mut digest = StateDigest::new();
+            for (_, at, event) in run.store.replay() {
+                digest.on_event(at, &event);
+            }
+            digest.finish(run.money.0, run.money.1)
+        })
+        .collect();
+    println!("matrix state digests: {digests:#018x?}");
+    assert_eq!(digests, MATRIX_STATE_DIGESTS);
+}
+
+/// A fleet of `tenants` × 4 jobs on the benchmark's fleet cell at seed 1
+/// (`perfbench`'s `fleet_cfg(1)`: the fig4 predictive cell at a 2.5 TU
+/// interval, a 2,000 TU backstop, and a shared private pool of one solo
+/// tier or two cores per tenant, unless `shared_cores` overrides it),
+/// digested per tenant and folded in tenant order.
+fn fleet_state_digest(tenants: u16, shared_cores: Option<u32>) -> (u64, FleetMetrics) {
+    let seed = 0x5CA4_2015 ^ 1u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut base = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), seed);
+    base.fixed.sim_time_tu = 2_000.0;
+    let mut cfg = FleetConfig::new(base, tenants);
+    cfg.jobs_per_tenant = 4;
+    cfg.shared_private_cores =
+        shared_cores.unwrap_or_else(|| cfg.shared_private_cores.max(u32::from(tenants) * 2));
+    let (metrics, digests) = run_fleet_with(&cfg, 0, &|_| StateDigest::new());
+    let mut fold = StateDigest::new();
+    for (digest, m) in digests.into_iter().zip(&metrics.tenants) {
+        fold.mix(&digest.finish(m.total_reward, m.total_cost).to_le_bytes());
+    }
+    (fold.hash, metrics)
+}
+
+const FLEET_100_STATE_DIGEST: u64 = 0x805d_8fe6_5ab9_b304;
+const FLEET_CONTENDED_STATE_DIGEST: u64 = 0xe651_3e0b_23ef_138c;
+const FLEET_1000_STATE_DIGEST: u64 = 0x3fe7_3267_174b_e881;
+
+#[test]
+fn fleet_100_state_digest_is_pinned() {
+    let (digest, metrics) = fleet_state_digest(100, None);
+    println!("fleet 100 state digest: {digest:#018x} ({} events)", metrics.events);
+    assert_eq!(metrics.jobs_completed, 400);
+    assert_eq!(digest, FLEET_100_STATE_DIGEST);
+}
+
+/// 20 tenants on 16 shared private cores: the pool runs dry, so the
+/// fair-share gate defers, and parked tenants wait on other tenants'
+/// releases — the run that needs the shared pool's private-core watch.
+#[test]
+fn fleet_contended_state_digest_is_pinned() {
+    let (digest, metrics) = fleet_state_digest(20, Some(16));
+    println!("fleet contended state digest: {digest:#018x} ({} events)", metrics.events);
+    assert_eq!(metrics.jobs_completed, 80);
+    assert!(metrics.jobs_deferred > 0, "the pool must run dry");
+    assert_eq!(digest, FLEET_CONTENDED_STATE_DIGEST);
+}
+
+#[test]
+#[ignore = "release only: cargo test --release --test doc_contracts -- --ignored"]
+fn fleet_1000_state_digest_is_pinned() {
+    let (digest, metrics) = fleet_state_digest(1_000, None);
+    println!("fleet 1000 state digest: {digest:#018x} ({} events)", metrics.events);
+    assert_eq!(metrics.jobs_completed, 4_000);
+    assert_eq!(digest, FLEET_1000_STATE_DIGEST);
 }
