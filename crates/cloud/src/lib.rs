@@ -16,7 +16,7 @@
 //! * [`billing`] — the cost ledger: integrates `cores × rate` over each
 //!   VM's hired lifetime, queryable mid-run.
 //! * [`storage`] — the shared filesystem/database stand-in (CIFS +
-//!   Cassandra in the prototype): datasets with simulated staging latency.
+//!   Cassandra in the prototype): the transfer model that prices staging.
 //! * [`shared`] — multi-tenant fleet mode: one finite private pool
 //!   arbitrated across N tenant providers, with contention-sensitive
 //!   surge pricing on the public tier.
@@ -36,6 +36,6 @@ pub use billing::CostLedger;
 pub use instance::{InstanceSize, INSTANCE_SIZES};
 pub use provider::{CloudProvider, HireError};
 pub use shared::{SharedCapacity, SharedLease, SurgePricing, Watch};
-pub use storage::SharedStore;
+pub use storage::TransferModel;
 pub use tier::{Tier, TierCatalog, TierId};
 pub use vm::{boot_penalty, Vm, VmId, VmState, BOOT_PENALTY_TU};

@@ -2,26 +2,15 @@
 //!
 //! §III-B: the prototype used "CIFS for the shared filesystem and Apache
 //! Cassandra for the database"; §I motivates SCAN partly by "blocked I/O
-//! due to the volume of data that must be fetched". The platform models
-//! that staging delay explicitly: each dataset has a size, and moving it
-//! to a worker costs `latency + size / bandwidth` time units. The broker's
-//! trick of staging data "just before they are needed" shows up as
-//! overlapping this delay with queue time.
+//! due to the volume of data that must be fetched". Storage only reaches
+//! the evaluation through that staging delay, so the store is its
+//! transfer model and nothing else: moving `size` GB to a worker costs
+//! `latency + size / bandwidth` time units. No dataset registry is kept.
+//! The broker's trick of staging data "just before they are needed"
+//! shows up as overlapping this delay with queue time.
 
 use scan_sim::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// A dataset registered in the shared store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Dataset {
-    /// Path-like identifier (`/input/fasta/s1.fa` in Fig. 2).
-    pub path: String,
-    /// Size in GB.
-    pub size_gb: f64,
-    /// Format tag (FASTQ, BAM, VCF, …) for sharder dispatch.
-    pub format: String,
-}
 
 /// Transfer-performance model of the shared store.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,148 +37,14 @@ impl TransferModel {
     }
 }
 
-/// The shared filesystem/database: dataset registry + transfer model.
-#[derive(Debug, Clone, Default)]
-pub struct SharedStore {
-    datasets: BTreeMap<String, Dataset>,
-    model: TransferModel,
-}
-
-impl SharedStore {
-    /// An empty store with the default transfer model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty store with a custom transfer model.
-    pub fn with_model(model: TransferModel) -> Self {
-        SharedStore { datasets: BTreeMap::new(), model }
-    }
-
-    /// The transfer model.
-    pub fn model(&self) -> TransferModel {
-        self.model
-    }
-
-    /// Registers (or replaces) a dataset. Returns the previous entry.
-    pub fn put(&mut self, dataset: Dataset) -> Option<Dataset> {
-        self.datasets.insert(dataset.path.clone(), dataset)
-    }
-
-    /// Looks up a dataset by path.
-    pub fn get(&self, path: &str) -> Option<&Dataset> {
-        self.datasets.get(path)
-    }
-
-    /// Removes a dataset.
-    pub fn remove(&mut self, path: &str) -> Option<Dataset> {
-        self.datasets.remove(path)
-    }
-
-    /// Registers the shards of a dataset as `<path>.shard<K>` entries and
-    /// returns their paths — what the Data Broker does after splitting.
-    pub fn put_shards(&mut self, base: &Dataset, shard_sizes: &[f64]) -> Vec<String> {
-        shard_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &size)| {
-                let path = format!("{}.shard{}", base.path, i);
-                self.put(Dataset {
-                    path: path.clone(),
-                    size_gb: size,
-                    format: base.format.clone(),
-                });
-                path
-            })
-            .collect()
-    }
-
-    /// Staging time for a dataset (zero-size datasets still pay latency).
-    ///
-    /// # Panics
-    /// Panics on an unknown path — staging a dataset that was never
-    /// registered is a platform bug.
-    pub fn staging_time(&self, path: &str) -> SimDuration {
-        let ds = self
-            .datasets
-            .get(path)
-            // scan-lint: allow(no-panic) -- documented `# Panics` contract: unknown path is a bug.
-            .unwrap_or_else(|| panic!("staging_time for unregistered dataset '{path}'"));
-        self.model.transfer_time(ds.size_gb)
-    }
-
-    /// Number of registered datasets.
-    pub fn len(&self) -> usize {
-        self.datasets.len()
-    }
-
-    /// True when no datasets are registered.
-    pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
-    }
-
-    /// Total bytes under management, GB.
-    pub fn total_gb(&self) -> f64 {
-        self.datasets.values().map(|d| d.size_gb).sum()
-    }
-
-    /// Iterates datasets in path order.
-    pub fn iter(&self) -> impl Iterator<Item = &Dataset> {
-        self.datasets.values()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ds(path: &str, gb: f64) -> Dataset {
-        Dataset { path: path.into(), size_gb: gb, format: "BAM".into() }
-    }
-
-    #[test]
-    fn put_get_remove() {
-        let mut s = SharedStore::new();
-        assert!(s.put(ds("/input/s1.bam", 2.0)).is_none());
-        assert_eq!(s.get("/input/s1.bam").unwrap().size_gb, 2.0);
-        assert_eq!(s.len(), 1);
-        let old = s.put(ds("/input/s1.bam", 3.0)).unwrap();
-        assert_eq!(old.size_gb, 2.0);
-        assert!(s.remove("/input/s1.bam").is_some());
-        assert!(s.is_empty());
-    }
 
     #[test]
     fn transfer_time_formula() {
         let m = TransferModel { latency_tu: 0.1, bandwidth_gb_per_tu: 4.0 };
         assert!((m.transfer_time(2.0).as_tu() - 0.6).abs() < 1e-12);
         assert!((m.transfer_time(0.0).as_tu() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn staging_time_uses_registered_size() {
-        let mut s =
-            SharedStore::with_model(TransferModel { latency_tu: 0.0, bandwidth_gb_per_tu: 2.0 });
-        s.put(ds("/x", 8.0));
-        assert!((s.staging_time("/x").as_tu() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered dataset")]
-    fn staging_unknown_panics() {
-        SharedStore::new().staging_time("/nope");
-    }
-
-    #[test]
-    fn put_shards_registers_pieces() {
-        let mut s = SharedStore::new();
-        let base = ds("/input/wgs.fastq", 100.0);
-        s.put(base.clone());
-        let paths = s.put_shards(&base, &[4.0, 4.0, 2.0]);
-        assert_eq!(paths.len(), 3);
-        assert_eq!(s.get("/input/wgs.fastq.shard0").unwrap().size_gb, 4.0);
-        assert_eq!(s.get("/input/wgs.fastq.shard2").unwrap().size_gb, 2.0);
-        assert_eq!(s.len(), 4);
-        assert!((s.total_gb() - 110.0).abs() < 1e-12);
     }
 }

@@ -1,26 +1,26 @@
-//! The Data Broker (Fig. 2): knowledge base + data sharders + shared
-//! store.
+//! The Data Broker (Fig. 2): knowledge base + the shared store's
+//! transfer model.
 //!
 //! At platform start the broker is bootstrapped with an offline profiling
 //! trace (the §III-A.1 GATK study). It learns per-stage `(a, b, c)` models
 //! by regression over the knowledge base and hands the *learned* pipeline
 //! model to the scheduler — so scheduling genuinely runs on knowledge-base
-//! output, not the ground-truth table. At admission time it registers each
-//! job's dataset and its shards with the shared store and prices the
-//! staging delay each subtask pays.
+//! output, not the ground-truth table. Storage only reaches the
+//! evaluation through the staging delay each subtask pays, so there is no
+//! per-job dataset registration: the broker prices staging straight from
+//! the shared store's [`TransferModel`].
 
-use scan_cloud::storage::{Dataset, SharedStore};
+use scan_cloud::storage::TransferModel;
 use scan_kb::{KnowledgeBase, ProfileRecord};
 use scan_sim::{SimDuration, SimRng};
 use scan_workload::gatk::{PipelineModel, StageFactors};
-use scan_workload::job::Job;
 use scan_workload::profiletrace::generate_profile_trace;
 
 /// The Data Broker.
 #[derive(Debug, Clone)]
 pub struct DataBroker {
     kb: KnowledgeBase,
-    store: SharedStore,
+    transfer: TransferModel,
     learned: PipelineModel,
     truth: PipelineModel,
 }
@@ -29,15 +29,12 @@ impl DataBroker {
     /// Bootstraps the broker: generates the offline profiling trace from
     /// the ground-truth `model` (with `noise` relative measurement error),
     /// ingests it into the knowledge base, and learns the stage models the
-    /// scheduler will use.
+    /// scheduler will use. The trace becomes the knowledge base's log as
+    /// is, without a per-record copy.
     pub fn bootstrap(model: &PipelineModel, noise: f64, rng: &mut SimRng) -> Self {
-        let mut kb = KnowledgeBase::new();
-        let trace = generate_profile_trace(model, "GATK", 3, noise, rng);
-        for rec in &trace {
-            kb.ingest(rec);
-        }
+        let kb = KnowledgeBase::from_log(generate_profile_trace(model, "GATK", 3, noise, rng));
         let learned = Self::learn_model(&kb, model);
-        DataBroker { kb, store: SharedStore::new(), learned, truth: model.clone() }
+        DataBroker { kb, transfer: TransferModel::default(), learned, truth: model.clone() }
     }
 
     /// Learns a full pipeline model from the knowledge base, falling back
@@ -79,38 +76,17 @@ impl DataBroker {
         self.learned = Self::learn_model(&self.kb, &self.truth);
     }
 
-    /// Registers a job's input dataset and its stage-1 shards, returning
-    /// the shard paths.
-    pub fn register_job(&mut self, job: &Job, shards: u32) -> Vec<String> {
-        let size_gb = self.truth.units_to_gb(job.size_units);
-        let base = Dataset {
-            path: format!("/input/bam/job{}.bam", job.id.0),
-            size_gb,
-            format: "BAM".into(),
-        };
-        self.store.put(base.clone());
-        let plan = scan_genomics::shard::plan_shards(size_gb, size_gb / shards as f64);
-        self.store.put_shards(&base, &plan.shard_sizes)
-    }
-
     /// Staging delay one subtask pays to pull `d_gb` from the shared
     /// store before computing.
     pub fn staging_time(&self, d_gb: f64) -> SimDuration {
-        self.store.model().transfer_time(d_gb)
-    }
-
-    /// The shared store (metrics, tests).
-    pub fn store(&self) -> &SharedStore {
-        &self.store
+        self.transfer.transfer_time(d_gb)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scan_sim::SimTime;
     use scan_workload::gatk::PAPER_STAGE_FACTORS;
-    use scan_workload::job::JobId;
 
     fn broker(noise: f64) -> DataBroker {
         let model = PipelineModel::paper();
@@ -166,16 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn register_job_creates_shards() {
-        let mut b = broker(0.0);
-        let job = Job::new(JobId(7), 5.0, SimTime::ZERO);
-        let paths = b.register_job(&job, 4);
-        assert_eq!(paths.len(), 4);
-        assert!(b.store().get("/input/bam/job7.bam").is_some());
-        assert!(b.store().get(&paths[0]).is_some());
-        // Shards cover the 2 GB input.
-        let total: f64 = paths.iter().map(|p| b.store().get(p).unwrap().size_gb).sum();
-        assert!((total - 2.0).abs() < 1e-9);
+    fn staging_time_is_the_transfer_model() {
+        let b = broker(0.0);
+        let model = TransferModel::default();
+        for d_gb in [0.0, 0.4, 2.0, 9.5] {
+            assert_eq!(b.staging_time(d_gb), model.transfer_time(d_gb), "{d_gb} GB");
+        }
     }
 
     #[test]

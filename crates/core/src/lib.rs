@@ -7,8 +7,9 @@
 //! * [`config`] — Table III's fixed parameters, Table I's variable
 //!   parameters, and the full parameter grid.
 //! * [`broker`] — the Data Broker: knowledge-base bootstrap from profiling
-//!   traces, learned pipeline models, chunk advice and dataset/shard
-//!   registration against the shared store.
+//!   traces, learned pipeline models, and each subtask's staging delay
+//!   priced from the shared store's transfer model (no per-job dataset
+//!   registration).
 //! * [`platform`] — the event-driven world: arrivals → admission →
 //!   per-class queues → scaling decisions → worker execution → stage
 //!   advancement → reward, exactly the loop of §III-A.2.

@@ -5,25 +5,28 @@
 use super::events::{Event, EventSink, JobRun, SubtaskRef};
 use super::Platform;
 use scan_sched::alloc::{AllocationContext, AllocationPolicy};
-use scan_sched::plan::ExecutionPlan;
 use scan_sched::queue::TaskClass;
 use scan_sim::{SimDuration, SimTime, TraceEvent};
 use scan_workload::gatk::PipelineModel;
 use scan_workload::job::{Job, JobId};
+use std::sync::Arc;
 
 impl Platform {
     pub(super) fn on_arrival(&mut self, now: SimTime, sink: &mut impl EventSink) {
-        let batch = self.arrivals.next_batch();
-        debug_assert_eq!(batch.at, now);
+        // The batch buffer is the platform's, reused across arrivals; it
+        // is taken out for the loop because admitting borrows `self`.
+        let mut batch = std::mem::take(&mut self.arrival_batch);
+        let at = self.arrivals.next_batch(&mut batch);
+        debug_assert_eq!(at, now);
 
         // Online arrival-rate estimate (jobs/TU) for the adaptive policy.
         let gap = (now - self.last_arrival_at).as_tu().max(1e-6);
-        let inst_rate = batch.jobs.len() as f64 / gap;
+        let inst_rate = batch.len() as f64 / gap;
         self.observed_rate = 0.05 * inst_rate + 0.95 * self.observed_rate;
         self.last_arrival_at = now;
 
         let mut deferred = 0u32;
-        for job in batch.jobs {
+        for job in batch.drain(..) {
             if self.arrivals_exhausted() {
                 // Capped tenant: the batch tail past the cap never enters
                 // the system.
@@ -38,6 +41,7 @@ impl Platform {
                 self.admit(job, now);
             }
         }
+        self.arrival_batch = batch;
         if deferred > 0 {
             self.tracer.emit(
                 now,
@@ -106,8 +110,8 @@ impl Platform {
                 submitted_tu: job.submitted_at.as_tu(),
             },
         );
-        let plan = match (&self.cfg.forced_plan, &self.learned) {
-            (Some(stages), _) => ExecutionPlan::new(stages.clone()),
+        let plan = match (&self.forced_plan, &self.learned) {
+            (Some(plan), _) => Arc::clone(plan),
             (None, Some(planner)) => {
                 // Epoch discipline: reuse the epoch's arm.
                 let idx = match self.learned_arm {
@@ -118,20 +122,15 @@ impl Platform {
                         idx
                     }
                 };
-                planner.arm_plan(idx).clone()
+                Arc::clone(planner.arm_plan(idx))
             }
             (None, None) => {
-                // The context borrows the broker's model; clone it locally
-                // (7 stage factors) so the allocator can borrow mutably.
-                let model = self.broker.learned_model().clone();
-                let ctx = self.allocation_context(&model);
+                // The context borrows only the `broker` field, so the
+                // allocator (another field) can borrow mutably beside it.
+                let ctx = self.allocation_context(self.broker.learned_model());
                 self.allocator.plan_for(job.size_units, now, &ctx)
             }
         };
-        // The Data Broker registers the dataset and its stage-1 shards.
-        let (stage1_shards, _) = plan.stage(0);
-        self.broker.register_job(&job, stage1_shards);
-
         let run = JobRun { job, plan, stage: 0, outstanding: 0 };
         let id = run.job.id;
         self.jobs.insert(id.slot(), run);

@@ -23,6 +23,7 @@ use scan_sched::queue::TaskClass;
 use scan_sched::scaling::{ScalingContext, ScalingPolicy};
 use scan_sim::{Calendar, SimDuration, SimTime};
 use scan_workload::job::{Job, JobId};
+use std::sync::Arc;
 
 /// Worker shape every harness task uses (a valid instance size).
 const CORES: u32 = 4;
@@ -71,15 +72,17 @@ impl PlatformHarness {
             // comparisons instead of hitting one constant.
             p.busy.insert(vm, now + SimDuration::new(1.0 + 0.01 * i as f64), CORES);
         }
-        let n_stages = p.broker.learned_model().n_stages();
+        // One 4-core shard per stage — shaped like `class` at stage 0 —
+        // shared by every queued job, as the allocator shares its plans.
+        let plan =
+            Arc::new(ExecutionPlan::new(vec![(1, CORES); p.broker.learned_model().n_stages()]));
         for i in 0..queued_jobs {
             // Dense ids from zero, matching arrival numbering — the job
             // arena is sized by the highest id.
             let id = JobId(i as u32);
             let job = Job::new(id, 5.0, SimTime::ZERO);
             let (d, submitted) = (job.size_units, job.submitted_at);
-            // One 4-core shard per stage — shaped like `class` at stage 0.
-            let plan = ExecutionPlan::new(vec![(1, CORES); n_stages]);
+            let plan = Arc::clone(&plan);
             p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
             p.queues.push(class, SubtaskRef { job: id }, SimTime::ZERO);
             p.queue_agg.on_enqueue(class, id.0, d, submitted, 1);

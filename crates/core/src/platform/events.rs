@@ -4,6 +4,7 @@ use scan_cloud::vm::VmId;
 use scan_sched::plan::ExecutionPlan;
 use scan_sim::{Calendar, SimTime, TenantId};
 use scan_workload::job::{Job, JobId};
+use std::sync::Arc;
 
 /// Where the platform's subsystems schedule follow-up events.
 ///
@@ -80,7 +81,9 @@ pub(super) struct SubtaskRef {
 #[derive(Debug, Clone)]
 pub(super) struct JobRun {
     pub(super) job: Job,
-    pub(super) plan: ExecutionPlan,
+    /// Shared with the allocator's cache, the bandit's arm or the forced
+    /// plan, so admitting a job copies no plan.
+    pub(super) plan: Arc<ExecutionPlan>,
     pub(super) stage: usize,
     /// Shard subtasks of the current stage still queued or running.
     pub(super) outstanding: u32,

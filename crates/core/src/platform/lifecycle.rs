@@ -10,9 +10,9 @@ use scan_cloud::shared::Watch;
 use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmId;
 use scan_sched::alloc::AllocationPolicy;
-use scan_sched::plan::ExecutionPlan;
 use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
 use scan_sim::{SimDuration, SimTime, TraceEvent};
+use std::sync::Arc;
 
 impl Platform {
     pub(super) fn on_vm_ready(&mut self, now: SimTime, vm_id: VmId, sink: &mut impl EventSink) {
@@ -204,12 +204,11 @@ impl Platform {
             self.standing_target.clear();
             return;
         }
-        let plan = match (&self.cfg.forced_plan, &self.learned) {
-            (Some(stages), _) => ExecutionPlan::new(stages.clone()),
-            (None, Some(planner)) => planner.best_plan().clone(),
+        let plan = match (&self.forced_plan, &self.learned) {
+            (Some(plan), _) => Arc::clone(plan),
+            (None, Some(planner)) => Arc::clone(planner.best_plan()),
             (None, None) => {
-                let model = self.broker.learned_model().clone();
-                let ctx = self.allocation_context(&model);
+                let ctx = self.allocation_context(self.broker.learned_model());
                 self.allocator.plan_for(self.cfg.fixed.mean_job_size, now, &ctx)
             }
         };
@@ -219,7 +218,7 @@ impl Platform {
         } else {
             (self.cfg.arrival_config().mean_job_rate(), self.cfg.fixed.mean_job_size)
         };
-        let model = self.broker.learned_model().clone();
+        let model = self.broker.learned_model();
         let mut target = [0.0f64; N_SHAPES];
         for (i, &(s, t)) in plan.stages.iter().enumerate() {
             let d_gb = model.units_to_gb(mean_size) / s as f64;
@@ -239,7 +238,7 @@ impl Platform {
 
         // Top pools up from the private tier (ascending shapes, the old
         // keyed iteration order).
-        for (cores, want) in self.standing_target.iter().collect::<Vec<_>>() {
+        for (cores, want) in self.standing_target.iter() {
             if want == 0 {
                 continue;
             }

@@ -4,9 +4,11 @@
 //! Event flow (§III-A.2):
 //!
 //! 1. **Arrival** — a batch of jobs lands; the allocation policy picks
-//!    each job's execution plan, the broker registers and shards its
-//!    dataset, and the stage-1 subtasks join their class queues
-//!    (`admission`).
+//!    each job's execution plan (a shared handle on a cached, forced or
+//!    bandit plan) and the stage-1 subtasks join their class queues
+//!    (`admission`). Nothing is registered per job: the broker's only
+//!    storage role is pricing each subtask's staging delay from the
+//!    shared store's transfer model.
 //! 2. **Dispatch** — idle workers of the right shape take queue heads
 //!    (FIFO). A stalled class triggers the horizontal-scaling decision:
 //!    use private capacity, hire public (Eq. 1 delay cost vs hire cost
@@ -66,7 +68,7 @@ use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
 use scan_sched::estimate::EttEstimator;
 use scan_sched::learned::EpsilonGreedyPlanner;
-use scan_sched::plan::candidate_plans;
+use scan_sched::plan::{candidate_plans, ExecutionPlan};
 use scan_sched::queue::{QueueSet, TaskClass};
 use scan_sim::{
     prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimDuration, SimRng, SimTime,
@@ -74,6 +76,7 @@ use scan_sim::{
 };
 use scan_workload::arrivals::ArrivalProcess;
 use scan_workload::gatk::PipelineModel;
+use scan_workload::job::Job;
 use scan_workload::reward::RewardFn;
 use state::{
     AdmissionBacklog, BootingCounts, BusyTable, ClassCounts, IdlePools, SlotArena, StandingTargets,
@@ -107,12 +110,16 @@ pub struct Platform {
     reward: RewardFn,
     true_model: PipelineModel,
     arrivals: ArrivalProcess,
+    /// The arrival batch buffer, refilled in place by every arrival.
+    arrival_batch: Vec<Job>,
     broker: DataBroker,
     provider: CloudProvider,
     private_tier: TierId,
     public_tier: TierId,
     estimator: EttEstimator,
     allocator: Allocator,
+    /// `cfg.forced_plan`, validated and built once per platform.
+    forced_plan: Option<Arc<ExecutionPlan>>,
     queues: QueueSet<events::SubtaskRef>,
     /// Live job runs, arena-indexed by `JobId` (ids are dense arrival
     /// ordinals; completed jobs tombstone their slot).
@@ -240,6 +247,8 @@ impl Platform {
 
         let estimator = EttEstimator::new(broker.learned_model().clone(), cfg.fixed.eqt_alpha);
         let allocator = Allocator::new(cfg.variable.allocation, cfg.fixed.replan_period_tu);
+        let forced_plan =
+            cfg.forced_plan.clone().map(|stages| Arc::new(ExecutionPlan::new(stages)));
         let learned = (cfg.variable.allocation == AllocationPolicy::Learned).then(|| {
             // Warm-start each arm with its model-predicted profit, so
             // exploration starts from the analytic ranking instead of
@@ -278,12 +287,14 @@ impl Platform {
             reward,
             true_model,
             arrivals,
+            arrival_batch: Vec::new(),
             broker,
             provider,
             private_tier: TierId(0),
             public_tier: TierId(1),
             estimator,
             allocator,
+            forced_plan,
             queues: QueueSet::new(),
             jobs: SlotArena::new(),
             idle: IdlePools::new([

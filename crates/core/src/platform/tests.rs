@@ -238,9 +238,10 @@ fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
     worker.start_task(ready);
     p.busy.insert(vm, SimTime::new(40.0), 4);
     let depth = 2 * Platform::MAX_QUEUE_VIEW as u32;
+    let plan = std::sync::Arc::new(ExecutionPlan::new(vec![(1, 4); p.true_model.n_stages()]));
     for i in 0..depth {
         let id = JobId(i);
-        let plan = ExecutionPlan::new(vec![(1, 4); p.true_model.n_stages()]);
+        let plan = std::sync::Arc::clone(&plan);
         let job = Job::new(id, 5.0, SimTime::ZERO);
         p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
         p.queues.push(class, SubtaskRef { job: id }, SimTime::ZERO);

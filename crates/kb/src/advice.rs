@@ -114,6 +114,18 @@ impl KnowledgeBase {
         })
     }
 
+    /// A knowledge base whose log is `log`, taken as is: the same state
+    /// as ingesting each record in order into [`KnowledgeBase::new`],
+    /// without copying a record.
+    ///
+    /// # Panics
+    /// Panics, as [`KnowledgeBase::ingest`] does, if a float field of any
+    /// record is NaN.
+    pub fn from_log(log: Vec<ProfileRecord>) -> Self {
+        log.iter().for_each(refuse_nan);
+        KnowledgeBase { log, ontology: OnceLock::new() }
+    }
+
     /// Ingests a task log record ("the SCAN keeps the log information of
     /// each task scheduled to run in a cloud").
     ///
@@ -121,10 +133,7 @@ impl KnowledgeBase {
     /// Panics if a float field is NaN, which the ontology view could not
     /// hold as a literal.
     pub fn ingest(&mut self, record: &ProfileRecord) {
-        assert!(
-            ![record.input_gb, record.ram_gb, record.e_time].iter().any(|f| f.is_nan()),
-            "NaN literals are not permitted in the knowledge base"
-        );
+        refuse_nan(record);
         if let Some(o) = self.ontology.get_mut() {
             o.ingest_profile(record);
         }
@@ -203,21 +212,25 @@ impl KnowledgeBase {
     /// of `application` (matched exactly) from ingested profiles, in
     /// ingest order. Returns `None` until enough observations exist (≥ 2
     /// distinct single-thread sizes).
+    ///
+    /// The log is scanned once, and each scratch buffer is sized once (the
+    /// stage's records to the log's length, the fit inputs to the stage's
+    /// record count), so a fit never regrows a `Vec`.
     pub fn stage_model(&self, application: &str, stage: u32) -> Option<StageModelEstimate> {
-        let profiles: Vec<&ProfileRecord> =
-            self.profiles(application).filter(|p| p.stage == stage).collect();
+        let mut profiles: Vec<&ProfileRecord> = Vec::with_capacity(self.log.len());
+        profiles.extend(self.profiles(application).filter(|p| p.stage == stage));
         if profiles.is_empty() {
             return None;
         }
 
         // (a, b) from single-threaded observations.
-        let single: Vec<(f64, f64)> =
-            profiles.iter().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)).collect();
+        let mut single: Vec<(f64, f64)> = Vec::with_capacity(profiles.len());
+        single.extend(profiles.iter().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)));
         let lin = linear_fit(&single)?;
 
         // c from multi-threaded observations, normalised by predicted E(d):
         // T/E(d) = c/t + (1−c), linear in 1/t.
-        let mut normalised: Vec<(u32, f64)> = Vec::new();
+        let mut normalised: Vec<(u32, f64)> = Vec::with_capacity(profiles.len());
         for p in &profiles {
             let e = lin.predict(p.input_gb);
             if e > 1e-9 {
@@ -253,6 +266,15 @@ impl KnowledgeBase {
     ) -> BTreeMap<u32, StageModelEstimate> {
         (1..=n_stages).filter_map(|s| self.stage_model(application, s).map(|m| (s, m))).collect()
     }
+}
+
+/// The knowledge base's one admission check: the ontology view cannot
+/// hold a NaN literal.
+fn refuse_nan(record: &ProfileRecord) {
+    assert!(
+        ![record.input_gb, record.ram_gb, record.e_time].iter().any(|f| f.is_nan()),
+        "NaN literals are not permitted in the knowledge base"
+    );
 }
 
 /// Number of shards needed to cover `total_gb` at `chunk_gb` per shard.

@@ -112,8 +112,8 @@ impl AmdahlFit {
 /// raw estimate slightly outside, and downstream consumers (the scheduler's
 /// plan optimiser) require a valid Amdahl fraction.
 pub fn amdahl_fit(points: &[(u32, f64)]) -> Option<AmdahlFit> {
-    let transformed: Vec<(f64, f64)> =
-        points.iter().filter(|p| p.0 >= 1).map(|&(t, y)| (1.0 / t as f64, y)).collect();
+    let mut transformed: Vec<(f64, f64)> = Vec::with_capacity(points.len());
+    transformed.extend(points.iter().filter(|p| p.0 >= 1).map(|&(t, y)| (1.0 / t as f64, y)));
     let fit = linear_fit(&transformed)?;
     let alpha = fit.slope; // E·c
     let beta = fit.intercept; // E·(1−c)

@@ -172,3 +172,29 @@ fn ingest_rejects_nan_fields() {
     let mut kb = KnowledgeBase::new();
     kb.ingest(&ProfileRecord { e_time: f64::NAN, ..ProfileRecord::gatk(1, 2.0, 1.0) });
 }
+
+#[test]
+#[should_panic(expected = "NaN literals are not permitted in the knowledge base")]
+fn a_log_taken_by_value_refuses_nan_like_ingest() {
+    let mut log = three_app_log();
+    log.insert(
+        log.len() / 2,
+        ProfileRecord { e_time: f64::NAN, ..ProfileRecord::gatk(1, 2.0, 1.0) },
+    );
+    KnowledgeBase::from_log(log);
+}
+
+#[test]
+fn a_log_taken_by_value_is_the_log_ingested_record_by_record() {
+    let log = three_app_log();
+    let mut ingested = KnowledgeBase::new();
+    for rec in &log {
+        ingested.ingest(rec);
+    }
+    let taken = KnowledgeBase::from_log(log);
+    for app in APPS {
+        assert_eq!(taken.profile_count(app), ingested.profile_count(app));
+        assert_eq!(taken.stage_models(app, 3), ingested.stage_models(app, 3));
+    }
+    assert_eq!(turtle_of(&taken), turtle_of(&ingested));
+}

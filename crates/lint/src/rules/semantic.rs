@@ -170,10 +170,24 @@ fn chain_text(chain: &[ChainHop]) -> String {
     chain.iter().map(|h| h.label.as_str()).collect::<Vec<_>>().join(" -> ")
 }
 
+/// The hostile-input decoders: they read bytes or text from outside the
+/// process, so a malformed input must come back as an error, never as a
+/// panic. `(impl owner, name)`; `None` is a free function.
+const DECODER_ROOTS: [(Option<&str>, &str); 6] = [
+    (Some("TraceStore"), "from_bytes"),
+    (None, "parse_query"),
+    (None, "from_turtle"),
+    (None, "parse_fastq"),
+    (None, "parse_sbam"),
+    (None, "parse_vcf"),
+];
+
 /// `panic-path`: `panic!`/`todo!`/`unimplemented!` and bare `unwrap()`
-/// sites in library code that are reachable, along call edges, from the
-/// platform's event loop (`Platform::run`/`handle_event`, any
-/// `EventHandler::handle` impl) or any `Observer::on_event` impl.
+/// sites in library code that are reachable, along call edges, from a
+/// root. The roots are the platform's event loop
+/// (`Platform::run`/`handle_event`, any `EventHandler::handle` impl), any
+/// `Observer::on_event` impl, and the hostile-input decoders of
+/// [`DECODER_ROOTS`].
 /// `expect("…")` is deliberately *not* a source — a stated invariant is
 /// the house style for asserting impossibility — and neither is
 /// indexing, which the arena-based designs use pervasively.
@@ -190,7 +204,8 @@ fn check_panic_paths(model: &SemanticModel<'_>, graph: &CallGraph, diags: &mut V
         let is_root = (decl.owner.as_deref() == Some("Platform")
             && matches!(decl.name.as_str(), "run" | "handle_event"))
             || (decl.trait_name.as_deref() == Some("EventHandler") && decl.name == "handle")
-            || (decl.trait_name.as_deref() == Some("Observer") && decl.name == "on_event");
+            || (decl.trait_name.as_deref() == Some("Observer") && decl.name == "on_event")
+            || is_decoder_root(model, id);
         if is_root {
             root_of.insert(id, id);
             queue.push_back(id);
@@ -224,8 +239,9 @@ fn check_panic_paths(model: &SemanticModel<'_>, graph: &CallGraph, diags: &mut V
                 site.line,
                 site.col,
                 format!(
-                    "{} is reachable from hot-path root `{}`; chain: {}",
+                    "{} is reachable from {} root `{}`; chain: {}",
                     site.what,
+                    if is_decoder_root(model, root) { "decoder" } else { "hot-path" },
                     model.label(root),
                     chain_text(&chain),
                 ),
@@ -233,6 +249,14 @@ fn check_panic_paths(model: &SemanticModel<'_>, graph: &CallGraph, diags: &mut V
             ));
         }
     }
+}
+
+/// Whether `id` is one of the [`DECODER_ROOTS`] (an inherent method or a
+/// free function, never a trait impl).
+fn is_decoder_root(model: &SemanticModel<'_>, id: FnId) -> bool {
+    let decl = model.decl(id);
+    decl.trait_name.is_none()
+        && DECODER_ROOTS.contains(&(decl.owner.as_deref(), decl.name.as_str()))
 }
 
 /// Root-first chain for a reachable panic site.

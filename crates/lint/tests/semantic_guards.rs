@@ -59,8 +59,9 @@ fn passes_find_the_annotated_sites_when_allows_are_ignored() {
     });
     patch(&mut ws, "crates/core/src/broker.rs", |text| {
         text.replacen(
-            "let mut kb = KnowledgeBase::new();",
-            "let mut kb = KnowledgeBase::new();\n        let _ = KnowledgeBase::drifted_index();",
+            "let learned = Self::learn_model(&kb, model);",
+            "let _ = KnowledgeBase::drifted_index();\n        \
+             let learned = Self::learn_model(&kb, model);",
             1,
         )
     });
@@ -77,4 +78,35 @@ fn passes_find_the_annotated_sites_when_allows_are_ignored() {
     );
     let count = |rule: &str| diags.iter().filter(|d| d.rule == rule).count();
     assert!(count("panic-path") >= 1, "panic-path pass went blind: {diags:?}");
+}
+
+/// The hostile-input decoders are `panic-path` roots: the real
+/// workspace's decoders scan clean, and a bare `unwrap()` planted (in
+/// memory) in `parse_vcf` is reported with a chain rooted there.
+#[test]
+fn a_bare_unwrap_planted_in_a_decoder_is_reported() {
+    let decoder_findings = |ws: &Workspace| {
+        ws.run_semantic()
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.rule == "panic-path" && d.message.contains("decoder root"))
+            .collect::<Vec<_>>()
+    };
+    let mut ws = real_workspace();
+    assert_eq!(decoder_findings(&ws).len(), 0, "the decoders scan clean today");
+    patch(&mut ws, "crates/genomics/src/variant.rs", |text| {
+        text.replacen(
+            "pub fn parse_vcf(text: &str) -> Option<Vec<VcfRecord>> {\n",
+            "pub fn parse_vcf(text: &str) -> Option<Vec<VcfRecord>> {\n    \
+             let _ = text.lines().next().unwrap();\n",
+            1,
+        )
+    });
+    let found = decoder_findings(&ws);
+    assert!(
+        found.len() == 1
+            && found[0].path.ends_with("crates/genomics/src/variant.rs")
+            && found[0].chain.first().is_some_and(|h| h.label == "parse_vcf"),
+        "the planted unwrap must be reported from `parse_vcf`: {found:?}"
+    );
 }

@@ -20,6 +20,7 @@ use scan_sim::SimTime;
 use scan_workload::gatk::PipelineModel;
 use scan_workload::reward::RewardFn;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Table I's resource-allocation algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,7 +122,7 @@ pub struct Allocator {
 
 #[derive(Debug, Clone)]
 struct CachedPlan {
-    plan: ExecutionPlan,
+    plan: Arc<ExecutionPlan>,
     computed_at: SimTime,
 }
 
@@ -139,13 +140,15 @@ impl Allocator {
         self.policy
     }
 
-    /// Chooses the plan for a job of `size_units` submitted at `now`.
+    /// Chooses the plan for a job of `size_units` submitted at `now`. The
+    /// policies that cache a plan hand out shared handles on it, so a
+    /// cached plan is never copied per job.
     pub fn plan_for(
         &mut self,
         size_units: f64,
         now: SimTime,
         ctx: &AllocationContext<'_>,
-    ) -> ExecutionPlan {
+    ) -> Arc<ExecutionPlan> {
         match self.policy {
             AllocationPolicy::Greedy => {
                 let price = if ctx.private_free_now { ctx.private_price } else { ctx.public_price };
@@ -154,7 +157,7 @@ impl Allocator {
                     price_per_core_tu: price,
                     overhead_tu: ctx.current_overhead_tu,
                 };
-                best_plan(ctx.model, size_units, &objective)
+                Arc::new(best_plan(ctx.model, size_units, &objective))
             }
             AllocationPolicy::LongTerm | AllocationPolicy::LongTermAdaptive => {
                 let stale = match &self.cached {
@@ -162,20 +165,20 @@ impl Allocator {
                     Some(c) => (now - c.computed_at).as_tu() >= self.recompute_every,
                 };
                 if stale {
-                    let plan = self.steady_state_plan(ctx);
+                    let plan = Arc::new(self.steady_state_plan(ctx));
                     self.cached = Some(CachedPlan { plan, computed_at: now });
                 }
-                self.cached.as_ref().expect("just populated").plan.clone()
+                Arc::clone(&self.cached.as_ref().expect("just populated").plan)
             }
             // The bandit lives at the platform level (it needs an RNG and
             // per-job profit feedback); if asked directly, fall back to
             // the best-constant baseline.
             AllocationPolicy::BestConstant | AllocationPolicy::Learned => {
                 if self.cached.is_none() {
-                    let plan = best_constant_plan(ctx);
+                    let plan = Arc::new(best_constant_plan(ctx));
                     self.cached = Some(CachedPlan { plan, computed_at: now });
                 }
-                self.cached.as_ref().expect("just populated").plan.clone()
+                Arc::clone(&self.cached.as_ref().expect("just populated").plan)
             }
         }
     }

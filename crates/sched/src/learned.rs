@@ -9,11 +9,13 @@
 
 use crate::plan::ExecutionPlan;
 use scan_sim::SimRng;
+use std::sync::Arc;
 
 /// An ε-greedy bandit over execution plans.
 #[derive(Debug, Clone)]
 pub struct EpsilonGreedyPlanner {
-    arms: Vec<ExecutionPlan>,
+    /// Shared, so handing a job its arm's plan copies no stages.
+    arms: Vec<Arc<ExecutionPlan>>,
     /// Empirical mean profit per arm.
     means: Vec<f64>,
     pulls: Vec<u64>,
@@ -29,6 +31,7 @@ impl EpsilonGreedyPlanner {
         assert!(!arms.is_empty(), "the bandit needs at least one arm");
         assert!((0.0..=1.0).contains(&epsilon));
         let n = arms.len();
+        let arms = arms.into_iter().map(Arc::new).collect();
         EpsilonGreedyPlanner { arms, means: vec![0.0; n], pulls: vec![0; n], epsilon }
     }
 
@@ -47,6 +50,7 @@ impl EpsilonGreedyPlanner {
         assert!((0.0..=1.0).contains(&epsilon));
         assert!(priors.iter().all(|p| p.is_finite()));
         let n = arms.len();
+        let arms = arms.into_iter().map(Arc::new).collect();
         EpsilonGreedyPlanner { arms, means: priors, pulls: vec![1; n], epsilon }
     }
 
@@ -57,16 +61,16 @@ impl EpsilonGreedyPlanner {
 
     /// Chooses an arm; returns its index and plan. Unpulled arms are
     /// tried first (optimistic initialisation), then ε-greedy.
-    pub fn select(&self, rng: &mut SimRng) -> (usize, ExecutionPlan) {
+    pub fn select(&self, rng: &mut SimRng) -> (usize, Arc<ExecutionPlan>) {
         if let Some(idx) = self.pulls.iter().position(|&p| p == 0) {
-            return (idx, self.arms[idx].clone());
+            return (idx, Arc::clone(&self.arms[idx]));
         }
         let idx = if rng.uniform01() < self.epsilon {
             rng.uniform_usize(0, self.arms.len() - 1)
         } else {
             self.best_arm()
         };
-        (idx, self.arms[idx].clone())
+        (idx, Arc::clone(&self.arms[idx]))
     }
 
     /// Reports the realised profit of a run executed under arm `idx`.
@@ -93,12 +97,12 @@ impl EpsilonGreedyPlanner {
     }
 
     /// The plan behind an arm.
-    pub fn arm_plan(&self, idx: usize) -> &ExecutionPlan {
+    pub fn arm_plan(&self, idx: usize) -> &Arc<ExecutionPlan> {
         &self.arms[idx]
     }
 
     /// The plan of the empirically-best arm.
-    pub fn best_plan(&self) -> &ExecutionPlan {
+    pub fn best_plan(&self) -> &Arc<ExecutionPlan> {
         &self.arms[self.best_arm()]
     }
 

@@ -86,25 +86,26 @@ impl ArrivalProcess {
         self.next_at
     }
 
-    /// Produces the next batch and schedules the one after.
-    pub fn next_batch(&mut self) -> ArrivalBatch {
+    /// Produces the next batch into `jobs` (cleared first, so a caller
+    /// reusing one buffer allocates only when a batch outgrows it),
+    /// schedules the one after, and returns the batch's arrival instant.
+    pub fn next_batch(&mut self, jobs: &mut Vec<Job>) -> SimTime {
         let at = self.next_at;
         let n = self.size_rng.count_normal(self.config.mean_batch, self.config.batch_variance, 1);
-        let jobs = (0..n)
-            .map(|_| {
-                let size = self.size_rng.truncated_normal(
-                    self.config.mean_size,
-                    self.config.size_variance,
-                    MIN_JOB_SIZE,
-                );
-                let id = JobId(self.next_job_id);
-                self.next_job_id += 1;
-                Job::new(id, size, at)
-            })
-            .collect();
+        jobs.clear();
+        jobs.extend((0..n).map(|_| {
+            let size = self.size_rng.truncated_normal(
+                self.config.mean_size,
+                self.config.size_variance,
+                MIN_JOB_SIZE,
+            );
+            let id = JobId(self.next_job_id);
+            self.next_job_id += 1;
+            Job::new(id, size, at)
+        }));
         let gap = self.timing_rng.exponential(self.config.mean_interval);
         self.next_at = at + SimDuration::new(gap);
-        ArrivalBatch { at, jobs }
+        at
     }
 
     /// Generates all batches up to a horizon (convenience for tests and
@@ -112,7 +113,9 @@ impl ArrivalProcess {
     pub fn batches_until(&mut self, horizon: SimTime) -> Vec<ArrivalBatch> {
         let mut out = Vec::new();
         while self.next_at <= horizon {
-            out.push(self.next_batch());
+            let mut jobs = Vec::new();
+            let at = self.next_batch(&mut jobs);
+            out.push(ArrivalBatch { at, jobs });
         }
         out
     }
@@ -221,11 +224,10 @@ mod tests {
             hub2.stream("sizes"),
         );
         let sizes = |p: &mut ArrivalProcess| -> Vec<u64> {
-            let mut out = Vec::new();
+            let (mut out, mut batch) = (Vec::new(), Vec::new());
             while out.len() < 50 {
-                for j in p.next_batch().jobs {
-                    out.push((j.size_units * 1e6) as u64);
-                }
+                p.next_batch(&mut batch);
+                out.extend(batch.iter().map(|j| (j.size_units * 1e6) as u64));
             }
             out.truncate(50);
             out

@@ -22,7 +22,8 @@ pub const PROFILE_THREADS: [u32; 5] = [1, 2, 4, 8, 16];
 /// Generates a profiling trace for every stage of `model`: each (size,
 /// threads) cell is measured `replicates` times with multiplicative
 /// Gaussian noise of relative σ `noise`. Every record shares
-/// `application`, so a static name is never copied per record.
+/// `application`, so a static name is never copied per record, and the
+/// trace is allocated once at its exact length.
 pub fn generate_profile_trace(
     model: &PipelineModel,
     application: impl Into<Cow<'static, str>>,
@@ -33,7 +34,8 @@ pub fn generate_profile_trace(
     assert!(replicates >= 1);
     assert!((0.0..0.5).contains(&noise), "relative noise must be in [0, 0.5)");
     let application = application.into();
-    let mut out = Vec::new();
+    let cells = model.stages.len() * PROFILE_SIZES_GB.len() * PROFILE_THREADS.len();
+    let mut out = Vec::with_capacity(cells * replicates);
     for (stage_idx, factors) in model.stages.iter().enumerate() {
         for &size_gb in &PROFILE_SIZES_GB {
             for &threads in &PROFILE_THREADS {
@@ -87,6 +89,29 @@ mod tests {
             assert!((m.a - truth.a).abs() < 1e-6, "stage {} a: {} vs {}", i + 1, m.a, truth.a);
             assert!((m.b - truth.b).abs() < 1e-6, "stage {} b: {} vs {}", i + 1, m.b, truth.b);
             assert!((m.c - truth.c).abs() < 1e-4, "stage {} c: {} vs {}", i + 1, m.c, truth.c);
+        }
+    }
+
+    /// The broker's bootstrap hands the trace to the knowledge base by
+    /// value; every fitted number must be bit-identical to ingesting the
+    /// same trace one record at a time.
+    #[test]
+    fn a_trace_taken_by_value_fits_like_record_by_record_ingest() {
+        let model = PipelineModel::paper();
+        let trace = generate_profile_trace(&model, "GATK", 3, 0.02, &mut SimRng::from_seed_u64(42));
+        assert_eq!(trace.capacity(), trace.len(), "allocated once at its exact length");
+        let mut ingested = KnowledgeBase::new();
+        for r in &trace {
+            ingested.ingest(r);
+        }
+        let taken = KnowledgeBase::from_log(trace);
+        for stage in 1..=model.n_stages() as u32 {
+            let bits = |kb: &KnowledgeBase| {
+                let m = kb.stage_model("GATK", stage).expect("model learned");
+                let fit = [m.a, m.b, m.c, m.r_squared_linear, m.r_squared_amdahl];
+                (fit.map(f64::to_bits), m.observations)
+            };
+            assert_eq!(bits(&taken), bits(&ingested), "stage {stage}");
         }
     }
 

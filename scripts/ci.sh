@@ -92,6 +92,10 @@ run_one --test doc_contracts matrix_state_digests_are_pinned
 run_one --test doc_contracts fleet_100_state_digest_is_pinned
 run_one --test doc_contracts fleet_contended_state_digest_is_pinned
 
+echo "==> allocation budgets (debug: nothing on the simulation path allocates per job)"
+run_one --test alloc_budget session_unit_allocates_nothing_per_job
+run_one --test alloc_budget fleet_tenant_build_is_small
+
 if [[ "$quick" != "quick" ]]; then
     echo "==> store determinism (two fixed-seed runs, identical SCTS digest)"
     # The columnar store's 8-byte digest replaces the old multi-megabyte
@@ -116,6 +120,10 @@ if [[ "$quick" != "quick" ]]; then
 
     echo "==> state digest at 1,000 tenants (release)"
     run_one --release --test doc_contracts fleet_1000_state_digest_is_pinned -- --ignored
+
+    echo "==> allocation budgets (release)"
+    run_one --release --test alloc_budget session_unit_allocates_nothing_per_job
+    run_one --release --test alloc_budget fleet_tenant_build_is_small
 
     echo "==> store/JSONL cross-check (the JSONL replayed from a store equals the live sink's)"
     run_one --test tracestore_fleet store_agrees_with_the_jsonl_sink
