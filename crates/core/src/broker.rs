@@ -37,13 +37,16 @@ impl DataBroker {
         DataBroker { kb, transfer: TransferModel::default(), learned, truth: model.clone() }
     }
 
-    /// Learns a full pipeline model from the knowledge base, falling back
-    /// to the ground-truth factors for any stage without enough data.
+    /// Learns a full pipeline model from the knowledge base (every stage
+    /// from one scan of its log), falling back to the ground-truth factors
+    /// for any stage without enough data.
     fn learn_model(kb: &KnowledgeBase, truth: &PipelineModel) -> PipelineModel {
-        let stages = (0..truth.n_stages())
-            .map(|i| match kb.stage_model("GATK", (i + 1) as u32) {
+        let learned = kb.stage_models("GATK", truth.n_stages() as u32);
+        let stages = (1..)
+            .zip(&truth.stages)
+            .map(|(stage, &fallback)| match learned.get(&stage) {
                 Some(m) => StageFactors { a: m.a, b: m.b, c: m.c },
-                None => truth.stages[i],
+                None => fallback,
             })
             .collect();
         PipelineModel::new(stages, truth.gb_per_unit)

@@ -68,7 +68,7 @@ use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
 use scan_sched::estimate::EttEstimator;
 use scan_sched::learned::EpsilonGreedyPlanner;
-use scan_sched::plan::{candidate_plans, ExecutionPlan};
+use scan_sched::plan::{ExecutionPlan, StageCosts};
 use scan_sched::queue::{QueueSet, TaskClass};
 use scan_sim::{
     prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimDuration, SimRng, SimTime,
@@ -253,24 +253,15 @@ impl Platform {
             // Warm-start each arm with its model-predicted profit, so
             // exploration starts from the analytic ranking instead of
             // paying full price to try arms the model knows are bad.
-            let arms = candidate_plans(broker.learned_model(), cfg.fixed.mean_job_size);
+            let costs = StageCosts::new(broker.learned_model(), cfg.fixed.mean_job_size);
+            let arms = costs.candidates();
             let objective = scan_sched::plan::PlanObjective {
                 reward: cfg.reward_fn(),
                 price_per_core_tu: cfg.fixed.private_core_cost * cfg.fixed.overhead_price_factor,
                 overhead_tu: 1.0,
             };
-            let priors: Vec<f64> = arms
-                .iter()
-                .map(|plan| {
-                    scan_sched::plan::evaluate_plan(
-                        broker.learned_model(),
-                        cfg.fixed.mean_job_size,
-                        plan,
-                        &objective,
-                    )
-                    .profit
-                })
-                .collect();
+            let priors: Vec<f64> =
+                arms.iter().map(|plan| costs.evaluate(plan, &objective).profit).collect();
             EpsilonGreedyPlanner::with_priors(arms, priors, 0.05)
         });
         let reward = cfg.reward_fn();
@@ -364,6 +355,7 @@ impl Platform {
     /// against the engine's calendar; a fleet does it per tenant against
     /// the shared, tenant-tagging calendar.
     pub(crate) fn start(&mut self, horizon: SimTime, sink: &mut impl EventSink) {
+        prof::scope!("start");
         // Hand the provider the sink list before the first hire so the
         // initial standing-pool hires are narrated too.
         self.provider.set_tracer(self.tracer.clone());

@@ -24,7 +24,7 @@
 
 use crate::ontology::{iri, Ontology};
 use crate::profile::ProfileRecord;
-use crate::regression::{amdahl_fit, linear_fit};
+use crate::regression::{linear_fit, AmdahlFit};
 use crate::sparql::parse_query;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -211,60 +211,110 @@ impl KnowledgeBase {
     /// Learns the `E(d) = a·d + b`, Amdahl-`c` model of one pipeline stage
     /// of `application` (matched exactly) from ingested profiles, in
     /// ingest order. Returns `None` until enough observations exist (≥ 2
-    /// distinct single-thread sizes).
-    ///
-    /// The log is scanned once, and each scratch buffer is sized once (the
-    /// stage's records to the log's length, the fit inputs to the stage's
-    /// record count), so a fit never regrows a `Vec`.
+    /// distinct single-thread sizes). The one-stage case of
+    /// [`KnowledgeBase::stage_models`].
     pub fn stage_model(&self, application: &str, stage: u32) -> Option<StageModelEstimate> {
-        let mut profiles: Vec<&ProfileRecord> = Vec::with_capacity(self.log.len());
-        profiles.extend(self.profiles(application).filter(|p| p.stage == stage));
-        if profiles.is_empty() {
-            return None;
-        }
-
-        // (a, b) from single-threaded observations.
-        let mut single: Vec<(f64, f64)> = Vec::with_capacity(profiles.len());
-        single.extend(profiles.iter().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)));
-        let lin = linear_fit(&single)?;
-
-        // c from multi-threaded observations, normalised by predicted E(d):
-        // T/E(d) = c/t + (1−c), linear in 1/t.
-        let mut normalised: Vec<(u32, f64)> = Vec::with_capacity(profiles.len());
-        for p in &profiles {
-            let e = lin.predict(p.input_gb);
-            if e > 1e-9 {
-                normalised.push((p.threads, p.e_time / e));
-            }
-        }
-        let c = match amdahl_fit(&normalised) {
-            Some(fit) => fit,
-            // All observations single-threaded → assume serial (c = 0).
-            None => crate::regression::AmdahlFit {
-                c: 0.0,
-                single_thread_time: 1.0,
-                r_squared: 1.0,
-                n: normalised.len(),
-            },
-        };
-
-        Some(StageModelEstimate {
-            a: lin.slope,
-            b: lin.intercept,
-            c: c.c,
-            r_squared_linear: lin.r_squared,
-            r_squared_amdahl: c.r_squared,
-            observations: profiles.len(),
-        })
+        let mut model = None;
+        self.fit_stages(application, stage, stage, |_, m| model = Some(m));
+        model
     }
 
-    /// Learns models for stages `1..=n_stages`, keyed by stage index.
+    /// Learns models for stages `1..=n_stages`, keyed by stage index, from
+    /// one scan of the log; a stage without enough observations has no
+    /// entry.
     pub fn stage_models(
         &self,
         application: &str,
         n_stages: u32,
     ) -> BTreeMap<u32, StageModelEstimate> {
-        (1..=n_stages).filter_map(|s| self.stage_model(application, s).map(|m| (s, m))).collect()
+        let mut models = BTreeMap::new();
+        self.fit_stages(application, 1, n_stages, |stage, m| {
+            models.insert(stage, m);
+        });
+        models
+    }
+
+    /// Fits every stage in `first..=last` of `application`, handing each
+    /// learned model to `emit` in stage order.
+    ///
+    /// One scan of the log threads each stage's records into a chain in
+    /// ingest order (`next[i]` is the log index of the record after record
+    /// `i` in its stage), so a stage's fit walks only its own records.
+    /// The fit inputs live in two scratch buffers shared by every stage,
+    /// sized once to the largest stage.
+    fn fit_stages(
+        &self,
+        application: &str,
+        first: u32,
+        last: u32,
+        mut emit: impl FnMut(u32, StageModelEstimate),
+    ) {
+        const END: u32 = u32::MAX;
+        if first > last {
+            return;
+        }
+        // Per stage: (first record, last record, record count).
+        let mut chains = vec![(END, END, 0usize); (last - first) as usize + 1];
+        let mut next = vec![END; self.log.len()];
+        for (i, p) in self.log.iter().enumerate() {
+            let Some(chain) = chains.get_mut(p.stage.wrapping_sub(first) as usize) else {
+                continue;
+            };
+            if p.application.as_bytes() != application.as_bytes() {
+                continue;
+            }
+            match chain.1 {
+                END => chain.0 = i as u32,
+                tail => next[tail as usize] = i as u32,
+            }
+            chain.1 = i as u32;
+            chain.2 += 1;
+        }
+
+        let largest = chains.iter().map(|c| c.2).max().unwrap_or(0);
+        let mut single: Vec<(f64, f64)> = Vec::with_capacity(largest);
+        let mut inverse: Vec<(f64, f64)> = Vec::with_capacity(largest);
+        for (stage, &(head, _, count)) in (first..=last).zip(&chains) {
+            if count == 0 {
+                continue;
+            }
+            let records = || {
+                std::iter::successors(Some(head), |&i| Some(next[i as usize]).filter(|&n| n != END))
+                    .map(|i| &self.log[i as usize])
+            };
+
+            // (a, b) from single-threaded observations.
+            single.clear();
+            single.extend(records().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)));
+            let Some(lin) = linear_fit(&single) else { continue };
+
+            // c from multi-threaded observations, normalised by predicted
+            // E(d): T/E(d) = c/t + (1−c), linear in 1/t (`amdahl_fit` over
+            // `(t, T/E(d))`, with `1/t` taken once per record).
+            inverse.clear();
+            for p in records() {
+                let e = lin.predict(p.input_gb);
+                if e > 1e-9 && p.threads >= 1 {
+                    inverse.push((1.0 / p.threads as f64, p.e_time / e));
+                }
+            }
+            // All observations single-threaded → assume serial (c = 0).
+            let c = linear_fit(&inverse).and_then(|fit| AmdahlFit::from_line(&fit)).unwrap_or(
+                AmdahlFit { c: 0.0, single_thread_time: 1.0, r_squared: 1.0, n: inverse.len() },
+            );
+
+            emit(
+                stage,
+                StageModelEstimate {
+                    a: lin.slope,
+                    b: lin.intercept,
+                    c: c.c,
+                    r_squared_linear: lin.r_squared,
+                    r_squared_amdahl: c.r_squared,
+                    observations: count,
+                },
+            );
+        }
     }
 }
 

@@ -87,6 +87,21 @@ pub struct AmdahlFit {
 }
 
 impl AmdahlFit {
+    /// The threading model implied by an OLS line over `(1/t, time)`
+    /// points: [`amdahl_fit`] for callers that already hold the
+    /// transformed points. `None` if the implied `E` is not positive and
+    /// finite.
+    pub fn from_line(fit: &LinearFit) -> Option<AmdahlFit> {
+        let alpha = fit.slope; // E·c
+        let beta = fit.intercept; // E·(1−c)
+        let e = alpha + beta;
+        if !(e.is_finite() && e > 0.0) {
+            return None;
+        }
+        let c = (alpha / e).clamp(0.0, 1.0);
+        Some(AmdahlFit { c, single_thread_time: e, r_squared: fit.r_squared, n: fit.n })
+    }
+
     /// Predicted execution time with `t` threads.
     pub fn predict(&self, threads: u32) -> f64 {
         assert!(threads >= 1);
@@ -114,15 +129,7 @@ impl AmdahlFit {
 pub fn amdahl_fit(points: &[(u32, f64)]) -> Option<AmdahlFit> {
     let mut transformed: Vec<(f64, f64)> = Vec::with_capacity(points.len());
     transformed.extend(points.iter().filter(|p| p.0 >= 1).map(|&(t, y)| (1.0 / t as f64, y)));
-    let fit = linear_fit(&transformed)?;
-    let alpha = fit.slope; // E·c
-    let beta = fit.intercept; // E·(1−c)
-    let e = alpha + beta;
-    if !(e.is_finite() && e > 0.0) {
-        return None;
-    }
-    let c = (alpha / e).clamp(0.0, 1.0);
-    Some(AmdahlFit { c, single_thread_time: e, r_squared: fit.r_squared, n: transformed.len() })
+    AmdahlFit::from_line(&linear_fit(&transformed)?)
 }
 
 #[cfg(test)]

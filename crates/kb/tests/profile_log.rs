@@ -95,6 +95,48 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `stage_models` fits every stage from one scan of an interleaved log;
+    /// each fit must equal, bit for bit, the per-stage fit over the
+    /// ontology's readback. `empty` is a stage with no records at all, and
+    /// `single` (plus any stage in `single_only`) one that only ever ran
+    /// single-threaded; stages 8 and 9 are never profiled.
+    #[test]
+    fn one_scan_fits_match_the_per_stage_readback_bit_for_bit(
+        raw in proptest::collection::vec(
+            (0usize..3, 1u32..8, 0usize..6, 0usize..5, 0.01f64..500.0),
+            0..240,
+        ),
+        single_only in 0u32..256,
+        single in 1u32..8,
+        empty in 1u32..8,
+    ) {
+        let log: Vec<ProfileRecord> = records(&raw, single_only | (1 << single))
+            .into_iter()
+            .filter(|r| r.stage != empty)
+            .collect();
+        let mut o = Ontology::with_scan_schema();
+        for rec in &log {
+            o.ingest_profile(rec);
+        }
+        let kb = KnowledgeBase::from_log(log);
+        for app in APPS {
+            let got: Vec<(u32, [u64; 5], usize)> = kb
+                .stage_models(app, 9)
+                .iter()
+                .map(|(&stage, m)| (stage, bits(m), m.observations))
+                .collect();
+            let want: Vec<(u32, [u64; 5], usize)> = (1..=9)
+                .filter_map(|stage| {
+                    fit_over_readback(&o, app, stage).map(|m| (stage, bits(&m), m.observations))
+                })
+                .collect();
+            prop_assert!(got.iter().all(|&(stage, ..)| stage != empty));
+            prop_assert_eq!(got, want);
+        }
+    }
+}
+
 fn three_app_log() -> Vec<ProfileRecord> {
     let mut out = Vec::new();
     for (i, app) in APPS.iter().enumerate() {

@@ -15,7 +15,7 @@
 //!   an observed arrival rate and knowledge-base-refreshed stage models
 //!   (the platform supplies both through [`AllocationContext`]).
 
-use crate::plan::{best_plan, candidate_plans, evaluate_plan, ExecutionPlan, PlanObjective};
+use crate::plan::{best_plan, ExecutionPlan, PlanObjective, StageCosts};
 use scan_sim::SimTime;
 use scan_workload::gatk::PipelineModel;
 use scan_workload::reward::RewardFn;
@@ -188,6 +188,7 @@ impl Allocator {
     /// price (one fixed-point refinement is enough because the blended
     /// price is monotone in plan work).
     fn steady_state_plan(&self, ctx: &AllocationContext<'_>) -> ExecutionPlan {
+        let costs = StageCosts::new(ctx.model, ctx.mean_job_size);
         let mut price = ctx.private_price;
         let mut plan = ExecutionPlan::serial(ctx.model.n_stages());
         for _ in 0..3 {
@@ -196,8 +197,8 @@ impl Allocator {
                 price_per_core_tu: price,
                 overhead_tu: ctx.steady_overhead_tu,
             };
-            plan = best_plan(ctx.model, ctx.mean_job_size, &objective);
-            let work = plan.core_tu(ctx.model, ctx.mean_job_size);
+            plan = costs.best_plan(&objective);
+            let work = costs.work(&plan);
             let new_price = ctx.blended_price(work);
             if (new_price - price).abs() < 1e-9 {
                 break;
@@ -209,18 +210,19 @@ impl Allocator {
 }
 
 /// Offline best-constant search: evaluate the candidate spectrum under
-/// steady-state economics and keep the most profitable plan.
+/// steady-state economics and keep the most profitable plan. One
+/// [`StageCosts`] table serves both the candidate search and the scoring.
 pub fn best_constant_plan(ctx: &AllocationContext<'_>) -> ExecutionPlan {
-    let candidates = candidate_plans(ctx.model, ctx.mean_job_size);
+    let costs = StageCosts::new(ctx.model, ctx.mean_job_size);
     let mut best: Option<(f64, ExecutionPlan)> = None;
-    for plan in candidates {
-        let work = plan.core_tu(ctx.model, ctx.mean_job_size);
+    for plan in costs.candidates() {
+        let work = costs.work(&plan);
         let objective = PlanObjective {
             reward: ctx.reward,
             price_per_core_tu: ctx.blended_price(work),
             overhead_tu: ctx.steady_overhead_tu,
         };
-        let econ = evaluate_plan(ctx.model, ctx.mean_job_size, &plan, &objective);
+        let econ = costs.evaluate(&plan, &objective);
         match &best {
             Some((p, _)) if *p >= econ.profit => {}
             _ => best = Some((econ.profit, plan)),
@@ -232,6 +234,7 @@ pub fn best_constant_plan(ctx: &AllocationContext<'_>) -> ExecutionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::evaluate_plan;
 
     fn ctx(model: &PipelineModel) -> AllocationContext<'_> {
         AllocationContext {

@@ -131,31 +131,180 @@ pub fn evaluate_plan(
     PlanEconomics { exec_latency, total_latency, work_core_tu, cost, reward, profit: reward - cost }
 }
 
-/// Optimises one stage against a linear latency price: minimise
-/// `latency_price · lat(s, t) + core_price · work(s, t)`.
-fn best_stage_entry(
-    model: &PipelineModel,
-    stage: usize,
+/// Shard options of a stage: every [`SHARD_OPTIONS`] entry if the stage
+/// is shardable, else one shard.
+fn shard_options(stage: usize) -> &'static [u32] {
+    if stage_shardable(stage) {
+        &SHARD_OPTIONS
+    } else {
+        &SHARD_OPTIONS[..1]
+    }
+}
+
+/// Table entries per stage: one per `(shards, threads)` pair.
+const ENTRIES_PER_STAGE: usize = SHARD_OPTIONS.len() * INSTANCE_SIZES.len();
+
+/// Every stage's `(shards, threads) → (latency, work)` at one job size,
+/// each priced once.
+///
+/// A plan search visits the same 245 entries at every latency price it
+/// tries (ten for [`candidate_plans`], a handful of fixed-point steps for
+/// [`StageCosts::best_plan`]), so the model is evaluated once per entry
+/// here and every price point reads the table. `latency` is
+/// [`PipelineModel::stage_latency`] and `work` is `s·t·latency` from the
+/// same bits, exactly [`PipelineModel::stage_core_tu`]; sums over a plan
+/// add stages in order, as [`PipelineModel::pipeline_latency`] does, so
+/// every number a search derives is bit-identical to evaluating the model.
+#[derive(Debug, Clone)]
+pub struct StageCosts<'m> {
+    model: &'m PipelineModel,
     size_units: f64,
-    latency_price: f64,
-    core_price: f64,
-) -> (u32, u32) {
-    let shard_options: &[u32] = if stage_shardable(stage) { &SHARD_OPTIONS } else { &[1] };
-    let mut best = (1u32, 1u32);
-    let mut best_cost = f64::INFINITY;
-    for &s in shard_options {
-        for &t in &INSTANCE_SIZES {
-            let lat = model.stage_latency(stage, size_units, s, t);
-            let work = model.stage_core_tu(stage, size_units, s, t);
-            let cost = latency_price * lat + core_price * work;
-            // Deterministic tie-break toward fewer resources.
-            if cost < best_cost - 1e-12 {
-                best_cost = cost;
-                best = (s, t);
+    /// `(latency, work)`, stage-major, `ENTRIES_PER_STAGE` per stage
+    /// indexed `shard index · INSTANCE_SIZES.len() + thread index`; an
+    /// unshardable stage fills only its one-shard row.
+    entries: Vec<(f64, f64)>,
+}
+
+/// `(latency, work)` of one stage entry, straight from the model.
+fn price(model: &PipelineModel, stage: usize, size_units: f64, s: u32, t: u32) -> (f64, f64) {
+    let lat = model.stage_latency(stage, size_units, s, t);
+    (lat, s as f64 * t as f64 * lat)
+}
+
+impl<'m> StageCosts<'m> {
+    /// Prices every stage entry of `model` for a job of `size_units`.
+    pub fn new(model: &'m PipelineModel, size_units: f64) -> Self {
+        let n = model.n_stages();
+        let mut entries = vec![(f64::NAN, f64::NAN); n * ENTRIES_PER_STAGE];
+        for stage in 0..n {
+            let row = &mut entries[stage * ENTRIES_PER_STAGE..(stage + 1) * ENTRIES_PER_STAGE];
+            for (si, &s) in shard_options(stage).iter().enumerate() {
+                for (ti, &t) in INSTANCE_SIZES.iter().enumerate() {
+                    row[si * INSTANCE_SIZES.len() + ti] = price(model, stage, size_units, s, t);
+                }
             }
         }
+        StageCosts { model, size_units, entries }
     }
-    best
+
+    fn n_stages(&self) -> usize {
+        self.entries.len() / ENTRIES_PER_STAGE
+    }
+
+    /// `(latency, work)` of one stage entry: read from the table, or, for
+    /// an entry outside the search's options (a shard count off
+    /// [`SHARD_OPTIONS`], say), priced from the model the same way.
+    fn cost(&self, stage: usize, (s, t): (u32, u32)) -> (f64, f64) {
+        let si = shard_options(stage).iter().position(|&x| x == s);
+        let ti = INSTANCE_SIZES.iter().position(|&x| x == t);
+        match (si, ti) {
+            (Some(si), Some(ti)) => {
+                self.entries[stage * ENTRIES_PER_STAGE + si * INSTANCE_SIZES.len() + ti]
+            }
+            _ => price(self.model, stage, self.size_units, s, t),
+        }
+    }
+
+    /// No-queue latency of `plan`: [`ExecutionPlan::latency`] from the
+    /// table.
+    pub fn latency(&self, plan: &ExecutionPlan) -> f64 {
+        plan.stages.iter().enumerate().map(|(i, &e)| self.cost(i, e).0).sum()
+    }
+
+    /// Core·TU of `plan`: [`ExecutionPlan::core_tu`] from the table.
+    pub fn work(&self, plan: &ExecutionPlan) -> f64 {
+        plan.stages.iter().enumerate().map(|(i, &e)| self.cost(i, e).1).sum()
+    }
+
+    /// [`evaluate_plan`] from the table.
+    pub fn evaluate(&self, plan: &ExecutionPlan, objective: &PlanObjective) -> PlanEconomics {
+        let exec_latency = self.latency(plan);
+        let total_latency = exec_latency + objective.overhead_tu;
+        let work_core_tu = self.work(plan);
+        let cost = work_core_tu * objective.price_per_core_tu;
+        let reward = objective.reward.reward(self.size_units, total_latency);
+        PlanEconomics {
+            exec_latency,
+            total_latency,
+            work_core_tu,
+            cost,
+            reward,
+            profit: reward - cost,
+        }
+    }
+
+    /// For each `(latency_price, core_price)`, the plan minimising
+    /// `latency_price · lat + core_price · work` in every stage. An entry
+    /// must undercut the best so far by more than 1e-12, so ties go to the
+    /// earlier entry (fewer shards, then fewer threads). All `K` price
+    /// points share one pass over the table: each entry is priced at every
+    /// point at once, and only an entry that undercuts some point's best
+    /// goes through the per-point update.
+    fn optimal_plans<const K: usize>(&self, prices: [(f64, f64); K]) -> [ExecutionPlan; K] {
+        let n = INSTANCE_SIZES.len();
+        let (latency_price, core_price) = (prices.map(|p| p.0), prices.map(|p| p.1));
+        let mut plans: [Vec<(u32, u32)>; K] =
+            std::array::from_fn(|_| Vec::with_capacity(self.n_stages()));
+        for (stage, row) in self.entries.chunks_exact(ENTRIES_PER_STAGE).enumerate() {
+            let shards = shard_options(stage);
+            let mut best = [0usize; K];
+            // Best cost so far minus the tie margin, per price point.
+            let mut threshold = [f64::INFINITY; K];
+            for (e, &(lat, work)) in row[..shards.len() * n].iter().enumerate() {
+                let cost: [f64; K] =
+                    std::array::from_fn(|k| latency_price[k] * lat + core_price[k] * work);
+                if (0..K).fold(false, |any, k| any | (cost[k] < threshold[k])) {
+                    for k in 0..K {
+                        if cost[k] < threshold[k] {
+                            threshold[k] = cost[k] - 1e-12;
+                            best[k] = e;
+                        }
+                    }
+                }
+            }
+            for (plan, e) in plans.iter_mut().zip(best) {
+                plan.push((shards[e / n], INSTANCE_SIZES[e % n]));
+            }
+        }
+        plans.map(ExecutionPlan::new)
+    }
+
+    /// [`best_plan`] over the table.
+    pub fn best_plan(&self, objective: &PlanObjective) -> ExecutionPlan {
+        let mut plan = ExecutionPlan::serial(self.n_stages());
+        let mut best = (self.evaluate(&plan, objective).profit, plan.clone());
+        let mut last_latency = f64::INFINITY;
+        for _ in 0..12 {
+            let total = self.latency(&plan) + objective.overhead_tu;
+            if (total - last_latency).abs() < 1e-9 {
+                break;
+            }
+            last_latency = total;
+            let latency_price = objective.reward.latency_price(self.size_units, total.max(1e-3));
+            [plan] = self.optimal_plans([(latency_price, objective.price_per_core_tu)]);
+            let profit = self.evaluate(&plan, objective).profit;
+            if profit > best.0 {
+                best = (profit, plan.clone());
+            }
+        }
+        best.1
+    }
+
+    /// [`candidate_plans`] over the table.
+    pub fn candidates(&self) -> Vec<ExecutionPlan> {
+        // Optimal plans at a ladder of latency prices (cheap to expensive
+        // latency), at private and public core prices.
+        const LATENCY_PRICES: [f64; 5] = [5.0, 20.0, 75.0, 200.0, 600.0];
+        let prices: [(f64, f64); 10] =
+            std::array::from_fn(|k| (LATENCY_PRICES[k % 5], if k < 5 { 5.0 } else { 50.0 }));
+        let mut plans = vec![ExecutionPlan::serial(self.n_stages())];
+        for p in self.optimal_plans(prices) {
+            if !plans.contains(&p) {
+                plans.push(p);
+            }
+        }
+        plans
+    }
 }
 
 /// Finds the profit-maximising plan for a job of `size_units`.
@@ -172,29 +321,7 @@ pub fn best_plan(
     size_units: f64,
     objective: &PlanObjective,
 ) -> ExecutionPlan {
-    let n = model.n_stages();
-    let mut plan = ExecutionPlan::serial(n);
-    let mut best = (evaluate_plan(model, size_units, &plan, objective).profit, plan.clone());
-    let mut last_latency = f64::INFINITY;
-    for _ in 0..12 {
-        let total = plan.latency(model, size_units) + objective.overhead_tu;
-        if (total - last_latency).abs() < 1e-9 {
-            break;
-        }
-        last_latency = total;
-        let latency_price = objective.reward.latency_price(size_units, total.max(1e-3));
-        let stages = (0..n)
-            .map(|i| {
-                best_stage_entry(model, i, size_units, latency_price, objective.price_per_core_tu)
-            })
-            .collect();
-        plan = ExecutionPlan::new(stages);
-        let profit = evaluate_plan(model, size_units, &plan, objective).profit;
-        if profit > best.0 {
-            best = (profit, plan.clone());
-        }
-    }
-    best.1
+    StageCosts::new(model, size_units).best_plan(objective)
 }
 
 /// Grows an efficient frontier of plans from the serial plan by greedy
@@ -259,27 +386,14 @@ pub fn plan_frontier(
 /// A small, diverse candidate set spanning the conservative-to-aggressive
 /// spectrum — used by the best-constant search and the learned policy.
 pub fn candidate_plans(model: &PipelineModel, size_units: f64) -> Vec<ExecutionPlan> {
-    let n = model.n_stages();
-    let mut plans = vec![ExecutionPlan::serial(n)];
-    // Optimal plans at a ladder of latency prices (cheap to expensive
-    // latency), at private and public core prices.
-    for &core_price in &[5.0, 50.0] {
-        for &latency_price in &[5.0, 20.0, 75.0, 200.0, 600.0] {
-            let stages = (0..n)
-                .map(|i| best_stage_entry(model, i, size_units, latency_price, core_price))
-                .collect();
-            let p = ExecutionPlan::new(stages);
-            if !plans.contains(&p) {
-                plans.push(p);
-            }
-        }
-    }
-    plans
+    StageCosts::new(model, size_units).candidates()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::{best_constant_plan, AllocationContext};
+    use proptest::prelude::*;
 
     fn model() -> PipelineModel {
         PipelineModel::paper()
@@ -504,5 +618,207 @@ mod tests {
         let min = cands.iter().map(ExecutionPlan::total_core_stages).min().unwrap();
         let max = cands.iter().map(ExecutionPlan::total_core_stages).max().unwrap();
         assert!(max > min + 8, "candidates should span the spectrum ({min}..{max})");
+    }
+
+    /// The plan search as it ran before [`StageCosts`]: every price point
+    /// evaluates the model afresh at every stage entry.
+    mod per_price_point {
+        use super::*;
+
+        fn best_stage_entry(
+            model: &PipelineModel,
+            stage: usize,
+            size_units: f64,
+            latency_price: f64,
+            core_price: f64,
+        ) -> (u32, u32) {
+            let shard_options: &[u32] = if stage_shardable(stage) { &SHARD_OPTIONS } else { &[1] };
+            let mut best = (1u32, 1u32);
+            let mut best_cost = f64::INFINITY;
+            for &s in shard_options {
+                for &t in &INSTANCE_SIZES {
+                    let lat = model.stage_latency(stage, size_units, s, t);
+                    let work = model.stage_core_tu(stage, size_units, s, t);
+                    let cost = latency_price * lat + core_price * work;
+                    if cost < best_cost - 1e-12 {
+                        best_cost = cost;
+                        best = (s, t);
+                    }
+                }
+            }
+            best
+        }
+
+        fn optimal_plan(
+            model: &PipelineModel,
+            size_units: f64,
+            latency_price: f64,
+            core_price: f64,
+        ) -> ExecutionPlan {
+            ExecutionPlan::new(
+                (0..model.n_stages())
+                    .map(|i| best_stage_entry(model, i, size_units, latency_price, core_price))
+                    .collect(),
+            )
+        }
+
+        pub fn best_plan(
+            model: &PipelineModel,
+            size_units: f64,
+            objective: &PlanObjective,
+        ) -> ExecutionPlan {
+            let mut plan = ExecutionPlan::serial(model.n_stages());
+            let mut best =
+                (evaluate_plan(model, size_units, &plan, objective).profit, plan.clone());
+            let mut last_latency = f64::INFINITY;
+            for _ in 0..12 {
+                let total = plan.latency(model, size_units) + objective.overhead_tu;
+                if (total - last_latency).abs() < 1e-9 {
+                    break;
+                }
+                last_latency = total;
+                let latency_price = objective.reward.latency_price(size_units, total.max(1e-3));
+                plan = optimal_plan(model, size_units, latency_price, objective.price_per_core_tu);
+                let profit = evaluate_plan(model, size_units, &plan, objective).profit;
+                if profit > best.0 {
+                    best = (profit, plan.clone());
+                }
+            }
+            best.1
+        }
+
+        pub fn candidate_plans(model: &PipelineModel, size_units: f64) -> Vec<ExecutionPlan> {
+            let mut plans = vec![ExecutionPlan::serial(model.n_stages())];
+            for &core_price in &[5.0, 50.0] {
+                for &latency_price in &[5.0, 20.0, 75.0, 200.0, 600.0] {
+                    let p = optimal_plan(model, size_units, latency_price, core_price);
+                    if !plans.contains(&p) {
+                        plans.push(p);
+                    }
+                }
+            }
+            plans
+        }
+
+        pub fn best_constant_plan(ctx: &AllocationContext<'_>) -> ExecutionPlan {
+            let mut best: Option<(f64, ExecutionPlan)> = None;
+            for plan in candidate_plans(ctx.model, ctx.mean_job_size) {
+                let work = plan.core_tu(ctx.model, ctx.mean_job_size);
+                let objective = PlanObjective {
+                    reward: ctx.reward,
+                    price_per_core_tu: ctx.blended_price(work),
+                    overhead_tu: ctx.steady_overhead_tu,
+                };
+                let econ = evaluate_plan(ctx.model, ctx.mean_job_size, &plan, &objective);
+                match &best {
+                    Some((p, _)) if *p >= econ.profit => {}
+                    _ => best = Some((econ.profit, plan)),
+                }
+            }
+            best.expect("candidate set is non-empty").1
+        }
+    }
+
+    /// The reward shape `kind` (one of the four the platform's
+    /// `RewardKind` selects) with generated parameters.
+    fn reward_of(kind: usize, (rmax, rpenalty, knee): (f64, f64, f64)) -> RewardFn {
+        match kind {
+            0 => RewardFn::TimeBased { rmax, rpenalty },
+            1 => RewardFn::ThroughputBased { rscale: rmax * 40.0 },
+            2 => RewardFn::Deadline { rmax, rpenalty, deadline: knee },
+            _ => RewardFn::Plateau { rmax, rpenalty, plateau: knee },
+        }
+    }
+
+    proptest! {
+        /// The table search returns exactly the plans of the per-price-point
+        /// search, and prices each of them to the same bits, for any stage
+        /// factors, job size and reward shape.
+        #[test]
+        fn table_searches_match_the_per_price_point_search(
+            factors in proptest::collection::vec(
+                (0.0f64..5.0, -1.0f64..20.0, 0.0f64..1.0),
+                1..10,
+            ),
+            size_units in 0.2f64..20.0,
+            reward_kind in 0usize..4,
+            reward_params in (50.0f64..800.0, 1.0f64..40.0, 2.0f64..80.0),
+            price in 0.5f64..120.0,
+            overhead_tu in 0.0f64..10.0,
+            arrival_rate in 0.01f64..20.0,
+            private_capacity in 16u32..1_000,
+        ) {
+            let stages = factors
+                .iter()
+                .map(|&(a, b, c)| scan_workload::gatk::StageFactors { a, b, c })
+                .collect();
+            let m = PipelineModel::new(stages, 0.4);
+            let costs = StageCosts::new(&m, size_units);
+            let reward = reward_of(reward_kind, reward_params);
+            let objective = PlanObjective { reward, price_per_core_tu: price, overhead_tu };
+
+            let cands = candidate_plans(&m, size_units);
+            prop_assert_eq!(&cands, &per_price_point::candidate_plans(&m, size_units));
+            for plan in &cands {
+                let want = evaluate_plan(&m, size_units, plan, &objective);
+                let got = costs.evaluate(plan, &objective);
+                prop_assert_eq!(got.profit.to_bits(), want.profit.to_bits());
+                prop_assert_eq!(got.work_core_tu.to_bits(), want.work_core_tu.to_bits());
+                prop_assert_eq!(got.exec_latency.to_bits(), want.exec_latency.to_bits());
+            }
+            prop_assert_eq!(
+                best_plan(&m, size_units, &objective),
+                per_price_point::best_plan(&m, size_units, &objective)
+            );
+            let ctx = AllocationContext {
+                model: &m,
+                reward,
+                private_price: price,
+                public_price: price * 10.0,
+                private_capacity,
+                private_free_now: true,
+                current_overhead_tu: overhead_tu,
+                arrival_rate,
+                mean_job_size: size_units,
+                steady_overhead_tu: overhead_tu,
+            };
+            prop_assert_eq!(best_constant_plan(&ctx), per_price_point::best_constant_plan(&ctx));
+        }
+    }
+
+    /// Plans the search never builds (the frontier's odd shard counts) are
+    /// priced from the model, to the same bits as `evaluate_plan`.
+    #[test]
+    fn table_prices_any_plan_like_the_model() {
+        let m = model();
+        let costs = StageCosts::new(&m, 5.0);
+        let obj = time_obj(5.0);
+        for plan in plan_frontier(&m, 5.0, 64) {
+            let (got, want) = (costs.evaluate(&plan, &obj), evaluate_plan(&m, 5.0, &plan, &obj));
+            assert_eq!(got.exec_latency.to_bits(), want.exec_latency.to_bits(), "{plan:?}");
+            assert_eq!(got.work_core_tu.to_bits(), want.work_core_tu.to_bits(), "{plan:?}");
+            assert_eq!(got.profit.to_bits(), want.profit.to_bits(), "{plan:?}");
+        }
+    }
+
+    /// The candidate spectrum of the paper's model for the mean job, entry
+    /// for entry: the serial plan, then the optimum at each new price point
+    /// (private core price first, latency price rising).
+    #[test]
+    fn paper_candidates_at_five_units_are_pinned() {
+        const PINNED: [[(u32, u32); 7]; 9] = [
+            [(1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+            [(1, 4), (12, 1), (1, 2), (4, 1), (1, 4), (1, 1), (1, 1)],
+            [(1, 8), (12, 1), (1, 4), (6, 2), (1, 8), (1, 1), (1, 1)],
+            [(1, 8), (12, 1), (2, 4), (8, 2), (1, 16), (1, 2), (1, 1)],
+            [(1, 16), (12, 1), (2, 8), (12, 4), (1, 16), (1, 4), (1, 1)],
+            [(1, 16), (12, 1), (4, 8), (16, 4), (1, 16), (2, 4), (1, 2)],
+            [(1, 1), (12, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+            [(1, 2), (12, 1), (1, 1), (2, 1), (1, 2), (1, 1), (1, 1)],
+            [(1, 8), (12, 1), (2, 4), (8, 2), (1, 8), (1, 2), (1, 1)],
+        ];
+        let got: Vec<Vec<(u32, u32)>> =
+            candidate_plans(&model(), 5.0).into_iter().map(|p| p.stages).collect();
+        assert_eq!(got, PINNED.map(|p| p.to_vec()));
     }
 }

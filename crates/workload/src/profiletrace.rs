@@ -21,9 +21,10 @@ pub const PROFILE_THREADS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Generates a profiling trace for every stage of `model`: each (size,
 /// threads) cell is measured `replicates` times with multiplicative
-/// Gaussian noise of relative σ `noise`. Every record shares
-/// `application`, so a static name is never copied per record, and the
-/// trace is allocated once at its exact length.
+/// Gaussian noise of relative σ `noise` around its ground-truth time,
+/// which is computed once per cell. Every record shares `application`,
+/// so a static name is never copied per record, and the trace is
+/// allocated once at its exact length.
 pub fn generate_profile_trace(
     model: &PipelineModel,
     application: impl Into<Cow<'static, str>>,
@@ -39,8 +40,8 @@ pub fn generate_profile_trace(
     for (stage_idx, factors) in model.stages.iter().enumerate() {
         for &size_gb in &PROFILE_SIZES_GB {
             for &threads in &PROFILE_THREADS {
+                let truth = factors.threaded_time(threads, size_gb);
                 for _ in 0..replicates {
-                    let truth = factors.threaded_time(threads, size_gb);
                     let factor = 1.0 + noise * rng.standard_normal();
                     let e_time = (truth * factor.max(0.1)).max(1e-3);
                     out.push(ProfileRecord {

@@ -92,6 +92,10 @@ run_one --test doc_contracts matrix_state_digests_are_pinned
 run_one --test doc_contracts fleet_100_state_digest_is_pinned
 run_one --test doc_contracts fleet_contended_state_digest_is_pinned
 
+echo "==> tenant-setup equivalence (the priced plan table and the one-scan fit match the per-call search and the per-stage fit)"
+run_one -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
+run_one -p scan-kb --test profile_log one_scan_fits_match_the_per_stage_readback_bit_for_bit
+
 echo "==> allocation budgets (debug: nothing on the simulation path allocates per job)"
 run_one --test alloc_budget session_unit_allocates_nothing_per_job
 run_one --test alloc_budget fleet_tenant_build_is_small
@@ -120,6 +124,11 @@ if [[ "$quick" != "quick" ]]; then
 
     echo "==> state digest at 1,000 tenants (release)"
     run_one --release --test doc_contracts fleet_1000_state_digest_is_pinned -- --ignored
+
+    echo "==> tenant-setup equivalence (release)"
+    run_one --release -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
+    run_one --release -p scan-kb --test profile_log \
+        one_scan_fits_match_the_per_stage_readback_bit_for_bit
 
     echo "==> allocation budgets (release)"
     run_one --release --test alloc_budget session_unit_allocates_nothing_per_job
