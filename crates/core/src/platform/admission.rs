@@ -2,7 +2,7 @@
 //! enqueueing, and the periodic replan tick that refreshes models and
 //! closes learned-policy epochs.
 
-use super::events::{Event, EventSink, JobRun, SubtaskRef};
+use super::events::{Event, EventSink, JobRun};
 use super::Platform;
 use scan_sched::alloc::{AllocationContext, AllocationPolicy};
 use scan_sched::queue::TaskClass;
@@ -170,10 +170,7 @@ impl Platform {
         let stage = run.stage;
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
         let class = TaskClass { stage, cores: threads };
-        for _ in 0..shards {
-            self.queues.push(class, SubtaskRef { job: id }, now);
-        }
-        self.queue_agg.on_enqueue(class, id.0, d, submitted, shards);
+        self.queues.push_batch(class, id.0, shards, d, submitted, now);
         self.tracer.emit(
             now,
             TraceEvent::JobStageAdvanced {

@@ -1,7 +1,7 @@
 //! Bench-only harness over the platform's dispatch and hiring hot paths.
 //!
 //! The criterion benches in `crates/bench` need to time `take_idle` /
-//! `assign` (the dispatch inner loop) and the aggregate-priced scaling
+//! `assign` (the dispatch inner loop) and the queue-priced scaling
 //! decision (the hiring path) *in isolation*, on a platform
 //! frozen mid-run — but those methods and the fields they touch are
 //! platform-internal by design. This module is the narrow, `doc(hidden)`
@@ -13,7 +13,7 @@
 //! Not a public API: shapes and semantics here follow the benches, not
 //! the platform's contracts.
 
-use super::events::{JobRun, SubtaskRef};
+use super::events::JobRun;
 use super::Platform;
 use crate::config::{ScanConfig, VariableParams};
 use scan_cloud::instance::InstanceSize;
@@ -84,8 +84,7 @@ impl PlatformHarness {
             let (d, submitted) = (job.size_units, job.submitted_at);
             let plan = Arc::clone(&plan);
             p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
-            p.queues.push(class, SubtaskRef { job: id }, SimTime::ZERO);
-            p.queue_agg.on_enqueue(class, id.0, d, submitted, 1);
+            p.queues.push_batch(class, id.0, 1, d, submitted, SimTime::ZERO);
         }
 
         PlatformHarness { platform: p, cal: Calendar::new(), now, class }
@@ -105,49 +104,42 @@ impl PlatformHarness {
     /// idle, subtask re-queued, calendar drained) so the next iteration
     /// sees the same picture. Returns the assigned VM number.
     pub fn assign_cycle(&mut self) -> u64 {
-        let head = self
-            .platform
-            .queues
-            .get(self.class)
-            .and_then(|q| q.iter().next())
-            .map(|e| e.item.job)
-            .expect("harness keeps queued jobs");
+        let head = self.platform.queues.head(self.class).expect("harness keeps queued jobs");
         let vm = self.platform.take_idle(CORES).expect("idle worker");
         self.platform.assign(self.class, vm, self.now, &mut self.cal);
-        // Undo: the assign popped `head` (queue and aggregate mirror),
-        // scheduled one SubtaskDone and marked the worker busy. All
-        // harness jobs are identical, so re-queueing the popped subtask
-        // at the tail restores an equivalent state.
+        // Undo: the assign popped `head`, scheduled one SubtaskDone and
+        // marked the worker busy. All harness jobs are identical, so
+        // re-queueing the popped subtask at the tail restores an
+        // equivalent state.
         self.cal.clear();
         self.platform.busy.remove(vm);
         let worker = self.platform.provider.vm_mut(vm).expect("assigned VM");
         worker.finish_task(self.now);
         let tier = self.platform.private_tier;
         self.platform.idle.insert(CORES, vm, tier, self.now);
-        let run = self.platform.jobs.get(head.slot()).expect("queued job is live");
+        let run = self.platform.jobs.get(head as usize).expect("queued job is live");
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
-        self.platform.queues.push(self.class, SubtaskRef { job: head }, self.now);
-        self.platform.queue_agg.on_enqueue(self.class, head.0, d, submitted, 1);
+        self.platform.queues.push_batch(self.class, head, 1, d, submitted, self.now);
         vm.0 as u64
     }
 
     /// One hiring-path pricing pass: revalidates the Eq. 1 window if the
-    /// reward needs ETTs, gathers the scalar inputs, builds the aggregate
+    /// reward needs ETTs, gathers the scalar inputs, builds the queue's
     /// pricer over the stalled class and runs the priced decision —
     /// exactly what `try_grow` pays per decision in a release build.
     /// Returns the number of jobs in the priced window (black-box fodder).
     pub fn price_decision(&mut self) -> usize {
         let p = &mut self.platform;
         if p.reward.depends_on_ett() {
-            let Platform { queue_agg, estimator, jobs, .. } = p;
+            let Platform { queues, estimator, jobs, .. } = p;
             let revision = estimator.revision();
-            queue_agg.revalidate_window(self.class, 0, Platform::MAX_QUEUE_VIEW, revision, |job| {
+            queues.revalidate_window(self.class, 0, Platform::MAX_QUEUE_VIEW, revision, |job| {
                 let run = jobs.get(job as usize).expect("queued job is live");
                 estimator.remaining(&run.job, run.stage, &run.plan.stages)
             });
         }
         let inputs = p.scaling_inputs(self.class, self.now);
-        let eq1 = p.queue_agg.pricer(self.class, 0, Platform::MAX_QUEUE_VIEW, self.now);
+        let eq1 = p.queues.pricer(self.class, 0, Platform::MAX_QUEUE_VIEW, self.now);
         let window = eq1.window_len();
         let ctx = ScalingContext {
             private_has_capacity: inputs.private_has_capacity,
@@ -163,19 +155,16 @@ impl PlatformHarness {
         window
     }
 
-    /// One aggregate-maintenance round trip: pops the class head (queue
-    /// and aggregate mirror together) and re-enqueues it at the tail —
-    /// the exact bookkeeping every real dequeue/enqueue pair pays to keep
-    /// Eq. 1 incremental. Returns the queue length (black-box fodder).
+    /// One queue-maintenance round trip: pops the class head and
+    /// re-queues it at the tail — the bookkeeping every real
+    /// dequeue/enqueue pair pays, Eq. 1 terms included. Returns the
+    /// queue length (black-box fodder).
     pub fn queue_maintenance_cycle(&mut self) -> usize {
         let p = &mut self.platform;
-        let (subtask, _wait) =
-            p.queues.pop(self.class, self.now).expect("harness keeps queued jobs");
-        p.queue_agg.on_pop(self.class);
-        let run = p.jobs.get(subtask.job.slot()).expect("queued job is live");
+        let (job, _wait) = p.queues.pop(self.class, self.now).expect("harness keeps queued jobs");
+        let run = p.jobs.get(job as usize).expect("queued job is live");
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
-        p.queues.push(self.class, subtask, self.now);
-        p.queue_agg.on_enqueue(self.class, subtask.job.0, d, submitted, 1);
-        p.queues.get(self.class).map(|q| q.len()).unwrap_or(0)
+        p.queues.push_batch(self.class, job, 1, d, submitted, self.now);
+        p.queues.len(self.class)
     }
 }

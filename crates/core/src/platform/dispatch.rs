@@ -40,14 +40,14 @@ impl Platform {
                 let cores = SHAPE_CORES[slot];
                 let class = TaskClass { stage, cores };
                 // Serve with idle same-shape workers.
-                while self.queues.get(class).map(|q| !q.is_empty()).unwrap_or(false) {
+                while self.queues.len(class) > 0 {
                     let Some(vm_id) = self.take_idle(class.cores) else {
                         break;
                     };
                     self.assign(class, vm_id, now, sink);
                 }
                 // Stalled: decide whether to grow.
-                let queued = self.queues.get(class).map(|q| q.len()).unwrap_or(0);
+                let queued = self.queues.len(class);
                 if queued == 0 {
                     continue;
                 }
@@ -127,12 +127,11 @@ impl Platform {
         sink: &mut impl EventSink,
     ) {
         prof::scope!("assign");
-        let (subtask, wait) =
-            self.queues.pop(class, now).expect("assign called with non-empty queue");
-        self.queue_agg.on_pop(class);
+        let (job, wait) = self.queues.pop(class, now).expect("assign called with non-empty queue");
+        let job = JobId(job);
         self.estimator.queue_times_mut().observe(class.stage, wait.as_tu());
 
-        let run = self.jobs.get(subtask.job.slot()).expect("queued subtask has a live job");
+        let run = self.jobs.get(job.slot()).expect("queued subtask has a live job");
         let (shards, threads) = run.plan.stage(run.stage);
         debug_assert_eq!(threads, class.cores);
         let stage = run.stage;
@@ -168,7 +167,7 @@ impl Platform {
         self.tracer.emit(
             now,
             TraceEvent::SubtaskDispatched {
-                job: subtask.job.0 as u64,
+                job: job.0 as u64,
                 stage: stage as u32,
                 vm: vm_id.0 as u64,
                 cores: class.cores,
@@ -176,9 +175,6 @@ impl Platform {
                 busy_tu: duration.as_tu(),
             },
         );
-        sink.schedule(
-            done_at,
-            Event::SubtaskDone { job: subtask.job, stage: stage as u32, vm: vm_id },
-        );
+        sink.schedule(done_at, Event::SubtaskDone { job, stage: stage as u32, vm: vm_id });
     }
 }

@@ -71,12 +71,6 @@ pub enum Event {
 // heap entry; fail the build instead of silently regressing.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-/// A queued shard subtask (the queue key carries stage and shape).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) struct SubtaskRef {
-    pub(super) job: JobId,
-}
-
 /// Live state of one admitted job.
 #[derive(Debug, Clone)]
 pub(super) struct JobRun {

@@ -1,8 +1,9 @@
 //! Capacity growth for stalled classes: the horizontal-scaling decision
-//! (Table I) priced from the incremental Eq. 1 aggregates, the
+//! (Table I) priced from the class queue's cached Eq. 1 terms, the
 //! private-hire throttle, and reshape-instead-of-hire for heterogeneous
 //! configurations. The naive full-walk queue view survives as the
-//! debug-build oracle cross-checking the aggregates.
+//! debug-build oracle: it expands the class's batches entry by entry and
+//! prices each job afresh, independent of the cached terms it checks.
 
 use super::events::{Event, EventSink};
 use super::Platform;
@@ -18,7 +19,7 @@ use scan_sim::{prof, ScalingChoice, SimTime, TraceEvent};
 /// hire), with the inputs that could flip it (see `memo_for`).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct WaitMemo {
-    /// The class queue's `QueueAggregates::version`.
+    /// The class queue's `ClassQueues::version`.
     queue: u64,
     /// Hires in flight for the class: the entries the window skips.
     pending: u32,
@@ -55,7 +56,7 @@ impl WaitMemos {
 }
 
 /// The scalar inputs of one scaling decision (everything except the
-/// Eq. 1 pricer, which borrows the platform's per-class aggregates).
+/// Eq. 1 pricer, which borrows the platform's class queue).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ScalingInputs {
     pub(super) private_has_capacity: bool,
@@ -66,8 +67,8 @@ pub(super) struct ScalingInputs {
 impl Platform {
     /// Cap on the Eq. 1 queue view, in queue *entries*: past a few
     /// hundred the delay cost dwarfs any hire cost, so pricing a deeper
-    /// window buys nothing. The incremental aggregates and the debug
-    /// oracle's full walk both honour the same entry window.
+    /// window buys nothing. The queue's pricer and the debug oracle's
+    /// full walk both honour the same entry window.
     pub(super) const MAX_QUEUE_VIEW: usize = 256;
 
     /// Attempts one capacity-growth action (reshape or hire) for a stalled
@@ -105,11 +106,7 @@ impl Platform {
                         self.tracer.emit_with(now, || TraceEvent::ScalingDecision {
                             stage: class.stage as u32,
                             cores: class.cores,
-                            queued_jobs: self
-                                .queues
-                                .get(class)
-                                .map(|q| q.len() as u32)
-                                .unwrap_or(0),
+                            queued_jobs: self.queues.len(class) as u32,
                             delay_cost: f64::NAN,
                             hire_cost: f64::NAN,
                             choice: ScalingChoice::Reshape,
@@ -133,7 +130,7 @@ impl Platform {
             TraceEvent::ScalingDecision {
                 stage: class.stage as u32,
                 cores: class.cores,
-                queued_jobs: self.queue_agg.entries(class) as u32,
+                queued_jobs: self.queues.len(class) as u32,
                 delay_cost: costs.delay_cost,
                 hire_cost: costs.hire_cost,
                 choice,
@@ -159,7 +156,7 @@ impl Platform {
     }
 
     /// Prices the horizontal-scaling decision for a stalled class: Eq. 1
-    /// from the incremental aggregates, the policy's choice, then the
+    /// from the class queue's cached terms, the policy's choice, then the
     /// private-hire throttle. Decides only; acts on nothing.
     fn decide(
         &mut self,
@@ -177,9 +174,9 @@ impl Platform {
             // new class, hence fresh terms), so only `observe` and
             // `set_model` can stale a term — between estimator changes
             // this loop matches revisions and touches nothing.
-            let Platform { queue_agg, estimator, jobs, .. } = self;
+            let Platform { queues, estimator, jobs, .. } = self;
             let revision = estimator.revision();
-            queue_agg.revalidate_window(class, covered, Self::MAX_QUEUE_VIEW, revision, |job| {
+            queues.revalidate_window(class, covered, Self::MAX_QUEUE_VIEW, revision, |job| {
                 let run = jobs.get(job as usize).expect("queued job is live");
                 estimator.remaining(&run.job, run.stage, &run.plan.stages)
             });
@@ -189,7 +186,7 @@ impl Platform {
         }
         let ctx = ScalingContext {
             private_has_capacity: inputs.private_has_capacity,
-            eq1: self.queue_agg.pricer(class, covered, Self::MAX_QUEUE_VIEW, now),
+            eq1: self.queues.pricer(class, covered, Self::MAX_QUEUE_VIEW, now),
             expected_wait_tu: inputs.expected_wait_tu,
             // The provider's live quote: the catalogue price solo, the
             // contention-surged on-demand price under a fleet lease — so
@@ -274,7 +271,7 @@ impl Platform {
             _ => 0.0,
         };
         Some(WaitMemo {
-            queue: self.queue_agg.version(class),
+            queue: self.queues.version(class),
             pending: self.pending.get(class.stage, class.cores),
             lengthened: self.wait_lengthened(class.cores),
             replans: self.replans,
@@ -297,7 +294,7 @@ impl Platform {
     pub(super) fn held_wait(&self, class: TaskClass) -> Option<WaitMemo> {
         let memo = self.wait_memos.get(class)?;
         let size = InstanceSize::new(class.cores).expect("class cores are instance sizes");
-        let holds = memo.queue == self.queue_agg.version(class)
+        let holds = memo.queue == self.queues.version(class)
             && memo.pending == self.pending.get(class.stage, class.cores)
             && memo.lengthened == self.wait_lengthened(class.cores)
             && memo.replans == self.replans
@@ -345,15 +342,14 @@ impl Platform {
                 while slots != 0 {
                     let slot = slots.trailing_zeros() as usize;
                     slots &= slots - 1;
-                    let cores = SHAPE_CORES[slot];
-                    let queued = self.queues.at(stage, slot).map_or(0, |q| q.len());
-                    if queued as u32 > self.pending.get(stage, cores) {
+                    let class = TaskClass { stage, cores: SHAPE_CORES[slot] };
+                    if self.queues.len(class) as u32 > self.pending.get(stage, class.cores) {
                         debug_assert_eq!(
                             self.idle.len_of_slot(slot),
                             0,
                             "stalled beside idle workers"
                         );
-                        return Some(TaskClass { stage, cores });
+                        return Some(class);
                     }
                 }
                 None
@@ -371,13 +367,13 @@ impl Platform {
     }
 
     /// Debug-build oracle: reprices Eq. 1 with the naive full-walk queue
-    /// view and asserts the incremental aggregates agree — bit-for-bit
-    /// for ETT-dependent rewards (same terms, same fold order), to 1e-9
+    /// view and asserts the queue's pricer agrees — bit-for-bit for
+    /// ETT-dependent rewards (same terms, same fold order), to 1e-9
     /// relative for the time-based closed form (`Σd · rpenalty · delay`
-    /// sums `d` in a different order than the fused walk). Also
-    /// cross-checks the mirrored window and entry counts. Called from
-    /// [`Platform::try_grow`] under `cfg!(debug_assertions)` only, so
-    /// release builds keep the O(log n) path alone.
+    /// sums `d` in a different order than the walk). Also cross-checks
+    /// the window's job count. Called from [`Platform::try_grow`] under
+    /// `cfg!(debug_assertions)` only, so release builds keep the
+    /// O(log n) path alone.
     fn check_eq1_oracle(
         &mut self,
         class: TaskClass,
@@ -386,16 +382,11 @@ impl Platform {
         now: SimTime,
     ) {
         self.fill_queue_view(class, covered, now);
-        let pricer = self.queue_agg.pricer(class, covered, Self::MAX_QUEUE_VIEW, now);
+        let pricer = self.queues.pricer(class, covered, Self::MAX_QUEUE_VIEW, now);
         debug_assert_eq!(
             pricer.window_len(),
             self.scaling_scratch.len(),
-            "aggregate window mirrors the deduped queue view"
-        );
-        debug_assert_eq!(
-            self.queue_agg.entries(class),
-            self.queues.get(class).map(|q| q.len()).unwrap_or(0),
-            "aggregate entry count mirrors the live queue"
+            "the priced window is the deduped queue view"
         );
         let avoided = (expected_wait_tu - boot_penalty().as_tu()).max(0.0);
         let walk = delay_cost(&self.reward, &self.scaling_scratch, avoided);
@@ -415,33 +406,28 @@ impl Platform {
 
     /// Fills the scratch buffer with Eq. 1's queue view: distinct jobs
     /// waiting in `class`, less the first `skip` entries already covered
-    /// by in-flight hires. Reuses the platform's scratch allocations; the
-    /// per-job dedup is a stamp array over the job-id space (bumping the
-    /// stamp clears it in O(1) — no per-fill set rebuild).
-    pub(super) fn fill_queue_view(&mut self, class: TaskClass, skip: usize, now: SimTime) {
+    /// by in-flight hires. Walks the class's batches expanded entry by
+    /// entry and reads none of their cached terms. A job has at most one
+    /// batch per class (`ClassQueues::push_batch` asserts it), so its
+    /// entries are adjacent and the dedup compares with the last job.
+    fn fill_queue_view(&mut self, class: TaskClass, skip: usize, now: SimTime) {
         prof::scope!("queue_view");
         self.scaling_scratch.clear();
-        self.scaling_stamp = self.scaling_stamp.wrapping_add(1);
-        if self.scaling_stamp == 0 {
-            // Stamp wrapped: stale entries could alias the fresh epoch.
-            self.scaling_seen.fill(0);
-            self.scaling_stamp = 1;
-        }
-        self.scaling_seen.resize(self.jobs.slot_bound().max(self.scaling_seen.len()), 0);
-        if let Some(q) = self.queues.get(class) {
-            for entry in q.iter().skip(skip).take(Self::MAX_QUEUE_VIEW) {
-                let slot = entry.item.job.slot();
-                if self.scaling_seen[slot] == self.scaling_stamp {
-                    continue;
-                }
-                self.scaling_seen[slot] = self.scaling_stamp;
-                if let Some(run) = self.jobs.get(slot) {
-                    self.scaling_scratch.push(QueuedJobView {
-                        size_units: run.job.size_units,
-                        ett: self.estimator.ett(&run.job, run.stage, &run.plan.stages, now),
-                    });
-                }
+        let entries = self
+            .queues
+            .pending_batches(class)
+            .flat_map(|(job, pending)| std::iter::repeat_n(job, pending as usize));
+        let mut last = None;
+        for job in entries.skip(skip).take(Self::MAX_QUEUE_VIEW) {
+            if last == Some(job) {
+                continue;
             }
+            last = Some(job);
+            let run = self.jobs.get(job as usize).expect("queued job is live");
+            self.scaling_scratch.push(QueuedJobView {
+                size_units: run.job.size_units,
+                ett: self.estimator.ett(&run.job, run.stage, &run.plan.stages, now),
+            });
         }
     }
 
@@ -466,9 +452,8 @@ impl Platform {
         // Expected run time of the head task.
         let expected_task_tu = self
             .queues
-            .get(class)
-            .and_then(|q| q.iter().next())
-            .and_then(|e| self.jobs.get(e.item.job.slot()))
+            .head(class)
+            .and_then(|job| self.jobs.get(job as usize))
             .map(|run| {
                 let (shards, threads) = run.plan.stage(run.stage);
                 self.estimator.eet(run.stage, run.job.size_units, shards, threads)

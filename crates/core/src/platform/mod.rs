@@ -63,13 +63,12 @@ use scan_cloud::provider::CloudProvider;
 use scan_cloud::shared::{SharedLease, Watch};
 use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmId;
-use scan_sched::aggregate::QueueAggregates;
 use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
 use scan_sched::estimate::EttEstimator;
 use scan_sched::learned::EpsilonGreedyPlanner;
 use scan_sched::plan::{ExecutionPlan, StageCosts};
-use scan_sched::queue::{QueueSet, TaskClass};
+use scan_sched::queue::{ClassQueues, TaskClass};
 use scan_sim::{
     prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimDuration, SimRng, SimTime,
     StepOutcome, TenantId, Tracer,
@@ -120,7 +119,10 @@ pub struct Platform {
     allocator: Allocator,
     /// `cfg.forced_plan`, validated and built once per platform.
     forced_plan: Option<Arc<ExecutionPlan>>,
-    queues: QueueSet<events::SubtaskRef>,
+    /// Per-class FIFO queues, one job-level term per stage batch; they
+    /// also price Eq. 1 for scaling decisions from cached per-job terms
+    /// instead of a per-decision walk (DESIGN §7c).
+    queues: ClassQueues,
     /// Live job runs, arena-indexed by `JobId` (ids are dense arrival
     /// ordinals; completed jobs tombstone their slot).
     jobs: SlotArena<JobRun>,
@@ -135,11 +137,6 @@ pub struct Platform {
     /// the O(1) replacement for the all-VMs booting scan the scaling
     /// inputs used to do.
     booting: BootingCounts,
-    /// Incremental Eq. 1 state: per-class delay-cost aggregates
-    /// mirroring `queues` (updated on every push/pop), so scaling
-    /// decisions price the queue from cached terms instead of a
-    /// per-decision walk (DESIGN §7c).
-    queue_agg: QueueAggregates,
     /// Which class an in-flight hire/reshape is reserved for, keyed by
     /// VM id slot.
     vm_reserved_for: SlotArena<TaskClass>,
@@ -194,16 +191,11 @@ pub struct Platform {
     // --- observability ---
     tracer: Tracer,
     aggregator: Rc<RefCell<MetricsAggregator>>,
-    /// Scratch for the naive Eq. 1 queue view. Since the incremental
-    /// aggregates took over pricing, the full-walk fill only runs as the
+    /// Scratch for the naive Eq. 1 queue view. Since the queues' cached
+    /// terms took over pricing, the full-walk fill only runs as the
     /// debug-build oracle cross-checking them (DESIGN §7c); it still
     /// reuses this buffer so even the oracle allocates nothing per event.
     scaling_scratch: Vec<QueuedJobView>,
-    /// Per-job stamps for the queue-view dedup: `scaling_seen[job] ==
-    /// scaling_stamp` means "already counted this fill". Bumping the
-    /// stamp clears the whole set in O(1).
-    scaling_seen: Vec<u32>,
-    scaling_stamp: u32,
 }
 
 impl Platform {
@@ -286,7 +278,7 @@ impl Platform {
             estimator,
             allocator,
             forced_plan,
-            queues: QueueSet::new(),
+            queues: ClassQueues::new(),
             jobs: SlotArena::new(),
             idle: IdlePools::new([
                 SimDuration::new(cfg.fixed.idle_timeout_tu),
@@ -295,7 +287,6 @@ impl Platform {
             busy: BusyTable::new(),
             pending: ClassCounts::new(),
             booting: BootingCounts::new(),
-            queue_agg: QueueAggregates::new(),
             vm_reserved_for: SlotArena::new(),
             wait_memos: WaitMemos::default(),
             replans: 0,
@@ -322,8 +313,6 @@ impl Platform {
             tracer,
             aggregator,
             scaling_scratch: Vec::new(),
-            scaling_seen: Vec::new(),
-            scaling_stamp: 0,
             cfg,
         }
     }

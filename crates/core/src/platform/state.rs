@@ -393,12 +393,6 @@ impl<T> SlotArena<T> {
     pub(super) fn remove(&mut self, slot: usize) -> Option<T> {
         self.slots.get_mut(slot)?.take()
     }
-
-    /// Highest slot ever allocated plus one (the id-space bound, for
-    /// sizing parallel stamp arrays).
-    pub(super) fn slot_bound(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// FIFO backlog of jobs the fair-share admission gate has deferred.
@@ -619,7 +613,6 @@ mod tests {
         let mut arena: SlotArena<&str> = SlotArena::new();
         arena.insert(0, "a");
         arena.insert(3, "b");
-        assert_eq!(arena.slot_bound(), 4);
         assert_eq!(arena.get(1), None);
         assert_eq!(arena.remove(3), Some("b"));
         assert_eq!(arena.remove(3), None);

@@ -116,7 +116,7 @@ fn throughput_reward_sessions_work() {
 fn deadline_and_plateau_reward_sessions_work() {
     // Beyond the smoke assertion, these sessions drive the debug-build
     // Eq. 1 oracle through the two remaining ETT-dependent reward
-    // schemes, checking the incremental aggregates bit-for-bit against
+    // schemes, checking the queue's cached Eq. 1 terms bit-for-bit against
     // the full-walk pricing on every scaling decision.
     for reward in [RewardKind::Deadline, RewardKind::Plateau] {
         let mut cfg = short_config(ScalingPolicy::Predictive, 2.5);
@@ -215,7 +215,7 @@ fn trace_stream_is_consistent_with_metrics() {
 /// they imply.
 #[test]
 fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
-    use super::events::{JobRun, SubtaskRef};
+    use super::events::JobRun;
     use scan_cloud::instance::InstanceSize;
     use scan_cloud::vm::boot_penalty;
     use scan_sched::plan::ExecutionPlan;
@@ -244,8 +244,7 @@ fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
         let plan = std::sync::Arc::clone(&plan);
         let job = Job::new(id, 5.0, SimTime::ZERO);
         p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
-        p.queues.push(class, SubtaskRef { job: id }, SimTime::ZERO);
-        p.queue_agg.on_enqueue(class, i, 5.0, SimTime::ZERO, 1);
+        p.queues.push_batch(class, i, 1, 5.0, SimTime::ZERO, SimTime::ZERO);
     }
     let now = SimTime::new(1.0);
     let task_tu = p.scaling_inputs(class, now).expected_task_tu;

@@ -61,11 +61,6 @@ impl TripleStore {
         &self.nodes
     }
 
-    /// Mutable access to the node interner.
-    pub fn nodes_mut(&mut self) -> &mut NodeTable {
-        &mut self.nodes
-    }
-
     /// Interns a term (delegation convenience).
     pub fn intern(&mut self, term: Term) -> NodeId {
         self.nodes.intern(term)

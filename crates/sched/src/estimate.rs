@@ -22,7 +22,7 @@ pub struct QueueTimeTracker {
     alpha: f64,
     observations: Vec<u64>,
     /// Bumped whenever the EWMA state changes, so cached future-stage
-    /// estimates (the incremental Eq. 1 aggregates) know when to
+    /// estimates (the class queues' Eq. 1 terms) know when to
     /// revalidate. Starts at 1: revision 0 is the "never computed"
     /// sentinel on the cache side.
     #[serde(default = "initial_revision")]

@@ -6,17 +6,16 @@
 //! hired from the elastic cloud to run it immediately, or should it be
 //! delayed until an existing worker becomes available?"
 //!
-//! * [`queue`] — per-class FIFO task queues with wait statistics.
+//! * [`queue`] — per-class FIFO task queues, one job-level term per
+//!   stage batch, which also price Eq. 1 incrementally: a scaling
+//!   decision reads a few cached numbers instead of walking the queue
+//!   (the naive [`mod@delay_cost`] walk stays as the debug oracle).
 //! * [`estimate`] — the Eq. 2 estimators: per-stage execution time `EET`
 //!   (linear in records, from knowledge-base models), expected queue time
 //!   `EQT` (exponentially-weighted observation average) and the combined
 //!   `ETT(j)`.
 //! * [`delay_cost`](mod@delay_cost) — Eq. 1: the reward lost by delaying everything in a
 //!   queue by `delay` time units.
-//! * [`aggregate`] — incremental Eq. 1: per-class delay-cost aggregates
-//!   maintained on enqueue/dequeue, so a scaling decision prices the
-//!   queue from a few cached numbers instead of a full walk (the naive
-//!   [`mod@delay_cost`] walk stays as the debug oracle).
 //! * [`plan`] — execution plans (per-stage shards × threads) and the plan
 //!   optimiser. For the time-based reward, profit is separable per stage
 //!   and the optimum is exact; for the throughput-based reward the solver
@@ -33,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod alloc;
 pub mod delay_cost;
 pub mod estimate;
@@ -42,10 +40,9 @@ pub mod plan;
 pub mod queue;
 pub mod scaling;
 
-pub use aggregate::{Eq1Pricer, QueueAggregates};
 pub use alloc::{AllocationContext, AllocationPolicy, Allocator};
 pub use delay_cost::{delay_cost, QueuedJobView};
 pub use estimate::{EttEstimator, QueueTimeTracker};
 pub use plan::{best_plan, ExecutionPlan, PlanEconomics, PlanObjective};
-pub use queue::{QueueSet, TaskClass, TaskQueue};
+pub use queue::{ClassQueues, Eq1Pricer, TaskClass};
 pub use scaling::{ScalingContext, ScalingDecision, ScalingPolicy};

@@ -16,7 +16,7 @@
 //! sim-trace layer with them — the paper's core comparison made
 //! observable.
 
-use crate::aggregate::Eq1Pricer;
+use crate::queue::Eq1Pricer;
 use scan_workload::reward::RewardFn;
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +49,7 @@ impl ScalingPolicy {
 
 /// Everything a scaling decision sees. Borrows the stalled class's
 /// incremental Eq. 1 pricing window from the caller — decisions read a
-/// few cached aggregate numbers instead of a per-dispatch queue walk.
+/// few cached per-job terms instead of a per-dispatch queue walk.
 #[derive(Debug, Clone)]
 pub struct ScalingContext<'a> {
     /// True if the private tier can host the needed shape right now.
@@ -138,24 +138,23 @@ impl ScalingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::QueueAggregates;
-    use crate::queue::TaskClass;
+    use crate::queue::{ClassQueues, TaskClass};
     use scan_sim::SimTime;
 
     const CLASS: TaskClass = TaskClass { stage: 0, cores: 4 };
 
     /// `len` queued single-shard jobs of size 5 (the old fixture's
     /// shape); the reward is time-based, so ETT terms are irrelevant.
-    fn agg(len: usize) -> QueueAggregates {
-        let mut a = QueueAggregates::new();
+    fn queue(len: usize) -> ClassQueues {
+        let mut q = ClassQueues::new();
         for i in 0..len {
-            a.on_enqueue(CLASS, i as u32, 5.0, SimTime::ZERO, 1);
+            q.push_batch(CLASS, i as u32, 1, 5.0, SimTime::ZERO, SimTime::ZERO);
         }
-        a
+        q
     }
 
-    fn ctx(private: bool, wait: f64, agg: &QueueAggregates) -> ScalingContext<'_> {
-        let eq1 = agg.pricer(CLASS, 0, 256, SimTime::ZERO);
+    fn ctx(private: bool, wait: f64, queues: &ClassQueues) -> ScalingContext<'_> {
+        let eq1 = queues.pricer(CLASS, 0, 256, SimTime::ZERO);
         ScalingContext {
             private_has_capacity: private,
             eq1,
@@ -170,7 +169,7 @@ mod tests {
 
     #[test]
     fn everyone_prefers_private() {
-        let q = agg(5);
+        let q = queue(5);
         for p in ScalingPolicy::all() {
             assert_eq!(p.decide(&ctx(true, 10.0, &q)), ScalingDecision::HirePrivate);
         }
@@ -178,7 +177,7 @@ mod tests {
 
     #[test]
     fn always_scale_always_hires_public() {
-        let q = agg(0);
+        let q = queue(0);
         assert_eq!(
             ScalingPolicy::AlwaysScale.decide(&ctx(false, 0.1, &q)),
             ScalingDecision::HirePublic
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn never_scale_always_waits() {
-        let q = agg(50);
+        let q = queue(50);
         assert_eq!(ScalingPolicy::NeverScale.decide(&ctx(false, 100.0, &q)), ScalingDecision::Wait);
     }
 
@@ -195,7 +194,7 @@ mod tests {
     fn predictive_hires_under_pressure() {
         // Long wait, deep queue: delay cost = 20 jobs × 5 units × 15 ×
         // (10 − 0.5) ≈ 14 250 ≫ hire cost 50 × 4 × 3.5 = 700.
-        let q = agg(20);
+        let q = queue(20);
         assert_eq!(
             ScalingPolicy::Predictive.decide(&ctx(false, 10.0, &q)),
             ScalingDecision::HirePublic
@@ -205,10 +204,10 @@ mod tests {
     #[test]
     fn predictive_waits_when_cheap() {
         // Tiny wait: avoided delay ≈ 0 → cost of waiting ≈ 0 < hire cost.
-        let q = agg(20);
+        let q = queue(20);
         assert_eq!(ScalingPolicy::Predictive.decide(&ctx(false, 0.4, &q)), ScalingDecision::Wait);
         // Empty queue: nothing to lose by waiting.
-        let empty = agg(0);
+        let empty = queue(0);
         assert_eq!(
             ScalingPolicy::Predictive.decide(&ctx(false, 10.0, &empty)),
             ScalingDecision::Wait
@@ -219,7 +218,7 @@ mod tests {
     fn predictive_threshold_scales_with_price() {
         // A wait that justifies hiring at 50 CU may not at 1000 CU:
         // DC = 3 × 5 × 15 × (5 − 0.5) ≈ 1012 vs hire 50 × 4 × 3.5 = 700.
-        let q = agg(3);
+        let q = queue(3);
         let mut c = ctx(false, 5.0, &q);
         assert_eq!(ScalingPolicy::Predictive.decide(&c), ScalingDecision::HirePublic);
         c.public_price_per_core_tu = 1000.0;
@@ -228,7 +227,7 @@ mod tests {
 
     #[test]
     fn priced_decision_exposes_the_eq1_comparison() {
-        let q = agg(20);
+        let q = queue(20);
         let (d, costs) = ScalingPolicy::Predictive.decide_priced(&ctx(false, 10.0, &q));
         assert_eq!(d, ScalingDecision::HirePublic);
         assert!(costs.delay_cost > costs.hire_cost);

@@ -119,11 +119,6 @@ impl ArrivalProcess {
         }
         out
     }
-
-    /// Jobs generated so far.
-    pub fn jobs_generated(&self) -> u64 {
-        self.next_job_id as u64
-    }
 }
 
 #[cfg(test)]

@@ -96,6 +96,9 @@ echo "==> tenant-setup equivalence (the priced plan table and the one-scan fit m
 run_one -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
 run_one -p scan-kb --test profile_log one_scan_fits_match_the_per_stage_readback_bit_for_bit
 
+echo "==> class-queue equivalence (job-level queues vs a per-shard model: pops, waits, lengths, Eq. 1)"
+run_one -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
+
 echo "==> allocation budgets (debug: nothing on the simulation path allocates per job)"
 run_one --test alloc_budget session_unit_allocates_nothing_per_job
 run_one --test alloc_budget fleet_tenant_build_is_small
@@ -129,6 +132,9 @@ if [[ "$quick" != "quick" ]]; then
     run_one --release -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
     run_one --release -p scan-kb --test profile_log \
         one_scan_fits_match_the_per_stage_readback_bit_for_bit
+
+    echo "==> class-queue equivalence (release)"
+    run_one --release -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
 
     echo "==> allocation budgets (release)"
     run_one --release --test alloc_budget session_unit_allocates_nothing_per_job

@@ -6,8 +6,9 @@
 //! pollute one another's counts.
 //!
 //! * The perfbench `session` cell (fig4 predictive at 2.0 TU,
-//!   `BestConstant`, benchmark seed 1) allocates fewer than 1,000 times
-//!   over 2,000 TU, and an extra admitted job costs fewer than 0.25
+//!   `BestConstant`, benchmark seed 1) allocates fewer than 500 times
+//!   over 2,000 TU (it measures 190 in debug and 188 in release builds),
+//!   and an extra admitted job costs fewer than 0.25
 //!   allocations: nothing on the per-job path touches the heap.
 //! * Building a fleet tenant's `Platform` (knowledge-base bootstrap
 //!   included) averages at most 32 allocations and 56 KiB (it measures
@@ -101,7 +102,7 @@ fn session_unit_allocates_nothing_per_job() {
     let (short_allocs, short_jobs) = run(1_000.0);
     let (allocs, jobs) = run(2_000.0);
     assert!(jobs > short_jobs + 100, "the longer run admits more jobs: {short_jobs} vs {jobs}");
-    assert!(allocs < 1_000, "2,000 TU session unit made {allocs} allocations (budget < 1,000)");
+    assert!(allocs < 500, "2,000 TU session unit made {allocs} allocations (budget < 500)");
     let per_job = allocs.saturating_sub(short_allocs) as f64 / (jobs - short_jobs) as f64;
     assert!(
         per_job < 0.25,
