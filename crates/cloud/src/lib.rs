@@ -38,4 +38,4 @@ pub use provider::{CloudProvider, HireError};
 pub use shared::{SharedCapacity, SharedLease, SurgePricing, Watch};
 pub use storage::TransferModel;
 pub use tier::{Tier, TierCatalog, TierId};
-pub use vm::{boot_penalty, Vm, VmId, VmState, BOOT_PENALTY_TU};
+pub use vm::{boot_penalty, Vm, VmId, VmKey, VmState, BOOT_PENALTY_TU};

@@ -5,11 +5,18 @@
 use crate::instance::{InstanceSize, INSTANCE_SIZES};
 use crate::shared::SharedLease;
 use crate::tier::{BillingMode, TierCatalog, TierId};
-use crate::vm::{Vm, VmId, VmState};
-use scan_sim::{SimDuration, SimTime, TenantId, TraceEvent, Tracer};
+use crate::vm::{Vm, VmId, VmKey, VmState};
+use scan_sim::{SimDuration, SimTime, SlotArena, TenantId, TraceEvent, Tracer};
 use std::fmt;
 
-/// One VM's billing terms, slot-parallel to the VM arena.
+/// A live VM and its billing terms: one slot of the provider's arena.
+#[derive(Debug, Clone)]
+struct Hired {
+    vm: Vm,
+    billing: Billing,
+}
+
+/// One VM's billing terms.
 #[derive(Debug, Clone, Copy)]
 struct Billing {
     /// Price per core·TU captured at hire time. For a solo provider this
@@ -44,21 +51,21 @@ impl std::error::Error for HireError {}
 
 /// The simulated cloud provider.
 ///
-/// VM state lives in a dense arena indexed by [`VmId`]: slot `i` holds VM
-/// `i` for the whole session (released VMs tombstone their slot — ids are
-/// never reused), so `vm`/`vm_mut` are a bounds check and a pointer add
-/// where they used to be a `BTreeMap` descent. A separate ascending
-/// `live` list keeps iteration over the (much smaller) set of live VMs in
-/// deterministic id order.
+/// VM records live in a [`SlotArena`] addressed by [`VmKey`]: a release
+/// frees its slot for the next hire, so the table is as long as the most
+/// VMs ever live at once, and `vm`/`vm_mut` are a bounds check, a
+/// pointer add and an id compare. Ids are hire ordinals and never
+/// reused; a separate ascending `live` list keeps iteration over the
+/// live VMs in deterministic id order.
 #[derive(Debug, Clone)]
 pub struct CloudProvider {
     catalog: TierCatalog,
-    /// Arena: slot = `VmId.0`. `None` = released (tombstoned) slot.
-    vms: Vec<Option<Vm>>,
-    /// Live (not yet released) VM ids, ascending. Hires append (ids are
-    /// monotone); releases splice out — live counts are small, so the
-    /// memmove beats tree rebalancing.
-    live: Vec<VmId>,
+    /// Live VMs with their billing terms, one per slot.
+    vms: SlotArena<Hired>,
+    /// Live (not yet released) VM keys, ascending by id. Hires append
+    /// (ids are monotone); releases splice out — live counts are small,
+    /// so the memmove beats tree rebalancing.
+    live: Vec<VmKey>,
     /// Live VMs per instance size, in `INSTANCE_SIZES` order.
     live_by_size: [u32; INSTANCE_SIZES.len()],
     cores_in_use: Vec<u32>, // per tier
@@ -71,10 +78,8 @@ pub struct CloudProvider {
     settled_cost_by_tier: Vec<f64>,
     /// Core·TU settled the same way, per tier.
     settled_core_tu_by_tier: Vec<f64>,
-    /// VMs ever hired (diagnostic).
+    /// VMs ever hired: the next hire's id.
     hired_total: u64,
-    /// Per-VM billing terms (slot-parallel to `vms`).
-    billing: Vec<Billing>,
     /// Fleet mode: the shared capacity pool and this provider's tenant
     /// identity within it. `None` for single-tenant sessions, whose
     /// capacity checks and billing are exactly the pre-fleet arithmetic.
@@ -89,7 +94,7 @@ impl CloudProvider {
         let n = catalog.len();
         CloudProvider {
             catalog,
-            vms: Vec::new(),
+            vms: SlotArena::new(),
             live: Vec::new(),
             live_by_size: [0; INSTANCE_SIZES.len()],
             cores_in_use: vec![0; n],
@@ -97,7 +102,6 @@ impl CloudProvider {
             settled_cost_by_tier: vec![0.0; n],
             settled_core_tu_by_tier: vec![0.0; n],
             hired_total: 0,
-            billing: Vec::new(),
             lease: None,
             tracer: Tracer::disabled(),
         }
@@ -167,8 +171,12 @@ impl CloudProvider {
     }
 
     /// Hires a VM of `size` on the preferred tier (private first); it
-    /// starts booting at `now`. Returns the new VM's id and ready time.
-    pub fn hire(&mut self, size: InstanceSize, now: SimTime) -> Result<(VmId, SimTime), HireError> {
+    /// starts booting at `now`. Returns the new VM's key and ready time.
+    pub fn hire(
+        &mut self,
+        size: InstanceSize,
+        now: SimTime,
+    ) -> Result<(VmKey, SimTime), HireError> {
         let tier = self.cheapest_available_tier(size).ok_or(HireError::NoCapacity)?;
         self.hire_on(tier, size, now)
     }
@@ -179,7 +187,7 @@ impl CloudProvider {
         tier: TierId,
         size: InstanceSize,
         now: SimTime,
-    ) -> Result<(VmId, SimTime), HireError> {
+    ) -> Result<(VmKey, SimTime), HireError> {
         if !self.has_capacity(tier, size) {
             return Err(HireError::NoCapacity);
         }
@@ -203,7 +211,7 @@ impl CloudProvider {
             }
             None => base_price,
         };
-        let id = VmId(self.vms.len() as u32);
+        let id = VmId(u32::try_from(self.hired_total).expect("fewer than 2^32 hires"));
         let vm = Vm::hire(id, tier, size, now);
         let ready_at = match vm.state {
             VmState::Booting { ready_at } => ready_at,
@@ -211,32 +219,32 @@ impl CloudProvider {
         };
         self.cores_in_use[tier.0] += size.cores();
         self.hired_total += 1;
-        self.vms.push(Some(vm));
-        self.billing.push(Billing {
+        let billing = Billing {
             price_per_core_tu: price,
             billed_from: SimDuration::ZERO,
             hired_from: SimDuration::ZERO,
-        });
-        self.live.push(id);
+        };
+        let key = VmKey { id, slot: self.vms.insert(Hired { vm, billing }) };
+        self.live.push(key);
         self.live_by_size[size_slot(size)] += 1;
         self.tracer.emit(
             now,
             TraceEvent::VmHired { vm: id.0 as u64, tier: tier.0 as u32, cores: size.cores() },
         );
-        Ok((id, ready_at))
+        Ok((key, ready_at))
     }
 
     /// Releases a VM: its cores return to the tier and its cost is
     /// settled.
     ///
     /// # Panics
-    /// Panics on an unknown id or a busy VM.
-    pub fn release(&mut self, id: VmId, now: SimTime) {
-        let mut vm = self.vms[id.slot()].take().expect("release of unknown VM");
-        vm.release(now);
+    /// Panics on an unknown or released key, or a busy VM.
+    pub fn release(&mut self, key: VmKey, now: SimTime) {
+        self.vm_mut(key).expect("release of unknown VM").release(now);
+        self.settle(key.slot, now);
+        let Hired { vm, .. } = self.vms.remove(key.slot).expect("resolved above");
         let cores = vm.size.cores();
         let tier = vm.tier;
-        self.settle(&vm, now);
         self.cores_in_use[tier.0] -= cores;
         if let Some((lease, tenant)) = &self.lease {
             let mut pool = lease.borrow_mut();
@@ -246,11 +254,11 @@ impl CloudProvider {
                 pool.remove_public(cores);
             }
         }
-        let pos = self.live.binary_search(&id).expect("released VM was live");
+        let pos = self.live.binary_search(&key).expect("released VM was live");
         self.live.remove(pos);
         self.live_by_size[size_slot(vm.size)] -= 1;
         self.tracer
-            .emit(now, TraceEvent::VmReleased { vm: id.0 as u64, tier: tier.0 as u32, cores });
+            .emit(now, TraceEvent::VmReleased { vm: key.id.0 as u64, tier: tier.0 as u32, cores });
     }
 
     /// The span `vm` is billed for up to `now` under its tier's billing
@@ -264,25 +272,27 @@ impl CloudProvider {
 
     /// `(cost, core·TU)` that `vm` has accrued at its current size up to
     /// `now`: since its hire, or since the reshape that gave it this size.
-    fn accrued(&self, vm: &Vm, now: SimTime) -> (f64, f64) {
-        let b = &self.billing[vm.id.slot()];
+    fn accrued(&self, hired: &Hired, now: SimTime) -> (f64, f64) {
+        let (vm, b) = (&hired.vm, &hired.billing);
         let cores = vm.size.cores() as f64;
         let billed = self.billed_span(vm, now) - b.billed_from;
         let hired = vm.hired_span(now) - b.hired_from;
         (cores * b.price_per_core_tu * billed.as_tu(), cores * hired.as_tu())
     }
 
-    /// Moves what `vm` accrued at its current size into the settled
-    /// totals and restarts its accrual at `now`.
-    fn settle(&mut self, vm: &Vm, now: SimTime) {
-        let (cost, core_tu) = self.accrued(vm, now);
+    /// Moves what the VM in `slot` accrued at its current size into the
+    /// settled totals and restarts its accrual at `now`.
+    fn settle(&mut self, slot: u32, now: SimTime) {
+        let hired = self.vms.get(slot).expect("settling a live VM");
+        let (cost, core_tu) = self.accrued(hired, now);
+        let (tier, billed_from, hired_from) =
+            (hired.vm.tier, self.billed_span(&hired.vm, now), hired.vm.hired_span(now));
         self.settled_cost += cost;
-        self.settled_cost_by_tier[vm.tier.0] += cost;
-        self.settled_core_tu_by_tier[vm.tier.0] += core_tu;
-        let billed_from = self.billed_span(vm, now);
-        let b = &mut self.billing[vm.id.slot()];
+        self.settled_cost_by_tier[tier.0] += cost;
+        self.settled_core_tu_by_tier[tier.0] += core_tu;
+        let b = &mut self.vms.get_mut(slot).expect("settling a live VM").billing;
         b.billed_from = billed_from;
-        b.hired_from = vm.hired_span(now);
+        b.hired_from = hired_from;
     }
 
     /// Reshapes an idle VM to `new_size` (paying the boot penalty).
@@ -292,11 +302,11 @@ impl CloudProvider {
     /// cannot absorb a size increase.
     pub fn reshape(
         &mut self,
-        id: VmId,
+        key: VmKey,
         new_size: InstanceSize,
         now: SimTime,
     ) -> Result<SimTime, HireError> {
-        let vm = self.vms[id.slot()].as_ref().expect("reshape of unknown VM");
+        let vm = self.vm(key).expect("reshape of unknown VM");
         let old = vm.size.cores();
         let new = new_size.cores();
         let tier = vm.tier;
@@ -322,9 +332,8 @@ impl CloudProvider {
                 }
             }
         }
-        let vm = self.vms[id.slot()].take().expect("checked above");
-        self.settle(&vm, now);
-        let vm = self.vms[id.slot()].insert(vm);
+        self.settle(key.slot, now);
+        let vm = self.vm_mut(key).expect("resolved above");
         let from = size_slot(vm.size);
         let ready = vm.reshape(new_size, now);
         self.live_by_size[from] -= 1;
@@ -333,7 +342,7 @@ impl CloudProvider {
         self.tracer.emit(
             now,
             TraceEvent::VmReshaped {
-                vm: id.0 as u64,
+                vm: key.id.0 as u64,
                 tier: tier.0 as u32,
                 cores_from: old,
                 cores_to: new,
@@ -342,21 +351,32 @@ impl CloudProvider {
         Ok(ready)
     }
 
-    /// Access a VM. Released (tombstoned) ids return `None`.
+    /// Access a VM. A released VM's key returns `None`, also once its
+    /// slot holds a later hire.
     #[inline]
-    pub fn vm(&self, id: VmId) -> Option<&Vm> {
-        self.vms.get(id.slot())?.as_ref()
+    pub fn vm(&self, key: VmKey) -> Option<&Vm> {
+        self.vms.get(key.slot).map(|h| &h.vm).filter(|vm| vm.id == key.id)
     }
 
     /// Mutable access to a VM (to drive its task lifecycle).
     #[inline]
-    pub fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(id.slot())?.as_mut()
+    pub fn vm_mut(&mut self, key: VmKey) -> Option<&mut Vm> {
+        self.vms.get_mut(key.slot).map(|h| &mut h.vm).filter(|vm| vm.id == key.id)
+    }
+
+    /// Live VMs with their billing terms, in id order (deterministic).
+    fn hired(&self) -> impl Iterator<Item = &Hired> {
+        self.live.iter().map(|key| self.vms.get(key.slot).expect("live VM present"))
     }
 
     /// Iterates over live VMs in id order (deterministic).
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
-        self.live.iter().map(|id| self.vms[id.slot()].as_ref().expect("live VM present"))
+        self.hired().map(|h| &h.vm)
+    }
+
+    /// Slots of the VM table: the most VMs live at once so far.
+    pub fn vm_slots(&self) -> usize {
+        self.vms.slot_count()
     }
 
     /// Number of live (not yet released) VMs.
@@ -375,7 +395,7 @@ impl CloudProvider {
     /// configuration to the cost per unit time of keeping them running",
     /// integrated over time.
     pub fn total_cost(&self, now: SimTime) -> f64 {
-        let live: f64 = self.vms().map(|vm| self.accrued(vm, now).0).sum();
+        let live: f64 = self.hired().map(|h| self.accrued(h, now).0).sum();
         self.settled_cost + live
     }
 
@@ -384,7 +404,7 @@ impl CloudProvider {
     /// addition order.
     pub fn cost_on_tier(&self, tier: TierId, now: SimTime) -> f64 {
         let live: f64 =
-            self.vms().filter(|vm| vm.tier == tier).map(|vm| self.accrued(vm, now).0).sum();
+            self.hired().filter(|h| h.vm.tier == tier).map(|h| self.accrued(h, now).0).sum();
         self.settled_cost_by_tier[tier.0] + live
     }
 
@@ -396,20 +416,18 @@ impl CloudProvider {
     /// Core·TU consumed on one tier up to `now` (live + settled).
     pub fn core_tu_on_tier(&self, tier: TierId, now: SimTime) -> f64 {
         let live: f64 =
-            self.vms().filter(|vm| vm.tier == tier).map(|vm| self.accrued(vm, now).1).sum();
+            self.hired().filter(|h| h.vm.tier == tier).map(|h| self.accrued(h, now).1).sum();
         self.settled_core_tu_by_tier[tier.0] + live
     }
 
-    /// Total VMs ever hired (diagnostic).
+    /// Total VMs ever hired.
     pub fn hired_total(&self) -> u64 {
         self.hired_total
     }
 
     /// Current cost per TU of keeping all live VMs running.
     pub fn burn_rate(&self) -> f64 {
-        self.vms()
-            .map(|vm| vm.size.cores() as f64 * self.billing[vm.id.slot()].price_per_core_tu)
-            .sum()
+        self.hired().map(|h| h.vm.size.cores() as f64 * h.billing.price_per_core_tu).sum()
     }
 
     /// The price a core on `tier` would be billed at if hired *now*:
@@ -428,10 +446,13 @@ impl CloudProvider {
     /// Idle live VMs whose idle span at `now` is at least `min_idle`,
     /// in id order — candidates for release by the scaling policy.
     /// (`live` is kept ascending, so no sort is needed.)
-    pub fn idle_candidates(&self, now: SimTime, min_idle: SimDuration) -> Vec<VmId> {
-        self.vms()
-            .filter(|vm| vm.is_idle() && vm.idle_span(now) >= min_idle)
-            .map(|vm| vm.id)
+    pub fn idle_candidates(&self, now: SimTime, min_idle: SimDuration) -> Vec<VmKey> {
+        self.live
+            .iter()
+            .copied()
+            .filter(|&key| {
+                self.vm(key).is_some_and(|vm| vm.is_idle() && vm.idle_span(now) >= min_idle)
+            })
             .collect()
     }
 }
@@ -541,7 +562,8 @@ mod tests {
         }
         let (pub_id, _) = p.hire(sz(4), t(0.0)).unwrap();
         assert_eq!(p.vm(pub_id).unwrap().tier, TierId(1));
-        let first = VmId(0);
+        let first = p.live[0];
+        assert_eq!(first.id, VmId(0));
         p.vm_mut(first).unwrap().start_task(t(1.0));
         p.vm_mut(first).unwrap().finish_task(t(2.0));
         p.release(first, t(2.0));
@@ -685,6 +707,20 @@ mod tests {
     }
 
     #[test]
+    fn released_slots_are_reused_and_their_keys_go_dead() {
+        let mut p = provider();
+        let (a, _) = p.hire(sz(2), t(0.0)).unwrap();
+        let (b, _) = p.hire(sz(2), t(0.0)).unwrap();
+        p.release(a, t(1.0));
+        let (c, _) = p.hire(sz(8), t(1.0)).unwrap();
+        assert_eq!((c.id, c.slot), (VmId(2), a.slot), "a fresh id in the freed slot");
+        assert!(p.vm(a).is_none() && p.vm_mut(a).is_none(), "a released key never resolves");
+        assert_eq!(p.vm(c).map(|vm| (vm.id, vm.size.cores())), Some((VmId(2), 8)));
+        assert_eq!(p.vms().map(|vm| vm.id).collect::<Vec<_>>(), vec![b.id, c.id]);
+        assert_eq!((p.vm_slots(), p.hired_total()), (2, 3));
+    }
+
+    #[test]
     fn vms_iteration_is_deterministic() {
         let mut p = provider();
         let mut expect = Vec::new();
@@ -692,6 +728,6 @@ mod tests {
             expect.push(p.hire(sz(1), t(0.0)).unwrap().0);
         }
         let got: Vec<VmId> = p.vms().map(|v| v.id).collect();
-        assert_eq!(got, expect);
+        assert_eq!(got, expect.iter().map(|k: &VmKey| k.id).collect::<Vec<_>>());
     }
 }

@@ -19,22 +19,31 @@ pub fn boot_penalty() -> SimDuration {
     SimDuration::new(BOOT_PENALTY_TU)
 }
 
-/// Identifies a VM within a [`crate::provider::CloudProvider`].
+/// Identifies a VM within a [`crate::provider::CloudProvider`]: its hire
+/// ordinal.
 ///
-/// A plain `u32` slot index into the provider's arena: lookups are array
-/// indexing, not map searches. Ids are handed out monotonically and
-/// **never reused within a session** — a released VM's slot stays
-/// tombstoned — so "lowest id" always means "hired earliest", the
-/// ordering every deterministic selection rule in the platform relies on.
+/// Ids are handed out monotonically and **never reused within a
+/// session**, so "lowest id" always means "hired earliest", the ordering
+/// every deterministic selection rule in the platform relies on. The id
+/// is what the trace reports; the provider's record table is addressed
+/// through a [`VmKey`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VmId(pub u32);
 
-impl VmId {
-    /// The arena slot this id names.
-    #[inline]
-    pub fn slot(self) -> usize {
-        self.0 as usize
-    }
+/// A hired VM's handle: its public [`VmId`] and the provider slot that
+/// holds its record.
+///
+/// Slots are reused once a VM is released, so the provider resolves a
+/// key only while the slot's record still carries the key's id: a key
+/// to a released VM never resolves, even after its slot holds another
+/// VM. Keys order by id (then slot, which the id fixes), so sorting keys
+/// sorts by hire order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VmKey {
+    /// The VM's public id.
+    pub id: VmId,
+    /// The provider slot holding its record.
+    pub slot: u32,
 }
 
 /// Lifecycle state.

@@ -9,6 +9,13 @@
 //! evaluation through the staging delay each subtask pays, so there is no
 //! per-job dataset registration: the broker prices staging straight from
 //! the shared store's [`TransferModel`].
+//!
+//! Only the long-term-adaptive policy learns again after the bootstrap
+//! (`refresh_model` on every replan, from the live logs `ingest_log`
+//! adds), so only its platforms keep the profile log.
+//! [`Platform`](crate::Platform) drops it from every other tenant with
+//! [`DataBroker::drop_log`], leaving the learned model and the transfer
+//! model.
 
 use scan_cloud::storage::TransferModel;
 use scan_kb::{KnowledgeBase, ProfileRecord};
@@ -19,10 +26,11 @@ use scan_workload::profiletrace::generate_profile_trace;
 /// The Data Broker.
 #[derive(Debug, Clone)]
 pub struct DataBroker {
-    kb: KnowledgeBase,
+    /// The knowledge base and the ground truth its fits fall back to;
+    /// `None` once [`DataBroker::drop_log`] has run.
+    log: Option<(KnowledgeBase, PipelineModel)>,
     transfer: TransferModel,
     learned: PipelineModel,
-    truth: PipelineModel,
 }
 
 impl DataBroker {
@@ -34,7 +42,14 @@ impl DataBroker {
     pub fn bootstrap(model: &PipelineModel, noise: f64, rng: &mut SimRng) -> Self {
         let kb = KnowledgeBase::from_log(generate_profile_trace(model, "GATK", 3, noise, rng));
         let learned = Self::learn_model(&kb, model);
-        DataBroker { kb, transfer: TransferModel::default(), learned, truth: model.clone() }
+        DataBroker { log: Some((kb, model.clone())), transfer: TransferModel::default(), learned }
+    }
+
+    /// Drops the profile log and the ground truth: the broker keeps its
+    /// learned model and prices staging as before, but can no longer
+    /// ingest or re-fit. For platforms whose policy never re-fits.
+    pub fn drop_log(&mut self) {
+        self.log = None;
     }
 
     /// Learns a full pipeline model from the knowledge base (every stage
@@ -57,26 +72,30 @@ impl DataBroker {
         &self.learned
     }
 
-    /// The ground-truth model (what the simulated world actually runs).
-    pub fn true_model(&self) -> &PipelineModel {
-        &self.truth
-    }
-
-    /// Read access to the knowledge base.
-    pub fn knowledge_base(&self) -> &KnowledgeBase {
-        &self.kb
+    /// Read access to the knowledge base, unless the log was dropped.
+    pub fn knowledge_base(&self) -> Option<&KnowledgeBase> {
+        self.log.as_ref().map(|(kb, _)| kb)
     }
 
     /// Ingests a live task log ("the SCAN keeps the log information of
     /// each task scheduled to run in a cloud").
+    ///
+    /// # Panics
+    /// Panics if the log was dropped.
     pub fn ingest_log(&mut self, record: &ProfileRecord) {
-        self.kb.ingest(record);
+        let (kb, _) = self.log.as_mut().expect("ingest_log on a broker whose log was dropped");
+        kb.ingest(record);
     }
 
     /// Re-learns the pipeline model from everything ingested so far
     /// (long-term-adaptive refresh).
+    ///
+    /// # Panics
+    /// Panics if the log was dropped.
     pub fn refresh_model(&mut self) {
-        self.learned = Self::learn_model(&self.kb, &self.truth);
+        let (kb, truth) =
+            self.log.as_ref().expect("refresh_model on a broker whose log was dropped");
+        self.learned = Self::learn_model(kb, truth);
     }
 
     /// Staging delay one subtask pays to pull `d_gb` from the shared
@@ -130,7 +149,25 @@ mod tests {
         let got: Vec<[u64; 3]> =
             b.learned_model().stages.iter().map(|s| [s.a, s.b, s.c].map(f64::to_bits)).collect();
         assert_eq!(got, PINNED);
-        assert_eq!(b.knowledge_base().profile_count("GATK"), 525);
+        assert_eq!(b.knowledge_base().map(|kb| kb.profile_count("GATK")), Some(525));
+    }
+
+    #[test]
+    fn a_dropped_log_keeps_the_learned_model_and_staging() {
+        let kept = broker(0.02);
+        let mut dropped = broker(0.02);
+        dropped.drop_log();
+        assert!(dropped.knowledge_base().is_none());
+        assert_eq!(dropped.learned_model(), kept.learned_model());
+        assert_eq!(dropped.staging_time(2.0), kept.staging_time(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "log was dropped")]
+    fn a_dropped_log_refuses_to_refit() {
+        let mut b = broker(0.0);
+        b.drop_log();
+        b.refresh_model();
     }
 
     #[test]

@@ -243,9 +243,10 @@ impl FleetMetrics {
     }
 }
 
-/// Runs one fleet repetition to completion.
+/// Runs one fleet repetition to completion. No observer is attached
+/// beside each tenant's metrics aggregator.
 pub fn run_fleet(cfg: &FleetConfig, repetition: u64) -> FleetMetrics {
-    run_fleet_with(cfg, repetition, &|_| NullObserver).0
+    run_fleet_observed(cfg, repetition, None::<&fn(u64) -> NullObserver>).0
 }
 
 /// [`run_fleet`], with one observer per tenant, built as `build(tenant)`
@@ -256,6 +257,16 @@ pub fn run_fleet_with<O: Observer + 'static>(
     repetition: u64,
     build: &(impl Fn(u64) -> O + Sync),
 ) -> (FleetMetrics, Vec<O>) {
+    run_fleet_observed(cfg, repetition, Some(build))
+}
+
+/// The fleet loop: [`run_fleet_with`] when `build` is given, and with
+/// no observer attached (and none returned) when it is `None`.
+fn run_fleet_observed<O: Observer + 'static, F: Fn(u64) -> O + Sync>(
+    cfg: &FleetConfig,
+    repetition: u64,
+    build: Option<&F>,
+) -> (FleetMetrics, Vec<O>) {
     assert!(cfg.tenants > 0, "a fleet needs at least one tenant");
     let n = cfg.tenants as usize;
     let lease = SharedCapacity::new(cfg.shared_private_cores, n, cfg.surge).into_lease();
@@ -263,7 +274,7 @@ pub fn run_fleet_with<O: Observer + 'static>(
     let mut engine: Engine<FleetEvent> = Engine::with_horizon(horizon);
 
     let mut tenants: Vec<Platform> = Vec::with_capacity(n);
-    let mut sinks = Vec::with_capacity(n);
+    let mut sinks = Vec::with_capacity(if build.is_some() { n } else { 0 });
     for t in 0..n {
         // Every (repetition, tenant) pair draws its own RNG streams.
         let mut p = Platform::new_tenant(
@@ -276,10 +287,12 @@ pub fn run_fleet_with<O: Observer + 'static>(
                 fair_share: cfg.fair_share_admission,
             },
         );
-        let sink = Rc::new(RefCell::new(build(t as u64)));
-        p.add_observer(sink.clone());
+        if let Some(build) = build {
+            let sink = Rc::new(RefCell::new(build(t as u64)));
+            p.add_observer(sink.clone());
+            sinks.push(sink);
+        }
         tenants.push(p);
-        sinks.push(sink);
     }
 
     let cal = engine.calendar_mut();
@@ -320,7 +333,7 @@ pub fn run_fleet_with<O: Observer + 'static>(
 
 /// Runs `repetitions` whole-fleet replications in parallel.
 pub fn run_fleet_replicated(cfg: &FleetConfig, repetitions: u64) -> Vec<FleetMetrics> {
-    run_fleet_replicated_with(cfg, repetitions, &|_| NullObserver).0
+    run_fleet_replicated_observed(cfg, repetitions, None::<&fn(u64) -> NullObserver>).0
 }
 
 /// [`run_fleet_replicated`], with one observer per tenant session across
@@ -335,17 +348,28 @@ pub fn run_fleet_replicated_with<O: Observer + Merge + Send + 'static>(
     repetitions: u64,
     build: &(impl Fn(u64) -> O + Sync),
 ) -> (Vec<FleetMetrics>, O) {
+    let (metrics, merged) = run_fleet_replicated_observed(cfg, repetitions, Some(build));
+    (metrics, merged.expect("repetitions and tenants are both nonzero"))
+}
+
+/// The replication loop over [`run_fleet_observed`]; the merged
+/// observer is `None` when `build` is.
+fn run_fleet_replicated_observed<O: Observer + Merge + Send + 'static, F: Fn(u64) -> O + Sync>(
+    cfg: &FleetConfig,
+    repetitions: u64,
+    build: Option<&F>,
+) -> (Vec<FleetMetrics>, Option<O>) {
     assert!(repetitions >= 1);
     let runs: Vec<(FleetMetrics, Vec<O>)> =
-        (0..repetitions).into_par_iter().map(|rep| run_fleet_with(cfg, rep, build)).collect();
+        (0..repetitions).into_par_iter().map(|rep| run_fleet_observed(cfg, rep, build)).collect();
     // Deterministic fold: `collect` returned repetition order; within a
-    // repetition, `run_fleet_with` returned tenant order.
+    // repetition, `run_fleet_observed` returned tenant order.
     let (metrics, observers): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
     let merged = observers.into_iter().flatten().reduce(|mut a, b| {
         a.merge(b);
         a
     });
-    (metrics, merged.expect("repetitions and tenants are both nonzero"))
+    (metrics, merged)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use scan_sched::alloc::{AllocationContext, AllocationPolicy};
 use scan_sched::queue::TaskClass;
 use scan_sim::{SimDuration, SimTime, TraceEvent};
 use scan_workload::gatk::PipelineModel;
-use scan_workload::job::{Job, JobId};
+use scan_workload::job::Job;
 use std::sync::Arc;
 
 impl Platform {
@@ -65,7 +65,7 @@ impl Platform {
     /// makes progress (its jobs can still buy public cores), which is
     /// what keeps every deferred job's eventual admission live.
     pub(super) fn should_defer(&self) -> bool {
-        if !self.fair_share || self.live_jobs == 0 {
+        if !self.fair_share || self.jobs.is_empty() {
             return false;
         }
         let Some(lease) = self.provider.shared() else {
@@ -131,11 +131,8 @@ impl Platform {
                 self.allocator.plan_for(job.size_units, now, &ctx)
             }
         };
-        let run = JobRun { job, plan, stage: 0, outstanding: 0 };
-        let id = run.job.id;
-        self.jobs.insert(id.slot(), run);
-        self.live_jobs += 1;
-        self.enqueue_stage(id, now);
+        let slot = self.jobs.insert(JobRun { job, plan, stage: 0, outstanding: 0 });
+        self.enqueue_stage(slot, now);
     }
 
     pub(super) fn allocation_context<'a>(&self, model: &'a PipelineModel) -> AllocationContext<'a> {
@@ -163,14 +160,15 @@ impl Platform {
         }
     }
 
-    pub(super) fn enqueue_stage(&mut self, id: JobId, now: SimTime) {
-        let run = self.jobs.get_mut(id.slot()).expect("enqueue_stage for unknown job");
+    /// Queues the current stage of the job in `slot`.
+    pub(super) fn enqueue_stage(&mut self, slot: u32, now: SimTime) {
+        let run = self.jobs.get_mut(slot).expect("enqueue_stage for unknown job");
         let (shards, threads) = run.plan.stage(run.stage);
         run.outstanding = shards;
         let stage = run.stage;
-        let (d, submitted) = (run.job.size_units, run.job.submitted_at);
+        let (id, d, submitted) = (run.job.id, run.job.size_units, run.job.submitted_at);
         let class = TaskClass { stage, cores: threads };
-        self.queues.push_batch(class, id.0, shards, d, submitted, now);
+        self.queues.push_batch(class, slot, shards, d, submitted, now);
         self.tracer.emit(
             now,
             TraceEvent::JobStageAdvanced {

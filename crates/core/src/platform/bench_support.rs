@@ -77,14 +77,12 @@ impl PlatformHarness {
         let plan =
             Arc::new(ExecutionPlan::new(vec![(1, CORES); p.broker.learned_model().n_stages()]));
         for i in 0..queued_jobs {
-            // Dense ids from zero, matching arrival numbering — the job
-            // arena is sized by the highest id.
-            let id = JobId(i as u32);
-            let job = Job::new(id, 5.0, SimTime::ZERO);
+            // Dense ids from zero, matching arrival numbering.
+            let job = Job::new(JobId(i as u32), 5.0, SimTime::ZERO);
             let (d, submitted) = (job.size_units, job.submitted_at);
             let plan = Arc::clone(&plan);
-            p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
-            p.queues.push_batch(class, id.0, 1, d, submitted, SimTime::ZERO);
+            let slot = p.jobs.insert(JobRun { job, plan, stage: 0, outstanding: 1 });
+            p.queues.push_batch(class, slot, 1, d, submitted, SimTime::ZERO);
         }
 
         PlatformHarness { platform: p, cal: Calendar::new(), now, class }
@@ -96,7 +94,7 @@ impl PlatformHarness {
         let vm = self.platform.take_idle(CORES).expect("harness keeps idle workers");
         let tier = self.platform.private_tier;
         self.platform.idle.insert(CORES, vm, tier, self.now);
-        vm.0 as u64
+        vm.id.0 as u64
     }
 
     /// One full `assign`: pops the queue head onto an idle worker and
@@ -117,10 +115,10 @@ impl PlatformHarness {
         worker.finish_task(self.now);
         let tier = self.platform.private_tier;
         self.platform.idle.insert(CORES, vm, tier, self.now);
-        let run = self.platform.jobs.get(head as usize).expect("queued job is live");
+        let run = self.platform.jobs.get(head).expect("queued job is live");
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
         self.platform.queues.push_batch(self.class, head, 1, d, submitted, self.now);
-        vm.0 as u64
+        vm.id.0 as u64
     }
 
     /// One hiring-path pricing pass: revalidates the Eq. 1 window if the
@@ -134,7 +132,7 @@ impl PlatformHarness {
             let Platform { queues, estimator, jobs, .. } = p;
             let revision = estimator.revision();
             queues.revalidate_window(self.class, 0, Platform::MAX_QUEUE_VIEW, revision, |job| {
-                let run = jobs.get(job as usize).expect("queued job is live");
+                let run = jobs.get(job).expect("queued job is live");
                 estimator.remaining(&run.job, run.stage, &run.plan.stages)
             });
         }
@@ -162,7 +160,7 @@ impl PlatformHarness {
     pub fn queue_maintenance_cycle(&mut self) -> usize {
         let p = &mut self.platform;
         let (job, _wait) = p.queues.pop(self.class, self.now).expect("harness keeps queued jobs");
-        let run = p.jobs.get(job as usize).expect("queued job is live");
+        let run = p.jobs.get(job).expect("queued job is live");
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
         p.queues.push_batch(self.class, job, 1, d, submitted, self.now);
         p.queues.len(self.class)

@@ -5,16 +5,15 @@ use super::events::{Event, EventSink};
 use super::hiring::park;
 use super::Platform;
 use scan_cloud::shared::Watch;
-use scan_cloud::vm::VmId;
+use scan_cloud::vm::VmKey;
 use scan_kb::ProfileRecord;
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::queue::{TaskClass, SHAPE_CORES};
 use scan_sim::{prof, SimDuration, SimTime, TraceEvent};
-use scan_workload::job::JobId;
 use std::borrow::Cow;
 
 impl Platform {
-    pub(super) fn take_idle(&mut self, cores: u32) -> Option<VmId> {
+    pub(super) fn take_idle(&mut self, cores: u32) -> Option<VmKey> {
         self.idle.take_min(cores)
     }
 
@@ -85,15 +84,21 @@ impl Platform {
     pub(super) fn on_subtask_done(
         &mut self,
         now: SimTime,
-        job: JobId,
+        job: u32,
         stage: usize,
-        vm_id: VmId,
+        vm_id: VmKey,
         sink: &mut impl EventSink,
     ) {
+        let run = self.jobs.get_mut(job).expect("done event for unknown job");
         self.tracer.emit(
             now,
-            TraceEvent::SubtaskDone { job: job.0 as u64, stage: stage as u32, vm: vm_id.0 as u64 },
+            TraceEvent::SubtaskDone {
+                job: run.job.id.0 as u64,
+                stage: stage as u32,
+                vm: vm_id.id.0 as u64,
+            },
         );
+        debug_assert_eq!(run.stage, stage, "stage mismatch in completion event");
         // Free the worker.
         self.busy.remove(vm_id);
         let vm = self.provider.vm_mut(vm_id).expect("done event for unknown VM");
@@ -102,15 +107,12 @@ impl Platform {
         self.idle.insert(cores, vm_id, tier, now);
 
         // Advance the job.
-        let run = self.jobs.get_mut(job.slot()).expect("done event for unknown job");
-        debug_assert_eq!(run.stage, stage, "stage mismatch in completion event");
         run.outstanding -= 1;
         if run.outstanding == 0 {
             // The broker gathers this stage's shards back into one dataset.
             run.stage += 1;
             if run.stage == run.plan.n_stages() {
-                let run = self.jobs.remove(job.slot()).expect("just present");
-                self.live_jobs -= 1;
+                let run = self.jobs.remove(job).expect("just present");
                 self.complete(run, now);
             } else {
                 self.enqueue_stage(job, now);
@@ -122,16 +124,16 @@ impl Platform {
     pub(super) fn assign(
         &mut self,
         class: TaskClass,
-        vm_id: VmId,
+        vm_id: VmKey,
         now: SimTime,
         sink: &mut impl EventSink,
     ) {
         prof::scope!("assign");
         let (job, wait) = self.queues.pop(class, now).expect("assign called with non-empty queue");
-        let job = JobId(job);
         self.estimator.queue_times_mut().observe(class.stage, wait.as_tu());
 
-        let run = self.jobs.get(job.slot()).expect("queued subtask has a live job");
+        let run = self.jobs.get(job).expect("queued subtask has a live job");
+        let id = run.job.id;
         let (shards, threads) = run.plan.stage(run.stage);
         debug_assert_eq!(threads, class.cores);
         let stage = run.stage;
@@ -167,14 +169,15 @@ impl Platform {
         self.tracer.emit(
             now,
             TraceEvent::SubtaskDispatched {
-                job: job.0 as u64,
+                job: id.0 as u64,
                 stage: stage as u32,
-                vm: vm_id.0 as u64,
+                vm: vm_id.id.0 as u64,
                 cores: class.cores,
                 waited_tu: wait.as_tu(),
                 busy_tu: duration.as_tu(),
             },
         );
-        sink.schedule(done_at, Event::SubtaskDone { job, stage: stage as u32, vm: vm_id });
+        let stage = u16::try_from(stage).expect("plans have fewer than 2^16 stages");
+        sink.schedule(done_at, Event::SubtaskDone { job, stage, vm: vm_id });
     }
 }

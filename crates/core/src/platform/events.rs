@@ -1,9 +1,9 @@
 //! The simulation event vocabulary and per-job live state.
 
-use scan_cloud::vm::VmId;
+use scan_cloud::vm::VmKey;
 use scan_sched::plan::ExecutionPlan;
 use scan_sim::{Calendar, SimTime, TenantId};
-use scan_workload::job::{Job, JobId};
+use scan_workload::job::Job;
 use std::sync::Arc;
 
 /// Where the platform's subsystems schedule follow-up events.
@@ -40,23 +40,25 @@ impl EventSink for Calendar<Event> {
 
 /// Simulation events.
 ///
-/// Kept at or under 16 bytes (u32 ids + u32 stage + discriminant) so the
-/// calendar's heap entries stay two words of payload — heap sift moves
-/// are the simulator's hottest memory traffic.
+/// Kept at or under 16 bytes (an 8-byte VM key, a u32 job slot, a u16
+/// stage and the discriminant) so the calendar's heap entries stay two
+/// words of payload — heap sift moves are the simulator's hottest memory
+/// traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// The next job batch arrives.
     Arrival,
     /// A VM finished booting or reshaping.
-    VmReady(VmId),
+    VmReady(VmKey),
     /// One shard subtask of a job's current stage finished.
     SubtaskDone {
-        /// Owning job.
-        job: JobId,
+        /// Owning job's slot in the job table. A job holds its slot
+        /// until its last subtask is done, so the slot still names it.
+        job: u32,
         /// Stage the subtask belonged to (consistency check).
-        stage: u32,
+        stage: u16,
         /// The worker that ran it.
-        vm: VmId,
+        vm: VmKey,
     },
     /// The tenant's wakeup: release workers past their idle timeout,
     /// re-admit deferred jobs, re-price waits whose inputs changed, tear
@@ -71,7 +73,8 @@ pub enum Event {
 // heap entry; fail the build instead of silently regressing.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-/// Live state of one admitted job.
+/// Live state of one admitted job: a record of the platform's job
+/// table, which holds it from admission to completion.
 #[derive(Debug, Clone)]
 pub(super) struct JobRun {
     pub(super) job: Job,

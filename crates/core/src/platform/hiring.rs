@@ -9,7 +9,7 @@ use super::events::{Event, EventSink};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
-use scan_cloud::vm::{boot_penalty, VmId};
+use scan_cloud::vm::{boot_penalty, VmKey};
 use scan_sched::delay_cost::{delay_cost, QueuedJobView};
 use scan_sched::queue::{shape_slot, TaskClass, N_SHAPES, SHAPE_CORES};
 use scan_sched::scaling::{DecisionCosts, ScalingContext, ScalingDecision, ScalingPolicy};
@@ -99,7 +99,7 @@ impl Platform {
                         debug_assert!(removed, "reshaped VM was idle");
                         self.booting.inc(class.cores);
                         self.pending.increment(class.stage, class.cores);
-                        self.vm_reserved_for.insert(vm_id.slot(), class);
+                        self.vm_reserved_for.insert(vm_id, class);
                         // Narrate the decision after the action (whether a
                         // candidate can actually reshape is only known from
                         // the provider's answer).
@@ -147,7 +147,7 @@ impl Platform {
             Ok((vm_id, ready_at)) => {
                 self.booting.inc(class.cores);
                 self.pending.increment(class.stage, class.cores);
-                self.vm_reserved_for.insert(vm_id.slot(), class);
+                self.vm_reserved_for.insert(vm_id, class);
                 sink.schedule(ready_at, Event::VmReady(vm_id));
                 true
             }
@@ -177,7 +177,7 @@ impl Platform {
             let Platform { queues, estimator, jobs, .. } = self;
             let revision = estimator.revision();
             queues.revalidate_window(class, covered, Self::MAX_QUEUE_VIEW, revision, |job| {
-                let run = jobs.get(job as usize).expect("queued job is live");
+                let run = jobs.get(job).expect("queued job is live");
                 estimator.remaining(&run.job, run.stage, &run.plan.stages)
             });
         }
@@ -423,7 +423,7 @@ impl Platform {
                 continue;
             }
             last = Some(job);
-            let run = self.jobs.get(job as usize).expect("queued job is live");
+            let run = self.jobs.get(job).expect("queued job is live");
             self.scaling_scratch.push(QueuedJobView {
                 size_units: run.job.size_units,
                 ett: self.estimator.ett(&run.job, run.stage, &run.plan.stages, now),
@@ -453,7 +453,7 @@ impl Platform {
         let expected_task_tu = self
             .queues
             .head(class)
-            .and_then(|job| self.jobs.get(job as usize))
+            .and_then(|job| self.jobs.get(job))
             .map(|run| {
                 let (shards, threads) = run.plan.stage(run.stage);
                 self.estimator.eet(run.stage, run.job.size_units, shards, threads)
@@ -473,7 +473,7 @@ impl Platform {
     /// Picks an idle VM to reshape for a class needing `cores`: a worker
     /// of a shape with more idle machines than queued demand (cannibalise
     /// only surplus shapes), smallest shape first to conserve capacity.
-    fn reshape_candidate(&self, cores: u32, now: SimTime) -> Option<VmId> {
+    fn reshape_candidate(&self, cores: u32, now: SimTime) -> Option<VmKey> {
         for (slot, &size) in SHAPE_CORES.iter().enumerate() {
             if size == cores || self.idle.len_of_slot(slot) == 0 {
                 continue;

@@ -8,22 +8,22 @@ use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
 use scan_cloud::tier::TierId;
-use scan_cloud::vm::VmId;
+use scan_cloud::vm::VmKey;
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
 use scan_sim::{SimDuration, SimTime, TraceEvent};
 use std::sync::Arc;
 
 impl Platform {
-    pub(super) fn on_vm_ready(&mut self, now: SimTime, vm_id: VmId, sink: &mut impl EventSink) {
-        if let Some(class) = self.vm_reserved_for.remove(vm_id.slot()) {
+    pub(super) fn on_vm_ready(&mut self, now: SimTime, vm_id: VmKey, sink: &mut impl EventSink) {
+        if let Some(class) = self.vm_reserved_for.remove(vm_id) {
             self.pending.decrement_saturating(class.stage, class.cores);
         }
         let vm = self.provider.vm_mut(vm_id).expect("ready event for unknown VM");
         vm.finish_boot(now);
         let (cores, tier) = (vm.size.cores(), vm.tier);
         self.booting.dec(cores);
-        self.tracer.emit(now, TraceEvent::VmBooted { vm: vm_id.0 as u64, cores });
+        self.tracer.emit(now, TraceEvent::VmBooted { vm: vm_id.id.0 as u64, cores });
         if self.finished() {
             // The tenant drained while this worker was booting: return it
             // (and its shared cores) straight to the provider.

@@ -62,23 +62,24 @@ use hiring::WaitMemos;
 use scan_cloud::provider::CloudProvider;
 use scan_cloud::shared::{SharedLease, Watch};
 use scan_cloud::tier::TierId;
-use scan_cloud::vm::VmId;
+use scan_cloud::vm::VmKey;
 use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
 use scan_sched::estimate::EttEstimator;
 use scan_sched::learned::EpsilonGreedyPlanner;
 use scan_sched::plan::{ExecutionPlan, StageCosts};
-use scan_sched::queue::{ClassQueues, TaskClass};
+use scan_sched::queue::ClassQueues;
 use scan_sim::{
     prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimDuration, SimRng, SimTime,
-    StepOutcome, TenantId, Tracer,
+    SlotArena, StepOutcome, TenantId, Tracer,
 };
 use scan_workload::arrivals::ArrivalProcess;
 use scan_workload::gatk::PipelineModel;
 use scan_workload::job::Job;
 use scan_workload::reward::RewardFn;
 use state::{
-    AdmissionBacklog, BootingCounts, BusyTable, ClassCounts, IdlePools, SlotArena, StandingTargets,
+    AdmissionBacklog, BootingCounts, BusyTable, ClassCounts, IdlePools, Reservations,
+    StandingTargets,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -123,8 +124,9 @@ pub struct Platform {
     /// also price Eq. 1 for scaling decisions from cached per-job terms
     /// instead of a per-decision walk (DESIGN §7c).
     queues: ClassQueues,
-    /// Live job runs, arena-indexed by `JobId` (ids are dense arrival
-    /// ordinals; completed jobs tombstone their slot).
+    /// Live job runs. A job takes a slot at admission and frees it at
+    /// completion; the queues and `SubtaskDone` events name jobs by
+    /// slot, the records keep their public `JobId`s.
     jobs: SlotArena<JobRun>,
     /// Per-shape idle-worker pools with deterministic min-id pop.
     idle: IdlePools,
@@ -137,9 +139,9 @@ pub struct Platform {
     /// the O(1) replacement for the all-VMs booting scan the scaling
     /// inputs used to do.
     booting: BootingCounts,
-    /// Which class an in-flight hire/reshape is reserved for, keyed by
-    /// VM id slot.
-    vm_reserved_for: SlotArena<TaskClass>,
+    /// Which class an in-flight hire/reshape is reserved for, by VM
+    /// slot.
+    vm_reserved_for: Reservations,
     /// Each stalled class's last wait and the inputs that could flip it
     /// (DESIGN §7c): while they hold, dispatch and the sweep skip the
     /// class instead of deciding the same wait again.
@@ -153,7 +155,7 @@ pub struct Platform {
     /// wakes; read by `rearm` past the arrival cap.
     parked: Option<Watch>,
     /// Scratch for the `(vm, cores)` a sweep releases.
-    release_scratch: Vec<(VmId, u32)>,
+    release_scratch: Vec<(VmKey, u32)>,
     /// Standing worker-pool targets per instance size (VM counts): "the
     /// SCAN Scheduler maintains analytic task queues and pools of SCAN
     /// workers" (§III-A). Sized from the learned model + load forecast.
@@ -178,8 +180,6 @@ pub struct Platform {
     taken_jobs: u64,
     /// Jobs deferred by the fair-share gate, awaiting re-admission.
     backlog: AdmissionBacklog,
-    /// Live entries in the `jobs` arena (admitted, not yet completed).
-    live_jobs: u64,
     // --- adaptive-policy state ---
     observed_rate: f64,
     observed_size: f64,
@@ -220,7 +220,12 @@ impl Platform {
         let hub = RngHub::new(cfg.seed, repetition);
         let true_model = cfg.true_model();
         let mut kb_rng = hub.stream("kb-bootstrap");
-        let broker = DataBroker::bootstrap(&true_model, cfg.fixed.profile_noise, &mut kb_rng);
+        let mut broker = DataBroker::bootstrap(&true_model, cfg.fixed.profile_noise, &mut kb_rng);
+        if cfg.variable.allocation != AllocationPolicy::LongTermAdaptive {
+            // Only the adaptive policy re-fits (`on_replan`); every other
+            // tenant keeps just the learned model.
+            broker.drop_log();
+        }
 
         let mut provider = CloudProvider::new(cfg.tier_catalog());
         let (tenant, max_jobs, fair_share) = match tenancy {
@@ -287,7 +292,7 @@ impl Platform {
             busy: BusyTable::new(),
             pending: ClassCounts::new(),
             booting: BootingCounts::new(),
-            vm_reserved_for: SlotArena::new(),
+            vm_reserved_for: Reservations::default(),
             wait_memos: WaitMemos::default(),
             replans: 0,
             parked: Some(Watch::default()),
@@ -303,7 +308,6 @@ impl Platform {
             fair_share,
             taken_jobs: 0,
             backlog: AdmissionBacklog::default(),
-            live_jobs: 0,
             observed_rate,
             observed_size,
             last_arrival_at: SimTime::ZERO,
@@ -394,7 +398,7 @@ impl Platform {
     /// false for solo sessions (`max_jobs` unset), so their lifecycle is
     /// exactly the pre-fleet run-to-horizon.
     pub(crate) fn finished(&self) -> bool {
-        self.arrivals_exhausted() && self.backlog.is_empty() && self.live_jobs == 0
+        self.arrivals_exhausted() && self.backlog.is_empty() && self.jobs.is_empty()
     }
 
     /// Whether the arrival stream has been capped off.

@@ -1,16 +1,20 @@
 //! Dense hot-path state containers for the platform (DESIGN §"Hot-path
 //! data structures & determinism invariants").
 //!
-//! The dispatch/scaling inner loop runs once per event over these four
+//! The dispatch/scaling inner loop runs once per event over these
 //! structures; profiling showed the old map-based representations
 //! (`BTreeMap`/`HashMap` keyed by ids) spending most of the loop in
-//! pointer-chasing descents. Ids in this codebase are *dense monotone
-//! u32s* (jobs number from 0 in arrival order, VMs in hire order, and
-//! neither is ever reused within a session), so every map below is a
-//! `Vec` indexed by id slot, and every per-shape map is a fixed
-//! five-slot array over [`SHAPE_CORES`].
+//! pointer-chasing descents. Every per-VM table here is a `Vec` indexed
+//! by the VM's provider slot ([`VmKey::slot`]), and every per-shape map
+//! is a fixed five-slot array over [`SHAPE_CORES`]. Slots are reused
+//! once a VM is released (the provider's VM table and the platform's job
+//! table are [`SlotArena`](scan_sim::SlotArena)s), so these tables are
+//! as long as the most VMs live at once, not as long as the session. A
+//! slot is not an identity: each table keeps the VM's id beside what it
+//! stores and answers only for the key it was given.
 //!
-//! Determinism invariants preserved from the map era:
+//! Determinism invariants preserved from the map era (ids are hire
+//! ordinals, never reused, and [`VmKey`]s order by id):
 //! - **Idle-worker selection is lowest-id-first** ([`IdlePools::take_min`]
 //!   pops the minimum id, exactly like `BTreeSet::iter().next()` did).
 //! - **Shape iteration is ascending cores** (slot order = `[1,2,4,8,16]`).
@@ -18,8 +22,8 @@
 //!   commutes), so [`BusyTable`]'s swap-remove reordering is invisible.
 
 use scan_cloud::tier::TierId;
-use scan_cloud::vm::VmId;
-use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
+use scan_cloud::vm::{VmId, VmKey};
+use scan_sched::queue::{shape_slot, TaskClass, N_SHAPES, SHAPE_CORES};
 use scan_sim::{SimDuration, SimTime};
 use scan_workload::job::Job;
 use std::cell::Cell;
@@ -40,10 +44,10 @@ use std::collections::VecDeque;
 /// are always a prefix, and the front is the next to time out.
 #[derive(Debug)]
 pub(super) struct IdlePools {
-    pools: [Vec<VmId>; N_SHAPES],
+    pools: [Vec<VmKey>; N_SHAPES],
     /// `(idle since, vm)` per tier (`TierId.0`) and shape slot, oldest
     /// first.
-    since: [[Vec<(SimTime, VmId)>; N_SHAPES]; 2],
+    since: [[Vec<(SimTime, VmKey)>; N_SHAPES]; 2],
     /// Idle timeout per tier.
     timeouts: [SimDuration; 2],
     /// Per tier and shape slot, the first grid instant at which the
@@ -70,7 +74,7 @@ impl IdlePools {
 
     /// Adds a worker of `tier` that became idle at `since` to its shape
     /// pool.
-    pub(super) fn insert(&mut self, cores: u32, vm: VmId, tier: TierId, since: SimTime) {
+    pub(super) fn insert(&mut self, cores: u32, vm: VmKey, tier: TierId, since: SimTime) {
         let slot = shape_slot(cores);
         let pool = &mut self.pools[slot];
         let pos = pool.partition_point(|&v| v > vm);
@@ -87,7 +91,7 @@ impl IdlePools {
 
     /// Removes a specific worker (e.g. picked for reshape or release).
     /// Returns whether it was present.
-    pub(super) fn remove(&mut self, cores: u32, vm: VmId) -> bool {
+    pub(super) fn remove(&mut self, cores: u32, vm: VmKey) -> bool {
         let slot = shape_slot(cores);
         let pool = &mut self.pools[slot];
         let pos = pool.partition_point(|&v| v > vm);
@@ -102,7 +106,7 @@ impl IdlePools {
 
     /// Pops the lowest-id idle worker of a shape — the deterministic
     /// "lowest id first" selection rule.
-    pub(super) fn take_min(&mut self, cores: u32) -> Option<VmId> {
+    pub(super) fn take_min(&mut self, cores: u32) -> Option<VmKey> {
         let slot = shape_slot(cores);
         let vm = self.pools[slot].pop()?;
         self.unindex(slot, vm);
@@ -110,7 +114,7 @@ impl IdlePools {
     }
 
     /// Drops `vm` from its release list.
-    fn unindex(&mut self, slot: usize, vm: VmId) {
+    fn unindex(&mut self, slot: usize, vm: VmKey) {
         for tier in 0..2 {
             let list = &mut self.since[tier][slot];
             if let Some(pos) = list.iter().position(|&(_, v)| v == vm) {
@@ -160,18 +164,18 @@ impl IdlePools {
     }
 
     /// Ascending-id iteration over one shape slot's pool.
-    pub(super) fn iter_slot_asc(&self, slot: usize) -> impl Iterator<Item = VmId> + '_ {
+    pub(super) fn iter_slot_asc(&self, slot: usize) -> impl Iterator<Item = VmKey> + '_ {
         self.pools[slot].iter().rev().copied()
     }
 
     /// `(idle since, vm)` of one tier's idle workers of a shape slot,
     /// longest idle first.
-    pub(super) fn by_idle_start(&self, tier: TierId, slot: usize) -> &[(SimTime, VmId)] {
+    pub(super) fn by_idle_start(&self, tier: TierId, slot: usize) -> &[(SimTime, VmKey)] {
         &self.since[tier.0][slot]
     }
 
     /// Every idle worker, as `(cores, vm)`.
-    pub(super) fn all(&self) -> impl Iterator<Item = (u32, VmId)> + '_ {
+    pub(super) fn all(&self) -> impl Iterator<Item = (u32, VmKey)> + '_ {
         SHAPE_CORES.iter().zip(&self.pools).flat_map(|(&c, pool)| pool.iter().map(move |&v| (c, v)))
     }
 }
@@ -211,7 +215,7 @@ fn grid_expiry(since: SimTime, timeout: SimDuration) -> SimTime {
 }
 
 /// The busy set: which VMs are running tasks, until when, and at what
-/// shape — a slot map over VM ids with an unordered dense entry list.
+/// shape — a table over VM slots with an unordered dense entry list.
 ///
 /// The scaling decision's projected-wait scan reads `(until, cores)` for
 /// every busy VM; caching cores here (a VM cannot reshape while busy)
@@ -219,8 +223,9 @@ fn grid_expiry(since: SimTime, timeout: SimDuration) -> SimTime {
 #[derive(Debug, Default)]
 pub(super) struct BusyTable {
     /// `(vm, until, cores)`, unordered; removal is swap-remove.
-    entries: Vec<(VmId, SimTime, u32)>,
-    /// VM slot → index into `entries`; `u32::MAX` = not busy.
+    entries: Vec<(VmKey, SimTime, u32)>,
+    /// VM slot → index into `entries`; `u32::MAX` = not busy. As long as
+    /// the highest VM slot seen.
     pos: Vec<u32>,
     /// Removals per shape slot, ever: the only busy-set change that can
     /// lengthen a shape's projected wait.
@@ -235,28 +240,31 @@ impl BusyTable {
     }
 
     /// Marks a VM busy until `until`.
-    pub(super) fn insert(&mut self, vm: VmId, until: SimTime, cores: u32) {
-        if self.pos.len() <= vm.slot() {
-            self.pos.resize(vm.slot() + 1, NOT_BUSY);
+    pub(super) fn insert(&mut self, vm: VmKey, until: SimTime, cores: u32) {
+        let slot = vm.slot as usize;
+        if self.pos.len() <= slot {
+            self.pos.resize(slot + 1, NOT_BUSY);
         }
-        debug_assert_eq!(self.pos[vm.slot()], NOT_BUSY, "VM already busy");
-        self.pos[vm.slot()] = self.entries.len() as u32;
+        debug_assert_eq!(self.pos[slot], NOT_BUSY, "VM already busy");
+        self.pos[slot] = self.entries.len() as u32;
         self.entries.push((vm, until, cores));
     }
 
-    /// Clears a VM's busy mark. Returns whether it was busy.
-    pub(super) fn remove(&mut self, vm: VmId) -> bool {
-        let Some(&idx) = self.pos.get(vm.slot()) else {
+    /// Clears a VM's busy mark. Returns whether it was busy (a key to
+    /// an earlier VM of the same slot never was).
+    pub(super) fn remove(&mut self, vm: VmKey) -> bool {
+        let slot = vm.slot as usize;
+        let Some(&idx) = self.pos.get(slot) else {
             return false;
         };
-        if idx == NOT_BUSY {
+        if idx == NOT_BUSY || self.entries[idx as usize].0 != vm {
             return false;
         }
-        self.pos[vm.slot()] = NOT_BUSY;
+        self.pos[slot] = NOT_BUSY;
         let (_, _, cores) = self.entries.swap_remove(idx as usize);
         self.removed[shape_slot(cores)] += 1;
         if let Some(&(moved, _, _)) = self.entries.get(idx as usize) {
-            self.pos[moved.slot()] = idx;
+            self.pos[moved.slot as usize] = idx;
         }
         true
     }
@@ -351,47 +359,33 @@ impl BootingCounts {
     }
 }
 
-/// A dense append-mostly arena keyed by monotone u32 id slots (job
-/// runs, per-VM reservations). `None` = never inserted or removed; ids
-/// are never reused, so a freed slot stays `None` for the session.
-#[derive(Debug)]
-pub(super) struct SlotArena<T> {
-    slots: Vec<Option<T>>,
+/// What each booting VM was hired or reshaped for, by VM slot: the
+/// class whose in-flight count its `VmReady` settles. As long as the
+/// highest VM slot seen; each entry keeps its VM's id, so a key to an
+/// earlier VM of the same slot finds nothing.
+#[derive(Debug, Default)]
+pub(super) struct Reservations {
+    slots: Vec<Option<(VmId, TaskClass)>>,
 }
 
-impl<T> Default for SlotArena<T> {
-    fn default() -> Self {
-        SlotArena { slots: Vec::new() }
-    }
-}
-
-impl<T> SlotArena<T> {
-    pub(super) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts at `slot`, growing the arena as needed. Panics on
-    /// occupied slots — ids are unique by construction.
-    pub(super) fn insert(&mut self, slot: usize, value: T) {
+impl Reservations {
+    /// Reserves `vm` for `class`.
+    pub(super) fn insert(&mut self, vm: VmKey, class: TaskClass) {
+        let slot = vm.slot as usize;
         if self.slots.len() <= slot {
             self.slots.resize_with(slot + 1, || None);
         }
-        debug_assert!(self.slots[slot].is_none(), "slot arena id reused");
-        self.slots[slot] = Some(value);
+        debug_assert!(self.slots[slot].is_none(), "VM already reserved");
+        self.slots[slot] = Some((vm.id, class));
     }
 
-    #[inline]
-    pub(super) fn get(&self, slot: usize) -> Option<&T> {
-        self.slots.get(slot)?.as_ref()
-    }
-
-    #[inline]
-    pub(super) fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
-        self.slots.get_mut(slot)?.as_mut()
-    }
-
-    pub(super) fn remove(&mut self, slot: usize) -> Option<T> {
-        self.slots.get_mut(slot)?.take()
+    /// Takes `vm`'s reservation, if it has one.
+    pub(super) fn remove(&mut self, vm: VmKey) -> Option<TaskClass> {
+        let entry = self.slots.get_mut(vm.slot as usize)?;
+        match entry {
+            Some((id, _)) if *id == vm.id => entry.take().map(|(_, class)| class),
+            _ => None,
+        }
     }
 }
 
@@ -456,6 +450,11 @@ impl StandingTargets {
 mod tests {
     use super::*;
 
+    /// The key of VM `id`, in slot `id`.
+    fn key(id: u32) -> VmKey {
+        VmKey { id: VmId(id), slot: id }
+    }
+
     const PRIVATE: TierId = TierId(0);
     const PUBLIC: TierId = TierId(1);
 
@@ -467,43 +466,43 @@ mod tests {
     fn idle_pool_pops_lowest_id_first() {
         let mut pools = pools();
         for id in [7u32, 2, 9, 4] {
-            pools.insert(4, VmId(id), PRIVATE, SimTime::ZERO);
+            pools.insert(4, key(id), PRIVATE, SimTime::ZERO);
         }
-        assert_eq!(pools.take_min(4), Some(VmId(2)));
-        assert_eq!(pools.take_min(4), Some(VmId(4)));
-        pools.insert(4, VmId(1), PUBLIC, SimTime::ZERO);
-        assert_eq!(pools.take_min(4), Some(VmId(1)));
-        assert_eq!(pools.take_min(4), Some(VmId(7)));
-        assert_eq!(pools.take_min(4), Some(VmId(9)));
+        assert_eq!(pools.take_min(4), Some(key(2)));
+        assert_eq!(pools.take_min(4), Some(key(4)));
+        pools.insert(4, key(1), PUBLIC, SimTime::ZERO);
+        assert_eq!(pools.take_min(4), Some(key(1)));
+        assert_eq!(pools.take_min(4), Some(key(7)));
+        assert_eq!(pools.take_min(4), Some(key(9)));
         assert_eq!(pools.take_min(4), None);
     }
 
     #[test]
     fn idle_pool_remove_specific() {
         let mut pools = pools();
-        pools.insert(8, VmId(3), PRIVATE, SimTime::ZERO);
-        pools.insert(8, VmId(5), PRIVATE, SimTime::ZERO);
-        assert!(pools.remove(8, VmId(3)));
-        assert!(!pools.remove(8, VmId(3)));
-        assert_eq!(pools.take_min(8), Some(VmId(5)));
+        pools.insert(8, key(3), PRIVATE, SimTime::ZERO);
+        pools.insert(8, key(5), PRIVATE, SimTime::ZERO);
+        assert!(pools.remove(8, key(3)));
+        assert!(!pools.remove(8, key(3)));
+        assert_eq!(pools.take_min(8), Some(key(5)));
         assert!(pools.by_idle_start(PRIVATE, shape_slot(8)).is_empty());
     }
 
     #[test]
     fn release_lists_keep_idle_start_order_per_tier() {
         let mut pools = pools();
-        pools.insert(2, VmId(9), PRIVATE, SimTime::new(1.0));
-        pools.insert(2, VmId(4), PUBLIC, SimTime::new(2.0));
-        pools.insert(2, VmId(1), PRIVATE, SimTime::new(3.0));
+        pools.insert(2, key(9), PRIVATE, SimTime::new(1.0));
+        pools.insert(2, key(4), PUBLIC, SimTime::new(2.0));
+        pools.insert(2, key(1), PRIVATE, SimTime::new(3.0));
         let slot = shape_slot(2);
         let ids = |pools: &IdlePools, tier| -> Vec<u32> {
-            pools.by_idle_start(tier, slot).iter().map(|&(_, v)| v.0).collect()
+            pools.by_idle_start(tier, slot).iter().map(|&(_, v)| v.id.0).collect()
         };
         assert_eq!(ids(&pools, PRIVATE), vec![9, 1], "oldest idle first, not lowest id");
         assert_eq!(ids(&pools, PUBLIC), vec![4]);
-        assert_eq!(pools.take_min(2), Some(VmId(1)));
+        assert_eq!(pools.take_min(2), Some(key(1)));
         assert_eq!(ids(&pools, PRIVATE), vec![9]);
-        let all: Vec<(u32, VmId)> = pools.all().collect();
+        let all: Vec<(u32, VmKey)> = pools.all().collect();
         assert_eq!(all.len(), 2);
     }
 
@@ -516,18 +515,18 @@ mod tests {
         };
         assert_eq!(expiries(&pools), vec![]);
         // Idle from 3.2 for 2.0 TU: past the timeout from 5.2, so at 5.5.
-        pools.insert(4, VmId(1), PRIVATE, SimTime::new(3.2));
-        pools.insert(4, VmId(2), PRIVATE, SimTime::new(4.0));
+        pools.insert(4, key(1), PRIVATE, SimTime::new(3.2));
+        pools.insert(4, key(2), PRIVATE, SimTime::new(4.0));
         assert_eq!(expiries(&pools), vec![(0, 5.5)]);
         // Exactly on the grid counts as expired: 4.0 + 2.0 = 6.0.
-        assert!(pools.remove(4, VmId(1)));
+        assert!(pools.remove(4, key(1)));
         assert_eq!(expiries(&pools), vec![(0, 6.0)]);
         // Nothing expires before the first grid instant, 1.0.
-        pools.insert(4, VmId(3), PUBLIC, SimTime::new(0.1));
+        pools.insert(4, key(3), PUBLIC, SimTime::new(0.1));
         assert_eq!(expiries(&pools), vec![(0, 6.0), (1, 1.0)]);
         assert_eq!(pools.expiries().map(|(_, s, _)| s).collect::<Vec<_>>(), vec![slot, slot]);
-        assert_eq!(pools.take_min(4), Some(VmId(2)));
-        assert_eq!(pools.take_min(4), Some(VmId(3)));
+        assert_eq!(pools.take_min(4), Some(key(2)));
+        assert_eq!(pools.take_min(4), Some(key(3)));
         assert_eq!(expiries(&pools), vec![]);
     }
 
@@ -544,9 +543,9 @@ mod tests {
     fn idle_pool_slot_iteration_ascends() {
         let mut pools = pools();
         for id in [6u32, 1, 4] {
-            pools.insert(16, VmId(id), PRIVATE, SimTime::ZERO);
+            pools.insert(16, key(id), PRIVATE, SimTime::ZERO);
         }
-        let ids: Vec<u32> = pools.iter_slot_asc(4).map(|v| v.0).collect();
+        let ids: Vec<u32> = pools.iter_slot_asc(4).map(|v| v.id.0).collect();
         assert_eq!(ids, vec![1, 4, 6]);
         assert_eq!(pools.len_of_slot(4), 3);
     }
@@ -555,15 +554,15 @@ mod tests {
     fn busy_table_tracks_min_wait_per_shape() {
         let mut busy = BusyTable::new();
         let now = SimTime::new(10.0);
-        busy.insert(VmId(0), SimTime::new(15.0), 4);
-        busy.insert(VmId(1), SimTime::new(12.0), 4);
-        busy.insert(VmId(2), SimTime::new(11.0), 8);
+        busy.insert(key(0), SimTime::new(15.0), 4);
+        busy.insert(key(1), SimTime::new(12.0), 4);
+        busy.insert(key(2), SimTime::new(11.0), 8);
         assert_eq!(busy.min_wait_for_cores(4, now), Some(2.0));
         assert_eq!(busy.min_wait_for_cores(8, now), Some(1.0));
         assert_eq!(busy.min_wait_for_cores(16, now), None);
-        assert!(busy.remove(VmId(1)));
+        assert!(busy.remove(key(1)));
         assert_eq!(busy.min_wait_for_cores(4, now), Some(5.0));
-        assert!(!busy.remove(VmId(1)));
+        assert!(!busy.remove(key(1)));
         assert_eq!((busy.removed(4), busy.removed(8)), (1, 0));
     }
 
@@ -571,13 +570,13 @@ mod tests {
     fn busy_table_swap_remove_keeps_positions() {
         let mut busy = BusyTable::new();
         for i in 0..5u32 {
-            busy.insert(VmId(i), SimTime::new(20.0 + i as f64), 2);
+            busy.insert(key(i), SimTime::new(20.0 + i as f64), 2);
         }
-        assert!(busy.remove(VmId(0))); // swap-remove moves VmId(4) into slot 0
-        assert!(busy.remove(VmId(4)));
-        assert!(busy.remove(VmId(2)));
+        assert!(busy.remove(key(0))); // swap-remove moves key(4) into slot 0
+        assert!(busy.remove(key(4)));
+        assert!(busy.remove(key(2)));
         let now = SimTime::ZERO;
-        assert_eq!(busy.min_wait_for_cores(2, now), Some(21.0)); // VmId(1)
+        assert_eq!(busy.min_wait_for_cores(2, now), Some(21.0)); // key(1)
     }
 
     #[test]
@@ -609,15 +608,27 @@ mod tests {
     }
 
     #[test]
-    fn slot_arena_never_resurrects_removed_slots() {
-        let mut arena: SlotArena<&str> = SlotArena::new();
-        arena.insert(0, "a");
-        arena.insert(3, "b");
-        assert_eq!(arena.get(1), None);
-        assert_eq!(arena.remove(3), Some("b"));
-        assert_eq!(arena.remove(3), None);
-        assert_eq!(arena.get(3), None);
-        assert_eq!(arena.get(0), Some(&"a"));
+    fn busy_table_ignores_an_earlier_vm_of_the_same_slot() {
+        let mut busy = BusyTable::new();
+        let (old, new) = (VmKey { id: VmId(3), slot: 0 }, VmKey { id: VmId(8), slot: 0 });
+        busy.insert(new, SimTime::new(4.0), 2);
+        assert!(!busy.remove(old), "a released VM's key is never busy");
+        assert_eq!(busy.min_wait_for_cores(2, SimTime::ZERO), Some(4.0));
+        assert!(busy.remove(new));
+    }
+
+    #[test]
+    fn reservations_answer_only_for_the_key_they_were_given() {
+        let mut reserved = Reservations::default();
+        let (a, b) = (TaskClass { stage: 0, cores: 4 }, TaskClass { stage: 2, cores: 16 });
+        let (old, new) = (VmKey { id: VmId(1), slot: 2 }, VmKey { id: VmId(5), slot: 2 });
+        reserved.insert(key(0), a);
+        reserved.insert(new, b);
+        assert_eq!(reserved.remove(old), None, "an earlier VM of the slot finds nothing");
+        assert_eq!(reserved.remove(key(1)), None);
+        assert_eq!(reserved.remove(new), Some(b));
+        assert_eq!(reserved.remove(new), None);
+        assert_eq!(reserved.remove(key(0)), Some(a));
     }
 
     #[test]

@@ -240,11 +240,10 @@ fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
     let depth = 2 * Platform::MAX_QUEUE_VIEW as u32;
     let plan = std::sync::Arc::new(ExecutionPlan::new(vec![(1, 4); p.true_model.n_stages()]));
     for i in 0..depth {
-        let id = JobId(i);
         let plan = std::sync::Arc::clone(&plan);
-        let job = Job::new(id, 5.0, SimTime::ZERO);
-        p.jobs.insert(id.slot(), JobRun { job, plan, stage: 0, outstanding: 1 });
-        p.queues.push_batch(class, i, 1, 5.0, SimTime::ZERO, SimTime::ZERO);
+        let job = Job::new(JobId(i), 5.0, SimTime::ZERO);
+        let slot = p.jobs.insert(JobRun { job, plan, stage: 0, outstanding: 1 });
+        p.queues.push_batch(class, slot, 1, 5.0, SimTime::ZERO, SimTime::ZERO);
     }
     let now = SimTime::new(1.0);
     let task_tu = p.scaling_inputs(class, now).expected_task_tu;
@@ -432,20 +431,20 @@ mod fifo {
         ) {
             let mut cal: Calendar<Event> = Calendar::new();
             for (i, &slot) in slots.iter().enumerate() {
-                // Tag each event with its insertion index via the job id.
+                // Tag each event with its insertion index via the job slot.
                 cal.schedule(
                     SimTime::new(slot as f64),
                     Event::SubtaskDone {
-                        job: JobId(i as u32),
-                        stage: slot,
-                        vm: VmId(i as u32),
+                        job: i as u32,
+                        stage: slot as u16,
+                        vm: VmKey { id: VmId(i as u32), slot: i as u32 },
                     },
                 );
             }
             let mut popped: Vec<(f64, u32)> = Vec::new();
             while let Some(e) = cal.pop() {
                 let Event::SubtaskDone { job, .. } = e.event else { unreachable!() };
-                popped.push((e.at.as_tu(), job.0));
+                popped.push((e.at.as_tu(), job));
             }
             prop_assert_eq!(popped.len(), slots.len());
             for w in popped.windows(2) {
@@ -463,89 +462,99 @@ mod fifo {
 }
 
 // ----------------------------------------------------------------------
-// Arena id non-resurrection (slot reuse never revives a freed id)
+// Slot reuse: public ids stay hire/arrival ordinals, slots are recycled
 // ----------------------------------------------------------------------
 
 mod arena_reuse {
-    use super::super::state::SlotArena;
     use proptest::prelude::*;
     use scan_cloud::instance::InstanceSize;
     use scan_cloud::provider::CloudProvider;
     use scan_cloud::tier::TierCatalog;
-    use scan_cloud::vm::VmId;
-    use scan_sim::SimTime;
+    use scan_cloud::vm::VmKey;
+    use scan_sim::{SimTime, SlotArena};
+    use scan_workload::job::JobId;
 
     proptest! {
-        /// Random interleavings of insert/remove on the job arena: a
-        /// removed slot stays a tombstone for the rest of the session, so
-        /// a freed JobId can never denote a different, later job.
+        /// Random admit/complete interleavings on a job table: a live
+        /// job's slot always holds the job admitted under its id, a
+        /// completed job's `(id, slot)` handle never resolves to it again
+        /// (its slot is empty or holds a later job), and the table never
+        /// has more slots than jobs were ever live at once.
         #[test]
-        fn prop_slot_arena_never_resurrects_freed_ids(
-            ops in proptest::collection::vec(0u32..2, 1..64),
+        fn prop_job_slots_are_reused_and_never_resurrect(
+            ops in proptest::collection::vec(0u32..3, 1..96),
         ) {
-            let mut arena: SlotArena<u32> = SlotArena::new();
+            let mut jobs: SlotArena<JobId> = SlotArena::new();
             let mut next = 0u32;
-            let mut live: Vec<u32> = Vec::new();
-            let mut freed: Vec<u32> = Vec::new();
+            let mut live: Vec<(JobId, u32)> = Vec::new();
+            let mut done: Vec<(JobId, u32)> = Vec::new();
+            let mut peak = 0;
             for &op in &ops {
-                if op == 1 || live.is_empty() {
-                    arena.insert(next as usize, next);
-                    live.push(next);
+                if op > 0 || live.is_empty() {
+                    let id = JobId(next);
                     next += 1;
+                    live.push((id, jobs.insert(id)));
                 } else {
-                    let id = live.remove(live.len() / 2);
-                    prop_assert_eq!(arena.remove(id as usize), Some(id));
-                    freed.push(id);
+                    let (id, slot) = live.remove(live.len() / 2);
+                    prop_assert_eq!(jobs.remove(slot), Some(id));
+                    done.push((id, slot));
                 }
-                for &id in &freed {
-                    prop_assert!(
-                        arena.get(id as usize).is_none(),
-                        "freed id {} resurrected", id
-                    );
+                peak = peak.max(live.len());
+                prop_assert!(jobs.slot_count() <= peak, "{} slots for {} live", jobs.slot_count(), peak);
+                for &(id, slot) in &live {
+                    prop_assert_eq!(jobs.get(slot), Some(&id));
                 }
-                for &id in &live {
-                    prop_assert_eq!(arena.get(id as usize), Some(&id));
+                for &(id, slot) in &done {
+                    prop_assert!(jobs.get(slot) != Some(&id), "completed job {:?} resurrected", id);
                 }
             }
         }
 
-        /// Same invariant one layer down: the provider hands out VM ids in
-        /// strictly increasing order and never reissues a released id, so
-        /// "lowest id first" worker selection stays a stable hire-order
-        /// tie-break across arbitrary churn.
+        /// The provider hands out VM ids in strictly increasing order and
+        /// never reissues one, so "lowest id first" worker selection stays
+        /// a stable hire-order tie-break across churn; a released key
+        /// never resolves, a live key always resolves to the VM hired
+        /// under its id, and the VM table never has more slots than VMs
+        /// were ever live at once.
         #[test]
-        fn prop_provider_never_reissues_released_vm_ids(
-            ops in proptest::collection::vec(0u32..2, 1..64),
+        fn prop_provider_reuses_slots_under_fresh_ids(
+            ops in proptest::collection::vec(0u32..3, 1..96),
         ) {
             let mut provider = CloudProvider::new(TierCatalog::paper_hybrid(50.0));
             let size = InstanceSize::new(4).expect("4 cores is a catalog size");
-            let mut live: Vec<VmId> = Vec::new();
-            let mut released: Vec<VmId> = Vec::new();
-            let mut last_issued: Option<VmId> = None;
+            let mut live: Vec<VmKey> = Vec::new();
+            let mut released: Vec<VmKey> = Vec::new();
+            let mut last_issued: Option<VmKey> = None;
+            let mut peak = 0;
             for (i, &op) in ops.iter().enumerate() {
                 let now = SimTime::new(i as f64);
-                if op == 1 || live.is_empty() {
+                if op > 0 || live.is_empty() {
                     // Capacity exhaustion is fine — the invariant is about
                     // the ids of the hires that do succeed.
-                    if let Ok((id, _)) = provider.hire(size, now) {
+                    if let Ok((key, _)) = provider.hire(size, now) {
                         prop_assert!(
-                            last_issued.is_none_or(|p| id > p),
-                            "ids not strictly increasing: {:?} after {:?}", id, last_issued
+                            last_issued.is_none_or(|p| key.id > p.id),
+                            "ids not strictly increasing: {:?} after {:?}", key, last_issued
                         );
-                        prop_assert!(!released.contains(&id), "released id {:?} reissued", id);
-                        last_issued = Some(id);
-                        live.push(id);
+                        prop_assert!(
+                            released.iter().all(|r| r.id != key.id),
+                            "released id {:?} reissued", key.id
+                        );
+                        last_issued = Some(key);
+                        live.push(key);
                     }
                 } else {
-                    let id = live.remove(live.len() / 2);
-                    provider.release(id, now);
-                    released.push(id);
+                    let key = live.remove(live.len() / 2);
+                    provider.release(key, now);
+                    released.push(key);
                 }
-                for &id in &released {
-                    prop_assert!(
-                        provider.vm(id).is_none(),
-                        "released VM {:?} still resolvable", id
-                    );
+                peak = peak.max(live.len());
+                prop_assert!(provider.vm_slots() <= peak, "{} slots for {} live", provider.vm_slots(), peak);
+                for &key in &released {
+                    prop_assert!(provider.vm(key).is_none(), "released VM {:?} still resolvable", key);
+                }
+                for &key in &live {
+                    prop_assert_eq!(provider.vm(key).map(|vm| vm.id), Some(key.id));
                 }
             }
         }

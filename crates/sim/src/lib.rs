@@ -22,6 +22,8 @@
 //! * [`prof`] — an opt-in wall-clock self-profiler: RAII spans in
 //!   thread-local call trees, mergeable summaries, sorted self/total
 //!   tables and flamegraph-compatible collapsed stacks.
+//! * [`slots`] — a free-list [`SlotArena`] for records that come and go
+//!   (hired workers, admitted jobs), sized by the most live at once.
 //! * [`tenant`] — tenant identity for fleet simulations: [`TenantId`] tags
 //!   calendar entries so N tenant platforms can share one deterministic
 //!   calendar.
@@ -37,6 +39,7 @@ pub mod calendar;
 pub mod engine;
 pub mod prof;
 pub mod rng;
+pub mod slots;
 pub mod stats;
 pub mod tenant;
 pub mod time;
@@ -45,6 +48,7 @@ pub mod trace;
 pub use calendar::{Calendar, ScheduledEvent};
 pub use engine::{Engine, EventHandler, StepOutcome};
 pub use rng::{RngHub, SimRng};
+pub use slots::SlotArena;
 pub use stats::{Histogram, OnlineStats, TimeWeighted};
 pub use tenant::TenantId;
 pub use time::{SimDuration, SimTime};

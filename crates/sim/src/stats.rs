@@ -180,10 +180,18 @@ impl TimeWeighted {
 }
 
 /// A fixed-width histogram over `[lo, hi)` with under/overflow bins.
+///
+/// The bin width is `(hi - lo) / nbins`, but the bin `Vec` only grows to
+/// the highest bin recorded so far: a histogram that sees a few values
+/// near `lo` holds a few counters, not `nbins`. Every bin past the
+/// stored ones is zero, so [`Histogram::quantile`] falls through them to
+/// `hi` exactly as a scan over all `nbins` would.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
+    nbins: usize,
+    /// Counts of bins `0..bins.len()`; the rest are zero.
     bins: Vec<u64>,
     underflow: u64,
     overflow: u64,
@@ -194,7 +202,12 @@ impl Histogram {
     /// Creates a histogram with `nbins` equal-width bins over `[lo, hi)`.
     pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
         assert!(hi > lo && nbins > 0);
-        Histogram { lo, hi, bins: vec![0; nbins], underflow: 0, overflow: 0, count: 0 }
+        Histogram { lo, hi, nbins, bins: Vec::new(), underflow: 0, overflow: 0, count: 0 }
+    }
+
+    /// The bin width.
+    fn width(&self) -> f64 {
+        (self.hi - self.lo) / self.nbins as f64
     }
 
     /// Records one observation.
@@ -205,10 +218,12 @@ impl Histogram {
         } else if x >= self.hi {
             self.overflow += 1;
         } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            // Guard against FP edge cases putting x==hi-ε into bins.len().
-            let idx = idx.min(self.bins.len() - 1);
+            let idx = ((x - self.lo) / self.width()) as usize;
+            // Guard against FP edge cases putting x==hi-ε into bin nbins.
+            let idx = idx.min(self.nbins - 1);
+            if self.bins.len() <= idx {
+                self.bins.resize(idx + 1, 0);
+            }
             self.bins[idx] += 1;
         }
     }
@@ -218,7 +233,8 @@ impl Histogram {
         self.count
     }
 
-    /// Bin counts (excluding under/overflow).
+    /// Counts of the bins up to the highest one recorded (excluding
+    /// under/overflow); every later bin of the `nbins` is zero.
     pub fn bins(&self) -> &[u64] {
         &self.bins
     }
@@ -240,12 +256,17 @@ impl Histogram {
         if cum >= target && self.underflow > 0 {
             return self.lo;
         }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
+        let w = self.width();
         for (i, &b) in self.bins.iter().enumerate() {
             cum += b;
             if cum >= target {
                 return self.lo + (i as f64 + 0.5) * w;
             }
+        }
+        if cum >= target {
+            // No bin stored and nothing needed (q = 0, no underflow): the
+            // first bin, as the dense scan answered.
+            return self.lo + 0.5 * w;
         }
         self.hi
     }
@@ -343,7 +364,104 @@ mod tests {
         assert_eq!(fmt_mean_sd(&s), "2.00 ± 1.00");
     }
 
+    /// The histogram as it was before its bins were sized lazily: all
+    /// `nbins` counters up front, and a quantile scan over every one.
+    struct DenseHistogram {
+        lo: f64,
+        hi: f64,
+        bins: Vec<u64>,
+        underflow: u64,
+        overflow: u64,
+        count: u64,
+    }
+
+    impl DenseHistogram {
+        fn new(lo: f64, hi: f64, nbins: usize) -> Self {
+            DenseHistogram { lo, hi, bins: vec![0; nbins], underflow: 0, overflow: 0, count: 0 }
+        }
+
+        fn record(&mut self, x: f64) {
+            self.count += 1;
+            if x < self.lo {
+                self.underflow += 1;
+            } else if x >= self.hi {
+                self.overflow += 1;
+            } else {
+                let w = (self.hi - self.lo) / self.bins.len() as f64;
+                let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
+                self.bins[idx] += 1;
+            }
+        }
+
+        fn quantile(&self, q: f64) -> f64 {
+            if self.count == 0 {
+                return f64::NAN;
+            }
+            let target = (q * self.count as f64).ceil() as u64;
+            let mut cum = self.underflow;
+            if cum >= target && self.underflow > 0 {
+                return self.lo;
+            }
+            let w = (self.hi - self.lo) / self.bins.len() as f64;
+            for (i, &b) in self.bins.iter().enumerate() {
+                cum += b;
+                if cum >= target {
+                    return self.lo + (i as f64 + 0.5) * w;
+                }
+            }
+            self.hi
+        }
+    }
+
+    #[test]
+    fn an_unbinned_histogram_answers_like_a_dense_one() {
+        // Every value overflows: no bin is stored, and q = 0 still names
+        // the first bin's midpoint.
+        let mut h = Histogram::new(0.0, 400.0, 800);
+        let mut dense = DenseHistogram::new(0.0, 400.0, 800);
+        for x in [500.0, 401.0] {
+            h.record(x);
+            dense.record(x);
+        }
+        assert!(h.bins().is_empty());
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile(q).to_bits(), dense.quantile(q).to_bits(), "q = {q}");
+        }
+    }
+
     proptest! {
+        /// The lazily sized histogram equals the dense one: the same
+        /// quantile bits at q = 0, 0.05, …, 1, the same count and
+        /// outliers, and the same bins on the stored prefix with zeros
+        /// past it.
+        #[test]
+        fn prop_lazy_histogram_matches_dense(
+            xs in proptest::collection::vec(-20.0f64..120.0, 0..40),
+            hi in 1.0f64..100.0,
+            nbins in 1usize..200,
+        ) {
+            // A low `hi` often leaves every value in overflow, with no
+            // bin stored at all.
+            let mut h = Histogram::new(0.0, hi, nbins);
+            let mut dense = DenseHistogram::new(0.0, hi, nbins);
+            for &x in &xs {
+                h.record(x);
+                dense.record(x);
+            }
+            prop_assert_eq!(h.count(), dense.count);
+            prop_assert_eq!(h.outliers(), (dense.underflow, dense.overflow));
+            let stored = h.bins().len();
+            prop_assert!(stored <= nbins);
+            prop_assert_eq!(h.bins(), &dense.bins[..stored]);
+            prop_assert!(dense.bins[stored..].iter().all(|&b| b == 0));
+            for k in 0..=20 {
+                let q = k as f64 * 0.05;
+                let q = q.min(1.0);
+                let (lazy, full) = (h.quantile(q), dense.quantile(q));
+                prop_assert!(lazy.to_bits() == full.to_bits(), "q = {}: {} vs {}", q, lazy, full);
+            }
+        }
+
         #[test]
         fn prop_welford_matches_two_pass(xs in proptest::collection::vec(-1e6f64..1e6, 1..500)) {
             let s = OnlineStats::from_slice(&xs);

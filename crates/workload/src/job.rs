@@ -8,21 +8,13 @@
 use scan_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Identifies a job within a simulation run.
+/// Identifies a job within a simulation run: its arrival ordinal.
 ///
-/// A plain `u32` slot index: arrivals assign ids sequentially from zero,
-/// so the platform can keep per-job state in a dense `Vec` arena indexed
-/// by `JobId.0`. Ids are never reused within a session.
+/// Arrivals assign ids sequentially from zero and never reuse one within
+/// a session; the trace reports them. The platform keeps a live job's
+/// state in a reusable slot of its job table, not at `JobId.0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct JobId(pub u32);
-
-impl JobId {
-    /// The arena slot this id names.
-    #[inline]
-    pub fn slot(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// One submitted pipeline run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

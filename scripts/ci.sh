@@ -103,6 +103,10 @@ echo "==> allocation budgets (debug: nothing on the simulation path allocates pe
 run_one --test alloc_budget session_unit_allocates_nothing_per_job
 run_one --test alloc_budget fleet_tenant_build_is_small
 
+echo "==> memory budgets (debug: a built tenant keeps little; the session heap is flat in its horizon)"
+run_one --test alloc_budget fleet_tenant_retains_little
+run_one --test alloc_budget session_heap_is_flat_in_horizon
+
 if [[ "$quick" != "quick" ]]; then
     echo "==> store determinism (two fixed-seed runs, identical SCTS digest)"
     # The columnar store's 8-byte digest replaces the old multi-megabyte
@@ -139,6 +143,10 @@ if [[ "$quick" != "quick" ]]; then
     echo "==> allocation budgets (release)"
     run_one --release --test alloc_budget session_unit_allocates_nothing_per_job
     run_one --release --test alloc_budget fleet_tenant_build_is_small
+
+    echo "==> memory budgets (release)"
+    run_one --release --test alloc_budget fleet_tenant_retains_little
+    run_one --release --test alloc_budget session_heap_is_flat_in_horizon
 
     echo "==> store/JSONL cross-check (the JSONL replayed from a store equals the live sink's)"
     run_one --test tracestore_fleet store_agrees_with_the_jsonl_sink
