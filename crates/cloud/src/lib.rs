@@ -13,8 +13,6 @@
 //!   the 30 s (0.5 TU) start/reshape penalty of §IV-B.
 //! * [`provider`] — the provisioner: hire/release/reshape against tier
 //!   capacity, tracking which cores are in use where.
-//! * [`billing`] — the cost ledger: integrates `cores × rate` over each
-//!   VM's hired lifetime, queryable mid-run.
 //! * [`storage`] — the shared filesystem/database stand-in (CIFS +
 //!   Cassandra in the prototype): the transfer model that prices staging.
 //! * [`shared`] — multi-tenant fleet mode: one finite private pool
@@ -24,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod billing;
 pub mod instance;
 pub mod provider;
 pub mod shared;
@@ -32,7 +29,6 @@ pub mod storage;
 pub mod tier;
 pub mod vm;
 
-pub use billing::CostLedger;
 pub use instance::{InstanceSize, INSTANCE_SIZES};
 pub use provider::{CloudProvider, HireError};
 pub use shared::{SharedCapacity, SharedLease, SurgePricing, Watch};

@@ -379,11 +379,6 @@ impl CloudProvider {
         self.vms.slot_count()
     }
 
-    /// Number of live (not yet released) VMs.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// Number of live VMs of `size`, on any tier and in any state.
     pub fn live_of_size(&self, size: InstanceSize) -> usize {
         self.live_by_size[size_slot(size)] as usize
@@ -423,11 +418,6 @@ impl CloudProvider {
     /// Total VMs ever hired.
     pub fn hired_total(&self) -> u64 {
         self.hired_total
-    }
-
-    /// Current cost per TU of keeping all live VMs running.
-    pub fn burn_rate(&self) -> f64 {
-        self.hired().map(|h| h.vm.size.cores() as f64 * h.billing.price_per_core_tu).sum()
     }
 
     /// The price a core on `tier` would be billed at if hired *now*:
@@ -516,7 +506,7 @@ mod tests {
         p.vm_mut(id).unwrap().finish_task(t(2.0));
         p.release(id, t(2.0));
         assert_eq!(p.cores_in_use(TierId(0)), 0);
-        assert_eq!(p.live_count(), 0);
+        assert_eq!(p.vms().count(), 0);
         // 8 cores × 5 CU × 1 busy TU = 40.
         assert!((p.total_cost(t(10.0)) - 40.0).abs() < 1e-9);
         // Core·TU accounting still reports the hired span (2 TU × 8).
@@ -534,7 +524,6 @@ mod tests {
         p.vm_mut(id).unwrap().start_task(t(1.0));
         // 4 cores × 5 CU × 2 busy TU = 40.
         assert!((p.total_cost(t(3.0)) - 40.0).abs() < 1e-9);
-        assert!((p.burn_rate() - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! A fleet run builds `tenants` platforms from one shared
 //! [`Arc<ScanConfig>`] (no per-tenant deep clone), leases each a handle
 //! on the fleet-wide [`SharedCapacity`] ledger, and drives them all
-//! through **one** engine: every scheduled event is tagged with its
-//! tenant id ([`Calendar::schedule_for`]), so simultaneous events
+//! through the **one** event loop a solo session also runs: every
+//! scheduled event is tagged with its tenant id
+//! ([`Calendar::schedule_for`](scan_sim::Calendar::schedule_for)), which
+//! routes it back to its platform and makes simultaneous events
 //! interleave tenant-major — a fixed, thread-free total order. Tenants
 //! run to completion (`jobs_per_tenant` arrivals each, then teardown),
 //! contending for shared private cores under the fair-share admission
@@ -21,89 +23,15 @@
 
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
-use crate::platform::{Event, EventSink, Platform, TenantSetup};
+use crate::platform::{run_tenants, Platform, TenantSetup};
 use rayon::prelude::*;
-use scan_cloud::shared::{SharedCapacity, SharedLease, SurgePricing};
+use scan_cloud::shared::{SharedCapacity, SurgePricing};
 use scan_metrics::Registry;
-use scan_sim::{
-    Calendar, Engine, EventHandler, Merge, NullObserver, Observer, SimTime, StepOutcome, TenantId,
-};
+use scan_sim::{Merge, NullObserver, Observer, SimTime, TenantId};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// One fleet event: a platform event stamped with the tenant it belongs
-/// to, so the multiplexer can route it back to its platform.
-#[derive(Debug, Clone, Copy)]
-struct FleetEvent {
-    tenant: u16,
-    event: Event,
-}
-
-/// [`EventSink`] adapter binding one tenant to the shared calendar:
-/// everything a tenant schedules is tagged with its id, both in the
-/// ordering key (tenant-major tie-break) and in the payload (routing).
-struct TenantCal<'a> {
-    cal: &'a mut Calendar<FleetEvent>,
-    tenant: TenantId,
-}
-
-impl EventSink for TenantCal<'_> {
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        self.cal.schedule_for(at, self.tenant, FleetEvent { tenant: self.tenant.0, event });
-    }
-
-    fn set_sweep(&mut self, at: Option<SimTime>) {
-        match at {
-            Some(at) => self.cal.wake(
-                at,
-                self.tenant,
-                FleetEvent { tenant: self.tenant.0, event: Event::IdleSweep },
-            ),
-            None => self.cal.cancel_wake(self.tenant),
-        }
-    }
-}
-
-/// The fleet multiplexer: routes each popped event to its tenant's
-/// platform, handing it a sink that keeps tagging follow-up events, then
-/// lets every tenant the event's pool changes woke re-arm its sweep.
-struct Fleet {
-    tenants: Vec<Platform>,
-    /// Events dispatched per tenant (each tenant's session diagnostic).
-    handled: Vec<u64>,
-    lease: SharedLease,
-    /// Scratch for the tenants one event woke.
-    woken: Vec<TenantId>,
-}
-
-impl EventHandler for Fleet {
-    type Event = FleetEvent;
-
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: FleetEvent,
-        cal: &mut Calendar<FleetEvent>,
-    ) -> StepOutcome {
-        let idx = event.tenant as usize;
-        self.handled[idx] += 1;
-        let mut sink = TenantCal { cal, tenant: TenantId(event.tenant) };
-        self.tenants[idx].handle_event(now, event.event, &mut sink);
-        self.lease.borrow_mut().drain_woken(&mut self.woken);
-        for &woken in &self.woken {
-            // The event's own tenant re-armed as it finished the event.
-            // Tenants ordered after it can still sweep at `now`; those
-            // before it have had their turn at this instant.
-            if woken != sink.tenant {
-                let mut sink = TenantCal { cal: &mut *sink.cal, tenant: woken };
-                self.tenants[woken.index()].wake(now, woken > TenantId(event.tenant), &mut sink);
-            }
-        }
-        StepOutcome::Continue
-    }
-}
 
 /// One multi-tenant fleet run's shape: who shares how much, under which
 /// contention rules.
@@ -270,8 +198,6 @@ fn run_fleet_observed<O: Observer + 'static, F: Fn(u64) -> O + Sync>(
     assert!(cfg.tenants > 0, "a fleet needs at least one tenant");
     let n = cfg.tenants as usize;
     let lease = SharedCapacity::new(cfg.shared_private_cores, n, cfg.surge).into_lease();
-    let horizon = SimTime::new(cfg.horizon_tu);
-    let mut engine: Engine<FleetEvent> = Engine::with_horizon(horizon);
 
     let mut tenants: Vec<Platform> = Vec::with_capacity(n);
     let mut sinks = Vec::with_capacity(if build.is_some() { n } else { 0 });
@@ -295,24 +221,12 @@ fn run_fleet_observed<O: Observer + 'static, F: Fn(u64) -> O + Sync>(
         tenants.push(p);
     }
 
-    let cal = engine.calendar_mut();
-    // Steady-state heap backlog scales with the fleet, but cap the
-    // pre-size: a 10k-tenant fleet must not pre-commit hundreds of MB.
-    cal.reserve((64 * n).clamp(1024, 1 << 20));
-    for (t, p) in tenants.iter_mut().enumerate() {
-        let mut sink = TenantCal { cal: &mut *cal, tenant: TenantId(t as u16) };
-        p.start(horizon, &mut sink);
-    }
-
-    let mut fleet =
-        Fleet { tenants, handled: vec![0; n], lease: Rc::clone(&lease), woken: Vec::new() };
-    let report = engine.run(&mut fleet);
-    let Fleet { tenants, handled, .. } = fleet;
+    let (ended_at, handled) = run_tenants(&mut tenants, Some(&lease), SimTime::new(cfg.horizon_tu));
     let peak = lease.borrow().peak_used();
 
     let mut sessions = Vec::with_capacity(n);
     for (p, events) in tenants.into_iter().zip(&handled) {
-        sessions.push(p.finish(report.ended_at, *events));
+        sessions.push(p.finish(ended_at, *events));
     }
     // The platforms (and their tracer clones) are gone: each observer
     // handle is unique again and the observer can cross threads.
@@ -322,12 +236,8 @@ fn run_fleet_observed<O: Observer + 'static, F: Fn(u64) -> O + Sync>(
             Rc::try_unwrap(s).ok().expect("observer uniquely owned after the run").into_inner()
         })
         .collect();
-    let metrics = FleetMetrics::from_sessions(
-        sessions,
-        peak,
-        report.events_dispatched,
-        report.ended_at.as_tu(),
-    );
+    let events = handled.iter().sum();
+    let metrics = FleetMetrics::from_sessions(sessions, peak, events, ended_at.as_tu());
     (metrics, observers)
 }
 

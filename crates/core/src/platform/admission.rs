@@ -2,7 +2,7 @@
 //! enqueueing, and the periodic replan tick that refreshes models and
 //! closes learned-policy epochs.
 
-use super::events::{Event, EventSink, JobRun};
+use super::events::{Event, JobRun, TenantCal};
 use super::Platform;
 use scan_sched::alloc::{AllocationContext, AllocationPolicy};
 use scan_sched::queue::TaskClass;
@@ -12,7 +12,7 @@ use scan_workload::job::Job;
 use std::sync::Arc;
 
 impl Platform {
-    pub(super) fn on_arrival(&mut self, now: SimTime, sink: &mut impl EventSink) {
+    pub(super) fn on_arrival(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         // The batch buffer is the platform's, reused across arrivals; it
         // is taken out for the loop because admitting borrows `self`.
         let mut batch = std::mem::take(&mut self.arrival_batch);
@@ -78,7 +78,7 @@ impl Platform {
     /// Re-admits deferred jobs once the fair-share gate has cleared
     /// (called from the idle sweep, right after worker releases have
     /// returned cores to the shared pool).
-    pub(super) fn drain_backlog(&mut self, now: SimTime, sink: &mut impl EventSink) {
+    pub(super) fn drain_backlog(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         if self.backlog.is_empty() {
             return;
         }
@@ -183,7 +183,7 @@ impl Platform {
         });
     }
 
-    pub(super) fn on_replan(&mut self, now: SimTime, sink: &mut impl EventSink) {
+    pub(super) fn on_replan(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         // The refresh below and the pool resize may change what a wait
         // was decided on.
         self.replans += 1;

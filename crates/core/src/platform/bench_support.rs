@@ -13,7 +13,7 @@
 //! Not a public API: shapes and semantics here follow the benches, not
 //! the platform's contracts.
 
-use super::events::JobRun;
+use super::events::{JobRun, TenantCal};
 use super::Platform;
 use crate::config::{ScanConfig, VariableParams};
 use scan_cloud::instance::InstanceSize;
@@ -104,7 +104,9 @@ impl PlatformHarness {
     pub fn assign_cycle(&mut self) -> u64 {
         let head = self.platform.queues.head(self.class).expect("harness keeps queued jobs");
         let vm = self.platform.take_idle(CORES).expect("idle worker");
-        self.platform.assign(self.class, vm, self.now, &mut self.cal);
+        let tenant = self.platform.tenant;
+        let sink = &mut TenantCal { cal: &mut self.cal, tenant };
+        self.platform.assign(self.class, vm, self.now, sink);
         // Undo: the assign popped `head`, scheduled one SubtaskDone and
         // marked the worker busy. All harness jobs are identical, so
         // re-queueing the popped subtask at the tail restores an

@@ -1,7 +1,7 @@
 //! Dispatch: matching queued shard subtasks to idle same-shape workers
 //! and advancing jobs as their subtasks finish.
 
-use super::events::{Event, EventSink};
+use super::events::{Event, TenantCal};
 use super::hiring::park;
 use super::Platform;
 use scan_cloud::shared::Watch;
@@ -25,7 +25,7 @@ impl Platform {
     /// materialising a class list per pass. Nothing inside the loop
     /// enqueues new subtasks, so reading lengths live is equivalent to
     /// snapshotting them up front.
-    pub(super) fn dispatch(&mut self, now: SimTime, sink: &mut impl EventSink) {
+    pub(super) fn dispatch(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         prof::scope!("dispatch");
         let mut parked = Some(Watch::default());
         for stage in 0..self.queues.n_stages() {
@@ -87,7 +87,7 @@ impl Platform {
         job: u32,
         stage: usize,
         vm_id: VmKey,
-        sink: &mut impl EventSink,
+        sink: &mut TenantCal<'_>,
     ) {
         let run = self.jobs.get_mut(job).expect("done event for unknown job");
         self.tracer.emit(
@@ -126,7 +126,7 @@ impl Platform {
         class: TaskClass,
         vm_id: VmKey,
         now: SimTime,
-        sink: &mut impl EventSink,
+        sink: &mut TenantCal<'_>,
     ) {
         prof::scope!("assign");
         let (job, wait) = self.queues.pop(class, now).expect("assign called with non-empty queue");

@@ -1,4 +1,5 @@
-//! The simulation event vocabulary and per-job live state.
+//! The simulation event vocabulary, a tenant's handle on the calendar
+//! it schedules them on, and per-job live state.
 
 use scan_cloud::vm::VmKey;
 use scan_sched::plan::ExecutionPlan;
@@ -6,34 +7,32 @@ use scan_sim::{Calendar, SimTime, TenantId};
 use scan_workload::job::Job;
 use std::sync::Arc;
 
-/// Where the platform's subsystems schedule follow-up events.
+/// One tenant's handle on the session calendar: where the platform's
+/// subsystems schedule follow-up events.
 ///
-/// A solo session passes the engine's own [`Calendar<Event>`] straight
-/// through; a fleet run passes an adapter that tags each event with its
-/// tenant and multiplexes many platforms onto one shared calendar. The
-/// subsystems are generic over this trait and cannot tell the
-/// difference, which is what keeps single-tenant event ordering (and the
-/// golden traces) bit-identical to the pre-fleet code.
-pub(crate) trait EventSink {
+/// Everything scheduled through it is tagged with its tenant, which
+/// both orders simultaneous events tenant-major and routes each popped
+/// event back to its platform ([`run_tenants`](super::run_tenants)). A
+/// solo session is the one tenant [`TenantId::SOLO`], so its calendar
+/// keys are exactly those of untagged scheduling.
+pub(super) struct TenantCal<'a> {
+    pub(super) cal: &'a mut Calendar<Event>,
+    pub(super) tenant: TenantId,
+}
+
+impl TenantCal<'_> {
     /// Schedules `event` at `at`.
-    fn schedule(&mut self, at: SimTime, event: Event);
+    pub(super) fn schedule(&mut self, at: SimTime, event: Event) {
+        self.cal.schedule_for(at, self.tenant, event);
+    }
 
     /// Sets the tenant's one pending [`Event::IdleSweep`] to `at`, moving
     /// the one it had; `None` cancels it. The sweep fires after every
     /// other event of the tenant at its instant.
-    fn set_sweep(&mut self, at: Option<SimTime>);
-}
-
-impl EventSink for Calendar<Event> {
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        // The inherent method, which tags `TenantId::SOLO`.
-        Calendar::schedule(self, at, event);
-    }
-
-    fn set_sweep(&mut self, at: Option<SimTime>) {
+    pub(super) fn set_sweep(&mut self, at: Option<SimTime>) {
         match at {
-            Some(at) => self.wake(at, TenantId::SOLO, Event::IdleSweep),
-            None => self.cancel_wake(TenantId::SOLO),
+            Some(at) => self.cal.wake(at, self.tenant, Event::IdleSweep),
+            None => self.cal.cancel_wake(self.tenant),
         }
     }
 }

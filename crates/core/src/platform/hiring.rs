@@ -5,7 +5,7 @@
 //! debug-build oracle: it expands the class's batches entry by entry and
 //! prices each job afresh, independent of the cached terms it checks.
 
-use super::events::{Event, EventSink};
+use super::events::{Event, TenantCal};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
@@ -78,7 +78,7 @@ impl Platform {
         &mut self,
         class: TaskClass,
         now: SimTime,
-        sink: &mut impl EventSink,
+        sink: &mut TenantCal<'_>,
     ) -> bool {
         prof::scope!("try_grow");
         let size = InstanceSize::new(class.cores).expect("class cores are instance sizes");

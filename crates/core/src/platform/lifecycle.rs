@@ -2,7 +2,7 @@
 //! wakeup that schedules it, and the standing per-shape worker pools
 //! topped up from the private tier.
 
-use super::events::{Event, EventSink};
+use super::events::{Event, TenantCal};
 use super::state::{idle_expired, next_grid};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
@@ -15,7 +15,7 @@ use scan_sim::{SimDuration, SimTime, TraceEvent};
 use std::sync::Arc;
 
 impl Platform {
-    pub(super) fn on_vm_ready(&mut self, now: SimTime, vm_id: VmKey, sink: &mut impl EventSink) {
+    pub(super) fn on_vm_ready(&mut self, now: SimTime, vm_id: VmKey, sink: &mut TenantCal<'_>) {
         if let Some(class) = self.vm_reserved_for.remove(vm_id) {
             self.pending.decrement_saturating(class.stage, class.cores);
         }
@@ -34,7 +34,7 @@ impl Platform {
         self.dispatch(now, sink);
     }
 
-    pub(super) fn on_idle_sweep(&mut self, now: SimTime, sink: &mut impl EventSink) {
+    pub(super) fn on_idle_sweep(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         self.release_expired(now);
         // Fleet tenants: releases (this tenant's or another's) may have
         // freed shared cores, so the fair-share gate gets a chance to
@@ -138,7 +138,7 @@ impl Platform {
     /// tenant (which re-arms as it ends) or a shared-pool release (which
     /// wakes the tenant through its watch), so a sweep never fires
     /// without work and never misses an instant that has it.
-    pub(crate) fn rearm(&mut self, from: SimTime, inclusive: bool, sink: &mut impl EventSink) {
+    pub(super) fn rearm(&mut self, from: SimTime, inclusive: bool, sink: &mut TenantCal<'_>) {
         let first = next_grid(from, inclusive);
         let mut watch = Watch::default();
         let due = if self.finished() {
@@ -168,7 +168,7 @@ impl Platform {
 
     /// [`Platform::rearm`] after a shared-pool change this tenant's watch
     /// asked to hear about: its held waits are checked afresh first.
-    pub(crate) fn wake(&mut self, from: SimTime, inclusive: bool, sink: &mut impl EventSink) {
+    pub(super) fn wake(&mut self, from: SimTime, inclusive: bool, sink: &mut TenantCal<'_>) {
         if self.arrivals_exhausted() {
             self.parked = self.parked_watch();
         }
@@ -196,7 +196,7 @@ impl Platform {
     /// boot waits and idle churn. Tops pools up from the private tier
     /// (standing capacity is the owned cluster; the public tier stays
     /// reactive).
-    pub(super) fn resize_standing_pools(&mut self, now: SimTime, sink: &mut impl EventSink) {
+    pub(super) fn resize_standing_pools(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         if self.arrivals_exhausted() {
             // Capped fleet tenant past its last arrival: stop forecasting
             // standing demand so the floors drop and the idle sweep can

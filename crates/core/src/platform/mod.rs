@@ -30,6 +30,13 @@
 //!    additionally refreshes the knowledge-base-learned stage models from
 //!    live task logs.
 //!
+//! One loop drives every session: [`Platform::run`] is a fleet of one
+//! tenant ([`TenantId::SOLO`]) with no shared pool, and a fleet runs many
+//! tenants through the same `run_tenants`. It pops events one at a time
+//! in `(time, tenant, schedule order)` and routes each to the platform
+//! whose tenant its calendar entry carries; a handler schedules through
+//! its tenant's `TenantCal`, which tags whatever it schedules.
+//!
 //! Every step is narrated to the sim-trace layer as
 //! [`TraceEvent`](scan_sim::TraceEvent)s, and the session's
 //! [`SessionMetrics`] are *produced from that stream* by
@@ -52,12 +59,11 @@ mod tests;
 
 pub use accounting::MetricsAggregator;
 pub use events::Event;
-pub(crate) use events::EventSink;
 
 use crate::broker::DataBroker;
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
-use events::JobRun;
+use events::{JobRun, TenantCal};
 use hiring::WaitMemos;
 use scan_cloud::provider::CloudProvider;
 use scan_cloud::shared::{SharedLease, Watch};
@@ -70,8 +76,8 @@ use scan_sched::learned::EpsilonGreedyPlanner;
 use scan_sched::plan::{ExecutionPlan, StageCosts};
 use scan_sched::queue::ClassQueues;
 use scan_sim::{
-    prof, Calendar, Engine, EventHandler, ObserverHandle, RngHub, SimDuration, SimRng, SimTime,
-    SlotArena, StepOutcome, TenantId, Tracer,
+    prof, Calendar, ObserverHandle, RngHub, SimDuration, SimRng, SimTime, SlotArena, TenantId,
+    Tracer,
 };
 use scan_workload::arrivals::ArrivalProcess;
 use scan_workload::gatk::PipelineModel;
@@ -102,7 +108,7 @@ pub(crate) struct TenantSetup {
     pub(crate) fair_share: bool,
 }
 
-/// The assembled platform; drives itself through [`Engine`]. A thin
+/// The assembled platform, driven by the one event loop `run_tenants`. A thin
 /// coordinator: the subsystem logic lives in this module's submodules,
 /// each an `impl Platform` block over one concern.
 pub struct Platform {
@@ -328,26 +334,20 @@ impl Platform {
         self.tracer.attach(sink);
     }
 
-    /// Runs the full session and returns its metrics.
-    pub fn run(mut self) -> SessionMetrics {
+    /// Runs the full session and returns its metrics: the session is a
+    /// fleet of one tenant, [`TenantId::SOLO`], with no shared pool.
+    pub fn run(self) -> SessionMetrics {
         let horizon = SimTime::new(self.cfg.fixed.sim_time_tu);
-        let mut engine: Engine<Event> = Engine::with_horizon(horizon);
-        let cal = engine.calendar_mut();
-        // Pre-size the heap for the steady-state backlog (one completion
-        // per in-flight subtask plus the periodic ticks) so it never
-        // re-heapifies mid-run.
-        cal.reserve(1024);
-        self.start(horizon, cal);
-        let report = engine.run(&mut self);
-        self.finish(report.ended_at, report.events_dispatched)
+        let mut solo = [self];
+        let (ended_at, events) = run_tenants(&mut solo, None, horizon);
+        let [p] = solo;
+        p.finish(ended_at, events[0])
     }
 
     /// Boots the session: hands the provider the (now final) sink list,
     /// hires the initial standing pools, and schedules the first arrival
-    /// and the replan tick into `sink`. A solo [`Platform::run`] does this
-    /// against the engine's calendar; a fleet does it per tenant against
-    /// the shared, tenant-tagging calendar.
-    pub(crate) fn start(&mut self, horizon: SimTime, sink: &mut impl EventSink) {
+    /// and the replan tick into `sink`.
+    fn start(&mut self, horizon: SimTime, sink: &mut TenantCal<'_>) {
         prof::scope!("start");
         // Hand the provider the sink list before the first hire so the
         // initial standing-pool hires are narrated too.
@@ -359,16 +359,15 @@ impl Platform {
     }
 
     /// Dispatches one event to its subsystem, then re-arms the tenant's
-    /// sweep from what the event changed. The solo [`EventHandler`] impl
-    /// and the fleet multiplexer both route through here.
-    pub(crate) fn handle_event(&mut self, now: SimTime, event: Event, sink: &mut impl EventSink) {
+    /// sweep from what the event changed.
+    fn handle_event(&mut self, now: SimTime, event: Event, sink: &mut TenantCal<'_>) {
         self.route(now, event, sink);
         // A sweep is the last of the tenant's events at its instant, so
         // the next one can be no earlier than the next grid instant.
         self.rearm(now, event != Event::IdleSweep, sink);
     }
 
-    fn route(&mut self, now: SimTime, event: Event, sink: &mut impl EventSink) {
+    fn route(&mut self, now: SimTime, event: Event, sink: &mut TenantCal<'_>) {
         match event {
             Event::Arrival => {
                 prof::scope!("arrival");
@@ -407,11 +406,53 @@ impl Platform {
     }
 }
 
-impl EventHandler for Platform {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, event: Event, cal: &mut Calendar<Event>) -> StepOutcome {
-        self.handle_event(now, event, cal);
-        StepOutcome::Continue
+/// The one event loop. Starts every tenant, then pops events in
+/// `(time, tenant, schedule order)` and routes each to the platform of
+/// its tenant; tenant `t` is `tenants[t]`. Under a shared `lease`, every
+/// other tenant an event's pool change woke then re-arms its sweep.
+///
+/// Events are popped one at a time, so an event a handler schedules (or
+/// a wakeup it sets) at the current instant takes its place among the
+/// events still pending there. Events at `horizon` fire; the run stops
+/// before the first later one. Returns the instant the run ended (the
+/// last event's, or `horizon` when events were left) and the events
+/// each tenant handled.
+pub(crate) fn run_tenants(
+    tenants: &mut [Platform],
+    lease: Option<&SharedLease>,
+    horizon: SimTime,
+) -> (SimTime, Vec<u64>) {
+    // Pre-size the heap for the steady-state backlog (one completion per
+    // in-flight subtask plus each tenant's ticks) so it never
+    // re-heapifies mid-run, but cap it: a 10k-tenant fleet must not
+    // pre-commit hundreds of MB.
+    let mut cal = Calendar::with_capacity((64 * tenants.len()).clamp(1024, 1 << 20));
+    for (t, p) in tenants.iter_mut().enumerate() {
+        debug_assert_eq!(p.tenant.index(), t, "tenant ids are their indices");
+        p.start(horizon, &mut TenantCal { cal: &mut cal, tenant: p.tenant });
     }
+    let mut handled = vec![0; tenants.len()];
+    // Scratch for the tenants one event woke.
+    let mut woken = Vec::new();
+    while let Some(ev) = cal.pop() {
+        if ev.at > horizon {
+            return (horizon, handled);
+        }
+        let tenant = ev.tenant;
+        handled[tenant.index()] += 1;
+        let sink = &mut TenantCal { cal: &mut cal, tenant };
+        tenants[tenant.index()].handle_event(ev.at, ev.event, sink);
+        let Some(lease) = lease else { continue };
+        lease.borrow_mut().drain_woken(&mut woken);
+        for &other in &woken {
+            // The event's own tenant re-armed as it finished the event.
+            // Tenants ordered after it can still sweep at this instant;
+            // those before it have had their turn.
+            if other != tenant {
+                let sink = &mut TenantCal { cal: &mut cal, tenant: other };
+                tenants[other.index()].wake(ev.at, other > tenant, sink);
+            }
+        }
+    }
+    (cal.now(), handled)
 }

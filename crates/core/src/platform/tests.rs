@@ -45,6 +45,34 @@ fn repetitions_differ() {
     assert_ne!(a, b);
 }
 
+/// The one event loop stops at its horizon: events at the horizon fire,
+/// later ones do not, and the run ends at the horizon. Cut anywhere past
+/// the first arrival, a session narrates exactly the prefix of a longer
+/// run up to and including the cut.
+#[test]
+fn horizon_stops_the_run() {
+    let traced = |horizon: SimTime| {
+        let mut p = Platform::new(short_config(ScalingPolicy::Predictive, 2.5), 0);
+        let ring = Rc::new(RefCell::new(RingBuffer::new(1 << 20)));
+        p.add_observer(ring.clone());
+        let mut solo = [p];
+        let (ended_at, _) = run_tenants(&mut solo, None, horizon);
+        drop(solo);
+        // Debug text, so a NaN (an unpriced decision's cost) equals itself.
+        let seen: Vec<(SimTime, String)> =
+            ring.borrow().events().map(|(at, e)| (*at, format!("{e:?}"))).collect();
+        (ended_at, seen)
+    };
+    let (_, full) = traced(SimTime::new(300.0));
+    let horizon = full[full.len() / 2].0;
+    let (ended_at, cut) = traced(horizon);
+    assert_eq!(ended_at, horizon);
+    assert_eq!(cut.last().map(|e| e.0), Some(horizon), "events at the horizon fire");
+    let prefix = full.iter().take_while(|e| e.0 <= horizon).count();
+    assert!(prefix < full.len(), "the longer run goes on past the cut");
+    assert_eq!(cut, full[..prefix], "nothing past the horizon fires");
+}
+
 #[test]
 fn never_scale_uses_no_public_cores() {
     let m = run(short_config(ScalingPolicy::NeverScale, 2.0));
@@ -248,7 +276,8 @@ fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
     let now = SimTime::new(1.0);
     let task_tu = p.scaling_inputs(class, now).expected_task_tu;
     let mut cal = Calendar::new();
-    assert!(p.try_grow(class, now, &mut cal), "a deep queue and a long wait justify a hire");
+    let sink = &mut TenantCal { cal: &mut cal, tenant: p.tenant };
+    assert!(p.try_grow(class, now, sink), "a deep queue and a long wait justify a hire");
 
     let ring = ring.borrow();
     let decisions: Vec<_> = ring

@@ -195,7 +195,6 @@ impl<E> Calendar<E> {
             return;
         }
         self.wakes[tenant.index()] = Some(at);
-        self.next_seq += 1;
         self.heap.push(ScheduledEvent { at, seq: WAKE_SEQ, tenant, event });
         self.drop_superseded();
     }
@@ -251,7 +250,7 @@ impl<E> Calendar<E> {
     /// Only equivalent to one-at-a-time popping while handlers schedule
     /// nothing at the popped instant: a wakeup set at that instant for a
     /// tenant ordered inside the batch would fire after the whole batch.
-    /// [`Engine::run`](crate::Engine::run) therefore pops one at a time.
+    /// The platform's event loop therefore pops one at a time.
     pub fn pop_batch(&mut self, out: &mut Vec<ScheduledEvent<E>>) -> usize {
         out.clear();
         let Some(first) = self.pop() else {
@@ -279,17 +278,6 @@ impl<E> Calendar<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (diagnostic counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Pre-allocates room for at least `additional` more pending events,
-    /// so a simulation's steady-state backlog never re-heapifies mid-run.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
     }
 
     /// Drops every pending event and wakeup, keeping the clock where it
@@ -386,7 +374,6 @@ mod tests {
         cal.clear();
         assert!(cal.is_empty());
         assert_eq!(cal.now(), SimTime::new(1.0));
-        assert_eq!(cal.scheduled_total(), 2);
     }
 
     #[test]
@@ -427,6 +414,36 @@ mod tests {
         assert!(cal.pop().is_none());
         assert_eq!(cal.peek_time(), None);
         assert_eq!(cal.now(), SimTime::new(1.0));
+    }
+
+    /// Tenant 0's event at t = 1 wakes tenants 1 and 0 at t = 1: tenant
+    /// 1's wakeup still fires at 1, before tenant 2's event there, while
+    /// tenant 0's own wakeup fires after its event.
+    #[test]
+    fn a_wakeup_set_at_the_current_instant_keeps_tenant_order() {
+        let mut cal = Calendar::new();
+        cal.schedule_for(SimTime::new(1.0), TenantId(2), (2, "event"));
+        cal.schedule_for(SimTime::new(1.0), TenantId(0), (0, "event"));
+        cal.schedule_for(SimTime::new(1.0), TenantId(1), (1, "event"));
+        let mut fired = Vec::new();
+        while let Some(ev) = cal.pop() {
+            let (tenant, what) = ev.event;
+            fired.push((ev.at.as_tu(), tenant, what));
+            if what == "event" && tenant == 0 {
+                cal.wake(ev.at, TenantId(1), (1, "wake"));
+                cal.wake(ev.at, TenantId(0), (0, "wake"));
+            }
+        }
+        assert_eq!(
+            fired,
+            vec![
+                (1.0, 0, "event"),
+                (1.0, 0, "wake"),
+                (1.0, 1, "event"),
+                (1.0, 1, "wake"),
+                (1.0, 2, "event"),
+            ]
+        );
     }
 
     proptest! {

@@ -7,16 +7,16 @@
 //! * [`time`] — the virtual clock: [`SimTime`] instants and [`SimDuration`]
 //!   spans measured in the paper's abstract *time units* (TU).
 //! * [`calendar`] — the pending-event set: a deterministic priority queue
-//!   with stable FIFO tie-breaking for simultaneous events.
-//! * [`engine`] — a small generic driver that pops events in time order and
-//!   hands them to a user-supplied handler until a horizon is reached.
+//!   with stable FIFO tie-breaking for simultaneous events. The platform
+//!   crate's one event loop pops it and routes each event to the tenant
+//!   that scheduled it.
 //! * [`rng`] — seeded, named random streams plus the distributions the paper
 //!   needs (exponential inter-arrivals, truncated normal batch/job sizes),
 //!   implemented from first principles so determinism is auditable.
 //! * [`stats`] — Welford online mean/variance, time-weighted averages for
 //!   utilisation-style metrics, and fixed-width histograms.
 //! * [`trace`] — a typed event vocabulary ([`TraceEvent`]) and pluggable
-//!   [`Observer`] sinks behind a zero-cost-when-disabled [`Tracer`], so
+//!   [`Observer`] sinks behind a [`Tracer`], so
 //!   the platform's subsystems can narrate scheduling decisions, VM
 //!   lifecycle and job progress to whoever is listening.
 //! * [`prof`] — an opt-in wall-clock self-profiler: RAII spans in
@@ -36,7 +36,6 @@
 #![deny(missing_docs)]
 
 pub mod calendar;
-pub mod engine;
 pub mod prof;
 pub mod rng;
 pub mod slots;
@@ -46,7 +45,6 @@ pub mod time;
 pub mod trace;
 
 pub use calendar::{Calendar, ScheduledEvent};
-pub use engine::{Engine, EventHandler, StepOutcome};
 pub use rng::{RngHub, SimRng};
 pub use slots::SlotArena;
 pub use stats::{Histogram, OnlineStats, TimeWeighted};

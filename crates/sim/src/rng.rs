@@ -137,20 +137,6 @@ impl SimRng {
             x as u64
         }
     }
-
-    /// Picks an index in `0..weights.len()` proportionally to `weights`.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut target = self.uniform01() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
-    }
 }
 
 impl RngCore for SimRng {
@@ -264,16 +250,6 @@ mod tests {
         assert!(counts.iter().all(|&c| c >= 1));
         let mean = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn weighted_index_matches_weights() {
-        let mut r = SimRng::from_seed_u64(12);
-        let w = [1.0, 3.0];
-        let n = 100_000;
-        let ones = (0..n).filter(|_| r.weighted_index(&w) == 1).count();
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.01, "fraction {frac}");
     }
 
     #[test]

@@ -272,11 +272,6 @@ impl Histogram {
     }
 }
 
-/// Formats `mean ± stddev` the way EXPERIMENTS.md tables expect.
-pub fn fmt_mean_sd(stats: &OnlineStats) -> String {
-    format!("{:.2} ± {:.2}", stats.mean(), stats.stddev())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,12 +351,6 @@ mod tests {
         }
         let median = h.quantile(0.5);
         assert!((median - 49.5).abs() <= 1.0, "median {median}");
-    }
-
-    #[test]
-    fn fmt_mean_sd_shape() {
-        let s = OnlineStats::from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(fmt_mean_sd(&s), "2.00 ± 1.00");
     }
 
     /// The histogram as it was before its bins were sized lazily: all

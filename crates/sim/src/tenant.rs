@@ -2,7 +2,7 @@
 //!
 //! A fleet run multiplexes many tenant platforms over one shared
 //! [`Calendar`](crate::Calendar); every event carries the [`TenantId`] of
-//! the platform that scheduled it so the engine can route it back and so
+//! the platform that scheduled it so the event loop can route it back and so
 //! simultaneous events from different tenants interleave in a fixed,
 //! reproducible order (see [`Calendar::schedule_for`]).
 //!

@@ -55,12 +55,6 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// The span from `earlier` to `self`, clamped to zero if `earlier` is
-    /// in the future (useful for estimators fed with optimistic forecasts).
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration((self.0 - earlier.0).max(0.0))
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
@@ -278,12 +272,6 @@ mod tests {
     #[should_panic(expected = "later instant")]
     fn since_rejects_backwards_span() {
         let _ = SimTime::new(1.0).since(SimTime::new(2.0));
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let d = SimTime::new(1.0).saturating_since(SimTime::new(2.0));
-        assert_eq!(d, SimDuration::ZERO);
     }
 
     #[test]

@@ -4,18 +4,22 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when disabled.** [`Tracer::emit`] returns immediately
+//! 1. **Cheap when disabled.** [`Tracer::emit`] returns immediately
 //!    when no sink is attached, and the [`Tracer::emit_with`] form defers
-//!    even the event *construction* behind that check, so un-observed
-//!    hot paths pay one branch on an almost-always-empty `Vec`.
+//!    even the event *construction* behind that check. A platform
+//!    session never takes that branch: the platform attaches its own
+//!    metrics aggregator to every session's tracer and hands the
+//!    provider a clone, so on the simulation path every event is built
+//!    and delivered to at least that one observer. Only a bare
+//!    [`Tracer::disabled`] outside a session pays nothing.
 //! 2. **Primitive payloads.** This crate sits below the domain crates, so
 //!    [`TraceEvent`] carries raw `u64`/`u32`/`f64` fields (job numbers,
 //!    VM numbers, tier indices) rather than domain newtypes. Everything
 //!    is `Copy`; emitting never allocates.
 //! 3. **Single-threaded sharing.** A session is one thread (parallelism
 //!    lives *across* sessions), so sinks are `Rc<RefCell<…>>` — the
-//!    platform, the cloud provider and the scheduler can all hold clones
-//!    of one [`Tracer`] and feed the same observers.
+//!    platform and its cloud provider each hold a clone of one
+//!    [`Tracer`] and feed the same observers.
 //!
 //! Three general-purpose observers live here: [`NullObserver`] (measures
 //! the observer-dispatch floor), [`RingBuffer`] (keeps the last N events
@@ -282,7 +286,7 @@ pub enum TraceEvent {
     },
     /// The session's event loop ended.
     RunEnded {
-        /// Events the engine dispatched.
+        /// Events the event loop dispatched.
         events_dispatched: u64,
     },
 }
@@ -406,13 +410,12 @@ impl Merge for NullObserver {
 pub struct RingBuffer {
     capacity: usize,
     buf: VecDeque<(SimTime, TraceEvent)>,
-    seen: u64,
 }
 
 impl RingBuffer {
     /// A ring holding at most `capacity` events (capacity 0 keeps none).
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, buf: VecDeque::with_capacity(capacity.min(4096)), seen: 0 }
+        Self { capacity, buf: VecDeque::with_capacity(capacity.min(4096)) }
     }
 
     /// Events currently retained, oldest first.
@@ -429,16 +432,10 @@ impl RingBuffer {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-
-    /// Total events observed, including evicted ones.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
 }
 
 impl Observer for RingBuffer {
     fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
-        self.seen += 1;
         if self.capacity == 0 {
             return;
         }
@@ -649,7 +646,6 @@ mod tests {
         for depth in 0..5u32 {
             ring.on_event(SimTime::new(depth as f64), &TraceEvent::QueueDepthSampled { depth });
         }
-        assert_eq!(ring.total_seen(), 5);
         let depths: Vec<u32> = ring
             .events()
             .map(|(_, e)| match e {

@@ -195,7 +195,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+echo "==> cargo doc --offline --no-deps (RUSTDOCFLAGS=-D warnings: no dangling intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
 echo "CI gate passed."
