@@ -137,13 +137,13 @@ mod tests {
     #[test]
     fn bootstrap_learned_bits_are_pinned() {
         const PINNED: [[u64; 3]; 7] = [
-            [0x3fd7d88eeef74646, 0x401505b20e2a347f, 0x3fec79491cf8a7c2],
-            [0x4005f1136c6c3eb3, 0xbfe4d88e7725b140, 0x3f95aba5209aeaaa],
-            [0x3ffb8d6d44411106, 0x400fe23cea6e1314, 0x3fe60f00490194b5],
-            [0x400acdf22d05893c, 0x3fe381d45c0fd3e0, 0x3fe9572ba5a4d6ef],
-            [0x3fef994c53f4d2d5, 0x4031e7260f4d2c3e, 0x3fed0b5b970f945d],
-            [0x3f931b5ead06f4d3, 0x3fd966798c6e1d82, 0x3fd005ce98666d33],
-            [0x3f779d923f766e66, 0x40147730d20becf4, 0x3f95d96028b8605f],
+            [0x3fd5a35de079f900, 0x4015fd5f671e6303, 0x3fec86d53043d2a6],
+            [0x4005b9df38aedec4, 0xbfe4a11ff69676f0, 0x3f970fa2b81cb1be],
+            [0x3ffbeeb9156e8f66, 0x400f353ab8143154, 0x3fe61dba68deb03d],
+            [0x400b01b8fb6d8295, 0x3fdd792b28c17e80, 0x3fe9572991225ca2],
+            [0x3fef5ea26823258a, 0x4031cfafe5de3408, 0x3fed0602b72632dc],
+            [0x3f9537714d910309, 0x3fd8b61f1dcaa070, 0x3fcfe8780011c2f0],
+            [0x3f5b771d73562555, 0x40149fad9cf434f9, 0x3f958c30122f8383],
         ];
         let b = broker(0.02);
         let got: Vec<[u64; 3]> =

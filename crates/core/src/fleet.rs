@@ -99,7 +99,8 @@ pub struct FleetMetrics {
     pub peak_shared_cores: u32,
     /// Events dispatched by the fleet engine.
     pub events: u64,
-    /// Clock value when the fleet drained (or hit the horizon), TU.
+    /// Instant of the fleet's last handled event (its last teardown or
+    /// release, once every tenant drained) or the horizon, TU.
     pub ended_at_tu: f64,
 }
 

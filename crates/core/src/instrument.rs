@@ -183,7 +183,7 @@ impl MetricsObserver {
             "",
             "",
             "1",
-            "Stage-1 shards registered per admitted job",
+            "Stage-1 shards the Data Broker splits each admitted job into",
         );
         let merge_fanout = r.histogram(
             "broker_merge_fanout",

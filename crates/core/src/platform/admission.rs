@@ -208,11 +208,9 @@ impl Platform {
             let (idx, _) = planner.select(&mut self.learned_rng);
             self.learned_arm = Some(idx);
         }
-        if self.finished() {
-            // A drained fleet tenant stops ticking: no pools to resize,
-            // and rescheduling would keep the shared calendar alive.
-            return;
-        }
+        // `run_tenants` drops a drained tenant's tick, so the tenant
+        // still has work and keeps ticking.
+        debug_assert!(!self.finished(), "a drained tenant's replan fired");
         if self.arrivals_exhausted() {
             self.parked = self.parked_watch();
         }

@@ -414,9 +414,11 @@ impl Platform {
 /// Events are popped one at a time, so an event a handler schedules (or
 /// a wakeup it sets) at the current instant takes its place among the
 /// events still pending there. Events at `horizon` fire; the run stops
-/// before the first later one. Returns the instant the run ended (the
-/// last event's, or `horizon` when events were left) and the events
-/// each tenant handled.
+/// before the first later one. A drained tenant's pending `Replan` tick
+/// is dropped as it pops: it neither fires nor counts, so the run ends
+/// at the last event that did work. Returns the instant the run ended
+/// (the last handled event's, or `horizon` when events were left) and
+/// the events each tenant handled.
 pub(crate) fn run_tenants(
     tenants: &mut [Platform],
     lease: Option<&SharedLease>,
@@ -434,11 +436,16 @@ pub(crate) fn run_tenants(
     let mut handled = vec![0; tenants.len()];
     // Scratch for the tenants one event woke.
     let mut woken = Vec::new();
+    let mut ended_at = SimTime::ZERO;
     while let Some(ev) = cal.pop() {
         if ev.at > horizon {
             return (horizon, handled);
         }
         let tenant = ev.tenant;
+        if ev.event == Event::Replan && tenants[tenant.index()].finished() {
+            continue;
+        }
+        ended_at = ev.at;
         handled[tenant.index()] += 1;
         let sink = &mut TenantCal { cal: &mut cal, tenant };
         tenants[tenant.index()].handle_event(ev.at, ev.event, sink);
@@ -454,5 +461,5 @@ pub(crate) fn run_tenants(
             }
         }
     }
-    (cal.now(), handled)
+    (ended_at, handled)
 }

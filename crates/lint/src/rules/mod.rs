@@ -91,8 +91,8 @@ pub const RULES: &[RuleInfo] = &[
         id: "panic-path",
         severity: Severity::Error,
         summary: "no panic!/todo!/unimplemented!/bare unwrap() reachable along call edges from \
-                  Platform::run/handle_event, EventHandler::handle, Observer::on_event or a \
-                  hostile-input decoder (TraceStore::from_bytes, parse_query, from_turtle, \
+                  Platform::run/handle_event, Observer::on_event or a hostile-input \
+                  decoder (TraceStore::from_bytes, parse_query, from_turtle, \
                   parse_fastq, parse_sbam, parse_vcf)",
     },
     RuleInfo {

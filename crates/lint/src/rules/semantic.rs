@@ -170,23 +170,65 @@ fn chain_text(chain: &[ChainHop]) -> String {
     chain.iter().map(|h| h.label.as_str()).collect::<Vec<_>>().join(" -> ")
 }
 
+/// A `panic-path` root by name. A trait-impl method matches in every
+/// type that implements `trait_name`; an inherent method (`owner` set)
+/// or a free function (neither set) must match exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct RootName {
+    /// The inherent `impl` type, for a method.
+    pub owner: Option<&'static str>,
+    /// The implemented trait, for a trait-impl method.
+    pub trait_name: Option<&'static str>,
+    /// The function's name.
+    pub name: &'static str,
+}
+
+impl RootName {
+    const fn inherent(owner: &'static str, name: &'static str) -> Self {
+        RootName { owner: Some(owner), trait_name: None, name }
+    }
+
+    const fn trait_impl(trait_name: &'static str, name: &'static str) -> Self {
+        RootName { owner: None, trait_name: Some(trait_name), name }
+    }
+
+    const fn free(name: &'static str) -> Self {
+        RootName { owner: None, trait_name: None, name }
+    }
+
+    /// Whether the declaration `id` is this root.
+    pub fn names(&self, model: &SemanticModel<'_>, id: FnId) -> bool {
+        let decl = model.decl(id);
+        decl.name == self.name
+            && decl.trait_name.as_deref() == self.trait_name
+            && (self.trait_name.is_some() || decl.owner.as_deref() == self.owner)
+    }
+}
+
+/// The hot-path roots: the platform's event loop and every trace
+/// observer, which run once per simulated event.
+pub const HOT_PATH_ROOTS: [RootName; 3] = [
+    RootName::inherent("Platform", "run"),
+    RootName::inherent("Platform", "handle_event"),
+    RootName::trait_impl("Observer", "on_event"),
+];
+
 /// The hostile-input decoders: they read bytes or text from outside the
 /// process, so a malformed input must come back as an error, never as a
-/// panic. `(impl owner, name)`; `None` is a free function.
-const DECODER_ROOTS: [(Option<&str>, &str); 6] = [
-    (Some("TraceStore"), "from_bytes"),
-    (None, "parse_query"),
-    (None, "from_turtle"),
-    (None, "parse_fastq"),
-    (None, "parse_sbam"),
-    (None, "parse_vcf"),
+/// panic.
+pub const DECODER_ROOTS: [RootName; 6] = [
+    RootName::inherent("TraceStore", "from_bytes"),
+    RootName::free("parse_query"),
+    RootName::free("from_turtle"),
+    RootName::free("parse_fastq"),
+    RootName::free("parse_sbam"),
+    RootName::free("parse_vcf"),
 ];
 
 /// `panic-path`: `panic!`/`todo!`/`unimplemented!` and bare `unwrap()`
 /// sites in library code that are reachable, along call edges, from a
-/// root. The roots are the platform's event loop
-/// (`Platform::run`/`handle_event`, any `EventHandler::handle` impl), any
-/// `Observer::on_event` impl, and the hostile-input decoders of
+/// root: the platform's event loop and the trace observers of
+/// [`HOT_PATH_ROOTS`], and the hostile-input decoders of
 /// [`DECODER_ROOTS`].
 /// `expect("…")` is deliberately *not* a source — a stated invariant is
 /// the house style for asserting impossibility — and neither is
@@ -201,12 +243,7 @@ fn check_panic_paths(model: &SemanticModel<'_>, graph: &CallGraph, diags: &mut V
         if decl.is_test {
             continue;
         }
-        let is_root = (decl.owner.as_deref() == Some("Platform")
-            && matches!(decl.name.as_str(), "run" | "handle_event"))
-            || (decl.trait_name.as_deref() == Some("EventHandler") && decl.name == "handle")
-            || (decl.trait_name.as_deref() == Some("Observer") && decl.name == "on_event")
-            || is_decoder_root(model, id);
-        if is_root {
+        if HOT_PATH_ROOTS.iter().chain(&DECODER_ROOTS).any(|root| root.names(model, id)) {
             root_of.insert(id, id);
             queue.push_back(id);
         }
@@ -251,12 +288,9 @@ fn check_panic_paths(model: &SemanticModel<'_>, graph: &CallGraph, diags: &mut V
     }
 }
 
-/// Whether `id` is one of the [`DECODER_ROOTS`] (an inherent method or a
-/// free function, never a trait impl).
+/// Whether `id` is one of the [`DECODER_ROOTS`].
 fn is_decoder_root(model: &SemanticModel<'_>, id: FnId) -> bool {
-    let decl = model.decl(id);
-    decl.trait_name.is_none()
-        && DECODER_ROOTS.contains(&(decl.owner.as_deref(), decl.name.as_str()))
+    DECODER_ROOTS.iter().any(|root| root.names(model, id))
 }
 
 /// Root-first chain for a reachable panic site.

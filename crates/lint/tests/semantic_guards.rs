@@ -26,6 +26,21 @@ fn call_graph_covers_the_workspace() {
     assert!(g.edge_count() >= 500, "call graph shrank: {} edges", g.edge_count());
 }
 
+/// Every `panic-path` root the pass names resolves to a non-test
+/// function of the real workspace: a root whose function was renamed or
+/// deleted would silently stop seeding the walk.
+#[test]
+fn every_panic_path_root_names_a_workspace_function() {
+    let ws = real_workspace();
+    let model = SemanticModel::build(&ws);
+    for root in semantic::HOT_PATH_ROOTS.iter().chain(&semantic::DECODER_ROOTS) {
+        assert!(
+            (0..model.fns.len()).any(|id| !model.decl(id).is_test && root.names(&model, id)),
+            "panic-path root {root:?} names no function in the workspace"
+        );
+    }
+}
+
 /// Replaces one file of the loaded workspace with edited text.
 fn patch(ws: &mut Workspace, suffix: &str, edit: impl Fn(&str) -> String) {
     let wf = ws

@@ -264,22 +264,6 @@ impl<E> Calendar<E> {
         out.len()
     }
 
-    /// The fire time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending heap entries (superseded wakeups not yet
-    /// dropped included).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Drops every pending event and wakeup, keeping the clock where it
     /// is.
     pub fn clear(&mut self) {
@@ -357,22 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance_clock() {
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::new(7.0), ());
-        assert_eq!(cal.peek_time(), Some(SimTime::new(7.0)));
-        assert_eq!(cal.now(), SimTime::ZERO);
-        assert_eq!(cal.len(), 1);
-    }
-
-    #[test]
     fn clear_empties_but_keeps_clock() {
         let mut cal = Calendar::new();
         cal.schedule(SimTime::new(1.0), ());
         cal.schedule(SimTime::new(2.0), ());
         cal.pop();
         cal.clear();
-        assert!(cal.is_empty());
+        assert!(cal.pop().is_none());
         assert_eq!(cal.now(), SimTime::new(1.0));
     }
 
@@ -412,7 +387,6 @@ mod tests {
         assert_eq!(cal.pop().map(|e| e.event), Some(1));
         cal.cancel_wake(TenantId(3));
         assert!(cal.pop().is_none());
-        assert_eq!(cal.peek_time(), None);
         assert_eq!(cal.now(), SimTime::new(1.0));
     }
 

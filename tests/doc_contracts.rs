@@ -507,14 +507,14 @@ impl Observer for StateDigest {
 /// The state digests of the matrix runs, in run order (fig4, reshape,
 /// spill, SLO, throttled, fleet tenants 0–2).
 const MATRIX_STATE_DIGESTS: [u64; 8] = [
-    0xa62b_1ac1_050b_1bad,
-    0x3076_860a_4bb3_4f57,
-    0xdde5_f13c_1965_955f,
-    0xb172_4265_fb4b_29d1,
-    0x46fb_5ffa_18f9_f43c,
-    0x058f_3718_ab1f_7775,
-    0x5ee0_8fb3_60d2_1ab8,
-    0xfa35_391d_d07f_bb95,
+    0x501a_8eb4_c532_133f,
+    0xfae6_9485_0633_f6cf,
+    0x8739_9a2b_c679_db1f,
+    0x3300_8709_7393_185b,
+    0x6956_8ec6_d478_6104,
+    0x4179_9483_ca27_4dd7,
+    0x45c9_1388_cf08_abe9,
+    0x543a_a773_2554_da4f,
 ];
 
 #[test]
@@ -537,9 +537,8 @@ fn matrix_state_digests_are_pinned() {
 /// A fleet of `tenants` × 4 jobs on the benchmark's fleet cell at seed 1
 /// (`perfbench`'s `fleet_cfg(1)`: the fig4 predictive cell at a 2.5 TU
 /// interval, a 2,000 TU backstop, and a shared private pool of one solo
-/// tier or two cores per tenant, unless `shared_cores` overrides it),
-/// digested per tenant and folded in tenant order.
-fn fleet_state_digest(tenants: u16, shared_cores: Option<u32>) -> (u64, FleetMetrics) {
+/// tier or two cores per tenant, unless `shared_cores` overrides it).
+fn fleet_cell(tenants: u16, shared_cores: Option<u32>) -> FleetConfig {
     let seed = 0x5CA4_2015 ^ 1u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut base = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), seed);
     base.fixed.sim_time_tu = 2_000.0;
@@ -547,6 +546,12 @@ fn fleet_state_digest(tenants: u16, shared_cores: Option<u32>) -> (u64, FleetMet
     cfg.jobs_per_tenant = 4;
     cfg.shared_private_cores =
         shared_cores.unwrap_or_else(|| cfg.shared_private_cores.max(u32::from(tenants) * 2));
+    cfg
+}
+
+/// [`fleet_cell`]'s run, digested per tenant and folded in tenant order.
+fn fleet_state_digest(tenants: u16, shared_cores: Option<u32>) -> (u64, FleetMetrics) {
+    let cfg = fleet_cell(tenants, shared_cores);
     let (metrics, digests) = run_fleet_with(&cfg, 0, &|_| StateDigest::new());
     let mut fold = StateDigest::new();
     for (digest, m) in digests.into_iter().zip(&metrics.tenants) {
@@ -555,9 +560,9 @@ fn fleet_state_digest(tenants: u16, shared_cores: Option<u32>) -> (u64, FleetMet
     (fold.hash, metrics)
 }
 
-const FLEET_100_STATE_DIGEST: u64 = 0x805d_8fe6_5ab9_b304;
-const FLEET_CONTENDED_STATE_DIGEST: u64 = 0xe651_3e0b_23ef_138c;
-const FLEET_1000_STATE_DIGEST: u64 = 0x3fe7_3267_174b_e881;
+const FLEET_100_STATE_DIGEST: u64 = 0x3acc_ba27_fd37_9293;
+const FLEET_CONTENDED_STATE_DIGEST: u64 = 0x8b59_6c6e_2102_2525;
+const FLEET_1000_STATE_DIGEST: u64 = 0x9690_f5af_1e51_1902;
 
 #[test]
 fn fleet_100_state_digest_is_pinned() {
@@ -577,6 +582,30 @@ fn fleet_contended_state_digest_is_pinned() {
     assert_eq!(metrics.jobs_completed, 80);
     assert!(metrics.jobs_deferred > 0, "the pool must run dry");
     assert_eq!(digest, FLEET_CONTENDED_STATE_DIGEST);
+}
+
+/// The instant of a tenant's last worker release.
+#[derive(Default)]
+struct LastRelease(f64);
+
+impl Observer for LastRelease {
+    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
+        if matches!(event, TraceEvent::VmReleased { .. }) {
+            self.0 = self.0.max(at.as_tu());
+        }
+    }
+}
+
+/// A drained tenant's pending replan tick neither fires nor holds the
+/// fleet's clock: the 100-tenant fleet cell ends at its last worker
+/// release, before the second 50 TU replan tick.
+#[test]
+fn a_drained_fleet_ends_at_its_last_release() {
+    let cfg = fleet_cell(100, None);
+    let (metrics, tenants) = run_fleet_with(&cfg, 0, &|_| LastRelease::default());
+    let last_release = tenants.iter().map(|t| t.0).fold(0.0, f64::max);
+    assert!(metrics.ended_at_tu < 100.0, "the fleet ran on to {} TU", metrics.ended_at_tu);
+    assert_eq!(metrics.ended_at_tu, last_release);
 }
 
 #[test]
