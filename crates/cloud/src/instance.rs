@@ -2,30 +2,17 @@
 //!
 //! Table III: "Possible instance sizes (cores): 1, 2, 4, 8, 16".
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's instance catalogue.
 pub const INSTANCE_SIZES: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// A validated instance size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceSize(u32);
 
 impl InstanceSize {
     /// Wraps a core count if it is in the catalogue.
     pub fn new(cores: u32) -> Option<Self> {
         INSTANCE_SIZES.contains(&cores).then_some(InstanceSize(cores))
-    }
-
-    /// The smallest catalogue size that fits `cores` (e.g. a 5-thread plan
-    /// needs an 8-core instance), or the largest size if nothing fits.
-    pub fn fitting(cores: u32) -> Self {
-        for &s in &INSTANCE_SIZES {
-            if s >= cores {
-                return InstanceSize(s);
-            }
-        }
-        InstanceSize(*INSTANCE_SIZES.last().expect("catalogue is non-empty"))
     }
 
     /// Core count.
@@ -57,17 +44,6 @@ mod tests {
         assert!(InstanceSize::new(3).is_none());
         assert!(InstanceSize::new(0).is_none());
         assert!(InstanceSize::new(32).is_none());
-    }
-
-    #[test]
-    fn fitting_rounds_up() {
-        assert_eq!(InstanceSize::fitting(1).cores(), 1);
-        assert_eq!(InstanceSize::fitting(3).cores(), 4);
-        assert_eq!(InstanceSize::fitting(5).cores(), 8);
-        assert_eq!(InstanceSize::fitting(9).cores(), 16);
-        assert_eq!(InstanceSize::fitting(16).cores(), 16);
-        // Oversized demand saturates at the largest shape.
-        assert_eq!(InstanceSize::fitting(64).cores(), 16);
     }
 
     #[test]

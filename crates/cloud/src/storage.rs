@@ -10,10 +10,9 @@
 //! shows up as overlapping this delay with queue time.
 
 use scan_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Transfer-performance model of the shared store.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferModel {
     /// Fixed per-transfer latency, TU.
     pub latency_tu: f64,

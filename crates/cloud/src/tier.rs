@@ -5,10 +5,8 @@
 //! uses two: a capacity-limited private tier (624 cores at 5 CU/TU/core)
 //! and an unbounded public tier (20–110 CU/TU/core).
 
-use serde::{Deserialize, Serialize};
-
 /// How a tier's cores are billed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BillingMode {
     /// Pay-as-you-go: cores cost money from hire to release (public
     /// clouds).
@@ -20,11 +18,11 @@ pub enum BillingMode {
 }
 
 /// Identifies a tier within a [`TierCatalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(pub usize);
 
 /// One class of hireable resources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tier {
     /// Human-readable name.
     pub name: String,
@@ -61,7 +59,7 @@ impl Tier {
 }
 
 /// An ordered list of tiers, cheapest-preferred by convention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierCatalog {
     tiers: Vec<Tier>,
 }
@@ -107,17 +105,6 @@ impl TierCatalog {
     pub fn iter(&self) -> impl Iterator<Item = (TierId, &Tier)> {
         self.tiers.iter().enumerate().map(|(i, t)| (TierId(i), t))
     }
-
-    /// The cheapest price at which at least one core could ever be hired.
-    pub fn min_price(&self) -> f64 {
-        self.tiers.iter().map(|t| t.cost_per_core_tu).fold(f64::INFINITY, f64::min)
-    }
-
-    /// The price of the most expensive tier (the marginal cost of scaling
-    /// once cheaper tiers are exhausted).
-    pub fn max_price(&self) -> f64 {
-        self.tiers.iter().map(|t| t.cost_per_core_tu).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -134,8 +121,6 @@ mod tests {
         let public = cat.get(TierId(1));
         assert_eq!(public.cost_per_core_tu, 50.0);
         assert_eq!(public.capacity_cores, None);
-        assert_eq!(cat.min_price(), 5.0);
-        assert_eq!(cat.max_price(), 50.0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::instance::InstanceSize;
 use crate::tier::TierId;
 use scan_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The 30-second start/reshape penalty in TU (1 TU = 1 minute, so 0.5).
 pub const BOOT_PENALTY_TU: f64 = 0.5;
@@ -27,7 +26,7 @@ pub fn boot_penalty() -> SimDuration {
 /// every deterministic selection rule in the platform relies on. The id
 /// is what the trace reports; the provider's record table is addressed
 /// through a [`VmKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 /// A hired VM's handle: its public [`VmId`] and the provider slot that
@@ -47,7 +46,7 @@ pub struct VmKey {
 }
 
 /// Lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VmState {
     /// Provisioning/booting until the given instant.
     Booting {
@@ -69,7 +68,7 @@ pub enum VmState {
 }
 
 /// One hired worker VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identifier.
     pub id: VmId,

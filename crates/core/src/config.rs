@@ -6,11 +6,10 @@ use scan_sched::scaling::ScalingPolicy;
 use scan_workload::arrivals::ArrivalConfig;
 use scan_workload::gatk::{PipelineModel, GB_PER_SIZE_UNIT};
 use scan_workload::reward::RewardFn;
-use serde::{Deserialize, Serialize};
 
 /// Table III — "miscellaneous simulation attributes fixed across all
 /// runs" — plus the platform knobs the paper fixes in prose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixedParams {
     /// Simulation horizon, TU (Table III: 10 000).
     pub sim_time_tu: f64,
@@ -90,7 +89,7 @@ impl Default for FixedParams {
 
 /// Which reward scheme a run uses (Table I's "task completion reward
 /// function" axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardKind {
     /// `R(d,t) = d(Rmax − t·Rpenalty)`.
     TimeBased,
@@ -125,7 +124,7 @@ impl RewardKind {
 }
 
 /// Table I — the variable simulation parameters (one grid cell).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariableParams {
     /// Resource allocation algorithm.
     pub allocation: AllocationPolicy,
@@ -154,7 +153,7 @@ impl VariableParams {
 }
 
 /// A full experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanConfig {
     /// Fixed attributes (Table III).
     pub fixed: FixedParams,
@@ -173,7 +172,6 @@ pub struct ScanConfig {
     /// job with `latency_tu > target` emits an `slo_violation` trace
     /// event and bumps the SLO burn meters; `None` (the default)
     /// disables SLO monitoring and leaves traces unchanged.
-    #[serde(default)]
     pub slo_target_tu: Option<f64>,
 }
 
@@ -208,7 +206,7 @@ impl ScanConfig {
                 rmax: self.fixed.rmax,
                 rpenalty: self.fixed.rpenalty,
                 // Default deadline: the time-based breakeven latency.
-                deadline: self.fixed.rmax / self.fixed.rpenalty,
+                deadline: self.breakeven_latency_tu(),
             },
             RewardKind::Plateau => RewardFn::Plateau {
                 rmax: self.fixed.rmax,
@@ -261,7 +259,7 @@ impl ScanConfig {
 }
 
 /// The Table I grid, enumerable for the full-permutation sweep of §IV-B.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParameterGrid {
     /// Allocation algorithms to sweep.
     pub allocations: Vec<AllocationPolicy>,

@@ -28,7 +28,6 @@ use rayon::prelude::*;
 use scan_cloud::shared::{SharedCapacity, SurgePricing};
 use scan_metrics::Registry;
 use scan_sim::{Merge, NullObserver, Observer, SimTime, TenantId};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -81,7 +80,7 @@ impl FleetConfig {
 
 /// What one fleet run reports: per-tenant session metrics plus the
 /// fleet-wide aggregates only the shared ledger can see.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
     /// Per-tenant session metrics, in tenant order.
     pub tenants: Vec<SessionMetrics>,

@@ -1,22 +1,19 @@
 //! Session metrics and replicated aggregates.
 
 use scan_sim::stats::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 /// What one simulation session reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionMetrics {
     /// Jobs submitted during the run.
     pub jobs_submitted: u64,
     /// Jobs the fair-share admission gate deferred at least once (fleet
     /// tenants under contention; always zero for solo sessions).
-    #[serde(default)]
     pub jobs_deferred: u64,
     /// Pipeline runs completed before the horizon.
     pub jobs_completed: u64,
     /// Completed jobs whose latency missed the configured SLO target
     /// (always zero unless `ScanConfig::slo_target_tu` is set).
-    #[serde(default)]
     pub jobs_slo_violated: u64,
     /// Total reward earned, CU.
     pub total_reward: f64,
@@ -67,7 +64,7 @@ impl SessionMetrics {
 /// Mean ± σ over repetitions, per metric — the paper's error bars
 /// ("All measurements were repeated 10 times, and all error bars represent
 /// a single standard deviation either side of the mean").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicatedMetrics {
     /// Profit per run.
     pub profit_per_run: OnlineStats,

@@ -4,11 +4,10 @@
 //! (Phred+33). The parser is a streaming iterator over a byte buffer so
 //! sharders can cut exactly on record boundaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One sequencing read.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FastqRecord {
     /// Read identifier (without the leading `@`).
     pub id: String,

@@ -17,7 +17,6 @@
 //!           u32 seq_len   seq   qual(seq_len bytes)
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic bytes opening an SBAM stream.
@@ -31,7 +30,7 @@ pub const FLAG_REVERSE: u16 = 0x10;
 pub const FLAG_DUPLICATE: u16 = 0x400;
 
 /// One aligned (or unaligned) read.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SamRecord {
     /// Query (read) name.
     pub qname: String,

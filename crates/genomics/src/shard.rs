@@ -11,12 +11,11 @@
 
 use crate::fastq::{FastqError, FastqReader};
 use crate::sam::{parse_sbam, write_sbam, SamRecord, SbamError};
-use serde::{Deserialize, Serialize};
 
 /// A plan describing how a dataset of `total_size` splits into shards of
 /// at most `chunk_size` (both in the same unit — bytes here, GB at the
 /// platform level).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// Total dataset size.
     pub total_size: f64,

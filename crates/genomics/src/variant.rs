@@ -9,12 +9,11 @@
 
 use crate::sam::SamRecord;
 use crate::synth::ReferenceGenome;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// One called variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcfRecord {
     /// Chromosome index (rendered as `chr<N>`).
     pub chrom: u32,

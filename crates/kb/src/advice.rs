@@ -26,12 +26,11 @@ use crate::ontology::{iri, Ontology};
 use crate::profile::ProfileRecord;
 use crate::regression::{linear_fit, AmdahlFit};
 use crate::sparql::parse_query;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Sharding advice for one application's input data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkAdvice {
     /// Recommended chunk size in GB.
     pub chunk_gb: f64,
@@ -48,7 +47,7 @@ pub struct ChunkAdvice {
 
 /// A learned per-stage performance model: `E(d) = a·d + b`, threaded via
 /// Amdahl fraction `c`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageModelEstimate {
     /// Linear coefficient (time per GB).
     pub a: f64,

@@ -11,11 +11,10 @@
 
 use crate::ontology::Ontology;
 use crate::term::{NodeId, Term};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// One observed task execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileRecord {
     /// Application (class) name: `GATK`, `BWA`, `MaxQuant`, … Borrowed
     /// for the static names the simulator emits on its hot path (no

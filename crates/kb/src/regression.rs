@@ -15,10 +15,8 @@
 //!   `(1/t, time)` recovers `α = E·c` (slope) and `β = E·(1−c)`
 //!   (intercept), giving `c = α / (α + β)` and `E = α + β`.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of an ordinary least-squares line fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope.
     pub slope: f64,
@@ -74,7 +72,7 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
 }
 
 /// Result of an Amdahl's-law fit of the paper's threading model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmdahlFit {
     /// The parallelisable fraction `c ∈ [0, 1]`.
     pub c: f64,

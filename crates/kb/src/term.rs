@@ -7,16 +7,15 @@
 //! floats with equal value intern separately: RDF distinguishes
 //! `"5"^^xsd:integer` from `"5.0"^^xsd:double`).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of an interned term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A literal value: the leaves of the ontology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     /// A plain string literal.
     Str(String),
@@ -83,7 +82,7 @@ impl fmt::Display for Literal {
 }
 
 /// A resolved RDF term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Term {
     /// A named resource, stored as its full IRI string.
     Iri(String),

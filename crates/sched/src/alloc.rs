@@ -19,11 +19,10 @@ use crate::plan::{best_plan, ExecutionPlan, PlanObjective, StageCosts};
 use scan_sim::SimTime;
 use scan_workload::gatk::PipelineModel;
 use scan_workload::reward::RewardFn;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Table I's resource-allocation algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationPolicy {
     /// Per-job myopic optimisation.
     Greedy,

@@ -13,10 +13,9 @@
 use scan_sim::SimTime;
 use scan_workload::gatk::PipelineModel;
 use scan_workload::job::Job;
-use serde::{Deserialize, Serialize};
 
 /// Exponentially-weighted queue-wait tracker, one slot per stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueueTimeTracker {
     ewma: Vec<f64>,
     alpha: f64,
@@ -25,12 +24,7 @@ pub struct QueueTimeTracker {
     /// estimates (the class queues' Eq. 1 terms) know when to
     /// revalidate. Starts at 1: revision 0 is the "never computed"
     /// sentinel on the cache side.
-    #[serde(default = "initial_revision")]
     revision: u64,
-}
-
-fn initial_revision() -> u64 {
-    1
 }
 
 impl QueueTimeTracker {
@@ -42,7 +36,7 @@ impl QueueTimeTracker {
             ewma: vec![0.0; n_stages],
             alpha,
             observations: vec![0; n_stages],
-            revision: initial_revision(),
+            revision: 1,
         }
     }
 

@@ -19,13 +19,12 @@
 use scan_cloud::instance::INSTANCE_SIZES;
 use scan_workload::gatk::{stage_shardable, PipelineModel};
 use scan_workload::reward::RewardFn;
-use serde::{Deserialize, Serialize};
 
 /// Shard counts the optimiser considers for shardable stages.
 pub const SHARD_OPTIONS: [u32; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
 
 /// A per-stage `(shards, threads)` execution plan.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExecutionPlan {
     /// Plan entries, index 0 = stage 1.
     pub stages: Vec<(u32, u32)>,
@@ -87,7 +86,7 @@ impl ExecutionPlan {
 }
 
 /// What the optimiser optimises against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanObjective {
     /// The reward scheme in force.
     pub reward: RewardFn,
@@ -100,7 +99,7 @@ pub struct PlanObjective {
 }
 
 /// The economics of one plan at one job size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanEconomics {
     /// Execution latency, TU (excluding overhead).
     pub exec_latency: f64,

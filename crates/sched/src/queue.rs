@@ -50,7 +50,6 @@
 
 use scan_sim::{SimDuration, SimTime};
 use scan_workload::reward::RewardFn;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Worker shapes (cores) a task class can ask for, ascending. Powers of
@@ -75,7 +74,7 @@ pub fn shape_slot(cores: u32) -> usize {
 }
 
 /// The queue key: pipeline stage × worker cores required.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskClass {
     /// 0-based pipeline stage.
     pub stage: usize,

@@ -18,10 +18,9 @@
 
 use crate::queue::Eq1Pricer;
 use scan_workload::reward::RewardFn;
-use serde::{Deserialize, Serialize};
 
 /// Table I's horizontal-scaling algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingPolicy {
     /// Hire whenever a task would otherwise wait.
     AlwaysScale,

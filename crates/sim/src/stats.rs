@@ -8,10 +8,9 @@
 //! * [`Histogram`] — fixed-width bins for latency distributions.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Welford online mean / variance accumulator.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -186,7 +185,7 @@ impl TimeWeighted {
 /// near `lo` holds a few counters, not `nbins`. Every bin past the
 /// stored ones is zero, so [`Histogram::quantile`] falls through them to
 /// `hi` exactly as a scan over all `nbins` would.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -9,10 +9,9 @@
 
 use crate::job::{Job, JobId};
 use scan_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Arrival-process parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalConfig {
     /// Mean inter-arrival interval between batch events, TU (Table I:
     /// 2.0, 2.1, …, 3.0).

@@ -14,8 +14,6 @@
 //! sharding; high-`b`/high-`c` stages (stage 5: a=1.03, b=17.86, c=0.91)
 //! want threading — exactly the heterogeneity the SCAN scheduler exploits.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of pipeline stages.
 pub const N_STAGES: usize = 7;
 
@@ -30,7 +28,7 @@ pub const N_STAGES: usize = 7;
 pub const GB_PER_SIZE_UNIT: f64 = 0.4;
 
 /// Per-stage scalability factors (Table II's `a_i`, `b_i`, `c_i`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageFactors {
     /// Linear coefficient: TU per GB of stage-1 input.
     pub a: f64,
@@ -95,7 +93,7 @@ pub fn stage_shardable(stage_index: usize) -> bool {
 }
 
 /// The full pipeline model: per-stage factors plus the size calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineModel {
     /// Factors per stage, index 0 = stage 1.
     pub stages: Vec<StageFactors>,

@@ -6,18 +6,17 @@
 //! scheduler as `(task, shard_index)` pairs).
 
 use scan_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a job within a simulation run: its arrival ordinal.
 ///
 /// Arrivals assign ids sequentially from zero and never reuse one within
 /// a session; the trace reports them. The platform keeps a live job's
 /// state in a reusable slot of its job table, not at `JobId.0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
 /// One submitted pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Identifier.
     pub id: JobId,
@@ -45,7 +44,7 @@ impl Job {
 }
 
 /// One stage of one job, as queued by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageTask {
     /// Owning job.
     pub job: JobId,
@@ -57,18 +56,6 @@ pub struct StageTask {
     pub threads: u32,
     /// When this stage entered its queue.
     pub enqueued_at: SimTime,
-}
-
-impl StageTask {
-    /// Cores one subtask occupies.
-    pub fn cores_per_subtask(&self) -> u32 {
-        self.threads
-    }
-
-    /// Total cores the whole stage occupies if all shards run at once.
-    pub fn total_cores(&self) -> u32 {
-        self.shards * self.threads
-    }
 }
 
 #[cfg(test)]
@@ -92,18 +79,5 @@ mod tests {
     #[should_panic(expected = "positive size")]
     fn zero_size_rejected() {
         Job::new(JobId(1), 0.0, SimTime::ZERO);
-    }
-
-    #[test]
-    fn stage_task_core_math() {
-        let t = StageTask {
-            job: JobId(1),
-            stage: 2,
-            shards: 4,
-            threads: 8,
-            enqueued_at: SimTime::ZERO,
-        };
-        assert_eq!(t.cores_per_subtask(), 8);
-        assert_eq!(t.total_cores(), 32);
     }
 }

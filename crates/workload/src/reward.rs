@@ -7,10 +7,8 @@
 //!
 //! Table III fixes `Rmax = 400`, `Rpenalty = 15`, `Rscale = 15 000`.
 
-use serde::{Deserialize, Serialize};
-
 /// A task-completion reward function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RewardFn {
     /// `R(d, t) = d(Rmax − t·Rpenalty)`.
     TimeBased {
@@ -138,18 +136,6 @@ impl RewardFn {
     pub fn depends_on_ett(&self) -> bool {
         !matches!(self, RewardFn::TimeBased { .. })
     }
-
-    /// Latency at which the reward hits zero (None if it never does).
-    pub fn breakeven_latency(&self, _d: f64) -> Option<f64> {
-        match *self {
-            RewardFn::TimeBased { rmax, rpenalty } => (rpenalty > 0.0).then(|| rmax / rpenalty),
-            RewardFn::ThroughputBased { .. } => None,
-            RewardFn::Deadline { rmax, rpenalty, deadline } => {
-                Some(if rpenalty > 0.0 { (rmax / rpenalty).min(deadline) } else { deadline })
-            }
-            RewardFn::Plateau { rmax, rpenalty, .. } => (rpenalty > 0.0).then(|| rmax / rpenalty),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,8 +148,6 @@ mod tests {
         let r = RewardFn::paper_time_based();
         // d=5, t=10: 5 × (400 − 150) = 1250.
         assert!((r.reward(5.0, 10.0) - 1250.0).abs() < 1e-9);
-        // Breakeven at 400/15 ≈ 26.67 TU.
-        assert!((r.breakeven_latency(5.0).unwrap() - 400.0 / 15.0).abs() < 1e-9);
         // Negative past breakeven.
         assert!(r.reward(5.0, 30.0) < 0.0);
     }
@@ -173,7 +157,6 @@ mod tests {
         let r = RewardFn::paper_throughput_based();
         // d=5, t=50: 5 × 15000 / 50 = 1500.
         assert!((r.reward(5.0, 50.0) - 1500.0).abs() < 1e-9);
-        assert!(r.breakeven_latency(5.0).is_none());
         // Halving latency doubles reward.
         assert!((r.reward(5.0, 25.0) - 3000.0).abs() < 1e-9);
     }
@@ -201,7 +184,6 @@ mod tests {
         let r = RewardFn::Deadline { rmax: 400.0, rpenalty: 15.0, deadline: 20.0 };
         assert!((r.reward(5.0, 10.0) - 1250.0).abs() < 1e-9, "before the deadline: time-based");
         assert_eq!(r.reward(5.0, 20.5), 0.0, "after the deadline: worthless");
-        assert_eq!(r.breakeven_latency(5.0), Some(20.0));
         // Past the deadline the latency price spikes (recovering matters).
         assert!(r.latency_price(5.0, 25.0) > r.latency_price(5.0, 10.0));
     }

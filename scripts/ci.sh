@@ -55,6 +55,31 @@ print(f"scan-lint --json schema OK ({doc['files_scanned']} files, "
 PY
 rm -f "$lint_json"
 
+echo "==> dependency hygiene (every manifest dependency is named by its crate's sources)"
+# A dependency key (`-` read as `_`) must appear as a word in the crate's
+# src/, tests/, benches/ or examples/ (root package: src/, tests/,
+# examples/); the compat/ stand-ins are exempt.
+python3 - <<'PY'
+import glob, pathlib, re, sys, tomllib
+
+root = tomllib.loads(pathlib.Path("Cargo.toml").read_text())
+members = [(".", ("src", "tests", "examples"))] + [
+    (m, ("src", "tests", "benches", "examples"))
+    for pat in root["workspace"]["members"] if not pat.startswith("compat/")
+    for m in sorted(glob.glob(pat))]
+unnamed = []
+for crate, dirs in members:
+    manifest = tomllib.loads(pathlib.Path(crate, "Cargo.toml").read_text())
+    text = "\n".join(p.read_text() for d in dirs for p in pathlib.Path(crate, d).rglob("*.rs"))
+    for table in ("dependencies", "dev-dependencies"):
+        for dep in manifest.get(table, {}):
+            if not re.search(rf"\b{dep.replace('-', '_')}\b", text):
+                unnamed.append(f"{crate}/Cargo.toml [{table}] {dep}")
+for edge in unnamed:
+    print(f"FAIL: no source names the dependency {edge}", file=sys.stderr)
+sys.exit(1 if unnamed else 0)
+PY
+
 if [[ "$quick" != "quick" ]]; then
     echo "==> cargo build --release (tier-1)"
     cargo build --release
