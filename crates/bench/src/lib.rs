@@ -54,12 +54,11 @@ pub fn run_cell(variable: VariableParams, sim_time: f64, reps: u64) -> Replicate
 }
 
 /// The standard benchmarked fleet shape at `tenants` tenants: fig4's
-/// predictive cell as the per-tenant config, four jobs per tenant, and a
-/// shared private pool of one solo tier (624 cores) or two cores per
-/// tenant, whichever is larger — contention stays constant-per-tenant as
-/// the fleet grows, so every fleet drains well before the backstop and
-/// jobs/sec is comparable across scales. Used by the `fleet` bin (CI
-/// smoke + ledger) and the `fleet` criterion bench.
+/// predictive cell as the per-tenant config, four jobs per tenant, and
+/// [`FleetConfig::new`]'s shared pool, whose per-tenant contention stays
+/// constant as the fleet grows — so every fleet drains well before the
+/// backstop and jobs/sec is comparable across scales. Used by the `fleet`
+/// bin (CI smoke + ledger) and the `fleet` criterion bench.
 pub fn fleet_cfg(tenants: u16) -> FleetConfig {
     let mut base =
         ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), EXPERIMENT_SEED);
@@ -67,7 +66,6 @@ pub fn fleet_cfg(tenants: u16) -> FleetConfig {
     base.fixed.sim_time_tu = 2_000.0;
     let mut cfg = FleetConfig::new(base, tenants);
     cfg.jobs_per_tenant = 4;
-    cfg.shared_private_cores = cfg.shared_private_cores.max(tenants as u32 * 2);
     cfg
 }
 

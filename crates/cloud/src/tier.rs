@@ -5,6 +5,12 @@
 //! uses two: a capacity-limited private tier (624 cores at 5 CU/TU/core)
 //! and an unbounded public tier (20–110 CU/TU/core).
 
+/// The private tier's core cost, CU/TU (Table III: 5).
+pub const PRIVATE_CORE_COST: f64 = 5.0;
+
+/// The private tier's capacity, cores (§IV-A: 624).
+pub const PRIVATE_CAPACITY_CORES: u32 = 624;
+
 /// How a tier's cores are billed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BillingMode {
@@ -36,12 +42,13 @@ pub struct Tier {
 }
 
 impl Tier {
-    /// The paper's private tier: 624 cores at 5 CU/TU.
+    /// The paper's private tier: [`PRIVATE_CAPACITY_CORES`] cores at
+    /// [`PRIVATE_CORE_COST`], billed while busy.
     pub fn paper_private() -> Tier {
         Tier {
             name: "private".into(),
-            cost_per_core_tu: 5.0,
-            capacity_cores: Some(624),
+            cost_per_core_tu: PRIVATE_CORE_COST,
+            capacity_cores: Some(PRIVATE_CAPACITY_CORES),
             billing: BillingMode::BusyTime,
         }
     }

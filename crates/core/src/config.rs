@@ -1,44 +1,45 @@
 //! Experiment configuration: Table III (fixed) × Table I (variable).
+//!
+//! A config holds only what some run varies. Table III's values live in
+//! the crate that owns each one (`scan_workload::reward::{RMAX, RPENALTY,
+//! RSCALE}`, `ArrivalConfig::paper`, `scan_cloud::tier::{PRIVATE_CORE_COST,
+//! PRIVATE_CAPACITY_CORES}`), and the platform knobs the paper fixes in
+//! prose are the constants below; [`ScanConfig`] builds the simulator's
+//! objects from them.
 
-use scan_cloud::tier::{BillingMode, Tier, TierCatalog};
+use scan_cloud::tier::{Tier, TierCatalog, PRIVATE_CAPACITY_CORES};
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::scaling::ScalingPolicy;
 use scan_workload::arrivals::ArrivalConfig;
-use scan_workload::gatk::{PipelineModel, GB_PER_SIZE_UNIT};
-use scan_workload::reward::RewardFn;
+use scan_workload::gatk::PipelineModel;
+use scan_workload::reward::{RewardFn, RMAX, RPENALTY};
 
-/// Table III — "miscellaneous simulation attributes fixed across all
-/// runs" — plus the platform knobs the paper fixes in prose.
+/// Idle-worker release timeout for private-tier workers, TU.
+pub const IDLE_TIMEOUT_TU: f64 = 2.0;
+
+/// Idle-worker release timeout for public-tier workers, TU. Public
+/// cores bill while hired, so they are released much faster.
+pub const PUBLIC_IDLE_TIMEOUT_TU: f64 = 0.5;
+
+/// Headroom factor for standing worker-pool sizing: pools hold
+/// `headroom ×` the forecast busy demand so batch bursts are mostly
+/// absorbed without fresh boots.
+pub const POOL_HEADROOM: f64 = 1.2;
+
+/// EWMA smoothing for queue-time estimates.
+pub const EQT_ALPHA: f64 = 0.2;
+
+/// Long-term allocators re-optimise this often, TU.
+pub const REPLAN_PERIOD_TU: f64 = 50.0;
+
+/// The fixed attributes a run may still set: Table III's horizon and
+/// private capacity, and the calibration and profiling knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedParams {
     /// Simulation horizon, TU (Table III: 10 000).
     pub sim_time_tu: f64,
-    /// Private tier core cost, CU/TU (Table III: 5).
-    pub private_core_cost: f64,
-    /// Rmax, CU (Table III: 400).
-    pub rmax: f64,
-    /// Rpenalty, CU (Table III: 15).
-    pub rpenalty: f64,
-    /// Rscale, CU·TU (Table III: 15 000).
-    pub rscale: f64,
-    /// Mean jobs per arrival event (Table III: 3).
-    pub mean_jobs_per_arrival: f64,
-    /// Jobs-per-arrival variance (Table III: 2).
-    pub jobs_per_arrival_variance: f64,
-    /// Mean job size, units (Table III: 5).
-    pub mean_job_size: f64,
-    /// Job size variance (Table III: 1).
-    pub job_size_variance: f64,
     /// Private tier capacity, cores (§IV-A: 624).
     pub private_capacity_cores: u32,
-    /// GB of stage-1 input per job size unit (calibrated; see
-    /// `scan_workload::gatk::GB_PER_SIZE_UNIT`).
-    pub gb_per_size_unit: f64,
-    /// Idle-worker release timeout for private-tier workers, TU.
-    pub idle_timeout_tu: f64,
-    /// Idle-worker release timeout for public-tier workers, TU. Public
-    /// cores bill while hired, so they are released much faster.
-    pub public_idle_timeout_tu: f64,
     /// Factor by which the plan optimiser inflates raw core prices to
     /// account for boot/idle overhead of real workers (hired time exceeds
     /// busy time; calibrated against measured utilisation).
@@ -48,14 +49,6 @@ pub struct FixedParams {
     /// false, free private capacity is always committed to a stalled
     /// queue.
     pub private_hire_throttle: bool,
-    /// Headroom factor for standing worker-pool sizing: pools hold
-    /// `headroom ×` the forecast busy demand so batch bursts are mostly
-    /// absorbed without fresh boots.
-    pub pool_headroom: f64,
-    /// EWMA smoothing for queue-time estimates.
-    pub eqt_alpha: f64,
-    /// Long-term allocators re-optimise this often, TU.
-    pub replan_period_tu: f64,
     /// Relative noise of the offline profiling trace the knowledge base
     /// is bootstrapped from.
     pub profile_noise: f64,
@@ -65,23 +58,9 @@ impl Default for FixedParams {
     fn default() -> Self {
         FixedParams {
             sim_time_tu: 10_000.0,
-            private_core_cost: 5.0,
-            rmax: 400.0,
-            rpenalty: 15.0,
-            rscale: 15_000.0,
-            mean_jobs_per_arrival: 3.0,
-            jobs_per_arrival_variance: 2.0,
-            mean_job_size: 5.0,
-            job_size_variance: 1.0,
-            private_capacity_cores: 624,
-            gb_per_size_unit: GB_PER_SIZE_UNIT,
-            idle_timeout_tu: 2.0,
-            public_idle_timeout_tu: 0.5,
+            private_capacity_cores: PRIVATE_CAPACITY_CORES,
             overhead_price_factor: 1.3,
             private_hire_throttle: false,
-            pool_headroom: 1.2,
-            eqt_alpha: 0.2,
-            replan_period_tu: 50.0,
             profile_noise: 0.02,
         }
     }
@@ -192,25 +171,23 @@ impl ScanConfig {
     /// (`Rmax / Rpenalty` ≈ 26.7 TU at Table III constants) — the
     /// natural SLO target: any job slower than this earns nothing.
     pub fn breakeven_latency_tu(&self) -> f64 {
-        self.fixed.rmax / self.fixed.rpenalty
+        RMAX / RPENALTY
     }
 
     /// The reward function object for this config.
     pub fn reward_fn(&self) -> RewardFn {
         match self.variable.reward {
-            RewardKind::TimeBased => {
-                RewardFn::TimeBased { rmax: self.fixed.rmax, rpenalty: self.fixed.rpenalty }
-            }
-            RewardKind::ThroughputBased => RewardFn::ThroughputBased { rscale: self.fixed.rscale },
+            RewardKind::TimeBased => RewardFn::paper_time_based(),
+            RewardKind::ThroughputBased => RewardFn::paper_throughput_based(),
             RewardKind::Deadline => RewardFn::Deadline {
-                rmax: self.fixed.rmax,
-                rpenalty: self.fixed.rpenalty,
+                rmax: RMAX,
+                rpenalty: RPENALTY,
                 // Default deadline: the time-based breakeven latency.
                 deadline: self.breakeven_latency_tu(),
             },
             RewardKind::Plateau => RewardFn::Plateau {
-                rmax: self.fixed.rmax,
-                rpenalty: self.fixed.rpenalty,
+                rmax: RMAX,
+                rpenalty: RPENALTY,
                 // Just above the latency the profit-optimal time-based
                 // plan achieves, so the knee actually binds.
                 plateau: 18.0,
@@ -220,41 +197,26 @@ impl ScanConfig {
 
     /// The arrival process parameters for this config.
     pub fn arrival_config(&self) -> ArrivalConfig {
-        ArrivalConfig {
-            mean_interval: self.variable.mean_interval,
-            mean_batch: self.fixed.mean_jobs_per_arrival,
-            batch_variance: self.fixed.jobs_per_arrival_variance,
-            mean_size: self.fixed.mean_job_size,
-            size_variance: self.fixed.job_size_variance,
-        }
+        ArrivalConfig::paper(self.variable.mean_interval)
     }
 
-    /// The session's hybrid cloud: the private tier (Table III price and
-    /// capacity, billed while busy) then the public tier (this cell's
-    /// price, unbounded, billed while hired).
+    /// The session's hybrid cloud: the private tier (Table III price,
+    /// this config's capacity, billed while busy) then the public tier
+    /// (this cell's price, unbounded, billed while hired).
     pub fn tier_catalog(&self) -> TierCatalog {
         TierCatalog::new(vec![
             Tier {
-                name: "private".into(),
-                cost_per_core_tu: self.fixed.private_core_cost,
                 capacity_cores: Some(self.fixed.private_capacity_cores),
-                billing: BillingMode::BusyTime,
+                ..Tier::paper_private()
             },
-            Tier {
-                name: "public".into(),
-                cost_per_core_tu: self.variable.public_core_cost,
-                capacity_cores: None,
-                billing: BillingMode::HiredTime,
-            },
+            Tier::paper_public(self.variable.public_core_cost),
         ])
     }
 
-    /// The ground-truth pipeline model at this config's calibration.
+    /// The ground-truth pipeline model (Table II at the calibrated
+    /// `GB_PER_SIZE_UNIT`).
     pub fn true_model(&self) -> PipelineModel {
-        PipelineModel::new(
-            scan_workload::gatk::PAPER_STAGE_FACTORS.to_vec(),
-            self.fixed.gb_per_size_unit,
-        )
+        PipelineModel::paper()
     }
 }
 
@@ -321,20 +283,26 @@ impl ParameterGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scan_cloud::tier::TierId;
 
     #[test]
     fn table_iii_defaults() {
-        let f = FixedParams::default();
-        assert_eq!(f.sim_time_tu, 10_000.0);
-        assert_eq!(f.private_core_cost, 5.0);
-        assert_eq!(f.rmax, 400.0);
-        assert_eq!(f.rpenalty, 15.0);
-        assert_eq!(f.rscale, 15_000.0);
-        assert_eq!(f.mean_jobs_per_arrival, 3.0);
-        assert_eq!(f.jobs_per_arrival_variance, 2.0);
-        assert_eq!(f.mean_job_size, 5.0);
-        assert_eq!(f.job_size_variance, 1.0);
-        assert_eq!(f.private_capacity_cores, 624);
+        // The published numbers, read through the objects the simulator
+        // uses.
+        let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), 1);
+        assert_eq!(cfg.fixed.sim_time_tu, 10_000.0);
+        assert_eq!(cfg.reward_fn(), RewardFn::TimeBased { rmax: 400.0, rpenalty: 15.0 });
+        cfg.variable.reward = RewardKind::ThroughputBased;
+        assert_eq!(cfg.reward_fn(), RewardFn::ThroughputBased { rscale: 15_000.0 });
+        let a = cfg.arrival_config();
+        assert_eq!(
+            (a.mean_batch, a.batch_variance, a.mean_size, a.size_variance),
+            (3.0, 2.0, 5.0, 1.0)
+        );
+        let tiers = cfg.tier_catalog();
+        let private = tiers.get(TierId(0));
+        assert_eq!((private.cost_per_core_tu, private.capacity_cores), (5.0, Some(624)));
+        assert_eq!(cfg.true_model(), PipelineModel::paper());
     }
 
     #[test]

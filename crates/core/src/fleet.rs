@@ -47,10 +47,6 @@ pub struct FleetConfig {
     pub shared_private_cores: u32,
     /// Contention-sensitive pricing of the shared public tier.
     pub surge: SurgePricing,
-    /// Arm the fair-share admission gate: defer a tenant's new arrivals
-    /// while the shared pool is exhausted and it sits at or above its
-    /// fair share.
-    pub fair_share_admission: bool,
     /// Arrival-stream cap per tenant; each tenant tears down once its
     /// jobs all complete, and the fleet ends when every tenant has.
     pub jobs_per_tenant: u64,
@@ -60,18 +56,18 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet of `tenants` platforms over `base`, with the shared pool
-    /// sized like one solo session's private tier, a mild surge, the
-    /// fair-share gate armed, and a modest per-tenant workload.
+    /// A fleet of `tenants` platforms over `base`, with a mild surge and a
+    /// modest per-tenant workload. The shared pool holds one solo
+    /// session's private tier or two cores per tenant, whichever is
+    /// larger, so contention stays constant-per-tenant as the fleet grows.
     pub fn new(base: ScanConfig, tenants: u16) -> Self {
         let horizon_tu = base.fixed.sim_time_tu;
-        let shared_private_cores = base.fixed.private_capacity_cores;
+        let shared_private_cores = base.fixed.private_capacity_cores.max(2 * u32::from(tenants));
         FleetConfig {
             base: Arc::new(base),
             tenants,
             shared_private_cores,
             surge: SurgePricing { factor: 0.25, per_cores: 256.0 },
-            fair_share_admission: true,
             jobs_per_tenant: 25,
             horizon_tu,
         }
@@ -210,7 +206,6 @@ fn run_fleet_observed<O: Observer + 'static, F: Fn(u64) -> O + Sync>(
                 tenant: TenantId(t as u16),
                 lease: Rc::clone(&lease),
                 max_jobs: Some(cfg.jobs_per_tenant),
-                fair_share: cfg.fair_share_admission,
             },
         );
         if let Some(build) = build {

@@ -4,9 +4,12 @@
 
 use super::events::{Event, JobRun, TenantCal};
 use super::Platform;
+use crate::config::REPLAN_PERIOD_TU;
+use scan_cloud::tier::PRIVATE_CORE_COST;
 use scan_sched::alloc::{AllocationContext, AllocationPolicy};
 use scan_sched::queue::TaskClass;
 use scan_sim::{SimDuration, SimTime, TraceEvent};
+use scan_workload::arrivals::MEAN_JOB_SIZE;
 use scan_workload::gatk::PipelineModel;
 use scan_workload::job::Job;
 use std::sync::Arc;
@@ -65,7 +68,7 @@ impl Platform {
     /// makes progress (its jobs can still buy public cores), which is
     /// what keeps every deferred job's eventual admission live.
     pub(super) fn should_defer(&self) -> bool {
-        if !self.fair_share || self.jobs.is_empty() {
+        if self.jobs.is_empty() {
             return false;
         }
         let Some(lease) = self.provider.shared() else {
@@ -140,7 +143,7 @@ impl Platform {
         let (arrival_rate, mean_job_size, steady_overhead) = if adaptive {
             (self.observed_rate, self.observed_size, self.estimator.queue_times().eqt_tail(0))
         } else {
-            (self.cfg.arrival_config().mean_job_rate(), self.cfg.fixed.mean_job_size, 1.0)
+            (self.cfg.arrival_config().mean_job_rate(), MEAN_JOB_SIZE, 1.0)
         };
         // Plans are priced at overhead-inflated rates: a hired core·TU of
         // work costs more than the raw tier price once boot and idle time
@@ -149,7 +152,7 @@ impl Platform {
         AllocationContext {
             model,
             reward: self.reward,
-            private_price: self.cfg.fixed.private_core_cost * f,
+            private_price: PRIVATE_CORE_COST * f,
             public_price: self.cfg.variable.public_core_cost * f,
             private_capacity: self.cfg.fixed.private_capacity_cores,
             private_free_now: self.provider.free_cores(self.private_tier) > 0,
@@ -215,6 +218,6 @@ impl Platform {
             self.parked = self.parked_watch();
         }
         self.resize_standing_pools(now, sink);
-        sink.schedule(now + SimDuration::new(self.cfg.fixed.replan_period_tu), Event::Replan);
+        sink.schedule(now + SimDuration::new(REPLAN_PERIOD_TU), Event::Replan);
     }
 }

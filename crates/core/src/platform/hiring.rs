@@ -9,6 +9,7 @@ use super::events::{Event, TenantCal};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
+use scan_cloud::tier::PRIVATE_CORE_COST;
 use scan_cloud::vm::{boot_penalty, VmKey};
 use scan_sched::delay_cost::{delay_cost, QueuedJobView};
 use scan_sched::queue::{shape_slot, TaskClass, N_SHAPES, SHAPE_CORES};
@@ -213,7 +214,7 @@ impl Platform {
             let avoided = (ctx.expected_wait_tu - ctx.boot_penalty_tu).max(0.0);
             costs = DecisionCosts {
                 delay_cost: ctx.eq1.delay_cost(&self.reward, avoided),
-                hire_cost: self.cfg.fixed.private_core_cost
+                hire_cost: PRIVATE_CORE_COST
                     * class.cores as f64
                     * (ctx.boot_penalty_tu + ctx.expected_task_tu),
             };

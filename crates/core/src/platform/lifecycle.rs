@@ -3,15 +3,16 @@
 //! topped up from the private tier.
 
 use super::events::{Event, TenantCal};
-use super::state::{idle_expired, next_grid};
+use super::state::{idle_expired, idle_timeout, next_grid};
 use super::Platform;
+use crate::config::POOL_HEADROOM;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
-use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmKey;
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
-use scan_sim::{SimDuration, SimTime, TraceEvent};
+use scan_sim::{SimTime, TraceEvent};
+use scan_workload::arrivals::MEAN_JOB_SIZE;
 use std::sync::Arc;
 
 impl Platform {
@@ -67,7 +68,8 @@ impl Platform {
     /// workers, only the lowest ids above the floor go.
     fn release_expired(&mut self, now: SimTime) {
         let mut expired = std::mem::take(&mut self.release_scratch);
-        for (tier, timeout) in self.idle_timeouts() {
+        for tier in [self.private_tier, self.public_tier] {
+            let timeout = idle_timeout(tier);
             for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
                 let list = self.idle.by_idle_start(tier, slot);
                 let n = list.partition_point(|&(since, _)| idle_expired(since, timeout, now));
@@ -92,14 +94,6 @@ impl Platform {
         }
         expired.clear();
         self.release_scratch = expired;
-    }
-
-    /// `(tier, idle timeout)` of the private then the public tier.
-    fn idle_timeouts(&self) -> [(TierId, SimDuration); 2] {
-        [
-            (self.private_tier, SimDuration::new(self.cfg.fixed.idle_timeout_tu)),
-            (self.public_tier, SimDuration::new(self.cfg.fixed.public_idle_timeout_tu)),
-        ]
     }
 
     /// Private workers of `cores` the floor rule lets go: live workers of
@@ -209,14 +203,14 @@ impl Platform {
             (None, Some(planner)) => Arc::clone(planner.best_plan()),
             (None, None) => {
                 let ctx = self.allocation_context(self.broker.learned_model());
-                self.allocator.plan_for(self.cfg.fixed.mean_job_size, now, &ctx)
+                self.allocator.plan_for(MEAN_JOB_SIZE, now, &ctx)
             }
         };
         let adaptive = self.cfg.variable.allocation == AllocationPolicy::LongTermAdaptive;
         let (rate, mean_size) = if adaptive {
             (self.observed_rate, self.observed_size)
         } else {
-            (self.cfg.arrival_config().mean_job_rate(), self.cfg.fixed.mean_job_size)
+            (self.cfg.arrival_config().mean_job_rate(), MEAN_JOB_SIZE)
         };
         let model = self.broker.learned_model();
         let mut target = [0.0f64; N_SHAPES];
@@ -231,7 +225,7 @@ impl Platform {
             if busy_vms > 0.0 {
                 self.standing_target.set(
                     scan_sched::queue::SHAPE_CORES[slot],
-                    (self.cfg.fixed.pool_headroom * busy_vms).ceil() as u32,
+                    (POOL_HEADROOM * busy_vms).ceil() as u32,
                 );
             }
         }

@@ -61,13 +61,13 @@ pub use accounting::MetricsAggregator;
 pub use events::Event;
 
 use crate::broker::DataBroker;
-use crate::config::ScanConfig;
+use crate::config::{ScanConfig, EQT_ALPHA, REPLAN_PERIOD_TU};
 use crate::metrics::SessionMetrics;
 use events::{JobRun, TenantCal};
 use hiring::WaitMemos;
 use scan_cloud::provider::CloudProvider;
 use scan_cloud::shared::{SharedLease, Watch};
-use scan_cloud::tier::TierId;
+use scan_cloud::tier::{TierId, PRIVATE_CORE_COST};
 use scan_cloud::vm::VmKey;
 use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
@@ -76,10 +76,9 @@ use scan_sched::learned::EpsilonGreedyPlanner;
 use scan_sched::plan::{ExecutionPlan, StageCosts};
 use scan_sched::queue::ClassQueues;
 use scan_sim::{
-    prof, Calendar, ObserverHandle, RngHub, SimDuration, SimRng, SimTime, SlotArena, TenantId,
-    Tracer,
+    prof, Calendar, ObserverHandle, RngHub, SimRng, SimTime, SlotArena, TenantId, Tracer,
 };
-use scan_workload::arrivals::ArrivalProcess;
+use scan_workload::arrivals::{ArrivalProcess, MEAN_JOB_SIZE};
 use scan_workload::gatk::PipelineModel;
 use scan_workload::job::Job;
 use scan_workload::reward::RewardFn;
@@ -92,8 +91,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// How a platform participates in a multi-tenant fleet: its identity,
-/// its lease on the shared provider pool, and the fleet's run-to-
-/// completion and fairness knobs. Solo sessions have none of this.
+/// its lease on the shared provider pool, and its arrival cap. Solo
+/// sessions have none of this.
 pub(crate) struct TenantSetup {
     /// This platform's tenant id within the fleet.
     pub(crate) tenant: TenantId,
@@ -103,9 +102,6 @@ pub(crate) struct TenantSetup {
     /// tear the tenant down once they all complete (`None` = run to the
     /// horizon like a solo session).
     pub(crate) max_jobs: Option<u64>,
-    /// Defer new admissions while the shared pool is exhausted and this
-    /// tenant sits at or above its fair share.
-    pub(crate) fair_share: bool,
 }
 
 /// The assembled platform, driven by the one event loop `run_tenants`. A thin
@@ -180,8 +176,6 @@ pub struct Platform {
     tenant: TenantId,
     /// Arrival-stream cap for run-to-completion fleets; `None` = horizon.
     max_jobs: Option<u64>,
-    /// Whether the fair-share admission gate is armed.
-    fair_share: bool,
     /// Jobs drawn from the arrival stream so far (admitted or deferred).
     taken_jobs: u64,
     /// Jobs deferred by the fair-share gate, awaiting re-admission.
@@ -234,12 +228,12 @@ impl Platform {
         }
 
         let mut provider = CloudProvider::new(cfg.tier_catalog());
-        let (tenant, max_jobs, fair_share) = match tenancy {
+        let (tenant, max_jobs) = match tenancy {
             Some(setup) => {
                 provider.attach_shared(setup.lease, setup.tenant);
-                (setup.tenant, setup.max_jobs, setup.fair_share)
+                (setup.tenant, setup.max_jobs)
             }
-            None => (TenantId::SOLO, None, false),
+            None => (TenantId::SOLO, None),
         };
 
         let arrivals = ArrivalProcess::new(
@@ -248,19 +242,19 @@ impl Platform {
             hub.stream("arrival-sizes"),
         );
 
-        let estimator = EttEstimator::new(broker.learned_model().clone(), cfg.fixed.eqt_alpha);
-        let allocator = Allocator::new(cfg.variable.allocation, cfg.fixed.replan_period_tu);
+        let estimator = EttEstimator::new(broker.learned_model().clone(), EQT_ALPHA);
+        let allocator = Allocator::new(cfg.variable.allocation, REPLAN_PERIOD_TU);
         let forced_plan =
             cfg.forced_plan.clone().map(|stages| Arc::new(ExecutionPlan::new(stages)));
         let learned = (cfg.variable.allocation == AllocationPolicy::Learned).then(|| {
             // Warm-start each arm with its model-predicted profit, so
             // exploration starts from the analytic ranking instead of
             // paying full price to try arms the model knows are bad.
-            let costs = StageCosts::new(broker.learned_model(), cfg.fixed.mean_job_size);
+            let costs = StageCosts::new(broker.learned_model(), MEAN_JOB_SIZE);
             let arms = costs.candidates();
             let objective = scan_sched::plan::PlanObjective {
                 reward: cfg.reward_fn(),
-                price_per_core_tu: cfg.fixed.private_core_cost * cfg.fixed.overhead_price_factor,
+                price_per_core_tu: PRIVATE_CORE_COST * cfg.fixed.overhead_price_factor,
                 overhead_tu: 1.0,
             };
             let priors: Vec<f64> =
@@ -269,7 +263,7 @@ impl Platform {
         });
         let reward = cfg.reward_fn();
         let observed_rate = cfg.arrival_config().mean_job_rate();
-        let observed_size = cfg.fixed.mean_job_size;
+        let observed_size = MEAN_JOB_SIZE;
 
         // The session's metrics are an observer like any other; it is
         // attached first so it sees every event of the run.
@@ -291,10 +285,7 @@ impl Platform {
             forced_plan,
             queues: ClassQueues::new(),
             jobs: SlotArena::new(),
-            idle: IdlePools::new([
-                SimDuration::new(cfg.fixed.idle_timeout_tu),
-                SimDuration::new(cfg.fixed.public_idle_timeout_tu),
-            ]),
+            idle: IdlePools::new(),
             busy: BusyTable::new(),
             pending: ClassCounts::new(),
             booting: BootingCounts::new(),
@@ -311,7 +302,6 @@ impl Platform {
             epoch_start: (0.0, 0.0, 0),
             tenant,
             max_jobs,
-            fair_share,
             taken_jobs: 0,
             backlog: AdmissionBacklog::default(),
             observed_rate,
@@ -354,7 +344,7 @@ impl Platform {
         self.provider.set_tracer(self.tracer.clone());
         self.resize_standing_pools(SimTime::ZERO, sink);
         sink.schedule(self.arrivals.next_arrival_at().min(horizon), Event::Arrival);
-        sink.schedule(SimTime::new(self.cfg.fixed.replan_period_tu), Event::Replan);
+        sink.schedule(SimTime::new(REPLAN_PERIOD_TU), Event::Replan);
         self.rearm(SimTime::ZERO, true, sink);
     }
 

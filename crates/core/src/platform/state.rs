@@ -21,6 +21,7 @@
 //! - **Busy-set scans are order-insensitive** (min over f64 finish times
 //!   commutes), so [`BusyTable`]'s swap-remove reordering is invisible.
 
+use crate::config::{IDLE_TIMEOUT_TU, PUBLIC_IDLE_TIMEOUT_TU};
 use scan_cloud::tier::TierId;
 use scan_cloud::vm::{VmId, VmKey};
 use scan_sched::queue::{shape_slot, TaskClass, N_SHAPES, SHAPE_CORES};
@@ -48,8 +49,6 @@ pub(super) struct IdlePools {
     /// `(idle since, vm)` per tier (`TierId.0`) and shape slot, oldest
     /// first.
     since: [[Vec<(SimTime, VmKey)>; N_SHAPES]; 2],
-    /// Idle timeout per tier.
-    timeouts: [SimDuration; 2],
     /// Per tier and shape slot, the first grid instant at which the
     /// list's front has timed out, computed when first asked for (most
     /// fronts are assigned work again before anyone asks).
@@ -60,13 +59,11 @@ pub(super) struct IdlePools {
 }
 
 impl IdlePools {
-    /// Empty pools whose tiers (`TierId.0` = 0, 1) release workers idle
-    /// for `timeouts`.
-    pub(super) fn new(timeouts: [SimDuration; 2]) -> Self {
+    /// Empty pools.
+    pub(super) fn new() -> Self {
         IdlePools {
             pools: Default::default(),
             since: Default::default(),
-            timeouts,
             front_expiry: Default::default(),
             listed: 0,
         }
@@ -145,7 +142,7 @@ impl IdlePools {
             let cached = &self.front_expiry[tier][slot];
             let at = cached.get().unwrap_or_else(|| {
                 let (since, _) = self.since[tier][slot][0];
-                let at = grid_expiry(since, self.timeouts[tier]);
+                let at = grid_expiry(since, idle_timeout(TierId(tier)));
                 cached.set(Some(at));
                 at
             });
@@ -191,6 +188,12 @@ pub(super) fn next_grid(t: SimTime, inclusive: bool) -> SimTime {
     let k = ((t.as_tu() - GRID_START_TU) / GRID_STEP_TU).ceil().max(0.0);
     let g = GRID_START_TU + GRID_STEP_TU * k;
     SimTime::new(if !inclusive && g == t.as_tu() { g + GRID_STEP_TU } else { g })
+}
+
+/// How long a worker of `tier` (`TierId.0` = 0 private, 1 public) stays
+/// idle before the sweep releases it.
+pub(super) fn idle_timeout(tier: TierId) -> SimDuration {
+    SimDuration::new([IDLE_TIMEOUT_TU, PUBLIC_IDLE_TIMEOUT_TU][tier.0])
 }
 
 /// Whether a worker idle since `since` has been idle for `timeout` at
@@ -459,7 +462,7 @@ mod tests {
     const PUBLIC: TierId = TierId(1);
 
     fn pools() -> IdlePools {
-        IdlePools::new([SimDuration::new(2.0), SimDuration::new(0.5)])
+        IdlePools::new()
     }
 
     #[test]

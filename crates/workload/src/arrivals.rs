@@ -10,6 +10,10 @@
 use crate::job::{Job, JobId};
 use scan_sim::{SimDuration, SimRng, SimTime};
 
+/// Mean job size, units (Table III: 5): the size the planners and the
+/// standing pools forecast for a job they have not seen.
+pub const MEAN_JOB_SIZE: f64 = 5.0;
+
 /// Arrival-process parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalConfig {
@@ -34,7 +38,7 @@ impl ArrivalConfig {
             mean_interval,
             mean_batch: 3.0,
             batch_variance: 2.0,
-            mean_size: 5.0,
+            mean_size: MEAN_JOB_SIZE,
             size_variance: 1.0,
         }
     }

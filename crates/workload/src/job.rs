@@ -1,9 +1,8 @@
-//! Jobs and stage tasks.
+//! Jobs.
 //!
-//! A *job* is one user-submitted pipeline run with an input size. Each
-//! pipeline stage of a job becomes a [`StageTask`]; the Data Broker may
-//! split a stage task into shard-level subtasks (tracked by the platform's
-//! scheduler as `(task, shard_index)` pairs).
+//! A *job* is one user-submitted pipeline run with an input size. The
+//! reward scales with that size (Table III's "units"); the platform's
+//! scheduler splits each stage of a job into shard-level subtasks.
 
 use scan_sim::SimTime;
 
@@ -22,19 +21,16 @@ pub struct Job {
     pub id: JobId,
     /// Input size in abstract units (Table III: mean 5, variance 1).
     pub size_units: f64,
-    /// "The number of records of input data supplied" — the reward
-    /// function's record count; proportional to size in our model.
-    pub records: u64,
     /// Submission instant ("latency measures the time from a task entering
     /// the queue for the first analysis stage").
     pub submitted_at: SimTime,
 }
 
 impl Job {
-    /// Creates a job. Records are derived from size (1000 records/unit).
+    /// Creates a job.
     pub fn new(id: JobId, size_units: f64, submitted_at: SimTime) -> Self {
         assert!(size_units > 0.0, "jobs must have positive size");
-        Job { id, size_units, records: (size_units * 1000.0).round() as u64, submitted_at }
+        Job { id, size_units, submitted_at }
     }
 
     /// Latency from submission to `now`.
@@ -43,31 +39,9 @@ impl Job {
     }
 }
 
-/// One stage of one job, as queued by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageTask {
-    /// Owning job.
-    pub job: JobId,
-    /// 0-based stage index.
-    pub stage: usize,
-    /// Number of shard subtasks this stage was split into.
-    pub shards: u32,
-    /// Threads each subtask will use.
-    pub threads: u32,
-    /// When this stage entered its queue.
-    pub enqueued_at: SimTime,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn job_records_scale_with_size() {
-        let j = Job::new(JobId(1), 5.0, SimTime::ZERO);
-        assert_eq!(j.records, 5000);
-        assert_eq!(Job::new(JobId(2), 2.5, SimTime::ZERO).records, 2500);
-    }
 
     #[test]
     fn latency_measured_from_submission() {

@@ -9,7 +9,7 @@
 //! * [`gatk`] — stage factors (Table II), the pipeline model, and the
 //!   calibration constant mapping the paper's abstract "job size units"
 //!   to GB (see `GB_PER_SIZE_UNIT`).
-//! * [`job`] — jobs, per-stage tasks and shard-level subtasks.
+//! * [`job`] — jobs: an arrival's id, size and submission instant.
 //! * [`arrivals`] — the batch arrival process of Table III (exponential
 //!   inter-arrival; normal batch size 3 ± var 2; normal job size 5 ± var 1).
 //! * [`reward`] — §II-D's time-oriented and throughput-oriented reward
@@ -29,6 +29,6 @@ pub mod reward;
 
 pub use arrivals::{ArrivalBatch, ArrivalConfig, ArrivalProcess};
 pub use gatk::{PipelineModel, StageFactors, GB_PER_SIZE_UNIT, N_STAGES, PAPER_STAGE_FACTORS};
-pub use job::{Job, JobId, StageTask};
+pub use job::{Job, JobId};
 pub use profiletrace::generate_profile_trace;
 pub use reward::RewardFn;

@@ -5,7 +5,18 @@
 //! * Throughput-oriented: `R(d, t) = d · Rscale / t` — rewards relative
 //!   speedup.
 //!
-//! Table III fixes `Rmax = 400`, `Rpenalty = 15`, `Rscale = 15 000`.
+//! Table III fixes `Rmax = 400`, `Rpenalty = 15`, `Rscale = 15 000`
+//! ([`RMAX`], [`RPENALTY`], [`RSCALE`]).
+
+/// Rmax: reward per size unit at zero latency, CU (Table III: 400).
+pub const RMAX: f64 = 400.0;
+
+/// Rpenalty: penalty per size unit per TU of latency, CU (Table III: 15).
+pub const RPENALTY: f64 = 15.0;
+
+/// Rscale: the throughput-based reward's scale factor, CU·TU (Table III:
+/// 15 000).
+pub const RSCALE: f64 = 15_000.0;
 
 /// A task-completion reward function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,12 +61,12 @@ pub enum RewardFn {
 impl RewardFn {
     /// Table III's time-based scheme.
     pub fn paper_time_based() -> Self {
-        RewardFn::TimeBased { rmax: 400.0, rpenalty: 15.0 }
+        RewardFn::TimeBased { rmax: RMAX, rpenalty: RPENALTY }
     }
 
     /// Table III's throughput-based scheme.
     pub fn paper_throughput_based() -> Self {
-        RewardFn::ThroughputBased { rscale: 15_000.0 }
+        RewardFn::ThroughputBased { rscale: RSCALE }
     }
 
     /// Short display name matching Table I's values.

@@ -133,6 +133,10 @@ run_one --test alloc_budget fleet_tenant_retains_little
 run_one --test alloc_budget session_heap_is_flat_in_horizon
 
 if [[ "$quick" != "quick" ]]; then
+    echo "==> Table III (every published row matches what a session is built from)"
+    # table3 asserts each row against the paper and exits non-zero on drift.
+    cargo run -q --release -p scan-bench --bin table3 >/dev/null
+
     echo "==> store determinism (two fixed-seed runs, identical SCTS digest)"
     # The columnar store's 8-byte digest replaces the old multi-megabyte
     # JSONL double-run compare as the fixed-seed determinism gate; the

@@ -544,8 +544,7 @@ fn fleet_cell(tenants: u16, shared_cores: Option<u32>) -> FleetConfig {
     base.fixed.sim_time_tu = 2_000.0;
     let mut cfg = FleetConfig::new(base, tenants);
     cfg.jobs_per_tenant = 4;
-    cfg.shared_private_cores =
-        shared_cores.unwrap_or_else(|| cfg.shared_private_cores.max(u32::from(tenants) * 2));
+    cfg.shared_private_cores = shared_cores.unwrap_or(cfg.shared_private_cores);
     cfg
 }
 

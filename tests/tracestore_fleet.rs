@@ -22,7 +22,6 @@ fn session_cfg() -> ScanConfig {
 fn fleet_cfg(tenants: u16) -> FleetConfig {
     let mut cfg = FleetConfig::new(session_cfg(), tenants);
     cfg.jobs_per_tenant = 3;
-    cfg.shared_private_cores = cfg.shared_private_cores.max(u32::from(tenants) * 2);
     cfg
 }
 
