@@ -32,6 +32,9 @@
 //!   wakeups, so a change that only drops repeated `wait` decisions,
 //!   their queue-depth samples or engine events cannot move a hire, a
 //!   release, a completion, the reward or the cost.
+//! * Session metrics — one digest pins every field of every run's
+//!   `SessionMetrics`, and each count and sum among them equals what the
+//!   run's own event stream folds to.
 //!
 //! [`kind_position`] and [`scaling_choices`] are exhaustive `match`es, so
 //! a new `TraceEvent` or `ScalingChoice` variant fails to compile here
@@ -42,7 +45,7 @@ use scan::platform::config::{RewardKind, ScanConfig, VariableParams};
 use scan::platform::fleet::{run_fleet_with, FleetConfig, FleetMetrics};
 use scan::platform::instrument::{MetricsObserver, DEFAULT_WINDOW_TU};
 use scan::platform::session::run_session_with;
-use scan::platform::DecisionStats;
+use scan::platform::{DecisionStats, SessionMetrics};
 use scan::sched::alloc::AllocationPolicy;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Observer, ScalingChoice, SimTime, TraceEvent};
@@ -216,8 +219,8 @@ struct Run {
     tenant: u32,
     store: TraceStore,
     live: Outputs,
-    /// The session's `(total_reward, total_cost)`.
-    money: (f64, f64),
+    /// What the session reported.
+    metrics: SessionMetrics,
 }
 
 /// What the whole matrix produced.
@@ -275,16 +278,15 @@ impl Matrix {
                 None => sessions = Some(registry.clone()),
                 Some(all) => all.merge(registry),
             }
-            let money = (m.total_reward, m.total_cost);
-            runs.push(Run { cfg, tenant: 0, store: probe.store, live: probe.live.finish(), money });
+            let live = probe.live.finish();
+            runs.push(Run { cfg, tenant: 0, store: probe.store, live, metrics: m });
         }
         let tenant_cfg = ScanConfig::clone(&fleet.base);
         let (fleet, tenants) =
             run_fleet_with(&fleet, 0, &|tenant| Probe::new(&tenant_cfg, tenant as u32));
         for ((tenant, probe), m) in (0..).zip(tenants).zip(&fleet.tenants) {
-            let cfg = tenant_cfg.clone();
-            let money = (m.total_reward, m.total_cost);
-            runs.push(Run { cfg, tenant, store: probe.store, live: probe.live.finish(), money });
+            let (cfg, live, metrics) = (tenant_cfg.clone(), probe.live.finish(), m.clone());
+            runs.push(Run { cfg, tenant, store: probe.store, live, metrics });
         }
 
         let registries = [sessions.expect("the matrix has sessions"), fleet.registry()];
@@ -527,11 +529,168 @@ fn matrix_state_digests_are_pinned() {
             for (_, at, event) in run.store.replay() {
                 digest.on_event(at, &event);
             }
-            digest.finish(run.money.0, run.money.1)
+            digest.finish(run.metrics.total_reward, run.metrics.total_cost)
         })
         .collect();
     println!("matrix state digests: {digests:#018x?}");
     assert_eq!(digests, MATRIX_STATE_DIGESTS);
+}
+
+/// Every [`SessionMetrics`] field's bits, in declaration order. The
+/// destructuring is exhaustive, so a new field stops this compiling
+/// until it is pinned too.
+fn metric_bits(m: &SessionMetrics) -> [u64; 18] {
+    let SessionMetrics {
+        jobs_submitted,
+        jobs_deferred,
+        jobs_completed,
+        jobs_slo_violated,
+        total_reward,
+        total_cost,
+        profit_per_run,
+        reward_to_cost,
+        mean_latency,
+        p95_latency,
+        public_core_tu_share,
+        worker_utilisation,
+        mean_queue_len,
+        peak_queue_len,
+        mean_core_stages,
+        vms_hired,
+        reshapes,
+        events,
+    } = *m;
+    [
+        jobs_submitted,
+        jobs_deferred,
+        jobs_completed,
+        jobs_slo_violated,
+        total_reward.to_bits(),
+        total_cost.to_bits(),
+        profit_per_run.to_bits(),
+        reward_to_cost.to_bits(),
+        mean_latency.to_bits(),
+        p95_latency.to_bits(),
+        public_core_tu_share.to_bits(),
+        worker_utilisation.to_bits(),
+        mean_queue_len.to_bits(),
+        peak_queue_len as u64,
+        mean_core_stages.to_bits(),
+        vms_hired,
+        reshapes,
+        events,
+    ]
+}
+
+/// FNV-1a over [`metric_bits`] of every matrix run, in run order.
+const MATRIX_METRICS_DIGEST: u64 = 0xc6ef_3ca9_e5cf_6db2;
+
+/// The golden metrics of `platform::tests` pin six fields of one
+/// session; this pins every field of every matrix run, so a change in
+/// how the platform counts cannot move a figure no golden names.
+#[test]
+fn every_session_metric_is_pinned() {
+    let mut digest = StateDigest::new();
+    for run in &matrix().runs {
+        for bits in metric_bits(&run.metrics) {
+            digest.mix(&bits.to_le_bytes());
+        }
+    }
+    println!("matrix metrics digest: {:#018x}", digest.hash);
+    assert_eq!(digest.hash, MATRIX_METRICS_DIGEST);
+}
+
+/// The count and sum facts of one run's event stream, each sum folded
+/// in emission order.
+#[derive(Default)]
+struct StreamLedger {
+    submitted: u64,
+    deferred: u64,
+    completed: u64,
+    slo_violated: u64,
+    reward: f64,
+    busy_core_tu: f64,
+    vms_hired: u64,
+    reshapes: u64,
+    cost: f64,
+    core_tu: f64,
+    public_core_tu: f64,
+    events: u64,
+}
+
+impl StreamLedger {
+    fn fold(store: &TraceStore) -> StreamLedger {
+        let mut s = StreamLedger::default();
+        for (_, _, event) in store.replay() {
+            match event {
+                TraceEvent::JobArrived { .. } => s.submitted += 1,
+                TraceEvent::AdmissionDeferred { jobs, .. } => s.deferred += u64::from(jobs),
+                TraceEvent::JobCompleted { reward, .. } => {
+                    s.completed += 1;
+                    s.reward += reward;
+                }
+                TraceEvent::SloViolation { .. } => s.slo_violated += 1,
+                TraceEvent::SubtaskDispatched { cores, busy_tu, .. } => {
+                    s.busy_core_tu += f64::from(cores) * busy_tu;
+                }
+                TraceEvent::VmHired { .. } => s.vms_hired += 1,
+                TraceEvent::VmReshaped { .. } => s.reshapes += 1,
+                TraceEvent::TierSettled { tier, cost, core_tu } => {
+                    s.cost += cost;
+                    s.core_tu += core_tu;
+                    if tier != 0 {
+                        s.public_core_tu += core_tu;
+                    }
+                }
+                TraceEvent::RunEnded { events_dispatched } => s.events = events_dispatched,
+                _ => {}
+            }
+        }
+        s
+    }
+}
+
+/// The platform counts its session metrics where each fact happens and
+/// reads cost and core·TU from its provider; the stream narrates the
+/// same facts. Folded from each run's store, the stream must give every
+/// count of its [`SessionMetrics`] exactly and every sum bit for bit,
+/// across the matrix's reshapes, SLO misses and fleet deferrals.
+#[test]
+fn session_metrics_match_the_event_stream() {
+    let mut exercised = [0; 3];
+    for (i, run) in matrix().runs.iter().enumerate() {
+        let (m, s) = (&run.metrics, StreamLedger::fold(&run.store));
+        assert_eq!(
+            [
+                m.jobs_submitted,
+                m.jobs_deferred,
+                m.jobs_completed,
+                m.jobs_slo_violated,
+                m.vms_hired,
+                m.reshapes,
+                m.events,
+            ],
+            [
+                s.submitted,
+                s.deferred,
+                s.completed,
+                s.slo_violated,
+                s.vms_hired,
+                s.reshapes,
+                s.events
+            ],
+            "run {i}: counts"
+        );
+        assert!(s.core_tu > 0.0, "run {i} hired nothing");
+        let sums = [m.total_reward, m.total_cost, m.public_core_tu_share, m.worker_utilisation];
+        let folded =
+            [s.reward, s.cost, s.public_core_tu / s.core_tu, (s.busy_core_tu / s.core_tu).min(1.0)];
+        assert_eq!(sums.map(f64::to_bits), folded.map(f64::to_bits), "run {i}: sums");
+        for (n, k) in exercised.iter_mut().zip([s.reshapes, s.slo_violated, s.deferred]) {
+            *n += k;
+        }
+    }
+    assert!(exercised.iter().all(|&n| n > 0), "reshapes, SLO misses, deferrals: {exercised:?}");
 }
 
 /// A fleet of `tenants` × 4 jobs on the benchmark's fleet cell at seed 1
