@@ -167,8 +167,8 @@ impl FleetMetrics {
     }
 }
 
-/// Runs one fleet repetition to completion. No observer is attached
-/// beside each tenant's metrics aggregator.
+/// Runs one fleet repetition to completion. No observer is attached, so
+/// no tenant has a trace sink.
 pub fn run_fleet(cfg: &FleetConfig, repetition: u64) -> FleetMetrics {
     run_fleet_observed(cfg, repetition, None::<&fn(u64) -> NullObserver>).0
 }

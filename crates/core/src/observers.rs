@@ -1,5 +1,6 @@
-//! Domain-level trace observers beyond the session's own
-//! [`MetricsAggregator`](crate::platform::MetricsAggregator).
+//! Domain-level trace observers: folds of a session's event stream into
+//! statistics its [`SessionMetrics`](crate::metrics::SessionMetrics) do
+//! not report.
 //!
 //! The workhorse here is [`DecisionStats`]: a counting/summary observer
 //! that folds a session's [`TraceEvent`] stream into the per-cell
@@ -365,17 +366,21 @@ mod tests {
         assert!(!out.contains('\n'));
     }
 
-    /// The summary observer's fold must agree with [`MetricsAggregator`]
-    /// wherever the two overlap, on a real session's event stream.
+    /// The summary observer's fold of a real session's event stream must
+    /// agree with the session's own metrics wherever the two overlap.
     #[test]
-    fn fold_matches_metrics_aggregator_on_a_live_stream() {
+    fn fold_matches_session_metrics_on_a_live_stream() {
         let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 0.9), 11);
         cfg.fixed.sim_time_tu = 200.0;
         let (metrics, stats) = run_session_with(&cfg, 0, DecisionStats::new());
         assert!(metrics.jobs_completed > 0, "session must do real work");
         assert_eq!(stats.vms_hired(), metrics.vms_hired);
         assert_eq!(stats.peak_depth() as usize, metrics.peak_queue_len);
-        assert_eq!(stats.total_cost(), metrics.total_cost, "same TierSettled stream, same sum");
+        assert_eq!(
+            stats.total_cost(),
+            metrics.total_cost,
+            "the tiers settle in one order, so the sums agree"
+        );
         assert!(stats.total_decisions() > 0, "a loaded session takes scaling decisions");
         assert!(stats.depth_samples() > 0, "dispatch passes sample queue depth");
     }

@@ -1,30 +1,80 @@
 //! The reward/cost ledger: job completion, end-of-run settlement, and the
-//! trace-consuming [`MetricsAggregator`] that turns the session's event
-//! stream into [`SessionMetrics`].
+//! session's [`SessionMetrics`]. The platform counts each fact where it
+//! happens (the site that also narrates it) and reads cost, core·TU and
+//! hires from its provider at the end; observers only ever see the
+//! narration.
 
 use super::events::JobRun;
 use super::Platform;
 use crate::metrics::SessionMetrics;
 use scan_sim::stats::{Histogram, OnlineStats, TimeWeighted};
-use scan_sim::{Observer, SimTime, TraceEvent};
+use scan_sim::{SimTime, TraceEvent};
+
+/// What the platform counts of its session; the provider holds the rest
+/// of [`SessionMetrics`].
+pub(super) struct Ledger {
+    /// Jobs admitted (`job_arrived`).
+    pub(super) submitted: u64,
+    /// Jobs the fair-share gate deferred (`admission_deferred`).
+    pub(super) deferred: u64,
+    /// Jobs completed; the learned-epoch scoring reads it too.
+    pub(super) completed: u64,
+    slo_violated: u64,
+    /// Reward earned, summed in completion order; the learned-epoch
+    /// scoring reads it too.
+    pub(super) total_reward: f64,
+    latency_stats: OnlineStats,
+    latency_hist: Histogram,
+    core_stage_stats: OnlineStats,
+    /// The total queue length, set at every `queue_depth` sample.
+    pub(super) queue_len: TimeWeighted,
+    /// Σ cores × busy time of every dispatched subtask.
+    pub(super) busy_core_tu: f64,
+    /// Reshapes the provider accepted.
+    pub(super) reshapes: u64,
+}
+
+impl Ledger {
+    pub(super) fn new() -> Ledger {
+        Ledger {
+            submitted: 0,
+            deferred: 0,
+            completed: 0,
+            slo_violated: 0,
+            total_reward: 0.0,
+            latency_stats: OnlineStats::new(),
+            latency_hist: Histogram::new(0.0, 400.0, 800),
+            core_stage_stats: OnlineStats::new(),
+            queue_len: TimeWeighted::new(0.0),
+            busy_core_tu: 0.0,
+            reshapes: 0,
+        }
+    }
+}
 
 impl Platform {
     pub(super) fn complete(&mut self, run: JobRun, now: SimTime) {
         let latency = run.job.latency(now);
         let reward = self.reward.reward(run.job.size_units, latency);
-        self.total_reward += reward;
-        self.completed += 1;
+        let core_stages = run.plan.total_core_stages() as f64;
+        let ledger = &mut self.ledger;
+        ledger.completed += 1;
+        ledger.total_reward += reward;
+        ledger.latency_stats.push(latency);
+        ledger.latency_hist.record(latency);
+        ledger.core_stage_stats.push(core_stages);
         self.tracer.emit(
             now,
             TraceEvent::JobCompleted {
                 job: run.job.id.0 as u64,
                 latency_tu: latency,
                 reward,
-                core_stages: run.plan.total_core_stages() as f64,
+                core_stages,
             },
         );
         if let Some(target) = self.cfg.slo_target_tu {
             if latency > target {
+                self.ledger.slo_violated += 1;
                 self.tracer.emit(
                     now,
                     TraceEvent::SloViolation {
@@ -37,156 +87,50 @@ impl Platform {
         }
     }
 
-    /// Settles billing, closes the trace stream, and reads the session's
-    /// metrics out of the aggregator.
+    /// Settles billing, closes the trace stream, and closes the ledger
+    /// into the session's metrics.
     pub(crate) fn finish(self, ended_at: SimTime, events: u64) -> SessionMetrics {
+        // Summed private tier first, then public: the order the
+        // `tier_settled` events narrate them in.
+        let (mut total_cost, mut total_core_tu, mut public_core_tu) = (0.0, 0.0, 0.0);
         for tier in [self.private_tier, self.public_tier] {
-            self.tracer.emit(
-                ended_at,
-                TraceEvent::TierSettled {
-                    tier: tier.0 as u32,
-                    cost: self.provider.cost_on_tier(tier, ended_at),
-                    core_tu: self.provider.core_tu_on_tier(tier, ended_at),
-                },
-            );
+            let cost = self.provider.cost_on_tier(tier, ended_at);
+            let core_tu = self.provider.core_tu_on_tier(tier, ended_at);
+            total_cost += cost;
+            total_core_tu += core_tu;
+            if tier != self.private_tier {
+                public_core_tu += core_tu;
+            }
+            self.tracer
+                .emit(ended_at, TraceEvent::TierSettled { tier: tier.0 as u32, cost, core_tu });
         }
         self.tracer.emit(ended_at, TraceEvent::RunEnded { events_dispatched: events });
-        let metrics = self.aggregator.borrow().finalize();
-        metrics
-    }
-}
 
-/// Builds [`SessionMetrics`] from the trace stream alone: the platform
-/// emits, this observer counts. Every session owns one (attached before
-/// any other observer), and [`MetricsAggregator::finalize`] is read after
-/// [`TraceEvent::RunEnded`] arrives.
-#[derive(Debug)]
-pub struct MetricsAggregator {
-    submitted: u64,
-    deferred: u64,
-    completed: u64,
-    slo_violated: u64,
-    total_reward: f64,
-    latency_stats: OnlineStats,
-    latency_hist: Histogram,
-    core_stage_stats: OnlineStats,
-    queue_len_tw: TimeWeighted,
-    busy_core_tu: f64,
-    vms_hired: u64,
-    reshapes: u64,
-    total_cost: f64,
-    total_core_tu: f64,
-    public_core_tu: f64,
-    ended_at: SimTime,
-    events: u64,
-}
-
-impl Default for MetricsAggregator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsAggregator {
-    /// An empty aggregator, ready to observe one session.
-    pub fn new() -> Self {
-        MetricsAggregator {
-            submitted: 0,
-            deferred: 0,
-            completed: 0,
-            slo_violated: 0,
-            total_reward: 0.0,
-            latency_stats: OnlineStats::new(),
-            latency_hist: Histogram::new(0.0, 400.0, 800),
-            core_stage_stats: OnlineStats::new(),
-            queue_len_tw: TimeWeighted::new(0.0),
-            busy_core_tu: 0.0,
-            vms_hired: 0,
-            reshapes: 0,
-            total_cost: 0.0,
-            total_core_tu: 0.0,
-            public_core_tu: 0.0,
-            ended_at: SimTime::ZERO,
-            events: 0,
-        }
-    }
-
-    /// The assembled session metrics. Valid once the run has ended (the
-    /// settlement and run-end events carry the final cost figures).
-    pub fn finalize(&self) -> SessionMetrics {
-        let profit_per_run = if self.completed == 0 {
-            0.0
-        } else {
-            (self.total_reward - self.total_cost) / self.completed as f64
-        };
+        let l = &self.ledger;
+        let share = |part: f64| if total_core_tu > 0.0 { part / total_core_tu } else { 0.0 };
         SessionMetrics {
-            jobs_submitted: self.submitted,
-            jobs_deferred: self.deferred,
-            jobs_completed: self.completed,
-            jobs_slo_violated: self.slo_violated,
-            total_reward: self.total_reward,
-            total_cost: self.total_cost,
-            profit_per_run,
-            reward_to_cost: if self.total_cost > 0.0 {
-                self.total_reward / self.total_cost
-            } else {
+            jobs_submitted: l.submitted,
+            jobs_deferred: l.deferred,
+            jobs_completed: l.completed,
+            jobs_slo_violated: l.slo_violated,
+            total_reward: l.total_reward,
+            total_cost,
+            profit_per_run: if l.completed == 0 {
                 0.0
-            },
-            mean_latency: self.latency_stats.mean(),
-            p95_latency: self.latency_hist.quantile(0.95),
-            public_core_tu_share: if self.total_core_tu > 0.0 {
-                self.public_core_tu / self.total_core_tu
             } else {
-                0.0
+                (l.total_reward - total_cost) / l.completed as f64
             },
-            worker_utilisation: if self.total_core_tu > 0.0 {
-                (self.busy_core_tu / self.total_core_tu).min(1.0)
-            } else {
-                0.0
-            },
-            mean_queue_len: self.queue_len_tw.average_until(self.ended_at),
-            peak_queue_len: self.queue_len_tw.peak() as usize,
-            mean_core_stages: self.core_stage_stats.mean(),
-            vms_hired: self.vms_hired,
-            reshapes: self.reshapes,
-            events: self.events,
-        }
-    }
-}
-
-impl Observer for MetricsAggregator {
-    fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
-        match *event {
-            TraceEvent::JobArrived { .. } => self.submitted += 1,
-            TraceEvent::AdmissionDeferred { jobs, .. } => self.deferred += jobs as u64,
-            TraceEvent::JobCompleted { latency_tu, reward, core_stages, .. } => {
-                self.completed += 1;
-                self.total_reward += reward;
-                self.latency_stats.push(latency_tu);
-                self.latency_hist.record(latency_tu);
-                self.core_stage_stats.push(core_stages);
-            }
-            TraceEvent::SloViolation { .. } => self.slo_violated += 1,
-            TraceEvent::SubtaskDispatched { cores, busy_tu, .. } => {
-                self.busy_core_tu += cores as f64 * busy_tu;
-            }
-            TraceEvent::VmHired { .. } => self.vms_hired += 1,
-            TraceEvent::VmReshaped { .. } => self.reshapes += 1,
-            TraceEvent::QueueDepthSampled { depth } => {
-                self.queue_len_tw.set(at, depth as f64);
-            }
-            TraceEvent::TierSettled { tier, cost, core_tu } => {
-                self.total_cost += cost;
-                self.total_core_tu += core_tu;
-                if tier != 0 {
-                    self.public_core_tu += core_tu;
-                }
-            }
-            TraceEvent::RunEnded { events_dispatched } => {
-                self.ended_at = at;
-                self.events = events_dispatched;
-            }
-            _ => {}
+            reward_to_cost: if total_cost > 0.0 { l.total_reward / total_cost } else { 0.0 },
+            mean_latency: l.latency_stats.mean(),
+            p95_latency: l.latency_hist.quantile(0.95),
+            public_core_tu_share: share(public_core_tu),
+            worker_utilisation: share(l.busy_core_tu).min(1.0),
+            mean_queue_len: l.queue_len.average_until(ended_at),
+            peak_queue_len: l.queue_len.peak() as usize,
+            mean_core_stages: l.core_stage_stats.mean(),
+            vms_hired: self.provider.hired_total(),
+            reshapes: l.reshapes,
+            events,
         }
     }
 }

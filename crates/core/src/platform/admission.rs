@@ -46,6 +46,7 @@ impl Platform {
         }
         self.arrival_batch = batch;
         if deferred > 0 {
+            self.ledger.deferred += u64::from(deferred);
             self.tracer.emit(
                 now,
                 TraceEvent::AdmissionDeferred {
@@ -105,6 +106,7 @@ impl Platform {
     }
 
     fn admit(&mut self, job: Job, now: SimTime) {
+        self.ledger.submitted += 1;
         self.tracer.emit(
             now,
             TraceEvent::JobArrived {
@@ -181,9 +183,7 @@ impl Platform {
                 cores: threads,
             },
         );
-        self.tracer.emit_with(now, || TraceEvent::QueueDepthSampled {
-            depth: self.queues.total_len() as u32,
-        });
+        self.sample_queue_depth(now);
     }
 
     pub(super) fn on_replan(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
@@ -200,14 +200,14 @@ impl Platform {
         if let Some(planner) = &mut self.learned {
             let cost_now = self.provider.total_cost(now);
             let (r0, c0, n0) = self.epoch_start;
-            let completed = self.completed - n0;
+            let completed = self.ledger.completed - n0;
             if let Some(arm) = self.learned_arm {
                 if completed > 0 {
-                    let profit = (self.total_reward - r0) - (cost_now - c0);
+                    let profit = (self.ledger.total_reward - r0) - (cost_now - c0);
                     planner.update(arm, profit / completed as f64);
                 }
             }
-            self.epoch_start = (self.total_reward, cost_now, self.completed);
+            self.epoch_start = (self.ledger.total_reward, cost_now, self.ledger.completed);
             let (idx, _) = planner.select(&mut self.learned_rng);
             self.learned_arm = Some(idx);
         }

@@ -76,9 +76,14 @@ impl Platform {
             }
         }
         self.parked = parked;
-        self.tracer.emit_with(now, || TraceEvent::QueueDepthSampled {
-            depth: self.queues.total_len() as u32,
-        });
+        self.sample_queue_depth(now);
+    }
+
+    /// Records the total queue length at `now` and narrates it.
+    pub(super) fn sample_queue_depth(&mut self, now: SimTime) {
+        let depth = self.queues.total_len();
+        self.ledger.queue_len.set(now, depth as f64);
+        self.tracer.emit(now, TraceEvent::QueueDepthSampled { depth: depth as u32 });
     }
 
     pub(super) fn on_subtask_done(
@@ -166,6 +171,7 @@ impl Platform {
         vm.start_task(now);
         let done_at = now + duration;
         self.busy.insert(vm_id, done_at, class.cores);
+        self.ledger.busy_core_tu += class.cores as f64 * duration.as_tu();
         self.tracer.emit(
             now,
             TraceEvent::SubtaskDispatched {

@@ -94,6 +94,7 @@ impl Platform {
                 let old_cores = self.provider.vm(vm_id).expect("candidate is live").size.cores();
                 match self.provider.reshape(vm_id, size, now) {
                     Ok(ready_at) => {
+                        self.ledger.reshapes += 1;
                         // The VM is booting again — pull it out of the
                         // idle pool so nothing assigns to it meanwhile.
                         let removed = self.idle.remove(old_cores, vm_id);

@@ -38,12 +38,13 @@
 //! its tenant's `TenantCal`, which tags whatever it schedules.
 //!
 //! Every step is narrated to the sim-trace layer as
-//! [`TraceEvent`](scan_sim::TraceEvent)s, and the session's
-//! [`SessionMetrics`] are *produced from that stream* by
-//! the [`MetricsAggregator`] observer (`accounting`) — the platform
-//! itself keeps no metric counters beyond what its policies need. Extra
-//! observers (ring buffers, JSONL writers) attach through
-//! [`Platform::add_observer`].
+//! [`TraceEvent`](scan_sim::TraceEvent)s for whatever observers (ring
+//! buffers, JSONL writers, stores) the caller attaches through
+//! [`Platform::add_observer`]; a session nobody observes has no sink, so
+//! narrating costs it one branch per event. The session's
+//! [`SessionMetrics`] do not depend on the narration: the platform counts
+//! each fact at the site that narrates it and reads cost, core·TU and
+//! hires from its provider (`accounting`).
 
 mod accounting;
 mod admission;
@@ -57,12 +58,12 @@ mod state;
 #[cfg(test)]
 mod tests;
 
-pub use accounting::MetricsAggregator;
 pub use events::Event;
 
 use crate::broker::DataBroker;
 use crate::config::{ScanConfig, EQT_ALPHA, REPLAN_PERIOD_TU};
 use crate::metrics::SessionMetrics;
+use accounting::Ledger;
 use events::{JobRun, TenantCal};
 use hiring::WaitMemos;
 use scan_cloud::provider::CloudProvider;
@@ -86,8 +87,6 @@ use state::{
     AdmissionBacklog, BootingCounts, BusyTable, ClassCounts, IdlePools, Reservations,
     StandingTargets,
 };
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// How a platform participates in a multi-tenant fleet: its identity,
@@ -185,12 +184,11 @@ pub struct Platform {
     observed_size: f64,
     last_arrival_at: SimTime,
     adaptive_ingest_counter: u64,
-    // --- learned-epoch scoring (the only metrics the platform keeps) ---
-    total_reward: f64,
-    completed: u64,
-    // --- observability ---
+    /// The session's own counts, kept where each fact happens; the
+    /// learned-epoch scoring reads its reward and completions.
+    ledger: Ledger,
+    /// The caller's observers; empty unless some were attached.
     tracer: Tracer,
-    aggregator: Rc<RefCell<MetricsAggregator>>,
     /// Scratch for the naive Eq. 1 queue view. Since the queues' cached
     /// terms took over pricing, the full-walk fill only runs as the
     /// debug-build oracle cross-checking them (DESIGN §7c); it still
@@ -265,12 +263,6 @@ impl Platform {
         let observed_rate = cfg.arrival_config().mean_job_rate();
         let observed_size = MEAN_JOB_SIZE;
 
-        // The session's metrics are an observer like any other; it is
-        // attached first so it sees every event of the run.
-        let aggregator = Rc::new(RefCell::new(MetricsAggregator::new()));
-        let mut tracer = Tracer::disabled();
-        tracer.attach(aggregator.clone());
-
         Platform {
             reward,
             true_model,
@@ -308,10 +300,8 @@ impl Platform {
             observed_size,
             last_arrival_at: SimTime::ZERO,
             adaptive_ingest_counter: 0,
-            total_reward: 0.0,
-            completed: 0,
-            tracer,
-            aggregator,
+            ledger: Ledger::new(),
+            tracer: Tracer::disabled(),
             scaling_scratch: Vec::new(),
             cfg,
         }

@@ -8,6 +8,8 @@ use scan_cloud::vm::VmId;
 use scan_sched::scaling::ScalingPolicy;
 use scan_sim::{JsonlWriter, NullObserver, Observer, RingBuffer, TraceEvent};
 use scan_workload::job::JobId;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn short_config(scaling: ScalingPolicy, interval: f64) -> ScanConfig {
     let mut cfg = ScanConfig::new(VariableParams::fig4(scaling, interval), 99);
@@ -183,7 +185,7 @@ fn utilisation_and_shares_are_fractions() {
 // Trace / observer layer
 // ----------------------------------------------------------------------
 
-/// Counts events by kind, for cross-checking against the aggregator.
+/// Counts events by kind, for cross-checking against the session metrics.
 #[derive(Default)]
 struct KindCounts {
     arrived: u64,
@@ -300,6 +302,16 @@ fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
     assert_eq!(choice, ScalingChoice::HirePublic);
 }
 
+/// A session nobody observes has no sink, so every `emit` returns at
+/// its empty-tracer branch.
+#[test]
+fn an_unobserved_session_has_no_sinks() {
+    let p = Platform::new(short_config(ScalingPolicy::Predictive, 2.5), 0);
+    assert!(!p.tracer.is_enabled());
+}
+
+/// The run with no sink at all and the observed run report the same
+/// session: narrating to observers never feeds back into it.
 #[test]
 fn extra_observers_do_not_change_the_session() {
     let base = run(short_config(ScalingPolicy::Predictive, 2.5));
@@ -332,7 +344,7 @@ fn jsonl_observer_streams_a_full_session() {
 // Determinism regression
 // ----------------------------------------------------------------------
 
-/// Golden fixed-seed run: the trace-aggregator metrics must stay
+/// Golden fixed-seed run: the session metrics must stay
 /// bit-identical across refactors. Regenerate by running this test with
 /// `--nocapture` on a mismatch and copying the printed values.
 #[test]

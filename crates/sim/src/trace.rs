@@ -7,11 +7,9 @@
 //! 1. **Cheap when disabled.** [`Tracer::emit`] returns immediately
 //!    when no sink is attached, and the [`Tracer::emit_with`] form defers
 //!    even the event *construction* behind that check. A platform
-//!    session never takes that branch: the platform attaches its own
-//!    metrics aggregator to every session's tracer and hands the
-//!    provider a clone, so on the simulation path every event is built
-//!    and delivered to at least that one observer. Only a bare
-//!    [`Tracer::disabled`] outside a session pays nothing.
+//!    session attaches nothing of its own (it counts its metrics where
+//!    the facts happen), so every session nobody observes takes that
+//!    branch on every event, in the platform and in its provider alike.
 //! 2. **Primitive payloads.** This crate sits below the domain crates, so
 //!    [`TraceEvent`] carries raw `u64`/`u32`/`f64` fields (job numbers,
 //!    VM numbers, tier indices) rather than domain newtypes. Everything
@@ -24,8 +22,8 @@
 //! Three general-purpose observers live here: [`NullObserver`] (measures
 //! the observer-dispatch floor), [`RingBuffer`] (keeps the last N events
 //! for post-mortems), and [`JsonlWriter`] (streams events as JSON lines).
-//! Domain-aware aggregators (e.g. the platform's session-metrics builder)
-//! implement [`Observer`] in their own crates.
+//! Domain-aware observers (e.g. the platform's decision statistics and
+//! metrics registry) implement [`Observer`] in their own crates.
 //!
 //! # Parallel sessions: builders and [`Merge`]
 //!

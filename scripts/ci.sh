@@ -116,6 +116,9 @@ echo "==> state digests (every hire, release and completion pinned per run)"
 run_one --test doc_contracts matrix_state_digests_are_pinned
 run_one --test doc_contracts fleet_100_state_digest_is_pinned
 run_one --test doc_contracts fleet_contended_state_digest_is_pinned
+run_one --test doc_contracts every_session_metric_is_pinned
+run_one --test doc_contracts session_metrics_match_the_event_stream
+run_one -p scan-platform platform::tests::golden_fixed_seed_metrics
 
 echo "==> tenant-setup equivalence (the priced plan table and the one-scan fit match the per-call search and the per-stage fit)"
 run_one -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search

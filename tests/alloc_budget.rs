@@ -8,21 +8,21 @@
 //!
 //! * The perfbench `session` cell (fig4 predictive at 2.0 TU,
 //!   `BestConstant`, benchmark seed 1) allocates fewer than 500 times
-//!   over 2,000 TU (it measures 165 in debug and 163 in release builds),
+//!   over 2,000 TU (it measures 163 in debug and 161 in release builds),
 //!   and an extra admitted job costs fewer than 0.25
 //!   allocations: nothing on the per-job path touches the heap.
 //! * Building a fleet tenant's `Platform` (knowledge-base bootstrap
 //!   included) averages at most 32 allocations and 56 KiB (it measures
-//!   20 and 35.1 KiB: one profile trace, one scan-and-fit of its log).
-//! * A built tenant keeps at most 8 KiB of heap (it measures 1.1 KiB;
+//!   18 and 34.7 KiB: one profile trace, one scan-and-fit of its log).
+//! * A built tenant keeps at most 8 KiB of heap (it measures 0.7 KiB;
 //!   36.2 KiB with the log kept and all 800 histogram bins made up
 //!   front): a tenant whose policy
 //!   never re-fits drops its profile log after the bootstrap fit, and
-//!   the metrics aggregator's latency histogram holds only the bins it
-//!   has filled.
+//!   the session ledger's latency histogram holds only the bins it has
+//!   filled.
 //! * The session cell's peak live heap does not grow with its horizon:
 //!   at 4,000 TU it is at most 256 KiB above the 1,000 TU peak (it
-//!   measures 117.6 against 116.4 KiB; 8,165 against 2,116 KiB when
+//!   measures 116.0 against 114.9 KiB; 8,165 against 2,116 KiB when
 //!   every hire and admission took a new slot for good), because
 //!   VM and job records reuse the slots of released VMs and completed
 //!   jobs.
