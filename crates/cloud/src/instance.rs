@@ -11,11 +11,13 @@ pub struct InstanceSize(u32);
 
 impl InstanceSize {
     /// Wraps a core count if it is in the catalogue.
+    #[inline]
     pub fn new(cores: u32) -> Option<Self> {
         INSTANCE_SIZES.contains(&cores).then_some(InstanceSize(cores))
     }
 
     /// Core count.
+    #[inline]
     pub fn cores(self) -> u32 {
         self.0
     }

@@ -122,6 +122,7 @@ impl CloudProvider {
     }
 
     /// The shared pool this provider draws from, if any.
+    #[inline]
     pub fn shared(&self) -> Option<&SharedLease> {
         self.lease.as_ref().map(|(l, _)| l)
     }
@@ -133,11 +134,13 @@ impl CloudProvider {
     }
 
     /// The tier catalogue.
+    #[inline]
     pub fn catalog(&self) -> &TierCatalog {
         &self.catalog
     }
 
     /// Cores currently allocated on a tier.
+    #[inline]
     pub fn cores_in_use(&self, tier: TierId) -> u32 {
         self.cores_in_use[tier.0]
     }
@@ -146,6 +149,7 @@ impl CloudProvider {
     /// shared lease a bounded tier is additionally capped by what is left
     /// in the shared pool, so the answer already reflects other tenants'
     /// reservations.
+    #[inline]
     pub fn free_cores(&self, tier: TierId) -> u32 {
         match self.catalog.get(tier).capacity_cores {
             Some(cap) => {
@@ -160,6 +164,7 @@ impl CloudProvider {
     }
 
     /// Whether a hire of `size` could succeed on `tier` right now.
+    #[inline]
     pub fn has_capacity(&self, tier: TierId, size: InstanceSize) -> bool {
         self.free_cores(tier) >= size.cores()
     }
@@ -182,6 +187,7 @@ impl CloudProvider {
     }
 
     /// Hires on a specific tier.
+    #[inline]
     pub fn hire_on(
         &mut self,
         tier: TierId,
@@ -239,6 +245,7 @@ impl CloudProvider {
     ///
     /// # Panics
     /// Panics on an unknown or released key, or a busy VM.
+    #[inline]
     pub fn release(&mut self, key: VmKey, now: SimTime) {
         self.vm_mut(key).expect("release of unknown VM").release(now);
         self.settle(key.slot, now);
@@ -282,6 +289,7 @@ impl CloudProvider {
 
     /// Moves what the VM in `slot` accrued at its current size into the
     /// settled totals and restarts its accrual at `now`.
+    // scan-lint: allow(hot-inline) -- runs once per release, and billing the hire outweighs the call
     fn settle(&mut self, slot: u32, now: SimTime) {
         let hired = self.vms.get(slot).expect("settling a live VM");
         let (cost, core_tu) = self.accrued(hired, now);
@@ -300,6 +308,7 @@ impl CloudProvider {
     /// the span up to `now` is settled at the old size, the span after it
     /// bills at the new one. Returns the ready time, or `Err` if the tier
     /// cannot absorb a size increase.
+    // scan-lint: allow(hot-inline) -- runs once per reshape, and its tier and VM bookkeeping outweighs the call
     pub fn reshape(
         &mut self,
         key: VmKey,
@@ -380,6 +389,7 @@ impl CloudProvider {
     }
 
     /// Number of live VMs of `size`, on any tier and in any state.
+    #[inline]
     pub fn live_of_size(&self, size: InstanceSize) -> usize {
         self.live_by_size[size_slot(size)] as usize
     }
@@ -389,6 +399,7 @@ impl CloudProvider {
     /// … maps the number of machines currently active and their
     /// configuration to the cost per unit time of keeping them running",
     /// integrated over time.
+    // scan-lint: allow(hot-inline) -- runs once per replan tick, and it sums every hire
     pub fn total_cost(&self, now: SimTime) -> f64 {
         let live: f64 = self.hired().map(|h| self.accrued(h, now).0).sum();
         self.settled_cost + live
@@ -423,6 +434,7 @@ impl CloudProvider {
     /// The price a core on `tier` would be billed at if hired *now*:
     /// the catalogue rate, surge-adjusted for fleet contention when a
     /// shared lease is attached. Scaling policies price Eq. 1 with this.
+    #[inline]
     pub fn quoted_price(&self, tier: TierId) -> f64 {
         let base = self.catalog.get(tier).cost_per_core_tu;
         match &self.lease {
@@ -449,6 +461,7 @@ impl CloudProvider {
 
 /// `size`'s position in [`INSTANCE_SIZES`] (the sizes are the powers of
 /// two from 1 to 16).
+#[inline]
 fn size_slot(size: InstanceSize) -> usize {
     size.cores().trailing_zeros() as usize
 }

@@ -30,6 +30,7 @@ impl Default for TransferModel {
 
 impl TransferModel {
     /// Time to stage `size_gb` to or from a worker.
+    #[inline]
     pub fn transfer_time(&self, size_gb: f64) -> SimDuration {
         assert!(size_gb >= 0.0);
         SimDuration::new(self.latency_tu + size_gb / self.bandwidth_gb_per_tu)

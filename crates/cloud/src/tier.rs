@@ -104,6 +104,7 @@ impl TierCatalog {
     }
 
     /// The tier with the given id.
+    #[inline]
     pub fn get(&self, id: TierId) -> &Tier {
         &self.tiers[id.0]
     }

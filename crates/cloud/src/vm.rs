@@ -14,6 +14,7 @@ use scan_sim::{SimDuration, SimTime};
 pub const BOOT_PENALTY_TU: f64 = 0.5;
 
 /// The boot/reshape penalty as a duration.
+#[inline]
 pub fn boot_penalty() -> SimDuration {
     SimDuration::new(BOOT_PENALTY_TU)
 }
@@ -91,6 +92,7 @@ pub struct Vm {
 impl Vm {
     /// Creates a VM in `Booting` state; it becomes ready after the boot
     /// penalty.
+    #[inline]
     pub fn hire(id: VmId, tier: TierId, size: InstanceSize, now: SimTime) -> Vm {
         Vm {
             id,
@@ -128,6 +130,7 @@ impl Vm {
     ///
     /// # Panics
     /// Panics unless the VM was booting and `now` has reached `ready_at`.
+    #[inline]
     pub fn finish_boot(&mut self, now: SimTime) {
         match self.state {
             VmState::Booting { ready_at } => {
@@ -143,6 +146,7 @@ impl Vm {
     ///
     /// # Panics
     /// Panics unless the VM is idle.
+    #[inline]
     pub fn start_task(&mut self, now: SimTime) {
         assert!(self.is_idle(), "start_task on a non-idle VM ({:?})", self.state);
         self.state = VmState::Busy;
@@ -153,6 +157,7 @@ impl Vm {
     ///
     /// # Panics
     /// Panics unless the VM is busy.
+    #[inline]
     pub fn finish_task(&mut self, now: SimTime) {
         assert!(self.is_busy(), "finish_task on a non-busy VM ({:?})", self.state);
         let since = self.busy_since.take().expect("busy VM has busy_since");
@@ -179,6 +184,7 @@ impl Vm {
     /// # Panics
     /// Panics if the VM is busy (running tasks must finish first) or
     /// already stopped.
+    #[inline]
     pub fn release(&mut self, now: SimTime) {
         assert!(
             !self.is_busy() && !self.is_stopped(),
@@ -206,6 +212,7 @@ impl Vm {
     }
 
     /// Idle span since the VM last became idle (zero otherwise).
+    #[inline]
     pub fn idle_span(&self, now: SimTime) -> SimDuration {
         match self.state {
             VmState::Idle { since } => now - since,

@@ -342,6 +342,7 @@ impl Platform {
     /// sweep from what the event changed.
     fn handle_event(&mut self, now: SimTime, event: Event, sink: &mut TenantCal<'_>) {
         self.route(now, event, sink);
+        prof::scope!("rearm");
         // A sweep is the last of the tenant's events at its instant, so
         // the next one can be no earlier than the next grid instant.
         self.rearm(now, event != Event::IdleSweep, sink);
@@ -417,7 +418,12 @@ pub(crate) fn run_tenants(
     // Scratch for the tenants one event woke.
     let mut woken = Vec::new();
     let mut ended_at = SimTime::ZERO;
-    while let Some(ev) = cal.pop() {
+    loop {
+        let next = {
+            prof::scope!("calendar");
+            cal.pop()
+        };
+        let Some(ev) = next else { break };
         if ev.at > horizon {
             return (horizon, handled);
         }

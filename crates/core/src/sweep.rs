@@ -20,14 +20,16 @@
 
 use crate::config::{ScanConfig, VariableParams};
 use crate::metrics::ReplicatedMetrics;
-use crate::session::run_session_with;
+use crate::session::{run_session, run_session_with};
 use rayon::prelude::*;
 use scan_sim::{Merge, NullObserver, Observer, TenantId};
 
 /// Runs `repetitions` seeded repetitions of one configuration in parallel
-/// and aggregates mean ± σ: the one-cell case of [`sweep_grid_with`].
+/// and aggregates mean ± σ: the one-cell case of [`sweep_grid_with`],
+/// with no observer attached to any session.
 pub fn run_replicated(cfg: &ScanConfig, repetitions: u64) -> ReplicatedMetrics {
-    let mut cells = sweep_grid_with(cfg, &[cfg.variable], repetitions, &|_| NullObserver);
+    let no_sink = None::<&fn(u64) -> NullObserver>;
+    let mut cells = sweep_grid_observed(cfg, &[cfg.variable], repetitions, no_sink);
     cells.pop().expect("one cell").metrics
 }
 
@@ -55,6 +57,24 @@ pub fn sweep_grid_with<O: Observer + Merge + Send + 'static>(
     repetitions: u64,
     build: &(impl Fn(u64) -> O + Sync),
 ) -> Vec<ObservedCell<O>> {
+    sweep_grid_observed(base, cells, repetitions, Some(build))
+        .into_iter()
+        .map(|cell| ObservedCell {
+            params: cell.params,
+            metrics: cell.metrics,
+            stats: cell.stats.expect("repetitions >= 1, each with an observer"),
+        })
+        .collect()
+}
+
+/// The sweep loop: [`sweep_grid_with`] when `build` is given, and with
+/// no observer attached (and none merged) when it is `None`.
+fn sweep_grid_observed<O: Observer + Merge + Send + 'static, F: Fn(u64) -> O + Sync>(
+    base: &ScanConfig,
+    cells: &[VariableParams],
+    repetitions: u64,
+    build: Option<&F>,
+) -> Vec<ObservedCell<Option<O>>> {
     assert!(repetitions >= 1);
     // Flatten so rayon load-balances across the full space (cells differ
     // wildly in event counts: heavy-load never-scale cells are cheap,
@@ -66,7 +86,14 @@ pub fn sweep_grid_with<O: Observer + Merge + Send + 'static>(
         .map(|(cell, rep)| {
             let mut cfg = base.clone();
             cfg.variable = cell;
-            run_session_with(&cfg, rep, build(TenantId::SOLO.0.into()))
+            match build {
+                Some(build) => {
+                    let (metrics, observer) =
+                        run_session_with(&cfg, rep, build(TenantId::SOLO.0.into()));
+                    (metrics, Some(observer))
+                }
+                None => (run_session(&cfg, rep), None),
+            }
         })
         .collect();
     // `collect` preserved cell-major, repetition-minor order, so each
@@ -81,13 +108,10 @@ pub fn sweep_grid_with<O: Observer + Merge + Send + 'static>(
             ObservedCell {
                 params,
                 metrics: ReplicatedMetrics::from_sessions(sessions),
-                stats: observers
-                    .into_iter()
-                    .reduce(|mut a, b| {
-                        a.merge(b);
-                        a
-                    })
-                    .expect("repetitions >= 1"),
+                stats: observers.into_iter().flatten().reduce(|mut a, b| {
+                    a.merge(b);
+                    a
+                }),
             }
         })
         .collect()
@@ -99,7 +123,6 @@ mod tests {
     use crate::config::ScanConfig;
     use crate::metrics::SessionMetrics;
     use crate::observers::DecisionStats;
-    use crate::session::run_session;
     use scan_sched::scaling::ScalingPolicy;
     use scan_sim::{SimTime, TraceEvent};
 
@@ -122,6 +145,19 @@ mod tests {
         let par = run_replicated(&cfg, 3);
         let seq: Vec<SessionMetrics> = (0..3).map(|rep| run_session(&cfg, rep)).collect();
         assert_eq!(par.sessions, seq, "rayon must not change results");
+    }
+
+    /// A replicated run attaches no sink, and reads the same metrics, to
+    /// the bit, as the same cell swept with a `NullObserver` per session.
+    #[test]
+    fn replicated_without_a_sink_matches_the_null_observed_sweep() {
+        let cfg = base();
+        let bare = run_replicated(&cfg, 3);
+        let observed = sweep_grid_with(&cfg, &[cfg.variable], 3, &|_| NullObserver).pop().unwrap();
+        assert_eq!(bare.sessions, observed.metrics.sessions);
+        // `Debug` prints every `f64` round-trip exact, the aggregated
+        // `OnlineStats` included, so equal text is equal bits.
+        assert_eq!(format!("{bare:?}"), format!("{:?}", observed.metrics));
     }
 
     #[test]

@@ -221,6 +221,7 @@ impl KnowledgeBase {
     /// Learns models for stages `1..=n_stages`, keyed by stage index, from
     /// one scan of the log; a stage without enough observations has no
     /// entry.
+    // scan-lint: allow(hot-inline) -- runs once per replan, and the per-stage fits outweigh the call
     pub fn stage_models(
         &self,
         application: &str,

@@ -14,11 +14,12 @@
 //!    every `pub` item, no orphaned TODOs.
 //! 3. **Semantic (interprocedural)** — on top of the lexer sits an item
 //!    parser ([`parse`]), a workspace symbol table ([`model`]) and a
-//!    name-resolution-approximate call graph ([`graph`]); two passes
+//!    name-resolution-approximate call graph ([`graph`]); three passes
 //!    walk it: nondeterminism *taint* flowing from any crate into
-//!    sim-facing code, and *panic reachability* from the platform's event
-//!    loop and observer hot paths. Their diagnostics carry the full call
-//!    chain (`--explain-chain`).
+//!    sim-facing code, *panic reachability* from the platform's event
+//!    loop and observer hot paths, and *hot-inline*, the small
+//!    cross-crate callees of the event loop that lack `#[inline]`. Their
+//!    diagnostics carry the full call chain (`--explain-chain`).
 //!
 //! Findings can be silenced inline with
 //! `// scan-lint: allow(<rule>) -- <reason>`; the reason is mandatory

@@ -42,6 +42,15 @@ pub struct FnDecl {
     pub body: Option<(usize, usize)>,
     /// Whether the declaration sits inside test-only code.
     pub is_test: bool,
+    /// Whether the function is generic: it has type or const
+    /// parameters, takes an `impl Trait` argument, sits in a generic
+    /// `impl` or is a trait's default method. A generic function is
+    /// instantiated in the crate that calls it, so it inlines across
+    /// crates without an attribute.
+    pub generic: bool,
+    /// Whether an `#[inline]`, `#[inline(always)]` or `#[inline(never)]`
+    /// attribute precedes the declaration.
+    pub inline: bool,
 }
 
 /// One parsed struct declaration (field types feed receiver typing).
@@ -91,8 +100,9 @@ struct Parser<'a> {
 enum Scope {
     /// An inline `mod name { … }`.
     Module(String),
-    /// An `impl [Trait for] Type { … }`.
-    Impl { type_name: String, trait_name: Option<String> },
+    /// An `impl [Trait for] Type { … }` (or a `trait` block, which is
+    /// generic over its implementors).
+    Impl { type_name: String, trait_name: Option<String>, generic: bool },
     /// Any other brace (fn body, match, struct literal, …).
     Opaque,
 }
@@ -137,22 +147,25 @@ impl<'a> Parser<'a> {
         self.items
     }
 
-    /// The module path and innermost impl context of a scope stack.
-    fn context(&self, stack: &[Scope]) -> (Vec<String>, Option<String>, Option<String>) {
+    /// The module path and innermost impl context (type, trait, whether
+    /// the impl is generic) of a scope stack.
+    fn context(&self, stack: &[Scope]) -> (Vec<String>, Option<String>, Option<String>, bool) {
         let mut module = Vec::new();
         let mut owner = None;
         let mut trait_name = None;
+        let mut impl_generic = false;
         for scope in stack {
             match scope {
                 Scope::Module(name) => module.push(name.clone()),
-                Scope::Impl { type_name, trait_name: tn } => {
+                Scope::Impl { type_name, trait_name: tn, generic } => {
                     owner = Some(type_name.clone());
                     trait_name = tn.clone();
+                    impl_generic = *generic;
                 }
                 Scope::Opaque => {}
             }
         }
-        (module, owner, trait_name)
+        (module, owner, trait_name, impl_generic)
     }
 
     /// `fn name <generics>? ( params ) (-> Ret)? ({ body } | ;)`.
@@ -167,15 +180,19 @@ impl<'a> Parser<'a> {
         let name = self.text(fn_idx + 1).to_string();
         let line = self.code[fn_idx].line;
         let mut k = fn_idx + 2;
+        let mut generic = false;
         // Skip `<generics>` to the parameter list.
         if matches!(self.code.get(k).map(|t| t.kind), Some(TokenKind::Punct(b'<'))) {
-            k = self.skip_angles(k);
+            let close = self.skip_angles(k);
+            generic = self.has_type_params(k, close);
+            k = close;
         }
         if !matches!(self.code.get(k).map(|t| t.kind), Some(TokenKind::Punct(b'('))) {
             return fn_idx + 1;
         }
         let params_end = self.matching(k, b'(', b')');
         let params = self.parse_params(k + 1, params_end);
+        generic |= (k + 1..params_end).any(|j| self.is_ident(j, "impl"));
         k = params_end + 1;
         // Return type: `-> Type` up to `{`, `;` or a `where` clause.
         let mut ret = None;
@@ -192,7 +209,7 @@ impl<'a> Parser<'a> {
         {
             k += 1;
         }
-        let (module, owner, trait_name) = self.context(stack);
+        let (module, owner, trait_name, impl_generic) = self.context(stack);
         let has_body = matches!(self.code.get(k).map(|t| t.kind), Some(TokenKind::Punct(b'{')));
         let body = if has_body {
             let close = self.matching(k, b'{', b'}');
@@ -210,6 +227,8 @@ impl<'a> Parser<'a> {
             line,
             body,
             is_test: self.file.in_test_code(self.code[fn_idx].start),
+            generic: generic || impl_generic,
+            inline: self.has_inline_attr(fn_idx),
         });
         // Resume *at* the body brace so the main walk balances the scope
         // stack itself (and still sees nested items inside the body).
@@ -218,6 +237,43 @@ impl<'a> Parser<'a> {
         } else {
             k + 1
         }
+    }
+
+    /// Whether the `<…>` spanning `open..close` declares a type or const
+    /// parameter: `<'a>` alone is lifetimes only and instantiates nothing.
+    fn has_type_params(&self, open: usize, close: usize) -> bool {
+        (open + 1..close).any(|j| self.code[j].kind == TokenKind::Ident)
+    }
+
+    /// Whether an `#[inline…]` attribute sits among the attributes and
+    /// qualifiers (`pub(crate)`, `const`, `unsafe`, `extern "C"`) that
+    /// precede the `fn` keyword at `fn_idx`. Doc comments are not code
+    /// tokens, so they never interrupt the walk.
+    fn has_inline_attr(&self, fn_idx: usize) -> bool {
+        let mut k = fn_idx;
+        while k > 0 {
+            k -= 1;
+            match self.code[k].kind {
+                TokenKind::Ident
+                    if matches!(
+                        self.text(k),
+                        "pub" | "crate" | "super" | "in" | "const" | "unsafe" | "async" | "extern"
+                    ) => {}
+                TokenKind::Str | TokenKind::Punct(b'(') | TokenKind::Punct(b')') => {}
+                TokenKind::Punct(b']') => {
+                    let Some(open) = self.matching_back(k, b'[', b']') else { return false };
+                    if open == 0 || self.code[open - 1].kind != TokenKind::Punct(b'#') {
+                        return false;
+                    }
+                    if self.is_ident(open + 1, "inline") {
+                        return true;
+                    }
+                    k = open - 1;
+                }
+                _ => return false,
+            }
+        }
+        false
     }
 
     /// Parses `name: Type` pairs of a parameter list (token range is
@@ -334,8 +390,11 @@ impl<'a> Parser<'a> {
     /// `impl <generics>? Type { … }` or `impl Trait for Type { … }`.
     fn parse_impl(&mut self, impl_idx: usize, stack: &mut Vec<Scope>) -> usize {
         let mut k = impl_idx + 1;
+        let mut generic = false;
         if matches!(self.code.get(k).map(|t| t.kind), Some(TokenKind::Punct(b'<'))) {
-            k = self.skip_angles(k);
+            let close = self.skip_angles(k);
+            generic = self.has_type_params(k, close);
+            k = close;
         }
         let (first, after_first) = self.parse_type(k);
         // Skip the first type's generic arguments if present.
@@ -361,7 +420,7 @@ impl<'a> Parser<'a> {
             k += 1;
         }
         let Some(type_name) = type_name else { return k + 1 };
-        stack.push(Scope::Impl { type_name, trait_name });
+        stack.push(Scope::Impl { type_name, trait_name, generic });
         k + 1
     }
 
@@ -381,7 +440,7 @@ impl<'a> Parser<'a> {
             }
             k += 1;
         }
-        stack.push(Scope::Impl { type_name: name, trait_name: None });
+        stack.push(Scope::Impl { type_name: name, trait_name: None, generic: true });
         k + 1
     }
 
@@ -544,6 +603,26 @@ impl<'a> Parser<'a> {
         }
         self.code.len().saturating_sub(1)
     }
+
+    /// Index of the token opening the `close_ch` at `close`, walking
+    /// backwards; `None` if the file runs out first.
+    fn matching_back(&self, close: usize, open_ch: u8, close_ch: u8) -> Option<usize> {
+        let mut depth = 0i32;
+        let mut k = close;
+        loop {
+            match self.code[k].kind {
+                TokenKind::Punct(c) if c == close_ch => depth += 1,
+                TokenKind::Punct(c) if c == open_ch => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(k);
+                    }
+                }
+                _ => {}
+            }
+            k = k.checked_sub(1)?;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -642,6 +721,33 @@ mod tests {
         );
         assert_eq!(items.fns[0].name, "build");
         assert_eq!(items.fns[0].owner.as_deref(), Some("F"));
+    }
+
+    #[test]
+    fn inline_attributes_and_generics_are_recorded() {
+        let (_, items) = parse(
+            "impl Q {\n  #[inline]\n  pub fn a(&self) {}\n  /// Doc.\n  #[inline(always)]\n  \
+             #[must_use]\n  pub(crate) const fn b() -> u32 { 0 }\n  #[must_use]\n  fn c() {}\n  \
+             fn d<T: Copy>(t: T) {}\n  fn e(f: impl Fn()) {}\n  fn f<'a>(x: &'a u8) {}\n}\n\
+             impl<T> W<T> { fn g(&self) {} }\nimpl<'a> V<'a> { fn h(&self) {} }\n\
+             trait R { fn i(&self) {} }",
+        );
+        let facts: Vec<(&str, bool, bool)> =
+            items.fns.iter().map(|f| (f.name.as_str(), f.inline, f.generic)).collect();
+        assert_eq!(
+            facts,
+            [
+                ("a", true, false),
+                ("b", true, false),
+                ("c", false, false),
+                ("d", false, true),
+                ("e", false, true),
+                ("f", false, false),
+                ("g", false, true),
+                ("h", false, false),
+                ("i", false, true),
+            ]
+        );
     }
 
     #[test]

@@ -96,6 +96,13 @@ pub const RULES: &[RuleInfo] = &[
                   parse_fastq, parse_sbam, parse_vcf)",
     },
     RuleInfo {
+        id: "hot-inline",
+        severity: Severity::Warning,
+        summary: "a small non-generic function another crate's event loop (Platform::run/\
+                  handle_event) calls must be #[inline]: the bins and the benchmark build \
+                  without LTO",
+    },
+    RuleInfo {
         id: "bad-allow",
         severity: Severity::Error,
         summary: "scan-lint allow directives must be well-formed, name known rules, and carry a \

@@ -1,8 +1,8 @@
 //! The interprocedural passes over the workspace call graph:
-//! `taint-nondet` and `panic-path`. See `docs/LINTS.md` § "Semantic
-//! passes" for the contracts.
+//! `taint-nondet`, `panic-path` and `hot-inline`. See `docs/LINTS.md`
+//! § "Semantic passes" for the contracts.
 //!
-//! Both report [`Diagnostic`]s carrying an evidence
+//! Each reports [`Diagnostic`]s carrying an evidence
 //! [`ChainHop`] chain; suppression of the *reported* site goes through
 //! the workspace-global allow application, while taint additionally
 //! consults [`Allows`] mid-analysis — an allow on a hazard line kills
@@ -17,7 +17,7 @@ use crate::source::FileClass;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 
-/// Runs both semantic passes.
+/// Runs every semantic pass.
 pub fn check(
     model: &SemanticModel<'_>,
     graph: &CallGraph,
@@ -26,6 +26,7 @@ pub fn check(
 ) {
     check_taint(model, graph, allows, diags);
     check_panic_paths(model, graph, diags);
+    check_hot_inline(model, graph, diags);
 }
 
 fn diag(
@@ -323,4 +324,115 @@ fn panic_chain(
     });
     rev.reverse();
     rev
+}
+
+/// The roots of the `hot-inline` walk: the platform's event loop. The
+/// observers of [`HOT_PATH_ROOTS`] are left out, since a session with no
+/// sink attached never calls them.
+const INLINE_ROOTS: [RootName; 2] = [HOT_PATH_ROOTS[0], HOT_PATH_ROOTS[1]];
+
+/// The largest body, in code tokens, that `hot-inline` asks to be
+/// `#[inline]`: above the largest function the event loop calls in
+/// another crate on its hot arms (`CloudProvider::hire_on`, 358 tokens),
+/// with some room for it to grow. A cold callee under the bound whose
+/// body outweighs the call (`CloudProvider::reshape`, 363 tokens, once
+/// per reshape) carries a reasoned allow instead.
+const HOT_INLINE_MAX_TOKENS: usize = 400;
+
+/// `hot-inline`: a non-generic function of another workspace crate that
+/// the event loop reaches, with a body under [`HOT_INLINE_MAX_TOKENS`]
+/// and no `#[inline]`. The bins and the benchmark build without LTO, so
+/// such a call stays an out-of-line call into the other crate's object
+/// code.
+///
+/// An `#[inline]` or generic function's body is compiled into the crate
+/// that calls it, so the walk charges its own calls to that crate: a
+/// private helper an inlined function calls must be `#[inline]` too.
+/// Each function is reported once, at its declaration, with the
+/// shortest call chain from a root.
+fn check_hot_inline(model: &SemanticModel<'_>, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
+    // A walk state is a function and the crate its body is compiled into.
+    type State<'m> = (FnId, &'m str);
+    let mut parent: BTreeMap<State<'_>, State<'_>> = BTreeMap::new();
+    let mut queue: VecDeque<State<'_>> = VecDeque::new();
+    let mut roots = Vec::new();
+    for id in 0..model.fns.len() {
+        if !model.decl(id).is_test && INLINE_ROOTS.iter().any(|root| root.names(model, id)) {
+            let state = (id, model.fns[id].crate_name.as_str());
+            parent.insert(state, state);
+            queue.push_back(state);
+            roots.push(id);
+        }
+    }
+
+    let mut reported: BTreeMap<FnId, State<'_>> = BTreeMap::new();
+    while let Some((f, host)) = queue.pop_front() {
+        for edge in &graph.callees[f] {
+            let callee = edge.other;
+            let decl = model.decl(callee);
+            if decl.is_test || roots.contains(&callee) {
+                continue;
+            }
+            let own = model.fns[callee].crate_name.as_str();
+            if own != host && wants_inline(model, callee) {
+                reported.entry(callee).or_insert((f, host));
+            }
+            let compiled_in = if decl.inline || decl.generic { host } else { own };
+            if let std::collections::btree_map::Entry::Vacant(slot) =
+                parent.entry((callee, compiled_in))
+            {
+                slot.insert((f, host));
+                queue.push_back((callee, compiled_in));
+            }
+        }
+    }
+
+    for (id, (caller, host)) in reported {
+        // Root-first chain of function labels, ending at `id`.
+        let mut chain = vec![ChainHop {
+            label: model.label(id),
+            path: model.file_of(id).path.clone(),
+            line: model.decl(id).line,
+        }];
+        let mut cur = (caller, host);
+        loop {
+            chain.push(ChainHop {
+                label: model.label(cur.0),
+                path: model.file_of(cur.0).path.clone(),
+                line: model.decl(cur.0).line,
+            });
+            let up = parent[&cur];
+            if up == cur {
+                break;
+            }
+            cur = up;
+        }
+        chain.reverse();
+        diags.push(diag(
+            "hot-inline",
+            model.file_of(id).path.clone(),
+            model.decl(id).line,
+            1,
+            format!(
+                "`{}` ({}) is called from `{}`, compiled into {}, on the per-event path and is \
+                 not `#[inline]`; chain: {}",
+                model.label(id),
+                model.fns[id].crate_name,
+                model.label(caller),
+                host,
+                chain_text(&chain),
+            ),
+            chain,
+        ));
+    }
+}
+
+/// Whether `id` is a small, non-generic library function without an
+/// `#[inline]` attribute.
+fn wants_inline(model: &SemanticModel<'_>, id: FnId) -> bool {
+    let decl = model.decl(id);
+    model.fns[id].class == FileClass::Library
+        && !decl.generic
+        && !decl.inline
+        && decl.body.is_some_and(|(start, end)| end - start < HOT_INLINE_MAX_TOKENS)
 }

@@ -74,7 +74,7 @@ fn every_non_meta_rule_appears_in_some_golden() {
     // The semantic (interprocedural) rules are exercised by
     // tests/semantic_fixtures.rs — they need multi-crate workspaces, not
     // single files.
-    let covered_elsewhere = ["taint-nondet", "panic-path"];
+    let covered_elsewhere = ["taint-nondet", "panic-path", "hot-inline"];
     let dir = fixture_dir();
     let mut all = String::new();
     for entry in fs::read_dir(&dir).expect("fixture dir") {

@@ -125,3 +125,38 @@ fn a_bare_unwrap_planted_in_a_decoder_is_reported() {
         "the planted unwrap must be reported from `parse_vcf`: {found:?}"
     );
 }
+
+/// The real workspace's per-event path scans clean for `hot-inline`,
+/// and deleting one `#[inline]` of it is reported: from a public method
+/// the event loop calls (`ClassQueues::pop`) and from a private helper
+/// an inlined method calls (`ClassQueues::class`), whose body the
+/// platform's crate compiles.
+#[test]
+fn removing_an_inline_attribute_is_reported() {
+    let hot_inline = |ws: &Workspace| {
+        ws.run_semantic()
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.rule == "hot-inline")
+            .map(|d| d.message)
+            .collect::<Vec<_>>()
+    };
+    let mut ws = real_workspace();
+    assert_eq!(hot_inline(&ws), Vec::<String>::new(), "the per-event path scans clean today");
+    for (fn_line, label) in [
+        ("    pub fn pop(&mut self, class: TaskClass", "`ClassQueues::pop` (scan-sched)"),
+        ("    fn class(&self, class: TaskClass)", "`ClassQueues::class` (scan-sched)"),
+    ] {
+        patch(&mut ws, "crates/sched/src/queue.rs", |text| {
+            text.replacen(&format!("    #[inline]\n{fn_line}"), fn_line, 1)
+        });
+        let found = hot_inline(&ws);
+        assert!(
+            found.len() == 1
+                && found[0].starts_with(label)
+                && found[0].contains("compiled into scan-platform"),
+            "the missing attribute must be reported as {label}: {found:?}"
+        );
+        ws = real_workspace();
+    }
+}

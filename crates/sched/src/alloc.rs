@@ -142,6 +142,7 @@ impl Allocator {
     /// Chooses the plan for a job of `size_units` submitted at `now`. The
     /// policies that cache a plan hand out shared handles on it, so a
     /// cached plan is never copied per job.
+    // scan-lint: allow(hot-inline) -- runs once per admitted job, and its plan search outweighs the call
     pub fn plan_for(
         &mut self,
         size_units: f64,

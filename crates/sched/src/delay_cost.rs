@@ -21,6 +21,7 @@ pub struct QueuedJobView {
 ///
 /// # Panics
 /// Panics on negative `delay`.
+// scan-lint: allow(hot-inline) -- the naive Eq. 1 oracle; only debug builds call it
 pub fn delay_cost(reward: &RewardFn, queue: &[QueuedJobView], delay: f64) -> f64 {
     assert!(delay >= 0.0, "delay must be non-negative");
     queue.iter().map(|j| reward.delay_loss(j.size_units, j.ett.max(0.0), delay)).sum()

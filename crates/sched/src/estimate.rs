@@ -41,6 +41,7 @@ impl QueueTimeTracker {
     }
 
     /// Records an observed queue wait for a stage.
+    #[inline]
     pub fn observe(&mut self, stage: usize, wait_tu: f64) {
         assert!(wait_tu >= 0.0);
         let slot = &mut self.ewma[stage];
@@ -54,11 +55,13 @@ impl QueueTimeTracker {
     }
 
     /// Current `EQT_i` estimate (0 until first observation).
+    #[inline]
     pub fn eqt(&self, stage: usize) -> f64 {
         self.ewma[stage]
     }
 
     /// Sum of `EQT_i` over stages `from..`.
+    #[inline]
     pub fn eqt_tail(&self, from: usize) -> f64 {
         self.ewma[from..].iter().sum()
     }
@@ -70,10 +73,12 @@ impl QueueTimeTracker {
 
     /// Current revision: changes iff a future-stage estimate computed
     /// from this tracker's EWMAs could have changed.
+    #[inline]
     pub fn revision(&self) -> u64 {
         self.revision
     }
 
+    #[inline]
     fn bump_revision(&mut self) {
         self.revision += 1;
     }
@@ -101,6 +106,7 @@ impl EttEstimator {
     /// Replaces the stage models (long-term-adaptive refreshes). Bumps
     /// the revision: cached future-stage estimates derived from the old
     /// models are stale.
+    #[inline]
     pub fn set_model(&mut self, model: PipelineModel) {
         assert_eq!(model.n_stages(), self.model.n_stages());
         self.model = model;
@@ -108,11 +114,13 @@ impl EttEstimator {
     }
 
     /// Mutable access to the queue tracker (the dispatcher feeds it).
+    #[inline]
     pub fn queue_times_mut(&mut self) -> &mut QueueTimeTracker {
         &mut self.queue_times
     }
 
     /// Read access to the queue tracker.
+    #[inline]
     pub fn queue_times(&self) -> &QueueTimeTracker {
         &self.queue_times
     }
@@ -121,12 +129,14 @@ impl EttEstimator {
     /// for a fixed `(job, stage, plan)` returns bit-identical values
     /// between two calls at the same revision, so Eq. 1 caches keyed on
     /// it never go stale silently.
+    #[inline]
     pub fn revision(&self) -> u64 {
         self.queue_times.revision()
     }
 
     /// `EET_i(j)`: execution-time estimate of stage `i` under the job's
     /// plan entry `(shards, threads)`.
+    #[inline]
     pub fn eet(&self, stage: usize, size_units: f64, shards: u32, threads: u32) -> f64 {
         self.model.stage_latency(stage, size_units, shards, threads)
     }
@@ -141,6 +151,7 @@ impl EttEstimator {
     /// `eqt(i) + eet(i, …)` sum: identical operations in identical order,
     /// folded from 0 like `Iterator::sum` — `prop_future_matches_naive_sum`
     /// pins this.
+    #[inline]
     fn future_from(&self, current_stage: usize, size_units: f64, plan: &[(u32, u32)]) -> f64 {
         assert!(plan.len() >= self.model.n_stages());
         let g = self.model.units_to_gb(size_units);
@@ -160,6 +171,7 @@ impl EttEstimator {
     /// Eq. 2: estimated total latency of `job`, which has completed stages
     /// `0..current_stage` and now sits at `current_stage`, under `plan`
     /// (per-stage `(shards, threads)`).
+    #[inline]
     pub fn ett(&self, job: &Job, current_stage: usize, plan: &[(u32, u32)], now: SimTime) -> f64 {
         assert_eq!(plan.len(), self.model.n_stages());
         let elapsed = job.latency(now);

@@ -70,6 +70,7 @@ impl ExecutionPlan {
 
     /// Σ shards·threads — the paper's "total core-stages per pipeline
     /// run" (Fig. 5's x-axis).
+    #[inline]
     pub fn total_core_stages(&self) -> u32 {
         self.stages.iter().map(|&(s, t)| s * t).sum()
     }

@@ -125,6 +125,7 @@ struct ClassQueue {
 }
 
 impl ClassQueue {
+    #[inline]
     fn len(&self) -> usize {
         (self.pushed - self.popped) as usize
     }
@@ -133,6 +134,7 @@ impl ClassQueue {
     /// contiguous batch range `[s, e)` the deduped view covers: a job is
     /// visible iff any of its pending entries lies in the window. Both
     /// bounds are binary searches over monotone cumulative coordinates.
+    #[inline]
     fn window(&self, skip: usize, cap: usize) -> (usize, usize) {
         let lo = self.popped + skip as u64;
         let hi = lo + cap as u64;
@@ -148,6 +150,7 @@ impl ClassQueue {
 
     /// Windowed Σd over batches `[s, e)` as a two-point difference of the
     /// cumulative sums (exactly reproducible for any op interleaving).
+    #[inline]
     fn window_d_sum(&self, s: usize, e: usize) -> f64 {
         if e == s {
             return 0.0;
@@ -157,6 +160,7 @@ impl ClassQueue {
     }
 
     /// The deque's range `[s, e)` as (at most) two contiguous slices.
+    #[inline]
     fn window_slices(&self, s: usize, e: usize) -> (&[JobBatch], &[JobBatch]) {
         let (a, b) = self.batches.as_slices();
         if e <= a.len() {
@@ -192,6 +196,7 @@ impl ClassQueues {
         Self::default()
     }
 
+    #[inline]
     fn class(&self, class: TaskClass) -> Option<&ClassQueue> {
         Some(&self.stages.get(class.stage)?[shape_slot(class.cores)])
     }
@@ -203,6 +208,7 @@ impl ClassQueues {
     /// # Panics
     /// Panics on a zero-shard batch, and in debug builds when the job
     /// still has a batch pending in `class`.
+    #[inline]
     pub fn push_batch(
         &mut self,
         class: TaskClass,
@@ -242,6 +248,7 @@ impl ClassQueues {
 
     /// Pops one shard of the class's oldest batch: its job and how long
     /// it waited.
+    #[inline]
     pub fn pop(&mut self, class: TaskClass, now: SimTime) -> Option<(u32, SimDuration)> {
         let slot = shape_slot(class.cores);
         let q = &mut self.stages.get_mut(class.stage)?[slot];
@@ -262,39 +269,46 @@ impl ClassQueues {
     }
 
     /// Pending entries of a class.
+    #[inline]
     pub fn len(&self, class: TaskClass) -> usize {
         self.class(class).map_or(0, ClassQueue::len)
     }
 
     /// The job at the front of a class, if any.
+    #[inline]
     pub fn head(&self, class: TaskClass) -> Option<u32> {
         Some(self.class(class)?.batches.front()?.job)
     }
 
     /// The class's batches oldest first, as `(job, pending shards)`.
+    #[inline]
     pub fn pending_batches(&self, class: TaskClass) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.class(class).into_iter().flat_map(|q| q.batches.iter().map(|b| (b.job, b.pending)))
     }
 
     /// Number of stage rows allocated so far (stages are added lazily as
     /// classes are first pushed).
+    #[inline]
     pub fn n_stages(&self) -> usize {
         self.stages.len()
     }
 
     /// The shape slots of `stage` with pending entries, as a bit mask (bit
     /// `slot`); zero for a stage never pushed to.
+    #[inline]
     pub fn nonempty_slots(&self, stage: usize) -> u8 {
         self.nonempty.get(stage).copied().unwrap_or(0)
     }
 
     /// Pending entries across classes.
+    #[inline]
     pub fn total_len(&self) -> usize {
         self.total
     }
 
     /// Pending entries for one shape slot across stages (demand on a
     /// worker shape regardless of stage).
+    #[inline]
     pub fn shape_len(&self, slot: usize) -> usize {
         self.stages.iter().map(|row| row[slot].len()).sum()
     }
@@ -303,6 +317,7 @@ impl ClassQueues {
     /// ever pushed plus entries ever popped. Equal versions mean the
     /// same queue contents, so a decision priced at one version holds
     /// its Eq. 1 window at the other.
+    #[inline]
     pub fn version(&self, class: TaskClass) -> u64 {
         self.class(class).map_or(0, |q| q.pushed + q.popped)
     }
@@ -335,6 +350,7 @@ impl ClassQueues {
 
     /// Borrows an Eq. 1 pricer over the class's current view window:
     /// the distinct jobs among pending entries `[skip, skip + cap)`.
+    #[inline]
     pub fn pricer(&self, class: TaskClass, skip: usize, cap: usize, now: SimTime) -> Eq1Pricer<'_> {
         let Some(q) = self.class(class) else {
             return Eq1Pricer { head: &[], tail: &[], sum_d: 0.0, now };
@@ -364,6 +380,7 @@ impl Eq1Pricer<'_> {
     ///
     /// # Panics
     /// Panics on negative `delay`.
+    #[inline]
     pub fn delay_cost(&self, reward: &RewardFn, delay: f64) -> f64 {
         assert!(delay >= 0.0, "delay must be non-negative");
         match *reward {

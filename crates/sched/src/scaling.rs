@@ -104,6 +104,7 @@ impl ScalingPolicy {
 
     /// Decides, and reports the delay-cost-versus-hire-cost comparison
     /// that justified the decision (Eq. 1; NaN when unpriced).
+    #[inline]
     pub fn decide_priced(&self, ctx: &ScalingContext<'_>) -> (ScalingDecision, DecisionCosts) {
         if ctx.private_has_capacity {
             // All policies use cheap private capacity when it exists —

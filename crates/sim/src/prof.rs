@@ -134,6 +134,7 @@ impl Scope {
 }
 
 impl Drop for Scope {
+    #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let elapsed = start.elapsed().as_nanos() as u64;

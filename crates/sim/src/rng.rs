@@ -128,6 +128,7 @@ impl SimRng {
     ///
     /// Used for the paper's job inter-arrival intervals ("mean job
     /// inter-arrival interval 2.0 … 3.0 TUs").
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         // 1 - U in (0,1] avoids ln(0).
@@ -142,6 +143,7 @@ impl SimRng {
     /// This call returns `u·f` and keeps `v·f` as the spare, which the
     /// next call returns without drawing. Uniform draws in between leave
     /// the spare alone.
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;
@@ -161,6 +163,7 @@ impl SimRng {
 
     /// Normal draw with given mean and *variance* (the paper specifies
     /// "jobs per arrival variance 2", "job size variance 1").
+    #[inline]
     pub fn normal(&mut self, mean: f64, variance: f64) -> f64 {
         assert!(variance >= 0.0, "variance must be non-negative");
         mean + variance.sqrt() * self.standard_normal()
@@ -168,6 +171,7 @@ impl SimRng {
 
     /// Normal draw truncated below at `floor` by resampling (fast here
     /// because the paper's floors sit ≥ 2σ below the mean).
+    #[inline]
     pub fn truncated_normal(&mut self, mean: f64, variance: f64, floor: f64) -> f64 {
         assert!(
             floor < mean,
@@ -183,6 +187,7 @@ impl SimRng {
 
     /// Rounded, truncated normal for count-valued draws such as "mean jobs
     /// per arrival event 3, variance 2" — always at least `min`.
+    #[inline]
     pub fn count_normal(&mut self, mean: f64, variance: f64, min: u64) -> u64 {
         let x = self.normal(mean, variance).round();
         if x < min as f64 {

@@ -26,6 +26,7 @@ impl OnlineStats {
     }
 
     /// Folds one observation in.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "observation must be finite");
         self.n += 1;
@@ -138,6 +139,7 @@ impl TimeWeighted {
     }
 
     /// Updates the signal to `value` at instant `now`.
+    #[inline]
     pub fn set(&mut self, now: SimTime, value: f64) {
         debug_assert!(now >= self.last_update, "time-weighted updates must be in time order");
         self.integral += self.current * (now.as_tu() - self.last_update.as_tu());
@@ -147,6 +149,7 @@ impl TimeWeighted {
     }
 
     /// Adjusts the signal by `delta` at instant `now`.
+    #[inline]
     pub fn add(&mut self, now: SimTime, delta: f64) {
         let v = self.current + delta;
         self.set(now, v);
@@ -205,11 +208,13 @@ impl Histogram {
     }
 
     /// The bin width.
+    #[inline]
     fn width(&self) -> f64 {
         (self.hi - self.lo) / self.nbins as f64
     }
 
     /// Records one observation.
+    #[inline]
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         if x < self.lo {

@@ -29,6 +29,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `tu` is NaN or negative: the calendar relies on a total
     /// order over instants, and simulated time never runs backwards.
+    #[inline]
     pub fn new(tu: f64) -> Self {
         assert!(tu.is_finite() && tu >= 0.0, "SimTime must be finite and non-negative, got {tu}");
         SimTime(tu)
@@ -44,6 +45,7 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `earlier` is after `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -55,6 +57,7 @@ impl SimTime {
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
@@ -64,6 +67,7 @@ impl SimTime {
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
@@ -81,6 +85,7 @@ impl SimDuration {
     ///
     /// # Panics
     /// Panics if `tu` is NaN or negative.
+    #[inline]
     pub fn new(tu: f64) -> Self {
         assert!(
             tu.is_finite() && tu >= 0.0,
@@ -94,6 +99,7 @@ impl SimDuration {
     /// Estimators occasionally produce slightly negative values from
     /// regression extrapolation (the paper's stage 2 has `b_2 = -0.53`);
     /// this constructor is the sanctioned way to feed those into the clock.
+    #[inline]
     pub fn clamped(tu: f64) -> Self {
         if tu.is_finite() && tu > 0.0 {
             SimDuration(tu)
@@ -109,11 +115,13 @@ impl SimDuration {
     }
 
     /// True if the span is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 
     /// Returns the larger of two spans.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
             self
@@ -123,6 +131,7 @@ impl SimDuration {
     }
 
     /// Returns the smaller of two spans.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {
             self
@@ -138,12 +147,14 @@ impl SimDuration {
 
 impl Eq for SimTime {}
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // scan-lint: allow(float-ord) -- NaN rejected at construction; total_cmp reorders ±0.0
         self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
     }
 }
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -151,12 +162,14 @@ impl PartialOrd for SimTime {
 
 impl Eq for SimDuration {}
 impl Ord for SimDuration {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // scan-lint: allow(float-ord) -- NaN rejected at construction; total_cmp reorders ±0.0
         self.0.partial_cmp(&other.0).expect("SimDuration is never NaN")
     }
 }
 impl PartialOrd for SimDuration {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -166,12 +179,14 @@ impl PartialOrd for SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -179,6 +194,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.since(rhs)
     }
@@ -186,12 +202,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -199,12 +217,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration::new(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -212,6 +232,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<f64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: f64) -> SimDuration {
         SimDuration::new(self.0 * rhs)
     }
@@ -219,6 +240,7 @@ impl Mul<f64> for SimDuration {
 
 impl Div<f64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: f64) -> SimDuration {
         SimDuration::new(self.0 / rhs)
     }
@@ -226,6 +248,7 @@ impl Div<f64> for SimDuration {
 
 impl Div for SimDuration {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: SimDuration) -> f64 {
         self.0 / rhs.0
     }

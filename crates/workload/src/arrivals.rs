@@ -32,6 +32,7 @@ pub struct ArrivalConfig {
 
 impl ArrivalConfig {
     /// Table III defaults at a given mean interval.
+    #[inline]
     pub fn paper(mean_interval: f64) -> Self {
         assert!(mean_interval > 0.0);
         ArrivalConfig {
@@ -44,6 +45,7 @@ impl ArrivalConfig {
     }
 
     /// Long-run average job arrival rate (jobs per TU).
+    #[inline]
     pub fn mean_job_rate(&self) -> f64 {
         self.mean_batch / self.mean_interval
     }
@@ -85,6 +87,7 @@ impl ArrivalProcess {
     }
 
     /// When the next batch will arrive.
+    #[inline]
     pub fn next_arrival_at(&self) -> SimTime {
         self.next_at
     }
@@ -92,6 +95,7 @@ impl ArrivalProcess {
     /// Produces the next batch into `jobs` (cleared first, so a caller
     /// reusing one buffer allocates only when a batch outgrows it),
     /// schedules the one after, and returns the batch's arrival instant.
+    #[inline]
     pub fn next_batch(&mut self, jobs: &mut Vec<Job>) -> SimTime {
         let at = self.next_at;
         let n = self.size_rng.count_normal(self.config.mean_batch, self.config.batch_variance, 1);

@@ -88,6 +88,7 @@ pub const PAPER_STAGE_FACTORS: [StageFactors; N_STAGES] = [
 /// Whether a stage's output can be sharded for the next stage. Stage 7 is
 /// the `VariantsToVCF`-style gather and must see all shards, so sharding
 /// is only meaningful for stages 1–6.
+#[inline]
 pub fn stage_shardable(stage_index: usize) -> bool {
     stage_index < N_STAGES - 1
 }
@@ -114,6 +115,7 @@ impl PipelineModel {
     }
 
     /// A model with custom factors (e.g. learned from the knowledge base).
+    #[inline]
     pub fn new(stages: Vec<StageFactors>, gb_per_unit: f64) -> Self {
         assert!(!stages.is_empty());
         assert!(gb_per_unit > 0.0);
@@ -121,6 +123,7 @@ impl PipelineModel {
     }
 
     /// Number of stages.
+    #[inline]
     pub fn n_stages(&self) -> usize {
         self.stages.len()
     }

@@ -28,12 +28,14 @@ pub struct Job {
 
 impl Job {
     /// Creates a job.
+    #[inline]
     pub fn new(id: JobId, size_units: f64, submitted_at: SimTime) -> Self {
         assert!(size_units > 0.0, "jobs must have positive size");
         Job { id, size_units, submitted_at }
     }
 
     /// Latency from submission to `now`.
+    #[inline]
     pub fn latency(&self, now: SimTime) -> f64 {
         (now - self.submitted_at).as_tu()
     }

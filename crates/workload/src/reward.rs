@@ -85,6 +85,7 @@ impl RewardFn {
     /// The time-based scheme can go negative for very late work — that is
     /// the paper's own model ("a constant penalty per unit time the work
     /// is delayed") and is what starves never-scale at heavy load.
+    #[inline]
     pub fn reward(&self, d: f64, t: f64) -> f64 {
         assert!(d > 0.0 && t >= 0.0, "size must be positive, latency non-negative");
         match *self {
@@ -108,6 +109,7 @@ impl RewardFn {
     /// Marginal value (CU per TU) of shaving latency at operating point
     /// `t` — the latency price the plan optimiser trades against core
     /// cost. Computed analytically per scheme.
+    #[inline]
     pub fn latency_price(&self, d: f64, t: f64) -> f64 {
         match *self {
             RewardFn::TimeBased { rpenalty, .. } => d * rpenalty,
@@ -134,6 +136,7 @@ impl RewardFn {
     /// Reward lost by delaying a job currently estimated to finish at
     /// latency `t` by `delay` more TU: `R(d, t) − R(d, t + delay)` —
     /// the per-job term inside Eq. 1's sum.
+    #[inline]
     pub fn delay_loss(&self, d: f64, t: f64, delay: f64) -> f64 {
         assert!(delay >= 0.0);
         self.reward(d, t) - self.reward(d, t + delay)
@@ -144,6 +147,7 @@ impl RewardFn {
     /// `d · rpenalty · delay` regardless of `t`, which is what lets
     /// Eq. 1 aggregate it per class as a plain Σd; every other scheme
     /// bends with `t` and needs per-job ETT terms.
+    #[inline]
     pub fn depends_on_ett(&self) -> bool {
         !matches!(self, RewardFn::TimeBased { .. })
     }
