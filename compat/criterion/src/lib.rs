@@ -280,18 +280,12 @@ fn fmt_rate(per_sec: f64) -> String {
     }
 }
 
-/// Declares a bench group function, with or without a `config` expression.
+/// Declares a bench group function from its `config` expression.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut criterion: $crate::Criterion = $config;
-            $( $target(&mut criterion); )+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
             $( $target(&mut criterion); )+
         }
     };

@@ -2,7 +2,7 @@
 //! multi-flag [`Artefacts::record`] comes from the same event stream, and
 //! each single-flag `dump_*` writes what a plain run of its sink yields.
 
-use scan_bench::{dump_store, Artefacts};
+use scan_bench::{dump_store, Artefacts, EXPERIMENT_SEED};
 use scan_platform::config::{ScanConfig, VariableParams};
 use scan_platform::session::{run_session, run_session_with};
 use scan_sched::scaling::ScalingPolicy;
@@ -141,4 +141,31 @@ fn spans_arm_the_slo_monitor_at_break_even() {
     let violations = store.table(EventKind::SloViolation).rows() as u64;
     assert_eq!(violations, session.jobs_slo_violated);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The columnar store's footprint criterion on the cell `fig4 --trace
+/// --store` records (predictive, 2.0 TU, the experiment seed) at 300 TU:
+/// the SCTS export is at least 5× smaller than the JSONL trace of the
+/// same events (docs/TRACESTORE.md "Export format").
+#[test]
+fn the_recorded_fig4_cell_stores_five_times_smaller_than_its_jsonl() {
+    let _serial = serial();
+    let dir = scratch("footprint");
+    let mut cfg =
+        ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), EXPERIMENT_SEED);
+    cfg.fixed.sim_time_tu = 300.0;
+    let artefacts = Artefacts {
+        trace: Some(dir.join("trace.jsonl")),
+        store: Some(dir.join("store.scts")),
+        ..Artefacts::default()
+    };
+    artefacts.record(&cfg).expect("artefacts requested");
+    let bytes = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+    let (jsonl, scts) = (bytes("trace.jsonl"), bytes("store.scts"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        jsonl >= 5 * scts,
+        "JSONL {jsonl} B is only {:.2}x the SCTS export's {scts} B",
+        jsonl as f64 / scts as f64
+    );
 }

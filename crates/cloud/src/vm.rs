@@ -107,6 +107,7 @@ impl Vm {
     }
 
     /// True when the VM can accept a task right now.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         matches!(self.state, VmState::Idle { .. })
     }
@@ -117,11 +118,13 @@ impl Vm {
     }
 
     /// True while running a task.
+    #[inline]
     pub fn is_busy(&self) -> bool {
         matches!(self.state, VmState::Busy)
     }
 
     /// True once released.
+    #[inline]
     pub fn is_stopped(&self) -> bool {
         matches!(self.state, VmState::Stopped { .. })
     }
@@ -137,7 +140,7 @@ impl Vm {
                 assert!(now >= ready_at, "finish_boot before ready_at");
                 self.state = VmState::Idle { since: now };
             }
-            // scan-lint: allow(no-panic) -- documented `# Panics` contract; callers gate on state.
+            // scan-lint: allow(no-panic, panic-path) -- documented `# Panics` contract; callers gate on state.
             _ => panic!("finish_boot on a VM that is not booting"),
         }
     }

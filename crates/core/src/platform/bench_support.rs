@@ -1,16 +1,16 @@
 //! Bench-only harness over the platform's dispatch and hiring hot paths.
 //!
-//! The criterion benches in `crates/bench` need to time `take_idle` /
-//! `assign` (the dispatch inner loop) and the queue-priced scaling
-//! decision (the hiring path) *in isolation*, on a platform
-//! frozen mid-run — but those methods and the fields they touch are
-//! platform-internal by design. This module is the narrow, `doc(hidden)`
-//! window the benches go through: it builds a mid-run state (idle pool,
-//! busy set, queued jobs) and exposes one iterable operation per hot
-//! path, each of which restores the state it perturbs so criterion can
-//! call it millions of times.
+//! perfbench's traced run (`sched.assign_ns`, `sched.decide_ns`,
+//! `sched.queue_maint_ns`) times `assign` (the dispatch inner loop), the
+//! queue-priced scaling decision (the hiring path) and the class queue's
+//! pop/re-queue round trip *in isolation*, on a platform frozen mid-run —
+//! but those methods and the fields they touch are platform-internal by
+//! design. This module is the narrow, `doc(hidden)` window it goes
+//! through: it builds a mid-run state (idle pool, busy set, queued jobs)
+//! and exposes one iterable operation per hot path, each of which
+//! restores the state it perturbs so it can be called millions of times.
 //!
-//! Not a public API: shapes and semantics here follow the benches, not
+//! Not a public API: shapes and semantics here follow the benchmark, not
 //! the platform's contracts.
 
 use super::events::{JobRun, TenantCal};
@@ -86,15 +86,6 @@ impl PlatformHarness {
         }
 
         PlatformHarness { platform: p, cal: Calendar::new(), now, class }
-    }
-
-    /// One `take_idle` + put-back cycle: the dispatch fast path's pool
-    /// lookup pair. Returns the VM number so callers can black-box it.
-    pub fn take_idle_cycle(&mut self) -> u64 {
-        let vm = self.platform.take_idle(CORES).expect("harness keeps idle workers");
-        let tier = self.platform.private_tier;
-        self.platform.idle.insert(CORES, vm, tier, self.now);
-        vm.id.0 as u64
     }
 
     /// One full `assign`: pops the queue head onto an idle worker and

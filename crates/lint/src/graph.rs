@@ -6,7 +6,9 @@
 //! - **Method calls** (`recv.m(…)`) resolve only through a *typed
 //!   receiver* — `self`, `self.field`, a typed parameter or local, a
 //!   constructor-inferred local, or the return type of the previous call
-//!   in a chain. A receiver the model cannot type produces *no* edge:
+//!   in a chain. An `Option<T>`/`Result<T, _>` return unwrapped by
+//!   `.expect(…)`, `.unwrap()` or `?` types as `T`, in a chain and in a
+//!   `let` binding alike. A receiver the model cannot type produces *no* edge:
 //!   a false edge would fabricate taint chains (e.g. every `.insert(…)`
 //!   in the workspace linking to one crate's `insert`), so the graph
 //!   under-approximates by construction.
@@ -87,6 +89,10 @@ struct Resolver<'m, 'w> {
     /// Closing-`)` token index → return type of the call ending there
     /// (drives typing of `a.b().c()` chains).
     ret_at: BTreeMap<usize, String>,
+    /// `let` bindings typed once the scan reaches their statement's `;`
+    /// (token index, name): an unwrapped call's type is only known after
+    /// the call is scanned. Innermost last.
+    pending_lets: Vec<(usize, String)>,
 }
 
 impl<'m, 'w> Resolver<'m, 'w> {
@@ -109,6 +115,7 @@ impl<'m, 'w> Resolver<'m, 'w> {
             owner: decl.owner.clone(),
             locals,
             ret_at: BTreeMap::new(),
+            pending_lets: Vec::new(),
         }
     }
 
@@ -131,6 +138,12 @@ impl<'m, 'w> Resolver<'m, 'w> {
         let end = end.min(self.code.len());
         let mut k = start;
         while k < end {
+            while self.pending_lets.last().is_some_and(|(semi, _)| *semi == k) {
+                let (_, name) = self.pending_lets.pop().expect("checked non-empty");
+                if let Some(ty) = self.place_type(k - 1) {
+                    self.locals.insert(name, ty);
+                }
+            }
             if self.kind(k) != Some(TokenKind::Ident) {
                 k += 1;
                 continue;
@@ -163,8 +176,19 @@ impl<'m, 'w> Resolver<'m, 'w> {
             } else {
                 self.resolve_free(word)
             };
-            // Record the chain type at this call's closing paren.
-            if let Some(ret) = targets.first().and_then(|&id| self.return_type(id)) {
+            // Record the chain type at this call's closing paren: the
+            // callee's return type, or the value an `.expect(…)` or
+            // `.unwrap()` takes out of a typed `Option`/`Result`.
+            let ret = match targets.first() {
+                Some(&id) => self.return_type(id),
+                None if matches!(word, "expect" | "unwrap")
+                    && prev_kind == Some(TokenKind::Punct(b'.')) =>
+                {
+                    self.receiver_type(k).as_deref().and_then(unwrapped)
+                }
+                None => None,
+            };
+            if let Some(ret) = ret {
                 let close = self.matching_paren(k + 1);
                 self.ret_at.insert(close, ret);
             }
@@ -182,10 +206,10 @@ impl<'m, 'w> Resolver<'m, 'w> {
     fn return_type(&self, id: FnId) -> Option<String> {
         let decl = self.model.decl(id);
         let ret = decl.ret.as_deref()?;
-        if ret == "Self" {
-            decl.owner.clone()
-        } else {
-            Some(ret.to_string())
+        match ret {
+            "Self" => decl.owner.clone(),
+            "Self?" => decl.owner.as_ref().map(|o| format!("{o}?")),
+            _ => Some(ret.to_string()),
         }
     }
 
@@ -210,7 +234,9 @@ impl<'m, 'w> Resolver<'m, 'w> {
     }
 
     /// `let name: Type = …` / `let name = Type::new(…)` / `let name =
-    /// Type { …` — records the binding's type when statable.
+    /// Type { …` — records the binding's type when statable; `let name =
+    /// ….expect(…);`, `….unwrap();` and `…?;` are typed when the scan
+    /// reaches the `;`.
     fn infer_let(&mut self, mut k: usize) {
         if self.kind(k) == Some(TokenKind::Ident) && self.text(k) == "mut" {
             k += 1;
@@ -238,6 +264,10 @@ impl<'m, 'w> Resolver<'m, 'w> {
             v += 1;
         }
         if self.kind(v) != Some(TokenKind::Ident) {
+            return;
+        }
+        if let Some(semi) = self.unwrapping_statement_end(v) {
+            self.pending_lets.push((semi, name));
             return;
         }
         if let Some(ty) = self.place_expr_type(v) {
@@ -332,6 +362,8 @@ impl<'m, 'w> Resolver<'m, 'w> {
         match self.kind(r)? {
             // `….prev()` — the chain map knows the type at the `)`.
             TokenKind::Punct(b')') => self.ret_at.get(&r).cloned(),
+            // `…?` — the value of a typed `Option`/`Result`.
+            TokenKind::Punct(b'?') => unwrapped(&self.place_type(r.checked_sub(1)?)?),
             // `…[i]` — indexing a container yields its element type.
             TokenKind::Punct(b']') => {
                 let open = self.matching_open(r, b'[', b']')?;
@@ -381,6 +413,36 @@ impl<'m, 'w> Resolver<'m, 'w> {
             return None;
         }
         self.place_type(j)
+    }
+
+    /// The `;` ending the statement whose value starts at `v`, when that
+    /// value ends in `.expect(…)`, `.unwrap()` or `?`.
+    fn unwrapping_statement_end(&self, v: usize) -> Option<usize> {
+        let mut depth = 0i32;
+        let mut j = v;
+        let semi = loop {
+            match self.kind(j)? {
+                TokenKind::Punct(b'(' | b'[' | b'{') => depth += 1,
+                TokenKind::Punct(b')' | b']' | b'}') => {
+                    depth -= 1;
+                    if depth < 0 {
+                        return None;
+                    }
+                }
+                TokenKind::Punct(b';') if depth == 0 => break j,
+                _ => {}
+            }
+            j += 1;
+        };
+        if self.is_punct(semi - 1, b'?') {
+            return Some(semi);
+        }
+        let open = self.matching_open(semi - 1, b'(', b')')?;
+        let method = open.checked_sub(1)?;
+        let unwraps = self.kind(method) == Some(TokenKind::Ident)
+            && matches!(self.text(method), "expect" | "unwrap")
+            && self.is_punct(method - 1, b'.');
+        unwraps.then_some(semi)
     }
 
     /// Token index of the `close` bracket matching the `open` at `k`,
@@ -519,6 +581,11 @@ impl<'m, 'w> Resolver<'m, 'w> {
             Vec::new()
         }
     }
+}
+
+/// The value type `T` of a `T?`-shaped (`Option`/`Result`) type, if any.
+fn unwrapped(ty: &str) -> Option<String> {
+    ty.strip_suffix('?').map(str::to_string)
 }
 
 /// The element type of a `[T]`-shaped container type, if any.

@@ -33,7 +33,9 @@ pub struct FnDecl {
     /// Significant last segment of each parameter's type, paired with
     /// the parameter name (`self` excluded).
     pub params: Vec<(String, Option<String>)>,
-    /// Significant last segment of the return type, if any.
+    /// Significant last segment of the return type, if any; an
+    /// `Option<T>` or `Result<T, _>` is kept as `T?`, so a caller that
+    /// unwraps it can type the value (see [`crate::graph`]).
     pub ret: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
@@ -200,7 +202,17 @@ impl<'a> Parser<'a> {
             && matches!(self.code.get(k + 1).map(|t| t.kind), Some(TokenKind::Punct(b'>')))
         {
             let (ty, after) = self.parse_type(k + 2);
-            ret = ty;
+            ret = match ty.as_deref() {
+                Some("Option" | "Result")
+                    if matches!(
+                        self.code.get(after).map(|t| t.kind),
+                        Some(TokenKind::Punct(b'<'))
+                    ) =>
+                {
+                    self.parse_type(after + 1).0.map(|t| format!("{t}?"))
+                }
+                _ => ty,
+            };
             k = after;
         }
         // Skip a `where` clause to the body brace or terminating `;`.
@@ -653,6 +665,17 @@ mod tests {
         );
         assert_eq!(f.ret.as_deref(), Some("ShardPlan"));
         assert!(f.body.is_some());
+    }
+
+    #[test]
+    fn an_option_or_result_return_keeps_its_value_type() {
+        let (_, items) = parse(
+            "fn a() -> Option<&mut Vm> { x() }\n\
+             fn b() -> Result<Self, String> { x() }\n\
+             fn c() -> Option { x() }",
+        );
+        let rets: Vec<_> = items.fns.iter().map(|f| f.ret.as_deref()).collect();
+        assert_eq!(rets, [Some("Vm?"), Some("Self?"), Some("Option")]);
     }
 
     #[test]

@@ -128,9 +128,11 @@ fn a_bare_unwrap_planted_in_a_decoder_is_reported() {
 
 /// The real workspace's per-event path scans clean for `hot-inline`,
 /// and deleting one `#[inline]` of it is reported: from a public method
-/// the event loop calls (`ClassQueues::pop`) and from a private helper
-/// an inlined method calls (`ClassQueues::class`), whose body the
-/// platform's crate compiles.
+/// the event loop calls (`ClassQueues::pop`), from a private helper an
+/// inlined method calls (`ClassQueues::class`), whose body the
+/// platform's crate compiles, and from a method called on a binding the
+/// loop unwraps (`let vm = self.provider.vm_mut(..).expect(..);
+/// vm.start_task(now)`).
 #[test]
 fn removing_an_inline_attribute_is_reported() {
     let hot_inline = |ws: &Workspace| {
@@ -143,11 +145,24 @@ fn removing_an_inline_attribute_is_reported() {
     };
     let mut ws = real_workspace();
     assert_eq!(hot_inline(&ws), Vec::<String>::new(), "the per-event path scans clean today");
-    for (fn_line, label) in [
-        ("    pub fn pop(&mut self, class: TaskClass", "`ClassQueues::pop` (scan-sched)"),
-        ("    fn class(&self, class: TaskClass)", "`ClassQueues::class` (scan-sched)"),
+    for (file, fn_line, label) in [
+        (
+            "crates/sched/src/queue.rs",
+            "    pub fn pop(&mut self, class: TaskClass",
+            "`ClassQueues::pop` (scan-sched)",
+        ),
+        (
+            "crates/sched/src/queue.rs",
+            "    fn class(&self, class: TaskClass)",
+            "`ClassQueues::class` (scan-sched)",
+        ),
+        (
+            "crates/cloud/src/vm.rs",
+            "    pub fn start_task(&mut self",
+            "`Vm::start_task` (scan-cloud)",
+        ),
     ] {
-        patch(&mut ws, "crates/sched/src/queue.rs", |text| {
+        patch(&mut ws, file, |text| {
             text.replacen(&format!("    #[inline]\n{fn_line}"), fn_line, 1)
         });
         let found = hot_inline(&ws);

@@ -1,197 +1,123 @@
 #!/usr/bin/env bash
-# Perf-trajectory recorder: runs the criterion benches and folds their
-# medians into a JSON ledger, so every PR's before/after numbers are
-# committed next to the code that produced them.
+# Perf ledger over perfbench, the benchmark BENCHMARK.json declares.
 #
-#   ./scripts/bench.sh                         run all benches, print JSON
-#   ./scripts/bench.sh --quick                 end-to-end session bench only
-#   ./scripts/bench.sh --benches hiring,session,fleet
-#                                              run a named subset (skips
-#                                              the export-footprint step)
-#   ./scripts/bench.sh --label after --out BENCH_PR3.json
-#                                              merge this run into the
-#                                              ledger under "runs.after"
-#   ./scripts/bench.sh --compare old.json new.json [--tolerance 0.30]
-#                                              gate: fail if any benchmark
-#                                              in new is slower than old
-#                                              by more than the tolerance
-#                                              (runs nothing; pure ledger
-#                                              comparison)
-#
-# The ledger file accumulates runs: {"runs": {"<label>": {...}}}. Each run
-# records, per benchmark, the mean seconds/iteration plus the derived
-# sessions/sec and ns/event for the end-to-end session benches.
+#   ./scripts/bench.sh --out BENCH_PR<n>.json
+#       Runs every BENCHMARK.json workload for its `run_seconds`: three
+#       `--trace 0` runs (per end-to-end metric: median, min and max; each
+#       run's provenance line; failed and attempted units), then one
+#       `--trace 1` run (the per-layer rows), and writes the ledger.
+#   ./scripts/bench.sh --check
+#       The gate. Prints each end-to-end metric's trajectory over every
+#       perfbench ledger (BENCH_PR*.json) and fails if the newest ledger
+#       is more than 5% worse than the metric's best recorded point, in
+#       the direction BENCHMARK.json's `better` gives, or has a failed
+#       unit. The criterion ledgers of PRs 3-12 are history; their
+#       format differs, so the gate skips them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-quick=0
-label="run"
-out=""
-subset=""
-compare_old=""
-compare_new=""
-tolerance="0.30"
-while [[ $# -gt 0 ]]; do
-    case "$1" in
-        --quick) quick=1 ;;
-        --benches) subset="$2"; shift ;;
-        --label) label="$2"; shift ;;
-        --out) out="$2"; shift ;;
-        --compare) compare_old="$2"; compare_new="$3"; shift 2 ;;
-        --tolerance) tolerance="$2"; shift ;;
-        *) echo "unknown flag: $1" >&2; exit 2 ;;
-    esac
-    shift
-done
-
-if [[ -n "$compare_old" ]]; then
-    python3 - "$compare_old" "$compare_new" "$tolerance" <<'PY'
-import json, sys
-
-old_path, new_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
-
-def flatten(path):
-    """A ledger ({"runs": {label: run}}) or a bare run ({"results": …}).
-    A ledger's "after" run is the PR's own measurement, so it is read
-    alone when present; otherwise every run's results merge in key order
-    (the ledger is written with sorted keys), later labels winning."""
-    doc = json.load(open(path))
-    runs = doc.get("runs", {"": doc})
-    if "after" in runs:
-        runs = {"after": runs["after"]}
-    merged = {}
-    for run in runs.values():
-        merged.update(run.get("results", {}))
-    return merged
-
-old, new = flatten(old_path), flatten(new_path)
-common = sorted(set(old) & set(new))
-if not common:
-    sys.exit(f"no common benchmarks between {old_path} and {new_path}")
-
-regressions, rows = [], []
-for name in common:
-    o, n = old[name]["mean_s"], new[name]["mean_s"]
-    ratio = n / o if o else float("inf")
-    mark = " "
-    if ratio > 1.0 + tol:
-        mark = "R"
-        regressions.append(name)
-    elif ratio < 1.0 - tol:
-        mark = "+"
-    rows.append(f"  {mark} {name:<40} {o:>12.3e}s -> {n:>12.3e}s  ({ratio - 1.0:+8.1%})")
-
-print(f"bench compare: {old_path} -> {new_path} (tolerance ±{tol:.0%})")
-print("\n".join(rows))
-only = sorted(set(old) ^ set(new))
-if only:
-    print(f"  (not in both, skipped: {', '.join(only)})")
-if regressions:
-    print(f"FAIL: {len(regressions)} benchmark(s) regressed beyond {tol:.0%}: "
-          + ", ".join(regressions))
-    sys.exit(1)
-print(f"OK: no regression beyond {tol:.0%} across {len(common)} benchmarks")
-PY
-    exit 0
-fi
-
-if [[ -n "$subset" ]]; then
-    IFS=',' read -r -a benches <<< "$subset"
-    quick=1 # subset runs skip the export-footprint measurement too
+if [[ $# == 2 && "$1" == --out ]]; then
+    out="$2"
+elif [[ $# == 1 && "$1" == --check ]]; then
+    out=""
 else
-    benches=(session)
-    if [[ "$quick" == 0 ]]; then
-        benches+=(dispatch hiring metrics lint fleet tracestore spans)
-    fi
+    echo "usage: $0 --out BENCH_PR<n>.json | --check" >&2
+    exit 2
 fi
 
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
-for b in "${benches[@]}"; do
-    echo "==> cargo bench -p scan-bench --bench $b" >&2
-    cargo bench -p scan-bench --bench "$b" 2>/dev/null | tee -a "$raw" >&2
+if [[ -z "$out" ]]; then
+    exec python3 - <<'PY'
+import glob, json, re, sys
+
+TOLERANCE = 0.05
+bench = json.load(open("BENCHMARK.json"))
+ledgers = []
+for path in glob.glob("BENCH_PR*.json"):
+    doc = json.load(open(path))
+    if doc.get("format") == "perfbench":
+        ledgers.append((int(re.search(r"PR(\d+)", path)[1]), path, doc))
+ledgers.sort()
+if not ledgers:
+    sys.exit("bench gate: no perfbench ledger (write one with --out)")
+_, newest_path, newest = ledgers[-1]
+print(f"bench gate: {newest_path} against the best of {len(ledgers)} perfbench ledger(s), "
+      f"tolerance {TOLERANCE:.0%}")
+failures = []
+for workload, row in newest["workloads"].items():
+    for run in ("end_to_end", "layers"):
+        failed = row["failed"] if run == "end_to_end" else row["layers"]["failed"]
+        if failed:
+            failures.append(f"{workload}: {failed} failed unit(s) in the {run} runs")
+    for metric in bench["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        points = [(pr, doc["workloads"][workload]["end_to_end"][name]["median"])
+                  for pr, _, doc in ledgers
+                  if name in doc["workloads"].get(workload, {}).get("end_to_end", {})]
+        best_pr, best = (max if higher else min)(points, key=lambda p: p[1])
+        now = points[-1][1]
+        worse = (best - now) / best if higher else (now - best) / best
+        verdict = "FAIL" if worse > TOLERANCE else "ok"
+        if verdict == "FAIL":
+            failures.append(f"{workload} {name}: {now:.6g} is {worse:.1%} worse than "
+                            f"PR{best_pr}'s {best:.6g}")
+        trail = ", ".join(f"PR{pr} {v:.6g}" for pr, v in points)
+        print(f"  {verdict:<4} {workload:<8} {name:<15} ({metric['better']}) {trail} | "
+              f"best {best:.6g} (PR{best_pr}), newest {now:.6g} ({0.0 - worse:+.1%})")
+for f in failures:
+    print(f"FAIL: {f}", file=sys.stderr)
+sys.exit(1 if failures else 0)
+PY
+fi
+
+# perfbench is its own workspace; offline, cargo rewrites its stale lock
+# file, so put it back afterwards (as ci.sh does).
+raw="$(mktemp -d)"
+cp perfbench/Cargo.lock "$raw/Cargo.lock"
+trap 'cp "$raw/Cargo.lock" perfbench/Cargo.lock; rm -rf "$raw"' EXIT
+read -r seconds workloads < <(python3 -c 'import json; b = json.load(open("BENCHMARK.json"))
+print(b["run_seconds"], " ".join(w["name"] for w in b["workloads"]))')
+for w in $workloads; do
+    for t in 0 0 0 1; do
+        echo "==> perfbench --workload $w --seed 1 --seconds $seconds --trace $t" >&2
+        cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds "$seconds" --trace "$t" \
+            | tail -2 >> "$raw/$w.$t"
+    done
 done
 
-# Export footprint on real artefacts: the medium fig4 cell written as
-# JSONL and as an SCTS store (docs/TRACESTORE.md "Export format"). The
-# ≥5x size criterion of PR7 is measured and ledgered here.
-jsonl_bytes=0; scts_bytes=0
-if [[ "$quick" == 0 ]]; then
-    echo "==> export footprint (medium fig4 cell: JSONL vs SCTS)" >&2
-    tj="$(mktemp)"; ts="$(mktemp)"
-    SCAN_HORIZON=300 SCAN_REPS=1 cargo run -q --release -p scan-bench --bin fig4 -- \
-        --quick --trace "$tj" --store "$ts" >/dev/null
-    jsonl_bytes="$(wc -c < "$tj")"
-    scts_bytes="$(wc -c < "$ts")"
-    rm -f "$tj" "$ts"
-    echo "    jsonl ${jsonl_bytes} B, scts ${scts_bytes} B" >&2
-fi
+python3 - "$raw" "$out" $workloads <<'PY'
+import json, statistics, sys
 
-python3 - "$raw" "$label" "$out" "$jsonl_bytes" "$scts_bytes" <<'PY'
-import json, re, subprocess, sys
+raw, out, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
 
-raw_path, label, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
-jsonl_bytes, scts_bytes = int(sys.argv[4]), int(sys.argv[5])
+def runs(path):
+    """(provenance, result) per run: perfbench's last two stdout lines."""
+    lines = [json.loads(l) for l in open(path)]
+    return [(lines[i]["provenance"], lines[i + 1]) for i in range(0, len(lines), 2)]
 
-UNIT = {"ns": 1e-9, "µs": 1e-6, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-LINE = re.compile(
-    r"^(?P<name>\S+)\s+time:\s+\[(?P<min>[\d.]+) (?P<minu>\S+) "
-    r"(?P<mean>[\d.]+) (?P<meanu>\S+) (?P<max>[\d.]+) (?P<maxu>\S+)\]"
-    r"(?:\s+thrpt: (?P<rate>[\d.]+) ?(?P<ratesuf>G|M|K)? ?elem/s)?"
-)
-SUF = {"G": 1e9, "M": 1e6, "K": 1e3, None: 1.0}
-
-results = {}
-for line in open(raw_path):
-    m = LINE.match(line.strip())
-    if not m:
-        continue
-    mean_s = float(m["mean"]) * UNIT[m["meanu"]]
-    entry = {
-        "min_s": float(m["min"]) * UNIT[m["minu"]],
-        "mean_s": mean_s,
-        "max_s": float(m["max"]) * UNIT[m["maxu"]],
+ledger = {
+    "_comment": "perfbench medians (--trace 0, three runs) and layer rows (--trace 1); "
+    "written by scripts/bench.sh --out, gated by scripts/bench.sh --check.",
+    "format": "perfbench",
+    "workloads": {},
+}
+for w in workloads:
+    plain, [(traced_prov, traced)] = runs(f"{raw}/{w}.0"), runs(f"{raw}/{w}.1")
+    e2e = {}
+    for name, m in plain[0][1]["metrics"].items():
+        values = [result["metrics"][name]["value"] for _, result in plain]
+        e2e[name] = {"median": statistics.median(values), "min": min(values),
+                     "max": max(values), "unit": m["unit"]}
+    ledger["workloads"][w] = {
+        "end_to_end": e2e,
+        "failed": sum(r["failed"] for _, r in plain),
+        "attempted": sum(r["attempted"] for _, r in plain),
+        "provenance": [p for p, _ in plain],
+        "layers": {"failed": traced["failed"], "attempted": traced["attempted"],
+                   "metrics": traced["metrics"], "provenance": traced_prov},
     }
-    if m["rate"]:
-        # session benches report Throughput::Elements(events): the rate is
-        # events/sec, and events = rate × mean seconds.
-        events_per_s = float(m["rate"]) * SUF[m["ratesuf"]]
-        entry["events_per_s"] = events_per_s
-        if m["name"].startswith("session/full/"):
-            entry["sessions_per_s"] = 1.0 / mean_s
-            entry["ns_per_event"] = 1e9 / events_per_s
-        if m["name"].startswith("fleet/tenants/"):
-            # Fleet benches report Throughput::Elements(jobs): elem/s is
-            # whole-fleet jobs/sec at that tenant count.
-            entry["jobs_per_s"] = events_per_s
-    results[m["name"]] = entry
-
-commit = subprocess.run(
-    ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
-).stdout.strip() or "unknown"
-
-run = {"commit": commit, "results": results}
-if scts_bytes:
-    run["export_size"] = {
-        "fig4_jsonl_bytes": jsonl_bytes,
-        "fig4_scts_bytes": scts_bytes,
-        "jsonl_over_scts": round(jsonl_bytes / scts_bytes, 2),
-    }
-
-if out_path:
-    try:
-        ledger = json.load(open(out_path))
-    except (FileNotFoundError, json.JSONDecodeError):
-        ledger = {
-            "_comment": "End-to-end and per-subsystem bench medians per "
-            "labelled run; written by scripts/bench.sh.",
-            "runs": {},
-        }
-    ledger.setdefault("runs", {})[label] = run
-    with open(out_path, "w") as f:
-        json.dump(ledger, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {out_path} (label: {label}, {len(results)} benchmarks)")
-else:
-    print(json.dumps(run, indent=2, sort_keys=True))
+with open(out, "w") as f:
+    json.dump(ledger, f, indent=2)
+    f.write("\n")
+print(f"wrote {out} ({', '.join(workloads)})")
 PY

@@ -208,18 +208,15 @@ if [[ "$quick" != "quick" ]]; then
     echo "==> scan-lint --time-budget-ms 250 (release)"
     cargo run -q --release -p scan-lint -- --time-budget-ms 250
 
-    # Perf trajectory (blocking): compare the two newest bench ledgers.
-    # The tolerance is wide enough (±5%) to ride out shared-box noise on
-    # these long-running benches; a real regression trips the gate.
-    ledgers=($(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -2))
-    if [[ "${#ledgers[@]}" == 2 ]]; then
-        echo "==> bench ledger compare (blocking, ±5%): ${ledgers[0]} -> ${ledgers[1]}"
-        ./scripts/bench.sh --compare "${ledgers[0]}" "${ledgers[1]}" --tolerance 0.05
-    fi
+    # Perf trajectory (blocking): the newest perfbench ledger against
+    # each end-to-end metric's best recorded point, 5% at most, and no
+    # failed unit (the ledger is written by `./scripts/bench.sh --out`).
+    echo "==> bench ledger gate (blocking, 5% from each metric's best)"
+    ./scripts/bench.sh --check
 fi
 
-echo "==> metrics overhead bench (run-gate: registry ops and the observed session must execute)"
-cargo bench -p scan-bench --bench metrics >/dev/null
+echo "==> instrumented session (run-gate: an observed session fills the metrics registry)"
+run_one -p scan-platform instrument::tests::metrics_do_not_perturb_the_session
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

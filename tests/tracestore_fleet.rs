@@ -99,8 +99,8 @@ fn store_agrees_with_the_jsonl_sink() {
     assert_eq!(rows[0].value, dispatched as f64);
 
     // The export is dramatically smaller than the JSONL for the same
-    // stream (the full ≥5x criterion is measured on fig4 artefacts by
-    // scripts/bench.sh; this is the in-process sanity floor).
+    // stream (the full ≥5x criterion is asserted on the recorded fig4
+    // cell by crates/bench/tests/artefacts.rs; this is the sanity floor).
     let scts_len = store.to_bytes().len();
     assert!(
         scts_len * 3 < text.len(),
