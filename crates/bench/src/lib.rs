@@ -12,10 +12,12 @@
 //! | `fig5`   | Fig. 5 — reward-to-cost ratio vs total core-stages          |
 //! | `sweep`  | §IV-B — the full policy-permutation sweep                   |
 //!
-//! Criterion microbenches (`cargo bench -p scan-bench`) cover the hot
-//! kernels (event calendar, SPARQL evaluation, sharding, plan search) and
-//! reduced-horizon versions of the figure experiments, plus the ablation
-//! suite called out in DESIGN.md §8.
+//! Criterion microbenches (`cargo bench -p scan-bench`) cover what
+//! perfbench (the repo's benchmark, `perfbench/`) does not time: the RNG
+//! and event-calendar kernels, SPARQL evaluation, sharding and alignment,
+//! reduced-horizon versions of the figure experiments, and the ablation
+//! suite called out in DESIGN.md §8. Sessions/s, fleet jobs/s and the
+//! per-layer costs are perfbench's, ledgered by `scripts/bench.sh`.
 //!
 //! Output conventions: plain-text tables with `mean ± σ` entries, exactly
 //! the series the paper plots.
@@ -58,7 +60,8 @@ pub fn run_cell(variable: VariableParams, sim_time: f64, reps: u64) -> Replicate
 /// [`FleetConfig::new`]'s shared pool, whose per-tenant contention stays
 /// constant as the fleet grows — so every fleet drains well before the
 /// backstop and jobs/sec is comparable across scales. Used by the `fleet`
-/// bin (CI smoke + ledger) and the `fleet` criterion bench.
+/// bin (CI's 1-vs-8-thread check, and its stderr jobs/s at any
+/// `SCAN_TENANTS`).
 pub fn fleet_cfg(tenants: u16) -> FleetConfig {
     let mut base =
         ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), EXPERIMENT_SEED);

@@ -8,8 +8,8 @@
 //!   constructor-inferred local, or the return type of the previous call
 //!   in a chain. An `Option<T>`/`Result<T, _>` return unwrapped by
 //!   `.expect(…)`, `.unwrap()` or `?` types as `T`, in a chain and in a
-//!   `let` binding alike. A receiver the model cannot type produces *no* edge:
-//!   a false edge would fabricate taint chains (e.g. every `.insert(…)`
+//!   `let` binding alike. A receiver the model cannot type produces *no*
+//!   edge: a false edge would fabricate taint chains (e.g. every `.insert(…)`
 //!   in the workspace linking to one crate's `insert`), so the graph
 //!   under-approximates by construction.
 //! - **Path calls** (`Type::m(…)`, `Self::m(…)`, `scan_kb::f(…)`)
@@ -138,9 +138,9 @@ impl<'m, 'w> Resolver<'m, 'w> {
         let end = end.min(self.code.len());
         let mut k = start;
         while k < end {
-            while self.pending_lets.last().is_some_and(|(semi, _)| *semi == k) {
-                let (_, name) = self.pending_lets.pop().expect("checked non-empty");
-                if let Some(ty) = self.place_type(k - 1) {
+            while self.pending_lets.last().is_some_and(|(semi, _)| *semi <= k) {
+                let (semi, name) = self.pending_lets.pop().expect("checked non-empty");
+                if let Some(ty) = self.place_type(semi - 1) {
                     self.locals.insert(name, ty);
                 }
             }

@@ -7,7 +7,7 @@
 //! completions and the three worker lifecycle events); the high-volume
 //! kinds (`subtask_done`, `queue_depth`, `scaling_decision`) return
 //! immediately, which is what keeps the ingest-path overhead small
-//! (benched in `benches/spans.rs`).
+//! (perfbench's `spans.stitch_ns_per_event`).
 
 use crate::schema::SegmentKind;
 use crate::span::{JobSpans, Segment, SpanSet, NO_TIER};

@@ -44,10 +44,9 @@ print(f"bench gate: {newest_path} against the best of {len(ledgers)} perfbench l
       f"tolerance {TOLERANCE:.0%}")
 failures = []
 for workload, row in newest["workloads"].items():
-    for run in ("end_to_end", "layers"):
-        failed = row["failed"] if run == "end_to_end" else row["layers"]["failed"]
+    for runs, failed in (("--trace 0", row["failed"]), ("--trace 1", row["layers"]["failed"])):
         if failed:
-            failures.append(f"{workload}: {failed} failed unit(s) in the {run} runs")
+            failures.append(f"{workload}: {failed} failed unit(s) in the {runs} runs")
     for metric in bench["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         points = [(pr, doc["workloads"][workload]["end_to_end"][name]["median"])
