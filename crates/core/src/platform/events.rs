@@ -40,9 +40,9 @@ impl TenantCal<'_> {
 /// Simulation events.
 ///
 /// Kept at or under 16 bytes (an 8-byte VM key, a u32 job slot, a u16
-/// stage and the discriminant) so the calendar's heap entries stay two
-/// words of payload — heap sift moves are the simulator's hottest memory
-/// traffic.
+/// stage and the discriminant) so a calendar heap entry, this payload
+/// beside its packed 16-byte key, stays 32 bytes — heap sift moves are
+/// the simulator's hottest memory traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// The next job batch arrives.
@@ -69,8 +69,10 @@ pub enum Event {
 }
 
 // Layout audit: growing `Event` past 16 bytes fattens every calendar
-// heap entry; fail the build instead of silently regressing.
+// heap entry past its 16-byte key plus 16 bytes of payload; fail the
+// build instead of silently regressing.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+const _: () = assert!(Calendar::<Event>::ENTRY_BYTES <= 32);
 
 /// Live state of one admitted job: a record of the platform's job
 /// table, which holds it from admission to completion.

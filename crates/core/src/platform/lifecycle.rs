@@ -63,7 +63,7 @@ impl Platform {
 
     /// Releases the idle workers past their tier's timeout, in ascending
     /// VM id. Each `(tier, shape)` release list is ordered by idle start,
-    /// so the expired workers are a prefix of it. Private pools never
+    /// so the expired workers are a prefix of it, walked from its head. Private pools never
     /// shrink below their standing target: of a shape's expired private
     /// workers, only the lowest ids above the floor go.
     fn release_expired(&mut self, now: SimTime) {
@@ -71,13 +71,17 @@ impl Platform {
         for tier in [self.private_tier, self.public_tier] {
             let timeout = idle_timeout(tier);
             for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
-                let list = self.idle.by_idle_start(tier, slot);
-                let n = list.partition_point(|&(since, _)| idle_expired(since, timeout, now));
+                let start = expired.len();
+                expired.extend(
+                    self.idle
+                        .by_idle_start(tier, slot)
+                        .take_while(|&(since, _)| idle_expired(since, timeout, now))
+                        .map(|(_, vm)| (vm, cores)),
+                );
+                let n = expired.len() - start;
                 if n == 0 {
                     continue;
                 }
-                let start = expired.len();
-                expired.extend(list[..n].iter().map(|&(_, vm)| (vm, cores)));
                 if tier == self.private_tier {
                     let room = self.releasable_private(cores);
                     if room < n {

@@ -40,22 +40,54 @@ use std::collections::VecDeque;
 /// VMs, so the occasional memmove is far cheaper than the tree nodes it
 /// replaces.
 ///
-/// A worker becomes idle at the current instant, so appending keeps each
-/// release list ordered by idle start: the workers past an idle timeout
-/// are always a prefix, and the front is the next to time out.
+/// Each release list is an intrusive doubly-linked list threaded through
+/// a table indexed by VM slot (like [`BusyTable`]'s positions), so a
+/// worker taken from the middle of its list unlinks in O(1). A worker
+/// becomes idle at the current instant, so appending at the tail keeps
+/// each list ordered by idle start: the workers past an idle timeout are
+/// always a prefix from the head, and the head is the next to time out.
 #[derive(Debug)]
 pub(super) struct IdlePools {
     pools: [Vec<VmKey>; N_SHAPES],
-    /// `(idle since, vm)` per tier (`TierId.0`) and shape slot, oldest
-    /// first.
-    since: [[Vec<(SimTime, VmKey)>; N_SHAPES]; 2],
+    /// Release-list links by VM slot; meaningful only for idle workers.
+    links: Vec<IdleLink>,
+    /// `(head, tail)` VM slots per tier (`TierId.0`) and shape slot:
+    /// the longest and the most recently idle worker ([`NIL`] when
+    /// empty).
+    ends: [[(u32, u32); N_SHAPES]; 2],
     /// Per tier and shape slot, the first grid instant at which the
-    /// list's front has timed out, computed when first asked for (most
-    /// fronts are assigned work again before anyone asks).
+    /// list's head has timed out, computed when first asked for (most
+    /// heads are assigned work again before anyone asks).
     front_expiry: [[Cell<Option<SimTime>>; N_SHAPES]; 2],
     /// Bit `tier * N_SHAPES + slot` set iff that release list is
     /// non-empty.
     listed: u16,
+}
+
+/// One idle worker's place in its `(tier, shape)` release list.
+#[derive(Debug, Clone, Copy)]
+struct IdleLink {
+    /// When the worker became idle.
+    since: SimTime,
+    /// VM slots of the neighbours that became idle before and after it
+    /// ([`NIL`] at the ends).
+    prev: u32,
+    next: u32,
+    key: VmKey,
+    tier: u8,
+}
+
+/// The null link: no VM slot.
+const NIL: u32 = u32::MAX;
+
+impl IdleLink {
+    const UNUSED: IdleLink = IdleLink {
+        since: SimTime::ZERO,
+        prev: NIL,
+        next: NIL,
+        key: VmKey { id: VmId(u32::MAX), slot: NIL },
+        tier: 0,
+    };
 }
 
 impl IdlePools {
@@ -63,7 +95,8 @@ impl IdlePools {
     pub(super) fn new() -> Self {
         IdlePools {
             pools: Default::default(),
-            since: Default::default(),
+            links: Vec::new(),
+            ends: [[(NIL, NIL); N_SHAPES]; 2],
             front_expiry: Default::default(),
             listed: 0,
         }
@@ -77,13 +110,24 @@ impl IdlePools {
         let pos = pool.partition_point(|&v| v > vm);
         debug_assert!(pool.get(pos) != Some(&vm), "double insert of idle VM");
         pool.insert(pos, vm);
-        let list = &mut self.since[tier.0][slot];
-        debug_assert!(list.last().is_none_or(|&(t, _)| t <= since), "idle starts are monotone");
-        list.push((since, vm));
-        if list.len() == 1 {
+        let at = vm.slot as usize;
+        if self.links.len() <= at {
+            self.links.resize(at + 1, IdleLink::UNUSED);
+        }
+        let (head, tail) = &mut self.ends[tier.0][slot];
+        debug_assert!(
+            *tail == NIL || self.links[*tail as usize].since <= since,
+            "idle starts are monotone"
+        );
+        self.links[at] = IdleLink { since, prev: *tail, next: NIL, key: vm, tier: tier.0 as u8 };
+        if *tail == NIL {
+            *head = vm.slot;
             self.front_expiry[tier.0][slot].set(None);
             self.listed |= 1 << (tier.0 * N_SHAPES + slot);
+        } else {
+            self.links[*tail as usize].next = vm.slot;
         }
+        *tail = vm.slot;
     }
 
     /// Removes a specific worker (e.g. picked for reshape or release).
@@ -94,7 +138,7 @@ impl IdlePools {
         let pos = pool.partition_point(|&v| v > vm);
         if pool.get(pos) == Some(&vm) {
             pool.remove(pos);
-            self.unindex(slot, vm);
+            self.unlink(slot, vm);
             true
         } else {
             false
@@ -106,26 +150,30 @@ impl IdlePools {
     pub(super) fn take_min(&mut self, cores: u32) -> Option<VmKey> {
         let slot = shape_slot(cores);
         let vm = self.pools[slot].pop()?;
-        self.unindex(slot, vm);
+        self.unlink(slot, vm);
         Some(vm)
     }
 
-    /// Drops `vm` from its release list.
-    fn unindex(&mut self, slot: usize, vm: VmKey) {
-        for tier in 0..2 {
-            let list = &mut self.since[tier][slot];
-            if let Some(pos) = list.iter().position(|&(_, v)| v == vm) {
-                list.remove(pos);
-                if pos == 0 {
-                    self.front_expiry[tier][slot].set(None);
-                }
-                if list.is_empty() {
-                    self.listed &= !(1 << (tier * N_SHAPES + slot));
-                }
-                return;
-            }
+    /// Drops idle worker `vm` of shape `slot` from its release list.
+    fn unlink(&mut self, slot: usize, vm: VmKey) {
+        let IdleLink { prev, next, key, tier, .. } = self.links[vm.slot as usize];
+        debug_assert_eq!(key, vm, "idle VM missing from the release index");
+        let tier = tier as usize;
+        let (head, tail) = &mut self.ends[tier][slot];
+        if prev == NIL {
+            *head = next;
+            self.front_expiry[tier][slot].set(None);
+        } else {
+            self.links[prev as usize].next = next;
         }
-        unreachable!("idle VM missing from the release index");
+        if next == NIL {
+            *tail = prev;
+        } else {
+            self.links[next as usize].prev = prev;
+        }
+        if *head == NIL {
+            self.listed &= !(1 << (tier * N_SHAPES + slot));
+        }
     }
 
     /// `(tier, shape slot, first grid instant its oldest worker is past
@@ -141,7 +189,7 @@ impl IdlePools {
             let (tier, slot) = (bit / N_SHAPES, bit % N_SHAPES);
             let cached = &self.front_expiry[tier][slot];
             let at = cached.get().unwrap_or_else(|| {
-                let (since, _) = self.since[tier][slot][0];
+                let since = self.links[self.ends[tier][slot].0 as usize].since;
                 let at = grid_expiry(since, idle_timeout(TierId(tier)));
                 cached.set(Some(at));
                 at
@@ -167,8 +215,20 @@ impl IdlePools {
 
     /// `(idle since, vm)` of one tier's idle workers of a shape slot,
     /// longest idle first.
-    pub(super) fn by_idle_start(&self, tier: TierId, slot: usize) -> &[(SimTime, VmKey)] {
-        &self.since[tier.0][slot]
+    pub(super) fn by_idle_start(
+        &self,
+        tier: TierId,
+        slot: usize,
+    ) -> impl Iterator<Item = (SimTime, VmKey)> + '_ {
+        let mut at = self.ends[tier.0][slot].0;
+        std::iter::from_fn(move || {
+            if at == NIL {
+                return None;
+            }
+            let link = &self.links[at as usize];
+            at = link.next;
+            Some((link.since, link.key))
+        })
     }
 
     /// Every idle worker, as `(cores, vm)`.
@@ -452,6 +512,7 @@ impl StandingTargets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The key of VM `id`, in slot `id`.
     fn key(id: u32) -> VmKey {
@@ -488,7 +549,7 @@ mod tests {
         assert!(pools.remove(8, key(3)));
         assert!(!pools.remove(8, key(3)));
         assert_eq!(pools.take_min(8), Some(key(5)));
-        assert!(pools.by_idle_start(PRIVATE, shape_slot(8)).is_empty());
+        assert!(pools.by_idle_start(PRIVATE, shape_slot(8)).next().is_none());
     }
 
     #[test]
@@ -499,7 +560,7 @@ mod tests {
         pools.insert(2, key(1), PRIVATE, SimTime::new(3.0));
         let slot = shape_slot(2);
         let ids = |pools: &IdlePools, tier| -> Vec<u32> {
-            pools.by_idle_start(tier, slot).iter().map(|&(_, v)| v.id.0).collect()
+            pools.by_idle_start(tier, slot).map(|(_, v)| v.id.0).collect()
         };
         assert_eq!(ids(&pools, PRIVATE), vec![9, 1], "oldest idle first, not lowest id");
         assert_eq!(ids(&pools, PUBLIC), vec![4]);
@@ -531,6 +592,173 @@ mod tests {
         assert_eq!(pools.take_min(4), Some(key(2)));
         assert_eq!(pools.take_min(4), Some(key(3)));
         assert_eq!(expiries(&pools), vec![]);
+    }
+
+    /// The release index as a naive model: per tier, every idle worker
+    /// as `(since, vm, cores)` in the order it became idle; a shape's
+    /// release list is that `Vec` filtered to the shape.
+    #[derive(Default)]
+    struct NaiveIdle {
+        tiers: [Vec<(SimTime, VmKey, u32)>; 2],
+    }
+
+    impl NaiveIdle {
+        fn list(&self, tier: usize, slot: usize) -> Vec<(SimTime, VmKey)> {
+            let cores = SHAPE_CORES[slot];
+            self.tiers[tier].iter().filter(|e| e.2 == cores).map(|&(t, v, _)| (t, v)).collect()
+        }
+
+        fn take(&mut self, cores: u32, vm: VmKey) -> bool {
+            for list in &mut self.tiers {
+                if let Some(pos) = list.iter().position(|e| e.1 == vm && e.2 == cores) {
+                    list.remove(pos);
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn take_min(&mut self, cores: u32) -> Option<VmKey> {
+            let vm = self.tiers.iter().flatten().filter(|e| e.2 == cores).map(|e| e.1).min()?;
+            self.take(cores, vm);
+            Some(vm)
+        }
+
+        fn expiries(&self) -> Vec<(TierId, usize, SimTime)> {
+            let mut out = Vec::new();
+            for tier in 0..2 {
+                for slot in 0..N_SHAPES {
+                    if let Some(&(since, _)) = self.list(tier, slot).first() {
+                        let at = grid_expiry(since, idle_timeout(TierId(tier)));
+                        out.push((TierId(tier), slot, at));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// Fails unless the pools and the model agree on every release list,
+    /// every expiry and every idle worker.
+    fn check_idle(pools: &IdlePools, naive: &NaiveIdle) -> Result<(), TestCaseError> {
+        for tier in 0..2 {
+            for slot in 0..N_SHAPES {
+                let got: Vec<(SimTime, VmKey)> = pools.by_idle_start(TierId(tier), slot).collect();
+                prop_assert_eq!((tier, slot, got), (tier, slot, naive.list(tier, slot)));
+            }
+        }
+        prop_assert_eq!(pools.expiries().collect::<Vec<_>>(), naive.expiries());
+        let mut all: Vec<(u32, VmKey)> = pools.all().collect();
+        let mut want: Vec<(u32, VmKey)> =
+            naive.tiers.iter().flatten().map(|&(_, v, c)| (c, v)).collect();
+        all.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(all, want);
+        Ok(())
+    }
+
+    proptest! {
+        /// Random hires, lowest-id takes, returns to idle, removals and
+        /// release sweeps over reused VM slots leave the pools exactly
+        /// where the naive two-tier model is: the same pops, the same
+        /// release lists in idle-start order, the same expired prefixes
+        /// and the same expiries.
+        #[test]
+        fn prop_idle_pools_match_a_naive_two_tier_model(
+            ops in proptest::collection::vec((0u8..9, 0usize..64, 0usize..8), 1..200),
+        ) {
+            let mut pools = IdlePools::new();
+            let mut naive = NaiveIdle::default();
+            // Live workers: (key, cores, tier, idle).
+            let mut vms: Vec<(VmKey, u32, TierId, bool)> = Vec::new();
+            let (mut free, mut next_slot, mut next_id) = (Vec::new(), 0u32, 0u32);
+            let mut now = SimTime::ZERO;
+            for &(op, a, b) in &ops {
+                let cores = [2, 4, 8][b % 3];
+                match op {
+                    // Hire: a new VM id, often in a released VM's slot.
+                    0 | 1 => {
+                        let slot = if a % 3 != 0 && !free.is_empty() {
+                            free.swap_remove(a % free.len())
+                        } else {
+                            next_slot += 1;
+                            next_slot - 1
+                        };
+                        let vm = VmKey { id: VmId(next_id), slot };
+                        next_id += 1;
+                        let tier = TierId(a % 2);
+                        pools.insert(cores, vm, tier, now);
+                        naive.tiers[tier.0].push((now, vm, cores));
+                        vms.push((vm, cores, tier, true));
+                    }
+                    // Take the lowest-id idle worker of a shape.
+                    2 | 3 => {
+                        let got = pools.take_min(cores);
+                        prop_assert_eq!(got, naive.take_min(cores));
+                        if let Some(vm) = got {
+                            vms.iter_mut().find(|e| e.0 == vm).expect("live").3 = false;
+                        }
+                    }
+                    // A busy worker goes idle again.
+                    4 => {
+                        let busy: Vec<usize> = (0..vms.len()).filter(|&i| !vms[i].3).collect();
+                        if let Some(&i) = busy.get(a % busy.len().max(1)) {
+                            let (vm, cores, tier, _) = vms[i];
+                            pools.insert(cores, vm, tier, now);
+                            naive.tiers[tier.0].push((now, vm, cores));
+                            vms[i].3 = true;
+                        }
+                    }
+                    // Remove a live worker (idle or not, right shape or
+                    // not) and release it if it was idle.
+                    5 => {
+                        if vms.is_empty() {
+                            continue;
+                        }
+                        let i = a % vms.len();
+                        let (vm, shape, ..) = vms[i];
+                        let asked = if b % 4 == 0 { cores } else { shape };
+                        let removed = pools.remove(asked, vm);
+                        prop_assert_eq!(removed, naive.take(asked, vm));
+                        if removed {
+                            free.push(vm.slot);
+                            vms.swap_remove(i);
+                        }
+                    }
+                    6 => now = SimTime::new(now.as_tu() + 0.3 * b as f64),
+                    // A release sweep: walk each list's expired prefix and
+                    // release its lowest ids, as the floor rule may.
+                    _ => {
+                        for tier in [TierId(0), TierId(1)] {
+                            let timeout = idle_timeout(tier);
+                            for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
+                                let mut expired: Vec<VmKey> = pools
+                                    .by_idle_start(tier, slot)
+                                    .take_while(|&(since, _)| idle_expired(since, timeout, now))
+                                    .map(|(_, vm)| vm)
+                                    .collect();
+                                let want: Vec<VmKey> = naive
+                                    .list(tier.0, slot)
+                                    .into_iter()
+                                    .take_while(|&(since, _)| idle_expired(since, timeout, now))
+                                    .map(|(_, vm)| vm)
+                                    .collect();
+                                prop_assert_eq!(&expired, &want);
+                                expired.sort_unstable();
+                                expired.truncate(a % (expired.len() + 1));
+                                for vm in expired {
+                                    prop_assert!(pools.remove(cores, vm));
+                                    prop_assert!(naive.take(cores, vm));
+                                    free.push(vm.slot);
+                                    vms.retain(|e| e.0 != vm);
+                                }
+                            }
+                        }
+                    }
+                }
+                check_idle(&pools, &naive)?;
+            }
+        }
     }
 
     #[test]

@@ -89,10 +89,12 @@ struct Resolver<'m, 'w> {
     /// Closing-`)` token index → return type of the call ending there
     /// (drives typing of `a.b().c()` chains).
     ret_at: BTreeMap<usize, String>,
-    /// `let` bindings typed once the scan reaches their statement's `;`
-    /// (token index, name): an unwrapped call's type is only known after
-    /// the call is scanned. Innermost last.
-    pending_lets: Vec<(usize, String)>,
+    /// `let` bindings settled once the scan reaches their statement's
+    /// `;` (token index, name, whether to type it): an unwrapped call's
+    /// type is only known after the call is scanned, and an untyped
+    /// binding still reads the binding it shadows until then. Innermost
+    /// last.
+    pending_lets: Vec<(usize, String, bool)>,
 }
 
 impl<'m, 'w> Resolver<'m, 'w> {
@@ -138,11 +140,9 @@ impl<'m, 'w> Resolver<'m, 'w> {
         let end = end.min(self.code.len());
         let mut k = start;
         while k < end {
-            while self.pending_lets.last().is_some_and(|(semi, _)| *semi <= k) {
-                let (semi, name) = self.pending_lets.pop().expect("checked non-empty");
-                if let Some(ty) = self.place_type(semi - 1) {
-                    self.locals.insert(name, ty);
-                }
+            while self.pending_lets.last().is_some_and(|(semi, ..)| *semi <= k) {
+                let (semi, name, typed) = self.pending_lets.pop().expect("checked non-empty");
+                self.bind(name, if typed { self.place_type(semi - 1) } else { None });
             }
             if self.kind(k) != Some(TokenKind::Ident) {
                 k += 1;
@@ -236,25 +236,37 @@ impl<'m, 'w> Resolver<'m, 'w> {
     /// `let name: Type = …` / `let name = Type::new(…)` / `let name =
     /// Type { …` — records the binding's type when statable; `let name =
     /// ….expect(…);`, `….unwrap();` and `…?;` are typed when the scan
-    /// reaches the `;`.
+    /// reaches the `;`. Any other binding is untyped, so it drops the
+    /// type of the binding it shadows: the one of a plain `let name` at
+    /// its statement's `;`, every name a pattern (`if let Some(name) =
+    /// …`, `let (a, b) = …`) may bind at once.
     fn infer_let(&mut self, mut k: usize) {
         if self.kind(k) == Some(TokenKind::Ident) && self.text(k) == "mut" {
             k += 1;
         }
-        if self.kind(k) != Some(TokenKind::Ident) {
+        let plain = self.kind(k) == Some(TokenKind::Ident)
+            && (self.is_punct(k + 1, b'=')
+                || self.is_punct(k + 1, b';')
+                || self.is_punct(k + 1, b':') && !self.is_punct(k + 2, b':'));
+        if !plain {
+            self.unbind_pattern(k);
             return;
         }
         let name = self.text(k).to_string();
         // `let x: Type`
-        if self.is_punct(k + 1, b':') && !self.is_punct(k + 2, b':') {
-            if let Some(ty) = self.type_head(k + 2) {
-                self.locals.insert(name, ty);
-            }
+        if self.is_punct(k + 1, b':') {
+            let ty = self.type_head(k + 2);
+            self.bind(name, ty);
             return;
         }
         if !self.is_punct(k + 1, b'=') {
+            self.locals.remove(&name);
             return;
         }
+        let Some(semi) = self.statement_end(k + 2) else {
+            self.locals.remove(&name);
+            return;
+        };
         let mut v = k + 2;
         // `let x = &mut base.field[index];` — a borrowed/moved place
         // expression; walk it forward and type it with `place_type`.
@@ -264,10 +276,11 @@ impl<'m, 'w> Resolver<'m, 'w> {
             v += 1;
         }
         if self.kind(v) != Some(TokenKind::Ident) {
+            self.pending_lets.push((semi, name, false));
             return;
         }
-        if let Some(semi) = self.unwrapping_statement_end(v) {
-            self.pending_lets.push((semi, name));
+        if self.unwraps(semi) {
+            self.pending_lets.push((semi, name, true));
             return;
         }
         if let Some(ty) = self.place_expr_type(v) {
@@ -297,7 +310,43 @@ impl<'m, 'w> Resolver<'m, 'w> {
             }
             if matches!(method, "new" | "default" | "with_capacity") {
                 self.locals.insert(name, head);
+                return;
             }
+        }
+        self.pending_lets.push((semi, name, false));
+    }
+
+    /// Records `name`'s type, or forgets the one an earlier binding of
+    /// the name had.
+    fn bind(&mut self, name: String, ty: Option<String>) {
+        match ty {
+            Some(ty) => self.locals.insert(name, ty),
+            None => self.locals.remove(&name),
+        };
+    }
+
+    /// Forgets every name the `let` pattern starting at `k` may bind (up
+    /// to its `=`): the graph cannot type a pattern's bindings, and a
+    /// name's earlier type would make call edges the code does not have.
+    fn unbind_pattern(&mut self, mut k: usize) {
+        let mut depth = 0i32;
+        while let Some(kind) = self.kind(k) {
+            match kind {
+                TokenKind::Punct(b'(' | b'[' | b'{') => depth += 1,
+                TokenKind::Punct(b')' | b']' | b'}') => {
+                    depth -= 1;
+                    if depth < 0 {
+                        return;
+                    }
+                }
+                TokenKind::Punct(b'=' | b';') if depth == 0 => return,
+                TokenKind::Ident => {
+                    let name = self.text(k);
+                    self.locals.remove(name);
+                }
+                _ => {}
+            }
+            k += 1;
         }
     }
 
@@ -415,12 +464,11 @@ impl<'m, 'w> Resolver<'m, 'w> {
         self.place_type(j)
     }
 
-    /// The `;` ending the statement whose value starts at `v`, when that
-    /// value ends in `.expect(…)`, `.unwrap()` or `?`.
-    fn unwrapping_statement_end(&self, v: usize) -> Option<usize> {
+    /// The `;` ending the statement whose value starts at `v`.
+    fn statement_end(&self, v: usize) -> Option<usize> {
         let mut depth = 0i32;
         let mut j = v;
-        let semi = loop {
+        loop {
             match self.kind(j)? {
                 TokenKind::Punct(b'(' | b'[' | b'{') => depth += 1,
                 TokenKind::Punct(b')' | b']' | b'}') => {
@@ -429,20 +477,27 @@ impl<'m, 'w> Resolver<'m, 'w> {
                         return None;
                     }
                 }
-                TokenKind::Punct(b';') if depth == 0 => break j,
+                TokenKind::Punct(b';') if depth == 0 => return Some(j),
                 _ => {}
             }
             j += 1;
-        };
-        if self.is_punct(semi - 1, b'?') {
-            return Some(semi);
         }
-        let open = self.matching_open(semi - 1, b'(', b')')?;
-        let method = open.checked_sub(1)?;
-        let unwraps = self.kind(method) == Some(TokenKind::Ident)
+    }
+
+    /// Whether the value ending at the statement's `;` at `semi` ends in
+    /// `.expect(…)`, `.unwrap()` or `?`.
+    fn unwraps(&self, semi: usize) -> bool {
+        if self.is_punct(semi - 1, b'?') {
+            return true;
+        }
+        let Some(method) =
+            self.matching_open(semi - 1, b'(', b')').and_then(|open| open.checked_sub(1))
+        else {
+            return false;
+        };
+        self.kind(method) == Some(TokenKind::Ident)
             && matches!(self.text(method), "expect" | "unwrap")
-            && self.is_punct(method - 1, b'.');
-        unwraps.then_some(semi)
+            && self.is_punct(method - 1, b'.')
     }
 
     /// Token index of the `close` bracket matching the `open` at `k`,

@@ -7,16 +7,20 @@
 //! repetition must be a pure function of its seed.
 //!
 //! Besides ordinary events, each tenant may hold one pending *wakeup*
-//! ([`Calendar::wake`]): it carries the reserved maximum sequence number,
-//! so it fires after every other event of its tenant at the same
-//! instant, and setting it again moves it (earlier or later) instead of
-//! adding a second one. A moved wakeup's old heap entry is superseded and
-//! silently dropped; it never reaches the caller or the clock.
+//! ([`Calendar::wake`]): it carries a sequence number above every
+//! ordinary one, so it fires after every other event of its tenant at the
+//! same instant, and setting it again moves it (earlier or later) instead
+//! of adding a second one. A moved wakeup's old heap entry is superseded
+//! and silently dropped; it never reaches the caller or the clock.
+//!
+//! The heap is a plain binary min-heap over `{ key, event }` entries. The
+//! ordering key is packed once, when an event is scheduled, so a sift
+//! compares one stored `u128` per step and moves 32-byte entries (for a
+//! 16-byte payload); [`ScheduledEvent`] is unpacked from the key only
+//! when an event is popped.
 
 use crate::tenant::TenantId;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Sequence numbers occupy the low 48 bits of the heap key; the 16 bits
 /// above them hold the scheduling tenant. 2⁴⁸ events per run is far
@@ -24,9 +28,50 @@ use std::collections::BinaryHeap;
 /// single `u128` compare.
 const SEQ_BITS: u32 = 48;
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
-/// The sequence number every wakeup carries: above any ordinary event's,
-/// so a wakeup is the last of its tenant's events at its instant.
-const WAKE_SEQ: u64 = SEQ_MASK;
+/// Wakeups take the upper half of the sequence space, numbered in the
+/// order they were set: above any ordinary event's, so a wakeup is the
+/// last of its tenant's events at its instant, and distinct from every
+/// superseded wakeup of the tenant, so a wakeup moved back to an instant
+/// it left never shares a key with its stale entry there.
+const WAKE_SEQ: u64 = 1 << (SEQ_BITS - 1);
+/// `Calendar::wakes` value of a tenant with no pending wakeup. No wakeup
+/// key is zero: its sequence bits are at least [`WAKE_SEQ`].
+const NO_WAKE: u128 = 0;
+
+/// The heap ordering key, packed into one integer compare: fire-time bits
+/// in the high half, tenant then sequence number in the low half.
+/// `SimTime` is always finite and non-negative, so the IEEE-754 bit
+/// pattern of `at` orders exactly like the float itself — one
+/// branch-free `u128` comparison replaces a float compare plus a
+/// tie-break. Among simultaneous events, lower tenants fire first and,
+/// within one tenant, scheduling order wins; for single-tenant runs
+/// (tenant always [`TenantId::SOLO`]) the key is numerically identical to
+/// the pre-fleet `time ‖ seq` packing, so event orders — and golden
+/// traces — are unchanged. Computed once per scheduled event and stored
+/// in its heap entry.
+#[inline]
+fn pack(at: SimTime, tenant: TenantId, seq: u64) -> u128 {
+    debug_assert!(seq <= SEQ_MASK, "calendar sequence overflowed 48 bits");
+    ((at.as_tu().to_bits() as u128) << 64) | ((tenant.0 as u128) << SEQ_BITS) | seq as u128
+}
+
+/// The fire time a key was packed from.
+#[inline]
+fn key_at(key: u128) -> SimTime {
+    SimTime::new(f64::from_bits((key >> 64) as u64))
+}
+
+/// The tenant a key was packed from.
+#[inline]
+fn key_tenant(key: u128) -> TenantId {
+    TenantId((key >> SEQ_BITS) as u16)
+}
+
+/// The sequence number a key was packed from.
+#[inline]
+fn key_seq(key: u128) -> u64 {
+    key as u64 & SEQ_MASK
+}
 
 /// An event with the instant at which it fires.
 #[derive(Debug, Clone)]
@@ -34,7 +79,8 @@ pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub at: SimTime,
     /// Scheduling sequence number; earlier-scheduled events fire first
-    /// among simultaneous same-tenant ones.
+    /// among simultaneous same-tenant ones. A wakeup's is above every
+    /// ordinary event's.
     pub seq: u64,
     /// The tenant that scheduled the event ([`TenantId::SOLO`] for
     /// single-tenant simulations).
@@ -43,45 +89,11 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-impl<E> ScheduledEvent<E> {
-    /// The heap ordering key, packed into one integer compare: fire-time
-    /// bits in the high half, tenant then sequence number in the low
-    /// half. `SimTime` is always finite and non-negative, so the
-    /// IEEE-754 bit pattern of `at` orders exactly like the float itself
-    /// — one branch-free `u128` comparison replaces a float compare plus
-    /// a tie-break (the heap's sift loop is the simulator's single
-    /// hottest comparison site). Among simultaneous events, lower
-    /// tenants fire first and, within one tenant, scheduling order wins;
-    /// for single-tenant runs (tenant always [`TenantId::SOLO`]) the key
-    /// is numerically identical to the pre-fleet `time ‖ seq` packing,
-    /// so event orders — and golden traces — are unchanged.
-    #[inline]
-    fn key(&self) -> u128 {
-        debug_assert!(self.seq <= SEQ_MASK, "calendar sequence overflowed 48 bits");
-        ((self.at.as_tu().to_bits() as u128) << 64)
-            | ((self.tenant.0 as u128) << SEQ_BITS)
-            | (self.seq & SEQ_MASK) as u128
-    }
-}
-
-// BinaryHeap is a max-heap; reverse the ordering so the earliest instant
-// (and, within an instant, the lowest sequence number) is popped first.
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for ScheduledEvent<E> {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
+/// One heap entry: the packed ordering key and the payload.
+#[derive(Debug, Clone)]
+struct Entry<E> {
+    key: u128,
+    event: E,
 }
 
 /// A deterministic event calendar.
@@ -101,13 +113,18 @@ impl<E> Ord for ScheduledEvent<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Calendar<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
+    /// A binary min-heap on `key`: every entry's key is at most its
+    /// children's (`2i + 1`, `2i + 2`). Keys are unique.
+    heap: Vec<Entry<E>>,
     next_seq: u64,
+    /// Wakeups set so far: the next wakeup's sequence number is
+    /// `WAKE_SEQ + next_wake`.
+    next_wake: u64,
     now: SimTime,
-    /// Each tenant's pending wakeup instant, by tenant index. A wakeup
-    /// entry in the heap is live iff its instant is its tenant's entry
-    /// here; the heap's top is never a superseded one.
-    wakes: Vec<Option<SimTime>>,
+    /// Each tenant's pending wakeup key, by tenant index ([`NO_WAKE`]
+    /// for none). A wakeup entry in the heap is live iff its key is its
+    /// tenant's entry here; the heap's top is never a superseded one.
+    wakes: Vec<u128>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -117,16 +134,21 @@ impl<E> Default for Calendar<E> {
 }
 
 impl<E> Calendar<E> {
+    /// Bytes one pending event takes in the heap: the 16-byte packed key
+    /// plus the payload, padded to the key's alignment.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// Creates an empty calendar with the clock at zero.
     pub fn new() -> Self {
-        Calendar { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO, wakes: Vec::new() }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty calendar with pre-allocated capacity for `n` events.
     pub fn with_capacity(n: usize) -> Self {
         Calendar {
-            heap: BinaryHeap::with_capacity(n),
+            heap: Vec::with_capacity(n),
             next_seq: 0,
+            next_wake: 0,
             now: SimTime::ZERO,
             wakes: Vec::new(),
         }
@@ -168,8 +190,8 @@ impl<E> Calendar<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        debug_assert!(seq < WAKE_SEQ, "calendar sequence reached the wakeup slot");
-        self.heap.push(ScheduledEvent { at, seq, tenant, event });
+        debug_assert!(seq < WAKE_SEQ, "calendar sequence reached the wakeup range");
+        self.push(pack(at, tenant, seq), event);
     }
 
     /// Sets `tenant`'s one pending wakeup to fire `event` at `at`,
@@ -189,52 +211,62 @@ impl<E> Calendar<E> {
             self.now.as_tu()
         );
         if self.wakes.len() <= tenant.index() {
-            self.wakes.resize(tenant.index() + 1, None);
+            self.wakes.resize(tenant.index() + 1, NO_WAKE);
         }
-        if self.wakes[tenant.index()] == Some(at) {
+        let pending = self.wakes[tenant.index()];
+        if pending != NO_WAKE && key_at(pending) == at {
             return;
         }
-        self.wakes[tenant.index()] = Some(at);
-        self.heap.push(ScheduledEvent { at, seq: WAKE_SEQ, tenant, event });
+        let seq = WAKE_SEQ + self.next_wake;
+        self.next_wake += 1;
+        let key = pack(at, tenant, seq);
+        self.wakes[tenant.index()] = key;
+        self.push(key, event);
         self.drop_superseded();
     }
 
     /// Cancels `tenant`'s pending wakeup, if it has one.
     pub fn cancel_wake(&mut self, tenant: TenantId) {
-        if let Some(slot) = self.wakes.get_mut(tenant.index()) {
-            if slot.take().is_some() {
+        if let Some(pending) = self.wakes.get_mut(tenant.index()) {
+            if std::mem::replace(pending, NO_WAKE) != NO_WAKE {
                 self.drop_superseded();
             }
         }
     }
 
-    /// Whether a wakeup entry is still its tenant's pending one.
-    fn is_live(&self, ev: &ScheduledEvent<E>) -> bool {
-        ev.seq != WAKE_SEQ || self.wakes[ev.tenant.index()] == Some(ev.at)
+    /// Whether the entry keyed `key` will fire: an ordinary event, or its
+    /// tenant's pending wakeup.
+    #[inline]
+    fn is_live(&self, key: u128) -> bool {
+        key_seq(key) < WAKE_SEQ || self.wakes[key_tenant(key).index()] == key
     }
 
     /// Pops superseded wakeups off the top of the heap, so the top is
     /// always an event that will fire.
+    #[inline]
     fn drop_superseded(&mut self) {
-        while self.heap.peek().is_some_and(|top| !self.is_live(top)) {
-            self.heap.pop();
+        while self.heap.first().is_some_and(|top| !self.is_live(top.key)) {
+            self.pop_entry();
         }
     }
 
     /// Pops the top entry (known live), clearing its tenant's wakeup if
     /// it is one.
+    #[inline]
     fn take_top(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.heap.pop()?;
-        if ev.seq == WAKE_SEQ {
-            self.wakes[ev.tenant.index()] = None;
+        let Entry { key, event } = self.pop_entry()?;
+        let (tenant, seq) = (key_tenant(key), key_seq(key));
+        if seq >= WAKE_SEQ {
+            self.wakes[tenant.index()] = NO_WAKE;
         }
         self.drop_superseded();
-        Some(ev)
+        Some(ScheduledEvent { at: key_at(key), seq, tenant, event })
     }
 
     /// Pops the next event in (time, tenant, schedule-order) order and
     /// advances the clock to its fire time. Returns `None` when the
     /// calendar is empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let ev = self.take_top()?;
         debug_assert!(ev.at >= self.now);
@@ -258,7 +290,7 @@ impl<E> Calendar<E> {
         };
         let at = first.at;
         out.push(first);
-        while self.heap.peek().is_some_and(|e| e.at == at) {
+        while self.heap.first().is_some_and(|e| key_at(e.key) == at) {
             out.push(self.take_top().expect("peeked non-empty"));
         }
         out.len()
@@ -270,12 +302,57 @@ impl<E> Calendar<E> {
         self.heap.clear();
         self.wakes.clear();
     }
+
+    /// Adds an entry and sifts it up to its place.
+    #[inline]
+    fn push(&mut self, key: u128, event: E) {
+        let mut pos = self.heap.len();
+        self.heap.push(Entry { key, event });
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.heap[parent].key < key {
+                break;
+            }
+            self.heap.swap(pos, parent);
+            pos = parent;
+        }
+    }
+
+    /// Removes the minimum entry: the last entry takes the root's place
+    /// and sifts down.
+    #[inline]
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
+        let mut top = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return Some(top);
+        }
+        std::mem::swap(&mut top, &mut self.heap[0]);
+        let heap = &mut self.heap[..];
+        let (n, key) = (heap.len(), heap[0].key);
+        let mut pos = 0;
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && heap[child + 1].key < heap[child].key {
+                child += 1;
+            }
+            if key < heap[child].key {
+                break;
+            }
+            heap.swap(pos, child);
+            pos = child;
+        }
+        Some(top)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn pops_in_time_order() {
@@ -420,7 +497,105 @@ mod tests {
         );
     }
 
+    /// The calendar's contract as a sorted map keyed `(time, tenant,
+    /// seq)`, where each tenant's one pending wakeup takes the largest
+    /// `seq`. Times are quarter-TU ticks, exact in both representations.
+    #[derive(Default)]
+    struct ModelCalendar {
+        events: BTreeMap<(u64, u16, u64), u32>,
+        /// Each tenant's pending wakeup instant.
+        wakes: BTreeMap<u16, u64>,
+        next_seq: u64,
+        now: u64,
+    }
+
+    const MODEL_WAKE: u64 = u64::MAX;
+
+    impl ModelCalendar {
+        fn schedule_for(&mut self, at: u64, tenant: u16, event: u32) {
+            self.events.insert((at, tenant, self.next_seq), event);
+            self.next_seq += 1;
+        }
+
+        fn wake(&mut self, at: u64, tenant: u16, event: u32) {
+            if self.wakes.get(&tenant) != Some(&at) {
+                self.cancel_wake(tenant);
+                self.wakes.insert(tenant, at);
+                self.events.insert((at, tenant, MODEL_WAKE), event);
+            }
+        }
+
+        fn cancel_wake(&mut self, tenant: u16) {
+            if let Some(at) = self.wakes.remove(&tenant) {
+                self.events.remove(&(at, tenant, MODEL_WAKE));
+            }
+        }
+
+        /// `(at, tenant, seq or None for a wakeup, event)` of the first
+        /// entry.
+        fn pop(&mut self) -> Option<(u64, u16, Option<u64>, u32)> {
+            let ((at, tenant, seq), event) = self.events.pop_first()?;
+            if seq == MODEL_WAKE {
+                self.wakes.remove(&tenant);
+            }
+            self.now = at;
+            Some((at, tenant, (seq != MODEL_WAKE).then_some(seq), event))
+        }
+    }
+
+    fn tick(at: u64) -> SimTime {
+        SimTime::new(at as f64 * 0.25)
+    }
+
+    /// Pops one event from each and fails unless they agree.
+    fn check_pop(cal: &mut Calendar<u32>, model: &mut ModelCalendar) -> Result<(), TestCaseError> {
+        let got = cal.pop().map(|e| {
+            let seq = (e.seq < WAKE_SEQ).then_some(e.seq);
+            (e.at.as_tu().to_bits(), e.tenant.0, seq, e.event)
+        });
+        let want = model.pop().map(|(at, t, seq, ev)| (tick(at).as_tu().to_bits(), t, seq, ev));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(cal.now(), tick(model.now));
+        Ok(())
+    }
+
     proptest! {
+        /// Random schedules, wakeups (set, moved earlier, later or back
+        /// to an instant they left) and cancellations across tenants pop
+        /// exactly as the sorted-map model says: the same instants,
+        /// tenants, sequence numbers and payloads, with the clock
+        /// following.
+        #[test]
+        fn prop_calendar_matches_a_sorted_map(
+            ops in proptest::collection::vec((0u8..10, 0u16..4, 0u64..6), 1..300),
+        ) {
+            let mut cal = Calendar::new();
+            let mut model = ModelCalendar::default();
+            for (i, &(op, tenant, ahead)) in ops.iter().enumerate() {
+                let at = model.now + ahead;
+                let event = i as u32;
+                match op {
+                    0..=3 => {
+                        cal.schedule_for(tick(at), TenantId(tenant), event);
+                        model.schedule_for(at, tenant, event);
+                    }
+                    4..=5 => {
+                        cal.wake(tick(at), TenantId(tenant), event);
+                        model.wake(at, tenant, event);
+                    }
+                    6 => {
+                        cal.cancel_wake(TenantId(tenant));
+                        model.cancel_wake(tenant);
+                    }
+                    _ => check_pop(&mut cal, &mut model)?,
+                }
+            }
+            while !model.events.is_empty() {
+                check_pop(&mut cal, &mut model)?;
+            }
+            prop_assert!(cal.pop().is_none(), "the calendar holds nothing the model does not");
+        }
+
         /// Whatever order events are scheduled in, they pop in
         /// non-decreasing time order, and equal times pop in scheduling
         /// order.

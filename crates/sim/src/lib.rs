@@ -29,8 +29,9 @@
 //!   calendar.
 //!
 //! Everything is allocation-light in the hot path (events are plain enums
-//! moved through a `BinaryHeap`) and fully deterministic: two runs with the
-//! same seed produce bit-identical event orders regardless of host machine.
+//! moved through the calendar's binary heap beside their packed keys) and
+//! fully deterministic: two runs with the same seed produce bit-identical
+//! event orders regardless of host machine.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

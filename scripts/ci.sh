@@ -127,6 +127,10 @@ run_one -p scan-kb --test profile_log one_scan_fits_match_the_per_stage_readback
 echo "==> class-queue equivalence (job-level queues vs a per-shard model: pops, waits, lengths, Eq. 1)"
 run_one -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
 
+echo "==> calendar and worker-pool equivalence (packed-key heap vs a sorted map; linked release lists vs a naive two-tier model)"
+run_one -p scan-sim --lib calendar::tests::prop_calendar_matches_a_sorted_map
+run_one -p scan-platform --lib platform::state::tests::prop_idle_pools_match_a_naive_two_tier_model
+
 echo "==> allocation budgets (debug: nothing on the simulation path allocates per job)"
 run_one --test alloc_budget session_unit_allocates_nothing_per_job
 run_one --test alloc_budget fleet_tenant_build_is_small
@@ -171,6 +175,11 @@ if [[ "$quick" != "quick" ]]; then
 
     echo "==> class-queue equivalence (release)"
     run_one --release -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
+
+    echo "==> calendar and worker-pool equivalence (release)"
+    run_one --release -p scan-sim --lib calendar::tests::prop_calendar_matches_a_sorted_map
+    run_one --release -p scan-platform --lib \
+        platform::state::tests::prop_idle_pools_match_a_naive_two_tier_model
 
     echo "==> allocation budgets (release)"
     run_one --release --test alloc_budget session_unit_allocates_nothing_per_job
