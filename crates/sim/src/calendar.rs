@@ -318,8 +318,10 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Removes the minimum entry: the last entry takes the root's place
-    /// and sifts down.
+    /// Removes the minimum entry. The last entry takes the root's place,
+    /// moves down along the smaller children to a leaf (one branch-free
+    /// key compare per level) and then back up to where its key belongs:
+    /// the last entry is usually among the latest, so it rarely climbs.
     #[inline]
     fn pop_entry(&mut self) -> Option<Entry<E>> {
         let mut top = self.heap.pop()?;
@@ -335,14 +337,19 @@ impl<E> Calendar<E> {
             if child >= n {
                 break;
             }
-            if child + 1 < n && heap[child + 1].key < heap[child].key {
-                child += 1;
-            }
-            if key < heap[child].key {
-                break;
+            if child + 1 < n {
+                child += (heap[child + 1].key < heap[child].key) as usize;
             }
             heap.swap(pos, child);
             pos = child;
+        }
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if heap[parent].key < key {
+                break;
+            }
+            heap.swap(pos, parent);
+            pos = parent;
         }
         Some(top)
     }
