@@ -351,8 +351,8 @@ impl BusyTable {
     }
 }
 
-/// Per-class counters stored densely (stage rows × shape slots), used
-/// for both the in-flight-hire (`pending`) accounting.
+/// Per-class counters stored densely (stage rows × shape slots): the
+/// platform's in-flight-hire (`pending`) accounting.
 #[derive(Debug, Default)]
 pub(super) struct ClassCounts {
     rows: Vec<[u32; N_SHAPES]>,

@@ -372,6 +372,18 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_pops_as_the_epoch() {
+        // The key packs the instant's bits, so a `-0.0` kept as such would
+        // sort after every positive instant.
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::new(5.0), 5u32);
+        cal.schedule(SimTime::new(-0.0), 0);
+        let order: Vec<(u32, u64)> =
+            std::iter::from_fn(|| cal.pop().map(|e| (e.event, e.at.as_tu().to_bits()))).collect();
+        assert_eq!(order, vec![(0, 0.0f64.to_bits()), (5, 5.0f64.to_bits())]);
+    }
+
+    #[test]
     fn simultaneous_events_are_fifo() {
         let mut cal = Calendar::new();
         for i in 0..100u32 {

@@ -18,7 +18,9 @@
 //! * [`trace`] — a typed event vocabulary ([`TraceEvent`]) and pluggable
 //!   [`Observer`] sinks behind a [`Tracer`], so
 //!   the platform's subsystems can narrate scheduling decisions, VM
-//!   lifecycle and job progress to whoever is listening.
+//!   lifecycle and job progress to whoever is listening. The vocabulary
+//!   is declared once there: every [`EventKind`] with its tag and its
+//!   field table, which the JSONL writer and the trace store both read.
 //! * [`prof`] — an opt-in wall-clock self-profiler: RAII spans in
 //!   thread-local call trees, mergeable summaries, sorted self/total
 //!   tables and flamegraph-compatible collapsed stacks.
@@ -52,6 +54,6 @@ pub use stats::{Histogram, OnlineStats, TimeWeighted};
 pub use tenant::TenantId;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    JsonlWriter, Merge, NullObserver, Observer, ObserverHandle, RingBuffer, ScalingChoice,
-    TraceEvent, Tracer,
+    EventKind, Field, FieldType, JsonlWriter, Merge, NullObserver, Observer, ObserverHandle,
+    RingBuffer, ScalingChoice, TraceEvent, Tracer, Value, ALL_KINDS, MAX_FIELDS,
 };

@@ -24,7 +24,8 @@ impl SimTime {
     /// The instant at which every simulation starts.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// Creates an instant `tu` time units after the epoch.
+    /// Creates an instant `tu` time units after the epoch. `-0.0` is
+    /// stored as `+0.0`: the calendar orders instants by their bits.
     ///
     /// # Panics
     /// Panics if `tu` is NaN or negative: the calendar relies on a total
@@ -32,7 +33,8 @@ impl SimTime {
     #[inline]
     pub fn new(tu: f64) -> Self {
         assert!(tu.is_finite() && tu >= 0.0, "SimTime must be finite and non-negative, got {tu}");
-        SimTime(tu)
+        // Adding +0.0 maps -0.0 to +0.0 and leaves every other value as it is.
+        SimTime(tu + 0.0)
     }
 
     /// The raw number of time units since the epoch.

@@ -68,7 +68,17 @@
 //! assert_eq!(counter.borrow().hires, 1);
 //! ```
 //!
-//! The event vocabulary itself — every variant, its fields and units, and
+//! # One declaration of the vocabulary
+//!
+//! Each kind of event is declared once, here: [`EventKind`] (and
+//! [`ALL_KINDS`]) names it, [`EventKind::tag`] gives its JSONL `kind`
+//! and store table name, and [`EventKind::fields`] its field table of
+//! `(name, type)`. [`TraceEvent::with_values`] reads an event's values
+//! in table order and [`TraceEvent::from_values`] is the inverse. The
+//! [`JsonlWriter`] and the `scan-tracestore` columnar store read this
+//! declaration instead of restating it.
+//!
+//! The vocabulary's meaning — every variant, its fields and units, and
 //! one worked JSONL example per variant — is documented in
 //! `docs/TRACE_SCHEMA.md` at the repository root.
 
@@ -290,28 +300,327 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable lowercase kind tag (used by the JSONL writer and filters).
-    pub fn kind(&self) -> &'static str {
+    /// The kind of this event: its JSONL `kind` and its trace-store table.
+    #[inline]
+    pub fn kind(&self) -> EventKind {
         match self {
-            Self::JobArrived { .. } => "job_arrived",
-            Self::JobStageAdvanced { .. } => "job_stage_advanced",
-            Self::JobCompleted { .. } => "job_completed",
-            Self::SloViolation { .. } => "slo_violation",
-            Self::SubtaskDispatched { .. } => "subtask_dispatched",
-            Self::SubtaskDone { .. } => "subtask_done",
-            Self::VmHired { .. } => "vm_hired",
-            Self::VmBooted { .. } => "vm_booted",
-            Self::VmReshaped { .. } => "vm_reshaped",
-            Self::VmReleased { .. } => "vm_released",
-            Self::ScalingDecision { .. } => "scaling_decision",
-            Self::QueueDepthSampled { .. } => "queue_depth",
-            Self::AdmissionDeferred { .. } => "admission_deferred",
-            Self::AdmissionResumed { .. } => "admission_resumed",
-            Self::TierSettled { .. } => "tier_settled",
-            Self::RunEnded { .. } => "run_ended",
+            Self::JobArrived { .. } => EventKind::JobArrived,
+            Self::JobStageAdvanced { .. } => EventKind::JobStageAdvanced,
+            Self::JobCompleted { .. } => EventKind::JobCompleted,
+            Self::SloViolation { .. } => EventKind::SloViolation,
+            Self::SubtaskDispatched { .. } => EventKind::SubtaskDispatched,
+            Self::SubtaskDone { .. } => EventKind::SubtaskDone,
+            Self::VmHired { .. } => EventKind::VmHired,
+            Self::VmBooted { .. } => EventKind::VmBooted,
+            Self::VmReshaped { .. } => EventKind::VmReshaped,
+            Self::VmReleased { .. } => EventKind::VmReleased,
+            Self::ScalingDecision { .. } => EventKind::ScalingDecision,
+            Self::QueueDepthSampled { .. } => EventKind::QueueDepth,
+            Self::AdmissionDeferred { .. } => EventKind::AdmissionDeferred,
+            Self::AdmissionResumed { .. } => EventKind::AdmissionResumed,
+            Self::TierSettled { .. } => EventKind::TierSettled,
+            Self::RunEnded { .. } => EventKind::RunEnded,
         }
     }
+
+    /// Calls `read` with the event's field values, in the order of its
+    /// kind's [`fields`](EventKind::fields). [`TraceEvent::from_values`]
+    /// is the inverse.
+    #[inline]
+    pub fn with_values<R>(&self, read: impl FnOnce(&[Value]) -> R) -> R {
+        use Value::*;
+        match *self {
+            Self::JobArrived { job, size_units, submitted_tu } => {
+                read(&[Id(job), F64(size_units), F64(submitted_tu)])
+            }
+            Self::JobStageAdvanced { job, stage, shards, cores } => {
+                read(&[Id(job), U32(stage), U32(shards), U32(cores)])
+            }
+            Self::JobCompleted { job, latency_tu, reward, core_stages } => {
+                read(&[Id(job), F64(latency_tu), F64(reward), F64(core_stages)])
+            }
+            Self::SloViolation { job, latency_tu, target_tu } => {
+                read(&[Id(job), F64(latency_tu), F64(target_tu)])
+            }
+            Self::SubtaskDispatched { job, stage, vm, cores, waited_tu, busy_tu } => {
+                read(&[Id(job), U32(stage), Id(vm), U32(cores), F64(waited_tu), F64(busy_tu)])
+            }
+            Self::SubtaskDone { job, stage, vm } => read(&[Id(job), U32(stage), Id(vm)]),
+            Self::VmHired { vm, tier, cores } => read(&[Id(vm), Tier(tier), U32(cores)]),
+            Self::VmBooted { vm, cores } => read(&[Id(vm), U32(cores)]),
+            Self::VmReshaped { vm, tier, cores_from, cores_to } => {
+                read(&[Id(vm), Tier(tier), U32(cores_from), U32(cores_to)])
+            }
+            Self::VmReleased { vm, tier, cores } => read(&[Id(vm), Tier(tier), U32(cores)]),
+            Self::ScalingDecision { stage, cores, queued_jobs, delay_cost, hire_cost, choice } => {
+                read(&[
+                    U32(stage),
+                    U32(cores),
+                    U32(queued_jobs),
+                    F64(delay_cost),
+                    F64(hire_cost),
+                    Choice(choice),
+                ])
+            }
+            Self::QueueDepthSampled { depth } => read(&[U32(depth)]),
+            Self::AdmissionDeferred { tenant, jobs, backlog }
+            | Self::AdmissionResumed { tenant, jobs, backlog } => {
+                read(&[Tenant(tenant), U32(jobs), U32(backlog)])
+            }
+            Self::TierSettled { tier, cost, core_tu } => {
+                read(&[Tier(tier), F64(cost), F64(core_tu)])
+            }
+            Self::RunEnded { events_dispatched } => read(&[U64(events_dispatched)]),
+        }
+    }
+
+    /// The event of `kind` whose [`with_values`](TraceEvent::with_values) are
+    /// `values`, or `None` when they do not fit the kind's field table
+    /// (a missing, extra or differently typed value).
+    pub fn from_values(kind: EventKind, values: &[Value]) -> Option<TraceEvent> {
+        use EventKind as K;
+        use Value::*;
+        Some(match (kind, values) {
+            (K::JobArrived, &[Id(job), F64(size_units), F64(submitted_tu)]) => {
+                Self::JobArrived { job, size_units, submitted_tu }
+            }
+            (K::JobStageAdvanced, &[Id(job), U32(stage), U32(shards), U32(cores)]) => {
+                Self::JobStageAdvanced { job, stage, shards, cores }
+            }
+            (K::JobCompleted, &[Id(job), F64(latency_tu), F64(reward), F64(core_stages)]) => {
+                Self::JobCompleted { job, latency_tu, reward, core_stages }
+            }
+            (K::SloViolation, &[Id(job), F64(latency_tu), F64(target_tu)]) => {
+                Self::SloViolation { job, latency_tu, target_tu }
+            }
+            (
+                K::SubtaskDispatched,
+                &[Id(job), U32(stage), Id(vm), U32(cores), F64(waited_tu), F64(busy_tu)],
+            ) => Self::SubtaskDispatched { job, stage, vm, cores, waited_tu, busy_tu },
+            (K::SubtaskDone, &[Id(job), U32(stage), Id(vm)]) => {
+                Self::SubtaskDone { job, stage, vm }
+            }
+            (K::VmHired, &[Id(vm), Tier(tier), U32(cores)]) => Self::VmHired { vm, tier, cores },
+            (K::VmBooted, &[Id(vm), U32(cores)]) => Self::VmBooted { vm, cores },
+            (K::VmReshaped, &[Id(vm), Tier(tier), U32(cores_from), U32(cores_to)]) => {
+                Self::VmReshaped { vm, tier, cores_from, cores_to }
+            }
+            (K::VmReleased, &[Id(vm), Tier(tier), U32(cores)]) => {
+                Self::VmReleased { vm, tier, cores }
+            }
+            (
+                K::ScalingDecision,
+                &[U32(stage), U32(cores), U32(queued_jobs), F64(delay_cost), F64(hire_cost), Choice(choice)],
+            ) => Self::ScalingDecision { stage, cores, queued_jobs, delay_cost, hire_cost, choice },
+            (K::QueueDepth, &[U32(depth)]) => Self::QueueDepthSampled { depth },
+            (K::AdmissionDeferred, &[Tenant(tenant), U32(jobs), U32(backlog)]) => {
+                Self::AdmissionDeferred { tenant, jobs, backlog }
+            }
+            (K::AdmissionResumed, &[Tenant(tenant), U32(jobs), U32(backlog)]) => {
+                Self::AdmissionResumed { tenant, jobs, backlog }
+            }
+            (K::TierSettled, &[Tier(tier), F64(cost), F64(core_tu)]) => {
+                Self::TierSettled { tier, cost, core_tu }
+            }
+            (K::RunEnded, &[U64(events_dispatched)]) => Self::RunEnded { events_dispatched },
+            _ => return None,
+        })
+    }
 }
+
+/// One kind of [`TraceEvent`], in variant order: the JSONL `kind` and
+/// the trace store's table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
+pub enum EventKind {
+    /// [`TraceEvent::JobArrived`].
+    JobArrived,
+    /// [`TraceEvent::JobStageAdvanced`].
+    JobStageAdvanced,
+    /// [`TraceEvent::JobCompleted`].
+    JobCompleted,
+    /// [`TraceEvent::SloViolation`].
+    SloViolation,
+    /// [`TraceEvent::SubtaskDispatched`].
+    SubtaskDispatched,
+    /// [`TraceEvent::SubtaskDone`].
+    SubtaskDone,
+    /// [`TraceEvent::VmHired`].
+    VmHired,
+    /// [`TraceEvent::VmBooted`].
+    VmBooted,
+    /// [`TraceEvent::VmReshaped`].
+    VmReshaped,
+    /// [`TraceEvent::VmReleased`].
+    VmReleased,
+    /// [`TraceEvent::ScalingDecision`].
+    ScalingDecision,
+    /// [`TraceEvent::QueueDepthSampled`].
+    QueueDepth,
+    /// [`TraceEvent::AdmissionDeferred`].
+    AdmissionDeferred,
+    /// [`TraceEvent::AdmissionResumed`].
+    AdmissionResumed,
+    /// [`TraceEvent::TierSettled`].
+    TierSettled,
+    /// [`TraceEvent::RunEnded`].
+    RunEnded,
+}
+
+/// Every kind, in variant order: `ALL_KINDS[k as usize] == k`, and the
+/// order the trace store's tables appear in its export.
+pub const ALL_KINDS: [EventKind; 16] = [
+    EventKind::JobArrived,
+    EventKind::JobStageAdvanced,
+    EventKind::JobCompleted,
+    EventKind::SloViolation,
+    EventKind::SubtaskDispatched,
+    EventKind::SubtaskDone,
+    EventKind::VmHired,
+    EventKind::VmBooted,
+    EventKind::VmReshaped,
+    EventKind::VmReleased,
+    EventKind::ScalingDecision,
+    EventKind::QueueDepth,
+    EventKind::AdmissionDeferred,
+    EventKind::AdmissionResumed,
+    EventKind::TierSettled,
+    EventKind::RunEnded,
+];
+
+/// What an event field holds, which fixes how each consumer renders it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldType {
+    /// A job or VM number, carried as `u64`.
+    Id,
+    /// A `u32` stage, count or core shape.
+    U32,
+    /// A `u64` counter.
+    U64,
+    /// An `f64` time (TU), cost (CU) or size; NaN where a cost was not
+    /// priced.
+    F64,
+    /// A tier index (`u32`; 0 = private, 1 = public).
+    Tier,
+    /// A [`ScalingChoice`], rendered by its [`name`](ScalingChoice::name).
+    Choice,
+    /// The fleet tenant an admission event is about (`u32`).
+    Tenant,
+}
+
+/// One declared field of an event kind: its JSONL key (which is also
+/// the `TraceEvent` field name) and what it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    /// The field's name.
+    pub name: &'static str,
+    /// What the field holds.
+    pub ty: FieldType,
+}
+
+impl Field {
+    /// The tier field of the VM and settlement kinds; the trace store
+    /// names its derived `subtask_dispatched` tier column after it.
+    pub const TIER: Field = Field { name: "tier", ty: FieldType::Tier };
+
+    /// The tenant field of the admission kinds; the trace store keeps it
+    /// as the row stamp every table carries under this name.
+    pub const TENANT: Field = Field { name: "tenant", ty: FieldType::Tenant };
+}
+
+// Every field name, declared once; the kind tables below list them.
+const JOB: Field = Field { name: "job", ty: FieldType::Id };
+const VM: Field = Field { name: "vm", ty: FieldType::Id };
+const STAGE: Field = Field { name: "stage", ty: FieldType::U32 };
+const SHARDS: Field = Field { name: "shards", ty: FieldType::U32 };
+const CORES: Field = Field { name: "cores", ty: FieldType::U32 };
+const CORES_FROM: Field = Field { name: "cores_from", ty: FieldType::U32 };
+const CORES_TO: Field = Field { name: "cores_to", ty: FieldType::U32 };
+const QUEUED_JOBS: Field = Field { name: "queued_jobs", ty: FieldType::U32 };
+const DEPTH: Field = Field { name: "depth", ty: FieldType::U32 };
+const JOBS: Field = Field { name: "jobs", ty: FieldType::U32 };
+const BACKLOG: Field = Field { name: "backlog", ty: FieldType::U32 };
+const EVENTS_DISPATCHED: Field = Field { name: "events_dispatched", ty: FieldType::U64 };
+const SIZE_UNITS: Field = Field { name: "size_units", ty: FieldType::F64 };
+const SUBMITTED_TU: Field = Field { name: "submitted_tu", ty: FieldType::F64 };
+const LATENCY_TU: Field = Field { name: "latency_tu", ty: FieldType::F64 };
+const REWARD: Field = Field { name: "reward", ty: FieldType::F64 };
+const CORE_STAGES: Field = Field { name: "core_stages", ty: FieldType::F64 };
+const TARGET_TU: Field = Field { name: "target_tu", ty: FieldType::F64 };
+const WAITED_TU: Field = Field { name: "waited_tu", ty: FieldType::F64 };
+const BUSY_TU: Field = Field { name: "busy_tu", ty: FieldType::F64 };
+const DELAY_COST: Field = Field { name: "delay_cost", ty: FieldType::F64 };
+const HIRE_COST: Field = Field { name: "hire_cost", ty: FieldType::F64 };
+const COST: Field = Field { name: "cost", ty: FieldType::F64 };
+const CORE_TU: Field = Field { name: "core_tu", ty: FieldType::F64 };
+const CHOICE: Field = Field { name: "choice", ty: FieldType::Choice };
+const TIER: Field = Field::TIER;
+const TENANT: Field = Field::TENANT;
+
+/// Per kind, in [`ALL_KINDS`] order: its tag and its fields in
+/// `TraceEvent` declaration order.
+static KINDS: [(&str, &[Field]); 16] = [
+    ("job_arrived", &[JOB, SIZE_UNITS, SUBMITTED_TU]),
+    ("job_stage_advanced", &[JOB, STAGE, SHARDS, CORES]),
+    ("job_completed", &[JOB, LATENCY_TU, REWARD, CORE_STAGES]),
+    ("slo_violation", &[JOB, LATENCY_TU, TARGET_TU]),
+    ("subtask_dispatched", &[JOB, STAGE, VM, CORES, WAITED_TU, BUSY_TU]),
+    ("subtask_done", &[JOB, STAGE, VM]),
+    ("vm_hired", &[VM, TIER, CORES]),
+    ("vm_booted", &[VM, CORES]),
+    ("vm_reshaped", &[VM, TIER, CORES_FROM, CORES_TO]),
+    ("vm_released", &[VM, TIER, CORES]),
+    ("scaling_decision", &[STAGE, CORES, QUEUED_JOBS, DELAY_COST, HIRE_COST, CHOICE]),
+    ("queue_depth", &[DEPTH]),
+    ("admission_deferred", &[TENANT, JOBS, BACKLOG]),
+    ("admission_resumed", &[TENANT, JOBS, BACKLOG]),
+    ("tier_settled", &[TIER, COST, CORE_TU]),
+    ("run_ended", &[EVENTS_DISPATCHED]),
+];
+
+impl EventKind {
+    /// The kind `event` is; the same as [`TraceEvent::kind`].
+    #[inline]
+    pub fn of(event: &TraceEvent) -> EventKind {
+        event.kind()
+    }
+
+    /// Stable lowercase tag: the JSONL `kind` and the store table's name.
+    #[inline]
+    pub fn tag(self) -> &'static str {
+        KINDS[self as usize].0
+    }
+
+    /// The kind's fields, in the order [`TraceEvent::with_values`] reads
+    /// them.
+    #[inline]
+    pub fn fields(self) -> &'static [Field] {
+        KINDS[self as usize].1
+    }
+}
+
+/// One field value, typed as its [`FieldType`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A [`FieldType::Id`] value.
+    Id(u64),
+    /// A [`FieldType::U32`] value.
+    U32(u32),
+    /// A [`FieldType::U64`] value.
+    U64(u64),
+    /// A [`FieldType::F64`] value.
+    F64(f64),
+    /// A [`FieldType::Tier`] value.
+    Tier(u32),
+    /// A [`FieldType::Choice`] value.
+    Choice(ScalingChoice),
+    /// A [`FieldType::Tenant`] value.
+    Tenant(u32),
+}
+
+/// The most fields a kind declares: room to gather any event's values
+/// for [`TraceEvent::from_values`].
+pub const MAX_FIELDS: usize = 6;
 
 /// A consumer of trace events. Observers are driven synchronously from
 /// the emitting call site, in attachment order.
@@ -501,97 +810,33 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
         let _ = write!(line, "{{\"t\":");
         push_json_f64(line, at.as_tu());
         if let Some(tenant) = self.tenant {
-            let _ = write!(line, ",\"tenant\":{tenant}");
+            let _ = write!(line, ",\"{}\":{tenant}", Field::TENANT.name);
         }
-        let _ = write!(line, ",\"kind\":\"{}\"", event.kind());
-        match *event {
-            TraceEvent::JobArrived { job, size_units, submitted_tu } => {
-                let _ = write!(line, ",\"job\":{job},\"size_units\":");
-                push_json_f64(line, size_units);
-                let _ = write!(line, ",\"submitted_tu\":");
-                push_json_f64(line, submitted_tu);
+        let kind = event.kind();
+        line.push_str(",\"kind\":\"");
+        line.push_str(kind.tag());
+        line.push('"');
+        event.with_values(|values| {
+            for (field, value) in kind.fields().iter().zip(values) {
+                line.push_str(",\"");
+                line.push_str(field.name);
+                line.push_str("\":");
+                match *value {
+                    Value::Id(v) | Value::U64(v) => {
+                        let _ = write!(line, "{v}");
+                    }
+                    Value::U32(v) | Value::Tier(v) | Value::Tenant(v) => {
+                        let _ = write!(line, "{v}");
+                    }
+                    Value::F64(v) => push_json_f64(line, v),
+                    Value::Choice(choice) => {
+                        line.push('"');
+                        line.push_str(choice.name());
+                        line.push('"');
+                    }
+                }
             }
-            TraceEvent::JobStageAdvanced { job, stage, shards, cores } => {
-                let _ = write!(
-                    line,
-                    ",\"job\":{job},\"stage\":{stage},\"shards\":{shards},\"cores\":{cores}"
-                );
-            }
-            TraceEvent::JobCompleted { job, latency_tu, reward, core_stages } => {
-                let _ = write!(line, ",\"job\":{job},\"latency_tu\":");
-                push_json_f64(line, latency_tu);
-                let _ = write!(line, ",\"reward\":");
-                push_json_f64(line, reward);
-                let _ = write!(line, ",\"core_stages\":");
-                push_json_f64(line, core_stages);
-            }
-            TraceEvent::SloViolation { job, latency_tu, target_tu } => {
-                let _ = write!(line, ",\"job\":{job},\"latency_tu\":");
-                push_json_f64(line, latency_tu);
-                let _ = write!(line, ",\"target_tu\":");
-                push_json_f64(line, target_tu);
-            }
-            TraceEvent::SubtaskDispatched { job, stage, vm, cores, waited_tu, busy_tu } => {
-                let _ =
-                    write!(line, ",\"job\":{job},\"stage\":{stage},\"vm\":{vm},\"cores\":{cores}");
-                let _ = write!(line, ",\"waited_tu\":");
-                push_json_f64(line, waited_tu);
-                let _ = write!(line, ",\"busy_tu\":");
-                push_json_f64(line, busy_tu);
-            }
-            TraceEvent::SubtaskDone { job, stage, vm } => {
-                let _ = write!(line, ",\"job\":{job},\"stage\":{stage},\"vm\":{vm}");
-            }
-            TraceEvent::VmHired { vm, tier, cores } => {
-                let _ = write!(line, ",\"vm\":{vm},\"tier\":{tier},\"cores\":{cores}");
-            }
-            TraceEvent::VmBooted { vm, cores } => {
-                let _ = write!(line, ",\"vm\":{vm},\"cores\":{cores}");
-            }
-            TraceEvent::VmReshaped { vm, tier, cores_from, cores_to } => {
-                let _ = write!(
-                    line,
-                    ",\"vm\":{vm},\"tier\":{tier},\"cores_from\":{cores_from},\"cores_to\":{cores_to}"
-                );
-            }
-            TraceEvent::VmReleased { vm, tier, cores } => {
-                let _ = write!(line, ",\"vm\":{vm},\"tier\":{tier},\"cores\":{cores}");
-            }
-            TraceEvent::ScalingDecision {
-                stage,
-                cores,
-                queued_jobs,
-                delay_cost,
-                hire_cost,
-                choice,
-            } => {
-                let _ = write!(
-                    line,
-                    ",\"stage\":{stage},\"cores\":{cores},\"queued_jobs\":{queued_jobs}"
-                );
-                let _ = write!(line, ",\"delay_cost\":");
-                push_json_f64(line, delay_cost);
-                let _ = write!(line, ",\"hire_cost\":");
-                push_json_f64(line, hire_cost);
-                let _ = write!(line, ",\"choice\":\"{}\"", choice.name());
-            }
-            TraceEvent::QueueDepthSampled { depth } => {
-                let _ = write!(line, ",\"depth\":{depth}");
-            }
-            TraceEvent::AdmissionDeferred { tenant, jobs, backlog }
-            | TraceEvent::AdmissionResumed { tenant, jobs, backlog } => {
-                let _ = write!(line, ",\"tenant\":{tenant},\"jobs\":{jobs},\"backlog\":{backlog}");
-            }
-            TraceEvent::TierSettled { tier, cost, core_tu } => {
-                let _ = write!(line, ",\"tier\":{tier},\"cost\":");
-                push_json_f64(line, cost);
-                let _ = write!(line, ",\"core_tu\":");
-                push_json_f64(line, core_tu);
-            }
-            TraceEvent::RunEnded { events_dispatched } => {
-                let _ = write!(line, ",\"events_dispatched\":{events_dispatched}");
-            }
-        }
+        });
         line.push('}');
         line.push('\n');
         if self.out.write_all(line.as_bytes()).is_err() {
@@ -633,7 +878,7 @@ mod tests {
         for ring in [&a, &b] {
             let ring = ring.borrow();
             assert_eq!(ring.len(), 2);
-            let kinds: Vec<&str> = ring.events().map(|(_, e)| e.kind()).collect();
+            let kinds: Vec<&str> = ring.events().map(|(_, e)| e.kind().tag()).collect();
             assert_eq!(kinds, ["job_arrived", "queue_depth"]);
         }
     }
@@ -692,48 +937,133 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_variant_serialises() {
-        let events = [
-            TraceEvent::JobArrived { job: 1, size_units: 2.0, submitted_tu: 0.0 },
-            TraceEvent::JobStageAdvanced { job: 1, stage: 0, shards: 4, cores: 2 },
-            TraceEvent::JobCompleted { job: 1, latency_tu: 3.0, reward: 4.0, core_stages: 8.0 },
+    /// One event of every kind, in [`ALL_KINDS`] order, with a distinct
+    /// value in every numeric field and both scaling costs unpriced.
+    fn every_kind() -> [TraceEvent; 16] {
+        [
+            TraceEvent::JobArrived { job: 1, size_units: 2.5, submitted_tu: 0.25 },
+            TraceEvent::JobStageAdvanced { job: 1, stage: 2, shards: 4, cores: 8 },
+            TraceEvent::JobCompleted { job: 1, latency_tu: 3.0, reward: 4.5, core_stages: 8.0 },
             TraceEvent::SloViolation { job: 1, latency_tu: 30.0, target_tu: 26.0 },
             TraceEvent::SubtaskDispatched {
-                job: 1,
-                stage: 0,
+                job: 1 << 33,
+                stage: 3,
                 vm: 2,
-                cores: 2,
+                cores: 4,
                 waited_tu: 0.5,
                 busy_tu: 1.5,
             },
             TraceEvent::SubtaskDone { job: 1, stage: 0, vm: 2 },
-            TraceEvent::VmHired { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::VmBooted { vm: 2, cores: 2 },
+            TraceEvent::VmHired { vm: 2, tier: 1, cores: 16 },
+            TraceEvent::VmBooted { vm: 2, cores: 16 },
             TraceEvent::VmReshaped { vm: 2, tier: 0, cores_from: 2, cores_to: 4 },
-            TraceEvent::VmReleased { vm: 2, tier: 1, cores: 2 },
+            TraceEvent::VmReleased { vm: 2, tier: 3, cores: 1 },
             TraceEvent::ScalingDecision {
                 stage: 1,
                 cores: 2,
                 queued_jobs: 5,
-                delay_cost: 1.0,
-                hire_cost: 2.0,
-                choice: ScalingChoice::Wait,
+                delay_cost: f64::NAN,
+                hire_cost: -f64::NAN,
+                choice: ScalingChoice::ThrottledPrivate,
             },
             TraceEvent::QueueDepthSampled { depth: 11 },
-            TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 2 },
-            TraceEvent::AdmissionResumed { tenant: 3, jobs: 2, backlog: 0 },
+            TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 7 },
+            TraceEvent::AdmissionResumed { tenant: 4, jobs: 2, backlog: 0 },
             TraceEvent::TierSettled { tier: 0, cost: 100.0, core_tu: 20.0 },
-            TraceEvent::RunEnded { events_dispatched: 12345 },
-        ];
-        let mut w = JsonlWriter::new(Vec::new());
-        for e in &events {
-            w.on_event(SimTime::new(0.0), e);
+            TraceEvent::RunEnded { events_dispatched: 1 << 40 },
+        ]
+    }
+
+    /// A value's bits: NaN payloads and signs included.
+    fn bits(value: &Value) -> (FieldType, u64) {
+        match *value {
+            Value::Id(v) => (FieldType::Id, v),
+            Value::U32(v) => (FieldType::U32, u64::from(v)),
+            Value::U64(v) => (FieldType::U64, v),
+            Value::F64(v) => (FieldType::F64, v.to_bits()),
+            Value::Tier(v) => (FieldType::Tier, u64::from(v)),
+            Value::Choice(c) => (FieldType::Choice, c.index() as u64),
+            Value::Tenant(v) => (FieldType::Tenant, u64::from(v)),
         }
-        let out = String::from_utf8(w.into_inner()).unwrap();
-        assert_eq!(out.lines().count(), events.len());
-        for (line, e) in out.lines().zip(&events) {
-            assert!(line.contains(&format!("\"kind\":\"{}\"", e.kind())), "{line}");
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_field_table() {
+        for (event, kind) in every_kind().iter().zip(ALL_KINDS) {
+            assert_eq!(event.kind(), kind);
+            assert_eq!(EventKind::of(event), kind);
+            let values = event.with_values(<[Value]>::to_vec);
+            assert!(values.len() <= MAX_FIELDS);
+            let types: Vec<FieldType> = values.iter().map(|v| bits(v).0).collect();
+            let declared: Vec<FieldType> = kind.fields().iter().map(|f| f.ty).collect();
+            assert_eq!(types, declared, "values of {event:?} against the {} table", kind.tag());
+
+            let rebuilt = TraceEvent::from_values(kind, &values).expect("its own values fit");
+            assert_eq!(
+                rebuilt.with_values(|again| again.iter().map(bits).collect::<Vec<_>>()),
+                values.iter().map(bits).collect::<Vec<_>>(),
+                "{event:?} rebuilt bit for bit"
+            );
+            assert_eq!(format!("{rebuilt:?}"), format!("{event:?}"));
+
+            // A value short, or another kind's values, do not fit.
+            assert_eq!(TraceEvent::from_values(kind, &values[1..]), None);
+            let other = ALL_KINDS[(kind as usize + 1) % ALL_KINDS.len()];
+            if other.fields() != kind.fields() {
+                assert_eq!(TraceEvent::from_values(other, &values), None, "{kind:?}");
+            }
+
+            // One JSONL line: its kind is the tag, its keys are the field
+            // names in table order, and each number is the value read out
+            // at that position.
+            let mut writer = JsonlWriter::new(Vec::new());
+            writer.on_event(SimTime::new(1.0), event);
+            let line = String::from_utf8(writer.into_inner()).expect("JSONL is UTF-8");
+            assert_eq!(line.lines().count(), 1, "{line}");
+            let pairs: Vec<(&str, &str)> = line
+                .trim_end()
+                .trim_matches(['{', '}'])
+                .split(',')
+                .map(|kv| kv.split_once(':').expect("key:value"))
+                .collect();
+            let tag = format!("\"{}\"", kind.tag());
+            assert_eq!(pairs[..2], [("\"t\"", "1"), ("\"kind\"", tag.as_str())], "{line}");
+            let pairs = &pairs[2..];
+            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.trim_matches('"')).collect();
+            let names: Vec<&str> = kind.fields().iter().map(|f| f.name).collect();
+            assert_eq!(keys, names, "{line}");
+            for ((_, text), value) in pairs.iter().zip(values.iter()) {
+                let expected = match *value {
+                    Value::Id(v) | Value::U64(v) => v.to_string(),
+                    Value::U32(v) | Value::Tier(v) | Value::Tenant(v) => v.to_string(),
+                    Value::F64(v) if v.is_nan() => "null".to_string(),
+                    Value::F64(v) => v.to_string(),
+                    Value::Choice(c) => format!("\"{}\"", c.name()),
+                };
+                assert_eq!(*text, expected, "{line}");
+            }
+
+            // Each key holds the value of the Rust field of that name: the
+            // read-out is in declaration order, not just self-consistent.
+            let debug = format!("{event:?}");
+            let body = debug.split_once(" { ").expect("struct variant").1.trim_end_matches(" }");
+            for (field, (key, text)) in body.split(", ").zip(pairs) {
+                let (name, rendered) = field.split_once(": ").expect("name: value");
+                assert_eq!(key.trim_matches('"'), name, "{line}");
+                let json = match ScalingChoice::ALL.iter().find(|c| format!("{c:?}") == rendered) {
+                    Some(choice) => format!("\"{}\"", choice.name()),
+                    None if rendered == "NaN" => "null".to_string(),
+                    None => rendered.parse::<f64>().expect("a number").to_string(),
+                };
+                assert_eq!(*text, json, "{name} of {debug}");
+            }
+        }
+    }
+
+    #[test]
+    fn kind_order_matches_discriminants() {
+        for (i, kind) in ALL_KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
         }
     }
 

@@ -13,7 +13,7 @@
 //!                                     column is monotone, so deltas fit
 //!                                     small varints)
 //!     tenant   varint × rows
-//!     per declared column, in EventKind::columns order:
+//!     per declared column, in schema::columns order:
 //!       U32    varint × rows
 //!       U64    varint × rows
 //!       F64    raw 8-byte LE × rows
@@ -32,7 +32,7 @@
 //! kinds; the order stream costs one byte per event.
 
 use crate::column::{Column, Interner};
-use crate::schema::{ColumnType, ALL_KINDS};
+use crate::schema::{columns, ColumnType, EventKind, ALL_KINDS};
 use crate::store::{Table, TraceStore};
 use std::fmt;
 
@@ -61,8 +61,9 @@ pub enum ExportError {
         computed: u64,
     },
     /// A decoded value is impossible (oversized varint, bad UTF-8,
-    /// dictionary code past the dictionary, a time that is negative or
-    /// not finite, an order stream that disagrees with the tables).
+    /// dictionary code past the dictionary, a label no event can carry,
+    /// a time that is negative or not finite, an order stream that
+    /// disagrees with the tables).
     Malformed,
 }
 
@@ -168,12 +169,12 @@ fn encode_table(out: &mut Vec<u8>, table: &Table) {
     }
 }
 
-fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Table, ExportError> {
+fn decode_table(r: &mut Reader<'_>, kind: EventKind) -> Result<Table, ExportError> {
     let rows = usize::try_from(r.varint()?).map_err(|_| ExportError::Malformed)?;
     if rows == 0 {
         // Even an empty table carries its declared (empty) columns, so
         // schema-resolved queries stay in bounds.
-        let cols = kind.columns().iter().map(|spec| Column::new(spec.ty)).collect();
+        let cols = columns(kind).map(|spec| Column::new(spec.ty)).collect();
         return Ok(Table::from_parts(kind, Vec::new(), Vec::new(), cols));
     }
     // Cap against absurd row counts before allocating (a corrupt varint
@@ -196,8 +197,8 @@ fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Ta
     for _ in 0..rows {
         tenant.push(r.varint_u32()?);
     }
-    let mut cols = Vec::with_capacity(kind.columns().len());
-    for spec in kind.columns() {
+    let mut cols = Vec::new();
+    for spec in columns(kind) {
         let col = match spec.ty {
             ColumnType::U32 => {
                 let mut v = Vec::with_capacity(rows);

@@ -9,6 +9,11 @@
 //! FNV-1a 64 digest is the fingerprint CI pins instead of hashing
 //! megabytes of JSONL.
 //!
+//! The store restates no part of the event vocabulary: the kinds, their
+//! tags and their field tables are declared once in `scan_sim::trace`
+//! ([`EventKind`] and [`ALL_KINDS`] are re-exported from there), and
+//! [`schema::columns`] derives each table's layout from them.
+//!
 //! Where the JSONL sink (`scan_sim::JsonlWriter`) serializes every event
 //! to text for consumers to re-parse, the store keeps events queryable
 //! in-process: tests and tools ask for "p95 queue wait per tier" as a

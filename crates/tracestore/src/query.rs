@@ -37,8 +37,9 @@
 //! ```
 
 use crate::column::Column;
-use crate::schema::{Agg, ColumnType, EventKind};
+use crate::schema::{column_index, columns, Agg, ColumnType, EventKind};
 use crate::store::{Table, TraceStore};
+use scan_sim::Field;
 use std::fmt;
 
 /// A row predicate narrowing the selection.
@@ -419,8 +420,8 @@ impl Query {
     fn resolve(&self, name: &str) -> Result<Source, QueryError> {
         match name {
             "t" => Ok(Source::Time),
-            "tenant" => Ok(Source::Tenant),
-            _ => self.kind.column_index(name).map(Source::Col).ok_or_else(|| {
+            _ if name == Field::TENANT.name => Ok(Source::Tenant),
+            _ => column_index(self.kind, name).map(Source::Col).ok_or_else(|| {
                 QueryError::UnknownColumn { kind: self.kind.tag(), column: name.to_string() }
             }),
         }
@@ -434,7 +435,11 @@ impl Query {
         needed: &'static str,
     ) -> Result<usize, QueryError> {
         match self.resolve(name)? {
-            Source::Col(c) if allowed.contains(&self.kind.columns()[c].ty) => Ok(c),
+            Source::Col(c)
+                if columns(self.kind).nth(c).is_some_and(|s| allowed.contains(&s.ty)) =>
+            {
+                Ok(c)
+            }
             _ => Err(QueryError::TypeMismatch { column: name.to_string(), needed }),
         }
     }
@@ -490,7 +495,7 @@ impl Query {
             Some(name) => {
                 let source = self.resolve(name)?;
                 if let Source::Col(c) = source {
-                    if self.kind.columns()[c].ty == ColumnType::F64 {
+                    if columns(self.kind).nth(c).is_some_and(|s| s.ty == ColumnType::F64) {
                         return Err(QueryError::TypeMismatch {
                             column: name.clone(),
                             needed: "a groupable (integral or dictionary) column",
@@ -547,7 +552,7 @@ impl Query {
 
         let render = match self.group_by.as_deref() {
             None => GroupRender::None,
-            Some(name) => match self.kind.column_index(name).map(|c| &table.columns()[c]) {
+            Some(name) => match column_index(self.kind, name).map(|c| &table.columns()[c]) {
                 Some(col @ Column::Dict { .. }) => GroupRender::Label(col),
                 _ => GroupRender::Number,
             },

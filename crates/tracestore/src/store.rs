@@ -1,11 +1,14 @@
 //! The in-process columnar trace store: an [`Observer`] that turns the
 //! event stream into per-kind typed tables during the run.
 //!
-//! Ingest is a match on the event variant plus a handful of `Vec`
-//! pushes — no strings are formatted and nothing is re-parsed later, in
+//! Ingest is one loop over the event's field values (`TraceEvent::with_values`,
+//! in the order of its kind's field table) that pushes each onto its
+//! column — no strings are formatted and nothing is re-parsed later, in
 //! contrast to the JSONL sink whose output every consumer had to decode
-//! again. Two enrichments happen at ingest time because they are free
-//! while the stream is live and expensive afterwards:
+//! again. Replay runs the same mapping backwards and rebuilds each event
+//! through `TraceEvent::from_values`. Two enrichments happen at ingest
+//! time because they are free while the stream is live and expensive
+//! afterwards:
 //!
 //! * **Tier attribution.** The store tracks every VM's current tier from
 //!   its `vm_hired`/`vm_reshaped` history, so `subtask_dispatched` rows
@@ -28,8 +31,8 @@
 //! `docs/TRACESTORE.md` § Determinism).
 
 use crate::column::Column;
-use crate::schema::{EventKind, ALL_KINDS};
-use scan_sim::{Merge, Observer, ScalingChoice, SimTime, TraceEvent};
+use crate::schema::{column_index, columns, EventKind, ALL_KINDS};
+use scan_sim::{FieldType, Merge, Observer, ScalingChoice, SimTime, TraceEvent, Value, MAX_FIELDS};
 
 /// The label a tier index is stored under: the catalogue order of
 /// `Platform::new` (0 = private, 1 = public); later indices would be
@@ -42,13 +45,17 @@ pub fn tier_label(tier: u32) -> &'static str {
     }
 }
 
-/// The tier index behind a stored label: the inverse of [`tier_label`]
-/// for tiers 0 and 1. Every other label reads back as tier 2.
-fn tier_index(label: &str) -> u32 {
-    match label {
-        "private" => 0,
-        "public" => 1,
-        _ => 2,
+/// The value a stored label stands for in a field of type `ty`: a tier
+/// through the inverse of [`tier_label`] (every tier from 2 on reads
+/// back as 2), a scaling choice by its name. `None` for a label no event
+/// can carry.
+fn label_value(ty: FieldType, label: &str) -> Option<Value> {
+    match ty {
+        FieldType::Tier => (0..3).find(|&tier| tier_label(tier) == label).map(Value::Tier),
+        FieldType::Choice => {
+            ScalingChoice::ALL.into_iter().find(|c| c.name() == label).map(Value::Choice)
+        }
+        _ => None,
     }
 }
 
@@ -65,7 +72,7 @@ pub struct Table {
     t_bits: Vec<u64>,
     /// Owning tenant per row.
     tenant: Vec<u32>,
-    /// Declared columns, parallel to [`EventKind::columns`].
+    /// Declared columns, parallel to [`schema::columns`](crate::schema::columns).
     cols: Vec<Column>,
 }
 
@@ -75,7 +82,7 @@ impl Table {
             kind,
             t_bits: Vec::new(),
             tenant: Vec::new(),
-            cols: kind.columns().iter().map(|spec| Column::new(spec.ty)).collect(),
+            cols: columns(kind).map(|spec| Column::new(spec.ty)).collect(),
         }
     }
 
@@ -109,14 +116,14 @@ impl Table {
         &self.tenant
     }
 
-    /// The declared columns, in [`EventKind::columns`] order.
+    /// The declared columns, in [`schema::columns`](crate::schema::columns) order.
     pub fn columns(&self) -> &[Column] {
         &self.cols
     }
 
     /// A declared column by name.
     pub fn column(&self, name: &str) -> Option<&Column> {
-        self.kind.column_index(name).map(|i| &self.cols[i])
+        column_index(self.kind, name).map(|i| &self.cols[i])
     }
 
     /// Rebuilds a table from decoded parts (export reader). Lengths are
@@ -130,85 +137,45 @@ impl Table {
         Table { kind, t_bits, tenant, cols }
     }
 
-    /// Row `row` rebuilt as the event it was ingested from (the derived
-    /// `subtask_dispatched.tier` column is not an event field).
-    fn event(&self, row: usize) -> TraceEvent {
-        let int = |i: usize| self.cols[i].group_key(row).unwrap_or_default();
-        let id = |i: usize| int(i) as u32;
-        let num = |i: usize| self.cols[i].value_f64(row);
-        let label = |i: usize| match &self.cols[i] {
-            Column::Dict { codes, dict } => dict.label(codes[row]),
-            _ => "",
-        };
-        let tier = |i: usize| tier_index(label(i));
-        let tenant = self.tenant[row];
-        match self.kind {
-            EventKind::JobArrived => {
-                TraceEvent::JobArrived { job: int(0), size_units: num(1), submitted_tu: num(2) }
+    /// Row `row` rebuilt as the event it was ingested from: each field
+    /// read back from its column (the admission tenant from the row
+    /// stamp) and passed through `TraceEvent::from_values`. The derived
+    /// `subtask_dispatched.tier` column is not an event field. `None` if
+    /// a stored label is one no event can carry.
+    fn event(&self, row: usize) -> Option<TraceEvent> {
+        let fields = self.kind.fields();
+        let mut values = [Value::U32(0); MAX_FIELDS];
+        let mut cols = self.cols.iter();
+        for (value, field) in values.iter_mut().zip(fields) {
+            if field.ty == FieldType::Tenant {
+                *value = Value::Tenant(self.tenant[row]);
+                continue;
             }
-            EventKind::JobStageAdvanced => TraceEvent::JobStageAdvanced {
-                job: int(0),
-                stage: id(1),
-                shards: id(2),
-                cores: id(3),
-            },
-            EventKind::JobCompleted => TraceEvent::JobCompleted {
-                job: int(0),
-                latency_tu: num(1),
-                reward: num(2),
-                core_stages: num(3),
-            },
-            EventKind::SloViolation => {
-                TraceEvent::SloViolation { job: int(0), latency_tu: num(1), target_tu: num(2) }
-            }
-            EventKind::SubtaskDispatched => TraceEvent::SubtaskDispatched {
-                job: int(0),
-                stage: id(1),
-                vm: int(2),
-                cores: id(3),
-                waited_tu: num(4),
-                busy_tu: num(5),
-            },
-            EventKind::SubtaskDone => {
-                TraceEvent::SubtaskDone { job: int(0), stage: id(1), vm: int(2) }
-            }
-            EventKind::VmHired => TraceEvent::VmHired { vm: int(0), tier: tier(1), cores: id(2) },
-            EventKind::VmBooted => TraceEvent::VmBooted { vm: int(0), cores: id(1) },
-            EventKind::VmReshaped => TraceEvent::VmReshaped {
-                vm: int(0),
-                tier: tier(1),
-                cores_from: id(2),
-                cores_to: id(3),
-            },
-            EventKind::VmReleased => {
-                TraceEvent::VmReleased { vm: int(0), tier: tier(1), cores: id(2) }
-            }
-            EventKind::ScalingDecision => {
-                let choice = label(5);
-                TraceEvent::ScalingDecision {
-                    stage: id(0),
-                    cores: id(1),
-                    queued_jobs: id(2),
-                    delay_cost: num(3),
-                    hire_cost: num(4),
-                    choice: ScalingChoice::ALL
-                        .into_iter()
-                        .find(|c| c.name() == choice)
-                        .unwrap_or(ScalingChoice::Wait),
-                }
-            }
-            EventKind::QueueDepth => TraceEvent::QueueDepthSampled { depth: id(0) },
-            EventKind::AdmissionDeferred => {
-                TraceEvent::AdmissionDeferred { tenant, jobs: id(0), backlog: id(1) }
-            }
-            EventKind::AdmissionResumed => {
-                TraceEvent::AdmissionResumed { tenant, jobs: id(0), backlog: id(1) }
-            }
-            EventKind::TierSettled => {
-                TraceEvent::TierSettled { tier: tier(0), cost: num(1), core_tu: num(2) }
-            }
-            EventKind::RunEnded => TraceEvent::RunEnded { events_dispatched: int(0) },
+            *value = match (field.ty, cols.next()?) {
+                (FieldType::Id, Column::U32(v)) => Value::Id(u64::from(v[row])),
+                (FieldType::U32, Column::U32(v)) => Value::U32(v[row]),
+                (FieldType::U64, Column::U64(v)) => Value::U64(v[row]),
+                (FieldType::F64, Column::F64(v)) => Value::F64(v[row]),
+                (ty, Column::Dict { codes, dict }) => label_value(ty, dict.label(codes[row]))?,
+                _ => return None,
+            };
         }
+        TraceEvent::from_values(self.kind, values.get(..fields.len())?)
+    }
+
+    /// Whether every dictionary label decodes: an event field's labels
+    /// must be ones its events can carry, and the derived tier's may also
+    /// be [`UNKNOWN_TIER`].
+    fn labels_decode(&self) -> bool {
+        let mut stored = self.kind.fields().iter().filter(|f| f.ty != FieldType::Tenant);
+        self.cols.iter().all(|col| {
+            let field = stored.next();
+            let Column::Dict { dict, .. } = col else { return true };
+            dict.labels().iter().all(|label| match field {
+                Some(field) => label_value(field.ty, label).is_some(),
+                None => label == UNKNOWN_TIER || label_value(FieldType::Tier, label).is_some(),
+            })
+        })
     }
 
     fn push_meta(&mut self, at: SimTime, tenant: u32) {
@@ -314,7 +281,9 @@ impl TraceStore {
             let row = cursor[kind];
             cursor[kind] += 1;
             let table = &self.tables[kind];
-            (table.tenant[row], SimTime::new(table.time_tu(row)), table.event(row))
+            let event =
+                table.event(row).expect("ingest and decoding store only labels that decode");
+            (table.tenant[row], SimTime::new(table.time_tu(row)), event)
         })
     }
 
@@ -334,124 +303,50 @@ impl TraceStore {
         self.vm_tier[idx] = tier;
     }
 
-    /// Ingests one event (the [`Observer`] impl delegates here).
+    /// Ingests one event (the [`Observer`] impl delegates here): each
+    /// field value is pushed onto its column in field order, an id
+    /// narrowed to `u32`, a tier or choice as its label, and an admission
+    /// tenant as the row stamp.
     pub fn ingest(&mut self, at: SimTime, event: &TraceEvent) {
-        let kind = EventKind::of(event);
+        let kind = event.kind();
         self.order.push(kind as u8);
         // Tier attribution must be current before the row is written.
-        match *event {
-            TraceEvent::VmHired { vm, tier, .. } | TraceEvent::VmReshaped { vm, tier, .. } => {
-                self.note_tier(vm, tier)
-            }
-            _ => {}
-        }
         let tier_attr = match *event {
+            TraceEvent::VmHired { vm, tier, .. } | TraceEvent::VmReshaped { vm, tier, .. } => {
+                self.note_tier(vm, tier);
+                None
+            }
             TraceEvent::SubtaskDispatched { vm, .. } => Some(self.tier_of(vm)),
             _ => None,
         };
-        let tenant = match *event {
-            TraceEvent::AdmissionDeferred { tenant, .. }
-            | TraceEvent::AdmissionResumed { tenant, .. } => tenant,
-            _ => self.tenant,
-        };
+        let mut tenant = self.tenant;
         let table = &mut self.tables[kind as usize];
-        table.push_meta(at, tenant);
-        let cols = &mut table.cols;
-        match *event {
-            TraceEvent::JobArrived { job, size_units, submitted_tu } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_f64(size_units);
-                cols[2].push_f64(submitted_tu);
+        let mut cols = table.cols.iter_mut();
+        let mut next = || cols.next().expect("the layout has a column per stored field");
+        event.with_values(|values| {
+            for value in values {
+                match *value {
+                    Value::Id(id) => next().push_u32(narrow(id)),
+                    Value::U32(v) => next().push_u32(v),
+                    Value::U64(v) => next().push_u64(v),
+                    Value::F64(v) => next().push_f64(v),
+                    Value::Tier(tier) => next().push_label(tier_label(tier)),
+                    Value::Choice(choice) => next().push_label(choice.name()),
+                    Value::Tenant(t) => tenant = t,
+                }
             }
-            TraceEvent::JobStageAdvanced { job, stage, shards, cores } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_u32(stage);
-                cols[2].push_u32(shards);
-                cols[3].push_u32(cores);
-            }
-            TraceEvent::JobCompleted { job, latency_tu, reward, core_stages } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_f64(latency_tu);
-                cols[2].push_f64(reward);
-                cols[3].push_f64(core_stages);
-            }
-            TraceEvent::SloViolation { job, latency_tu, target_tu } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_f64(latency_tu);
-                cols[2].push_f64(target_tu);
-            }
-            TraceEvent::SubtaskDispatched { job, stage, vm, cores, waited_tu, busy_tu } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_u32(stage);
-                cols[2].push_u32(narrow(vm));
-                cols[3].push_u32(cores);
-                cols[4].push_f64(waited_tu);
-                cols[5].push_f64(busy_tu);
-                cols[6].push_label(tier_attr.unwrap_or(UNKNOWN_TIER));
-            }
-            TraceEvent::SubtaskDone { job, stage, vm } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_u32(stage);
-                cols[2].push_u32(narrow(vm));
-            }
-            TraceEvent::VmHired { vm, tier, cores } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_label(tier_label(tier));
-                cols[2].push_u32(cores);
-            }
-            TraceEvent::VmBooted { vm, cores } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_u32(cores);
-            }
-            TraceEvent::VmReshaped { vm, tier, cores_from, cores_to } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_label(tier_label(tier));
-                cols[2].push_u32(cores_from);
-                cols[3].push_u32(cores_to);
-            }
-            TraceEvent::VmReleased { vm, tier, cores } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_label(tier_label(tier));
-                cols[2].push_u32(cores);
-            }
-            TraceEvent::ScalingDecision {
-                stage,
-                cores,
-                queued_jobs,
-                delay_cost,
-                hire_cost,
-                choice,
-            } => {
-                cols[0].push_u32(stage);
-                cols[1].push_u32(cores);
-                cols[2].push_u32(queued_jobs);
-                cols[3].push_f64(delay_cost);
-                cols[4].push_f64(hire_cost);
-                cols[5].push_label(choice.name());
-            }
-            TraceEvent::QueueDepthSampled { depth } => {
-                cols[0].push_u32(depth);
-            }
-            TraceEvent::AdmissionDeferred { jobs, backlog, .. }
-            | TraceEvent::AdmissionResumed { jobs, backlog, .. } => {
-                cols[0].push_u32(jobs);
-                cols[1].push_u32(backlog);
-            }
-            TraceEvent::TierSettled { tier, cost, core_tu } => {
-                cols[0].push_label(tier_label(tier));
-                cols[1].push_f64(cost);
-                cols[2].push_f64(core_tu);
-            }
-            TraceEvent::RunEnded { events_dispatched } => {
-                cols[0].push_u64(events_dispatched);
-            }
+        });
+        if let Some(label) = tier_attr {
+            next().push_label(label);
         }
+        table.push_meta(at, tenant);
     }
 
     /// Sanity check used by tests, debug assertions and the export
-    /// reader: every table's columns agree on the row count, and the
-    /// order stream names each kind exactly as often as its table has
-    /// rows (so its length is Σ rows and [`replay`](Self::replay) stays
+    /// reader: every table's columns agree on the row count, every
+    /// dictionary label decodes (so [`replay`](Self::replay) rebuilds
+    /// each row), and the order stream names each kind exactly as often
+    /// as its table has rows (so its length is Σ rows and replay stays
     /// in bounds).
     pub fn check_invariants(&self) -> bool {
         let mut counts = [0usize; ALL_KINDS.len()];
@@ -462,7 +357,10 @@ impl TraceStore {
             }
         }
         self.tables.iter().zip(counts).all(|(t, n)| {
-            t.rows() == n && t.tenant.len() == n && t.cols.iter().all(|c| c.len() == n)
+            t.rows() == n
+                && t.tenant.len() == n
+                && t.cols.iter().all(|c| c.len() == n)
+                && t.labels_decode()
         })
     }
 }
@@ -606,9 +504,11 @@ mod tests {
     #[test]
     fn tier_labels_round_trip() {
         for tier in 0..5 {
-            assert_eq!(tier_index(tier_label(tier)), tier.min(2));
+            let value = label_value(FieldType::Tier, tier_label(tier));
+            assert_eq!(value, Some(Value::Tier(tier.min(2))));
         }
-        assert_eq!(tier_index(UNKNOWN_TIER), 2);
+        assert_eq!(label_value(FieldType::Tier, UNKNOWN_TIER), None);
+        assert_eq!(label_value(FieldType::Choice, "public"), None);
     }
 
     #[test]

@@ -119,6 +119,11 @@ run_one --test doc_contracts fleet_contended_state_digest_is_pinned
 run_one --test doc_contracts every_session_metric_is_pinned
 run_one --test doc_contracts session_metrics_match_the_event_stream
 run_one -p scan-platform platform::tests::golden_fixed_seed_metrics
+# The store's bytes (a fixed-seed session and a contended fleet), and the
+# trace vocabulary's one declaration: every kind's values rebuild bit for
+# bit through the inverse read-out, and its JSONL keys are its field names.
+run_one --test tracestore_fleet golden_scts_bytes
+run_one -p scan-sim --lib trace::tests::every_kind_round_trips_through_its_field_table
 
 echo "==> tenant-setup equivalence (the priced plan table and the one-scan fit match the per-call search and the per-stage fit)"
 run_one -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
@@ -167,6 +172,10 @@ if [[ "$quick" != "quick" ]]; then
 
     echo "==> state digest at 1,000 tenants (release)"
     run_one --release --test doc_contracts fleet_1000_state_digest_is_pinned -- --ignored
+
+    echo "==> SCTS golden and trace vocabulary round trip (release)"
+    run_one --release --test tracestore_fleet golden_scts_bytes
+    run_one --release -p scan-sim --lib trace::tests::every_kind_round_trips_through_its_field_table
 
     echo "==> tenant-setup equivalence (release)"
     run_one --release -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search

@@ -19,9 +19,10 @@
 //!   variant name and field names (read back from its `Debug` and JSONL
 //!   renderings) against the "Event catalogue" sections, plus every
 //!   `ScalingChoice` label.
-//! * docs/TRACESTORE.md — `EventKind::tag`/`columns` for every kind in
-//!   `ALL_KINDS` against the "Column layouts" tables, and `Agg::ALL`
-//!   against the "Aggregations" table.
+//! * docs/TRACESTORE.md — `EventKind::tag` and the store layout
+//!   (`schema::columns`) for every kind in `ALL_KINDS` against the
+//!   "Column layouts" tables, and `Agg::ALL` against the "Aggregations"
+//!   table.
 //! * docs/SPANS.md — the `ALL_SEGMENTS` labels, and the SLO table against
 //!   the `slo`-named families of the matrix registries.
 //! * docs/METRICS.md — every family the matrix registries register, per
@@ -49,7 +50,8 @@ use scan::platform::{DecisionStats, SessionMetrics};
 use scan::sched::alloc::AllocationPolicy;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Observer, ScalingChoice, SimTime, TraceEvent};
-use scan::tracestore::{Agg, EventKind, TraceStore, ALL_KINDS};
+use scan::tracestore::schema::columns;
+use scan::tracestore::{Agg, TraceStore, ALL_KINDS};
 use scan_metrics::Registry;
 use scan_spans::{SpanObserver, SpanSet, ALL_SEGMENTS};
 use std::collections::{BTreeMap, BTreeSet};
@@ -119,7 +121,7 @@ fn kind_position(event: &TraceEvent) -> usize {
         TierSettled { .. } => 14,
         RunEnded { .. } => 15,
     };
-    assert_eq!(ALL_KINDS.get(position), Some(&EventKind::of(event)), "{event:?} is off position");
+    assert_eq!(ALL_KINDS.get(position), Some(&event.kind()), "{event:?} is off position");
     position
 }
 
@@ -407,8 +409,8 @@ fn trace_schema_matches_trace_events() {
         let event = event.unwrap_or_else(|| panic!("no run of the matrix emits `{}`", kind.tag()));
         let (variant, fields) = debug_shape(&event);
         let (tag, keys) = jsonl_shape(&event);
-        assert_eq!(tag, event.kind(), "JSONL kind of {variant}");
-        assert_eq!(tag, kind.tag(), "store table tag of {variant}");
+        assert_eq!(event.kind(), kind, "kind of {variant}");
+        assert_eq!(tag, kind.tag(), "JSONL kind of {variant}");
         assert_eq!(keys, fields, "JSONL keys are the field names of {variant}");
         expected.push((format!("`{tag}` — `TraceEvent::{variant}`"), fields));
     }
@@ -424,7 +426,7 @@ fn tracestore_doc_matches_schema() {
     let doc = read_doc("TRACESTORE.md");
     let layouts: Vec<_> = ALL_KINDS
         .iter()
-        .map(|k| (format!("`{}`", k.tag()), names(k.columns().iter().map(|c| c.name))))
+        .map(|&k| (format!("`{}`", k.tag()), names(columns(k).map(|c| c.name))))
         .collect();
     assert_eq!(tables(&doc, "Column layouts"), layouts);
     let aggs = names(Agg::ALL.map(Agg::name));

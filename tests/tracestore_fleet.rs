@@ -10,7 +10,7 @@ use scan::platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConf
 use scan::platform::session::run_session_with;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Merge, Observer};
-use scan::tracestore::{fnv1a64, Agg, EventKind, Query, TraceStore};
+use scan::tracestore::{fnv1a64, Agg, EventKind, ExportError, Query, TraceStore};
 use std::sync::OnceLock;
 
 fn session_cfg() -> ScanConfig {
@@ -109,6 +109,39 @@ fn store_agrees_with_the_jsonl_sink() {
     );
 }
 
+/// Golden SCTS bytes: the export length and digest of a fixed-seed
+/// session's store and of a small, contended merged fleet store (its
+/// fair-share gate defers admissions, so the admission tables and their
+/// tenant stamps are pinned too). The store
+/// determinism gate of `scripts/ci.sh` compares two runs of one build, so
+/// only these pins catch a column that moves, a label that changes or a
+/// value that is stored differently. Regenerate from the printed values
+/// only for a deliberate format change (and bump `VERSION` with it).
+#[test]
+fn golden_scts_bytes() {
+    let (_, session) = run_session_with(&session_cfg(), 0, TraceStore::new());
+    let mut contended = fleet_cfg(3);
+    contended.shared_private_cores = 8;
+    contended.jobs_per_tenant = 6;
+    let (_, fleet) =
+        run_fleet_replicated_with(&contended, 2, &|tenant| TraceStore::for_tenant(tenant as u32));
+    assert!(fleet.table(EventKind::AdmissionDeferred).rows() > 0, "the fleet must defer");
+    let pins = [
+        ("session", &session, GOLDEN_SESSION_SCTS_LEN, GOLDEN_SESSION_SCTS_DIGEST),
+        ("fleet", &fleet, GOLDEN_FLEET_SCTS_LEN, GOLDEN_FLEET_SCTS_DIGEST),
+    ];
+    for (name, store, len, digest) in pins {
+        let bytes = store.to_bytes();
+        println!("golden {name} scts: len={} digest={:#018x}", bytes.len(), store.digest());
+        assert_eq!((bytes.len(), store.digest()), (len, digest), "{name} store export moved");
+    }
+}
+
+const GOLDEN_SESSION_SCTS_LEN: usize = 368_824;
+const GOLDEN_SESSION_SCTS_DIGEST: u64 = 0x1ca6_6478_551b_f295;
+const GOLDEN_FLEET_SCTS_LEN: usize = 99_427;
+const GOLDEN_FLEET_SCTS_DIGEST: u64 = 0x9734_4ae8_966b_bc6a;
+
 /// A queryable assertion that previously required log scraping: p95 queue
 /// wait per tier, straight off a session's store.
 #[test]
@@ -146,6 +179,51 @@ fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
     let digest = fnv1a64(&payload);
     payload.extend_from_slice(&digest.to_le_bytes());
     payload
+}
+
+/// Every offset at which the export stores `label` as a dictionary entry
+/// (its length varint, then its bytes).
+fn label_offsets(payload: &[u8], label: &str) -> Vec<usize> {
+    let mut entry = vec![label.len() as u8];
+    entry.extend_from_slice(label.as_bytes());
+    payload.windows(entry.len()).enumerate().filter(|(_, w)| *w == entry).map(|(i, _)| i).collect()
+}
+
+/// A label no event can carry is refused, even behind a valid trailer:
+/// replay would otherwise have to invent a choice or a tier for it. The
+/// derived `subtask_dispatched.tier` is the one column that may also say
+/// `unknown`.
+#[test]
+fn labels_no_event_can_carry_are_refused() {
+    let export = session_export();
+    let payload = &export[..export.len() - 8];
+    let relabel = |at: usize, to: &str| {
+        let mut bytes = payload.to_vec();
+        bytes[at + 1..at + 1 + to.len()].copy_from_slice(to.as_bytes());
+        sealed(bytes)
+    };
+
+    let choice = label_offsets(payload, "hire_private");
+    assert_eq!(choice.len(), 1, "the scaling_decision.choice dictionary holds `hire_private`");
+    let renamed = relabel(choice[0], "hire_privatE");
+    assert_eq!(TraceStore::from_bytes(&renamed), Err(ExportError::Malformed));
+
+    // Tables are exported in kind order, so the first `private` is the
+    // derived subtask_dispatched.tier; the rest are event tier fields.
+    let private = label_offsets(payload, "private");
+    assert!(private.len() > 1, "the session hires and dispatches on the private tier");
+    let derived = TraceStore::from_bytes(&relabel(private[0], "unknown"))
+        .expect("a dispatch on a VM never seen hired is labelled unknown");
+    let tiers = Query::over(EventKind::SubtaskDispatched)
+        .group_by("tier")
+        .count()
+        .run(&derived)
+        .expect("tier is a declared subtask_dispatched column");
+    assert!(tiers.iter().any(|row| row.group.as_deref() == Some("unknown")));
+    for &at in &private[1..] {
+        assert_eq!(TraceStore::from_bytes(&relabel(at, "unknown")), Err(ExportError::Malformed));
+        assert_eq!(TraceStore::from_bytes(&relabel(at, "tier2++")), Err(ExportError::Malformed));
+    }
 }
 
 /// What a decoder must do with any input: refuse it, or hand back a
