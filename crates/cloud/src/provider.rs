@@ -55,19 +55,20 @@ impl std::error::Error for HireError {}
 /// frees its slot for the next hire, so the table is as long as the most
 /// VMs ever live at once, and `vm`/`vm_mut` are a bounds check, a
 /// pointer add and an id compare. Ids are hire ordinals and never
-/// reused; a separate ascending `live` list keeps iteration over the
-/// live VMs in deterministic id order.
+/// reused. Hires and releases keep no ordered list of the live VMs: the
+/// few callers that walk them ([`CloudProvider::vms`], the cost sums,
+/// [`CloudProvider::idle_candidates`]) collect the occupied slots and
+/// sort them by id, so every walk and every f64 sum runs in id order.
 #[derive(Debug, Clone)]
 pub struct CloudProvider {
     catalog: TierCatalog,
     /// Live VMs with their billing terms, one per slot.
     vms: SlotArena<Hired>,
-    /// Live (not yet released) VM keys, ascending by id. Hires append
-    /// (ids are monotone); releases splice out — live counts are small,
-    /// so the memmove beats tree rebalancing.
-    live: Vec<VmKey>,
     /// Live VMs per instance size, in `INSTANCE_SIZES` order.
     live_by_size: [u32; INSTANCE_SIZES.len()],
+    /// Hires, releases and reshapes so far: every change to
+    /// `live_by_size`.
+    live_version: u64,
     cores_in_use: Vec<u32>, // per tier
     /// Cost already settled: released VMs, plus what reshaped VMs
     /// accrued at their earlier sizes (live VMs are integrated on demand
@@ -95,8 +96,8 @@ impl CloudProvider {
         CloudProvider {
             catalog,
             vms: SlotArena::new(),
-            live: Vec::new(),
             live_by_size: [0; INSTANCE_SIZES.len()],
+            live_version: 0,
             cores_in_use: vec![0; n],
             settled_cost: 0.0,
             settled_cost_by_tier: vec![0.0; n],
@@ -231,8 +232,8 @@ impl CloudProvider {
             hired_from: SimDuration::ZERO,
         };
         let key = VmKey { id, slot: self.vms.insert(Hired { vm, billing }) };
-        self.live.push(key);
         self.live_by_size[size_slot(size)] += 1;
+        self.live_version += 1;
         self.tracer.emit(
             now,
             TraceEvent::VmHired { vm: id.0 as u64, tier: tier.0 as u32, cores: size.cores() },
@@ -261,9 +262,8 @@ impl CloudProvider {
                 pool.remove_public(cores);
             }
         }
-        let pos = self.live.binary_search(&key).expect("released VM was live");
-        self.live.remove(pos);
         self.live_by_size[size_slot(vm.size)] -= 1;
+        self.live_version += 1;
         self.tracer
             .emit(now, TraceEvent::VmReleased { vm: key.id.0 as u64, tier: tier.0 as u32, cores });
     }
@@ -347,6 +347,7 @@ impl CloudProvider {
         let ready = vm.reshape(new_size, now);
         self.live_by_size[from] -= 1;
         self.live_by_size[size_slot(new_size)] += 1;
+        self.live_version += 1;
         self.cores_in_use[tier.0] = self.cores_in_use[tier.0] + new - old;
         self.tracer.emit(
             now,
@@ -373,9 +374,12 @@ impl CloudProvider {
         self.vms.get_mut(key.slot).map(|h| &mut h.vm).filter(|vm| vm.id == key.id)
     }
 
-    /// Live VMs with their billing terms, in id order (deterministic).
+    /// Live VMs with their billing terms, in id order (deterministic):
+    /// the occupied slots, sorted by id.
     fn hired(&self) -> impl Iterator<Item = &Hired> {
-        self.live.iter().map(|key| self.vms.get(key.slot).expect("live VM present"))
+        let mut hired: Vec<&Hired> = self.vms.iter().map(|(_, h)| h).collect();
+        hired.sort_unstable_by_key(|h| h.vm.id);
+        hired.into_iter()
     }
 
     /// Iterates over live VMs in id order (deterministic).
@@ -392,6 +396,14 @@ impl CloudProvider {
     #[inline]
     pub fn live_of_size(&self, size: InstanceSize) -> usize {
         self.live_by_size[size_slot(size)] as usize
+    }
+
+    /// Hires, releases and reshapes so far. Every change to
+    /// [`CloudProvider::live_of_size`] changes it, so an answer computed
+    /// from live counts holds while this reads the same.
+    #[inline]
+    pub fn live_version(&self) -> u64 {
+        self.live_version
     }
 
     /// Total cost incurred up to `now`: settled cost of released VMs plus
@@ -447,15 +459,15 @@ impl CloudProvider {
 
     /// Idle live VMs whose idle span at `now` is at least `min_idle`,
     /// in id order — candidates for release by the scaling policy.
-    /// (`live` is kept ascending, so no sort is needed.)
     pub fn idle_candidates(&self, now: SimTime, min_idle: SimDuration) -> Vec<VmKey> {
-        self.live
+        let mut keys: Vec<VmKey> = self
+            .vms
             .iter()
-            .copied()
-            .filter(|&key| {
-                self.vm(key).is_some_and(|vm| vm.is_idle() && vm.idle_span(now) >= min_idle)
-            })
-            .collect()
+            .filter(|(_, h)| h.vm.is_idle() && h.vm.idle_span(now) >= min_idle)
+            .map(|(slot, h)| VmKey { id: h.vm.id, slot })
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 }
 
@@ -558,13 +570,15 @@ mod tests {
     fn per_tier_costs_sum_to_total() {
         let mut p = provider();
         // Fill private, spill one onto public, settle one of each.
+        let mut first = None;
         for _ in 0..39 {
             let (id, r) = p.hire(sz(16), t(0.0)).unwrap();
             p.vm_mut(id).unwrap().finish_boot(r);
+            first.get_or_insert(id);
         }
         let (pub_id, _) = p.hire(sz(4), t(0.0)).unwrap();
         assert_eq!(p.vm(pub_id).unwrap().tier, TierId(1));
-        let first = p.live[0];
+        let first = first.expect("39 hires");
         assert_eq!(first.id, VmId(0));
         p.vm_mut(first).unwrap().start_task(t(1.0));
         p.vm_mut(first).unwrap().finish_task(t(2.0));
@@ -720,6 +734,45 @@ mod tests {
         assert_eq!(p.vm(c).map(|vm| (vm.id, vm.size.cores())), Some((VmId(2), 8)));
         assert_eq!(p.vms().map(|vm| vm.id).collect::<Vec<_>>(), vec![b.id, c.id]);
         assert_eq!((p.vm_slots(), p.hired_total()), (2, 3));
+    }
+
+    #[test]
+    fn live_vms_walk_in_id_order_after_out_of_order_slot_reuse() {
+        let mut p = provider();
+        let public = TierId(1);
+        // Public VMs bill hired time, so each accrues its own odd amount.
+        let hire = |p: &mut CloudProvider, cores: u32, at: f64| {
+            let (key, ready) = p.hire_on(public, sz(cores), t(at)).unwrap();
+            p.vm_mut(key).unwrap().finish_boot(ready);
+            key
+        };
+        let keys: Vec<VmKey> = [(16, 0.05), (1, 0.1), (4, 0.2), (2, 0.3)]
+            .iter()
+            .map(|&(c, at)| hire(&mut p, c, at))
+            .collect();
+        p.release(keys[0], t(1.3));
+        p.release(keys[2], t(1.7));
+        // The freed slots are reused most recent first: id 4 takes slot
+        // 2, id 5 slot 0, so slot order is ids 5, 1, 4, 3.
+        let (e, f) = (hire(&mut p, 4, 1.9), hire(&mut p, 8, 2.3));
+        assert_eq!((e.slot, f.slot), (keys[2].slot, keys[0].slot));
+        let by_slot: Vec<u32> = p.vms.iter().map(|(_, h)| h.vm.id.0).collect();
+        assert_eq!(by_slot, vec![5, 1, 4, 3]);
+        let ids: Vec<u32> = p.vms().map(|vm| vm.id.0).collect();
+        assert_eq!(ids, vec![1, 3, 4, 5], "vms() walks ascending ids");
+        assert_eq!(p.idle_candidates(t(9.0), SimDuration::ZERO), vec![keys[1], keys[3], e, f]);
+
+        // The cost sums add the live VMs in id order, bit for bit.
+        let now = t(3.33);
+        let live = [keys[1], keys[3], e, f];
+        let accrued = |key: VmKey| p.accrued(p.vms.get(key.slot).unwrap(), now).0;
+        let in_id_order: f64 = live.iter().map(|&k| accrued(k)).sum();
+        let in_slot_order: f64 = [f, keys[1], e, keys[3]].iter().map(|&k| accrued(k)).sum();
+        assert_ne!(in_id_order.to_bits(), in_slot_order.to_bits(), "the order shows in the sum");
+        let settled = p.settled_cost;
+        assert_eq!(p.total_cost(now).to_bits(), (settled + in_id_order).to_bits());
+        let tier_settled = p.settled_cost_by_tier[public.0];
+        assert_eq!(p.cost_on_tier(public, now).to_bits(), (tier_settled + in_id_order).to_bits());
     }
 
     #[test]

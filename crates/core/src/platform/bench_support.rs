@@ -103,7 +103,7 @@ impl PlatformHarness {
         // re-queueing the popped subtask at the tail restores an
         // equivalent state.
         self.cal.clear();
-        self.platform.busy.remove(vm);
+        self.platform.busy.remove(vm, CORES);
         let worker = self.platform.provider.vm_mut(vm).expect("assigned VM");
         worker.finish_task(self.now);
         let tier = self.platform.private_tier;

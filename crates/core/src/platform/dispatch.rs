@@ -105,10 +105,10 @@ impl Platform {
         );
         debug_assert_eq!(run.stage, stage, "stage mismatch in completion event");
         // Free the worker.
-        self.busy.remove(vm_id);
         let vm = self.provider.vm_mut(vm_id).expect("done event for unknown VM");
         vm.finish_task(now);
         let (cores, tier) = (vm.size.cores(), vm.tier);
+        self.busy.remove(vm_id, cores);
         self.idle.insert(cores, vm_id, tier, now);
 
         // Advance the job.

@@ -175,7 +175,33 @@ impl Platform {
 
     /// The first grid instant at or after `first` at which an idle
     /// worker times out and the floor rule lets it go.
-    fn next_release(&self, first: SimTime) -> Option<SimTime> {
+    ///
+    /// The instant before `.max(first)` is memoised: it reads only the
+    /// release-list heads, the live workers per shape and the standing
+    /// targets, and each of those counts its changes, so while the sum
+    /// of the three counts is unchanged the memo holds. Debug builds
+    /// recompute it on every hit and assert the two agree.
+    fn next_release(&mut self, first: SimTime) -> Option<SimTime> {
+        let key = self.idle.head_changes() + self.provider.live_version() + self.standing_resets;
+        let due = match self.release_memo {
+            Some((at_key, due)) if at_key == key => {
+                if cfg!(debug_assertions) {
+                    debug_assert_eq!(due, self.earliest_release(), "stale sweep instant memo");
+                }
+                due
+            }
+            _ => {
+                let due = self.earliest_release();
+                self.release_memo = Some((key, due));
+                due
+            }
+        };
+        due.map(|at| at.max(first))
+    }
+
+    /// The first grid instant at which an idle worker times out and the
+    /// floor rule lets it go, with no lower bound.
+    fn earliest_release(&self) -> Option<SimTime> {
         let mut due: Option<SimTime> = None;
         for (tier, slot, at) in self.idle.expiries() {
             if due.is_some_and(|d| d <= at)
@@ -185,7 +211,7 @@ impl Platform {
             }
             due = Some(at);
         }
-        due.map(|at| at.max(first))
+        due
     }
 
     /// Sizes the per-shape standing pools from the representative plan and
@@ -200,6 +226,7 @@ impl Platform {
             // standing demand so the floors drop and the idle sweep can
             // wind the pools down as the tail of jobs drains.
             self.standing_target.clear();
+            self.standing_resets += 1;
             return;
         }
         let plan = match (&self.forced_plan, &self.learned) {
@@ -225,6 +252,7 @@ impl Platform {
             target[shape_slot(t)] += rate * s as f64 * task_tu;
         }
         self.standing_target.clear();
+        self.standing_resets += 1;
         for (slot, &busy_vms) in target.iter().enumerate() {
             if busy_vms > 0.0 {
                 self.standing_target.set(

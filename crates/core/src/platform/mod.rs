@@ -161,6 +161,12 @@ pub struct Platform {
     /// SCAN Scheduler maintains analytic task queues and pools of SCAN
     /// workers" (§III-A). Sized from the learned model + load forecast.
     standing_target: StandingTargets,
+    /// Resets of `standing_target` so far (each may move a floor).
+    standing_resets: u64,
+    /// `next_release`'s last instant, keyed by the sum of the change
+    /// counts of everything it reads: idle release-list heads, live
+    /// workers per shape and standing-target resets.
+    release_memo: Option<(u64, Option<SimTime>)>,
     exec_noise: SimRng,
     /// §VI learned policy: the ε-greedy bandit and its RNG stream. The
     /// bandit works in *epochs* (one arm per replan period, scored by the
@@ -287,6 +293,8 @@ impl Platform {
             parked: Some(Watch::default()),
             release_scratch: Vec::new(),
             standing_target: StandingTargets::default(),
+            standing_resets: 0,
+            release_memo: None,
             exec_noise: hub.stream("exec-noise"),
             learned,
             learned_rng: hub.stream("learned-policy"),

@@ -19,7 +19,14 @@
 //!   pops the minimum id, exactly like `BTreeSet::iter().next()` did).
 //! - **Shape iteration is ascending cores** (slot order = `[1,2,4,8,16]`).
 //! - **Busy-set scans are order-insensitive** (min over f64 finish times
-//!   commutes), so [`BusyTable`]'s swap-remove reordering is invisible.
+//!   commutes), so neither [`BusyTable`]'s split into one list per shape
+//!   nor its swap-remove reordering is visible.
+//!
+//! Some containers also count their own changes, so a caller can memoise
+//! an answer read from them and recompute it only once a count moves:
+//! [`BusyTable::removed`] and [`BootingCounts::finished`] key the held
+//! waits, and [`IdlePools::head_changes`] keys, with the provider's live
+//! count version, the sweep's release instant.
 
 use crate::config::{IDLE_TIMEOUT_TU, PUBLIC_IDLE_TIMEOUT_TU};
 use scan_cloud::tier::TierId;
@@ -62,6 +69,9 @@ pub(super) struct IdlePools {
     /// Bit `tier * N_SHAPES + slot` set iff that release list is
     /// non-empty.
     listed: u16,
+    /// Release-list head changes so far. `expiries()` reads only the
+    /// heads, so its answer holds while this reads the same.
+    head_changes: u64,
 }
 
 /// One idle worker's place in its `(tier, shape)` release list.
@@ -99,6 +109,7 @@ impl IdlePools {
             ends: [[(NIL, NIL); N_SHAPES]; 2],
             front_expiry: Default::default(),
             listed: 0,
+            head_changes: 0,
         }
     }
 
@@ -124,6 +135,7 @@ impl IdlePools {
             *head = vm.slot;
             self.front_expiry[tier.0][slot].set(None);
             self.listed |= 1 << (tier.0 * N_SHAPES + slot);
+            self.head_changes += 1;
         } else {
             self.links[*tail as usize].next = vm.slot;
         }
@@ -163,6 +175,7 @@ impl IdlePools {
         if prev == NIL {
             *head = next;
             self.front_expiry[tier][slot].set(None);
+            self.head_changes += 1;
         } else {
             self.links[prev as usize].next = next;
         }
@@ -196,6 +209,12 @@ impl IdlePools {
             });
             Some((TierId(tier), slot, at))
         })
+    }
+
+    /// Release-list head changes so far: every change to what
+    /// [`IdlePools::expiries`] answers changes it.
+    pub(super) fn head_changes(&self) -> u64 {
+        self.head_changes
     }
 
     /// Whether no worker is idle.
@@ -277,18 +296,20 @@ fn grid_expiry(since: SimTime, timeout: SimDuration) -> SimTime {
     at
 }
 
-/// The busy set: which VMs are running tasks, until when, and at what
-/// shape — a table over VM slots with an unordered dense entry list.
+/// The busy set: which VMs are running tasks and until when, as one
+/// unordered dense `(vm, until)` list per shape slot over a table of
+/// positions by VM slot.
 ///
-/// The scaling decision's projected-wait scan reads `(until, cores)` for
-/// every busy VM; caching cores here (a VM cannot reshape while busy)
-/// removes the per-entry provider lookup that used to dominate the scan.
+/// The scaling decision's projected-wait scan reads the finish times of
+/// one shape's busy VMs; keeping each shape in its own list (a VM cannot
+/// reshape while busy) makes that scan as long as the shape's busy set,
+/// not the whole busy set.
 #[derive(Debug, Default)]
 pub(super) struct BusyTable {
-    /// `(vm, until, cores)`, unordered; removal is swap-remove.
-    entries: Vec<(VmKey, SimTime, u32)>,
-    /// VM slot → index into `entries`; `u32::MAX` = not busy. As long as
-    /// the highest VM slot seen.
+    /// Per shape slot, `(vm, until)`, unordered; removal is swap-remove.
+    by_shape: [Vec<(VmKey, SimTime)>; N_SHAPES],
+    /// VM slot → index into its shape's list; `u32::MAX` = not busy. As
+    /// long as the highest VM slot seen.
     pos: Vec<u32>,
     /// Removals per shape slot, ever: the only busy-set change that can
     /// lengthen a shape's projected wait.
@@ -302,31 +323,35 @@ impl BusyTable {
         Self::default()
     }
 
-    /// Marks a VM busy until `until`.
+    /// Marks a VM of `cores` busy until `until`.
     pub(super) fn insert(&mut self, vm: VmKey, until: SimTime, cores: u32) {
         let slot = vm.slot as usize;
         if self.pos.len() <= slot {
             self.pos.resize(slot + 1, NOT_BUSY);
         }
         debug_assert_eq!(self.pos[slot], NOT_BUSY, "VM already busy");
-        self.pos[slot] = self.entries.len() as u32;
-        self.entries.push((vm, until, cores));
+        let list = &mut self.by_shape[shape_slot(cores)];
+        self.pos[slot] = list.len() as u32;
+        list.push((vm, until));
     }
 
-    /// Clears a VM's busy mark. Returns whether it was busy (a key to
-    /// an earlier VM of the same slot never was).
-    pub(super) fn remove(&mut self, vm: VmKey) -> bool {
+    /// Clears the busy mark of a VM of `cores`. Returns whether it was
+    /// busy at that shape (a key to an earlier VM of the same slot never
+    /// was).
+    pub(super) fn remove(&mut self, vm: VmKey, cores: u32) -> bool {
         let slot = vm.slot as usize;
         let Some(&idx) = self.pos.get(slot) else {
             return false;
         };
-        if idx == NOT_BUSY || self.entries[idx as usize].0 != vm {
+        let shape = shape_slot(cores);
+        let list = &mut self.by_shape[shape];
+        if list.get(idx as usize).is_none_or(|&(busy, _)| busy != vm) {
             return false;
         }
         self.pos[slot] = NOT_BUSY;
-        let (_, _, cores) = self.entries.swap_remove(idx as usize);
-        self.removed[shape_slot(cores)] += 1;
-        if let Some(&(moved, _, _)) = self.entries.get(idx as usize) {
+        list.swap_remove(idx as usize);
+        self.removed[shape] += 1;
+        if let Some(&(moved, _)) = list.get(idx as usize) {
             self.pos[moved.slot as usize] = idx;
         }
         true
@@ -342,10 +367,8 @@ impl BusyTable {
     /// list cannot perturb determinism.
     pub(super) fn min_wait_for_cores(&self, cores: u32, now: SimTime) -> Option<f64> {
         let mut best = f64::INFINITY;
-        for &(_, until, c) in &self.entries {
-            if c == cores {
-                best = best.min((until - now).as_tu());
-            }
+        for &(_, until) in &self.by_shape[shape_slot(cores)] {
+            best = best.min((until - now).as_tu());
         }
         best.is_finite().then_some(best)
     }
@@ -791,10 +814,106 @@ mod tests {
         assert_eq!(busy.min_wait_for_cores(4, now), Some(2.0));
         assert_eq!(busy.min_wait_for_cores(8, now), Some(1.0));
         assert_eq!(busy.min_wait_for_cores(16, now), None);
-        assert!(busy.remove(key(1)));
+        assert!(busy.remove(key(1), 4));
         assert_eq!(busy.min_wait_for_cores(4, now), Some(5.0));
-        assert!(!busy.remove(key(1)));
+        assert!(!busy.remove(key(1), 4));
+        assert!(!busy.remove(key(2), 4), "a busy VM of another shape");
         assert_eq!((busy.removed(4), busy.removed(8)), (1, 0));
+    }
+
+    /// The busy set as a naive model: every busy VM as `(vm, until,
+    /// cores)` in one list, scanned whole.
+    #[derive(Default)]
+    struct NaiveBusy {
+        entries: Vec<(VmKey, SimTime, u32)>,
+        removed: [u64; N_SHAPES],
+    }
+
+    impl NaiveBusy {
+        fn remove(&mut self, vm: VmKey, cores: u32) -> bool {
+            let Some(pos) = self.entries.iter().position(|e| e.0 == vm && e.2 == cores) else {
+                return false;
+            };
+            self.entries.remove(pos);
+            self.removed[shape_slot(cores)] += 1;
+            true
+        }
+
+        fn min_wait_for_cores(&self, cores: u32, now: SimTime) -> Option<f64> {
+            let waits = self.entries.iter().filter(|e| e.2 == cores).map(|e| (e.1 - now).as_tu());
+            waits.reduce(f64::min)
+        }
+    }
+
+    proptest! {
+        /// Random busy marks and clears across shapes, over reused VM
+        /// slots and with stale keys and wrong shapes, leave the
+        /// per-shape lists answering exactly what the naive whole-set
+        /// scan does: every shape's soonest finish (bit for bit), every
+        /// removal count and every `remove` result.
+        #[test]
+        fn prop_busy_table_matches_a_naive_all_entries_model(
+            ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64), 1..200),
+        ) {
+            let mut busy = BusyTable::new();
+            let mut naive = NaiveBusy::default();
+            // Busy VMs as (key, cores); the keys of VMs since released.
+            let mut live: Vec<(VmKey, u32)> = Vec::new();
+            let mut stale: Vec<VmKey> = Vec::new();
+            let (mut free, mut next_slot, mut next_id) = (Vec::new(), 0u32, 0u32);
+            let now = SimTime::new(3.0);
+            for &(op, a, b) in &ops {
+                let cores = SHAPE_CORES[b % N_SHAPES];
+                match op {
+                    // A fresh VM goes busy, often in a released VM's slot.
+                    0..=2 => {
+                        let slot = if a % 3 != 0 && !free.is_empty() {
+                            free.swap_remove(a % free.len())
+                        } else {
+                            next_slot += 1;
+                            next_slot - 1
+                        };
+                        let vm = VmKey { id: VmId(next_id), slot };
+                        next_id += 1;
+                        let until = SimTime::new(3.0 + 0.37 * a as f64 + 0.011 * b as f64);
+                        busy.insert(vm, until, cores);
+                        naive.entries.push((vm, until, cores));
+                        live.push((vm, cores));
+                    }
+                    // A busy VM finishes: cleared at its own shape, or
+                    // asked for at a wrong one first.
+                    3 | 4 => {
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let i = a % live.len();
+                        let (vm, shape) = live[i];
+                        if op == 4 && cores != shape {
+                            prop_assert!(!busy.remove(vm, cores), "a busy VM of another shape");
+                            prop_assert!(!naive.remove(vm, cores));
+                        }
+                        prop_assert!(busy.remove(vm, shape));
+                        prop_assert!(naive.remove(vm, shape));
+                        live.swap_remove(i);
+                        free.push(vm.slot);
+                        stale.push(vm);
+                    }
+                    // A released VM's key, whose slot may now be busy again.
+                    _ => {
+                        if let Some(&vm) = stale.get(a % stale.len().max(1)) {
+                            prop_assert!(!busy.remove(vm, cores), "a stale key is never busy");
+                            prop_assert!(!naive.remove(vm, cores));
+                        }
+                    }
+                }
+                for &c in &SHAPE_CORES {
+                    let got = busy.min_wait_for_cores(c, now).map(f64::to_bits);
+                    let want = naive.min_wait_for_cores(c, now).map(f64::to_bits);
+                    prop_assert_eq!((c, got), (c, want));
+                    prop_assert_eq!((c, busy.removed(c)), (c, naive.removed[shape_slot(c)]));
+                }
+            }
+        }
     }
 
     #[test]
@@ -803,9 +922,9 @@ mod tests {
         for i in 0..5u32 {
             busy.insert(key(i), SimTime::new(20.0 + i as f64), 2);
         }
-        assert!(busy.remove(key(0))); // swap-remove moves key(4) into slot 0
-        assert!(busy.remove(key(4)));
-        assert!(busy.remove(key(2)));
+        assert!(busy.remove(key(0), 2)); // swap-remove moves key(4) into slot 0
+        assert!(busy.remove(key(4), 2));
+        assert!(busy.remove(key(2), 2));
         let now = SimTime::ZERO;
         assert_eq!(busy.min_wait_for_cores(2, now), Some(21.0)); // key(1)
     }
@@ -843,9 +962,9 @@ mod tests {
         let mut busy = BusyTable::new();
         let (old, new) = (VmKey { id: VmId(3), slot: 0 }, VmKey { id: VmId(8), slot: 0 });
         busy.insert(new, SimTime::new(4.0), 2);
-        assert!(!busy.remove(old), "a released VM's key is never busy");
+        assert!(!busy.remove(old, 2), "a released VM's key is never busy");
         assert_eq!(busy.min_wait_for_cores(2, SimTime::ZERO), Some(4.0));
-        assert!(busy.remove(new));
+        assert!(busy.remove(new, 2));
     }
 
     #[test]

@@ -84,6 +84,12 @@ impl<T> SlotArena<T> {
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
+
+    /// `(slot, record)` of every record held, in slot order (not
+    /// insertion order: a reused slot keeps its place).
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        (0u32..).zip(&self.slots).filter_map(|(slot, value)| Some((slot, value.as_ref()?)))
+    }
 }
 
 #[cfg(test)]
@@ -108,6 +114,8 @@ mod tests {
             (Some(&"e"), Some(&"b"), Some(&"d"))
         );
         assert_eq!((arena.len(), arena.slot_count()), (4, 4));
+        let held: Vec<(u32, &str)> = arena.iter().map(|(slot, &v)| (slot, v)).collect();
+        assert_eq!(held, vec![(a, "e"), (b, "b"), (c, "d"), (3, "f")]);
         *arena.get_mut(b).expect("b is held") = "B";
         assert_eq!(arena.get(b), Some(&"B"));
         assert_eq!(arena.get(99), None);

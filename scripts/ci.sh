@@ -121,9 +121,12 @@ run_one --test doc_contracts session_metrics_match_the_event_stream
 run_one -p scan-platform platform::tests::golden_fixed_seed_metrics
 # The store's bytes (a fixed-seed session and a contended fleet), and the
 # trace vocabulary's one declaration: every kind's values rebuild bit for
-# bit through the inverse read-out, and its JSONL keys are its field names.
+# bit through the inverse read-out, and its JSONL keys are its field names;
+# the plot script's hand-written SCTS reader table matches the store
+# layout of every kind, including kinds a fig4 export never emits.
 run_one --test tracestore_fleet golden_scts_bytes
 run_one -p scan-sim --lib trace::tests::every_kind_round_trips_through_its_field_table
+run_one --test doc_contracts plot_traces_scts_schema_matches_the_store_layout
 
 echo "==> tenant-setup equivalence (the priced plan table and the one-scan fit match the per-call search and the per-stage fit)"
 run_one -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
@@ -132,9 +135,10 @@ run_one -p scan-kb --test profile_log one_scan_fits_match_the_per_stage_readback
 echo "==> class-queue equivalence (job-level queues vs a per-shard model: pops, waits, lengths, Eq. 1)"
 run_one -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
 
-echo "==> calendar and worker-pool equivalence (packed-key heap vs a sorted map; linked release lists vs a naive two-tier model)"
+echo "==> calendar and worker-pool equivalence (packed-key heap vs a sorted map; linked release lists vs a naive two-tier model; per-shape busy lists vs an all-entries scan)"
 run_one -p scan-sim --lib calendar::tests::prop_calendar_matches_a_sorted_map
 run_one -p scan-platform --lib platform::state::tests::prop_idle_pools_match_a_naive_two_tier_model
+run_one -p scan-platform --lib platform::state::tests::prop_busy_table_matches_a_naive_all_entries_model
 
 echo "==> allocation budgets (debug: nothing on the simulation path allocates per job)"
 run_one --test alloc_budget session_unit_allocates_nothing_per_job
@@ -164,18 +168,20 @@ if [[ "$quick" != "quick" ]]; then
     [[ -n "$d1" && "$d1" == "$d2" ]] || {
         echo "FAIL: fixed-seed store digest differs between runs ($d1 vs $d2)" >&2; exit 1; }
     cmp "$s1" "$s2" || { echo "FAIL: fixed-seed store export differs between runs" >&2; exit 1; }
-    # The Python SCTS reader mirrors the Rust schema by hand; decoding a
-    # real export pins it (read_scts raises on a layout drift or on
-    # trailing bytes).
+    # The Python SCTS reader mirrors the Rust schema by hand
+    # (plot_traces_scts_schema_matches_the_store_layout checks the table);
+    # decoding a real export also pins it (read_scts raises on a layout
+    # drift or on trailing bytes).
     python3 scripts/plot_traces.py --store "$s1" --out-dir "$sp" >/dev/null \
         || { echo "FAIL: scripts/plot_traces.py cannot decode the SCTS export" >&2; exit 1; }
 
     echo "==> state digest at 1,000 tenants (release)"
     run_one --release --test doc_contracts fleet_1000_state_digest_is_pinned -- --ignored
 
-    echo "==> SCTS golden and trace vocabulary round trip (release)"
+    echo "==> SCTS golden, trace vocabulary round trip and plot reader table (release)"
     run_one --release --test tracestore_fleet golden_scts_bytes
     run_one --release -p scan-sim --lib trace::tests::every_kind_round_trips_through_its_field_table
+    run_one --release --test doc_contracts plot_traces_scts_schema_matches_the_store_layout
 
     echo "==> tenant-setup equivalence (release)"
     run_one --release -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
@@ -189,6 +195,8 @@ if [[ "$quick" != "quick" ]]; then
     run_one --release -p scan-sim --lib calendar::tests::prop_calendar_matches_a_sorted_map
     run_one --release -p scan-platform --lib \
         platform::state::tests::prop_idle_pools_match_a_naive_two_tier_model
+    run_one --release -p scan-platform --lib \
+        platform::state::tests::prop_busy_table_matches_a_naive_all_entries_model
 
     echo "==> allocation budgets (release)"
     run_one --release --test alloc_budget session_unit_allocates_nothing_per_job

@@ -120,9 +120,11 @@ def fmt(v):
 
 SCTS_MAGIC = b"SCTS"
 SCTS_VERSION = 3
-# Declared columns per table, in table order. Mirrors EventKind::columns
-# in crates/tracestore/src/schema.rs; scripts/ci.sh's store-determinism
-# step pins the mirror by decoding a real fig4 export with read_scts.
+# Declared columns per table, in table order. Mirrors
+# scan_tracestore::schema::columns(kind) for every kind of ALL_KINDS;
+# tests/doc_contracts.rs (plot_traces_scts_schema_matches_the_store_layout)
+# checks every table, name and type against it, and scripts/ci.sh also
+# decodes a real fig4 export with read_scts.
 # u = varint int, f = raw f64 LE, d = dictionary-encoded label.
 SCTS_SCHEMA = [
     ("job_arrived", [("job", "u"), ("size_units", "f"), ("submitted_tu", "f")]),

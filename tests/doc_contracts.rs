@@ -23,6 +23,9 @@
 //!   (`schema::columns`) for every kind in `ALL_KINDS` against the
 //!   "Column layouts" tables, and `Agg::ALL` against the "Aggregations"
 //!   table.
+//! * scripts/plot_traces.py — its `SCTS_SCHEMA` (the SCTS reader's
+//!   column table) against `schema::columns` for every kind in
+//!   `ALL_KINDS`, in table order: names and physical types.
 //! * docs/SPANS.md — the `ALL_SEGMENTS` labels, and the SLO table against
 //!   the `slo`-named families of the matrix registries.
 //! * docs/METRICS.md — every family the matrix registries register, per
@@ -51,7 +54,7 @@ use scan::sched::alloc::AllocationPolicy;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{JsonlWriter, Observer, ScalingChoice, SimTime, TraceEvent};
 use scan::tracestore::schema::columns;
-use scan::tracestore::{Agg, TraceStore, ALL_KINDS};
+use scan::tracestore::{Agg, ColumnType, TraceStore, ALL_KINDS};
 use scan_metrics::Registry;
 use scan_spans::{SpanObserver, SpanSet, ALL_SEGMENTS};
 use std::collections::{BTreeMap, BTreeSet};
@@ -431,6 +434,72 @@ fn tracestore_doc_matches_schema() {
     assert_eq!(tables(&doc, "Column layouts"), layouts);
     let aggs = names(Agg::ALL.map(Agg::name));
     assert_eq!(tables(&doc, "Aggregations"), [(String::new(), aggs)]);
+}
+
+/// `SCTS_SCHEMA` of scripts/plot_traces.py: per table, its tag and its
+/// `(column, type code)` pairs, in the order written. The literal is a
+/// list of `("tag", [("column", "code"), …])` tuples, so a quoted string
+/// one bracket deep is a tag and the strings two deep pair up as columns.
+fn plot_traces_schema() -> Vec<(String, Vec<(String, String)>)> {
+    let path = format!("{}/scripts/plot_traces.py", env!("CARGO_MANIFEST_DIR"));
+    let script = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let start = script.find("\nSCTS_SCHEMA = [").expect("plot_traces.py declares SCTS_SCHEMA");
+    let body = &script[start + "\nSCTS_SCHEMA = ".len()..];
+    let mut tables: Vec<(String, Vec<(String, String)>)> = Vec::new();
+    let mut strings = Vec::new();
+    let mut depth = 0;
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '[' => depth += 1,
+            ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            '"' => {
+                let text: String = chars.by_ref().take_while(|&c| c != '"').collect();
+                match depth {
+                    1 => tables.push((text, Vec::new())),
+                    2 => strings.push(text),
+                    _ => panic!("SCTS_SCHEMA: a string {depth} brackets deep"),
+                }
+                if let [name, code] = &strings[..] {
+                    let table = tables.last_mut().expect("columns follow their table's tag");
+                    table.1.push((name.clone(), code.clone()));
+                    strings.clear();
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(depth, 0, "SCTS_SCHEMA is not closed");
+    assert!(strings.is_empty(), "SCTS_SCHEMA: a column without a type code");
+    tables
+}
+
+/// The plot script's SCTS reader declares every table the store exports,
+/// in table order, with every column in column order and type: the
+/// reader decodes an export by this table alone, so a column it misses
+/// (in a kind a fig4 export never emits, too) would misread every row
+/// after it. Equality checks both directions: no table or column of
+/// either side is missing from the other.
+#[test]
+fn plot_traces_scts_schema_matches_the_store_layout() {
+    let code = |ty: ColumnType| match ty {
+        ColumnType::U32 | ColumnType::U64 => "u",
+        ColumnType::F64 => "f",
+        ColumnType::Dict => "d",
+    };
+    let layouts: Vec<(String, Vec<(String, String)>)> = ALL_KINDS
+        .iter()
+        .map(|&k| {
+            let cols = columns(k).map(|c| (c.name.to_string(), code(c.ty).to_string()));
+            (k.tag().to_string(), cols.collect())
+        })
+        .collect();
+    assert_eq!(plot_traces_schema(), layouts);
 }
 
 #[test]
