@@ -185,9 +185,7 @@ impl Platform {
         let key = self.idle.head_changes() + self.provider.live_version() + self.standing_resets;
         let due = match self.release_memo {
             Some((at_key, due)) if at_key == key => {
-                if cfg!(debug_assertions) {
-                    debug_assert_eq!(due, self.earliest_release(), "stale sweep instant memo");
-                }
+                debug_assert_eq!(due, self.earliest_release(), "stale sweep instant memo");
                 due
             }
             _ => {
