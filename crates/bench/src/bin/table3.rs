@@ -21,7 +21,7 @@ fn main() {
     let f = &cfg.fixed;
     let arrivals = cfg.arrival_config();
     let tiers = cfg.tier_catalog();
-    let private = tiers.get(TierId(0));
+    let private = tiers.get(TierId::PRIVATE);
     println!("Table III: miscellaneous simulation attributes fixed across all runs\n");
     let rows: Vec<(&str, String, String)> = vec![
         ("Simulation time (TUs)", "10,000".into(), format!("{:.0}", f.sim_time_tu)),

@@ -417,25 +417,25 @@ impl CloudProvider {
         self.settled_cost + live
     }
 
-    /// Cost incurred on one tier up to `now` (live + settled). Summing
-    /// this over tiers equals [`CloudProvider::total_cost`] up to f64
-    /// addition order.
-    pub fn cost_on_tier(&self, tier: TierId, now: SimTime) -> f64 {
-        let live: f64 =
-            self.hired().filter(|h| h.vm.tier == tier).map(|h| self.accrued(h, now).0).sum();
-        self.settled_cost_by_tier[tier.0] + live
+    /// Each tier's `(cost, core·TU)` up to `now`, indexed by `TierId.0`:
+    /// settled plus live, each live sum taken in id order, from one walk
+    /// of the live VMs. Summing the costs equals
+    /// [`CloudProvider::total_cost`] up to f64 addition order.
+    pub fn tier_totals(&self, now: SimTime) -> Vec<(f64, f64)> {
+        let mut live = vec![(0.0, 0.0); self.catalog.len()];
+        for h in self.hired() {
+            let (cost, core_tu) = self.accrued(h, now);
+            let sums = &mut live[h.vm.tier.0];
+            sums.0 += cost;
+            sums.1 += core_tu;
+        }
+        let settled = self.settled_cost_by_tier.iter().zip(&self.settled_core_tu_by_tier);
+        settled.zip(live).map(|((&cost, &core_tu), (c, t))| (cost + c, core_tu + t)).collect()
     }
 
     /// Total core·TU consumed up to `now` (live + settled).
     pub fn total_core_tu(&self, now: SimTime) -> f64 {
-        (0..self.catalog.len()).map(|i| self.core_tu_on_tier(TierId(i), now)).sum()
-    }
-
-    /// Core·TU consumed on one tier up to `now` (live + settled).
-    pub fn core_tu_on_tier(&self, tier: TierId, now: SimTime) -> f64 {
-        let live: f64 =
-            self.hired().filter(|h| h.vm.tier == tier).map(|h| self.accrued(h, now).1).sum();
-        self.settled_core_tu_by_tier[tier.0] + live
+        self.tier_totals(now).iter().map(|&(_, core_tu)| core_tu).sum()
     }
 
     /// Total VMs ever hired.
@@ -501,13 +501,13 @@ mod tests {
         // 39 × 16 = 624 cores fill the private tier exactly.
         for _ in 0..39 {
             let (id, _) = p.hire(sz(16), t(0.0)).unwrap();
-            assert_eq!(p.vm(id).unwrap().tier, TierId(0));
+            assert_eq!(p.vm(id).unwrap().tier, TierId::PRIVATE);
         }
-        assert_eq!(p.cores_in_use(TierId(0)), 624);
-        assert_eq!(p.free_cores(TierId(0)), 0);
+        assert_eq!(p.cores_in_use(TierId::PRIVATE), 624);
+        assert_eq!(p.free_cores(TierId::PRIVATE), 0);
         // The 40th lands on the public tier.
         let (id, _) = p.hire(sz(16), t(0.0)).unwrap();
-        assert_eq!(p.vm(id).unwrap().tier, TierId(1));
+        assert_eq!(p.vm(id).unwrap().tier, TierId::PUBLIC);
     }
 
     #[test]
@@ -524,13 +524,13 @@ mod tests {
         let mut p = provider();
         let (id, ready) = p.hire(sz(8), t(0.0)).unwrap();
         assert_eq!(ready, t(0.5));
-        assert_eq!(p.cores_in_use(TierId(0)), 8);
+        assert_eq!(p.cores_in_use(TierId::PRIVATE), 8);
         // Run a task for 1 TU: the private tier bills busy time only.
         p.vm_mut(id).unwrap().finish_boot(ready);
         p.vm_mut(id).unwrap().start_task(t(1.0));
         p.vm_mut(id).unwrap().finish_task(t(2.0));
         p.release(id, t(2.0));
-        assert_eq!(p.cores_in_use(TierId(0)), 0);
+        assert_eq!(p.cores_in_use(TierId::PRIVATE), 0);
         assert_eq!(p.vms().count(), 0);
         // 8 cores × 5 CU × 1 busy TU = 40.
         assert!((p.total_cost(t(10.0)) - 40.0).abs() < 1e-9);
@@ -559,7 +559,7 @@ mod tests {
             p.hire(sz(16), t(0.0)).unwrap();
         }
         let (pub_id, _) = p.hire(sz(1), t(0.0)).unwrap();
-        assert_eq!(p.vm(pub_id).unwrap().tier, TierId(1));
+        assert_eq!(p.vm(pub_id).unwrap().tier, TierId::PUBLIC);
         // Private VMs are all idle (busy-billed → free); the public VM
         // bills from hire: 1 core × 50 CU × 1 TU.
         let cost = p.total_cost(t(1.0));
@@ -577,7 +577,7 @@ mod tests {
             first.get_or_insert(id);
         }
         let (pub_id, _) = p.hire(sz(4), t(0.0)).unwrap();
-        assert_eq!(p.vm(pub_id).unwrap().tier, TierId(1));
+        assert_eq!(p.vm(pub_id).unwrap().tier, TierId::PUBLIC);
         let first = first.expect("39 hires");
         assert_eq!(first.id, VmId(0));
         p.vm_mut(first).unwrap().start_task(t(1.0));
@@ -585,12 +585,13 @@ mod tests {
         p.release(first, t(2.0));
         p.release(pub_id, t(3.0));
         let now = t(5.0);
-        let by_tier = p.cost_on_tier(TierId(0), now) + p.cost_on_tier(TierId(1), now);
+        let [(private, _), (public, _)] = p.tier_totals(now)[..] else { panic!("two tiers") };
+        let by_tier = private + public;
         assert!((by_tier - p.total_cost(now)).abs() < 1e-9, "{by_tier}");
         // Private released VM billed busy time: 16 cores × 5 CU × 1 TU.
-        assert!((p.cost_on_tier(TierId(0), now) - 80.0).abs() < 1e-9);
+        assert!((private - 80.0).abs() < 1e-9);
         // Public released VM billed hired time: 4 cores × 50 CU × 3 TU.
-        assert!((p.cost_on_tier(TierId(1), now) - 600.0).abs() < 1e-9);
+        assert!((public - 600.0).abs() < 1e-9);
     }
 
     #[test]
@@ -600,11 +601,11 @@ mod tests {
         p.vm_mut(id).unwrap().finish_boot(ready);
         let ready2 = p.reshape(id, sz(16), t(1.0)).unwrap();
         assert_eq!(ready2, t(1.5));
-        assert_eq!(p.cores_in_use(TierId(0)), 16);
+        assert_eq!(p.cores_in_use(TierId::PRIVATE), 16);
         p.vm_mut(id).unwrap().finish_boot(ready2);
         // Shrink back.
         let _ = p.reshape(id, sz(1), t(2.0)).unwrap();
-        assert_eq!(p.cores_in_use(TierId(0)), 1);
+        assert_eq!(p.cores_in_use(TierId::PRIVATE), 1);
         assert_eq!((p.live_of_size(sz(1)), p.live_of_size(sz(4))), (1, 0));
     }
 
@@ -626,9 +627,10 @@ mod tests {
         assert!((p.total_cost(t(8.0)) - expect).abs() < 1e-9, "{}", p.total_cost(t(8.0)));
         p.release(id, t(8.0));
         assert!((p.total_cost(t(9.0)) - expect).abs() < 1e-9);
-        assert!((p.cost_on_tier(TierId(0), t(9.0)) - expect).abs() < 1e-9);
+        let (cost, core_tu) = p.tier_totals(t(9.0))[TierId::PRIVATE.0];
+        assert!((cost - expect).abs() < 1e-9);
         // Core·TU follows the hired span: 3 TU at 4 cores, 5 TU at 16.
-        assert!((p.core_tu_on_tier(TierId(0), t(9.0)) - (4.0 * 3.0 + 16.0 * 5.0)).abs() < 1e-9);
+        assert!((core_tu - (4.0 * 3.0 + 16.0 * 5.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -673,17 +675,17 @@ mod tests {
         let mut b = provider();
         a.attach_shared(lease.clone(), TenantId(0));
         b.attach_shared(lease.clone(), TenantId(1));
-        let (id, _) = a.hire_on(TierId(0), sz(16), t(0.0)).unwrap();
-        b.hire_on(TierId(0), sz(16), t(0.0)).unwrap();
+        let (id, _) = a.hire_on(TierId::PRIVATE, sz(16), t(0.0)).unwrap();
+        b.hire_on(TierId::PRIVATE, sz(16), t(0.0)).unwrap();
         // The pool is exhausted even though each local catalogue has
         // 624-core headroom.
-        assert_eq!(a.free_cores(TierId(0)), 0);
-        assert!(!b.has_capacity(TierId(0), sz(1)));
-        assert_eq!(b.hire_on(TierId(0), sz(1), t(0.0)), Err(HireError::NoCapacity));
+        assert_eq!(a.free_cores(TierId::PRIVATE), 0);
+        assert!(!b.has_capacity(TierId::PRIVATE, sz(1)));
+        assert_eq!(b.hire_on(TierId::PRIVATE, sz(1), t(0.0)), Err(HireError::NoCapacity));
         assert_eq!(lease.borrow().peak_used(), 32);
         // Releasing returns the cores to *both* tenants.
         a.release(id, t(1.0));
-        assert!(b.has_capacity(TierId(0), sz(16)));
+        assert!(b.has_capacity(TierId::PRIVATE, sz(16)));
         assert_eq!(lease.borrow().used_by(TenantId(0)), 0);
     }
 
@@ -697,27 +699,27 @@ mod tests {
             SharedCapacity::new(0, 1, SurgePricing { factor: 1.0, per_cores: 16.0 }).into_lease();
         let mut p = provider();
         p.attach_shared(lease.clone(), TenantId(0));
-        assert_eq!(p.quoted_price(TierId(1)), 50.0, "no contention yet");
-        let (first, _) = p.hire_on(TierId(1), sz(16), t(0.0)).unwrap();
+        assert_eq!(p.quoted_price(TierId::PUBLIC), 50.0, "no contention yet");
+        let (first, _) = p.hire_on(TierId::PUBLIC, sz(16), t(0.0)).unwrap();
         // The second hire is quoted at 2× while the first keeps 1×.
-        assert!((p.quoted_price(TierId(1)) - 100.0).abs() < 1e-9);
-        let (_second, _) = p.hire_on(TierId(1), sz(16), t(0.0)).unwrap();
+        assert!((p.quoted_price(TierId::PUBLIC) - 100.0).abs() < 1e-9);
+        let (_second, _) = p.hire_on(TierId::PUBLIC, sz(16), t(0.0)).unwrap();
         // Both billed HiredTime for 1 TU: 16·50·1 + 16·100·1.
         let cost = p.total_cost(t(1.0));
         assert!((cost - (800.0 + 1600.0)).abs() < 1e-6, "{cost}");
         // Releasing the first VM drops contention; its settled cost used
         // its launch price, not today's quote.
         p.release(first, t(1.0));
-        assert!((p.quoted_price(TierId(1)) - 100.0).abs() < 1e-9);
+        assert!((p.quoted_price(TierId::PUBLIC) - 100.0).abs() < 1e-9);
         // Private quotes never surge.
-        assert_eq!(p.quoted_price(TierId(0)), 5.0);
+        assert_eq!(p.quoted_price(TierId::PRIVATE), 5.0);
     }
 
     #[test]
     fn unleased_provider_quotes_catalogue_prices() {
         let p = provider();
-        assert_eq!(p.quoted_price(TierId(0)), 5.0);
-        assert_eq!(p.quoted_price(TierId(1)), 50.0);
+        assert_eq!(p.quoted_price(TierId::PRIVATE), 5.0);
+        assert_eq!(p.quoted_price(TierId::PUBLIC), 50.0);
         assert_eq!(p.tenant(), scan_sim::TenantId::SOLO);
         assert!(p.shared().is_none());
     }
@@ -739,7 +741,7 @@ mod tests {
     #[test]
     fn live_vms_walk_in_id_order_after_out_of_order_slot_reuse() {
         let mut p = provider();
-        let public = TierId(1);
+        let public = TierId::PUBLIC;
         // Public VMs bill hired time, so each accrues its own odd amount.
         let hire = |p: &mut CloudProvider, cores: u32, at: f64| {
             let (key, ready) = p.hire_on(public, sz(cores), t(at)).unwrap();
@@ -772,7 +774,8 @@ mod tests {
         let settled = p.settled_cost;
         assert_eq!(p.total_cost(now).to_bits(), (settled + in_id_order).to_bits());
         let tier_settled = p.settled_cost_by_tier[public.0];
-        assert_eq!(p.cost_on_tier(public, now).to_bits(), (tier_settled + in_id_order).to_bits());
+        let tier_cost = p.tier_totals(now)[public.0].0;
+        assert_eq!(tier_cost.to_bits(), (tier_settled + in_id_order).to_bits());
     }
 
     #[test]

@@ -27,6 +27,14 @@ pub enum BillingMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(pub usize);
 
+impl TierId {
+    /// The private tier: first in every hybrid catalogue
+    /// ([`TierCatalog::paper_hybrid`], `ScanConfig::tier_catalog`).
+    pub const PRIVATE: TierId = TierId(0);
+    /// The public tier: second in every hybrid catalogue.
+    pub const PUBLIC: TierId = TierId(1);
+}
+
 /// One class of hireable resources.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tier {
@@ -88,7 +96,8 @@ impl TierCatalog {
         TierCatalog { tiers }
     }
 
-    /// The paper's two-tier hybrid at a given public price.
+    /// The paper's two-tier hybrid at a given public price:
+    /// [`TierId::PRIVATE`] then [`TierId::PUBLIC`].
     pub fn paper_hybrid(public_cost: f64) -> Self {
         TierCatalog::new(vec![Tier::paper_private(), Tier::paper_public(public_cost)])
     }
@@ -123,10 +132,10 @@ mod tests {
     fn paper_hybrid_matches_table_iii() {
         let cat = TierCatalog::paper_hybrid(50.0);
         assert_eq!(cat.len(), 2);
-        let private = cat.get(TierId(0));
+        let private = cat.get(TierId::PRIVATE);
         assert_eq!(private.cost_per_core_tu, 5.0);
         assert_eq!(private.capacity_cores, Some(624));
-        let public = cat.get(TierId(1));
+        let public = cat.get(TierId::PUBLIC);
         assert_eq!(public.cost_per_core_tu, 50.0);
         assert_eq!(public.capacity_cores, None);
     }

@@ -44,11 +44,6 @@ pub struct FixedParams {
     /// account for boot/idle overhead of real workers (hired time exceeds
     /// busy time; calibrated against measured utilisation).
     pub overhead_price_factor: f64,
-    /// Apply the Eq. 1 delay-cost-vs-hire-cost throttle to *private*
-    /// hires as well (the paper's "just enough and just on time"); when
-    /// false, free private capacity is always committed to a stalled
-    /// queue.
-    pub private_hire_throttle: bool,
     /// Relative noise of the offline profiling trace the knowledge base
     /// is bootstrapped from.
     pub profile_noise: f64,
@@ -60,7 +55,6 @@ impl Default for FixedParams {
             sim_time_tu: 10_000.0,
             private_capacity_cores: PRIVATE_CAPACITY_CORES,
             overhead_price_factor: 1.3,
-            private_hire_throttle: false,
             profile_noise: 0.02,
         }
     }
@@ -202,7 +196,9 @@ impl ScanConfig {
 
     /// The session's hybrid cloud: the private tier (Table III price,
     /// this config's capacity, billed while busy) then the public tier
-    /// (this cell's price, unbounded, billed while hired).
+    /// (this cell's price, unbounded, billed while hired), in the order
+    /// of [`TierId::PRIVATE`](scan_cloud::tier::TierId::PRIVATE) and
+    /// [`TierId::PUBLIC`](scan_cloud::tier::TierId::PUBLIC).
     pub fn tier_catalog(&self) -> TierCatalog {
         TierCatalog::new(vec![
             Tier {
@@ -300,7 +296,7 @@ mod tests {
             (3.0, 2.0, 5.0, 1.0)
         );
         let tiers = cfg.tier_catalog();
-        let private = tiers.get(TierId(0));
+        let private = tiers.get(TierId::PRIVATE);
         assert_eq!((private.cost_per_core_tu, private.capacity_cores), (5.0, Some(624)));
         assert_eq!(cfg.true_model(), PipelineModel::paper());
     }

@@ -341,8 +341,7 @@ impl Observer for MetricsObserver {
             TraceEvent::ScalingDecision { delay_cost, hire_cost, choice, .. } => {
                 self.registry.counter_add(self.choice[choice.index()], 1);
                 if delay_cost.is_finite() {
-                    let waited =
-                        matches!(choice, ScalingChoice::Wait | ScalingChoice::ThrottledPrivate);
+                    let waited = choice == ScalingChoice::Wait;
                     self.registry
                         .record(self.margin[waited as usize], (delay_cost - hire_cost).abs());
                 }
@@ -553,39 +552,43 @@ mod tests {
         }
     }
 
-    /// Counts `ScalingDecision`s whose numbers contradict their private
-    /// choice: a passed hire must carry delay cost > hire cost, a veto
-    /// the reverse (a NaN-priced `hire_private` breaks the rule).
+    /// Counts `ScalingDecision`s whose numbers contradict their choice: a
+    /// private hire is never priced, and a priced decision hires public
+    /// iff its delay cost exceeds its hire cost and waits otherwise.
     #[derive(Default)]
-    struct ThrottleRule {
+    struct PricingRule {
         broken: u64,
     }
 
-    impl Observer for ThrottleRule {
+    impl Observer for PricingRule {
         fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
             if let TraceEvent::ScalingDecision { delay_cost, hire_cost, choice, .. } = *event {
+                let priced = !delay_cost.is_nan();
                 let holds = match choice {
-                    ScalingChoice::HirePrivate => delay_cost > hire_cost,
-                    ScalingChoice::ThrottledPrivate => delay_cost <= hire_cost,
-                    _ => true,
+                    ScalingChoice::HirePrivate => !priced && hire_cost.is_nan(),
+                    _ if !priced => true,
+                    ScalingChoice::HirePublic => delay_cost > hire_cost,
+                    ScalingChoice::Wait => delay_cost <= hire_cost,
+                    ScalingChoice::Reshape => false,
                 };
                 self.broken += u64::from(!holds);
             }
         }
     }
 
-    /// With the private-hire throttle on, each decision is narrated once:
-    /// a vetoed hire is one `throttled_private` (not a `hire_private`
-    /// followed by its veto), and a hire that passed carries the
-    /// throttle's own numbers.
+    /// A saturated Predictive session narrates each decision once, with
+    /// the numbers that decided it: the registry counts what the stream
+    /// carries, private hires are unpriced, and every priced decision
+    /// agrees with its Eq. 1 comparison. The private tier is cut to 256
+    /// cores so that it fills and Eq. 1 both waits and hires public.
     #[test]
-    fn throttled_decisions_are_narrated_once() {
+    fn decisions_are_narrated_with_their_numbers() {
         let mut cfg = cfg();
         cfg.variable.mean_interval = 1.0;
-        cfg.fixed.private_hire_throttle = true;
-        let rule = Rc::new(RefCell::new(ThrottleRule::default()));
+        cfg.fixed.private_capacity_cores = 256;
+        let rule = Rc::new(RefCell::new(PricingRule::default()));
         let (registry, stats) = observed(&cfg, rule.clone());
-        assert_eq!(rule.borrow().broken, 0, "a private decision's numbers contradict its choice");
+        assert_eq!(rule.borrow().broken, 0, "a decision's numbers contradict its choice");
         let counted: u64 = registry
             .counters()
             .iter()
@@ -593,7 +596,8 @@ mod tests {
             .map(|(_, n)| n)
             .sum();
         assert_eq!(stats.total_decisions(), counted);
-        assert!(stats.decided(ScalingChoice::ThrottledPrivate) > 0, "the throttle never fired");
-        assert!(stats.decided(ScalingChoice::HirePrivate) > 0, "the throttle never passed");
+        for choice in [ScalingChoice::Wait, ScalingChoice::HirePrivate, ScalingChoice::HirePublic] {
+            assert!(stats.decided(choice) > 0, "no {} decision", choice.name());
+        }
     }
 }

@@ -107,9 +107,9 @@ impl DecisionStats {
             + self.decided(ScalingChoice::Reshape)
     }
 
-    /// Wait decisions (including Eq. 1-vetoed private hires).
+    /// Wait decisions.
     pub fn wait_decisions(&self) -> u64 {
-        self.decided(ScalingChoice::Wait) + self.decided(ScalingChoice::ThrottledPrivate)
+        self.decided(ScalingChoice::Wait)
     }
 
     /// Mean sampled queue depth (a per-sample mean, not the time-weighted
@@ -292,7 +292,7 @@ mod tests {
         s.on_event(at, &decision(ScalingChoice::HirePublic));
         s.on_event(at, &decision(ScalingChoice::Wait));
         s.on_event(at, &decision(ScalingChoice::Wait));
-        s.on_event(at, &decision(ScalingChoice::ThrottledPrivate));
+        s.on_event(at, &decision(ScalingChoice::HirePrivate));
         s.on_event(at, &decision(ScalingChoice::Reshape));
         for depth in [0u32, 3, 9] {
             s.on_event(at, &TraceEvent::QueueDepthSampled { depth });
@@ -305,8 +305,8 @@ mod tests {
         assert_eq!(s.decided(ScalingChoice::Wait), 2);
         assert_eq!(s.decided(ScalingChoice::HirePublic), 1);
         assert_eq!(s.total_decisions(), 5);
-        assert_eq!(s.hire_decisions(), 2); // public + reshape
-        assert_eq!(s.wait_decisions(), 3); // wait ×2 + throttled
+        assert_eq!(s.hire_decisions(), 3); // private + public + reshape
+        assert_eq!(s.wait_decisions(), 2);
         assert_eq!(s.depth_samples(), 3);
         assert_eq!(s.peak_depth(), 9);
         assert!((s.mean_depth() - 4.0).abs() < 1e-12);

@@ -7,6 +7,7 @@
 use super::events::JobRun;
 use super::Platform;
 use crate::metrics::SessionMetrics;
+use scan_cloud::tier::TierId;
 use scan_sim::stats::{Histogram, OnlineStats, TimeWeighted};
 use scan_sim::{SimTime, TraceEvent};
 
@@ -93,12 +94,12 @@ impl Platform {
         // Summed private tier first, then public: the order the
         // `tier_settled` events narrate them in.
         let (mut total_cost, mut total_core_tu, mut public_core_tu) = (0.0, 0.0, 0.0);
-        for tier in [self.private_tier, self.public_tier] {
-            let cost = self.provider.cost_on_tier(tier, ended_at);
-            let core_tu = self.provider.core_tu_on_tier(tier, ended_at);
+        let totals = self.provider.tier_totals(ended_at);
+        for tier in [TierId::PRIVATE, TierId::PUBLIC] {
+            let (cost, core_tu) = totals[tier.0];
             total_cost += cost;
             total_core_tu += core_tu;
-            if tier != self.private_tier {
+            if tier == TierId::PUBLIC {
                 public_core_tu += core_tu;
             }
             self.tracer

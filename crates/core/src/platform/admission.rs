@@ -5,7 +5,7 @@
 use super::events::{Event, JobRun, TenantCal};
 use super::Platform;
 use crate::config::REPLAN_PERIOD_TU;
-use scan_cloud::tier::PRIVATE_CORE_COST;
+use scan_cloud::tier::{TierId, PRIVATE_CORE_COST};
 use scan_sched::alloc::{AllocationContext, AllocationPolicy};
 use scan_sched::queue::TaskClass;
 use scan_sim::{SimDuration, SimTime, TraceEvent};
@@ -157,7 +157,7 @@ impl Platform {
             private_price: PRIVATE_CORE_COST * f,
             public_price: self.cfg.variable.public_core_cost * f,
             private_capacity: self.cfg.fixed.private_capacity_cores,
-            private_free_now: self.provider.free_cores(self.private_tier) > 0,
+            private_free_now: self.provider.free_cores(TierId::PRIVATE) > 0,
             current_overhead_tu: self.estimator.queue_times().eqt_tail(0),
             arrival_rate,
             mean_job_size,

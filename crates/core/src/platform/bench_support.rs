@@ -17,6 +17,7 @@ use super::events::{JobRun, TenantCal};
 use super::Platform;
 use crate::config::{ScanConfig, VariableParams};
 use scan_cloud::instance::InstanceSize;
+use scan_cloud::tier::TierId;
 use scan_cloud::vm::boot_penalty;
 use scan_sched::plan::ExecutionPlan;
 use scan_sched::queue::TaskClass;
@@ -57,14 +58,14 @@ impl PlatformHarness {
         for _ in 0..idle_workers {
             let (vm, ready_at) = p
                 .provider
-                .hire_on(p.private_tier, size, SimTime::ZERO)
+                .hire_on(TierId::PRIVATE, size, SimTime::ZERO)
                 .expect("private capacity sized above");
             p.provider.vm_mut(vm).expect("just hired").finish_boot(ready_at);
-            p.idle.insert(CORES, vm, p.private_tier, ready_at);
+            p.idle.insert(CORES, vm, TierId::PRIVATE, ready_at);
         }
         for i in 0..busy_workers {
             let (vm, ready_at) =
-                p.provider.hire_on(p.private_tier, size, SimTime::ZERO).expect("capacity");
+                p.provider.hire_on(TierId::PRIVATE, size, SimTime::ZERO).expect("capacity");
             let worker = p.provider.vm_mut(vm).expect("just hired");
             worker.finish_boot(ready_at);
             worker.start_task(ready_at);
@@ -106,8 +107,7 @@ impl PlatformHarness {
         self.platform.busy.remove(vm, CORES);
         let worker = self.platform.provider.vm_mut(vm).expect("assigned VM");
         worker.finish_task(self.now);
-        let tier = self.platform.private_tier;
-        self.platform.idle.insert(CORES, vm, tier, self.now);
+        self.platform.idle.insert(CORES, vm, TierId::PRIVATE, self.now);
         let run = self.platform.jobs.get(head).expect("queued job is live");
         let (d, submitted) = (run.job.size_units, run.job.submitted_at);
         self.platform.queues.push_batch(self.class, head, 1, d, submitted, self.now);

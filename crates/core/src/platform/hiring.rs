@@ -1,23 +1,24 @@
 //! Capacity growth for stalled classes: the horizontal-scaling decision
-//! (Table I) priced from the class queue's cached Eq. 1 terms, the
-//! private-hire throttle, and reshape-instead-of-hire for heterogeneous
-//! configurations. The naive full-walk queue view survives as the
-//! debug-build oracle: it expands the class's batches entry by entry and
-//! prices each job afresh, independent of the cached terms it checks.
+//! (Table I) priced from the class queue's cached Eq. 1 terms, the held
+//! waits that spare re-pricing a wait nothing could flip, and
+//! reshape-instead-of-hire for heterogeneous configurations. The naive
+//! full-walk queue view survives as the debug-build oracle: it expands
+//! the class's batches entry by entry and prices each job afresh,
+//! independent of the cached terms it checks.
 
 use super::events::{Event, TenantCal};
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
-use scan_cloud::tier::PRIVATE_CORE_COST;
+use scan_cloud::tier::TierId;
 use scan_cloud::vm::{boot_penalty, VmKey};
 use scan_sched::delay_cost::{delay_cost, QueuedJobView};
 use scan_sched::queue::{shape_slot, TaskClass, N_SHAPES, SHAPE_CORES};
 use scan_sched::scaling::{DecisionCosts, ScalingContext, ScalingDecision, ScalingPolicy};
 use scan_sim::{prof, ScalingChoice, SimTime, TraceEvent};
 
-/// A stalled class's last decision to wait (or to throttle a private
-/// hire), with the inputs that could flip it (see `memo_for`).
+/// A stalled class's last decision to wait, taken with the private tier
+/// full, and the inputs that could flip it (see `memo_for`).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct WaitMemo {
     /// The class queue's `ClassQueues::version`.
@@ -28,8 +29,6 @@ pub(super) struct WaitMemo {
     lengthened: u64,
     /// `Platform::replans`.
     replans: u64,
-    /// Whether the private tier had room for the shape.
-    had_capacity: bool,
     /// A priced public wait: `(boot + expected task TU, delay cost)`.
     priced: Option<(f64, f64)>,
     /// Under a shared lease, the surge multiplier below which the priced
@@ -141,8 +140,8 @@ impl Platform {
         let memo = self.memo_for(class, choice, &inputs, costs);
         self.wait_memos.set(class, memo);
         let tier = match choice {
-            ScalingChoice::HirePrivate => self.private_tier,
-            ScalingChoice::HirePublic => self.public_tier,
+            ScalingChoice::HirePrivate => TierId::PRIVATE,
+            ScalingChoice::HirePublic => TierId::PUBLIC,
             _ => return false,
         };
         match self.provider.hire_on(tier, size, now) {
@@ -158,8 +157,8 @@ impl Platform {
     }
 
     /// Prices the horizontal-scaling decision for a stalled class: Eq. 1
-    /// from the class queue's cached terms, the policy's choice, then the
-    /// private-hire throttle. Decides only; acts on nothing.
+    /// from the class queue's cached terms, then the policy's choice.
+    /// Decides only; acts on nothing.
     fn decide(
         &mut self,
         class: TaskClass,
@@ -193,36 +192,18 @@ impl Platform {
             // The provider's live quote: the catalogue price solo, the
             // contention-surged on-demand price under a fleet lease — so
             // Eq. 1 prices public hires at what they would actually cost.
-            public_price_per_core_tu: self.provider.quoted_price(self.public_tier),
+            public_price_per_core_tu: self.provider.quoted_price(TierId::PUBLIC),
             cores_needed: class.cores,
             boot_penalty_tu: boot_penalty().as_tu(),
             expected_task_tu: inputs.expected_task_tu,
             reward: self.reward,
         };
-        let (decision, mut costs) = self.cfg.variable.scaling.decide_priced(&ctx);
-        let mut choice = match decision {
+        let (decision, costs) = self.cfg.variable.scaling.decide_priced(&ctx);
+        let choice = match decision {
             ScalingDecision::HirePrivate => ScalingChoice::HirePrivate,
             ScalingDecision::HirePublic => ScalingChoice::HirePublic,
             ScalingDecision::Wait => ScalingChoice::Wait,
         };
-        if choice == ScalingChoice::HirePrivate && self.cfg.fixed.private_hire_throttle {
-            // "Just enough and just on time" (§I): even free private
-            // capacity is only committed when the Eq. 1 delay cost of
-            // waiting for an existing worker exceeds the (cheap but
-            // non-zero) cost of booting and running a new one. This
-            // throttle applies to every policy — Table I's algorithms
-            // differ in the *public* hire decision.
-            let avoided = (ctx.expected_wait_tu - ctx.boot_penalty_tu).max(0.0);
-            costs = DecisionCosts {
-                delay_cost: ctx.eq1.delay_cost(&self.reward, avoided),
-                hire_cost: PRIVATE_CORE_COST
-                    * class.cores as f64
-                    * (ctx.boot_penalty_tu + ctx.expected_task_tu),
-            };
-            if costs.delay_cost <= costs.hire_cost {
-                choice = ScalingChoice::ThrottledPrivate;
-            }
-        }
         (choice, costs, inputs)
     }
 
@@ -234,11 +215,10 @@ impl Platform {
     /// the in-flight hires and the shape's busy removals and finished
     /// boots stay put (`now` only shrinks it; a new busy or booting
     /// worker only shortens it). So the delay cost can only fall, and a
-    /// wait holds while the private tier's answer and the public price
-    /// do too. `NeverScale` waits on capacity alone. Reshape candidacy
-    /// depends on idle spans, an ETT-dependent reward on `now`, and a
-    /// throttled wait under a shared lease on other tenants' private
-    /// hires, so those are never memoised.
+    /// wait holds while the private tier stays full and the public price
+    /// stays put. `NeverScale` waits on capacity alone. Reshape candidacy
+    /// depends on idle spans and an ETT-dependent reward on `now`, so
+    /// those are never memoised.
     fn memo_for(
         &self,
         class: TaskClass,
@@ -246,20 +226,14 @@ impl Platform {
         inputs: &ScalingInputs,
         costs: DecisionCosts,
     ) -> Option<WaitMemo> {
-        let time_based = !self.reward.depends_on_ett();
-        let holds = !self.cfg.allow_reshape
-            && match choice {
-                ScalingChoice::Wait => {
-                    time_based || self.cfg.variable.scaling == ScalingPolicy::NeverScale
-                }
-                ScalingChoice::ThrottledPrivate => time_based && self.provider.shared().is_none(),
-                _ => false,
-            };
+        let policy = self.cfg.variable.scaling;
+        let holds = choice == ScalingChoice::Wait
+            && !self.cfg.allow_reshape
+            && (!self.reward.depends_on_ett() || policy == ScalingPolicy::NeverScale);
         if !holds {
             return None;
         }
-        let priced = (choice == ScalingChoice::Wait
-            && self.cfg.variable.scaling == ScalingPolicy::Predictive)
+        let priced = (policy == ScalingPolicy::Predictive)
             .then(|| (boot_penalty().as_tu() + inputs.expected_task_tu, costs.delay_cost));
         // The surge multiplier the public quote must fall below to flip
         // the priced wait: `dc / (base · cores · s)`, widened by far more
@@ -267,7 +241,7 @@ impl Platform {
         // on crossing it can only come early (a harmless no-op).
         let surge_floor = match (priced, self.provider.shared()) {
             (Some((s, dc)), Some(_)) => {
-                let base = self.provider.catalog().get(self.public_tier).cost_per_core_tu;
+                let base = self.provider.catalog().get(TierId::PUBLIC).cost_per_core_tu;
                 dc / (base * class.cores as f64 * s) * (1.0 + 1e-9)
             }
             _ => 0.0,
@@ -277,7 +251,6 @@ impl Platform {
             pending: self.pending.get(class.stage, class.cores),
             lengthened: self.wait_lengthened(class.cores),
             replans: self.replans,
-            had_capacity: inputs.private_has_capacity,
             priced,
             surge_floor,
         })
@@ -290,8 +263,8 @@ impl Platform {
     }
 
     /// The class's memoised wait, if it still holds: every input it was
-    /// decided on is unchanged, the private tier gives the same answer,
-    /// and a priced wait's hire is still at least its delay cost (the
+    /// decided on is unchanged, the private tier is still full, and a
+    /// priced wait's hire is still at least its delay cost (the
     /// comparison `decide_priced` makes, at today's quote).
     pub(super) fn held_wait(&self, class: TaskClass) -> Option<WaitMemo> {
         let memo = self.wait_memos.get(class)?;
@@ -300,9 +273,9 @@ impl Platform {
             && memo.pending == self.pending.get(class.stage, class.cores)
             && memo.lengthened == self.wait_lengthened(class.cores)
             && memo.replans == self.replans
-            && self.provider.has_capacity(self.private_tier, size) == memo.had_capacity
+            && !self.provider.has_capacity(TierId::PRIVATE, size)
             && memo.priced.is_none_or(|(s, dc)| {
-                self.provider.quoted_price(self.public_tier) * class.cores as f64 * s >= dc
+                self.provider.quoted_price(TierId::PUBLIC) * class.cores as f64 * s >= dc
             });
         holds.then_some(memo)
     }
@@ -310,13 +283,11 @@ impl Platform {
     /// Debug-build oracle for a skipped decision: decides `class` afresh
     /// (running the Eq. 1 oracle too) and asserts it would still wait.
     pub(super) fn check_held_wait(&mut self, class: TaskClass, now: SimTime) {
-        let memo = self.held_wait(class).expect("checked a held wait");
+        debug_assert!(self.held_wait(class).is_some(), "checked a held wait");
         let (choice, costs, _) = self.decide(class, now);
-        let expected =
-            if memo.had_capacity { ScalingChoice::ThrottledPrivate } else { ScalingChoice::Wait };
         debug_assert_eq!(
             choice,
-            expected,
+            ScalingChoice::Wait,
             "a held wait for {class:?} flipped at {}: {costs:?}",
             now.as_tu()
         );
@@ -464,7 +435,7 @@ impl Platform {
 
         ScalingInputs {
             private_has_capacity: self.provider.has_capacity(
-                self.private_tier,
+                TierId::PRIVATE,
                 InstanceSize::new(class.cores).expect("job classes declare nonzero cores"),
             ),
             expected_wait_tu: expected_wait,
@@ -495,17 +466,15 @@ impl Platform {
     }
 }
 
-/// Adds a stalled `cores` class's held wait to `watch`: a wait without
-/// private room ends when enough cores free up, a priced one when the
-/// surge multiplier falls below its floor. No held wait: `None`.
+/// Adds a stalled `cores` class's held wait to `watch`: a wait ends when
+/// enough private cores free up, a priced one also when the surge
+/// multiplier falls below its floor. No held wait: `None`.
 pub(super) fn park(watch: &mut Option<Watch>, memo: Option<WaitMemo>, cores: u32) {
     let (Some(w), Some(memo)) = (watch.as_mut(), memo) else {
         *watch = None;
         return;
     };
-    if !memo.had_capacity {
-        w.private_free_at_least = Some(w.private_free_at_least.map_or(cores, |n| n.min(cores)));
-    }
+    w.private_free_at_least = Some(w.private_free_at_least.map_or(cores, |n| n.min(cores)));
     if memo.surge_floor > 0.0 {
         let floor = memo.surge_floor;
         w.surge_below = Some(w.surge_below.map_or(floor, |m| m.max(floor)));

@@ -8,6 +8,7 @@ use super::Platform;
 use crate::config::POOL_HEADROOM;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::shared::Watch;
+use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmKey;
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::queue::{shape_slot, N_SHAPES, SHAPE_CORES};
@@ -68,7 +69,7 @@ impl Platform {
     /// workers, only the lowest ids above the floor go.
     fn release_expired(&mut self, now: SimTime) {
         let mut expired = std::mem::take(&mut self.release_scratch);
-        for tier in [self.private_tier, self.public_tier] {
+        for tier in [TierId::PRIVATE, TierId::PUBLIC] {
             let timeout = idle_timeout(tier);
             for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
                 let start = expired.len();
@@ -82,7 +83,7 @@ impl Platform {
                 if n == 0 {
                     continue;
                 }
-                if tier == self.private_tier {
+                if tier == TierId::PRIVATE {
                     let room = self.releasable_private(cores);
                     if room < n {
                         expired[start..].sort_unstable();
@@ -203,7 +204,7 @@ impl Platform {
         let mut due: Option<SimTime> = None;
         for (tier, slot, at) in self.idle.expiries() {
             if due.is_some_and(|d| d <= at)
-                || tier == self.private_tier && self.releasable_private(SHAPE_CORES[slot]) == 0
+                || tier == TierId::PRIVATE && self.releasable_private(SHAPE_CORES[slot]) == 0
             {
                 continue;
             }
@@ -269,7 +270,7 @@ impl Platform {
             let size = InstanceSize::new(cores).expect("plan shapes are instance sizes");
             let live = self.provider.live_of_size(size);
             for _ in live..(want as usize) {
-                match self.provider.hire_on(self.private_tier, size, now) {
+                match self.provider.hire_on(TierId::PRIVATE, size, now) {
                     Ok((vm_id, ready_at)) => {
                         self.booting.inc(cores);
                         sink.schedule(ready_at, Event::VmReady(vm_id));

@@ -68,7 +68,7 @@ use events::{JobRun, TenantCal};
 use hiring::WaitMemos;
 use scan_cloud::provider::CloudProvider;
 use scan_cloud::shared::{SharedLease, Watch};
-use scan_cloud::tier::{TierId, PRIVATE_CORE_COST};
+use scan_cloud::tier::PRIVATE_CORE_COST;
 use scan_cloud::vm::VmKey;
 use scan_sched::alloc::{AllocationPolicy, Allocator};
 use scan_sched::delay_cost::QueuedJobView;
@@ -115,8 +115,6 @@ pub struct Platform {
     arrival_batch: Vec<Job>,
     broker: DataBroker,
     provider: CloudProvider,
-    private_tier: TierId,
-    public_tier: TierId,
     estimator: EttEstimator,
     allocator: Allocator,
     /// `cfg.forced_plan`, validated and built once per platform.
@@ -276,8 +274,6 @@ impl Platform {
             arrival_batch: Vec::new(),
             broker,
             provider,
-            private_tier: TierId(0),
-            public_tier: TierId(1),
             estimator,
             allocator,
             forced_plan,

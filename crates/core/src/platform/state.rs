@@ -269,10 +269,12 @@ pub(super) fn next_grid(t: SimTime, inclusive: bool) -> SimTime {
     SimTime::new(if !inclusive && g == t.as_tu() { g + GRID_STEP_TU } else { g })
 }
 
-/// How long a worker of `tier` (`TierId.0` = 0 private, 1 public) stays
-/// idle before the sweep releases it.
+/// How long a worker of `tier` stays idle before the sweep releases it.
 pub(super) fn idle_timeout(tier: TierId) -> SimDuration {
-    SimDuration::new([IDLE_TIMEOUT_TU, PUBLIC_IDLE_TIMEOUT_TU][tier.0])
+    SimDuration::new(match tier {
+        TierId::PRIVATE => IDLE_TIMEOUT_TU,
+        _ => PUBLIC_IDLE_TIMEOUT_TU,
+    })
 }
 
 /// Whether a worker idle since `since` has been idle for `timeout` at
@@ -542,9 +544,6 @@ mod tests {
         VmKey { id: VmId(id), slot: id }
     }
 
-    const PRIVATE: TierId = TierId(0);
-    const PUBLIC: TierId = TierId(1);
-
     fn pools() -> IdlePools {
         IdlePools::new()
     }
@@ -553,11 +552,11 @@ mod tests {
     fn idle_pool_pops_lowest_id_first() {
         let mut pools = pools();
         for id in [7u32, 2, 9, 4] {
-            pools.insert(4, key(id), PRIVATE, SimTime::ZERO);
+            pools.insert(4, key(id), TierId::PRIVATE, SimTime::ZERO);
         }
         assert_eq!(pools.take_min(4), Some(key(2)));
         assert_eq!(pools.take_min(4), Some(key(4)));
-        pools.insert(4, key(1), PUBLIC, SimTime::ZERO);
+        pools.insert(4, key(1), TierId::PUBLIC, SimTime::ZERO);
         assert_eq!(pools.take_min(4), Some(key(1)));
         assert_eq!(pools.take_min(4), Some(key(7)));
         assert_eq!(pools.take_min(4), Some(key(9)));
@@ -567,28 +566,28 @@ mod tests {
     #[test]
     fn idle_pool_remove_specific() {
         let mut pools = pools();
-        pools.insert(8, key(3), PRIVATE, SimTime::ZERO);
-        pools.insert(8, key(5), PRIVATE, SimTime::ZERO);
+        pools.insert(8, key(3), TierId::PRIVATE, SimTime::ZERO);
+        pools.insert(8, key(5), TierId::PRIVATE, SimTime::ZERO);
         assert!(pools.remove(8, key(3)));
         assert!(!pools.remove(8, key(3)));
         assert_eq!(pools.take_min(8), Some(key(5)));
-        assert!(pools.by_idle_start(PRIVATE, shape_slot(8)).next().is_none());
+        assert!(pools.by_idle_start(TierId::PRIVATE, shape_slot(8)).next().is_none());
     }
 
     #[test]
     fn release_lists_keep_idle_start_order_per_tier() {
         let mut pools = pools();
-        pools.insert(2, key(9), PRIVATE, SimTime::new(1.0));
-        pools.insert(2, key(4), PUBLIC, SimTime::new(2.0));
-        pools.insert(2, key(1), PRIVATE, SimTime::new(3.0));
+        pools.insert(2, key(9), TierId::PRIVATE, SimTime::new(1.0));
+        pools.insert(2, key(4), TierId::PUBLIC, SimTime::new(2.0));
+        pools.insert(2, key(1), TierId::PRIVATE, SimTime::new(3.0));
         let slot = shape_slot(2);
         let ids = |pools: &IdlePools, tier| -> Vec<u32> {
             pools.by_idle_start(tier, slot).map(|(_, v)| v.id.0).collect()
         };
-        assert_eq!(ids(&pools, PRIVATE), vec![9, 1], "oldest idle first, not lowest id");
-        assert_eq!(ids(&pools, PUBLIC), vec![4]);
+        assert_eq!(ids(&pools, TierId::PRIVATE), vec![9, 1], "oldest idle first, not lowest id");
+        assert_eq!(ids(&pools, TierId::PUBLIC), vec![4]);
         assert_eq!(pools.take_min(2), Some(key(1)));
-        assert_eq!(ids(&pools, PRIVATE), vec![9]);
+        assert_eq!(ids(&pools, TierId::PRIVATE), vec![9]);
         let all: Vec<(u32, VmKey)> = pools.all().collect();
         assert_eq!(all.len(), 2);
     }
@@ -602,14 +601,14 @@ mod tests {
         };
         assert_eq!(expiries(&pools), vec![]);
         // Idle from 3.2 for 2.0 TU: past the timeout from 5.2, so at 5.5.
-        pools.insert(4, key(1), PRIVATE, SimTime::new(3.2));
-        pools.insert(4, key(2), PRIVATE, SimTime::new(4.0));
+        pools.insert(4, key(1), TierId::PRIVATE, SimTime::new(3.2));
+        pools.insert(4, key(2), TierId::PRIVATE, SimTime::new(4.0));
         assert_eq!(expiries(&pools), vec![(0, 5.5)]);
         // Exactly on the grid counts as expired: 4.0 + 2.0 = 6.0.
         assert!(pools.remove(4, key(1)));
         assert_eq!(expiries(&pools), vec![(0, 6.0)]);
         // Nothing expires before the first grid instant, 1.0.
-        pools.insert(4, key(3), PUBLIC, SimTime::new(0.1));
+        pools.insert(4, key(3), TierId::PUBLIC, SimTime::new(0.1));
         assert_eq!(expiries(&pools), vec![(0, 6.0), (1, 1.0)]);
         assert_eq!(pools.expiries().map(|(_, s, _)| s).collect::<Vec<_>>(), vec![slot, slot]);
         assert_eq!(pools.take_min(4), Some(key(2)));
@@ -752,7 +751,7 @@ mod tests {
                     // A release sweep: walk each list's expired prefix and
                     // release its lowest ids, as the floor rule may.
                     _ => {
-                        for tier in [TierId(0), TierId(1)] {
+                        for tier in [TierId::PRIVATE, TierId::PUBLIC] {
                             let timeout = idle_timeout(tier);
                             for (slot, &cores) in SHAPE_CORES.iter().enumerate() {
                                 let mut expired: Vec<VmKey> = pools
@@ -797,7 +796,7 @@ mod tests {
     fn idle_pool_slot_iteration_ascends() {
         let mut pools = pools();
         for id in [6u32, 1, 4] {
-            pools.insert(16, key(id), PRIVATE, SimTime::ZERO);
+            pools.insert(16, key(id), TierId::PRIVATE, SimTime::ZERO);
         }
         let ids: Vec<u32> = pools.iter_slot_asc(4).map(|v| v.id.0).collect();
         assert_eq!(ids, vec![1, 4, 6]);

@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::config::{RewardKind, VariableParams};
+use scan_cloud::tier::TierId;
 use scan_cloud::vm::VmId;
 use scan_sched::scaling::ScalingPolicy;
 use scan_sim::{JsonlWriter, NullObserver, Observer, RingBuffer, TraceEvent};
@@ -261,7 +262,7 @@ fn a_priced_decision_is_narrated_once_with_its_eq1_numbers() {
     let class = TaskClass { stage: 0, cores: 4 };
     let (vm, ready) = p
         .provider
-        .hire_on(p.private_tier, InstanceSize::new(4).unwrap(), SimTime::ZERO)
+        .hire_on(TierId::PRIVATE, InstanceSize::new(4).unwrap(), SimTime::ZERO)
         .expect("private capacity");
     let worker = p.provider.vm_mut(vm).unwrap();
     worker.finish_boot(ready);

@@ -3,16 +3,17 @@
 //! "Should a worker be hired from the elastic cloud to run it immediately,
 //! or should it be delayed until an existing worker becomes available?"
 //! (§III-A.2). Private capacity is always used first — it is strictly
-//! cheaper. The policies differ in what happens once the private tier is
-//! full:
+//! cheaper, so a private hire is never priced or vetoed. The policies
+//! differ only in what happens once the private tier is full:
 //!
 //! * **Always-scale** — hire a public worker whenever a task would wait.
 //! * **Never-scale** — never pay public prices; wait for a private worker.
 //! * **Predictive** — hire iff the Eq. 1 delay cost of the projected wait
 //!   exceeds the cost of the hire.
 //!
-//! [`ScalingPolicy::decide_priced`] also returns the Eq. 1 numbers that
-//! justified a decision; the platform narrates each decision to the
+//! [`ScalingPolicy::decide_priced`] returns each decision with the Eq. 1
+//! numbers that justified it (NaN for a private hire and for the two
+//! unconditional policies); the platform narrates each decision to the
 //! sim-trace layer with them — the paper's core comparison made
 //! observable.
 
@@ -97,13 +98,9 @@ impl DecisionCosts {
 }
 
 impl ScalingPolicy {
-    /// Decides for one stalled queue head.
-    pub fn decide(&self, ctx: &ScalingContext<'_>) -> ScalingDecision {
-        self.decide_priced(ctx).0
-    }
-
-    /// Decides, and reports the delay-cost-versus-hire-cost comparison
-    /// that justified the decision (Eq. 1; NaN when unpriced).
+    /// Decides for one stalled queue head, and reports the
+    /// delay-cost-versus-hire-cost comparison that justified the decision
+    /// (Eq. 1; NaN when unpriced).
     #[inline]
     pub fn decide_priced(&self, ctx: &ScalingContext<'_>) -> (ScalingDecision, DecisionCosts) {
         if ctx.private_has_capacity {
@@ -171,7 +168,7 @@ mod tests {
     fn everyone_prefers_private() {
         let q = queue(5);
         for p in ScalingPolicy::all() {
-            assert_eq!(p.decide(&ctx(true, 10.0, &q)), ScalingDecision::HirePrivate);
+            assert_eq!(p.decide_priced(&ctx(true, 10.0, &q)).0, ScalingDecision::HirePrivate);
         }
     }
 
@@ -179,7 +176,7 @@ mod tests {
     fn always_scale_always_hires_public() {
         let q = queue(0);
         assert_eq!(
-            ScalingPolicy::AlwaysScale.decide(&ctx(false, 0.1, &q)),
+            ScalingPolicy::AlwaysScale.decide_priced(&ctx(false, 0.1, &q)).0,
             ScalingDecision::HirePublic
         );
     }
@@ -187,7 +184,10 @@ mod tests {
     #[test]
     fn never_scale_always_waits() {
         let q = queue(50);
-        assert_eq!(ScalingPolicy::NeverScale.decide(&ctx(false, 100.0, &q)), ScalingDecision::Wait);
+        assert_eq!(
+            ScalingPolicy::NeverScale.decide_priced(&ctx(false, 100.0, &q)).0,
+            ScalingDecision::Wait
+        );
     }
 
     #[test]
@@ -196,7 +196,7 @@ mod tests {
         // (10 − 0.5) ≈ 14 250 ≫ hire cost 50 × 4 × 3.5 = 700.
         let q = queue(20);
         assert_eq!(
-            ScalingPolicy::Predictive.decide(&ctx(false, 10.0, &q)),
+            ScalingPolicy::Predictive.decide_priced(&ctx(false, 10.0, &q)).0,
             ScalingDecision::HirePublic
         );
     }
@@ -205,11 +205,14 @@ mod tests {
     fn predictive_waits_when_cheap() {
         // Tiny wait: avoided delay ≈ 0 → cost of waiting ≈ 0 < hire cost.
         let q = queue(20);
-        assert_eq!(ScalingPolicy::Predictive.decide(&ctx(false, 0.4, &q)), ScalingDecision::Wait);
+        assert_eq!(
+            ScalingPolicy::Predictive.decide_priced(&ctx(false, 0.4, &q)).0,
+            ScalingDecision::Wait
+        );
         // Empty queue: nothing to lose by waiting.
         let empty = queue(0);
         assert_eq!(
-            ScalingPolicy::Predictive.decide(&ctx(false, 10.0, &empty)),
+            ScalingPolicy::Predictive.decide_priced(&ctx(false, 10.0, &empty)).0,
             ScalingDecision::Wait
         );
     }
@@ -220,9 +223,9 @@ mod tests {
         // DC = 3 × 5 × 15 × (5 − 0.5) ≈ 1012 vs hire 50 × 4 × 3.5 = 700.
         let q = queue(3);
         let mut c = ctx(false, 5.0, &q);
-        assert_eq!(ScalingPolicy::Predictive.decide(&c), ScalingDecision::HirePublic);
+        assert_eq!(ScalingPolicy::Predictive.decide_priced(&c).0, ScalingDecision::HirePublic);
         c.public_price_per_core_tu = 1000.0;
-        assert_eq!(ScalingPolicy::Predictive.decide(&c), ScalingDecision::Wait);
+        assert_eq!(ScalingPolicy::Predictive.decide_priced(&c).0, ScalingDecision::Wait);
     }
 
     #[test]

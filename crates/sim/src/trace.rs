@@ -96,9 +96,6 @@ pub enum ScalingChoice {
     Wait,
     /// Hire a new private-tier worker.
     HirePrivate,
-    /// Private hire was justified by the policy but vetoed by the Eq. 1
-    /// delay-cost throttle.
-    ThrottledPrivate,
     /// Hire a new public-tier worker.
     HirePublic,
     /// Reshape an idle worker of another shape instead of hiring.
@@ -109,8 +106,8 @@ impl ScalingChoice {
     /// Every choice, in declaration order: `ALL[c.index()] == c`. Per-choice
     /// tallies (decision counts, the `scaling_choice_total` counters) are
     /// arrays in this order.
-    pub const ALL: [ScalingChoice; 5] =
-        [Self::Wait, Self::HirePrivate, Self::ThrottledPrivate, Self::HirePublic, Self::Reshape];
+    pub const ALL: [ScalingChoice; 4] =
+        [Self::Wait, Self::HirePrivate, Self::HirePublic, Self::Reshape];
 
     /// Position of this choice in [`ScalingChoice::ALL`].
     pub fn index(self) -> usize {
@@ -122,7 +119,6 @@ impl ScalingChoice {
         match self {
             Self::Wait => "wait",
             Self::HirePrivate => "hire_private",
-            Self::ThrottledPrivate => "throttled_private",
             Self::HirePublic => "hire_public",
             Self::Reshape => "reshape",
         }
@@ -964,7 +960,7 @@ mod tests {
                 queued_jobs: 5,
                 delay_cost: f64::NAN,
                 hire_cost: -f64::NAN,
-                choice: ScalingChoice::ThrottledPrivate,
+                choice: ScalingChoice::HirePrivate,
             },
             TraceEvent::QueueDepthSampled { depth: 11 },
             TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 7 },

@@ -39,16 +39,16 @@ fn main() {
 
     // Saturate the private tier, forcing the next hire onto public cores.
     let mut hired = 1;
-    while cloud.free_cores(TierId(0)) >= 16 {
+    while cloud.free_cores(TierId::PRIVATE) >= 16 {
         let (id, ready) = cloud
-            .hire_on(TierId(0), InstanceSize::new(16).unwrap(), t(5.0))
+            .hire_on(TierId::PRIVATE, InstanceSize::new(16).unwrap(), t(5.0))
             .expect("private capacity");
         cloud.vm_mut(id).unwrap().finish_boot(ready);
         hired += 1;
     }
     println!(
         "\nt=5.0  private tier saturated with {hired} workers ({} cores in use)",
-        cloud.cores_in_use(TierId(0))
+        cloud.cores_in_use(TierId::PRIVATE)
     );
 
     let (pub_vm, _) =

@@ -119,6 +119,9 @@ run_one --test doc_contracts fleet_contended_state_digest_is_pinned
 run_one --test doc_contracts every_session_metric_is_pinned
 run_one --test doc_contracts session_metrics_match_the_event_stream
 run_one -p scan-platform platform::tests::golden_fixed_seed_metrics
+# Guards the reshape bump of the release-instant memo: no matrix run
+# reshapes a worker out of a shape one above its standing floor.
+run_one -p scan-platform platform::tests::reshape_config_reshapes
 # The store's bytes (a fixed-seed session and a contended fleet), and the
 # trace vocabulary's one declaration: every kind's values rebuild bit for
 # bit through the inverse read-out, and its JSONL keys are its field names;
@@ -243,6 +246,8 @@ fi
 
 echo "==> instrumented session (run-gate: an observed session fills the metrics registry)"
 run_one -p scan-platform instrument::tests::metrics_do_not_perturb_the_session
+# Each decision is narrated once with the numbers that decided it.
+run_one -p scan-platform instrument::tests::decisions_are_narrated_with_their_numbers
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -355,12 +355,11 @@ def plot_session(depth, hires, source, out_path):
 # Figure 2: decision mix across the sweep grid (stacked bars)
 # ----------------------------------------------------------------------
 
-CHOICES = ["hire_private", "hire_public", "reshape", "throttled_private", "wait"]
+CHOICES = ["hire_private", "hire_public", "reshape", "wait"]
 CHOICE_COLORS = {
     "hire_private": "#1f77b4",
     "hire_public": "#d62728",
     "reshape": "#9467bd",
-    "throttled_private": "#ff7f0e",
     "wait": "#bbbbbb",
 }
 

@@ -3,8 +3,8 @@
 //!
 //! [`matrix`] runs six small configurations once per test binary: a fig4
 //! session, a fig5-style forced-plan reshape, an `AlwaysScale` spill onto
-//! the public tier, an SLO-armed session, a session with the private-hire
-//! throttle on, and a contended, SLO-armed 3-tenant fleet. Every session
+//! the public tier, an SLO-armed session, a saturated session (a job every
+//! 1.0 TU), and a contended, SLO-armed 3-tenant fleet. Every session
 //! (each fleet tenant on its own) feeds one trace store and the live
 //! observers of [`Observers`]; the matrix keeps each run's store and
 //! what its observers made of the stream, the five session registries
@@ -129,7 +129,7 @@ fn kind_position(event: &TraceEvent) -> usize {
 }
 
 /// `ScalingChoice::ALL`, checked against the variants.
-fn scaling_choices() -> [ScalingChoice; 5] {
+fn scaling_choices() -> [ScalingChoice; 4] {
     use ScalingChoice::*;
     // Exhaustive: a new variant stops this compiling until it is listed
     // here, and the array type until `ALL` lists it too.
@@ -137,9 +137,8 @@ fn scaling_choices() -> [ScalingChoice; 5] {
         let position = match choice {
             Wait => 0,
             HirePrivate => 1,
-            ThrottledPrivate => 2,
-            HirePublic => 3,
-            Reshape => 4,
+            HirePublic => 2,
+            Reshape => 3,
         };
         assert_eq!(position, i, "{choice:?} is listed out of order");
         assert_eq!(choice.index(), i, "{choice:?} indexes off its position");
@@ -265,16 +264,15 @@ impl Matrix {
         // misses it too.
         let mut slo = fig4.clone();
         slo.slo_target_tu = Some(10.0);
-        let mut throttled = fig4.clone();
-        throttled.variable.mean_interval = 1.0;
-        throttled.fixed.private_hire_throttle = true;
+        let mut saturated = fig4.clone();
+        saturated.variable.mean_interval = 1.0;
         let mut fleet = FleetConfig::new(slo.clone(), 3);
         fleet.shared_private_cores = 8;
         fleet.jobs_per_tenant = 6;
 
         let mut runs = Vec::new();
         let mut sessions: Option<Registry> = None;
-        for cfg in [fig4, reshape, spill, slo, throttled] {
+        for cfg in [fig4, reshape, spill, slo, saturated] {
             let (m, probe) = run_session_with(&cfg, 0, Probe::new(&cfg, 0));
             let registry = probe.live.metrics.registry();
             // The merge asserts one shape for every session, so no family
@@ -528,9 +526,9 @@ fn metrics_and_spans_docs_match_the_live_registries() {
 
 /// FNV-1a over a session's *state* events: every event's instant bits and
 /// `Debug` rendering, except the ones a run may repeat or drop without
-/// changing what happened — `scaling_decision`s that chose `wait` or
-/// `throttled_private`, `queue_depth` samples and `run_ended` (which
-/// carries the engine's event count) — then the reward and cost bits.
+/// changing what happened — `scaling_decision`s that chose `wait`,
+/// `queue_depth` samples and `run_ended` (which carries the engine's
+/// event count) — then the reward and cost bits.
 struct StateDigest {
     hash: u64,
     text: String,
@@ -559,10 +557,7 @@ impl StateDigest {
 impl Observer for StateDigest {
     fn on_event(&mut self, at: SimTime, event: &TraceEvent) {
         match event {
-            TraceEvent::ScalingDecision {
-                choice: ScalingChoice::Wait | ScalingChoice::ThrottledPrivate,
-                ..
-            }
+            TraceEvent::ScalingDecision { choice: ScalingChoice::Wait, .. }
             | TraceEvent::QueueDepthSampled { .. }
             | TraceEvent::RunEnded { .. } => return,
             _ => {}
@@ -578,13 +573,13 @@ impl Observer for StateDigest {
 }
 
 /// The state digests of the matrix runs, in run order (fig4, reshape,
-/// spill, SLO, throttled, fleet tenants 0–2).
+/// spill, SLO, saturated, fleet tenants 0–2).
 const MATRIX_STATE_DIGESTS: [u64; 8] = [
     0x501a_8eb4_c532_133f,
     0xfae6_9485_0633_f6cf,
     0x8739_9a2b_c679_db1f,
     0x3300_8709_7393_185b,
-    0x6956_8ec6_d478_6104,
+    0x812b_4c07_6bb3_7bde,
     0x4179_9483_ca27_4dd7,
     0x45c9_1388_cf08_abe9,
     0x543a_a773_2554_da4f,
@@ -654,7 +649,7 @@ fn metric_bits(m: &SessionMetrics) -> [u64; 18] {
 }
 
 /// FNV-1a over [`metric_bits`] of every matrix run, in run order.
-const MATRIX_METRICS_DIGEST: u64 = 0xc6ef_3ca9_e5cf_6db2;
+const MATRIX_METRICS_DIGEST: u64 = 0x0358_aa6c_dc91_2263;
 
 /// The golden metrics of `platform::tests` pin six fields of one
 /// session; this pins every field of every matrix run, so a change in
