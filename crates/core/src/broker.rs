@@ -12,22 +12,30 @@
 //!
 //! Only the long-term-adaptive policy learns again after the bootstrap
 //! (`refresh_model` on every replan, from the live logs `ingest_log`
-//! adds), so only its platforms keep the profile log.
-//! [`Platform`](crate::Platform) drops it from every other tenant with
-//! [`DataBroker::drop_log`], leaving the learned model and the transfer
-//! model.
+//! adds), so only its platforms build the profile log
+//! ([`DataBroker::bootstrap`]). [`Platform`](crate::Platform) builds
+//! every other tenant's broker with [`DataBroker::learned_only`], which
+//! draws the same trace one stage at a time into a stack buffer and fits
+//! it there: the same learned model, with no log to build and drop.
 
 use scan_cloud::storage::TransferModel;
-use scan_kb::{KnowledgeBase, ProfileRecord};
+use scan_kb::{KnowledgeBase, ProfileRecord, StageFitter, StageModelEstimate};
 use scan_sim::{SimDuration, SimRng};
 use scan_workload::gatk::{PipelineModel, StageFactors};
-use scan_workload::profiletrace::generate_profile_trace;
+use scan_workload::profiletrace::{generate_profile_trace, generate_stage_profile, PROFILE_CELLS};
+use std::borrow::Cow;
+
+/// Measurements per profiling cell in the bootstrap trace.
+const PROFILE_REPLICATES: usize = 3;
+
+/// Records of one stage in the bootstrap trace.
+const STAGE_RECORDS: usize = PROFILE_CELLS * PROFILE_REPLICATES;
 
 /// The Data Broker.
 #[derive(Debug, Clone)]
 pub struct DataBroker {
     /// The knowledge base and the ground truth its fits fall back to;
-    /// `None` once [`DataBroker::drop_log`] has run.
+    /// `None` for a [`DataBroker::learned_only`] broker.
     log: Option<(KnowledgeBase, PipelineModel)>,
     transfer: TransferModel,
     learned: PipelineModel,
@@ -40,16 +48,47 @@ impl DataBroker {
     /// scheduler will use. The trace becomes the knowledge base's log as
     /// is, without a per-record copy.
     pub fn bootstrap(model: &PipelineModel, noise: f64, rng: &mut SimRng) -> Self {
-        let kb = KnowledgeBase::from_log(generate_profile_trace(model, "GATK", 3, noise, rng));
+        let trace = generate_profile_trace(model, "GATK", PROFILE_REPLICATES, noise, rng);
+        let kb = KnowledgeBase::from_log(trace);
         let learned = Self::learn_model(&kb, model);
         DataBroker { log: Some((kb, model.clone())), transfer: TransferModel::default(), learned }
     }
 
-    /// Drops the profile log and the ground truth: the broker keeps its
-    /// learned model and prices staging as before, but can no longer
-    /// ingest or re-fit. For platforms whose policy never re-fits.
-    pub fn drop_log(&mut self) {
-        self.log = None;
+    /// A broker with [`DataBroker::bootstrap`]'s learned model, drawn
+    /// from `rng` exactly as it draws, but without a knowledge base: it
+    /// prices staging as usual and can neither ingest nor re-fit. For
+    /// platforms whose policy never re-fits.
+    ///
+    /// Each stage's profile is drawn into one stack buffer and fitted
+    /// there, in the order the knowledge base would fit it.
+    pub fn learned_only(model: &PipelineModel, noise: f64, rng: &mut SimRng) -> Self {
+        let mut buf: [ProfileRecord; STAGE_RECORDS] =
+            std::array::from_fn(|_| ProfileRecord::gatk(0, 0.0, 0.0));
+        let mut fitter = StageFitter::with_capacity(STAGE_RECORDS);
+        let stages = (1..)
+            .zip(&model.stages)
+            .map(|(stage, &truth)| {
+                let mut n = 0;
+                generate_stage_profile(
+                    &truth,
+                    stage,
+                    Cow::Borrowed("GATK"),
+                    PROFILE_REPLICATES,
+                    noise,
+                    rng,
+                    |r| {
+                        buf[n] = r;
+                        n += 1;
+                    },
+                );
+                learned_or(fitter.fit(buf[..n].iter()), truth)
+            })
+            .collect();
+        DataBroker {
+            log: None,
+            transfer: TransferModel::default(),
+            learned: PipelineModel::new(stages, model.gb_per_unit),
+        }
     }
 
     /// Learns a full pipeline model from the knowledge base (every stage
@@ -59,10 +98,7 @@ impl DataBroker {
         let learned = kb.stage_models("GATK", truth.n_stages() as u32);
         let stages = (1..)
             .zip(&truth.stages)
-            .map(|(stage, &fallback)| match learned.get(&stage) {
-                Some(m) => StageFactors { a: m.a, b: m.b, c: m.c },
-                None => fallback,
-            })
+            .map(|(stage, &fallback)| learned_or(learned.get(&stage).copied(), fallback))
             .collect();
         PipelineModel::new(stages, truth.gb_per_unit)
     }
@@ -72,7 +108,7 @@ impl DataBroker {
         &self.learned
     }
 
-    /// Read access to the knowledge base, unless the log was dropped.
+    /// Read access to the knowledge base, if the broker keeps one.
     pub fn knowledge_base(&self) -> Option<&KnowledgeBase> {
         self.log.as_ref().map(|(kb, _)| kb)
     }
@@ -81,9 +117,9 @@ impl DataBroker {
     /// each task scheduled to run in a cloud").
     ///
     /// # Panics
-    /// Panics if the log was dropped.
+    /// Panics on a broker without a knowledge base.
     pub fn ingest_log(&mut self, record: &ProfileRecord) {
-        let (kb, _) = self.log.as_mut().expect("ingest_log on a broker whose log was dropped");
+        let (kb, _) = self.log.as_mut().expect("ingest_log on a broker without a profile log");
         kb.ingest(record);
     }
 
@@ -91,10 +127,10 @@ impl DataBroker {
     /// (long-term-adaptive refresh).
     ///
     /// # Panics
-    /// Panics if the log was dropped.
+    /// Panics on a broker without a knowledge base.
     pub fn refresh_model(&mut self) {
         let (kb, truth) =
-            self.log.as_ref().expect("refresh_model on a broker whose log was dropped");
+            self.log.as_ref().expect("refresh_model on a broker without a profile log");
         self.learned = Self::learn_model(kb, truth);
     }
 
@@ -103,6 +139,11 @@ impl DataBroker {
     pub fn staging_time(&self, d_gb: f64) -> SimDuration {
         self.transfer.transfer_time(d_gb)
     }
+}
+
+/// A stage's learned factors, or the ground truth's without a fit.
+fn learned_or(fit: Option<StageModelEstimate>, fallback: StageFactors) -> StageFactors {
+    fit.map_or(fallback, |m| StageFactors { a: m.a, b: m.b, c: m.c })
 }
 
 #[cfg(test)]
@@ -153,21 +194,45 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_log_keeps_the_learned_model_and_staging() {
+    fn the_learned_only_broker_equals_bootstrap_in_model_and_staging() {
         let kept = broker(0.02);
-        let mut dropped = broker(0.02);
-        dropped.drop_log();
-        assert!(dropped.knowledge_base().is_none());
-        assert_eq!(dropped.learned_model(), kept.learned_model());
-        assert_eq!(dropped.staging_time(2.0), kept.staging_time(2.0));
+        let bare =
+            DataBroker::learned_only(&PipelineModel::paper(), 0.02, &mut SimRng::from_seed_u64(42));
+        assert!(bare.knowledge_base().is_none());
+        assert_eq!(bare.learned_model(), kept.learned_model());
+        assert_eq!(bare.staging_time(2.0), kept.staging_time(2.0));
     }
 
     #[test]
-    #[should_panic(expected = "log was dropped")]
-    fn a_dropped_log_refuses_to_refit() {
-        let mut b = broker(0.0);
-        b.drop_log();
+    #[should_panic(expected = "without a profile log")]
+    fn the_learned_only_broker_refuses_to_refit() {
+        let mut b =
+            DataBroker::learned_only(&PipelineModel::paper(), 0.0, &mut SimRng::from_seed_u64(42));
         b.refresh_model();
+    }
+
+    /// Both constructors draw the same trace and fit it in the same
+    /// order: bit-identical learned models, and the RNG left where the
+    /// other leaves it, over seeds and noise levels.
+    #[test]
+    fn learned_only_matches_bootstrap_bit_for_bit() {
+        let model = PipelineModel::paper();
+        let bits = |b: &DataBroker| -> Vec<[u64; 3]> {
+            b.learned_model().stages.iter().map(|s| [s.a, s.b, s.c].map(f64::to_bits)).collect()
+        };
+        for seed in [1, 7, 42, 2015, u64::MAX] {
+            for noise in [0.0, 0.02, 0.3] {
+                let (mut a, mut b) = (SimRng::from_seed_u64(seed), SimRng::from_seed_u64(seed));
+                let full = DataBroker::bootstrap(&model, noise, &mut a);
+                let bare = DataBroker::learned_only(&model, noise, &mut b);
+                assert_eq!(bits(&bare), bits(&full), "seed {seed}, noise {noise}");
+                assert_eq!(bare.learned_model(), full.learned_model());
+                // A pending Box–Muller spare is state too: the first
+                // normal draw reads it.
+                let draws = |r: &mut SimRng| (r.standard_normal().to_bits(), r.next_u64());
+                assert_eq!(draws(&mut a), draws(&mut b), "seed {seed}, noise {noise}: RNG state");
+            }
+        }
     }
 
     #[test]

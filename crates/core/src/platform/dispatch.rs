@@ -8,7 +8,7 @@ use scan_cloud::shared::Watch;
 use scan_cloud::vm::VmKey;
 use scan_kb::ProfileRecord;
 use scan_sched::alloc::AllocationPolicy;
-use scan_sched::queue::{TaskClass, SHAPE_CORES};
+use scan_sched::queue::TaskClass;
 use scan_sim::{prof, SimDuration, SimTime, TraceEvent};
 use std::borrow::Cow;
 
@@ -20,59 +20,49 @@ impl Platform {
     /// Matches queued subtasks to idle workers and takes scaling decisions
     /// for stalled classes.
     ///
-    /// Walks the pending `(stage, shape)` classes — the same ascending
-    /// `(stage, cores)` order the old keyed iteration had, without
-    /// materialising a class list per pass. Nothing inside the loop
-    /// enqueues new subtasks, so reading lengths live is equivalent to
+    /// Walks the pending `(stage, shape)` classes of one mask, in
+    /// ascending `(stage, cores)` order. Nothing inside the loop enqueues
+    /// new subtasks, so the mask taken up front stays a superset of the
+    /// classes still pending, and reading lengths live is equivalent to
     /// snapshotting them up front.
     pub(super) fn dispatch(&mut self, now: SimTime, sink: &mut TenantCal<'_>) {
         prof::scope!("dispatch");
         let mut parked = Some(Watch::default());
-        for stage in 0..self.queues.n_stages() {
-            // Only this stage's pending classes, in ascending shape
-            // order. Nothing below pushes, so the mask taken up front
-            // stays a superset of the classes still pending.
-            let mut slots = self.queues.nonempty_slots(stage);
-            while slots != 0 {
-                let slot = slots.trailing_zeros() as usize;
-                slots &= slots - 1;
-                let cores = SHAPE_CORES[slot];
-                let class = TaskClass { stage, cores };
-                // Serve with idle same-shape workers.
-                while self.queues.len(class) > 0 {
-                    let Some(vm_id) = self.take_idle(class.cores) else {
-                        break;
-                    };
-                    self.assign(class, vm_id, now, sink);
+        for class in self.queues.nonempty() {
+            // Serve with idle same-shape workers.
+            while self.queues.len(class) > 0 {
+                let Some(vm_id) = self.take_idle(class.cores) else {
+                    break;
+                };
+                self.assign(class, vm_id, now, sink);
+            }
+            // Stalled: decide whether to grow.
+            let queued = self.queues.len(class);
+            if queued == 0 {
+                continue;
+            }
+            let pending = self.pending.get(class.stage, class.cores);
+            let mut deficit = (queued as u32).saturating_sub(pending);
+            if deficit == 0 {
+                continue;
+            }
+            if let Some(memo) = self.held_wait(class) {
+                // Nothing that could flip the class's last wait has
+                // changed: deciding again would wait again.
+                if cfg!(debug_assertions) {
+                    self.check_held_wait(class, now);
                 }
-                // Stalled: decide whether to grow.
-                let queued = self.queues.len(class);
-                if queued == 0 {
-                    continue;
+                park(&mut parked, Some(memo), class.cores);
+                continue;
+            }
+            while deficit > 0 {
+                if !self.try_grow(class, now, sink) {
+                    // Still stalled, on the wait just memoised (if
+                    // it could be).
+                    park(&mut parked, self.wait_memos.get(class), class.cores);
+                    break;
                 }
-                let pending = self.pending.get(class.stage, class.cores);
-                let mut deficit = (queued as u32).saturating_sub(pending);
-                if deficit == 0 {
-                    continue;
-                }
-                if let Some(memo) = self.held_wait(class) {
-                    // Nothing that could flip the class's last wait has
-                    // changed: deciding again would wait again.
-                    if cfg!(debug_assertions) {
-                        self.check_held_wait(class, now);
-                    }
-                    park(&mut parked, Some(memo), cores);
-                    continue;
-                }
-                while deficit > 0 {
-                    if !self.try_grow(class, now, sink) {
-                        // Still stalled, on the wait just memoised (if
-                        // it could be).
-                        park(&mut parked, self.wait_memos.get(class), cores);
-                        break;
-                    }
-                    deficit -= 1;
-                }
+                deficit -= 1;
             }
         }
         self.parked = parked;

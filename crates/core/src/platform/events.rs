@@ -26,6 +26,15 @@ impl TenantCal<'_> {
         self.cal.schedule_for(at, self.tenant, event);
     }
 
+    /// Schedules `event` at `at` in the calendar's in-order lane: for
+    /// events that follow their cause by one fixed delay, such as
+    /// [`Event::VmReady`] one boot penalty after its hire or reshape.
+    /// Events are handled in ascending `(instant, tenant)` order, so
+    /// such events are scheduled in key order.
+    pub(super) fn schedule_in_order(&mut self, at: SimTime, event: Event) {
+        self.cal.schedule_in_order_for(at, self.tenant, event);
+    }
+
     /// Sets the tenant's one pending [`Event::IdleSweep`] to `at`, moving
     /// the one it had; `None` cancels it. The sweep fires after every
     /// other event of the tenant at its instant.

@@ -112,7 +112,7 @@ impl Platform {
                             hire_cost: f64::NAN,
                             choice: ScalingChoice::Reshape,
                         });
-                        sink.schedule(ready_at, Event::VmReady(vm_id));
+                        sink.schedule_in_order(ready_at, Event::VmReady(vm_id));
                         return true;
                     }
                     Err(_) => { /* fall through to hire */ }
@@ -149,7 +149,7 @@ impl Platform {
                 self.booting.inc(class.cores);
                 self.pending.increment(class.stage, class.cores);
                 self.vm_reserved_for.insert(vm_id, class);
-                sink.schedule(ready_at, Event::VmReady(vm_id));
+                sink.schedule_in_order(ready_at, Event::VmReady(vm_id));
                 true
             }
             Err(_) => false,
@@ -309,24 +309,14 @@ impl Platform {
     /// The classes with more queued entries than hires in flight, in
     /// dispatch order.
     fn stalled_classes(&self) -> impl Iterator<Item = TaskClass> + '_ {
-        (0..self.queues.n_stages()).flat_map(move |stage| {
-            let mut slots = self.queues.nonempty_slots(stage);
-            std::iter::from_fn(move || {
-                while slots != 0 {
-                    let slot = slots.trailing_zeros() as usize;
-                    slots &= slots - 1;
-                    let class = TaskClass { stage, cores: SHAPE_CORES[slot] };
-                    if self.queues.len(class) as u32 > self.pending.get(stage, class.cores) {
-                        debug_assert_eq!(
-                            self.idle.len_of_slot(slot),
-                            0,
-                            "stalled beside idle workers"
-                        );
-                        return Some(class);
-                    }
-                }
-                None
-            })
+        self.queues.nonempty().filter(move |&class| {
+            let stalled =
+                self.queues.len(class) as u32 > self.pending.get(class.stage, class.cores);
+            debug_assert!(
+                !stalled || self.idle.len_of_slot(shape_slot(class.cores)) == 0,
+                "stalled beside idle workers"
+            );
+            stalled
         })
     }
 

@@ -63,10 +63,12 @@ impl Platform {
     }
 
     /// Releases the idle workers past their tier's timeout, in ascending
-    /// VM id. Each `(tier, shape)` release list is ordered by idle start,
-    /// so the expired workers are a prefix of it, walked from its head. Private pools never
-    /// shrink below their standing target: of a shape's expired private
-    /// workers, only the lowest ids above the floor go.
+    /// VM id (ids are unique, so sorting on the id alone is the derived
+    /// key order). Each `(tier, shape)` release list is ordered by idle
+    /// start, so the expired workers are a prefix of it, walked from its
+    /// head. Private pools never shrink below their standing target: of a
+    /// shape's expired private workers, only the lowest ids above the
+    /// floor go.
     fn release_expired(&mut self, now: SimTime) {
         let mut expired = std::mem::take(&mut self.release_scratch);
         for tier in [TierId::PRIVATE, TierId::PUBLIC] {
@@ -86,13 +88,13 @@ impl Platform {
                 if tier == TierId::PRIVATE {
                     let room = self.releasable_private(cores);
                     if room < n {
-                        expired[start..].sort_unstable();
+                        expired[start..].sort_unstable_by_key(|&(vm, _)| vm.id);
                         expired.truncate(start + room);
                     }
                 }
             }
         }
-        expired.sort_unstable();
+        expired.sort_unstable_by_key(|&(vm, _)| vm.id);
         for &(vm_id, cores) in &expired {
             self.idle.remove(cores, vm_id);
             self.provider.release(vm_id, now);
@@ -115,7 +117,7 @@ impl Platform {
     fn teardown(&mut self, now: SimTime) {
         let mut idle = std::mem::take(&mut self.release_scratch);
         idle.extend(self.idle.all().map(|(cores, vm)| (vm, cores)));
-        idle.sort_unstable();
+        idle.sort_unstable_by_key(|&(vm, _)| vm.id);
         for &(vm_id, cores) in &idle {
             self.idle.remove(cores, vm_id);
             self.provider.release(vm_id, now);
@@ -273,7 +275,7 @@ impl Platform {
                 match self.provider.hire_on(TierId::PRIVATE, size, now) {
                     Ok((vm_id, ready_at)) => {
                         self.booting.inc(cores);
-                        sink.schedule(ready_at, Event::VmReady(vm_id));
+                        sink.schedule_in_order(ready_at, Event::VmReady(vm_id));
                     }
                     Err(_) => break, // private tier full: pools stay short
                 }

@@ -222,12 +222,15 @@ impl Platform {
         let hub = RngHub::new(cfg.seed, repetition);
         let true_model = cfg.true_model();
         let mut kb_rng = hub.stream("kb-bootstrap");
-        let mut broker = DataBroker::bootstrap(&true_model, cfg.fixed.profile_noise, &mut kb_rng);
-        if cfg.variable.allocation != AllocationPolicy::LongTermAdaptive {
-            // Only the adaptive policy re-fits (`on_replan`); every other
-            // tenant keeps just the learned model.
-            broker.drop_log();
-        }
+        let noise = cfg.fixed.profile_noise;
+        // Only the adaptive policy re-fits (`on_replan`), so only it keeps
+        // the profile log; every other tenant fits the same trace without
+        // one.
+        let broker = if cfg.variable.allocation == AllocationPolicy::LongTermAdaptive {
+            DataBroker::bootstrap(&true_model, noise, &mut kb_rng)
+        } else {
+            DataBroker::learned_only(&true_model, noise, &mut kb_rng)
+        };
 
         let mut provider = CloudProvider::new(cfg.tier_catalog());
         let (tenant, max_jobs) = match tenancy {

@@ -45,7 +45,8 @@ use std::collections::VecDeque;
 /// Each pool is kept sorted *descending* so `take_min` is a plain
 /// `Vec::pop`. Inserts binary-search their position; pools hold tens of
 /// VMs, so the occasional memmove is far cheaper than the tree nodes it
-/// replaces.
+/// replaces. Ids are unique, so the searches compare ids alone: the
+/// same order as the derived `(id, slot)` one at half the compare.
 ///
 /// Each release list is an intrusive doubly-linked list threaded through
 /// a table indexed by VM slot (like [`BusyTable`]'s positions), so a
@@ -118,7 +119,7 @@ impl IdlePools {
     pub(super) fn insert(&mut self, cores: u32, vm: VmKey, tier: TierId, since: SimTime) {
         let slot = shape_slot(cores);
         let pool = &mut self.pools[slot];
-        let pos = pool.partition_point(|&v| v > vm);
+        let pos = pool.partition_point(|v| v.id > vm.id);
         debug_assert!(pool.get(pos) != Some(&vm), "double insert of idle VM");
         pool.insert(pos, vm);
         let at = vm.slot as usize;
@@ -147,7 +148,7 @@ impl IdlePools {
     pub(super) fn remove(&mut self, cores: u32, vm: VmKey) -> bool {
         let slot = shape_slot(cores);
         let pool = &mut self.pools[slot];
-        let pos = pool.partition_point(|&v| v > vm);
+        let pos = pool.partition_point(|v| v.id > vm.id);
         if pool.get(pos) == Some(&vm) {
             pool.remove(pos);
             self.unlink(slot, vm);

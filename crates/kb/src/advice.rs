@@ -240,8 +240,7 @@ impl KnowledgeBase {
     /// One scan of the log threads each stage's records into a chain in
     /// ingest order (`next[i]` is the log index of the record after record
     /// `i` in its stage), so a stage's fit walks only its own records.
-    /// The fit inputs live in two scratch buffers shared by every stage,
-    /// sized once to the largest stage.
+    /// One [`StageFitter`], sized once to the largest stage, fits them all.
     fn fit_stages(
         &self,
         application: &str,
@@ -272,49 +271,76 @@ impl KnowledgeBase {
         }
 
         let largest = chains.iter().map(|c| c.2).max().unwrap_or(0);
-        let mut single: Vec<(f64, f64)> = Vec::with_capacity(largest);
-        let mut inverse: Vec<(f64, f64)> = Vec::with_capacity(largest);
+        let mut fitter = StageFitter::with_capacity(largest);
         for (stage, &(head, _, count)) in (first..=last).zip(&chains) {
             if count == 0 {
                 continue;
             }
-            let records = || {
-                std::iter::successors(Some(head), |&i| Some(next[i as usize]).filter(|&n| n != END))
-                    .map(|i| &self.log[i as usize])
-            };
-
-            // (a, b) from single-threaded observations.
-            single.clear();
-            single.extend(records().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)));
-            let Some(lin) = linear_fit(&single) else { continue };
-
-            // c from multi-threaded observations, normalised by predicted
-            // E(d): T/E(d) = c/t + (1−c), linear in 1/t (`amdahl_fit` over
-            // `(t, T/E(d))`, with `1/t` taken once per record).
-            inverse.clear();
-            for p in records() {
-                let e = lin.predict(p.input_gb);
-                if e > 1e-9 && p.threads >= 1 {
-                    inverse.push((1.0 / p.threads as f64, p.e_time / e));
-                }
+            let records = std::iter::successors(Some(head), |&i| {
+                Some(next[i as usize]).filter(|&n| n != END)
+            })
+            .map(|i| &self.log[i as usize]);
+            if let Some(model) = fitter.fit(records) {
+                emit(stage, model);
             }
-            // All observations single-threaded → assume serial (c = 0).
-            let c = linear_fit(&inverse).and_then(|fit| AmdahlFit::from_line(&fit)).unwrap_or(
-                AmdahlFit { c: 0.0, single_thread_time: 1.0, r_squared: 1.0, n: inverse.len() },
-            );
-
-            emit(
-                stage,
-                StageModelEstimate {
-                    a: lin.slope,
-                    b: lin.intercept,
-                    c: c.c,
-                    r_squared_linear: lin.r_squared,
-                    r_squared_amdahl: c.r_squared,
-                    observations: count,
-                },
-            );
         }
+    }
+}
+
+/// Fits one pipeline stage's model from that stage's records, in ingest
+/// order. The fit inputs live in two scratch buffers the fitter keeps,
+/// so fitting stage after stage allocates nothing once they are sized.
+#[derive(Debug, Default)]
+pub struct StageFitter {
+    single: Vec<(f64, f64)>,
+    inverse: Vec<(f64, f64)>,
+}
+
+impl StageFitter {
+    /// A fitter whose buffers already hold stages of up to `records`
+    /// records.
+    pub fn with_capacity(records: usize) -> Self {
+        StageFitter { single: Vec::with_capacity(records), inverse: Vec::with_capacity(records) }
+    }
+
+    /// Learns the `E(d) = a·d + b`, Amdahl-`c` model of one stage from
+    /// its records in ingest order: `None` without ≥ 2 distinct
+    /// single-thread sizes. The records are walked twice, so they come as
+    /// a cloneable iterator.
+    pub fn fit<'a>(
+        &mut self,
+        records: impl Iterator<Item = &'a ProfileRecord> + Clone,
+    ) -> Option<StageModelEstimate> {
+        // (a, b) from single-threaded observations.
+        self.single.clear();
+        self.single
+            .extend(records.clone().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)));
+        let lin = linear_fit(&self.single)?;
+
+        // c from multi-threaded observations, normalised by predicted
+        // E(d): T/E(d) = c/t + (1−c), linear in 1/t (`amdahl_fit` over
+        // `(t, T/E(d))`, with `1/t` taken once per record).
+        self.inverse.clear();
+        let mut observations = 0;
+        for p in records {
+            observations += 1;
+            let e = lin.predict(p.input_gb);
+            if e > 1e-9 && p.threads >= 1 {
+                self.inverse.push((1.0 / p.threads as f64, p.e_time / e));
+            }
+        }
+        // All observations single-threaded → assume serial (c = 0).
+        let c = linear_fit(&self.inverse).and_then(|fit| AmdahlFit::from_line(&fit)).unwrap_or(
+            AmdahlFit { c: 0.0, single_thread_time: 1.0, r_squared: 1.0, n: self.inverse.len() },
+        );
+        Some(StageModelEstimate {
+            a: lin.slope,
+            b: lin.intercept,
+            c: c.c,
+            r_squared_linear: lin.r_squared,
+            r_squared_amdahl: c.r_squared,
+            observations,
+        })
     }
 }
 

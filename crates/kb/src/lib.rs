@@ -45,7 +45,7 @@ pub mod store;
 pub mod term;
 pub mod turtle;
 
-pub use advice::{ChunkAdvice, KnowledgeBase, StageModelEstimate};
+pub use advice::{ChunkAdvice, KnowledgeBase, StageFitter, StageModelEstimate};
 pub use ontology::{Ontology, ScanVocabulary};
 pub use profile::ProfileRecord;
 pub use regression::{amdahl_fit, linear_fit, AmdahlFit, LinearFit};

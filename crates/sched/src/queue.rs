@@ -173,19 +173,58 @@ impl ClassQueue {
     }
 }
 
+/// Stages a [`ClassMask`] word has room for: one bit per `(stage,
+/// shape)` class. GATK plans have seven.
+pub const MAX_STAGES: usize = u64::BITS as usize / N_SHAPES;
+
+/// A set of `(stage, shape)` classes as one word: bit
+/// `stage * N_SHAPES + slot` stands for the class of `stage` and shape
+/// slot `slot`. Iterating it yields the classes in ascending bit order,
+/// which is ascending `(stage, cores)` order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassMask(u64);
+
+impl ClassMask {
+    /// The bit of the class of `stage` and shape slot `slot`.
+    #[inline]
+    fn bit(stage: usize, slot: usize) -> u64 {
+        1 << (stage * N_SHAPES + slot)
+    }
+
+    /// The mask as a word.
+    pub fn bits(self) -> u64 {
+        self.0
+    }
+}
+
+impl Iterator for ClassMask {
+    type Item = TaskClass;
+
+    #[inline]
+    fn next(&mut self) -> Option<TaskClass> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(TaskClass { stage: bit / N_SHAPES, cores: SHAPE_CORES[bit % N_SHAPES] })
+    }
+}
+
 /// Every `(stage, shape)` class queue, stored densely.
 ///
 /// Classes are `(stage, shape)` pairs where the shape axis is the fixed
 /// five-slot [`SHAPE_CORES`] array, so the whole family is a
 /// `Vec<[ClassQueue; 5]>` indexed by stage: every lookup is two array
-/// indexes, and walks go stages then shapes in ascending `(stage, cores)`
-/// order. Lengths count shard entries, not batches.
+/// indexes. Walks read one [`ClassMask`] of the non-empty classes, in
+/// ascending `(stage, cores)` order. Lengths count shard entries, not
+/// batches.
 #[derive(Debug, Clone, Default)]
 pub struct ClassQueues {
     stages: Vec<[ClassQueue; N_SHAPES]>,
-    /// Per stage, bit `slot` set iff that class has pending entries (kept
-    /// incrementally), so walks skip the empty classes without a look.
-    nonempty: Vec<u8>,
+    /// The classes with pending entries (kept incrementally), so walks
+    /// skip the empty ones without a look.
+    nonempty: ClassMask,
     /// Pending entries across all classes (kept incrementally).
     total: usize,
 }
@@ -206,8 +245,9 @@ impl ClassQueues {
     /// term.
     ///
     /// # Panics
-    /// Panics on a zero-shard batch, and in debug builds when the job
-    /// still has a batch pending in `class`.
+    /// Panics on a zero-shard batch or a stage at or past [`MAX_STAGES`]
+    /// (its class has no bit in the mask), and in debug builds when the
+    /// job still has a batch pending in `class`.
     #[inline]
     pub fn push_batch(
         &mut self,
@@ -219,9 +259,13 @@ impl ClassQueues {
         now: SimTime,
     ) {
         assert!(shards > 0, "a stage batch has at least one shard");
+        assert!(
+            class.stage < MAX_STAGES,
+            "stage {} is past the {MAX_STAGES} stages a class mask holds",
+            class.stage
+        );
         while self.stages.len() <= class.stage {
             self.stages.push(std::array::from_fn(|_| ClassQueue::default()));
-            self.nonempty.push(0);
         }
         let slot = shape_slot(class.cores);
         let q = &mut self.stages[class.stage][slot];
@@ -242,7 +286,7 @@ impl ClassQueues {
             cum_entries: q.pushed,
             cum_d: q.pushed_cum_d,
         });
-        self.nonempty[class.stage] |= 1 << slot;
+        self.nonempty.0 |= ClassMask::bit(class.stage, slot);
         self.total += shards as usize;
     }
 
@@ -261,7 +305,7 @@ impl ClassQueues {
             q.base_cum_d = front.cum_d;
             q.batches.pop_front();
             if q.batches.is_empty() {
-                self.nonempty[class.stage] &= !(1 << slot);
+                self.nonempty.0 &= !ClassMask::bit(class.stage, slot);
             }
         }
         self.total -= 1;
@@ -286,18 +330,11 @@ impl ClassQueues {
         self.class(class).into_iter().flat_map(|q| q.batches.iter().map(|b| (b.job, b.pending)))
     }
 
-    /// Number of stage rows allocated so far (stages are added lazily as
-    /// classes are first pushed).
+    /// The classes with pending entries. The mask is a copy: it does not
+    /// follow later pushes and pops.
     #[inline]
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// The shape slots of `stage` with pending entries, as a bit mask (bit
-    /// `slot`); zero for a stage never pushed to.
-    #[inline]
-    pub fn nonempty_slots(&self, stage: usize) -> u8 {
-        self.nonempty.get(stage).copied().unwrap_or(0)
+    pub fn nonempty(&self) -> ClassMask {
+        self.nonempty
     }
 
     /// Pending entries across classes.
@@ -483,12 +520,35 @@ mod tests {
         assert_eq!(qs.shape_len(shape_slot(8)), 1);
         assert_eq!(qs.pop(c1, t(2.0)).unwrap().0, 10);
         assert_eq!(qs.len(c1), 1);
-        let masks = |qs: &ClassQueues| (0..5).map(|s| qs.nonempty_slots(s)).collect::<Vec<_>>();
-        // 4 cores are slot 2, 8 cores slot 3.
-        assert_eq!(masks(&qs), vec![0b1100, 0, 0, 0b100, 0]);
+        // 4 cores are slot 2, 8 cores slot 3; stage 3 starts at bit 15.
+        assert_eq!(qs.nonempty().bits(), 0b1100 | 0b100 << 15);
+        assert_eq!(qs.nonempty().collect::<Vec<_>>(), vec![c1, c2, c3], "ascending (stage, cores)");
         qs.pop(c2, t(2.0));
-        assert_eq!(masks(&qs), vec![0b100, 0, 0, 0b100, 0], "an emptied class leaves the mask");
+        assert_eq!(qs.nonempty().bits(), 0b100 | 0b100 << 15, "an emptied class leaves the mask");
         assert!(qs.pop(TaskClass { stage: 9, cores: 1 }, t(2.0)).is_none());
+    }
+
+    #[test]
+    fn the_mask_walks_every_class_in_stage_then_shape_order() {
+        let mut qs = ClassQueues::new();
+        let mut all = Vec::new();
+        for stage in (0..MAX_STAGES).rev() {
+            for &cores in SHAPE_CORES.iter().rev() {
+                let class = TaskClass { stage, cores };
+                qs.push_batch(class, all.len() as u32, 1, 1.0, SimTime::ZERO, SimTime::ZERO);
+                all.push(class);
+            }
+        }
+        all.sort_unstable();
+        assert_eq!(qs.nonempty().collect::<Vec<_>>(), all);
+        assert_eq!(qs.nonempty().bits(), u64::MAX >> (64 - MAX_STAGES * N_SHAPES));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 12 stages a class mask holds")]
+    fn a_stage_past_the_mask_is_refused() {
+        let mut qs = ClassQueues::new();
+        qs.push_batch(TaskClass { stage: MAX_STAGES, cores: 1 }, 0, 1, 1.0, t(0.0), t(0.0));
     }
 
     #[test]
@@ -657,15 +717,13 @@ mod tests {
                     .sum();
                 prop_assert_eq!(q.shape_len(slot), naive);
             }
-            for stage in 0..3 {
-                let mut mask = 0u8;
-                for (c, e) in self.classes.iter().zip(&self.entries) {
-                    if c.stage == stage && !e.is_empty() {
-                        mask |= 1 << shape_slot(c.cores);
-                    }
+            let mut mask = 0u64;
+            for (c, e) in self.classes.iter().zip(&self.entries) {
+                if !e.is_empty() {
+                    mask |= 1 << (c.stage * N_SHAPES + shape_slot(c.cores));
                 }
-                prop_assert_eq!(q.nonempty_slots(stage), mask);
             }
+            prop_assert_eq!(q.nonempty().bits(), mask, "the mask is exactly the non-empty classes");
             Ok(())
         }
     }
@@ -694,7 +752,8 @@ mod tests {
             small_cap in 0u8..2,
         ) {
             let cap = if small_cap == 0 { 4usize } else { 256 };
-            let classes = [CLASS, TaskClass { stage: 1, cores: 4 }];
+            // The second class holds the mask's highest bit.
+            let classes = [CLASS, TaskClass { stage: MAX_STAGES - 1, cores: 16 }];
             for reward in reward_schemes() {
                 let mut q = ClassQueues::new();
                 let mut naive = NaiveQueue::new(classes);

@@ -18,9 +18,18 @@
 //! compares one stored `u128` per step and moves 32-byte entries (for a
 //! 16-byte payload); [`ScheduledEvent`] is unpacked from the key only
 //! when an event is popped.
+//!
+//! Beside the heap runs a FIFO *lane* for events a caller schedules in
+//! key order ([`Calendar::schedule_in_order_for`]), such as completions
+//! that follow their cause by one fixed delay. An event whose key is
+//! above the lane's tail is appended there in O(1) and never sifted; one
+//! that is not falls back to the heap. A pop takes the smaller of the
+//! heap's top and the lane's front, so the lane changes no pop order,
+//! only its cost.
 
 use crate::tenant::TenantId;
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Sequence numbers occupy the low 48 bits of the heap key; the 16 bits
 /// above them hold the scheduling tenant. 2⁴⁸ events per run is far
@@ -116,6 +125,9 @@ pub struct Calendar<E> {
     /// A binary min-heap on `key`: every entry's key is at most its
     /// children's (`2i + 1`, `2i + 2`). Keys are unique.
     heap: Vec<Entry<E>>,
+    /// Ordinary events in strictly ascending key order (appended only
+    /// above the tail); never a wakeup.
+    lane: VecDeque<Entry<E>>,
     next_seq: u64,
     /// Wakeups set so far: the next wakeup's sequence number is
     /// `WAKE_SEQ + next_wake`.
@@ -147,6 +159,7 @@ impl<E> Calendar<E> {
     pub fn with_capacity(n: usize) -> Self {
         Calendar {
             heap: Vec::with_capacity(n),
+            lane: VecDeque::new(),
             next_seq: 0,
             next_wake: 0,
             now: SimTime::ZERO,
@@ -182,6 +195,31 @@ impl<E> Calendar<E> {
     /// Panics if `at` is in the past — causality violations are programming
     /// errors, not recoverable conditions.
     pub fn schedule_for(&mut self, at: SimTime, tenant: TenantId, event: E) {
+        let key = self.next_key(at, tenant);
+        self.push(key, event);
+    }
+
+    /// Schedules `event` at `at` on behalf of `tenant`, exactly as
+    /// [`Calendar::schedule_for`] does, for a caller whose calls come in
+    /// ascending `(at, tenant)` order: the event then joins the lane in
+    /// O(1) instead of the heap. An event out of that order falls back to
+    /// the heap, so the order is a cost contract, never a correctness
+    /// one.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_in_order_for(&mut self, at: SimTime, tenant: TenantId, event: E) {
+        let key = self.next_key(at, tenant);
+        if self.lane.back().is_none_or(|tail| tail.key < key) {
+            self.lane.push_back(Entry { key, event });
+        } else {
+            self.push(key, event);
+        }
+    }
+
+    /// The key of the next ordinary event at `at` for `tenant`.
+    #[inline]
+    fn next_key(&mut self, at: SimTime, tenant: TenantId) -> u128 {
         assert!(
             at >= self.now,
             "cannot schedule an event in the past ({} < now {})",
@@ -191,7 +229,7 @@ impl<E> Calendar<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         debug_assert!(seq < WAKE_SEQ, "calendar sequence reached the wakeup range");
-        self.push(pack(at, tenant, seq), event);
+        pack(at, tenant, seq)
     }
 
     /// Sets `tenant`'s one pending wakeup to fire `event` at `at`,
@@ -250,16 +288,35 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Pops the top entry (known live), clearing its tenant's wakeup if
-    /// it is one.
+    /// The smallest pending key: the heap's top (known live) or the
+    /// lane's front.
+    #[inline]
+    fn peek_key(&self) -> Option<u128> {
+        match (self.heap.first(), self.lane.front()) {
+            (Some(top), Some(front)) => Some(top.key.min(front.key)),
+            (top, front) => top.or(front).map(|e| e.key),
+        }
+    }
+
+    /// Pops the smaller of the heap's top (known live) and the lane's
+    /// front, clearing its tenant's wakeup if it is one.
     #[inline]
     fn take_top(&mut self) -> Option<ScheduledEvent<E>> {
-        let Entry { key, event } = self.pop_entry()?;
+        let from_lane = match (self.heap.first(), self.lane.front()) {
+            (Some(top), Some(front)) => front.key < top.key,
+            (top, _) => top.is_none(),
+        };
+        let Entry { key, event } = if from_lane {
+            self.lane.pop_front()?
+        } else {
+            let entry = self.pop_entry()?;
+            if key_seq(entry.key) >= WAKE_SEQ {
+                self.wakes[key_tenant(entry.key).index()] = NO_WAKE;
+            }
+            self.drop_superseded();
+            entry
+        };
         let (tenant, seq) = (key_tenant(key), key_seq(key));
-        if seq >= WAKE_SEQ {
-            self.wakes[tenant.index()] = NO_WAKE;
-        }
-        self.drop_superseded();
         Some(ScheduledEvent { at: key_at(key), seq, tenant, event })
     }
 
@@ -290,7 +347,7 @@ impl<E> Calendar<E> {
         };
         let at = first.at;
         out.push(first);
-        while self.heap.first().is_some_and(|e| key_at(e.key) == at) {
+        while self.peek_key().is_some_and(|key| key_at(key) == at) {
             out.push(self.take_top().expect("peeked non-empty"));
         }
         out.len()
@@ -300,6 +357,7 @@ impl<E> Calendar<E> {
     /// is.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.wakes.clear();
     }
 
@@ -578,15 +636,63 @@ mod tests {
         Ok(())
     }
 
+    /// Pops one instant's batch from each and fails unless they agree.
+    fn check_pop_batch(
+        cal: &mut Calendar<u32>,
+        model: &mut ModelCalendar,
+    ) -> Result<(), TestCaseError> {
+        let mut out = Vec::new();
+        let n = cal.pop_batch(&mut out);
+        prop_assert_eq!(n, out.len());
+        let got: Vec<_> = out
+            .iter()
+            .map(|e| {
+                (e.at.as_tu().to_bits(), e.tenant.0, (e.seq < WAKE_SEQ).then_some(e.seq), e.event)
+            })
+            .collect();
+        let mut want = Vec::new();
+        if let Some(first) = model.pop() {
+            want.push(first);
+            while model.events.first_key_value().is_some_and(|(&(at, ..), _)| at == first.0) {
+                want.extend(model.pop());
+            }
+        }
+        let want: Vec<_> = want
+            .into_iter()
+            .map(|(at, t, seq, ev)| (tick(at).as_tu().to_bits(), t, seq, ev))
+            .collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(cal.now(), tick(model.now));
+        Ok(())
+    }
+
+    #[test]
+    fn in_order_events_take_the_lane_and_the_rest_fall_back_to_the_heap() {
+        let mut cal = Calendar::new();
+        cal.schedule_in_order_for(SimTime::new(2.0), TenantId(0), 20u32);
+        cal.schedule_in_order_for(SimTime::new(2.0), TenantId(1), 21);
+        cal.schedule_in_order_for(SimTime::new(3.0), TenantId(1), 31);
+        // Below the lane's tail: an earlier instant, then an earlier
+        // tenant at the tail's instant.
+        cal.schedule_in_order_for(SimTime::new(1.0), TenantId(0), 10);
+        cal.schedule_in_order_for(SimTime::new(3.0), TenantId(0), 30);
+        cal.schedule_for(SimTime::new(2.0), TenantId(0), 22);
+        assert_eq!((cal.lane.len(), cal.heap.len()), (3, 3));
+        let fired: Vec<u32> = std::iter::from_fn(|| cal.pop().map(|e| e.event)).collect();
+        assert_eq!(fired, vec![10, 20, 22, 21, 30, 31]);
+    }
+
     proptest! {
-        /// Random schedules, wakeups (set, moved earlier, later or back
-        /// to an instant they left) and cancellations across tenants pop
-        /// exactly as the sorted-map model says: the same instants,
-        /// tenants, sequence numbers and payloads, with the clock
-        /// following.
+        /// Random schedules, in-order-lane schedules (at a fixed delay,
+        /// out of order only across tenants, or at any delay, so the heap
+        /// fallback runs), wakeups (set, moved earlier, later or back to
+        /// an instant they left) and cancellations across tenants pop
+        /// exactly as the sorted-map model says, one at a time or one
+        /// instant's batch at a time: the same instants, tenants,
+        /// sequence numbers and payloads, with the clock following.
         #[test]
         fn prop_calendar_matches_a_sorted_map(
-            ops in proptest::collection::vec((0u8..10, 0u16..4, 0u64..6), 1..300),
+            ops in proptest::collection::vec((0u8..14, 0u16..4, 0u64..6), 1..300),
         ) {
             let mut cal = Calendar::new();
             let mut model = ModelCalendar::default();
@@ -606,6 +712,12 @@ mod tests {
                         cal.cancel_wake(TenantId(tenant));
                         model.cancel_wake(tenant);
                     }
+                    7..=8 => {
+                        let at = if op == 7 { model.now + 2 } else { at };
+                        cal.schedule_in_order_for(tick(at), TenantId(tenant), event);
+                        model.schedule_for(at, tenant, event);
+                    }
+                    9 => check_pop_batch(&mut cal, &mut model)?,
                     _ => check_pop(&mut cal, &mut model)?,
                 }
             }

@@ -8,7 +8,7 @@
 //! scheduler's estimators run on *learned* coefficients, closing the loop
 //! the paper describes.
 
-use crate::gatk::PipelineModel;
+use crate::gatk::{PipelineModel, StageFactors};
 use scan_kb::ProfileRecord;
 use scan_sim::SimRng;
 use std::borrow::Cow;
@@ -19,12 +19,14 @@ pub const PROFILE_SIZES_GB: [f64; 5] = [1.0, 3.0, 5.0, 7.0, 9.0];
 /// Thread counts profiled (the instance catalogue).
 pub const PROFILE_THREADS: [u32; 5] = [1, 2, 4, 8, 16];
 
-/// Generates a profiling trace for every stage of `model`: each (size,
-/// threads) cell is measured `replicates` times with multiplicative
-/// Gaussian noise of relative σ `noise` around its ground-truth time,
-/// which is computed once per cell. Every record shares `application`,
-/// so a static name is never copied per record, and the trace is
-/// allocated once at its exact length.
+/// Records one stage's profile holds per replicate: one per `(size,
+/// threads)` cell.
+pub const PROFILE_CELLS: usize = PROFILE_SIZES_GB.len() * PROFILE_THREADS.len();
+
+/// Generates a profiling trace for every stage of `model`, stage by
+/// stage ([`generate_stage_profile`]). Every record shares
+/// `application`, so a static name is never copied per record, and the
+/// trace is allocated once at its exact length.
 pub fn generate_profile_trace(
     model: &PipelineModel,
     application: impl Into<Cow<'static, str>>,
@@ -32,31 +34,52 @@ pub fn generate_profile_trace(
     noise: f64,
     rng: &mut SimRng,
 ) -> Vec<ProfileRecord> {
+    let application = application.into();
+    let mut out = Vec::with_capacity(model.stages.len() * PROFILE_CELLS * replicates);
+    for (stage, factors) in (1..).zip(&model.stages) {
+        generate_stage_profile(factors, stage, application.clone(), replicates, noise, rng, |r| {
+            out.push(r)
+        });
+    }
+    out
+}
+
+/// Generates the profile of 1-based pipeline `stage`, whose ground truth
+/// is `factors`, handing each record to `emit` in trace order: each
+/// (size, threads) cell is measured `replicates` times with
+/// multiplicative Gaussian noise of relative σ `noise` around its
+/// ground-truth time, which is computed once per cell.
+///
+/// # Panics
+/// Panics on zero replicates or a noise outside `[0, 0.5)`.
+pub fn generate_stage_profile(
+    factors: &StageFactors,
+    stage: u32,
+    application: Cow<'static, str>,
+    replicates: usize,
+    noise: f64,
+    rng: &mut SimRng,
+    mut emit: impl FnMut(ProfileRecord),
+) {
     assert!(replicates >= 1);
     assert!((0.0..0.5).contains(&noise), "relative noise must be in [0, 0.5)");
-    let application = application.into();
-    let cells = model.stages.len() * PROFILE_SIZES_GB.len() * PROFILE_THREADS.len();
-    let mut out = Vec::with_capacity(cells * replicates);
-    for (stage_idx, factors) in model.stages.iter().enumerate() {
-        for &size_gb in &PROFILE_SIZES_GB {
-            for &threads in &PROFILE_THREADS {
-                let truth = factors.threaded_time(threads, size_gb);
-                for _ in 0..replicates {
-                    let factor = 1.0 + noise * rng.standard_normal();
-                    let e_time = (truth * factor.max(0.1)).max(1e-3);
-                    out.push(ProfileRecord {
-                        application: application.clone(),
-                        stage: (stage_idx + 1) as u32,
-                        input_gb: size_gb,
-                        threads,
-                        ram_gb: 4.0,
-                        e_time,
-                    });
-                }
+    for &size_gb in &PROFILE_SIZES_GB {
+        for &threads in &PROFILE_THREADS {
+            let truth = factors.threaded_time(threads, size_gb);
+            for _ in 0..replicates {
+                let factor = 1.0 + noise * rng.standard_normal();
+                let e_time = (truth * factor.max(0.1)).max(1e-3);
+                emit(ProfileRecord {
+                    application: application.clone(),
+                    stage,
+                    input_gb: size_gb,
+                    threads,
+                    ram_gb: 4.0,
+                    e_time,
+                });
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -131,9 +131,10 @@ run_one --test tracestore_fleet golden_scts_bytes
 run_one -p scan-sim --lib trace::tests::every_kind_round_trips_through_its_field_table
 run_one --test doc_contracts plot_traces_scts_schema_matches_the_store_layout
 
-echo "==> tenant-setup equivalence (the priced plan table and the one-scan fit match the per-call search and the per-stage fit)"
+echo "==> tenant-setup equivalence (the priced plan table, the one-scan fit and the log-free broker match the per-call search, the per-stage fit and the bootstrap)"
 run_one -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
 run_one -p scan-kb --test profile_log one_scan_fits_match_the_per_stage_readback_bit_for_bit
+run_one -p scan-platform --lib broker::tests::learned_only_matches_bootstrap_bit_for_bit
 
 echo "==> class-queue equivalence (job-level queues vs a per-shard model: pops, waits, lengths, Eq. 1)"
 run_one -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
@@ -190,6 +191,7 @@ if [[ "$quick" != "quick" ]]; then
     run_one --release -p scan-sched --lib plan::tests::table_searches_match_the_per_price_point_search
     run_one --release -p scan-kb --test profile_log \
         one_scan_fits_match_the_per_stage_readback_bit_for_bit
+    run_one --release -p scan-platform --lib broker::tests::learned_only_matches_bootstrap_bit_for_bit
 
     echo "==> class-queue equivalence (release)"
     run_one --release -p scan-sched --lib queue::tests::prop_aggregate_matches_naive_walk
