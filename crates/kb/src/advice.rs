@@ -290,7 +290,7 @@ impl KnowledgeBase {
 /// Fits one pipeline stage's model from that stage's records, in ingest
 /// order. The fit inputs live in two scratch buffers the fitter keeps,
 /// so fitting stage after stage allocates nothing once they are sized.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StageFitter {
     single: Vec<(f64, f64)>,
     inverse: Vec<(f64, f64)>,

@@ -190,11 +190,6 @@ impl ClassMask {
     fn bit(stage: usize, slot: usize) -> u64 {
         1 << (stage * N_SHAPES + slot)
     }
-
-    /// The mask as a word.
-    pub fn bits(self) -> u64 {
-        self.0
-    }
 }
 
 impl Iterator for ClassMask {
@@ -521,10 +516,10 @@ mod tests {
         assert_eq!(qs.pop(c1, t(2.0)).unwrap().0, 10);
         assert_eq!(qs.len(c1), 1);
         // 4 cores are slot 2, 8 cores slot 3; stage 3 starts at bit 15.
-        assert_eq!(qs.nonempty().bits(), 0b1100 | 0b100 << 15);
+        assert_eq!(qs.nonempty().0, 0b1100 | 0b100 << 15);
         assert_eq!(qs.nonempty().collect::<Vec<_>>(), vec![c1, c2, c3], "ascending (stage, cores)");
         qs.pop(c2, t(2.0));
-        assert_eq!(qs.nonempty().bits(), 0b100 | 0b100 << 15, "an emptied class leaves the mask");
+        assert_eq!(qs.nonempty().0, 0b100 | 0b100 << 15, "an emptied class leaves the mask");
         assert!(qs.pop(TaskClass { stage: 9, cores: 1 }, t(2.0)).is_none());
     }
 
@@ -541,7 +536,7 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(qs.nonempty().collect::<Vec<_>>(), all);
-        assert_eq!(qs.nonempty().bits(), u64::MAX >> (64 - MAX_STAGES * N_SHAPES));
+        assert_eq!(qs.nonempty().0, u64::MAX >> (64 - MAX_STAGES * N_SHAPES));
     }
 
     #[test]
@@ -723,7 +718,7 @@ mod tests {
                     mask |= 1 << (c.stage * N_SHAPES + shape_slot(c.cores));
                 }
             }
-            prop_assert_eq!(q.nonempty().bits(), mask, "the mask is exactly the non-empty classes");
+            prop_assert_eq!(q.nonempty().0, mask, "the mask is exactly the non-empty classes");
             Ok(())
         }
     }
